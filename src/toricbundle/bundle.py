@@ -29,6 +29,7 @@ from toricbundle.errors import (
     FanError,
     NotDegree2Generated,
     OddBase,
+    VerificationFailed,
 )
 from toricbundle.exactlin import QMatrix, row_space_rref, rref, solve
 from toricbundle.galg import (
@@ -281,7 +282,8 @@ def ring_via_sd(spec: BundleSpec) -> RingReport:
     model = free_model(spec)
     ell = intersection_functional(spec, model)
     sd = sd_quotient(model.algebra, ell)
-    assert sd.algebra.total_dim() == _leray_hirsch_dim(spec), "Leray-Hirsch dims"
+    if sd.algebra.total_dim() != _leray_hirsch_dim(spec):
+        raise VerificationFailed("Leray-Hirsch dims")
     gens = _generator_classes_quotient(spec, model, project=sd.project)
     return RingReport("sd", sd.algebra, sd.functional, gens, (model, sd))
 

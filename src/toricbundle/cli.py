@@ -35,7 +35,12 @@ from toricbundle.bundle import (
     squarefree_evaluate,
     verify_bkk,
 )
-from toricbundle.errors import FanError, NotTopDegree, ToricBundleError
+from toricbundle.errors import (
+    FanError,
+    NotTopDegree,
+    ToricBundleError,
+    VerificationFailed,
+)
 from toricbundle.galg import _unit
 from toricbundle.integrate import (
     convex_chain_identity_check,
@@ -131,6 +136,8 @@ def cmd_ring(args) -> int:
     builders = {"sr": ring_via_sr, "sd": ring_via_sd, "diff": ring_via_diff}
     try:
         report = builders[args.builder](spec)
+    except VerificationFailed:
+        raise
     except ToricBundleError as exc:
         _fail(EXIT_PRECONDITION, f"builder {args.builder}: {exc}")
     payload = serialize.report_to_dict(report)
@@ -348,6 +355,8 @@ def cmd_verify(args) -> int:
         else:
             spec = _resolve_spec(args.spec)
             ok = suite(spec, rng, args.count, lines)
+    except VerificationFailed:
+        raise
     except ToricBundleError as exc:
         _fail(EXIT_PRECONDITION, f"suite {args.suite}: {exc}")
     print(f"suite: {args.suite}  spec: {args.spec}  seed: {args.seed}")
@@ -472,6 +481,9 @@ def main(argv=None) -> int:
     except FanError as exc:
         print(f"error: invalid geometry: {exc}", file=sys.stderr)
         return EXIT_GEOMETRY
+    except VerificationFailed as exc:
+        print(f"error: verification failed: {exc}", file=sys.stderr)
+        return EXIT_IDENTITY
     except ToricBundleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION

@@ -5,6 +5,10 @@ class ToricBundleError(Exception):
     """Base class for all package errors."""
 
 
+class VerificationFailed(ToricBundleError):
+    """A construction failed one of its own identity checks."""
+
+
 # -- fan / polytope geometry ------------------------------------------------
 
 class FanError(ToricBundleError):

@@ -114,6 +114,27 @@ def kernel_basis(m: QMatrix) -> list[QVector]:
     return basis
 
 
+def reduce_onto(rows, pivots, keep, vec) -> QVector:
+    """Coordinates at the columns ``keep`` of ``vec`` reduced by rref rows.
+
+    ``rows`` and ``pivots`` are the nonzero rows of an :func:`rref` and their
+    pivot columns, and ``keep`` avoids every pivot.  Each row is 0 at every
+    other pivot, so eliminating the rows one after the other subtracts
+    ``vec[p] * row`` for each pivot p; only the kept coordinates of that
+    difference are computed.  A kept coordinate that no row changes is
+    returned as the same object, so results that are mostly zeros share them.
+    """
+    out = [vec[t] for t in keep]
+    for row, p in zip(rows, pivots):
+        c = vec[p]
+        if c:
+            for i, t in enumerate(keep):
+                x = row[t]
+                if x:
+                    out[i] -= c * x
+    return tuple(out)
+
+
 def solve(m: QMatrix, b) -> QVector | None:
     """One exact solution of ``m x = b``, or None when inconsistent."""
     b = [Fraction(x) for x in b]

@@ -7,7 +7,10 @@ odd cohomology), so no Koszul signs appear anywhere.  The module provides
 * ``build_quotient``: the degreewise quotient engine for presented algebras
   R[x_1..x_s]/(relations), with deterministic monomial order;
 * Frobenius forms, the self-dual quotient B/I(L_ell) obtained by factoring
-  out the radical of the Frobenius form degree by degree;
+  out the radical of the Frobenius form degree by degree.  Pairing entries
+  and products are read from the structure constants, and classes are
+  computed only at the surviving basis columns (``exactlin.reduce_onto``);
+  the exhaustive check that the radical is an ideal stays;
 * the differential-operator model Diff(V)/Ann(f);
 * graded isomorphism checking by multiplicative extension of a degree-2 map.
 """
@@ -23,9 +26,10 @@ from toricbundle.errors import (
     NonHomogeneousRelation,
     NotGenerated,
     NotHomogeneous,
+    VerificationFailed,
     ZeroFunctional,
 )
-from toricbundle.exactlin import QMatrix, kernel_basis, rref, solve
+from toricbundle.exactlin import QMatrix, kernel_basis, reduce_onto, rref, solve
 from toricbundle.qpoly import QPolynomial, apply_operator, monomials_of_degree
 
 Vec = tuple[Fraction, ...]
@@ -84,9 +88,7 @@ class GradedAlgebra:
         if d > self.top or not self.dim(d):
             return _vzero(self.dim(d))
         if a == 0:
-            return tuple(
-                Fraction(int(t == j)) for t in range(self.dim(d))
-            )
+            return _unit(self.dim(d), j)
         return self.products[(a, i, b, j)]
 
     def multiply(self, a: int, avec, b: int, bvec) -> Vec:
@@ -101,6 +103,17 @@ class GradedAlgebra:
                 for t, cp in enumerate(self.basis_product(a, i, b, j)):
                     if cp:
                         out[t] += ca * cb * cp
+        return tuple(out)
+
+    def times_basis(self, a: int, avec, b: int, j: int) -> Vec:
+        """Product of a degree-a element with the j-th degree-b basis element."""
+        out = list(_vzero(self.dim(a + b)))
+        for i, ca in enumerate(avec):
+            if not ca:
+                continue
+            for t, cp in enumerate(self.basis_product(a, i, b, j)):
+                if cp:
+                    out[t] += ca * cp
         return tuple(out)
 
     def power_of_element(self, a: int, avec, k: int):
@@ -118,15 +131,12 @@ class GradedAlgebra:
             if da + db + dc > self.top:
                 continue
             for i in range(self.dim(da)):
-                ei = _unit(self.dim(da), i)
                 for j in range(self.dim(db)):
-                    ej = _unit(self.dim(db), j)
-                    ij = self.multiply(da, ei, db, ej)
+                    ij = self.basis_product(da, i, db, j)
                     for k in range(self.dim(dc)):
-                        ek = _unit(self.dim(dc), k)
-                        jk = self.multiply(db, ej, dc, ek)
-                        lhs = self.multiply(da + db, ij, dc, ek)
-                        rhs = self.multiply(da, ei, db + dc, jk)
+                        jk = self.basis_product(db, j, dc, k)
+                        lhs = self.times_basis(da + db, ij, dc, k)
+                        rhs = self.times_basis(db + dc, jk, da, i)
                         if lhs != rhs:
                             return False
         return True
@@ -136,7 +146,9 @@ class GradedAlgebra:
 
 
 def _unit(n: int, i: int) -> Vec:
-    return tuple(Fraction(int(t == i)) for t in range(n))
+    v = list(_vzero(n))
+    v[i] = Fraction(1)
+    return tuple(v)
 
 
 @dataclass(frozen=True)
@@ -166,15 +178,19 @@ class TopFunctional:
 
 
 def frobenius_matrix(b: GradedAlgebra, ell: TopFunctional, k: int) -> QMatrix:
-    """Pairing matrix of B^k x B^{n-k} -> Q, (i, j) |-> ell(b_i * b_j)."""
+    """Pairing matrix of B^k x B^{n-k} -> Q, (i, j) |-> ell(b_i * b_j).
+
+    Each entry sums ell_t * (b_i * b_j)_t over the t where both are nonzero.
+    """
     n = ell.degree
+    support = [(t, v) for t, v in enumerate(ell.values) if v]
     rows = []
     for i in range(b.dim(k)):
-        ei = _unit(b.dim(k), i)
         row = []
         for j in range(b.dim(n - k)):
-            ej = _unit(b.dim(n - k), j)
-            row.append(ell.of(n, b.multiply(k, ei, n - k, ej)))
+            prod = b.basis_product(k, i, n - k, j)
+            terms = (v * prod[t] for t, v in support if prod[t])
+            row.append(sum(terms, Fraction(0)))
         rows.append(row)
     if not rows or not rows[0]:
         dims = (max(b.dim(k), 1), max(b.dim(n - k), 1))
@@ -217,13 +233,7 @@ class SdQuotient:
         if d not in self.kept:
             return ()
         rows, pivots = self.reducers[d]
-        v = list(Fraction(x) for x in vec)
-        for row, p in zip(rows, pivots):
-            c = v[p]
-            if c:
-                for t in range(len(v)):
-                    v[t] -= c * row[t]
-        return tuple(v[t] for t in self.kept[d])
+        return reduce_onto(rows, pivots, self.kept[d], vec)
 
 
 def sd_quotient(b: GradedAlgebra, ell: TopFunctional) -> SdQuotient:
@@ -231,13 +241,15 @@ def sd_quotient(b: GradedAlgebra, ell: TopFunctional) -> SdQuotient:
 
     The radical in degree k is the left kernel of the pairing matrix
     B^k x B^{n-k}; degrees above n are entirely radical.  Well-definedness of
-    the induced multiplication is re-verified on all pairs rather than
-    assumed.
+    the induced multiplication is re-verified exhaustively rather than
+    assumed: every radical row times every basis element of B must project
+    to zero.  Those products are built from the nonzero entries of the row
+    and the structure constants, and projected only onto the surviving
+    columns.  A failed check raises ``VerificationFailed``.
     """
     n = ell.degree
     kept: dict[int, tuple[int, ...]] = {}
     reducers: dict[int, tuple[tuple[Vec, ...], tuple[int, ...]]] = {}
-    radical: dict[int, list[Vec]] = {}
     for k in range(0, n + 1, 2):
         dk = b.dim(k)
         if dk == 0:
@@ -253,76 +265,52 @@ def sd_quotient(b: GradedAlgebra, ell: TopFunctional) -> SdQuotient:
             rows = tuple(rr.entries[i] for i in range(len(rp)))
         else:
             rows, rp = (), ()
-        radical[k] = list(rows)
         reducers[k] = (rows, rp)
         kept[k] = tuple(j for j in range(dk) if j not in set(rp))
         if not kept[k]:
             del kept[k]
 
+    out = SdQuotient(None, None, kept, reducers)
     labels = {
         d: tuple(b.labels[d][j] for j in idxs) for d, idxs in kept.items()
     }
-    quotient = _SdBuilder(b, kept, reducers)
-    products = quotient.products()
+    products = {}
+    degs = sorted(kept)
+    for a in degs:
+        for e in degs:
+            if a > e or a == 0:
+                continue
+            for i, bi in enumerate(kept[a]):
+                for j, bj in enumerate(kept[e]):
+                    if a == e and i > j:
+                        continue
+                    prod = b.basis_product(a, bi, e, bj)
+                    products[(a, i, e, j)] = out.project(a + e, prod)
     alg = GradedAlgebra(n, labels, products)
 
     # induced top functional: ell on a lift of the single top basis class
-    assert alg.dim(n) == 1, "self-dual quotient must have 1-dim top degree"
+    if alg.dim(n) != 1:
+        raise VerificationFailed("self-dual quotient must have 1-dim top degree")
     lift = [Fraction(0)] * b.dim(n)
     lift[kept[n][0]] = Fraction(1)
-    functional = TopFunctional(alg, n, (ell.of(n, lift),))
-    out = SdQuotient(alg, functional, kept, reducers)
+    out.algebra = alg
+    out.functional = TopFunctional(alg, n, (ell.of(n, lift),))
 
     # well-definedness: radical * (every original basis element) is radical
-    for k, rad in radical.items():
-        for r in rad:
+    for k, (rows, _) in reducers.items():
+        for r in rows:
             for d in b.degrees():
                 if k + d > n:
                     continue
                 for j in range(b.dim(d)):
-                    prod = b.multiply(k, r, d, _unit(b.dim(d), j))
-                    cls = out.project(k + d, prod)
-                    assert not any(cls), "induced multiplication ill-defined"
+                    if any(out.project(k + d, b.times_basis(k, r, d, j))):
+                        raise VerificationFailed(
+                            "induced multiplication ill-defined"
+                        )
 
-    assert check_poincare(alg, out.functional), "sd quotient not Poincare"
+    if not check_poincare(alg, out.functional):
+        raise VerificationFailed("sd quotient not Poincare")
     return out
-
-
-class _SdBuilder:
-    def __init__(self, b, kept, reducers):
-        self.b = b
-        self.kept = kept
-        self.reducers = reducers
-
-    def project(self, d, vec):
-        rows, pivots = self.reducers[d]
-        v = list(vec)
-        for row, p in zip(rows, pivots):
-            c = v[p]
-            if c:
-                for t in range(len(v)):
-                    v[t] -= c * row[t]
-        return tuple(v[t] for t in self.kept[d])
-
-    def products(self):
-        out = {}
-        degs = sorted(self.kept)
-        top = max(degs)
-        for a in degs:
-            for bdeg in degs:
-                if a > bdeg or a == 0:
-                    continue
-                d = a + bdeg
-                for i, bi in enumerate(self.kept[a]):
-                    for j, bj in enumerate(self.kept[bdeg]):
-                        if a == bdeg and i > j:
-                            continue
-                        if d > top or d not in self.kept:
-                            out[(a, i, bdeg, j)] = ()
-                            continue
-                        prod = self.b.basis_product(a, bi, bdeg, bj)
-                        out[(a, i, bdeg, j)] = self.project(d, prod)
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -389,18 +377,12 @@ class QuotientModel:
         """Quotient coordinates of sum coeff * monomial in degree d."""
         if d > self.presented.truncation or d not in self.monomials:
             return ()
-        cols = self.monomials[d]
-        v = [Fraction(0)] * len(cols)
+        v = [Fraction(0)] * len(self.monomials[d])
         for mono, c in coeff_map.items():
             v[self.column[d][mono]] += Fraction(c)
         rows, pivots = self.reducers[d]
-        for row, p in zip(rows, pivots):
-            c = v[p]
-            if c:
-                for t in range(p, len(v)):
-                    v[t] -= c * row[t]
         basis_cols = [self.column[d][m] for m in self.basis_monos[d]]
-        return tuple(v[t] for t in basis_cols)
+        return reduce_onto(rows, pivots, basis_cols, v)
 
     def monomial_class(self, mono) -> tuple[int, Vec]:
         rdeg, ridx, beta = mono
@@ -675,10 +657,8 @@ def graded_isomorphic(
             continue
         rows_a, rows_b = [], []
         for i in range(a.dim(2)):
-            ei = _unit(a.dim(2), i)
             for j in range(a.dim(d - 2)):
-                ej = _unit(a.dim(d - 2), j)
-                rows_a.append(list(a.multiply(2, ei, d - 2, ej)))
+                rows_a.append(list(a.basis_product(2, i, d - 2, j)))
                 img = b.multiply(2, phi[2][i], d - 2, phi[d - 2][j])
                 rows_b.append(list(img))
         if not rows_a:

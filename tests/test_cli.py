@@ -1,9 +1,15 @@
 """Command-line interface: commands, exit-code contract, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import toricbundle
+from toricbundle import galg
 from toricbundle.catalog import SPECS
 from toricbundle.cli import main
 from toricbundle.serialize import spec_to_dict
@@ -153,3 +159,38 @@ def test_catalog_name_collision_errors(capsys, tmp_path, monkeypatch):
     code, _, err = run(capsys, "fan", "check", "p2")
     assert code == 3 and "both a catalog name and a file" in err
 
+
+# drops one vector from each radical below the top degree (the top degree's
+# pairing matrix has one column), so the top degree stays one-dimensional
+_WRONG_RADICAL = """
+import sys
+from toricbundle import cli, galg
+real = galg.kernel_basis
+galg.kernel_basis = lambda m: real(m)[:-1] if m.rows > 1 else real(m)
+sys.exit(cli.main(["ring", "p2_toric", "--builder", "sd"]))
+"""
+
+
+def test_ring_wrong_radical_exit_1(capsys, monkeypatch):
+    real = galg.kernel_basis
+    monkeypatch.setattr(
+        galg, "kernel_basis", lambda m: real(m)[:-1] if m.rows > 1 else real(m)
+    )
+    code, _, err = run(capsys, "ring", "p2_toric", "--builder", "sd")
+    assert code == 1
+    assert "verification failed" in err
+
+
+def test_ring_wrong_radical_exit_1_under_optimize():
+    """The self-dual checks are explicit comparisons, so -O keeps them."""
+    src = str(Path(toricbundle.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _WRONG_RADICAL],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=120,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert "verification failed" in proc.stderr

@@ -9,6 +9,7 @@ from toricbundle.exactlin import (
     QMatrix,
     kernel_basis,
     rank,
+    reduce_onto,
     row_space_rref,
     rref,
     solve,
@@ -102,3 +103,27 @@ def test_row_space_canonical():
     a = row_space_rref([[F(2), F(4)], [F(1), F(3)]])
     b = row_space_rref([[F(1), F(2)], [F(0), F(1)], [F(3), F(7)]])
     assert a == b
+
+
+def _dense_reduce(rows, pivots, vec):
+    """Reference: eliminate the rref rows one after the other, all columns."""
+    v = list(vec)
+    for row, p in zip(rows, pivots):
+        c = v[p]
+        if c:
+            for t in range(len(v)):
+                v[t] -= c * row[t]
+    return v
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices, st.data())
+def test_reduce_onto_matches_dense_elimination(rows, data):
+    r, pivots = rref(QMatrix(rows))
+    red = r.entries[: len(pivots)]
+    free = [j for j in range(r.cols) if j not in pivots]
+    keep = data.draw(st.permutations(free)) if free else []
+    keep = keep[: data.draw(st.integers(0, len(keep)))]
+    vec = data.draw(st.lists(rationals, min_size=r.cols, max_size=r.cols))
+    dense = _dense_reduce(red, pivots, vec)
+    assert reduce_onto(red, pivots, keep, vec) == tuple(dense[t] for t in keep)

@@ -7,7 +7,13 @@ from math import factorial
 
 import pytest
 
-from toricbundle.errors import NonHomogeneousRelation, ZeroFunctional
+from toricbundle import galg
+from toricbundle.errors import (
+    NonHomogeneousRelation,
+    VerificationFailed,
+    ZeroFunctional,
+)
+from toricbundle.exactlin import QMatrix, kernel_basis, rref
 from toricbundle.galg import (
     GradedAlgebra,
     PresentedAlgebra,
@@ -185,6 +191,103 @@ def test_sd_quotient_randomized_properties():
         assert scaled.algebra.dims() == sq.algebra.dims()
         assert scaled.algebra.products == sq.algebra.products
         done += 1
+
+
+def _reference_frobenius(b, ell, k):
+    """Pairing entries by multiplying unit vectors and applying ell densely."""
+    n, dk, dl = ell.degree, b.dim(k), b.dim(ell.degree - k)
+    return [
+        [
+            ell.of(n, b.multiply(k, _unit(dk, i), n - k, _unit(dl, j)))
+            for j in range(dl)
+        ]
+        for i in range(dk)
+    ]
+
+
+def _reference_sd_products(b, ell):
+    """Structure constants of B/I(L_ell) by dense sequential elimination."""
+    n = ell.degree
+    kept, reducers = {}, {}
+    for k in range(0, n + 1, 2):
+        dk = b.dim(k)
+        if dk == 0:
+            continue
+        if b.dim(n - k) == 0:
+            rad = [_unit(dk, j) for j in range(dk)]
+        else:
+            pairing = QMatrix(_reference_frobenius(b, ell, k))
+            rad = kernel_basis(pairing.transpose())
+        rr, rp = rref(QMatrix(rad)) if rad else (None, ())
+        reducers[k] = ([rr.entries[i] for i in range(len(rp))], rp)
+        kept[k] = [j for j in range(dk) if j not in rp]
+
+    def project(d, vec):
+        v = list(vec)
+        for row, p in zip(*reducers[d]):
+            c = v[p]
+            for t in range(len(v)):
+                v[t] -= c * row[t]
+        return tuple(v[t] for t in kept[d])
+
+    products = {}
+    degs = [d for d in sorted(kept) if kept[d]]
+    for a in degs:
+        for e in degs:
+            if a > e or a == 0:
+                continue
+            for i, bi in enumerate(kept[a]):
+                for j, bj in enumerate(kept[e]):
+                    if a == e and i > j:
+                        continue
+                    if not kept.get(a + e):
+                        products[(a, i, e, j)] = ()
+                        continue
+                    prod = b.multiply(
+                        a, _unit(b.dim(a), bi), e, _unit(b.dim(e), bj)
+                    )
+                    products[(a, i, e, j)] = project(a + e, prod)
+    return products
+
+
+def test_sparse_pairing_and_projection_match_dense_reference():
+    """frobenius_matrix and the sd structure constants equal the dense route."""
+    rng = random.Random(7)
+    done = 0
+    while done < 8:
+        alg = _random_presented(rng).algebra
+        deg = rng.choice([d for d in alg.degrees() if d > 0])
+        values = tuple(
+            F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(alg.dim(deg))
+        )
+        if not any(values):
+            continue
+        ell = TopFunctional(alg, deg, values)
+        for k in range(0, deg + 1, 2):
+            if alg.dim(k) and alg.dim(deg - k):
+                ref = tuple(map(tuple, _reference_frobenius(alg, ell, k)))
+                assert frobenius_matrix(alg, ell, k).entries == ref
+        products = sd_quotient(alg, ell).algebra.products
+        assert products == _reference_sd_products(alg, ell)
+        done += 1
+
+
+def test_sd_quotient_wrong_radical_raises(monkeypatch):
+    """A radical missing a vector below the top degree is caught by explicit
+    checks, not asserts."""
+    real = galg.kernel_basis
+    monkeypatch.setattr(
+        galg, "kernel_basis", lambda m: real(m)[:-1] if m.rows > 1 else real(m)
+    )
+    labels = {0: ("1",), 2: ("x", "y"), 4: ("x^2",)}
+    products = {
+        (2, 0, 2, 0): (F(1),),
+        (2, 0, 2, 1): (F(0),),
+        (2, 1, 2, 1): (F(0),),
+    }
+    b = GradedAlgebra(4, labels, products)
+    with pytest.raises(VerificationFailed):
+        sd_quotient(b, TopFunctional(b, 4, (F(1),)))
 
 
 def test_left_right_radical_symmetry():
