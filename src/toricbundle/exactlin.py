@@ -40,7 +40,10 @@ class QMatrix:
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, entries):
-        entries = tuple(tuple(Fraction(x) for x in row) for row in entries)
+        entries = tuple(
+            tuple(x if type(x) is Fraction else Fraction(x) for x in row)
+            for row in entries
+        )
         self.rows = len(entries)
         self.cols = len(entries[0]) if entries else 0
         if any(len(row) != self.cols for row in entries):
@@ -92,6 +95,40 @@ def rref(m: QMatrix) -> tuple[QMatrix, tuple[int, ...]]:
 
 def rank(m: QMatrix) -> int:
     return len(rref(m)[1])
+
+
+def det(rows) -> Fraction:
+    """Exact determinant of a square matrix given by its rows.
+
+    Rows are cleared of denominators, then Bareiss fraction-free elimination
+    runs on Python ints (every division is exact); the row scales are divided
+    out at the end.  An integer matrix has an integer-valued result.
+    """
+    rows = _as_fraction_rows(rows)
+    n = len(rows)
+    if any(len(row) != n for row in rows):
+        raise ValueError("determinant of a non-square matrix")
+    scale = 1
+    for row in rows:
+        scale *= lcm(*(x.denominator for x in row))
+    work = _int_rows(rows)
+    sign, prev = 1, 1
+    for k in range(n):
+        piv = next((r for r in range(k, n) if work[r][k]), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != k:
+            work[k], work[piv] = work[piv], work[k]
+            sign = -sign
+        pk = work[k]
+        pval = pk[k]
+        for i in range(k + 1, n):
+            row = work[i]
+            v = row[k]
+            for j in range(k + 1, n):
+                row[j] = (row[j] * pval - v * pk[j]) // prev
+        prev = pval
+    return Fraction(sign * prev, scale)
 
 
 def kernel_basis(m: QMatrix) -> list[QVector]:

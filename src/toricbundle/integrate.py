@@ -17,13 +17,15 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import ceil, factorial
 
+from toricbundle import exactlin
 from toricbundle.errors import (
     AnchorFailure,
     DegreeMismatch,
     DimensionMismatch,
     LowerDimensional,
+    VerificationFailed,
 )
 from toricbundle.exactlin import QMatrix, solve
 from toricbundle.polyhedral import (
@@ -54,27 +56,6 @@ class SimplexChain:
         return len(self.simplices)
 
 
-def _det(rows) -> Fraction:
-    m = QMatrix(rows)
-    n = m.rows
-    work = [[Fraction(x) for x in row] for row in m.entries]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if work[r][col]), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            work[col], work[piv] = work[piv], work[col]
-            det = -det
-        det *= work[col][col]
-        inv = 1 / work[col][col]
-        for r in range(col + 1, n):
-            if work[r][col]:
-                f = work[r][col] * inv
-                work[r] = [a - f * b for a, b in zip(work[r], work[col])]
-    return det
-
-
 def integrate_over_simplex(f: QPolynomial, simplex) -> Fraction:
     """Exact integral of f over an n-simplex given by n+1 vertices."""
     verts = [tuple(Fraction(x) for x in v) for v in simplex]
@@ -85,7 +66,7 @@ def integrate_over_simplex(f: QPolynomial, simplex) -> Fraction:
         return Fraction(0)
     v0 = verts[0]
     cols = [[verts[j + 1][i] - v0[i] for j in range(n)] for i in range(n)]
-    det = abs(_det(cols))
+    det = abs(exactlin.det(cols))
     if det == 0:
         return Fraction(0)
     # pull back: x_i = v0_i + sum_j B_ij u_j
@@ -218,8 +199,22 @@ def integral_over_virtual(fan: Fan, f: QPolynomial, vp: VirtualPolytope) -> Frac
 def i_f_polynomial(fan: Fan, f: QPolynomial) -> QPolynomial:
     """The homogeneous polynomial in h_1..h_s restricting to I_f.
 
-    Found by exact interpolation at strictly convex integer-perturbed
-    anchors, then re-verified at fresh convex points.
+    I_f is a form of degree d = dim + deg f on the cone of convex support
+    vectors, found by exact interpolation on the principal lattice
+
+        { c*h* + alpha : alpha in N^s, |alpha| = d }
+
+    where h* is the :func:`is_projective` witness (every wall gap >= 1) and
+    c = ceil((d + 1) * max ||wall row||_1) + 1.  A wall row moves by at most
+    its 1-norm times max alpha_k <= d + 1, so every wall gap at a grid point
+    (and at the check points below) is >= 1.  The grid is the principal
+    lattice of order d on the affine hyperplane sum(h) = c*sum(h*) + d (c is
+    bumped by one if that hyperplane passes through 0); the lattice is
+    unisolvent for polynomials of degree <= d on the hyperplane (Chung-Yao
+    1977), and a degree-d form is fixed by its restriction to a hyperplane
+    that misses 0.  So one square solve gives the polynomial.  It is then
+    re-verified by direct integration at three points c*h* + beta with
+    |beta| = d + 1, which lie off the grid hyperplane.
     """
     m = require_homogeneous(f)
     m = max(m, 0)
@@ -232,65 +227,50 @@ def i_f_polynomial(fan: Fan, f: QPolynomial) -> QPolynomial:
     ok, witness = is_projective(fan)
     if not ok:
         raise AnchorFailure("fan admits no strictly convex support vector")
+    norm = max((sum(abs(x) for x in row) for row in fan.wall_rows()), default=0)
+    c = ceil((d + 1) * norm) + 1
+    if c * sum(witness.h) + d == 0:
+        c += 1
+    base = witness.scale(c).h
 
-    def sample_points():
-        for radius in itertools.count(1):
-            base = witness.scale(2 * radius * (d + 1))
-            for delta in itertools.product(range(d + 1), repeat=s):
-                vp = VirtualPolytope(
-                    fan, tuple(b + x for b, x in zip(base.h, delta))
-                )
-                if is_convex_on(fan, vp):
-                    yield vp
+    def point(alpha):
+        return VirtualPolytope(fan, tuple(b + a for b, a in zip(base, alpha)))
 
-    def monomial_row(vp):
-        row = []
-        for expo in monos:
-            acc = Fraction(1)
-            for x, e in zip(vp.h, expo):
-                if e:
-                    acc *= x**e
-            row.append(acc)
-        return row
-
-    rows: list[list[Fraction]] = []
-    vals: list[Fraction] = []
-    echelon: list[list[Fraction]] = []  # rows kept in echelon form
-    points = sample_points()
-    need = len(monos)
-    stalls = 0
-    while len(rows) < need:
-        vp = next(points)
-        row = monomial_row(vp)
-        red = list(row)
-        for erow in echelon:
-            p = next(t for t, x in enumerate(erow) if x)
-            if red[p]:
-                c = red[p]
-                for t in range(p, need):
-                    red[t] -= c * erow[t]
-        if any(red):
-            p = next(t for t, x in enumerate(red) if x)
-            inv = 1 / red[p]
-            echelon.append([x * inv for x in red])
-            echelon.sort(key=lambda r: next(t for t, x in enumerate(r) if x))
-            rows.append(row)
-            vals.append(i_f_value(fan, f, vp))
-            stalls = 0
-        else:
-            stalls += 1
-            if stalls > 50 * need + 200:
-                raise AnchorFailure("interpolation system is rank-deficient")
-
+    rows = []
+    vals = []
+    for alpha in monos:
+        vp = point(alpha)
+        if not is_convex_on(fan, vp):
+            raise VerificationFailed(f"interpolation point {vp.h} is not convex")
+        rows.append(_monomial_row(vp.h, monos, d))
+        vals.append(i_f_value(fan, f, vp))
     sol = solve(QMatrix(rows), vals)
-    assert sol is not None
+    if sol is None:
+        raise VerificationFailed("interpolation system is inconsistent")
     poly = QPolynomial(hvars, dict(zip(monos, sol)))
-    for _ in range(3):  # verify at fresh convex points
-        vp = next(points)
-        assert poly.evaluate(vp.h) == i_f_value(fan, f, vp), (
-            "interpolation self-check failed"
-        )
+    for beta in itertools.islice(monomials_of_degree(s, d + 1), 3):
+        vp = point(beta)
+        if poly.evaluate(vp.h) != i_f_value(fan, f, vp):
+            raise VerificationFailed(
+                f"interpolation self-check failed at {vp.h}"
+            )
     return poly
+
+
+def _monomial_row(h, monos, d):
+    """Values at h of the degree-d monomials ``monos`` (ints where exact)."""
+    powers = []
+    for x in h:
+        x = x.numerator if x.denominator == 1 else x
+        powers.append([x**e for e in range(d + 1)])
+    row = []
+    for expo in monos:
+        acc = 1
+        for pw, e in zip(powers, expo):
+            if e:
+                acc *= pw[e]
+        row.append(acc)
+    return row
 
 
 # ---------------------------------------------------------------------------
@@ -303,10 +283,11 @@ def square_free_derivative_check(
 ) -> Fraction:
     """d_I of the I_f polynomial at a strictly convex Delta.
 
-    Asserts the closed form: 0 when the rays of I span no cone, and
-    f(A) * |det(e_i : i in I)| for cone-spanning sets of full size n, with A
-    the vertex of Delta dual to the cone.  (Index sets larger than n never
-    span a cone, so they always assert 0.)
+    Checks the closed form, raising :class:`VerificationFailed` when it
+    fails: 0 when the rays of I span no cone, and f(A) / |det(e_i : i in I)|
+    for cone-spanning sets of full size n, with A the vertex of Delta dual to
+    the cone.  (Index sets larger than n never span a cone, so they must
+    give 0.)
     """
     ray_set = tuple(sorted(ray_set))
     poly = i_f_polynomial(fan, f)
@@ -314,13 +295,17 @@ def square_free_derivative_check(
         poly = poly.partial(i)
     value = poly.evaluate(delta.h)
     if not fan.spans_cone(ray_set):
-        assert value == 0, f"d_I I_f != 0 on non-cone {ray_set}"
+        if value != 0:
+            raise VerificationFailed(f"d_I I_f != 0 on non-cone {ray_set}")
     elif len(ray_set) == fan.dim:
         a = dual_vertex(fan, ray_set, delta.h)
-        det = abs(_det([list(fan.rays[i]) for i in ray_set]))
+        det = abs(exactlin.det([fan.rays[i] for i in ray_set]))
         # det is 1 on smooth cones; the corner region scales with the dual
         # basis, hence the division for merely simplicial ones.
-        assert value == f.evaluate(a) / det, "derivative closed form failed"
+        if value != f.evaluate(a) / det:
+            raise VerificationFailed(
+                f"derivative closed form failed on cone {ray_set}"
+            )
     return value
 
 

@@ -26,27 +26,13 @@ from toricbundle.errors import (
     NotConvex,
     NotPure,
 )
-from toricbundle.exactlin import QMatrix, kernel_basis, rref, solve
+from toricbundle.exactlin import QMatrix, det, kernel_basis, rref, solve
 
 Point = tuple[Fraction, ...]
 
 
 def dot(u, v) -> Fraction:
     return sum((Fraction(a) * Fraction(b) for a, b in zip(u, v)), Fraction(0))
-
-
-def _int_det(rows) -> int:
-    n = len(rows)
-    if n == 0:
-        return 1
-    if n == 1:
-        return rows[0][0]
-    total = 0
-    for j in range(n):
-        if rows[0][j]:
-            minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
-            total += (-1) ** j * rows[0][j] * _int_det(minor)
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -57,15 +43,17 @@ def _int_det(rows) -> int:
 class Fan:
     """Simplicial rational fan given by primitive rays and maximal cones.
 
-    Construct through :func:`validate_fan`; instances are immutable.
+    Construct through :func:`validate_fan`; instances are immutable.  The
+    wall rows (see :func:`_wall_rows`) are computed on first use and kept.
     """
 
-    __slots__ = ("dim", "rays", "max_cones")
+    __slots__ = ("dim", "rays", "max_cones", "_wall_row_cache")
 
     def __init__(self, dim, rays, max_cones):
         self.dim = dim
         self.rays = rays
         self.max_cones = max_cones
+        self._wall_row_cache = None
 
     @property
     def nrays(self) -> int:
@@ -106,6 +94,12 @@ class Fan:
         """True iff the given rays together span a cone of the fan."""
         s = set(ray_indices)
         return any(s.issubset(cone) for cone in self.max_cones)
+
+    def wall_rows(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The rows of :func:`_wall_rows`, computed once per fan."""
+        if self._wall_row_cache is None:
+            self._wall_row_cache = _wall_rows(self)
+        return self._wall_row_cache
 
 
 def validate_fan(rays, max_cones) -> Fan:
@@ -161,13 +155,13 @@ def is_smooth(fan: Fan) -> bool:
         gens = [list(fan.rays[i]) for i in cone]
         k = len(gens)
         if k == fan.dim:
-            if abs(_int_det(gens)) != 1:
+            if abs(det(gens)) != 1:
                 return False
         else:
             g = 0
             for cols in itertools.combinations(range(fan.dim), k):
                 minor = [[row[c] for c in cols] for row in gens]
-                g = gcd(g, abs(_int_det(minor)))
+                g = gcd(g, abs(int(det(minor))))
             if g != 1:
                 return False
     return True
@@ -209,6 +203,7 @@ def _wall_rows(fan: Fan):
 
     For the wall between cones a and b with opposite ray j' in b, the row is
     h_{j'} - <A_a(h), e_{j'}> expressed in the coordinates h_1..h_s.
+    Runs one solve per wall; callers read the cached :meth:`Fan.wall_rows`.
     """
     rows = []
     for ca, cb, ridge in fan.walls():
@@ -223,14 +218,14 @@ def _wall_rows(fan: Fan):
         row[jp] += 1
         for idx, i in enumerate(cone_a):
             row[i] -= x[idx]
-        rows.append(row)
-    return rows
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 def is_convex_on(fan: Fan, vp: "VirtualPolytope", strict: bool = False) -> bool:
     h = vp.h if isinstance(vp, VirtualPolytope) else tuple(Fraction(x) for x in vp)
-    for row in _wall_rows(fan):
-        gap = dot(row, h)
+    for row in fan.wall_rows():
+        gap = sum((a * b for a, b in zip(row, h) if a), Fraction(0))
         if gap < 0 or (strict and gap == 0):
             return False
     return True
@@ -242,7 +237,7 @@ def is_projective(fan: Fan) -> tuple[bool, "VirtualPolytope | None"]:
     The strict system (all wall gaps > 0) is homogeneous, hence equivalent
     to the exact feasibility of gaps >= 1.
     """
-    rows = _wall_rows(fan)
+    rows = fan.wall_rows()
     if not rows:  # single-cone or wall-free degenerate fans
         return True, VirtualPolytope(fan, (Fraction(0),) * fan.nrays)
     w = _lp.solve_inequalities(rows, [1] * len(rows))

@@ -181,16 +181,40 @@ def test_ring_wrong_radical_exit_1(capsys, monkeypatch):
     assert "verification failed" in err
 
 
-def test_ring_wrong_radical_exit_1_under_optimize():
-    """The self-dual checks are explicit comparisons, so -O keeps them."""
+def run_optimized(script):
+    """Run a Python script under ``python -O`` with this package importable."""
     src = str(Path(toricbundle.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", _WRONG_RADICAL],
+    return subprocess.run(
+        [sys.executable, "-O", "-c", script],
         capture_output=True,
         text=True,
         env=dict(os.environ, PYTHONPATH=path),
         timeout=120,
     )
+
+
+def test_ring_wrong_radical_exit_1_under_optimize():
+    """The self-dual checks are explicit comparisons, so -O keeps them."""
+    proc = run_optimized(_WRONG_RADICAL)
     assert proc.returncode == 1, proc.stderr
     assert "verification failed" in proc.stderr
+
+
+# doubles every I_f polynomial: d_I I_f on a cone is then 2 f(A) / |det|
+_DOUBLED_I_F = """
+import sys
+from toricbundle import cli, integrate
+real = integrate.i_f_polynomial
+integrate.i_f_polynomial = lambda fan, f: real(fan, f) * 2
+sys.exit(cli.main(["verify", "p2_toric", "--suite", "ider"]))
+"""
+
+
+def test_verify_ider_doubled_integrand_exit_1_under_optimize():
+    """The ider closed forms are explicit comparisons, so -O keeps them."""
+    proc = run_optimized(_DOUBLED_I_F)
+    assert proc.returncode == 1, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[-1] == "RESULT: FAIL"
+    assert any(line.startswith("FAIL ider") for line in lines)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from toricbundle.exactlin import (
     QMatrix,
+    det,
     kernel_basis,
     rank,
     reduce_onto,
@@ -97,6 +98,59 @@ def test_kernel_exact(rows):
     m = QMatrix(rows)
     for v in kernel_basis(m):
         assert all(x == 0 for x in m.matvec(v))
+
+
+def test_det_examples():
+    assert det([]) == 1
+    assert det([[F(1, 2), 3], [1, 4]]) == -1
+    assert det([[0, 1], [1, 0]]) == -1
+    assert det([[1, 2], [2, 4]]) == 0
+
+
+def _cofactor_det(rows):
+    """Reference: Laplace expansion along the first row."""
+    if not rows:
+        return F(1)
+    total = F(0)
+    for j, x in enumerate(rows[0]):
+        minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
+        total += (-1) ** j * x * _cofactor_det(minor)
+    return total
+
+
+square_matrices = st.integers(0, 5).flatmap(
+    lambda n: st.lists(
+        st.lists(rationals, min_size=n, max_size=n), min_size=n, max_size=n
+    )
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(square_matrices)
+def test_det_matches_cofactor_expansion(rows):
+    assert det(rows) == _cofactor_det(rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda n: st.lists(
+            st.lists(st.integers(-9, 9), min_size=n, max_size=n),
+            min_size=n,
+            max_size=n,
+        )
+    )
+)
+def test_det_of_integer_matrix_is_integer(rows):
+    value = det(rows)
+    assert value.denominator == 1 and value == _cofactor_det(rows)
+
+
+def test_qmatrix_keeps_fraction_entries():
+    x = F(1, 3)
+    m = QMatrix([[x, 2]])
+    assert m.entries[0][0] is x and m.entries[0][1] == F(2)
+    assert type(m.entries[0][1]) is F
 
 
 def test_row_space_canonical():

@@ -4,16 +4,23 @@ Oracle provenance is noted at each frozen value; derived numbers come from
 iterated univariate integration or shoelace areas done by hand.
 """
 
+import functools
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from toricbundle.errors import DegreeMismatch, LowerDimensional
+from toricbundle import integrate
+from toricbundle.bundle import random_convex
+from toricbundle.catalog import SPECS, fan_projective_space
+from toricbundle.errors import DegreeMismatch, LowerDimensional, VerificationFailed
 from toricbundle.integrate import (
     SimplexChain,
     convex_chain_identity_check,
     i_f_polynomial,
+    i_f_value,
     integral_over_virtual,
     integrate_over_polytope,
     integrate_over_simplex,
@@ -243,6 +250,94 @@ def test_i_f_polynomial_p1():
     )
     expected = QPolynomial(("h1", "h2"), {(2, 0): F(1, 2), (0, 2): F(-1, 2)})
     assert i_f_polynomial(p1, X) == expected
+
+
+def octant_fan():
+    rays = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, 0, 0), (0, -1, 0), (0, 0, -1)]
+    cones = [(sx, sy, sz) for sx in (0, 3) for sy in (1, 4) for sz in (2, 5)]
+    return validate_fan(rays, cones)
+
+
+ONE3 = QPolynomial.constant(("x1", "x2", "x3"), 1)
+
+
+def test_i_f_polynomial_octant_closed_form():
+    """(P1)^3: P(h) is the box [-h4, h1] x [-h5, h2] x [-h6, h3]."""
+    hv = tuple(f"h{i + 1}" for i in range(6))
+    h = [QPolynomial.variable(hv, i) for i in range(6)]
+    assert i_f_polynomial(octant_fan(), ONE3) == (
+        (h[0] + h[3]) * (h[1] + h[4]) * (h[2] + h[5])
+    )
+
+
+def test_i_f_polynomial_p3_closed_form():
+    """P3: P(h) is a corner simplex with legs h1 + h2 + h3 + h4."""
+    s = QPolynomial.linear_form(("h1", "h2", "h3", "h4"), [1, 1, 1, 1])
+    assert i_f_polynomial(fan_projective_space(3), ONE3) == s * s * s * F(1, 6)
+
+
+def _catalog_fans():
+    fans = {}
+    for name in sorted(SPECS):
+        fans.setdefault(SPECS[name]().fan, name)
+    return sorted(fans.values())
+
+
+CATALOG_FAN_SPECS = _catalog_fans()
+
+
+def _integrand(fan, name):
+    xv = tuple(f"x{i + 1}" for i in range(fan.dim))
+    if name == "1":
+        return QPolynomial.constant(xv, 1)
+    if name == "x1":
+        return QPolynomial.variable(xv, 0)
+    return QPolynomial.variable(xv, 0) * QPolynomial.variable(xv, 1)
+
+
+@functools.cache
+def _interpolated(spec_name, fname):
+    """(fan, f, I_f polynomial), interpolated once per pytest run."""
+    fan = SPECS[spec_name]().fan
+    f = _integrand(fan, fname)
+    return fan, f, i_f_polynomial(fan, f)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(CATALOG_FAN_SPECS),
+    st.sampled_from(("1", "x1", "x1*x2")),
+    st.integers(0, 2**32),
+)
+def test_i_f_polynomial_matches_direct_integration(spec_name, fname, seed):
+    """The grid interpolant agrees with direct integration at random points."""
+    assume(fname != "x1*x2" or SPECS[spec_name]().fan.dim >= 2)
+    fan, f, poly = _interpolated(spec_name, fname)
+    vp = random_convex(fan, random.Random(seed))
+    assert poly.evaluate(vp.h) == i_f_value(fan, f, vp)
+
+
+def test_i_f_polynomial_self_check_raises(monkeypatch):
+    """A constant error in every integral is not a degree-d form, so the
+    off-grid self-check sees it (an explicit check, kept under -O)."""
+    real = integrate.i_f_value
+    monkeypatch.setattr(
+        integrate, "i_f_value", lambda fan, f, vp: real(fan, f, vp) + 1
+    )
+    with pytest.raises(VerificationFailed, match="self-check"):
+        i_f_polynomial(fan_p2(), ONE2)
+
+
+def test_square_free_derivative_check_raises(monkeypatch):
+    real = integrate.i_f_polynomial
+    monkeypatch.setattr(
+        integrate, "i_f_polynomial", lambda fan, f: real(fan, f) * 2
+    )
+    p2 = fan_p2()
+    with pytest.raises(VerificationFailed, match="closed form"):
+        square_free_derivative_check(
+            p2, ONE2, VirtualPolytope(p2, (0, 0, 1)), (0, 1)
+        )
 
 
 def test_i_f_polynomial_homogeneous_translation_covariant():

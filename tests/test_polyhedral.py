@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from toricbundle import polyhedral
 from toricbundle.errors import (
     DegenerateCone,
     FanTooCoarse,
@@ -114,6 +115,27 @@ def test_nonprojective_complete_fan():
     fan2 = validate_fan(rays, straight)
     assert is_complete(fan2)
     assert is_projective(fan2)[0]
+
+
+def test_wall_rows_built_once_per_fan(monkeypatch):
+    calls = []
+    real = polyhedral._wall_rows
+
+    def counting(fan):
+        calls.append(fan)
+        return real(fan)
+
+    monkeypatch.setattr(polyhedral, "_wall_rows", counting)
+    fan = fan_f1()
+    assert calls == []  # not built by validate_fan
+    ok, witness = is_projective(fan)
+    for k in range(5):
+        assert is_convex_on(fan, witness.scale(k + 1))
+    assert is_projective(fan)[0]
+    assert calls == [fan]
+    other = fan_f1()
+    assert is_convex_on(other, witness.h)
+    assert len(calls) == 2 and calls[1] is other
 
 
 def test_convexity_examples():
