@@ -326,9 +326,12 @@ def ring_via_sr(spec: BundleSpec) -> RingReport:
     """Stanley-Reisner / Sankaran-Uma quotient with point-class normalization."""
     model = build_quotient(sr_presentation(spec))
     alg = model.algebra
-    assert alg.top == spec.top_degree, "quotient does not vanish above the top"
-    assert alg.total_dim() == _leray_hirsch_dim(spec), "Leray-Hirsch dims"
-    assert alg.dim(spec.top_degree) == 1
+    if alg.top != spec.top_degree:
+        raise VerificationFailed("sr quotient does not vanish above the top")
+    if alg.total_dim() != _leray_hirsch_dim(spec):
+        raise VerificationFailed("sr quotient has the wrong Leray-Hirsch dimension")
+    if alg.dim(spec.top_degree) != 1:
+        raise VerificationFailed("sr quotient has a top degree of dimension != 1")
 
     ell = _sr_top_functional(spec, model)
     gens = _generator_classes_quotient(
@@ -363,9 +366,11 @@ def _sr_top_functional(spec: BundleSpec, model: QuotientModel) -> TopFunctional:
     classes = [
         model.normal_form(top, cm) for cm in _point_class_monomials(spec)
     ]
-    assert all(c == classes[0] for c in classes), "point class depends on cone"
+    if any(c != classes[0] for c in classes):
+        raise VerificationFailed("point class depends on the cone")
     (coeff,) = classes[0]
-    assert coeff != 0, "point class vanishes"
+    if coeff == 0:
+        raise VerificationFailed("point class vanishes")
     return TopFunctional(model.algebra, top, (1 / coeff,))
 
 
@@ -575,7 +580,10 @@ def horizontal_part(
         rhs = base.orientation.of(
             spec.k, base.algebra.multiply(2 * i, b, gdeg, eta)
         )
-        assert lhs == rhs, f"horizontal part fails adjunction at eta index {u}"
+        if lhs != rhs:
+            raise VerificationFailed(
+                f"horizontal part fails adjunction at eta index {u}"
+            )
     return b
 
 
@@ -614,9 +622,10 @@ def self_intersection(
         )
     route_integral = Fraction(factorial(n + s), factorial(s)) * total
 
-    assert route_ring == route_integral, (
-        f"self-intersection disagreement: {route_ring} vs {route_integral}"
-    )
+    if route_ring != route_integral:
+        raise VerificationFailed(
+            f"self-intersection disagreement: {route_ring} vs {route_integral}"
+        )
     return route_ring
 
 
@@ -698,7 +707,8 @@ def ring_via_diff(spec: BundleSpec) -> RingReport:
     ipoly, comp = self_intersection_polynomial(spec)
     model = ann_quotient(ipoly, n + s)
     alg = model.algebra
-    assert alg.total_dim() == _leray_hirsch_dim(spec), "Leray-Hirsch dims"
+    if alg.total_dim() != _leray_hirsch_dim(spec):
+        raise VerificationFailed("diff quotient has the wrong Leray-Hirsch dimension")
 
     # the honest pairing is (n+s)!/s! times the Ann(I) functional
     ell = ann_top_functional(model).scale(

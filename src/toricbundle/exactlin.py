@@ -25,12 +25,12 @@ def _as_fraction_rows(rows):
     return [[Fraction(x) for x in row] for row in rows]
 
 
-def _int_rows(rows: list[list[Fraction]]) -> list[list[int]]:
-    """Scale each row by the lcm of its denominators."""
+def _int_rows(rows) -> list[list[int]]:
+    """Scale each row of ints and Fractions by the lcm of its denominators."""
     out = []
     for row in rows:
-        m = lcm(*(x.denominator for x in row)) if row else 1
-        out.append([int(x * m) for x in row])
+        m = lcm(*(x.denominator for x in row))
+        out.append([x.numerator * (m // x.denominator) for x in row])
     return out
 
 
@@ -82,7 +82,7 @@ def rref(m: QMatrix) -> tuple[QMatrix, tuple[int, ...]]:
     """Reduced row echelon form and pivot columns.  rank = len(pivots)."""
     if m.rows == 0 or m.cols == 0:
         return m, ()
-    work = _int_rows([list(row) for row in m.entries])
+    work = _int_rows(m.entries)
     pivots = gauss_jordan_int(work)
     out = []
     for i, col in enumerate(pivots):
@@ -94,17 +94,18 @@ def rref(m: QMatrix) -> tuple[QMatrix, tuple[int, ...]]:
 
 
 def rank(m: QMatrix) -> int:
-    return len(rref(m)[1])
+    """The rank, from the integer elimination alone (no rref rows built)."""
+    return len(gauss_jordan_int(_int_rows(m.entries)))
 
 
 def det(rows) -> Fraction:
-    """Exact determinant of a square matrix given by its rows.
+    """Exact determinant of a square matrix given by rows of ints and Fractions.
 
     Rows are cleared of denominators, then Bareiss fraction-free elimination
     runs on Python ints (every division is exact); the row scales are divided
     out at the end.  An integer matrix has an integer-valued result.
     """
-    rows = _as_fraction_rows(rows)
+    rows = list(rows)
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise ValueError("determinant of a non-square matrix")

@@ -66,7 +66,8 @@ class GradedAlgebra:
         if self.dim(0) != 1:
             raise ValueError("degree 0 must be one-dimensional")
         self.products = {
-            k: tuple(Fraction(x) for x in v) for k, v in products.items()
+            k: tuple(x if type(x) is Fraction else Fraction(x) for x in v)
+            for k, v in products.items()
         }
 
     def degrees(self):

@@ -1,15 +1,19 @@
 """Exact polynomial integration over polytopes and mixed integrals.
 
 The measure is Lebesgue normalized so a fundamental cube of the lattice has
-volume 1.  Integration over a simplex is the affine pullback to the standard
-simplex with the closed form
+volume 1.  A simplex with vertices s_0..s_n is integrated in barycentric
+coordinates x = sum_k lambda_k s_k, where every monomial has the Dirichlet
+moment
 
-    int_{std} x^a dmu  =  (prod a_i!) / (|a| + n)!
+    int_simplex lambda^b dmu  =  |det| * (prod_k b_k!) / (|b| + n)!
 
-and polytopes are integrated by summing a triangulation.  Polarized
-("mixed") integrals of virtual polytopes are computed by inclusion-exclusion
-from a strictly convex anchor, which makes them well defined on the whole
-space of virtual polytopes.
+(|det| the determinant of the edge vectors s_k - s_0), after the
+coordinates are expanded as integer linear forms in lambda (Baldoni,
+Berline, De Loera, Koeppe and Vergne 2011, "How to integrate a polynomial
+over a simplex").  Polytopes are integrated by summing a triangulation read
+off their vertex-facet incidences.  Polarized ("mixed") integrals of virtual
+polytopes are computed by inclusion-exclusion from a strictly convex anchor,
+which makes them well defined on the whole space of virtual polytopes.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, factorial
+from math import ceil, factorial, lcm
 
 from toricbundle import exactlin
 from toricbundle.errors import (
@@ -57,57 +61,129 @@ class SimplexChain:
 
 
 def integrate_over_simplex(f: QPolynomial, simplex) -> Fraction:
-    """Exact integral of f over an n-simplex given by n+1 vertices."""
-    verts = [tuple(Fraction(x) for x in v) for v in simplex]
-    n = len(verts) - 1
-    if len(f.vars) != n or any(len(v) != n for v in verts):
+    """Exact integral of f over an n-simplex given by n+1 vertices.
+
+    The vertex coordinates (ints or Fractions) are cleared of denominators
+    once, s_k = S_k / D with S integer.  A term c*x^a of f is then
+    c * D^-|a| * prod_i L_i^{a_i} with the integer linear forms
+    L_i = sum_k S_{k,i} lambda_k; its expansion sum_b c_b lambda^b runs on
+    ints (the powers of each L_i are kept for the whole simplex), and the
+    Dirichlet moments make the term's integral
+
+        |det S_k - S_0| * c * sum_b c_b prod_k b_k!  /  ((|a| + n)! D^{|a| + n}).
+
+    One Fraction is built per term of f.
+    """
+    n = len(simplex) - 1
+    if len(f.vars) != n or any(len(v) != n for v in simplex):
         raise DimensionMismatch("simplex/polynomial dimension mismatch")
     if n == 0:
         return Fraction(0)
-    v0 = verts[0]
-    cols = [[verts[j + 1][i] - v0[i] for j in range(n)] for i in range(n)]
-    det = abs(exactlin.det(cols))
-    if det == 0:
+    den, pts = _cleared(simplex)
+    v0 = pts[0]
+    # an integer matrix has an integer determinant
+    edges = [[a - b for a, b in zip(p, v0)] for p in pts[1:]]
+    scale = abs(exactlin.det(edges).numerator)
+    if scale == 0:
         return Fraction(0)
-    # pull back: x_i = v0_i + sum_j B_ij u_j
-    images = [
-        QPolynomial.linear_form(f.vars, cols[i], const=v0[i]) for i in range(n)
+    # a monomial lambda^b is the int sum_k b_k * base**k; every b_k is at most
+    # deg f < base, so adding keys multiplies monomials without carries
+    base = max(f.degree(), 0) + 1
+    linear = [
+        {base**k: p[i] for k, p in enumerate(pts) if p[i]} for i in range(n)
     ]
-    g = f.substitute(images)
+    powers = [[{0: 1}] for _ in range(n)]
     total = Fraction(0)
-    for expo, coeff in g.terms.items():
-        num = 1
-        for e in expo:
-            num *= factorial(e)
-        total += coeff * Fraction(num, factorial(sum(expo) + n))
-    return det * total
+    for expo, coeff in f.terms.items():
+        expanded = {0: 1}
+        for i, e in enumerate(expo):
+            if e:
+                pw = powers[i]
+                while len(pw) <= e:
+                    pw.append(_times(pw[-1], linear[i]))
+                expanded = _times(expanded, pw[e])
+        moment = 0
+        for key, c in expanded.items():
+            while key:
+                key, b = divmod(key, base)
+                c *= factorial(b)
+            moment += c
+        d = sum(expo) + n
+        total += Fraction(
+            coeff.numerator * scale * moment,
+            coeff.denominator * factorial(d) * den**d,
+        )
+    return total
+
+
+def _cleared(points):
+    """(D, rows): the lcm D of all denominators and the integer rows D*p."""
+    den = lcm(*(x.denominator for p in points for x in p))
+    return den, [[x.numerator * (den // x.denominator) for x in p] for p in points]
+
+
+def _times(p, q):
+    """Product of two polynomials stored as {packed exponent: int}."""
+    out = {}
+    for k1, c1 in p.items():
+        for k2, c2 in q.items():
+            k = k1 + k2
+            out[k] = out.get(k, 0) + c1 * c2
+    return out
 
 
 def triangulate(p: Polytope) -> SimplexChain:
     """Fan-of-a-vertex triangulation from the lex-smallest vertex.
 
-    Recurses through the face lattice (facets of each face are read off the
-    H-representation); all signs are +1.  Raises for polytopes that are not
-    full-dimensional in their ambient space.
+    Recurses through the face lattice: the facets of a face F are the sets
+    F & T, one per halfspace of the H-representation in its order, where T
+    is the set of vertices tight on that halfspace (built once per polytope),
+    that have affine dimension dim F - 1.  A face's simplices are its
+    lex-smallest vertex joined to the simplices of each facet that misses it;
+    all signs are +1.  Raises for polytopes that are not full-dimensional in
+    their ambient space.
     """
     d = p.ambient_dim
-    if affine_dim(p.vertices) < d:
+    verts = p.vertices
+    # the integer points den * v have the same incidences and affine dimensions
+    den, points = _cleared(verts)
+    if affine_dim(points) < d:
         raise LowerDimensional("polytope not full-dimensional")
-    p.facet_halfspaces()  # ensure an H-representation exists
+    tight = []
+    for normal, bound in p.facet_halfspaces():
+        m, (row,) = _cleared([normal])
+        rhs = bound * (den * m)
+        tight.append(
+            frozenset(
+                k for k, v in enumerate(points)
+                if sum(a * b for a, b in zip(v, row)) == rhs
+            )
+        )
+    dims = {}
 
-    def rec(verts, a):
-        if len(verts) == a + 1:
-            return [tuple(verts)]
-        apex = min(verts)
+    def dim_of(face):
+        if face not in dims:
+            dims[face] = affine_dim([points[k] for k in face])
+        return dims[face]
+
+    def rec(face, a):
+        if len(face) == a + 1:
+            return [tuple(verts[k] for k in sorted(face))]
+        apex = min(face, key=verts.__getitem__)
         out = []
-        for facet in p.faces_of_codim_one(verts):
+        seen = set()
+        for t in tight:
+            facet = face & t
+            if len(facet) < a or facet in seen or dim_of(facet) != a - 1:
+                continue
+            seen.add(facet)
             if apex in facet:
                 continue
             for s in rec(facet, a - 1):
-                out.append((apex,) + s)
+                out.append((verts[apex],) + s)
         return out
 
-    simplices = tuple(rec(p.vertices, d))
+    simplices = tuple(rec(frozenset(range(len(verts))), d))
     return SimplexChain(simplices, (1,) * len(simplices))
 
 

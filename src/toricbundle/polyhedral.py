@@ -22,17 +22,21 @@ from toricbundle.errors import (
     DegenerateCone,
     FanError,
     FanTooCoarse,
+    LowerDimensional,
     NonPrimitiveRay,
     NotConvex,
     NotPure,
+    VerificationFailed,
 )
-from toricbundle.exactlin import QMatrix, det, kernel_basis, rref, solve
+from toricbundle.exactlin import QMatrix, det, kernel_basis, rank, rref, solve
 
 Point = tuple[Fraction, ...]
 
 
 def dot(u, v) -> Fraction:
-    return sum((Fraction(a) * Fraction(b) for a, b in zip(u, v)), Fraction(0))
+    """<u, v> as a Fraction, for vectors of ints and Fractions."""
+    s = sum(a * b for a, b in zip(u, v))
+    return s if type(s) is Fraction else Fraction(s)
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +198,8 @@ def dual_vertex(fan: Fan, cone, h) -> Point:
     """The point A with <A, e_i> = h_i for every ray i of the full cone."""
     mat = QMatrix([fan.rays[i] for i in cone])
     sol = solve(mat, [h[i] for i in cone])
-    assert sol is not None  # generators independent
+    if sol is None:
+        raise VerificationFailed(f"cone {cone} has dependent generators")
     return sol
 
 
@@ -213,7 +218,8 @@ def _wall_rows(fan: Fan):
         # coefficients of <A_a(h), e_{j'}>: x solves E_a^T x = e_{j'}
         mat = QMatrix([list(col) for col in zip(*[fan.rays[i] for i in cone_a])])
         x = solve(mat, fan.rays[jp])
-        assert x is not None
+        if x is None:
+            raise VerificationFailed(f"cone {cone_a} has dependent generators")
         row = [Fraction(0)] * fan.nrays
         row[jp] += 1
         for idx, i in enumerate(cone_a):
@@ -324,10 +330,10 @@ def affine_dim(points) -> int:
     if not pts:
         return -1
     v0 = pts[0]
-    diffs = [[Fraction(a) - Fraction(b) for a, b in zip(p, v0)] for p in pts[1:]]
+    diffs = [[a - b for a, b in zip(p, v0)] for p in pts[1:]]
     if not diffs:
         return 0
-    return len(rref(QMatrix(diffs))[1])
+    return rank(QMatrix(diffs))
 
 
 def affine_chart(points):
@@ -350,7 +356,8 @@ def to_chart_coords(points, origin, basis):
     for p in points:
         rhs = [Fraction(a) - b for a, b in zip(p, origin)]
         sol = solve(mat, rhs)
-        assert sol is not None, "point outside affine hull"
+        if sol is None:
+            raise VerificationFailed(f"point {p} outside the affine hull")
         out.append(sol)
     return out
 
@@ -429,7 +436,8 @@ class Polytope:
             return self.halfspaces
         d = self.ambient_dim
         verts = self.vertices
-        assert affine_dim(verts) == d, "H-rep search requires full dimension"
+        if affine_dim(verts) != d:
+            raise LowerDimensional("H-rep search requires full dimension")
         found = {}
         for combo in itertools.combinations(verts, d):
             v0 = combo[0]
@@ -456,25 +464,6 @@ class Polytope:
             key = (tuple(x * scale for x in normal), bound * scale)
             found[key] = key
         return tuple(found)
-
-    def faces_of_codim_one(self, verts=None):
-        """Facet vertex sets of conv(verts) read off the H-representation."""
-        if verts is None:
-            verts = self.vertices
-        a = affine_dim(verts)
-        out = []
-        seen = set()
-        for normal, bound in self.facet_halfspaces():
-            sat = tuple(v for v in verts if dot(v, normal) == bound)
-            if len(sat) < a:
-                continue
-            if affine_dim(sat) != a - 1:
-                continue
-            key = frozenset(sat)
-            if key not in seen:
-                seen.add(key)
-                out.append(sat)
-        return out
 
 
 def polytope_from_support(fan: Fan, vp: VirtualPolytope) -> Polytope:

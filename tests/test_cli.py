@@ -218,3 +218,31 @@ def test_verify_ider_doubled_integrand_exit_1_under_optimize():
     lines = proc.stdout.splitlines()
     assert lines[-1] == "RESULT: FAIL"
     assert any(line.startswith("FAIL ider") for line in lines)
+
+
+# doubles the binomial-integral route of self_intersection, not the ring route
+_DOUBLED_VIRTUAL_INTEGRAL = """
+import sys
+from toricbundle import bundle
+from toricbundle.catalog import SPECS
+from toricbundle.errors import VerificationFailed
+from toricbundle.polyhedral import AffineVirtualPolytope, VirtualPolytope
+real = bundle.integral_over_virtual
+bundle.integral_over_virtual = lambda fan, f, vp: 2 * real(fan, f, vp)
+spec = SPECS["p2_toric"]()
+delta = AffineVirtualPolytope(VirtualPolytope(spec.fan, (1, 1, 1)), ())
+try:
+    value = bundle.self_intersection(spec, delta)
+except VerificationFailed as exc:
+    print(exc)
+    sys.exit(0)
+print("returned", value)
+sys.exit(2)
+"""
+
+
+def test_self_intersection_two_routes_checked_under_optimize():
+    """The two-route self-intersection check is explicit, so -O keeps it."""
+    proc = run_optimized(_DOUBLED_VIRTUAL_INTEGRAL)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "self-intersection disagreement" in proc.stdout

@@ -7,12 +7,13 @@ iterated univariate integration or shoelace areas done by hand.
 import functools
 import random
 from fractions import Fraction as F
+from math import factorial
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from toricbundle import integrate
+from toricbundle import exactlin, integrate
 from toricbundle.bundle import random_convex
 from toricbundle.catalog import SPECS, fan_projective_space
 from toricbundle.errors import DegreeMismatch, LowerDimensional, VerificationFailed
@@ -32,11 +33,13 @@ from toricbundle.integrate import (
 from toricbundle.polyhedral import (
     Polytope,
     VirtualPolytope,
+    affine_dim,
+    dot,
     is_projective,
     polytope_from_support,
     validate_fan,
 )
-from toricbundle.qpoly import QPolynomial
+from toricbundle.qpoly import QPolynomial, monomials_of_degree
 
 XY = ("x1", "x2")
 ONE2 = QPolynomial.constant(XY, 1)
@@ -426,3 +429,143 @@ def test_convex_chain_quarter_value():
             ONE2, polytope_from_support(p2, VirtualPolytope(p2, tuple(h)))
         )
     assert lhs == F(1, 4)
+
+
+# ---------------------------------------------------------------------------
+# the integer integrator and the incidence-table triangulation against the
+# Fraction / QPolynomial code they replaced
+# ---------------------------------------------------------------------------
+
+
+def _simplex_integral_by_pullback(f, simplex):
+    """Reference: pull f back to the standard simplex as a QPolynomial."""
+    verts = [tuple(F(x) for x in v) for v in simplex]
+    n = len(verts) - 1
+    if n == 0:
+        return F(0)
+    v0 = verts[0]
+    cols = [[verts[j + 1][i] - v0[i] for j in range(n)] for i in range(n)]
+    det = abs(exactlin.det(cols))
+    if det == 0:
+        return F(0)
+    images = [
+        QPolynomial.linear_form(f.vars, cols[i], const=v0[i]) for i in range(n)
+    ]
+    g = f.substitute(images)
+    total = F(0)
+    for expo, coeff in g.terms.items():
+        num = 1
+        for e in expo:
+            num *= factorial(e)
+        total += coeff * F(num, factorial(sum(expo) + n))
+    return det * total
+
+
+def _triangulate_by_facet_search(p):
+    """Reference: the facets of each face re-read from every halfspace."""
+
+    def facets(verts):
+        a = affine_dim(verts)
+        out, seen = [], set()
+        for normal, bound in p.facet_halfspaces():
+            sat = tuple(v for v in verts if dot(v, normal) == bound)
+            if len(sat) < a or affine_dim(sat) != a - 1:
+                continue
+            if frozenset(sat) not in seen:
+                seen.add(frozenset(sat))
+                out.append(sat)
+        return out
+
+    def rec(verts, a):
+        if len(verts) == a + 1:
+            return [tuple(verts)]
+        apex = min(verts)
+        out = []
+        for facet in facets(verts):
+            if apex in facet:
+                continue
+            for s in rec(facet, a - 1):
+                out.append((apex,) + s)
+        return out
+
+    return tuple(rec(p.vertices, p.ambient_dim))
+
+
+rationals = st.builds(F, st.integers(-6, 6), st.integers(1, 4))
+
+
+@st.composite
+def simplex_and_integrand(draw):
+    """A rational n-simplex (n = 1..3, degenerate in some draws) and a
+    possibly inhomogeneous rational f of degree <= 3."""
+    n = draw(st.integers(1, 3))
+    pts = draw(
+        st.lists(
+            st.lists(rationals, min_size=n, max_size=n),
+            min_size=n + 1,
+            max_size=n + 1,
+        )
+    )
+    if draw(st.booleans()):
+        # the midpoint of two other vertices (or a repeat when n = 1)
+        pts[-1] = [(a + b) / 2 for a, b in zip(pts[0], pts[-2])]
+    monos = [m for d in range(4) for m in monomials_of_degree(n, d)]
+    terms = draw(st.dictionaries(st.sampled_from(monos), rationals, max_size=6))
+    xv = tuple(f"x{i + 1}" for i in range(n))
+    return QPolynomial(xv, terms), [tuple(p) for p in pts]
+
+
+@settings(max_examples=300, deadline=None)
+@given(simplex_and_integrand())
+def test_simplex_integral_matches_pullback(case):
+    f, simplex = case
+    assert integrate_over_simplex(f, simplex) == _simplex_integral_by_pullback(
+        f, simplex
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(2, 3).flatmap(
+        lambda d: st.lists(
+            st.lists(rationals, min_size=d, max_size=d), min_size=d + 1, max_size=7
+        )
+    )
+)
+def test_triangulate_matches_facet_search_on_point_sets(points):
+    p = Polytope.from_vertices(points)
+    assume(affine_dim(p.vertices) == p.ambient_dim)
+    assert triangulate(p).simplices == _triangulate_by_facet_search(p)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(
+        [SPECS[name]().fan for name in CATALOG_FAN_SPECS]
+        + [octant_fan(), fan_projective_space(3)]
+    ),
+    st.integers(0, 2**32),
+)
+def test_triangulate_matches_facet_search_on_fans(fan, seed):
+    p = polytope_from_support(fan, random_convex(fan, random.Random(seed)))
+    assert triangulate(p).simplices == _triangulate_by_facet_search(p)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.lists(st.integers(1, 5), min_size=6, max_size=6))
+def test_triangulate_matches_facet_search_with_redundant_halfspace(sides):
+    """The octant fan with (1, 1, 0) added, at a support vector that is
+    linear across that ray: the box keeps its 8 vertices and the extra
+    halfspace is tight on one edge only, so two halfspaces cut that edge out
+    of each facet through it."""
+    rays = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, 0, 0), (0, -1, 0), (0, 0, -1)]
+    cones = [
+        c for c in ((sx, sy, sz) for sx in (0, 3) for sy in (1, 4) for sz in (2, 5))
+        if c[:2] != (0, 1)
+    ] + [(0, 6, 2), (6, 1, 2), (0, 6, 5), (6, 1, 5)]
+    fan = validate_fan(rays + [(1, 1, 0)], cones)
+    p = polytope_from_support(
+        fan, VirtualPolytope(fan, tuple(sides) + (sides[0] + sides[1],))
+    )
+    assert len(p.vertices) == 8
+    assert triangulate(p).simplices == _triangulate_by_facet_search(p)

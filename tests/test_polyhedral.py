@@ -10,9 +10,11 @@ from toricbundle import polyhedral
 from toricbundle.errors import (
     DegenerateCone,
     FanTooCoarse,
+    LowerDimensional,
     NonPrimitiveRay,
     NotConvex,
     NotPure,
+    VerificationFailed,
 )
 from toricbundle.polyhedral import (
     Polytope,
@@ -278,3 +280,13 @@ def test_dual_vertex_saturation():
         for i, ray in enumerate(f1.rays):
             gap = h.h[i] - dot(a, ray)
             assert gap == 0 if i in cone else gap > 0
+
+
+def test_geometry_checks_raise_typed_errors():
+    """Explicit checks, not asserts, so python -O keeps them."""
+    segment = Polytope.from_vertices([(0, 0), (1, 1), (2, 2)], reduce=False)
+    with pytest.raises(LowerDimensional):
+        segment.facet_halfspaces()
+    # (1,) and (-1,) span no cone, and <A, e> = 1 = <A, -e> has no solution
+    with pytest.raises(VerificationFailed):
+        dual_vertex(fan_p1(), (0, 1), (1, 1))
