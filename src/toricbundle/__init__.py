@@ -7,7 +7,6 @@ the polyhedral machinery to cross-validate them.  All arithmetic is exact
 rational; every identity check is an equality of fractions.
 """
 
-from toricbundle._kernels import BACKEND as kernel_backend
 from toricbundle.bundle import (
     BaseData,
     BundleSpec,
@@ -59,6 +58,10 @@ from toricbundle.polyhedral import (
 from toricbundle.qpoly import QPolynomial
 
 __version__ = "0.1.0"
+
+# Every elimination runs on the one pure-Python integer kernel,
+# ``_kernels.gauss_jordan_int``; reports and the benchmark record this name.
+kernel_backend = "python"
 
 __all__ = [
     "AffineVirtualPolytope",

@@ -31,7 +31,7 @@ from toricbundle.errors import (
     OddBase,
     VerificationFailed,
 )
-from toricbundle.exactlin import QMatrix, row_space_rref, rref, solve
+from toricbundle.exactlin import QMatrix, echelon, rref, solve
 from toricbundle.galg import (
     AnnModel,
     GradedAlgebra,
@@ -164,10 +164,9 @@ def _chern_power(base: BaseData, xvars, columns, i: int):
                 for w, cw in enumerate(col):
                     if not cw:
                         continue
-                    for t, cp in enumerate(r.basis_product(2, w, deg, u)):
-                        if cp:
-                            term = (cw * cp) * (xj * poly)
-                            nxt[t] = nxt.get(t, QPolynomial.zero(xvars)) + term
+                    for t, cp in r.product_pairs(2, w, deg, u):
+                        term = (cw * cp) * (xj * poly)
+                        nxt[t] = nxt.get(t, QPolynomial.zero(xvars)) + term
         cur = nxt
         deg += 2
     return cur
@@ -334,6 +333,8 @@ def ring_via_sr(spec: BundleSpec) -> RingReport:
         raise VerificationFailed("sr quotient has a top degree of dimension != 1")
 
     ell = _sr_top_functional(spec, model)
+    if not check_poincare(alg, ell):
+        raise VerificationFailed("sr quotient not Poincare")
     gens = _generator_classes_quotient(
         spec, model, project=None, nf=lambda d, cm: model.normal_form(d, cm)
     )
@@ -430,9 +431,9 @@ def cross_validate(spec: BundleSpec) -> CrossValidation:
     sr_model: QuotientModel = sr_rep.model
 
     for d in range(0, spec.top_degree + 1, 2):
-        rad_rows = sd.reducers.get(d, ((), ()))[0]
-        ideal_rows = sr_model.reducers[d][0]
-        if row_space_rref(rad_rows) != row_space_rref(ideal_rows):
+        rad_rows = sd.reducers[d].rows() if d in sd.reducers else ()
+        ideal_rows = sr_model.reducers[d].rows()
+        if echelon(rad_rows) != echelon(ideal_rows):
             return CrossValidation(
                 False, f"degree {d}: radical != Stanley-Reisner ideal"
             )

@@ -430,7 +430,10 @@ def cmd_intersect(args) -> int:
         print("reduction trace:")
         for line in trace:
             print("  " + line)
-        assert reduced == value, "reduction disagrees with the quotient ring"
+        if reduced != value:
+            raise VerificationFailed(
+                f"reduction {reduced} disagrees with the quotient ring {value}"
+            )
     print(f"{args.expr} = {value}")
     print(f"value: {json.dumps(serialize.rat(value))}")
     return EXIT_OK

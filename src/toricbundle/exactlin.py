@@ -1,12 +1,19 @@
-"""Exact rational linear algebra: dense matrices over ``fractions.Fraction``.
+"""Exact rational linear algebra on sparse integer rows.
 
 All arithmetic is exact; there is no floating point anywhere in the package.
-Row reduction is deterministic (first nonzero pivot per column, rows scanned
-top-down), so every construction downstream is reproducible bit for bit.
+Every elimination runs through one fraction-free integer Gauss-Jordan on
+sparse rows, :func:`toricbundle._kernels.gauss_jordan_int`: each row is
+cleared of denominators first, which changes neither row space nor kernel,
+and kept primitive (gcd 1) with a positive pivot.  The reduced row echelon
+form of a matrix is unique, so the dense :func:`rref`, :func:`kernel_basis`
+and :func:`solve` on :class:`QMatrix` return exactly what any Gauss-Jordan
+would, bit for bit.
 
-The elimination loop itself runs on integers (rows are cleared of
-denominators first, which changes neither row space nor kernel) inside the
-kernel selected by :mod:`toricbundle._kernels`.
+Sparse callers skip the dense matrix: :func:`echelon` takes rows as
+``(column, value)`` pairs and returns the nonzero RREF rows in the same form
+(:func:`row_space_rref` is its dense spelling), and a :class:`Reducer` keeps
+them by pivot, as entries at the non-pivot columns, to compute normal forms
+modulo their row space.
 """
 
 from __future__ import annotations
@@ -19,10 +26,11 @@ from toricbundle._kernels import gauss_jordan_int
 Rat = Fraction
 
 QVector = tuple[Fraction, ...]
+# (column, value) pairs, columns ascending, values nonzero
+SparseRow = tuple[tuple[int, Fraction], ...]
 
-
-def _as_fraction_rows(rows):
-    return [[Fraction(x) for x in row] for row in rows]
+ZERO = Fraction(0)
+ONE = Fraction(1)
 
 
 def _int_rows(rows) -> list[list[int]]:
@@ -32,6 +40,39 @@ def _int_rows(rows) -> list[list[int]]:
         m = lcm(*(x.denominator for x in row))
         out.append([x.numerator * (m // x.denominator) for x in row])
     return out
+
+
+def _int_row(pairs) -> dict[int, int]:
+    """``{column: int}`` from (column, rational) pairs, zeros dropped, scaled
+    by the lcm of the denominators."""
+    items = [(c, x) for c, x in pairs if x]
+    m = lcm(*(x.denominator for _, x in items))
+    if m == 1:
+        return {c: x.numerator for c, x in items}
+    return {c: x.numerator * (m // x.denominator) for c, x in items}
+
+
+def _fraction_row(p: int, row: dict[int, int]) -> SparseRow:
+    """The RREF row from a primitive integer row with pivot p."""
+    pv = row[p]
+    return tuple(
+        (c, ONE if c == p else Fraction(x, pv)) for c, x in sorted(row.items())
+    )
+
+
+def echelon(rows) -> tuple[tuple[SparseRow, ...], tuple[int, ...]]:
+    """Nonzero rows and pivot columns of the RREF of sparse rows.
+
+    ``rows`` is an iterable of rows, each an iterable of (column, value)
+    pairs with int or Fraction values (zeros allowed, columns distinct).
+    The output rows are :data:`SparseRow` tuples, one per pivot, in pivot
+    order; the RREF is unique, so equal outputs mean equal row spaces.
+    """
+    reduced = gauss_jordan_int([_int_row(r) for r in rows])
+    return (
+        tuple(_fraction_row(p, row) for p, row in reduced),
+        tuple(p for p, _ in reduced),
+    )
 
 
 class QMatrix:
@@ -78,24 +119,29 @@ class QMatrix:
         )
 
 
+def _reduce_dense(rows) -> list[tuple[int, dict[int, int]]]:
+    return gauss_jordan_int([_int_row(enumerate(row)) for row in rows])
+
+
 def rref(m: QMatrix) -> tuple[QMatrix, tuple[int, ...]]:
     """Reduced row echelon form and pivot columns.  rank = len(pivots)."""
     if m.rows == 0 or m.cols == 0:
         return m, ()
-    work = _int_rows(m.entries)
-    pivots = gauss_jordan_int(work)
+    reduced = _reduce_dense(m.entries)
     out = []
-    for i, col in enumerate(pivots):
-        p = work[i][col]
-        out.append([Fraction(x, p) for x in work[i]])
-    for _ in range(m.rows - len(pivots)):
-        out.append([Fraction(0)] * m.cols)
-    return QMatrix(out), tuple(pivots)
+    for p, row in reduced:
+        dense = [ZERO] * m.cols
+        for c, x in _fraction_row(p, row):
+            dense[c] = x
+        out.append(dense)
+    zero_row = [ZERO] * m.cols
+    out.extend(zero_row for _ in range(m.rows - len(reduced)))
+    return QMatrix(out), tuple(p for p, _ in reduced)
 
 
 def rank(m: QMatrix) -> int:
     """The rank, from the integer elimination alone (no rref rows built)."""
-    return len(gauss_jordan_int(_int_rows(m.entries)))
+    return len(_reduce_dense(m.entries))
 
 
 def det(rows) -> Fraction:
@@ -138,39 +184,20 @@ def kernel_basis(m: QMatrix) -> list[QVector]:
     For each free column j the basis vector has a 1 in slot j and
     ``-rref[i][j]`` in each pivot slot.
     """
-    r, pivots = rref(m)
-    pivset = set(pivots)
+    reduced = _reduce_dense(m.entries)
+    pivset = {p for p, _ in reduced}
     basis = []
     for j in range(m.cols):
         if j in pivset:
             continue
-        v = [Fraction(0)] * m.cols
-        v[j] = Fraction(1)
-        for i, p in enumerate(pivots):
-            v[p] = -r[i, j]
+        v = [ZERO] * m.cols
+        v[j] = ONE
+        for p, row in reduced:
+            x = row.get(j)
+            if x:
+                v[p] = Fraction(-x, row[p])
         basis.append(tuple(v))
     return basis
-
-
-def reduce_onto(rows, pivots, keep, vec) -> QVector:
-    """Coordinates at the columns ``keep`` of ``vec`` reduced by rref rows.
-
-    ``rows`` and ``pivots`` are the nonzero rows of an :func:`rref` and their
-    pivot columns, and ``keep`` avoids every pivot.  Each row is 0 at every
-    other pivot, so eliminating the rows one after the other subtracts
-    ``vec[p] * row`` for each pivot p; only the kept coordinates of that
-    difference are computed.  A kept coordinate that no row changes is
-    returned as the same object, so results that are mostly zeros share them.
-    """
-    out = [vec[t] for t in keep]
-    for row, p in zip(rows, pivots):
-        c = vec[p]
-        if c:
-            for i, t in enumerate(keep):
-                x = row[t]
-                if x:
-                    out[i] -= c * x
-    return tuple(out)
 
 
 def solve(m: QMatrix, b) -> QVector | None:
@@ -178,24 +205,83 @@ def solve(m: QMatrix, b) -> QVector | None:
     b = [Fraction(x) for x in b]
     if len(b) != m.rows:
         raise ValueError("rhs length mismatch")
-    aug = QMatrix([list(row) + [b[i]] for i, row in enumerate(m.entries)])
-    r, pivots = rref(aug)
-    if pivots and pivots[-1] == m.cols:
+    n = m.cols
+    reduced = gauss_jordan_int(
+        [_int_row(enumerate(row + (b[i],))) for i, row in enumerate(m.entries)]
+    )
+    if reduced and reduced[-1][0] == n:
         return None
-    x = [Fraction(0)] * m.cols
-    for i, p in enumerate(pivots):
-        x[p] = r[i, m.cols]
+    x = [ZERO] * n
+    for p, row in reduced:
+        rhs = row.get(n)
+        if rhs:
+            x[p] = Fraction(rhs, row[p])
     return tuple(x)
 
 
 def row_space_rref(rows) -> tuple[tuple[Fraction, ...], ...]:
-    """Canonical form of a subspace given by spanning rows.
+    """Canonical form of a subspace given by dense spanning rows.
 
-    Two row sets span the same subspace iff this returns the same tuple
-    (zero rows dropped).  Accepts any iterable of rational rows.
+    The nonzero rows of :func:`echelon`, dense: two row sets span the same
+    subspace iff this returns the same tuple.  Accepts any iterable of rows
+    of ints and Fractions.
     """
-    rows = _as_fraction_rows(rows)
+    rows = [tuple(row) for row in rows]
     if not rows:
         return ()
-    m, pivots = rref(QMatrix(rows))
-    return tuple(m.entries[i] for i in range(len(pivots)))
+    out = []
+    for row in echelon(enumerate(row) for row in rows)[0]:
+        dense = [ZERO] * len(rows[0])
+        for c, x in row:
+            dense[c] = x
+        out.append(tuple(dense))
+    return tuple(out)
+
+
+class Reducer:
+    """Normal forms modulo a subspace of Q^ncols, at its standard columns.
+
+    Built from the nonzero rows and pivots of a reduced row echelon form of
+    the subspace (as :func:`echelon` returns them).  The standard columns
+    ``keep`` are the non-pivot ones, in order.  Each row is stored once, by
+    its pivot, as its entries at the standard columns: (index into
+    ``keep``, value) pairs.  A row is 1 at its pivot and 0 at every other
+    pivot, so the class of a vector is its ``keep`` part minus
+    ``vec[p] * row`` summed over the pivots p; only nonzero entries of the
+    vector and of the rows are touched.
+    """
+
+    __slots__ = ("pivots", "keep", "_pos", "_rows")
+
+    def __init__(self, rows, pivots, ncols: int):
+        self.pivots = tuple(pivots)
+        pivset = set(self.pivots)
+        self.keep = tuple(j for j in range(ncols) if j not in pivset)
+        pos = {t: i for i, t in enumerate(self.keep)}
+        self._pos = pos
+        self._rows = {
+            p: tuple((pos[c], x) for c, x in row if c != p)
+            for row, p in zip(rows, self.pivots)
+        }
+
+    def rows(self) -> tuple[SparseRow, ...]:
+        """The RREF rows back in full column coordinates, in pivot order."""
+        keep = self.keep
+        return tuple(
+            tuple(sorted(((p, ONE),) + tuple((keep[i], x) for i, x in tail)))
+            for p, tail in self._rows.items()
+        )
+
+    def pairs(self, items) -> SparseRow:
+        """Class of sum c * e_col over (col, c) pairs (columns distinct), as
+        (index into keep, value) pairs: ascending, nonzero."""
+        pos, rows = self._pos, self._rows
+        out: dict[int, Fraction] = {}
+        for col, c in items:
+            i = pos.get(col)
+            if i is not None:
+                out[i] = out.get(i, ZERO) + c
+                continue
+            for i, x in rows[col]:
+                out[i] = out.get(i, ZERO) - c * x
+        return tuple(sorted((i, x) for i, x in out.items() if x))

@@ -3,13 +3,16 @@
 Everything is concentrated in even degrees (all targets here have vanishing
 odd cohomology), so no Koszul signs appear anywhere.  The module provides
 
-* ``GradedAlgebra``: per-degree bases plus structure constants;
+* ``GradedAlgebra``: per-degree bases plus structure constants, each stored
+  once as its nonzero (index, coefficient) pairs; dense vectors are built
+  only for the dense readers (``basis_product``, ``multiply``);
 * ``build_quotient``: the degreewise quotient engine for presented algebras
-  R[x_1..x_s]/(relations), with deterministic monomial order;
+  R[x_1..x_s]/(relations), with deterministic monomial order; relation
+  multiples are sparse rows, reduced by ``exactlin.echelon``;
 * Frobenius forms, the self-dual quotient B/I(L_ell) obtained by factoring
   out the radical of the Frobenius form degree by degree.  Pairing entries
   and products are read from the structure constants, and classes are
-  computed only at the surviving basis columns (``exactlin.reduce_onto``);
+  computed only at the surviving basis columns (``exactlin.Reducer``);
   the exhaustive check that the radical is an ideal stays;
 * the differential-operator model Diff(V)/Ann(f);
 * graded isomorphism checking by multiplicative extension of a degree-2 map.
@@ -29,18 +32,20 @@ from toricbundle.errors import (
     VerificationFailed,
     ZeroFunctional,
 )
-from toricbundle.exactlin import QMatrix, kernel_basis, reduce_onto, rref, solve
+from toricbundle.exactlin import (
+    ONE as _ONE,
+    ZERO as _ZERO,
+    QMatrix,
+    Reducer,
+    SparseRow,
+    echelon,
+    kernel_basis,
+    rref,
+    solve,
+)
 from toricbundle.qpoly import QPolynomial, apply_operator, monomials_of_degree
 
 Vec = tuple[Fraction, ...]
-
-
-def _vzero(n: int) -> Vec:
-    return (Fraction(0),) * n
-
-
-def _vadd(a: Vec, b: Vec) -> Vec:
-    return tuple(x + y for x, y in zip(a, b))
 
 
 def _vscale(c, a: Vec) -> Vec:
@@ -51,24 +56,42 @@ def _vscale(c, a: Vec) -> Vec:
 class GradedAlgebra:
     """Commutative graded algebra in even degrees with a degree-0 unit.
 
-    ``labels[d]`` names the basis of the degree-d component; ``products``
-    maps ``(a, i, b, j)`` with a <= b to the coefficient vector of the
-    product in degree a+b (zero vector when a+b exceeds the top degree).
+    ``labels[d]`` names the basis of the degree-d component.  ``products``
+    maps ``(a, i, b, j)`` with a <= b to the product of the two basis
+    elements in degree a+b, stored once as (t, c) pairs with c != 0 and t
+    ascending; a product in a degree above the top (or an empty degree) is
+    zero and need not be stored.  The constructor takes dense coefficient
+    vectors; :meth:`from_pairs` takes the pairs themselves.
     """
 
     __slots__ = ("top", "labels", "products")
 
     def __init__(self, top, labels, products):
+        self._set_degrees(top, labels)
+        self.products = {
+            k: tuple(
+                (t, x if type(x) is Fraction else Fraction(x))
+                for t, x in enumerate(v)
+                if x
+            )
+            for k, v in products.items()
+        }
+
+    @classmethod
+    def from_pairs(cls, top, labels, products) -> "GradedAlgebra":
+        """An algebra whose ``products`` are already (t, c) pair tuples."""
+        alg = cls.__new__(cls)
+        alg._set_degrees(top, labels)
+        alg.products = products
+        return alg
+
+    def _set_degrees(self, top, labels):
         self.top = int(top)
         self.labels = {int(d): tuple(ls) for d, ls in labels.items() if ls}
         if self.top % 2 or any(d % 2 for d in self.labels):
             raise ValueError("odd degree in even-degree algebra")
         if self.dim(0) != 1:
             raise ValueError("degree 0 must be one-dimensional")
-        self.products = {
-            k: tuple(x if type(x) is Fraction else Fraction(x) for x in v)
-            for k, v in products.items()
-        }
 
     def degrees(self):
         return sorted(self.labels)
@@ -82,39 +105,41 @@ class GradedAlgebra:
     def total_dim(self) -> int:
         return sum(self.dims())
 
-    def basis_product(self, a, i, b, j) -> Vec:
+    def product_pairs(self, a, i, b, j) -> SparseRow:
+        """The product of two basis elements as (t, c) pairs, c != 0."""
         if a > b or (a == b and i > j):
             a, i, b, j = b, j, a, i
         d = a + b
-        if d > self.top or not self.dim(d):
-            return _vzero(self.dim(d))
+        if d > self.top or d not in self.labels:
+            return ()
         if a == 0:
-            return _unit(self.dim(d), j)
+            return ((j, _ONE),)
         return self.products[(a, i, b, j)]
 
+    def basis_product(self, a, i, b, j) -> Vec:
+        return _dense(self.dim(a + b), self.product_pairs(a, i, b, j))
+
     def multiply(self, a: int, avec, b: int, bvec) -> Vec:
-        d = a + b
-        out = list(_vzero(self.dim(d)))
+        out = [_ZERO] * self.dim(a + b)
         for i, ca in enumerate(avec):
             if not ca:
                 continue
             for j, cb in enumerate(bvec):
                 if not cb:
                     continue
-                for t, cp in enumerate(self.basis_product(a, i, b, j)):
-                    if cp:
-                        out[t] += ca * cb * cp
+                cab = ca * cb
+                for t, cp in self.product_pairs(a, i, b, j):
+                    out[t] += cab * cp
         return tuple(out)
 
     def times_basis(self, a: int, avec, b: int, j: int) -> Vec:
         """Product of a degree-a element with the j-th degree-b basis element."""
-        out = list(_vzero(self.dim(a + b)))
+        out = [_ZERO] * self.dim(a + b)
         for i, ca in enumerate(avec):
             if not ca:
                 continue
-            for t, cp in enumerate(self.basis_product(a, i, b, j)):
-                if cp:
-                    out[t] += ca * cp
+            for t, cp in self.product_pairs(a, i, b, j):
+                out[t] += ca * cp
         return tuple(out)
 
     def power_of_element(self, a: int, avec, k: int):
@@ -146,10 +171,15 @@ class GradedAlgebra:
         return f"GradedAlgebra(top={self.top}, dims={self.dims()})"
 
 
-def _unit(n: int, i: int) -> Vec:
-    v = list(_vzero(n))
-    v[i] = Fraction(1)
+def _dense(n: int, pairs) -> Vec:
+    v = [_ZERO] * n
+    for t, c in pairs:
+        v[t] = c
     return tuple(v)
+
+
+def _unit(n: int, i: int) -> Vec:
+    return _dense(n, ((i, _ONE),))
 
 
 @dataclass(frozen=True)
@@ -181,17 +211,20 @@ class TopFunctional:
 def frobenius_matrix(b: GradedAlgebra, ell: TopFunctional, k: int) -> QMatrix:
     """Pairing matrix of B^k x B^{n-k} -> Q, (i, j) |-> ell(b_i * b_j).
 
-    Each entry sums ell_t * (b_i * b_j)_t over the t where both are nonzero.
+    Each entry sums ell_t * c over the nonzero (t, c) of b_i * b_j.
     """
     n = ell.degree
-    support = [(t, v) for t, v in enumerate(ell.values) if v]
+    values = ell.values
     rows = []
     for i in range(b.dim(k)):
         row = []
         for j in range(b.dim(n - k)):
-            prod = b.basis_product(k, i, n - k, j)
-            terms = (v * prod[t] for t, v in support if prod[t])
-            row.append(sum(terms, Fraction(0)))
+            entry = _ZERO
+            for t, c in b.product_pairs(k, i, n - k, j):
+                v = values[t]
+                if v:
+                    entry += v * c
+            row.append(entry)
         rows.append(row)
     if not rows or not rows[0]:
         dims = (max(b.dim(k), 1), max(b.dim(n - k), 1))
@@ -227,14 +260,15 @@ class SdQuotient:
     algebra: GradedAlgebra
     functional: TopFunctional  # induced ell_* on the quotient top degree
     kept: dict[int, tuple[int, ...]]  # surviving basis positions per degree
-    reducers: dict[int, tuple[tuple[Vec, ...], tuple[int, ...]]]
+    reducers: dict[int, Reducer]  # the radical per degree, kept = reducer.keep
 
     def project(self, d: int, vec) -> Vec:
         """Coordinates of the class of a degree-d element of B."""
         if d not in self.kept:
             return ()
-        rows, pivots = self.reducers[d]
-        return reduce_onto(rows, pivots, self.kept[d], vec)
+        red = self.reducers[d]
+        pairs = red.pairs((t, x) for t, x in enumerate(vec) if x)
+        return _dense(len(red.keep), pairs)
 
 
 def sd_quotient(b: GradedAlgebra, ell: TopFunctional) -> SdQuotient:
@@ -244,13 +278,14 @@ def sd_quotient(b: GradedAlgebra, ell: TopFunctional) -> SdQuotient:
     B^k x B^{n-k}; degrees above n are entirely radical.  Well-definedness of
     the induced multiplication is re-verified exhaustively rather than
     assumed: every radical row times every basis element of B must project
-    to zero.  Those products are built from the nonzero entries of the row
-    and the structure constants, and projected only onto the surviving
-    columns.  A failed check raises ``VerificationFailed``.
+    to zero.  Radical rows, products and classes are all sparse: a product
+    is built from the nonzero entries of the row and the structure
+    constants, and reduced at its nonzero entries only.  A failed check
+    raises ``VerificationFailed``.
     """
     n = ell.degree
     kept: dict[int, tuple[int, ...]] = {}
-    reducers: dict[int, tuple[tuple[Vec, ...], tuple[int, ...]]] = {}
+    reducers: dict[int, Reducer] = {}
     for k in range(0, n + 1, 2):
         dk = b.dim(k)
         if dk == 0:
@@ -261,17 +296,11 @@ def sd_quotient(b: GradedAlgebra, ell: TopFunctional) -> SdQuotient:
             m = frobenius_matrix(b, ell, k)
             # radical = left kernel of the pairing matrix
             rad = kernel_basis(m.transpose())
-        if rad:
-            rr, rp = rref(QMatrix(rad))
-            rows = tuple(rr.entries[i] for i in range(len(rp)))
-        else:
-            rows, rp = (), ()
-        reducers[k] = (rows, rp)
-        kept[k] = tuple(j for j in range(dk) if j not in set(rp))
-        if not kept[k]:
-            del kept[k]
+        rows, pivots = echelon(enumerate(v) for v in rad)
+        reducers[k] = Reducer(rows, pivots, dk)
+        if reducers[k].keep:
+            kept[k] = reducers[k].keep
 
-    out = SdQuotient(None, None, kept, reducers)
     labels = {
         d: tuple(b.labels[d][j] for j in idxs) for d, idxs in kept.items()
     }
@@ -279,32 +308,36 @@ def sd_quotient(b: GradedAlgebra, ell: TopFunctional) -> SdQuotient:
     degs = sorted(kept)
     for a in degs:
         for e in degs:
-            if a > e or a == 0:
+            if a > e or a == 0 or a + e not in kept:
                 continue
+            red = reducers[a + e]
             for i, bi in enumerate(kept[a]):
                 for j, bj in enumerate(kept[e]):
                     if a == e and i > j:
                         continue
-                    prod = b.basis_product(a, bi, e, bj)
-                    products[(a, i, e, j)] = out.project(a + e, prod)
-    alg = GradedAlgebra(n, labels, products)
+                    prod = b.product_pairs(a, bi, e, bj)
+                    products[(a, i, e, j)] = red.pairs(prod)
+    alg = GradedAlgebra.from_pairs(n, labels, products)
 
     # induced top functional: ell on a lift of the single top basis class
     if alg.dim(n) != 1:
         raise VerificationFailed("self-dual quotient must have 1-dim top degree")
-    lift = [Fraction(0)] * b.dim(n)
-    lift[kept[n][0]] = Fraction(1)
-    out.algebra = alg
-    out.functional = TopFunctional(alg, n, (ell.of(n, lift),))
+    out = SdQuotient(alg, None, kept, reducers)
+    out.functional = TopFunctional(alg, n, (ell.values[kept[n][0]],))
 
     # well-definedness: radical * (every original basis element) is radical
-    for k, (rows, _) in reducers.items():
-        for r in rows:
+    for k, red in reducers.items():
+        for row in red.rows():
             for d in b.degrees():
-                if k + d > n:
+                if k + d not in kept:
                     continue
+                target = reducers[k + d]
                 for j in range(b.dim(d)):
-                    if any(out.project(k + d, b.times_basis(k, r, d, j))):
+                    acc: dict[int, Fraction] = {}
+                    for t, c in row:
+                        for u, x in b.product_pairs(k, t, d, j):
+                            acc[u] = acc.get(u, _ZERO) + c * x
+                    if target.pairs(acc.items()):
                         raise VerificationFailed(
                             "induced multiplication ill-defined"
                         )
@@ -371,19 +404,20 @@ class QuotientModel:
     algebra: GradedAlgebra
     monomials: dict[int, list]
     column: dict[int, dict]
-    reducers: dict[int, tuple]
-    basis_monos: dict[int, list]
+    reducers: dict[int, Reducer]  # the relation span per degree
+    basis_monos: dict[int, list]  # the monomials at reducer.keep
+
+    def _class_pairs(self, d: int, coeff_map) -> SparseRow:
+        column = self.column[d]
+        return self.reducers[d].pairs(
+            (column[mono], c) for mono, c in coeff_map.items()
+        )
 
     def normal_form(self, d: int, coeff_map) -> Vec:
         """Quotient coordinates of sum coeff * monomial in degree d."""
         if d > self.presented.truncation or d not in self.monomials:
             return ()
-        v = [Fraction(0)] * len(self.monomials[d])
-        for mono, c in coeff_map.items():
-            v[self.column[d][mono]] += Fraction(c)
-        rows, pivots = self.reducers[d]
-        basis_cols = [self.column[d][m] for m in self.basis_monos[d]]
-        return reduce_onto(rows, pivots, basis_cols, v)
+        return _dense(len(self.basis_monos[d]), self._class_pairs(d, coeff_map))
 
     def monomial_class(self, mono) -> tuple[int, Vec]:
         rdeg, ridx, beta = mono
@@ -400,28 +434,45 @@ def _expand_product(base: GradedAlgebra, m1, m2):
     r2, i2, b2 = m2
     beta = tuple(a + b for a, b in zip(b1, b2))
     d = r1 + r2
-    out = {}
-    if d > base.top:
-        return out
-    prod = base.basis_product(r1, i1, r2, i2)
-    for t, c in enumerate(prod):
-        if c:
-            out[(d, t, beta)] = c
-    return out
+    return {
+        (d, t, beta): c for t, c in base.product_pairs(r1, i1, r2, i2)
+    }
+
+
+def _relation_rows(base: GradedAlgebra, rel: Relation, multipliers, column):
+    """The rows of mono * rel over the given multiplier monomials, as
+    {column: coefficient} maps (empty when the product vanishes)."""
+    terms = [
+        (beta_g, rg, tg, cg)
+        for beta_g, (rg, vec_g) in rel.items()
+        for tg, cg in enumerate(vec_g)
+        if cg
+    ]
+    rows = []
+    for rm, im, bm in multipliers:
+        row: dict[int, Fraction] = {}
+        for beta_g, rg, tg, cg in terms:
+            beta = tuple(a + b for a, b in zip(bm, beta_g))
+            for tt, cb in base.product_pairs(rm, im, rg, tg):
+                col = column[(rm + rg, tt, beta)]
+                row[col] = row.get(col, _ZERO) + cg * cb
+        rows.append(row)
+    return rows
 
 
 def build_quotient(p: PresentedAlgebra) -> QuotientModel:
     """Degreewise quotient of R[x_1..x_s] by homogeneous relations.
 
     For each even degree up to the truncation bound: enumerate the monomial
-    spanning set, enumerate every relation multiple landing there, row-reduce,
-    and keep the non-pivot (standard) monomials as the quotient basis.
+    spanning set, enumerate every relation multiple landing there as a
+    sparse row, row-reduce, and keep the non-pivot (standard) monomials as
+    the quotient basis.
     """
     base = p.base
     s = len(p.gen_names)
     monomials: dict[int, list] = {}
     column: dict[int, dict] = {}
-    reducers: dict[int, tuple] = {}
+    reducers: dict[int, Reducer] = {}
     basis_monos: dict[int, list] = {}
 
     for d in range(0, p.truncation + 1, 2):
@@ -446,34 +497,11 @@ def build_quotient(p: PresentedAlgebra) -> QuotientModel:
             mult_deg = d - rel_deg
             if mult_deg < 0:
                 continue
-            for mono in monomials.get(mult_deg, []):
-                row = [Fraction(0)] * len(monomials[d])
-                rm, im, bm = mono
-                nonzero = False
-                for beta_g, (rg, vec_g) in rel.items():
-                    if rm + rg > base.top:
-                        continue
-                    for tg, cg in enumerate(vec_g):
-                        if not cg:
-                            continue
-                        bprod = base.basis_product(rm, im, rg, tg)
-                        beta = tuple(a + b for a, b in zip(bm, beta_g))
-                        for tt, cb in enumerate(bprod):
-                            if cb:
-                                row[column[d][(rm + rg, tt, beta)]] += cg * cb
-                                nonzero = True
-                if nonzero:
-                    rows.append(row)
-        if rows:
-            rr, pivots = rref(QMatrix(rows))
-            rrows = tuple(rr.entries[i] for i in range(len(pivots)))
-        else:
-            rrows, pivots = (), ()
-        reducers[d] = (rrows, pivots)
-        pivset = set(pivots)
-        basis_monos[d] = [
-            m for t, m in enumerate(monomials[d]) if t not in pivset
-        ]
+            multipliers = monomials.get(mult_deg, [])
+            rows += _relation_rows(base, rel, multipliers, column[d])
+        red = Reducer(*echelon(row.items() for row in rows), len(monomials[d]))
+        reducers[d] = red
+        basis_monos[d] = [monomials[d][t] for t in red.keep]
 
     labels = {
         d: tuple(_mono_label(base, p.gen_names, m) for m in ms)
@@ -486,21 +514,18 @@ def build_quotient(p: PresentedAlgebra) -> QuotientModel:
     degs = sorted(d for d in labels)
     for a in degs:
         for b in degs:
-            if a > b or a == 0:
+            d = a + b
+            if a > b or a == 0 or d not in labels:
                 continue
             for i, m1 in enumerate(basis_monos[a]):
                 for j, m2 in enumerate(basis_monos[b]):
                     if a == b and i > j:
                         continue
-                    d = a + b
-                    if d > p.truncation or not labels.get(d):
-                        products[(a, i, b, j)] = ()
-                        continue
                     coeff_map = _expand_product(base, m1, m2)
-                    products[(a, i, b, j)] = model.normal_form(d, coeff_map)
+                    products[(a, i, b, j)] = model._class_pairs(d, coeff_map)
 
     top = max(degs)
-    model.algebra = GradedAlgebra(top, labels, products)
+    model.algebra = GradedAlgebra.from_pairs(top, labels, products)
     return model
 
 
@@ -532,10 +557,12 @@ class AnnModel:
         target = monomials_of_degree(len(self.f.vars), self.order - j)
         rhs = [img.coefficient(e) for e in target]
         if 2 * j not in self.image_rows:
-            assert not any(rhs), "nonzero image in a zero component"
+            if any(rhs):
+                raise VerificationFailed("nonzero image in a zero component")
             return 2 * j, ()
         sol = solve(self.image_rows[2 * j].transpose(), rhs)
-        assert sol is not None, "operator image outside the model"
+        if sol is None:
+            raise VerificationFailed("operator image outside the model")
         return 2 * j, sol
 
 

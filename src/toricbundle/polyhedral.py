@@ -48,16 +48,20 @@ class Fan:
     """Simplicial rational fan given by primitive rays and maximal cones.
 
     Construct through :func:`validate_fan`; instances are immutable.  The
-    wall rows (see :func:`_wall_rows`) are computed on first use and kept.
+    wall rows (see :func:`_wall_rows`) and the :func:`is_projective` verdict
+    with its witness are computed on first use and kept.
     """
 
-    __slots__ = ("dim", "rays", "max_cones", "_wall_row_cache")
+    __slots__ = (
+        "dim", "rays", "max_cones", "_wall_row_cache", "_projective_cache"
+    )
 
     def __init__(self, dim, rays, max_cones):
         self.dim = dim
         self.rays = rays
         self.max_cones = max_cones
         self._wall_row_cache = None
+        self._projective_cache = None
 
     @property
     def nrays(self) -> int:
@@ -241,8 +245,15 @@ def is_projective(fan: Fan) -> tuple[bool, "VirtualPolytope | None"]:
     """Existence of a strictly convex support vector, with witness.
 
     The strict system (all wall gaps > 0) is homogeneous, hence equivalent
-    to the exact feasibility of gaps >= 1.
+    to the exact feasibility of gaps >= 1.  The answer depends on the fan
+    alone, so the LP is solved once per fan and its result kept.
     """
+    if fan._projective_cache is None:
+        fan._projective_cache = _projectivity(fan)
+    return fan._projective_cache
+
+
+def _projectivity(fan: Fan) -> tuple[bool, "VirtualPolytope | None"]:
     rows = fan.wall_rows()
     if not rows:  # single-cone or wall-free degenerate fans
         return True, VirtualPolytope(fan, (Fraction(0),) * fan.nrays)

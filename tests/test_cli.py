@@ -137,6 +137,21 @@ def test_intersect_examples(capsys):
     assert "reduction trace" in out
 
 
+def test_intersect_verbose_disagreement_exit_1(capsys, monkeypatch):
+    """The --verbose cross-check is an explicit comparison, not an assert."""
+    from toricbundle import cli
+
+    real = cli.squarefree_evaluate
+    monkeypatch.setattr(
+        cli, "squarefree_evaluate", lambda *a, **k: real(*a, **k) + 1
+    )
+    code, _, err = run(
+        capsys, "intersect", "hirzebruch_1", "--expr", "x2^2", "-v"
+    )
+    assert code == 1
+    assert "verification failed" in err and "disagrees" in err
+
+
 def test_intersect_not_top_degree_exit_3(capsys):
     code, _, err = run(capsys, "intersect", "p2_toric", "--expr", "x1")
     assert code == 3

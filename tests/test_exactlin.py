@@ -7,10 +7,11 @@ from hypothesis import strategies as st
 
 from toricbundle.exactlin import (
     QMatrix,
+    Reducer,
     det,
+    echelon,
     kernel_basis,
     rank,
-    reduce_onto,
     row_space_rref,
     rref,
     solve,
@@ -154,9 +155,10 @@ def test_qmatrix_keeps_fraction_entries():
 
 
 def test_row_space_canonical():
-    a = row_space_rref([[F(2), F(4)], [F(1), F(3)]])
-    b = row_space_rref([[F(1), F(2)], [F(0), F(1)], [F(3), F(7)]])
-    assert a == b
+    a = [[F(2), F(4)], [F(1), F(3)]]
+    b = [[F(1), F(2)], [F(0), F(1)], [F(3), F(7)]]
+    assert echelon(_sparse(row) for row in a) == echelon(_sparse(row) for row in b)
+    assert row_space_rref(a) == row_space_rref(b) == ((1, 0), (0, 1))
 
 
 def _dense_reduce(rows, pivots, vec):
@@ -170,14 +172,95 @@ def _dense_reduce(rows, pivots, vec):
     return v
 
 
+def _sparse(row):
+    return tuple((c, x) for c, x in enumerate(row) if x)
+
+
+def _rref_reference(rows):
+    """Gauss-Jordan on Fractions: first nonzero pivot per column, top-down."""
+    rows = [[F(x) for x in row] for row in rows]
+    pivots = []
+    for col in range(len(rows[0])):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        rows[r] = [x / rows[r][col] for x in rows[r]]
+        for i, row in enumerate(rows):
+            if i != r and row[col]:
+                k = row[col]
+                rows[i] = [a - k * b for a, b in zip(row, rows[r])]
+        pivots.append(col)
+    return rows, tuple(pivots)
+
+
+entries = st.one_of(
+    st.integers(-30, 30), st.builds(F, st.integers(-30, 30), st.integers(1, 12))
+)
+dense_matrices = st.integers(1, 6).flatmap(
+    lambda cols: st.lists(
+        st.lists(entries, min_size=cols, max_size=cols), min_size=1, max_size=6
+    )
+)
+
+
+@st.composite
+def zero_heavy_matrices(draw):
+    """Up to 25 x 25, a few nonzero cells: zero rows and columns are common."""
+    nrows, ncols = draw(st.integers(1, 25)), draw(st.integers(1, 25))
+    nonzero = entries.filter(bool)
+    cells = draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, nrows - 1), st.integers(0, ncols - 1), nonzero
+            ),
+            max_size=2 * max(nrows, ncols),
+        )
+    )
+    rows = [[0] * ncols for _ in range(nrows)]
+    for i, j, x in cells:
+        rows[i][j] = x
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(dense_matrices, zero_heavy_matrices()))
+def test_rref_matches_fraction_gauss_jordan(rows):
+    """rref, rank and the sparse echelon against plain Fraction Gauss-Jordan."""
+    m = QMatrix(rows)
+    want_rows, want_pivots = _rref_reference(rows)
+    assert rref(m) == (QMatrix(want_rows), want_pivots)
+    assert rank(m) == len(want_pivots)
+    sparse_rows = tuple(_sparse(r) for r in want_rows[: len(want_pivots)])
+    assert echelon(_sparse(r) for r in rows) == (sparse_rows, want_pivots)
+
+
+def test_known_reduction():
+    m, pivots = rref(QMatrix([[2, 4], [1, 2]]))
+    assert pivots == (0,)
+    assert m == QMatrix([[1, 2], [0, 0]])
+    assert echelon([[(0, 2), (1, 4)], [(0, 1), (1, 2)]]) == (
+        (((0, F(1)), (1, F(2))),),
+        (0,),
+    )
+
+
 @settings(max_examples=150, deadline=None)
-@given(matrices, st.data())
+@given(st.one_of(matrices, zero_heavy_matrices()), st.data())
 def test_reduce_onto_matches_dense_elimination(rows, data):
+    """Reducer classes against elimination on all columns."""
     r, pivots = rref(QMatrix(rows))
     red = r.entries[: len(pivots)]
-    free = [j for j in range(r.cols) if j not in pivots]
-    keep = data.draw(st.permutations(free)) if free else []
-    keep = keep[: data.draw(st.integers(0, len(keep)))]
-    vec = data.draw(st.lists(rationals, min_size=r.cols, max_size=r.cols))
+    reducer = Reducer(*echelon(_sparse(row) for row in rows), r.cols)
+    assert reducer.pivots == pivots
+    assert reducer.keep == tuple(j for j in range(r.cols) if j not in pivots)
+    assert reducer.rows() == tuple(_sparse(row) for row in red)
+    vec = data.draw(
+        st.lists(
+            st.one_of(st.just(F(0)), rationals), min_size=r.cols, max_size=r.cols
+        )
+    )
     dense = _dense_reduce(red, pivots, vec)
-    assert reduce_onto(red, pivots, keep, vec) == tuple(dense[t] for t in keep)
+    want = tuple(dense[t] for t in reducer.keep)
+    assert reducer.pairs(_sparse(vec)) == _sparse(want)

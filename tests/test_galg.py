@@ -6,6 +6,8 @@ from fractions import Fraction as F
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toricbundle import galg
 from toricbundle.errors import (
@@ -267,9 +269,91 @@ def test_sparse_pairing_and_projection_match_dense_reference():
             if alg.dim(k) and alg.dim(deg - k):
                 ref = tuple(map(tuple, _reference_frobenius(alg, ell, k)))
                 assert frobenius_matrix(alg, ell, k).entries == ref
-        products = sd_quotient(alg, ell).algebra.products
-        assert products == _reference_sd_products(alg, ell)
+        quotient = sd_quotient(alg, ell).algebra
+        reference = _reference_sd_products(alg, ell)
+        assert set(quotient.products) <= set(reference)
+        for key, vec in reference.items():
+            assert quotient.basis_product(*key) == vec
         done += 1
+
+
+def _dense_structure_constants(model):
+    """Products of the standard monomials of a presented algebra over the
+    point, by dense elimination of the relation multiples in each degree."""
+    pres = model.presented
+    reduced = {}
+    for d, monos in model.monomials.items():
+        col = {m: t for t, m in enumerate(monos)}
+        rows = []
+        for rel in pres.relations:
+            rel_deg = 2 * sum(next(iter(rel)))
+            for _, _, bm in model.monomials.get(d - rel_deg, []):
+                row = [F(0)] * len(monos)
+                for beta_g, (_, (c,)) in rel.items():
+                    beta = tuple(a + b for a, b in zip(bm, beta_g))
+                    row[col[(0, 0, beta)]] += c
+                rows.append(row)
+        r, pivots = rref(QMatrix(rows)) if rows else (None, ())
+        red = r.entries[: len(pivots)] if rows else ()
+        keep = [t for t in range(len(monos)) if t not in pivots]
+        reduced[d] = (col, red, pivots, keep)
+
+    def product(m1, m2):
+        beta = tuple(a + b for a, b in zip(m1[2], m2[2]))
+        d = 2 * sum(beta)
+        if d not in reduced:
+            return ()
+        col, red, pivots, keep = reduced[d]
+        v = [F(0)] * len(col)
+        v[col[(0, 0, beta)]] = F(1)
+        for row, p in zip(red, pivots):
+            c = v[p]
+            v = [a - c * b for a, b in zip(v, row)]
+        return tuple(v[t] for t in keep)
+
+    return product
+
+
+vectors = st.lists(
+    st.one_of(st.just(F(0)), st.builds(F, st.integers(-5, 5), st.integers(1, 4))),
+    min_size=64,
+    max_size=64,
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6), vectors, vectors)
+def test_sparse_products_match_dense_reference(seed, xs, ys):
+    """basis_product, times_basis and multiply on the stored (t, c) pairs
+    equal products computed from dense elimination."""
+    model = _random_presented(random.Random(seed))
+    alg = model.algebra
+    product = _dense_structure_constants(model)
+    degs = alg.degrees()
+    for a in degs:
+        for b in degs:
+            d = a + b
+            table = {
+                (i, j): product(model.basis_monos[a][i], model.basis_monos[b][j])
+                if d <= alg.top
+                else (F(0),) * alg.dim(d)
+                for i in range(alg.dim(a))
+                for j in range(alg.dim(b))
+            }
+            for (i, j), vec in table.items():
+                assert alg.basis_product(a, i, b, j) == vec
+            avec, bvec = xs[: alg.dim(a)], ys[: alg.dim(b)]
+            want = [F(0)] * alg.dim(d)
+            for (i, j), vec in table.items():
+                for t, c in enumerate(vec):
+                    want[t] += avec[i] * bvec[j] * c
+            assert alg.multiply(a, avec, b, bvec) == tuple(want)
+            for j in range(alg.dim(b)):
+                want = [F(0)] * alg.dim(d)
+                for i in range(alg.dim(a)):
+                    for t, c in enumerate(table[(i, j)]):
+                        want[t] += avec[i] * c
+                assert alg.times_basis(a, avec, b, j) == tuple(want)
 
 
 def test_sd_quotient_wrong_radical_raises(monkeypatch):
@@ -348,6 +432,24 @@ def test_ann_top_functional():
     vol_p2 = QPolynomial.linear_form(hv, [1, 1, 1]) ** 2 * F(1, 2)
     am = ann_quotient(vol_p2, 2)
     assert ann_top_functional(am).values == (F(1, 2),)
+
+
+def test_operator_image_outside_model_raises(monkeypatch):
+    hv = ("h1", "h2", "h3")
+    am = ann_quotient(QPolynomial.linear_form(hv, [1, 1, 1]) ** 2, 2)
+    op = QPolynomial(hv, {(1, 0, 0): F(1)})
+    monkeypatch.setattr(galg, "solve", lambda m, b: None)
+    with pytest.raises(VerificationFailed, match="outside the model"):
+        am.operator_class(op)
+
+
+def test_operator_image_in_zero_component_raises():
+    hv = ("h1", "h2", "h3")
+    am = ann_quotient(QPolynomial.linear_form(hv, [1, 1, 1]) ** 2, 2)
+    op = QPolynomial(hv, {(1, 0, 0): F(1)})
+    del am.image_rows[2]  # pretend degree 2 of the model is zero
+    with pytest.raises(VerificationFailed, match="zero component"):
+        am.operator_class(op)
 
 
 def test_ann_quotient_rejects_inhomogeneous():

@@ -290,3 +290,24 @@ def test_geometry_checks_raise_typed_errors():
     # (1,) and (-1,) span no cone, and <A, e> = 1 = <A, -e> has no solution
     with pytest.raises(VerificationFailed):
         dual_vertex(fan_p1(), (0, 1), (1, 1))
+
+
+def test_projectivity_solved_once_per_fan(monkeypatch):
+    calls = []
+    real = polyhedral._lp.solve_inequalities
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    fan, other = fan_f1(), fan_f1()  # validate_fan runs its own LPs
+    monkeypatch.setattr(polyhedral._lp, "solve_inequalities", counting)
+    ok, witness = is_projective(fan)
+    assert ok and is_convex_on(fan, witness, strict=True)
+    for _ in range(3):
+        again_ok, again = is_projective(fan)
+        assert again_ok and again is witness
+    assert len(calls) == 1
+    other_ok, other_witness = is_projective(other)
+    assert other_ok and other_witness == witness
+    assert len(calls) == 2
