@@ -346,6 +346,8 @@ SUITES = {
 
 
 def cmd_verify(args) -> int:
+    if args.count < 1:
+        _fail(EXIT_PRECONDITION, f"--count must be at least 1, got {args.count}")
     rng = random.Random(args.seed)
     lines: list[str] = []
     suite = SUITES[args.suite]
@@ -359,6 +361,9 @@ def cmd_verify(args) -> int:
         raise
     except ToricBundleError as exc:
         _fail(EXIT_PRECONDITION, f"suite {args.suite}: {exc}")
+    if not lines:
+        # no PASS without a check
+        _fail(EXIT_PRECONDITION, f"suite {args.suite} ran no check")
     print(f"suite: {args.suite}  spec: {args.spec}  seed: {args.seed}")
     for line in lines:
         print(line)

@@ -178,6 +178,33 @@ def det(rows) -> Fraction:
     return Fraction(sign * prev, scale)
 
 
+def adjugate(rows) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """(det E, the columns of adj E = det E * E^-1) of a nonsingular square
+    integer matrix E given by rows.
+
+    One integer Gauss-Jordan of [E | I] gives [I | E^-1] up to row scales:
+    the reduced row with pivot k is primitive, so E^-1[k][j] is its entry
+    at column n + j divided by its entry at k.
+    """
+    rows = [list(row) for row in rows]
+    n = len(rows)
+    d = det(rows).numerator
+    if d == 0:
+        raise ValueError("adjugate of a singular matrix")
+    reduced = dict(
+        gauss_jordan_int(
+            [
+                {**{k: x for k, x in enumerate(row) if x}, n + j: 1}
+                for j, row in enumerate(rows)
+            ]
+        )
+    )
+    return d, tuple(
+        tuple(d * reduced[k].get(n + j, 0) // reduced[k][k] for k in range(n))
+        for j in range(n)
+    )
+
+
 def kernel_basis(m: QMatrix) -> list[QVector]:
     """Basis of the right null space; empty iff the columns are independent.
 

@@ -1,4 +1,5 @@
-"""Exact polynomial integration over polytopes and mixed integrals.
+"""Exact polynomial integration over polytopes, integral polynomials and
+mixed integrals.
 
 The measure is Lebesgue normalized so a fundamental cube of the lattice has
 volume 1.  A simplex with vertices s_0..s_n is integrated in barycentric
@@ -11,9 +12,18 @@ moment
 coordinates are expanded as integer linear forms in lambda (Baldoni,
 Berline, De Loera, Koeppe and Vergne 2011, "How to integrate a polynomial
 over a simplex").  Polytopes are integrated by summing a triangulation read
-off their vertex-facet incidences.  Polarized ("mixed") integrals of virtual
-polytopes are computed by inclusion-exclusion from a strictly convex anchor,
-which makes them well defined on the whole space of virtual polytopes.
+off their vertex-facet incidences; this direct integral is the oracle that
+checks everything else.
+
+With the sign convention of :mod:`toricbundle.polyhedral`,
+P(h) = {x : <x, e_i> <= h_i}, the integral I_f(h) = int_{P(h)} f of a form f
+of degree m over a complete simplicial fan is a form of degree n + m in h.
+:func:`i_f_polynomial` writes it in closed form as a sum over the vertices
+A_sigma(h) of P(h), one per maximal cone sigma (Brion 1988; Lawrence 1991),
+after splitting f into powers of linear forms that are regular on every
+cone (Baldoni-Berline-De Loera-Koeppe-Vergne 2011).  That sum is the
+polynomial extension of I_f to virtual polytopes (Khovanskii-Pukhlikov
+1992); mixed integrals are its polarization.
 """
 
 from __future__ import annotations
@@ -21,13 +31,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, factorial, lcm
+from math import ceil, comb, factorial, lcm, prod
 
 from toricbundle import exactlin
 from toricbundle.errors import (
     AnchorFailure,
     DegreeMismatch,
     DimensionMismatch,
+    FanError,
     LowerDimensional,
     VerificationFailed,
 )
@@ -36,8 +47,11 @@ from toricbundle.polyhedral import (
     Fan,
     Polytope,
     VirtualPolytope,
+    _int_dot,
     affine_dim,
+    cone_vertices,
     dual_vertex,
+    is_complete,
     is_convex_on,
     is_projective,
     polytope_from_support,
@@ -205,13 +219,19 @@ def volume(p: Polytope) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# mixed integrals by polarization
+# I_f in closed form: vertex sums over the cones of the fan
 # ---------------------------------------------------------------------------
 
 
 def convex_anchor(fan: Fan, summands) -> VirtualPolytope:
     """A strictly convex base point large enough that adding any subset of
-    the given virtual polytopes stays convex on the fan."""
+    the given virtual polytopes stays convex on the fan.
+
+    Nothing in the package calls it since :func:`mixed_integral` polarizes
+    the closed-form :func:`i_f_polynomial`; it is kept because the benchmark
+    harness traces it by name, and the tests use it to rebuild the direct
+    2^m-integral polarization that :func:`mixed_integral` is pinned to.
+    """
     ok, witness = is_projective(fan)
     if not ok:
         raise AnchorFailure("fan admits no strictly convex support vector")
@@ -231,13 +251,25 @@ def i_f_value(fan: Fan, f: QPolynomial, vp: VirtualPolytope) -> Fraction:
     return integrate_over_polytope(f, polytope_from_support(fan, vp))
 
 
+def _require_complete(fan: Fan) -> None:
+    """P(h) is bounded for every h only on a complete fan."""
+    if not is_complete(fan):
+        raise FanError("integral polynomials need a complete fan")
+
+
 def mixed_integral(fan: Fan, f: QPolynomial, args) -> Fraction:
     """Polarization of Delta |-> int_Delta f at the given virtual polytopes.
 
-    Requires len(args) = fan.dim + deg(f); computed as the top forward
-    difference (1/m!) sum_S (-1)^{m-|S|} I_f(P0 + sum_S args) from a strictly
-    convex anchor P0.  Top-order differences of a degree-m polynomial are
-    constant in the base point, so the value does not depend on P0.
+    Requires len(args) = m = fan.dim + deg(f).  With P the closed-form
+    :func:`i_f_polynomial` of the top homogeneous part of f (a form of
+    degree m; lower parts have lower degree and polarize to 0), the value is
+
+        (1/m!) sum_S (-1)^(m - |S|) P(sum_{i in S} args_i),
+
+    summed over sub-multisets S of the arguments: equal arguments are
+    grouped, so S runs over the counts j_v <= k_v of each distinct argument
+    v, weighted by prod_v binom(k_v, j_v).  Raises :class:`FanError` on a
+    fan that is not complete.
     """
     args = list(args)
     m = len(args)
@@ -246,107 +278,184 @@ def mixed_integral(fan: Fan, f: QPolynomial, args) -> Fraction:
         raise DegreeMismatch(
             f"need {fan.dim + deg} arguments for degree-{deg} integrand, got {m}"
         )
-    anchor = convex_anchor(fan, args)
+    if any(arg.fan != fan for arg in args):
+        raise FanError("virtual polytopes on different fans")
+    poly = i_f_polynomial(fan, f.homogeneous_part(deg))
+    counts: dict[tuple[Fraction, ...], int] = {}
+    for arg in args:
+        counts[arg.h] = counts.get(arg.h, 0) + 1
+    distinct = list(counts.items())
     total = Fraction(0)
-    for bits in itertools.product((0, 1), repeat=m):
-        vp = anchor
-        for take, arg in zip(bits, args):
-            if take:
-                vp = vp + arg
-        sign = (-1) ** (m - sum(bits))
-        total += sign * i_f_value(fan, f, vp)
+    for js in itertools.product(*(range(k + 1) for _, k in distinct)):
+        weight = (-1) ** (m - sum(js))
+        for (_, k), j in zip(distinct, js):
+            weight *= comb(k, j)
+        point = [
+            sum((j * h[i] for (h, _), j in zip(distinct, js)), Fraction(0))
+            for i in range(fan.nrays)
+        ]
+        total += weight * poly.evaluate(point)
     return total / factorial(m)
 
 
 def integral_over_virtual(fan: Fan, f: QPolynomial, vp: VirtualPolytope) -> Fraction:
     """The polynomial extension of I_f evaluated at a virtual polytope.
 
-    Handles inhomogeneous f by polarizing each homogeneous part on the
-    diagonal; agrees with the direct integral when vp is convex.
+    The sum over the homogeneous parts f_d of f of the closed-form
+    :func:`i_f_polynomial` of f_d at vp.h; it agrees with the direct
+    integral when vp is convex.  Raises :class:`FanError` on a fan that is
+    not complete.
     """
+    _require_complete(fan)
+    if vp.fan != fan:
+        raise FanError("virtual polytopes on different fans")
     total = Fraction(0)
     for d in range(f.degree() + 1):
         part = f.homogeneous_part(d)
         if part:
-            total += mixed_integral(fan, part, [vp] * (fan.dim + d))
+            total += i_f_polynomial(fan, part).evaluate(vp.h)
     return total
+
+
+def _multinomial(expo) -> int:
+    """|expo|! / prod_i expo_i!"""
+    out = factorial(sum(expo))
+    for e in expo:
+        out //= factorial(e)
+    return out
+
+
+def _power_decomposition(fan: Fan, f: QPolynomial, m: int):
+    """Integer forms l_k and rationals c_k with f = sum_k c_k <l_k, x>^m.
+
+    The forms are l_k = g + alpha_k over the exponents |alpha_k| = m, with
+    g = (1, t, t^2, ..., t^(n-1)) for the first t = 1, 2, ... at which every
+    <l_k, adj_{sigma,j}> is nonzero (the forms are regular on every cone).
+    Each of those pairings is a nonzero polynomial in t of degree <= n - 1,
+    so at most (n - 1) * #forms * #columns values of t are ruled out.  The
+    l_k lie on the hyperplane sum(l) = sum(g) + m > 0, where the principal
+    lattice is unisolvent for degree-m forms (Chung-Yao 1977), so their m-th
+    powers span the degree-m forms (apolarity) and the c_k come from one
+    square exact solve that does not depend on h.  Raises
+    :class:`VerificationFailed` when no t up to the bound works.
+    """
+    n = fan.dim
+    alphas = monomials_of_degree(n, m)
+    columns = {col for cone in fan.cone_data() for col in cone.adj}
+    # the coefficient of x^beta in <l, x>^m is multinomial(m; beta) l^beta
+    rhs = [f.coefficient(beta) / _multinomial(beta) for beta in alphas]
+    for t in range(1, (n - 1) * len(alphas) * len(columns) + 2):
+        g = [t**i for i in range(n)]
+        forms = [tuple(a + b for a, b in zip(g, alpha)) for alpha in alphas]
+        if any(_int_dot(l, col) == 0 for l in forms for col in columns):
+            continue
+        system = QMatrix(
+            [[prod(x**e for x, e in zip(l, beta)) for l in forms] for beta in alphas]
+        )
+        coeffs = solve(system, rhs)
+        if coeffs is not None:
+            return forms, coeffs
+    raise VerificationFailed(
+        f"no regular power-of-linear-forms decomposition of {f!r}"
+    )
 
 
 def i_f_polynomial(fan: Fan, f: QPolynomial) -> QPolynomial:
     """The homogeneous polynomial in h_1..h_s restricting to I_f.
 
-    I_f is a form of degree d = dim + deg f on the cone of convex support
-    vectors, found by exact interpolation on the principal lattice
+    Convention: P(h) = {x : <x, e_i> <= h_i}.  The vertex of P(h) at a
+    maximal cone sigma is A_sigma(h) = E_sigma^-1 h_sigma, and the tangent
+    cone there is generated by the -u_{sigma,j}, where u_{sigma,j} =
+    adj_j / det E_sigma are the columns of E_sigma^-1 (:meth:`Fan.cone_data`).
+    For a form l with every <l, u_{sigma,j}> != 0, the vertex-cone formula
+    (Brion 1988; Lawrence 1991) for int_P exp<l, x>, cut to its degree-d
+    part, gives with d = n + m
 
-        { c*h* + alpha : alpha in N^s, |alpha| = d }
+        int_P(h) <l, x>^m  =  m!/d! * sum_sigma <l, A_sigma(h)>^d
+                               / (|det E_sigma| * prod_j <l, u_{sigma,j}>).
 
-    where h* is the :func:`is_projective` witness (every wall gap >= 1) and
-    c = ceil((d + 1) * max ||wall row||_1) + 1.  A wall row moves by at most
-    its 1-norm times max alpha_k <= d + 1, so every wall gap at a grid point
-    (and at the check points below) is >= 1.  The grid is the principal
-    lattice of order d on the affine hyperplane sum(h) = c*sum(h*) + d (c is
-    bumped by one if that hyperplane passes through 0); the lattice is
-    unisolvent for polynomials of degree <= d on the hyperplane (Chung-Yao
-    1977), and a degree-d form is fixed by its restriction to a hyperplane
-    that misses 0.  So one square solve gives the polynomial.  It is then
-    re-verified by direct integration at three points c*h* + beta with
-    |beta| = d + 1, which lie off the grid hyperplane.
+    The right side is a polynomial in h; it is the polynomial extension of
+    I_f to virtual polytopes (Khovanskii-Pukhlikov 1992).  A homogeneous f
+    of degree m is first written as sum_k c_k <l_k, x>^m by
+    :func:`_power_decomposition` (the power-of-linear-forms route of
+    Baldoni, Berline, De Loera, Koeppe and Vergne 2011).  With the integers
+    a_j = <l_k, adj_j> and D = det E_sigma, the term of (k, sigma) is
+
+        c_k (sum_j a_j h_{sigma_j})^d / (D^m |D| prod_j a_j),
+
+    which is expanded multinomially on Python ints over one common
+    denominator.  Nothing is interpolated; the result is re-verified by
+    direct integration (:func:`i_f_value`) at three points c*h* + beta with
+    |beta| = d + 1, where h* is the :func:`is_projective` witness (every
+    wall gap >= 1) and c = ceil((d + 1) * max ||wall row||_1) + 1, so that
+    every wall gap there is >= 1; each point's convexity is checked too.
+    Raises :class:`FanError` on a fan that is not complete and
+    :class:`VerificationFailed` when a check fails.
     """
-    m = require_homogeneous(f)
-    m = max(m, 0)
-    d = fan.dim + m
+    _require_complete(fan)
+    m = max(require_homogeneous(f), 0)
+    n = fan.dim
+    d = n + m
     s = fan.nrays
     hvars = tuple(f"h{i + 1}" for i in range(s))
     if not f:
         return QPolynomial.zero(hvars)
-    monos = monomials_of_degree(s, d)
     ok, witness = is_projective(fan)
     if not ok:
         raise AnchorFailure("fan admits no strictly convex support vector")
+    forms, coeffs = _power_decomposition(fan, f, m)
+    gammas = [(gamma, _multinomial(gamma)) for gamma in monomials_of_degree(n, d)]
+
+    # per cone: (rays, [(c_k numerator, denominator, a)]) over the forms
+    cone_terms = []
+    for cone in fan.cone_data():
+        per_form = []
+        for l, c in zip(forms, coeffs):
+            if c:
+                a = [_int_dot(l, col) for col in cone.adj]
+                den = c.denominator * cone.det**m * abs(cone.det) * prod(a)
+                per_form.append((c.numerator, den, a))
+        cone_terms.append((cone.rays, per_form))
+    common = lcm(*(den for _, per_form in cone_terms for _, den, _ in per_form))
+    acc: dict[tuple[int, ...], int] = {}
+    for rays, per_form in cone_terms:
+        sums = [0] * len(gammas)
+        for num, den, a in per_form:
+            weight = num * (common // den)
+            powers = [[x**e for e in range(d + 1)] for x in a]
+            for g, (gamma, multinomial) in enumerate(gammas):
+                v = weight * multinomial
+                for pw, e in zip(powers, gamma):
+                    if e:
+                        v *= pw[e]
+                sums[g] += v
+        for (gamma, _), v in zip(gammas, sums):
+            if v:
+                expo = [0] * s
+                for i, e in zip(rays, gamma):
+                    expo[i] = e
+                expo = tuple(expo)
+                acc[expo] = acc.get(expo, 0) + v
+    scale = common * factorial(d)
+    poly = QPolynomial(
+        hvars,
+        {
+            mono: Fraction(acc[mono] * factorial(m), scale)
+            for mono in monomials_of_degree(s, d)
+            if acc.get(mono)
+        },
+    )
+
     norm = max((sum(abs(x) for x in row) for row in fan.wall_rows()), default=0)
     c = ceil((d + 1) * norm) + 1
-    if c * sum(witness.h) + d == 0:
-        c += 1
     base = witness.scale(c).h
-
-    def point(alpha):
-        return VirtualPolytope(fan, tuple(b + a for b, a in zip(base, alpha)))
-
-    rows = []
-    vals = []
-    for alpha in monos:
-        vp = point(alpha)
-        if not is_convex_on(fan, vp):
-            raise VerificationFailed(f"interpolation point {vp.h} is not convex")
-        rows.append(_monomial_row(vp.h, monos, d))
-        vals.append(i_f_value(fan, f, vp))
-    sol = solve(QMatrix(rows), vals)
-    if sol is None:
-        raise VerificationFailed("interpolation system is inconsistent")
-    poly = QPolynomial(hvars, dict(zip(monos, sol)))
     for beta in itertools.islice(monomials_of_degree(s, d + 1), 3):
-        vp = point(beta)
+        vp = VirtualPolytope(fan, tuple(b + x for b, x in zip(base, beta)))
+        if not is_convex_on(fan, vp):
+            raise VerificationFailed(f"self-check point {vp.h} is not convex")
         if poly.evaluate(vp.h) != i_f_value(fan, f, vp):
-            raise VerificationFailed(
-                f"interpolation self-check failed at {vp.h}"
-            )
+            raise VerificationFailed(f"vertex-sum self-check failed at {vp.h}")
     return poly
-
-
-def _monomial_row(h, monos, d):
-    """Values at h of the degree-d monomials ``monos`` (ints where exact)."""
-    powers = []
-    for x in h:
-        x = x.numerator if x.denominator == 1 else x
-        powers.append([x**e for e in range(d + 1)])
-    row = []
-    for expo in monos:
-        acc = 1
-        for pw, e in zip(powers, expo):
-            if e:
-                acc *= pw[e]
-        row.append(acc)
-    return row
 
 
 # ---------------------------------------------------------------------------
@@ -413,12 +522,14 @@ def convex_chain_identity_check(
     if any(lam == 0 for lam in lams) or not fan.spans_cone(ray_set):
         rhs = Fraction(0)
     else:
-        # corner box at the dual vertex: edges lambda_i * w_i where the w_i
-        # are dual to the cone generators (<w_i, e_j> = delta_ij), i.e. the
-        # region of points beyond exactly the shifted facets
-        a = dual_vertex(fan, ray_set, delta.h)
-        emat = QMatrix([fan.rays[i] for i in ray_set])
-        duals = [solve(emat, [int(i == k) for i in range(n)]) for k in range(n)]
+        # corner box at the dual vertex: edges lambda_i * u_i where the u_i
+        # are dual to the cone generators (<u_i, e_j> = delta_ij), i.e. the
+        # region of points beyond exactly the shifted facets; its facets are
+        # h_i <= <x, e_i> <= h_i + lambda_i (for lambda_i > 0), i in I
+        k = fan.max_cones.index(ray_set)
+        cone = fan.cone_data()[k]
+        a = cone_vertices(fan, delta.h)[k]
+        duals = [[Fraction(x, cone.det) for x in col] for col in cone.adj]
         corners = []
         for bits in itertools.product((0, 1), repeat=n):
             pt = list(a)
@@ -427,6 +538,11 @@ def convex_chain_identity_check(
                     for c in range(n):
                         pt[c] += lam * w[c]
             corners.append(tuple(pt))
-        box = Polytope.from_vertices(corners)
+        halfspaces = []
+        for i, lam in zip(ray_set, lams):
+            ray = fan.rays[i]
+            halfspaces.append((ray, delta.h[i] + max(lam, 0)))
+            halfspaces.append(([-x for x in ray], -delta.h[i] - min(lam, 0)))
+        box = Polytope.from_vertices(corners, halfspaces, reduce=False)
         rhs = integrate_over_polytope(f, box)
     return lhs == rhs

@@ -14,7 +14,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from typing import NamedTuple
 
 from toricbundle import _lp
 from toricbundle.errors import (
@@ -28,7 +29,15 @@ from toricbundle.errors import (
     NotPure,
     VerificationFailed,
 )
-from toricbundle.exactlin import QMatrix, det, kernel_basis, rank, rref, solve
+from toricbundle.exactlin import (
+    QMatrix,
+    adjugate,
+    det,
+    kernel_basis,
+    rank,
+    rref,
+    solve,
+)
 
 Point = tuple[Fraction, ...]
 
@@ -44,22 +53,43 @@ def dot(u, v) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
+class ConeData(NamedTuple):
+    """One full-dimensional maximal cone sigma, on integers.
+
+    ``rays`` are its ray indices in the order of ``Fan.max_cones``, ``det``
+    is det E_sigma (E_sigma has those rays as rows) and ``adj`` holds the
+    columns of the adjugate of E_sigma, so the columns of E_sigma^-1 are
+    u_j = adj[j] / det, with <u_j, e_{rays[k]}> = delta_jk.
+    """
+
+    rays: tuple[int, ...]
+    det: int
+    adj: tuple[tuple[int, ...], ...]
+
+
 class Fan:
     """Simplicial rational fan given by primitive rays and maximal cones.
 
     Construct through :func:`validate_fan`; instances are immutable.  The
-    wall rows (see :func:`_wall_rows`) and the :func:`is_projective` verdict
-    with its witness are computed on first use and kept.
+    cone data (see :func:`_cone_data`), the wall rows (see
+    :func:`_wall_rows`) and the :func:`is_projective` verdict with its
+    witness are computed on first use and kept.
     """
 
     __slots__ = (
-        "dim", "rays", "max_cones", "_wall_row_cache", "_projective_cache"
+        "dim",
+        "rays",
+        "max_cones",
+        "_cone_data_cache",
+        "_wall_row_cache",
+        "_projective_cache",
     )
 
     def __init__(self, dim, rays, max_cones):
         self.dim = dim
         self.rays = rays
         self.max_cones = max_cones
+        self._cone_data_cache = None
         self._wall_row_cache = None
         self._projective_cache = None
 
@@ -102,6 +132,12 @@ class Fan:
         """True iff the given rays together span a cone of the fan."""
         s = set(ray_indices)
         return any(s.issubset(cone) for cone in self.max_cones)
+
+    def cone_data(self) -> tuple[ConeData, ...]:
+        """:func:`_cone_data`, one entry per maximal cone, computed once."""
+        if self._cone_data_cache is None:
+            self._cone_data_cache = _cone_data(self)
+        return self._cone_data_cache
 
     def wall_rows(self) -> tuple[tuple[Fraction, ...], ...]:
         """The rows of :func:`_wall_rows`, computed once per fan."""
@@ -207,27 +243,68 @@ def dual_vertex(fan: Fan, cone, h) -> Point:
     return sol
 
 
+def _cone_data(fan: Fan) -> tuple[ConeData, ...]:
+    """det E_sigma and the adjugate columns of every maximal cone, from
+    :func:`exactlin.adjugate`.
+
+    Raises :class:`NotPure` for a maximal cone that is not
+    full-dimensional, which has no vertex.  Callers read the cached
+    :meth:`Fan.cone_data`.
+    """
+    out = []
+    for cone in fan.max_cones:
+        if len(cone) != fan.dim:
+            raise NotPure(f"maximal cone {cone} is not full-dimensional")
+        d, adj = adjugate([fan.rays[i] for i in cone])
+        out.append(ConeData(cone, d, adj))
+    return tuple(out)
+
+
+def _int_dot(u, v) -> int:
+    return sum(a * b for a, b in zip(u, v))
+
+
+def cone_vertices(fan: Fan, h) -> list[Point]:
+    """The points A_sigma(h) = sum_j u_{sigma,j} h_{sigma_j}, one per maximal
+    cone in the order of ``fan.max_cones``, from :meth:`Fan.cone_data`.
+
+    h is cleared of denominators once, so each coordinate is one Fraction
+    made from an int sum.
+    """
+    den = lcm(*(x.denominator for x in h))
+    hint = [x.numerator * (den // x.denominator) for x in h]
+    out = []
+    for cone in fan.cone_data():
+        scale = cone.det * den
+        out.append(
+            tuple(
+                Fraction(
+                    sum(col[c] * hint[i] for col, i in zip(cone.adj, cone.rays)),
+                    scale,
+                )
+                for c in range(fan.dim)
+            )
+        )
+    return out
+
+
 def _wall_rows(fan: Fan):
     """One linear functional of h per wall; >= 0 on all walls iff h convex.
 
     For the wall between cones a and b with opposite ray j' in b, the row is
-    h_{j'} - <A_a(h), e_{j'}> expressed in the coordinates h_1..h_s.
-    Runs one solve per wall; callers read the cached :meth:`Fan.wall_rows`.
+    h_{j'} - <A_a(h), e_{j'}> = h_{j'} - sum_j <u_{a,j}, e_{j'}> h_{a_j},
+    expressed in the coordinates h_1..h_s and read off the cone data.
+    Callers read the cached :meth:`Fan.wall_rows`.
     """
+    cones = fan.cone_data()
     rows = []
     for ca, cb, ridge in fan.walls():
-        cone_a = fan.max_cones[ca]
-        cone_b = fan.max_cones[cb]
-        (jp,) = [i for i in cone_b if i not in ridge]
-        # coefficients of <A_a(h), e_{j'}>: x solves E_a^T x = e_{j'}
-        mat = QMatrix([list(col) for col in zip(*[fan.rays[i] for i in cone_a])])
-        x = solve(mat, fan.rays[jp])
-        if x is None:
-            raise VerificationFailed(f"cone {cone_a} has dependent generators")
+        cone_a = cones[ca]
+        (jp,) = [i for i in fan.max_cones[cb] if i not in ridge]
         row = [Fraction(0)] * fan.nrays
         row[jp] += 1
-        for idx, i in enumerate(cone_a):
-            row[i] -= x[idx]
+        for col, i in zip(cone_a.adj, cone_a.rays):
+            row[i] -= Fraction(_int_dot(col, fan.rays[jp]), cone_a.det)
         rows.append(tuple(row))
     return tuple(rows)
 
@@ -481,7 +558,7 @@ def polytope_from_support(fan: Fan, vp: VirtualPolytope) -> Polytope:
     """V- and H-representation of a convex support vector."""
     if not is_convex_on(fan, vp):
         raise NotConvex(f"support vector {vp.h} not convex on the fan")
-    verts = sorted({dual_vertex(fan, cone, vp.h) for cone in fan.max_cones})
+    verts = sorted(set(cone_vertices(fan, vp.h)))
     hs = tuple(
         (tuple(Fraction(x) for x in ray), vp.h[i]) for i, ray in enumerate(fan.rays)
     )

@@ -20,10 +20,11 @@ from toricbundle.bundle import (
     ring_via_sd,
     ring_via_sr,
     self_intersection,
+    self_intersection_polynomial,
     squarefree_evaluate,
     verify_bkk,
 )
-from toricbundle.catalog import SPECS
+from toricbundle.catalog import SPECS, flag_bundle_spec
 from toricbundle.errors import DegreeMismatch
 from toricbundle.galg import _unit
 from toricbundle.integrate import mixed_integral
@@ -367,6 +368,19 @@ def test_three_dimensional_fiber():
     spec = BundleSpec(base_point(3), fan, "p13_toric")
     assert cross_validate(spec)
     assert ring_via_sr(spec).dims() == (1, 3, 3, 1)
+
+
+def test_self_intersection_polynomial_sl4_octant():
+    """SL4/B x (P1)^3: I_f of degree 9 in 6 h-variables.  The polynomial is
+    verified by direct integration inside i_f_polynomial."""
+    from toricbundle.polyhedral import validate_fan
+
+    rays = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, 0, 0), (0, -1, 0), (0, 0, -1)]
+    cones = [(sx, sy, sz) for sx in (0, 3) for sy in (1, 4) for sz in (2, 5)]
+    spec = flag_bundle_spec(4, validate_fan(rays, cones))
+    poly, comp = self_intersection_polynomial(spec)
+    assert spec.n + spec.k // 2 == 9 and comp == []
+    assert poly and poly.is_homogeneous() and poly.degree() == 9
 
 
 def test_builder_outputs_associative():

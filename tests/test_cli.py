@@ -100,6 +100,32 @@ def test_verify_bk_requires_flag_spec(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize(
+    "spec, suite, count",
+    [
+        ("p2_toric", "bkk", "0"),
+        ("p2_toric", "cc", "0"),
+        ("flag_sl3_p1xp1", "gz", "0"),
+        ("p2_toric", "bkk", "-3"),
+    ],
+)
+def test_verify_count_below_one_exit_3(capsys, spec, suite, count):
+    code, out, err = run(
+        capsys, "verify", spec, "--suite", suite, "--count", count
+    )
+    assert code == 3
+    assert "PASS" not in out and "--count" in err
+
+
+def test_verify_suite_without_checks_is_not_pass(capsys, monkeypatch):
+    from toricbundle import cli
+
+    monkeypatch.setitem(cli.SUITES, "cross", lambda spec, rng, count, lines: True)
+    code, out, err = run(capsys, "verify", "p2_toric", "--suite", "cross")
+    assert code == 3
+    assert "PASS" not in out and "ran no check" in err
+
+
 def test_verify_oracle_suites(capsys):
     code, out, _ = run(
         capsys, "verify", "f1_toric", "--suite", "ider", "--seed", "3"

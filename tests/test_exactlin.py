@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from toricbundle.exactlin import (
     QMatrix,
     Reducer,
+    adjugate,
     det,
     echelon,
     kernel_basis,
@@ -145,6 +146,36 @@ def test_det_matches_cofactor_expansion(rows):
 def test_det_of_integer_matrix_is_integer(rows):
     value = det(rows)
     assert value.denominator == 1 and value == _cofactor_det(rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda n: st.lists(
+            st.lists(st.integers(-9, 9), min_size=n, max_size=n),
+            min_size=n,
+            max_size=n,
+        )
+    )
+)
+def test_adjugate_matches_cofactors(rows):
+    """Column j, entry c of adj E is (-1)^(c+j) times the minor of E
+    without row j and column c."""
+    d = _cofactor_det(rows)
+    if d == 0:
+        return
+    n = len(rows)
+    cofactor_columns = tuple(
+        tuple(
+            (-1) ** (c + j)
+            * _cofactor_det(
+                [row[:c] + row[c + 1:] for r, row in enumerate(rows) if r != j]
+            )
+            for c in range(n)
+        )
+        for j in range(n)
+    )
+    assert adjugate(rows) == (d, cofactor_columns)
 
 
 def test_qmatrix_keeps_fraction_entries():

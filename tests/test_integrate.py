@@ -7,18 +7,25 @@ iterated univariate integration or shoelace areas done by hand.
 import functools
 import random
 from fractions import Fraction as F
-from math import factorial
+from itertools import product
+from math import ceil, factorial
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from toricbundle import exactlin, integrate
-from toricbundle.bundle import random_convex
+from toricbundle.bundle import random_convex, random_virtual
 from toricbundle.catalog import SPECS, fan_projective_space
-from toricbundle.errors import DegreeMismatch, LowerDimensional, VerificationFailed
+from toricbundle.errors import (
+    DegreeMismatch,
+    FanError,
+    LowerDimensional,
+    VerificationFailed,
+)
 from toricbundle.integrate import (
     SimplexChain,
+    convex_anchor,
     convex_chain_identity_check,
     i_f_polynomial,
     i_f_value,
@@ -176,7 +183,7 @@ def test_mixed_integral_against_minkowski_expansion():
     """2 MixedVol(A, B) = Vol(A+B) - Vol(A) - Vol(B) on honest polytopes."""
     rng = random.Random(31)
     f1 = fan_f1()
-    from toricbundle.bundle import random_convex
+    from toricbundle.bundle import random_convex, random_virtual
 
     for _ in range(5):
         a = random_convex(f1, rng)
@@ -287,37 +294,38 @@ def _catalog_fans():
 
 
 CATALOG_FAN_SPECS = _catalog_fans()
+rationals = st.builds(F, st.integers(-6, 6), st.integers(1, 4))
 
 
-def _integrand(fan, name):
-    xv = tuple(f"x{i + 1}" for i in range(fan.dim))
-    if name == "1":
-        return QPolynomial.constant(xv, 1)
-    if name == "x1":
-        return QPolynomial.variable(xv, 0)
-    return QPolynomial.variable(xv, 0) * QPolynomial.variable(xv, 1)
+def fan_p112():
+    """The weighted projective plane P(1,1,2): its cones have det 1, 2, 2."""
+    return validate_fan([(1, 0), (0, 1), (-1, -2)], [(0, 1), (1, 2), (0, 2)])
 
 
-@functools.cache
-def _interpolated(spec_name, fname):
-    """(fan, f, I_f polynomial), interpolated once per pytest run."""
-    fan = SPECS[spec_name]().fan
-    f = _integrand(fan, fname)
-    return fan, f, i_f_polynomial(fan, f)
+I_F_FANS = {name: SPECS[name]().fan for name in CATALOG_FAN_SPECS}
+I_F_FANS.update(octant=octant_fan(), p3=fan_projective_space(3), p112=fan_p112())
+
+
+@st.composite
+def fan_and_form(draw, octant_max=3):
+    """(fan name, random homogeneous f of degree <= 3; <= octant_max on the
+    octant fan)."""
+    name = draw(st.sampled_from(sorted(I_F_FANS)))
+    fan = I_F_FANS[name]
+    m = draw(st.integers(0, octant_max if name == "octant" else 3))
+    monos = monomials_of_degree(fan.dim, m)
+    terms = draw(st.dictionaries(st.sampled_from(monos), rationals, min_size=1))
+    return name, QPolynomial(tuple(f"x{i + 1}" for i in range(fan.dim)), terms)
 
 
 @settings(max_examples=60, deadline=None)
-@given(
-    st.sampled_from(CATALOG_FAN_SPECS),
-    st.sampled_from(("1", "x1", "x1*x2")),
-    st.integers(0, 2**32),
-)
-def test_i_f_polynomial_matches_direct_integration(spec_name, fname, seed):
-    """The grid interpolant agrees with direct integration at random points."""
-    assume(fname != "x1*x2" or SPECS[spec_name]().fan.dim >= 2)
-    fan, f, poly = _interpolated(spec_name, fname)
+@given(fan_and_form(), st.integers(0, 2**32))
+def test_i_f_polynomial_matches_direct_integration(case, seed):
+    """The vertex sum agrees with direct integration at random points."""
+    name, f = case
+    fan = I_F_FANS[name]
     vp = random_convex(fan, random.Random(seed))
-    assert poly.evaluate(vp.h) == i_f_value(fan, f, vp)
+    assert i_f_polynomial(fan, f).evaluate(vp.h) == i_f_value(fan, f, vp)
 
 
 def test_i_f_polynomial_self_check_raises(monkeypatch):
@@ -491,9 +499,6 @@ def _triangulate_by_facet_search(p):
     return tuple(rec(p.vertices, p.ambient_dim))
 
 
-rationals = st.builds(F, st.integers(-6, 6), st.integers(1, 4))
-
-
 @st.composite
 def simplex_and_integrand(draw):
     """A rational n-simplex (n = 1..3, degenerate in some draws) and a
@@ -569,3 +574,127 @@ def test_triangulate_matches_facet_search_with_redundant_halfspace(sides):
     )
     assert len(p.vertices) == 8
     assert triangulate(p).simplices == _triangulate_by_facet_search(p)
+
+
+# ---------------------------------------------------------------------------
+# the vertex-sum I_f and its polarization against the interpolation grid and
+# the direct 2^m-integral polarization they replaced
+# ---------------------------------------------------------------------------
+
+
+def _monomial_row(h, monos, d):
+    """Values at h of the degree-d monomials ``monos`` (ints where exact)."""
+    powers = []
+    for x in h:
+        x = x.numerator if x.denominator == 1 else x
+        powers.append([x**e for e in range(d + 1)])
+    row = []
+    for expo in monos:
+        acc = 1
+        for pw, e in zip(powers, expo):
+            if e:
+                acc *= pw[e]
+        row.append(acc)
+    return row
+
+
+@functools.cache
+def _grid_interpolant(fan, expo):
+    """Reference: I_f for f = x^expo by one exact solve on the principal
+    lattice {c*h* + alpha : |alpha| = d}, which is unisolvent on the
+    hyperplane sum(h) = c*sum(h*) + d when that misses 0; c keeps every
+    grid point convex."""
+    f = QPolynomial(tuple(f"x{i + 1}" for i in range(fan.dim)), {expo: 1})
+    d = fan.dim + sum(expo)
+    monos = monomials_of_degree(fan.nrays, d)
+    _, witness = is_projective(fan)
+    norm = max(sum(abs(x) for x in row) for row in fan.wall_rows())
+    c = ceil((d + 1) * norm) + 1
+    if c * sum(witness.h) + d == 0:
+        c += 1
+    rows, vals = [], []
+    for alpha in monos:
+        vp = VirtualPolytope(
+            fan, tuple(c * w + a for w, a in zip(witness.h, alpha))
+        )
+        rows.append(_monomial_row(vp.h, monos, d))
+        vals.append(i_f_value(fan, f, vp))
+    sol = exactlin.solve(exactlin.QMatrix(rows), vals)
+    hvars = tuple(f"h{i + 1}" for i in range(fan.nrays))
+    return QPolynomial(hvars, dict(zip(monos, sol)))
+
+
+# the grid on the octant fan has 462 points at degree 6, each a direct
+# integral: 5-10 s per monomial, so the octant is drawn up to degree 1 here
+# and up to degree 3 against direct integration above
+@settings(max_examples=60, deadline=None)
+@given(fan_and_form(octant_max=1))
+def test_i_f_polynomial_matches_grid_interpolant(case):
+    """I_f is linear in f, so the grid interpolants of the monomials (each
+    built once) combine to the reference for f."""
+    name, f = case
+    fan = I_F_FANS[name]
+    hvars = tuple(f"h{i + 1}" for i in range(fan.nrays))
+    expected = QPolynomial.zero(hvars)
+    for expo, coeff in f.terms.items():
+        expected = expected + _grid_interpolant(fan, expo) * coeff
+    assert i_f_polynomial(fan, f) == expected
+
+
+def _mixed_by_anchor(fan, f, args):
+    """Reference: the top forward difference of direct integrals,
+    (1/m!) sum_S (-1)^(m - |S|) I_f(P0 + sum_S args), from a strictly
+    convex anchor P0."""
+    m = len(args)
+    anchor = convex_anchor(fan, args)
+    total = F(0)
+    for bits in product((0, 1), repeat=m):
+        vp = anchor
+        for take, arg in zip(bits, args):
+            if take:
+                vp = vp + arg
+        total += (-1) ** (m - sum(bits)) * i_f_value(fan, f, vp)
+    return total / factorial(m)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(sorted(I_F_FANS)),
+    st.integers(0, 2),
+    st.integers(0, 2**32),
+    st.booleans(),
+)
+def test_mixed_integral_matches_anchor_polarization(name, deg, seed, repeat):
+    """Random f of degree deg (with lower-degree terms, which polarize to
+    0) at random virtual polytopes; with ``repeat`` the arguments take two
+    values only, so equal arguments are grouped."""
+    fan = I_F_FANS[name]
+    rng = random.Random(seed)
+    if fan.dim == 3:
+        deg = min(deg, 1)
+    xv = tuple(f"x{i + 1}" for i in range(fan.dim))
+    terms = {
+        mono: F(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 3))
+        for k in range(deg + 1)
+        for mono in monomials_of_degree(fan.dim, k)
+    }
+    f = QPolynomial(xv, terms)
+    m = fan.dim + deg
+    pool = [random_virtual(fan, rng, width=3) for _ in range(2 if repeat else m)]
+    args = [pool[rng.randrange(len(pool))] for _ in range(m)]
+    assert mixed_integral(fan, f, args) == _mixed_by_anchor(
+        fan, f.homogeneous_part(deg), args
+    )
+
+
+def test_integral_polynomials_reject_incomplete_fan():
+    """P(h) is unbounded on a fan that misses a half-plane, so I_f has no
+    value there: a typed error, not a polynomial."""
+    fan = validate_fan([(1, 0), (0, 1), (-1, 0)], [(0, 1), (1, 2)])
+    h = VirtualPolytope(fan, (1, 1, 1))
+    with pytest.raises(FanError):
+        i_f_polynomial(fan, ONE2)
+    with pytest.raises(FanError):
+        mixed_integral(fan, ONE2, [h, h])
+    with pytest.raises(FanError):
+        integral_over_virtual(fan, ONE2, h)

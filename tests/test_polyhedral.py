@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toricbundle import polyhedral
+from toricbundle.catalog import fan_projective_space
+from toricbundle.exactlin import QMatrix, solve
 from toricbundle.errors import (
     DegenerateCone,
     FanTooCoarse,
@@ -19,6 +21,7 @@ from toricbundle.errors import (
 from toricbundle.polyhedral import (
     Polytope,
     VirtualPolytope,
+    cone_vertices,
     dot,
     dual_vertex,
     is_complete,
@@ -121,23 +124,92 @@ def test_nonprojective_complete_fan():
 
 def test_wall_rows_built_once_per_fan(monkeypatch):
     calls = []
-    real = polyhedral._wall_rows
+    cone_calls = []
 
-    def counting(fan):
-        calls.append(fan)
-        return real(fan)
+    def counting(real, log):
+        def wrapped(fan):
+            log.append(fan)
+            return real(fan)
 
-    monkeypatch.setattr(polyhedral, "_wall_rows", counting)
+        return wrapped
+
+    monkeypatch.setattr(
+        polyhedral, "_wall_rows", counting(polyhedral._wall_rows, calls)
+    )
+    monkeypatch.setattr(
+        polyhedral, "_cone_data", counting(polyhedral._cone_data, cone_calls)
+    )
     fan = fan_f1()
-    assert calls == []  # not built by validate_fan
+    assert calls == [] and cone_calls == []  # not built by validate_fan
     ok, witness = is_projective(fan)
     for k in range(5):
         assert is_convex_on(fan, witness.scale(k + 1))
+        polytope_from_support(fan, witness.scale(k + 1))
     assert is_projective(fan)[0]
-    assert calls == [fan]
+    assert calls == [fan] and cone_calls == [fan]
     other = fan_f1()
     assert is_convex_on(other, witness.h)
     assert len(calls) == 2 and calls[1] is other
+    assert len(cone_calls) == 2 and cone_calls[1] is other
+
+
+def _wall_rows_by_solve(fan):
+    """Reference: one solve per wall, E_a^T x = e_{j'}."""
+    rows = []
+    for ca, cb, ridge in fan.walls():
+        cone_a = fan.max_cones[ca]
+        (jp,) = [i for i in fan.max_cones[cb] if i not in ridge]
+        mat = QMatrix([list(col) for col in zip(*[fan.rays[i] for i in cone_a])])
+        x = solve(mat, fan.rays[jp])
+        row = [F(0)] * fan.nrays
+        row[jp] += 1
+        for idx, i in enumerate(cone_a):
+            row[i] -= x[idx]
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def fan_p112():
+    return validate_fan([(1, 0), (0, 1), (-1, -2)], [(0, 1), (1, 2), (0, 2)])
+
+
+def fan_octant():
+    rays = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, 0, 0), (0, -1, 0), (0, 0, -1)]
+    cones = [(sx, sy, sz) for sx in (0, 3) for sy in (1, 4) for sz in (2, 5)]
+    return validate_fan(rays, cones)
+
+
+CONE_DATA_FANS = (
+    fan_p1(),
+    fan_p2(),
+    fan_p1xp1(),
+    fan_f1(),
+    fan_p112(),
+    fan_octant(),
+    fan_projective_space(3),
+    validate_fan([(1, 0, 0), (0, 1, 0), (1, 1, 2)], [(0, 1, 2)]),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(CONE_DATA_FANS), st.data())
+def test_cone_data_matches_solves(fan, data):
+    """Vertices and wall rows read off the integer adjugates equal one
+    exact solve per cone and per wall."""
+    rational = st.builds(F, st.integers(-9, 9), st.integers(1, 5))
+    h = tuple(
+        data.draw(st.lists(rational, min_size=fan.nrays, max_size=fan.nrays))
+    )
+    assert cone_vertices(fan, h) == [
+        dual_vertex(fan, cone, h) for cone in fan.max_cones
+    ]
+    assert fan.wall_rows() == _wall_rows_by_solve(fan)
+
+
+def test_cone_data_rejects_lower_dimensional_cones():
+    fan = validate_fan([(1, 0), (0, 1)], [(0,), (1,)])
+    with pytest.raises(NotPure):
+        fan.cone_data()
 
 
 def test_convexity_examples():
