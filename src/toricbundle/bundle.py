@@ -25,8 +25,10 @@ from fractions import Fraction
 from math import factorial, comb
 
 from toricbundle.errors import (
+    AnchorFailure,
     DegreeMismatch,
     FanError,
+    NotConvex,
     NotDegree2Generated,
     OddBase,
     VerificationFailed,
@@ -870,7 +872,10 @@ def squarefree_evaluate(
         rep_i = next((i for i in support if b[i] > 1), None)
         if rep_i is None:
             # square-free on a cone; top degree forces a full cone
-            assert len(support) == n and rdeg == spec.k
+            if len(support) != n or rdeg != spec.k:
+                raise VerificationFailed(
+                    f"square-free term x^{b} is not a full cone of top degree"
+                )
             val = coeff * base.orientation.of(spec.k, rvec)
             note(f"x^{b}: square-free cone {support} -> ell_B "
                  f"contribution {val}")
@@ -880,7 +885,8 @@ def squarefree_evaluate(
         mat = QMatrix([fan.rays[i] for i in support])
         rhs = [Fraction(int(i == rep_i)) for i in support]
         chi = solve(mat, rhs)
-        assert chi is not None
+        if chi is None:
+            raise VerificationFailed(f"no dual vector on the cone {support}")
         b_low = tuple(e - int(i == rep_i) for i, e in enumerate(b))
         cchi = [Fraction(0)] * base.algebra.dim(2)
         for t, c in enumerate(chi):
@@ -913,7 +919,8 @@ def squarefree_evaluate(
 def random_convex(fan: Fan, rng: random.Random, width: int = 6) -> VirtualPolytope:
     """Scaled projectivity witness plus a bounded integer perturbation."""
     ok, witness = is_projective(fan)
-    assert ok
+    if not ok:
+        raise NotConvex("fan is not projective: no strictly convex sample")
     for scale in (2, 4, 8, 16, 64, 256):
         h = tuple(
             scale * w + rng.randint(-width, width) for w in witness.h
@@ -921,7 +928,7 @@ def random_convex(fan: Fan, rng: random.Random, width: int = 6) -> VirtualPolyto
         vp = VirtualPolytope(fan, h)
         if is_convex_on(fan, vp, strict=True):
             return vp
-    raise AssertionError("could not produce a convex sample")
+    raise AnchorFailure("could not produce a convex sample")
 
 
 def random_virtual(fan: Fan, rng: random.Random, width: int = 5) -> VirtualPolytope:

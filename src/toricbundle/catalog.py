@@ -22,7 +22,7 @@ from toricbundle.bundle import (
     rho_class,
     ring_via_sr,
 )
-from toricbundle.errors import ChamberViolation, NotDominant
+from toricbundle.errors import ChamberViolation, NotDominant, VerificationFailed
 from toricbundle.galg import (
     GradedAlgebra,
     PresentedAlgebra,
@@ -183,7 +183,11 @@ def base_flag_sl(n: int) -> FlagBase:
         PresentedAlgebra(pt, names, tuple(relations), 2 * big_n + 2)
     )
     alg = model.algebra
-    assert alg.top == 2 * big_n and alg.total_dim() == factorial(n)
+    if alg.top != 2 * big_n or alg.total_dim() != factorial(n):
+        raise VerificationFailed(
+            f"coinvariant algebra of SL_{n}: top {alg.top}, dim "
+            f"{alg.total_dim()} instead of {2 * big_n}, {factorial(n)}"
+        )
 
     # product of positive roots = |W| * [pt]
     deg, vec = 0, (Fraction(1),)
@@ -199,7 +203,8 @@ def base_flag_sl(n: int) -> FlagBase:
             vec = alg.multiply(deg, vec, 2, rvec)
             deg += 2
     (c_top,) = vec
-    assert c_top != 0
+    if c_top == 0:
+        raise VerificationFailed("product of the positive roots vanishes")
     ell = TopFunctional(alg, 2 * big_n, (Fraction(factorial(n)) / c_top,))
 
     chern = []
@@ -444,9 +449,9 @@ def _flag_gen_class(spec: BundleSpec, t: int) -> Vec:
 def string_lift_volume(n: int, fan: Fan, delta: VirtualPolytope) -> Fraction:
     """Lifted Gelfand-Zetlin volume over a chamber-interior polytope.
 
-    Two pipelines, asserted equal: the weighted integral int_Delta f_W, and
-    the honest volume of {(x, y) : x in Delta, y in GZ(x)} from its combined
-    H-representation.
+    Two pipelines, checked equal (``VerificationFailed`` otherwise): the
+    weighted integral int_Delta f_W, and the honest volume of
+    {(x, y) : x in Delta, y in GZ(x)} from its combined H-representation.
     """
     if not 2 <= n <= 3:
         raise ValueError("string lift implemented for n = 2, 3")
@@ -495,7 +500,8 @@ def string_lift_volume(n: int, fan: Fan, delta: VirtualPolytope) -> Fraction:
             halfspaces.append((up_ge, Fraction(0)))
     lifted = Polytope.from_halfspaces(halfspaces, dim)
     lifted_vol = volume(lifted)
-    assert direct == lifted_vol, f"lift mismatch: {direct} vs {lifted_vol}"
+    if direct != lifted_vol:
+        raise VerificationFailed(f"lift mismatch: {direct} vs {lifted_vol}")
     return direct
 
 

@@ -373,6 +373,8 @@ def cmd_verify(args) -> int:
 
 def _parse_monomial(spec: BundleSpec, expr: str):
     """Split 'x1^2*H' into x-exponents and a base-class factor."""
+    if not isinstance(expr, str):  # argparse reads "--expr=--" as []
+        raise ValueError(f"expression {expr!r} is not a monomial")
     beta = [0] * spec.fan.nrays
     gdeg, gvec = 0, (Fraction(1),)
     alg = spec.base.algebra
@@ -386,6 +388,8 @@ def _parse_monomial(spec: BundleSpec, expr: str):
             continue
         name, _, power = factor.partition("^")
         power = int(power) if power else 1
+        if power < 0:
+            raise ValueError(f"negative exponent in factor {factor!r}")
         if name in xnames:
             beta[xnames[name]] += power
         elif name in where:

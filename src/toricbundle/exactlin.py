@@ -4,16 +4,20 @@ All arithmetic is exact; there is no floating point anywhere in the package.
 Every elimination runs through one fraction-free integer Gauss-Jordan on
 sparse rows, :func:`toricbundle._kernels.gauss_jordan_int`: each row is
 cleared of denominators first, which changes neither row space nor kernel,
-and kept primitive (gcd 1) with a positive pivot.  The reduced row echelon
+and kept primitive (gcd 1) with a positive pivot.  The kernel runs a forward
+pass and then one back substitution; :func:`rank` stops after the forward
+pass, whose pivots are already those of the RREF.  The reduced row echelon
 form of a matrix is unique, so the dense :func:`rref`, :func:`kernel_basis`
 and :func:`solve` on :class:`QMatrix` return exactly what any Gauss-Jordan
 would, bit for bit.
 
 Sparse callers skip the dense matrix: :func:`echelon` takes rows as
 ``(column, value)`` pairs and returns the nonzero RREF rows in the same form
-(:func:`row_space_rref` is its dense spelling), and a :class:`Reducer` keeps
-them by pivot, as entries at the non-pivot columns, to compute normal forms
-modulo their row space.
+(:func:`row_space_rref` is its dense spelling), and :func:`echelon_int`
+returns the kernel's primitive integer rows themselves.  A :class:`Reducer`
+keeps those integer rows by pivot, as (pivot value, entries at the non-pivot
+columns), to compute normal forms modulo their row space; a class passes
+through :class:`~fractions.Fraction` only at its output entries.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from toricbundle._kernels import gauss_jordan_int
+from toricbundle._kernels import forward_int, gauss_jordan_int
 
 Rat = Fraction
 
@@ -42,7 +46,7 @@ def _int_rows(rows) -> list[list[int]]:
     return out
 
 
-def _int_row(pairs) -> dict[int, int]:
+def int_row(pairs) -> dict[int, int]:
     """``{column: int}`` from (column, rational) pairs, zeros dropped, scaled
     by the lcm of the denominators."""
     items = [(c, x) for c, x in pairs if x]
@@ -60,6 +64,16 @@ def _fraction_row(p: int, row: dict[int, int]) -> SparseRow:
     )
 
 
+def echelon_int(rows) -> list[tuple[int, dict[int, int]]]:
+    """The RREF of sparse rows as the kernel returns it: ``(pivot, row)`` in
+    pivot order, each row a primitive ``{column: int}`` positive at its pivot.
+
+    ``rows`` is as for :func:`echelon`; dividing each row by its pivot
+    entry gives the RREF row.
+    """
+    return gauss_jordan_int([int_row(r) for r in rows])
+
+
 def echelon(rows) -> tuple[tuple[SparseRow, ...], tuple[int, ...]]:
     """Nonzero rows and pivot columns of the RREF of sparse rows.
 
@@ -68,7 +82,7 @@ def echelon(rows) -> tuple[tuple[SparseRow, ...], tuple[int, ...]]:
     The output rows are :data:`SparseRow` tuples, one per pivot, in pivot
     order; the RREF is unique, so equal outputs mean equal row spaces.
     """
-    reduced = gauss_jordan_int([_int_row(r) for r in rows])
+    reduced = echelon_int(rows)
     return (
         tuple(_fraction_row(p, row) for p, row in reduced),
         tuple(p for p, _ in reduced),
@@ -119,8 +133,12 @@ class QMatrix:
         )
 
 
+def _dense_int_rows(rows) -> list[dict[int, int]]:
+    return [int_row(enumerate(row)) for row in rows]
+
+
 def _reduce_dense(rows) -> list[tuple[int, dict[int, int]]]:
-    return gauss_jordan_int([_int_row(enumerate(row)) for row in rows])
+    return gauss_jordan_int(_dense_int_rows(rows))
 
 
 def rref(m: QMatrix) -> tuple[QMatrix, tuple[int, ...]]:
@@ -140,8 +158,9 @@ def rref(m: QMatrix) -> tuple[QMatrix, tuple[int, ...]]:
 
 
 def rank(m: QMatrix) -> int:
-    """The rank, from the integer elimination alone (no rref rows built)."""
-    return len(_reduce_dense(m.entries))
+    """The rank: the number of pivots of the forward pass alone (no back
+    substitution, no rref rows built)."""
+    return len(forward_int(_dense_int_rows(m.entries)))
 
 
 def det(rows) -> Fraction:
@@ -234,7 +253,7 @@ def solve(m: QMatrix, b) -> QVector | None:
         raise ValueError("rhs length mismatch")
     n = m.cols
     reduced = gauss_jordan_int(
-        [_int_row(enumerate(row + (b[i],))) for i, row in enumerate(m.entries)]
+        [int_row(enumerate(row + (b[i],))) for i, row in enumerate(m.entries)]
     )
     if reduced and reduced[-1][0] == n:
         return None
@@ -268,47 +287,101 @@ def row_space_rref(rows) -> tuple[tuple[Fraction, ...], ...]:
 class Reducer:
     """Normal forms modulo a subspace of Q^ncols, at its standard columns.
 
-    Built from the nonzero rows and pivots of a reduced row echelon form of
-    the subspace (as :func:`echelon` returns them).  The standard columns
-    ``keep`` are the non-pivot ones, in order.  Each row is stored once, by
-    its pivot, as its entries at the standard columns: (index into
-    ``keep``, value) pairs.  A row is 1 at its pivot and 0 at every other
-    pivot, so the class of a vector is its ``keep`` part minus
-    ``vec[p] * row`` summed over the pivots p; only nonzero entries of the
-    vector and of the rows are touched.
+    Built from the kernel's primitive integer RREF rows (:meth:`from_int`,
+    as :func:`echelon_int` returns them) or from ``Fraction`` RREF rows and
+    pivots (the constructor, as :func:`echelon` returns them).  The standard
+    columns ``keep`` are the non-pivot ones, in order.  Each row is stored
+    once, by its pivot p, as (pivot value L, tail): the tail holds the
+    row's integer entries at the standard columns as (index into ``keep``,
+    value) pairs, and the RREF row is the integer row divided by L.  That
+    row is 1 at p and 0 at every other pivot, so the class of a vector is
+    its ``keep`` part minus ``vec[p] / L * tail`` summed over the pivots p;
+    only nonzero entries of the vector and of the rows are touched.
     """
 
     __slots__ = ("pivots", "keep", "_pos", "_rows")
 
     def __init__(self, rows, pivots, ncols: int):
-        self.pivots = tuple(pivots)
+        self._set(
+            [(p, int_row(row)) for row, p in zip(rows, pivots)], ncols
+        )
+
+    @classmethod
+    def from_int(cls, reduced, ncols: int) -> "Reducer":
+        """From ``(pivot, {column: int})`` rows: primitive, positive at the
+        pivot, 0 at every other pivot, in pivot order."""
+        red = cls.__new__(cls)
+        red._set(reduced, ncols)
+        return red
+
+    def _set(self, reduced, ncols: int):
+        self.pivots = tuple(p for p, _ in reduced)
         pivset = set(self.pivots)
         self.keep = tuple(j for j in range(ncols) if j not in pivset)
         pos = {t: i for i, t in enumerate(self.keep)}
         self._pos = pos
         self._rows = {
-            p: tuple((pos[c], x) for c, x in row if c != p)
-            for row, p in zip(rows, self.pivots)
+            p: (row[p], tuple((pos[c], x) for c, x in row.items() if c != p))
+            for p, row in reduced
         }
 
-    def rows(self) -> tuple[SparseRow, ...]:
-        """The RREF rows back in full column coordinates, in pivot order."""
+    def int_rows(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """The primitive integer rows in full column coordinates, as
+        ascending (column, int) pairs, in pivot order."""
         keep = self.keep
         return tuple(
-            tuple(sorted(((p, ONE),) + tuple((keep[i], x) for i, x in tail)))
-            for p, tail in self._rows.items()
+            tuple(sorted(((p, pv),) + tuple((keep[i], x) for i, x in tail)))
+            for p, (pv, tail) in self._rows.items()
+        )
+
+    def rows(self) -> tuple[SparseRow, ...]:
+        """The RREF rows in full column coordinates, in pivot order, built
+        as ``Fraction`` rows on each call."""
+        return tuple(
+            tuple((c, Fraction(x, pv)) for c, x in row)
+            for row, (pv, _) in zip(self.int_rows(), self._rows.values())
         )
 
     def pairs(self, items) -> SparseRow:
-        """Class of sum c * e_col over (col, c) pairs (columns distinct), as
-        (index into keep, value) pairs: ascending, nonzero."""
+        """Class of sum c * e_col over (col, c) pairs, as (index into keep,
+        value) pairs: ascending, nonzero.  A column may repeat; its
+        coefficients add.
+
+        Numerators are summed per denominator on Python ints; each output
+        entry is one ``Fraction``.
+        """
         pos, rows = self._pos, self._rows
-        out: dict[int, Fraction] = {}
+        acc: dict[int, dict[int, int]] = {}  # denominator -> index -> numerator
         for col, c in items:
+            num, den = c.numerator, c.denominator
             i = pos.get(col)
             if i is not None:
-                out[i] = out.get(i, ZERO) + c
+                part = acc.get(den)
+                if part is None:
+                    part = acc[den] = {}
+                part[i] = part.get(i, 0) + num
                 continue
-            for i, x in rows[col]:
-                out[i] = out.get(i, ZERO) - c * x
-        return tuple(sorted((i, x) for i, x in out.items() if x))
+            pv, tail = rows[col]
+            den *= pv
+            part = acc.get(den)
+            if part is None:
+                part = acc[den] = {}
+            for i, x in tail:
+                part[i] = part.get(i, 0) - num * x
+        if not acc:
+            return ()
+        if len(acc) == 1:
+            ((den, total),) = acc.items()
+        else:
+            den = lcm(*acc)
+            total: dict[int, int] = {}
+            for d, part in acc.items():
+                s = den // d
+                for i, x in part.items():
+                    total[i] = total.get(i, 0) + s * x
+        if den == 1:
+            out = [(i, Fraction(x)) for i, x in total.items() if x]
+        else:
+            out = [(i, Fraction(x, den)) for i, x in total.items() if x]
+        out.sort()
+        return tuple(out)

@@ -8,22 +8,28 @@ odd cohomology), so no Koszul signs appear anywhere.  The module provides
   only for the dense readers (``basis_product``, ``multiply``);
 * ``build_quotient``: the degreewise quotient engine for presented algebras
   R[x_1..x_s]/(relations), with deterministic monomial order; relation
-  multiples are sparse rows, reduced by ``exactlin.echelon``;
+  multiples are sparse rows, and the kernel's integer RREF rows
+  (``exactlin.echelon_int``) become the reducer of each degree;
 * Frobenius forms, the self-dual quotient B/I(L_ell) obtained by factoring
   out the radical of the Frobenius form degree by degree.  Pairing entries
-  and products are read from the structure constants, and classes are
-  computed only at the surviving basis columns (``exactlin.Reducer``);
-  the exhaustive check that the radical is an ideal stays;
-* the differential-operator model Diff(V)/Ann(f);
+  and products are read from the structure constants; the radical is read
+  off one elimination of the transposed pairing matrix as integer rows, and
+  classes are computed only at the surviving basis columns
+  (``exactlin.Reducer``).  That the radical is an ideal is checked on a
+  generating set of B, which suffices for a commutative associative B;
+* the differential-operator model Diff(V)/Ann(f): basis operators chosen by
+  one incremental forward elimination per degree, and operator classes
+  reduced through one tagged reducer per degree;
 * graded isomorphism checking by multiplicative extension of a degree-2 map.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd, lcm
+from operator import add
 
 from toricbundle.errors import (
     NonHomogeneousRelation,
@@ -32,16 +38,16 @@ from toricbundle.errors import (
     VerificationFailed,
     ZeroFunctional,
 )
+from toricbundle._kernels import insert_row
 from toricbundle.exactlin import (
     ONE as _ONE,
     ZERO as _ZERO,
     QMatrix,
     Reducer,
     SparseRow,
-    echelon,
-    kernel_basis,
+    echelon_int,
+    int_row,
     rref,
-    solve,
 )
 from toricbundle.qpoly import QPolynomial, apply_operator, monomials_of_degree
 
@@ -271,17 +277,141 @@ class SdQuotient:
         return _dense(len(red.keep), pairs)
 
 
+def _radical_rows(
+    b: GradedAlgebra, ell: TopFunctional, k: int
+) -> list[tuple[int, dict[int, int]]]:
+    """The radical of the Frobenius form in degree k, the left kernel of the
+    pairing matrix B^k x B^{n-k}, as its primitive integer RREF rows
+    ``(pivot, {column: int})`` in pivot order (``Reducer.from_int`` input).
+
+    The transposed pairing matrix (row j: ell(b_j * b_i) over i) is
+    eliminated once, with its columns in reverse order, so each pivot row
+    row_p has its other entries at free columns j < p.  For each free column
+    j, with L the lcm of the pivot entries row_p[p] of the rows that meet
+    column j, the kernel vector L*e_j - sum_p row_p[j] * (L / row_p[p]) * e_p
+    is then 0 at every other free column and at no column before j: divided
+    by the gcd of its entries, it is the RREF row with pivot j.  A degree
+    with no partner degree n - k is entirely radical.
+    """
+    n = ell.degree
+    dk, dl = b.dim(k), b.dim(n - k)
+    if dl == 0:
+        return [(j, {j: 1}) for j in range(dk)]
+    scale = lcm(*(v.denominator for v in ell.values))
+    values = [v.numerator * (scale // v.denominator) for v in ell.values]
+    last = dk - 1
+    pairing = []
+    for j in range(dl):
+        row = []
+        for i in range(dk):
+            entry = 0
+            for t, c in b.product_pairs(n - k, j, k, i):
+                v = values[t]
+                if v:
+                    entry += v * c.numerator if c.denominator == 1 else v * c
+            if entry:
+                row.append((last - i, entry))
+        pairing.append(row)
+    hits: dict[int, list] = {}  # free column -> (pivot, entry, pivot entry)
+    pivots = set()
+    for p, row in echelon_int(pairing):
+        pivots.add(last - p)
+        pv = row[p]
+        for c, x in row.items():
+            if c != p:
+                hits.setdefault(last - c, []).append((last - p, x, pv))
+    rad = []
+    for j in range(dk):
+        if j in pivots:
+            continue
+        at_j = hits.get(j, ())
+        big = lcm(*(pv for _, _, pv in at_j)) if at_j else 1
+        vec = {j: big}
+        for p, x, pv in at_j:
+            vec[p] = -x * (big // pv)
+        g = gcd(*vec.values())
+        rad.append((j, {c: x // g for c, x in vec.items()} if g > 1 else vec))
+    return rad
+
+
+def _ideal_generators(b: GradedAlgebra) -> list[tuple[int, int]]:
+    """(degree, index) of a generating set of B as an algebra.
+
+    Degree by degree, the products of the lower generators with B span a
+    subspace of B^d; the basis elements at the non-pivot columns of its
+    echelon form span a complement, and they are the new generators.  A
+    basis with a degree gap gets generators above degree 2.
+    """
+    gens: list[tuple[int, int]] = []
+    for d in b.degrees():
+        dim = b.dim(d)
+        if d == 0:
+            continue
+        span: dict[int, dict[int, int]] = {}
+        products = (
+            b.product_pairs(e, j, d - e, i)
+            for e, j in gens
+            for i in range(b.dim(d - e))
+        )
+        for prod in products:
+            if len(span) == dim:
+                break
+            if prod:
+                insert_row(span, int_row(prod))
+        gens += [(d, t) for t in range(dim) if t not in span]
+    return gens
+
+
+def _check_radical_ideal(b: GradedAlgebra, reducers, kept) -> None:
+    """Raise ``VerificationFailed`` unless radical * generator is radical.
+
+    ``reducers[k]`` reduces modulo the radical in degree k, ``kept`` holds
+    the degrees where the quotient is nonzero; every other degree counts as
+    radical throughout.  On a commutative associative B, a graded subspace
+    I with I * g inside I for each generator g of B satisfies I * B inside
+    I, since every basis element is a sum of products of generators.  The
+    product of a basis element with g is read once per pair, and integer
+    structure constants stay ints.
+    """
+    gens = _ideal_generators(b)
+    for k, red in reducers.items():
+        rows = red.int_rows()
+        for d, j in gens:
+            if k + d not in kept:
+                continue
+            target = reducers[k + d]
+            times_g: dict[int, list] = {}  # t -> b_t * g as (u, num, den)
+            for row in rows:
+                items = []
+                for t, c in row:
+                    prod = times_g.get(t)
+                    if prod is None:
+                        prod = times_g[t] = [
+                            (u, x.numerator, x.denominator)
+                            for u, x in b.product_pairs(k, t, d, j)
+                        ]
+                    items += [
+                        (u, c * x if m == 1 else Fraction(c * x, m))
+                        for u, x, m in prod
+                    ]
+                if target.pairs(items):
+                    raise VerificationFailed("induced multiplication ill-defined")
+
+
 def sd_quotient(b: GradedAlgebra, ell: TopFunctional) -> SdQuotient:
     """B / I(L_ell): factor the radical of the Frobenius form degreewise.
 
-    The radical in degree k is the left kernel of the pairing matrix
-    B^k x B^{n-k}; degrees above n are entirely radical.  Well-definedness of
-    the induced multiplication is re-verified exhaustively rather than
-    assumed: every radical row times every basis element of B must project
-    to zero.  Radical rows, products and classes are all sparse: a product
-    is built from the nonzero entries of the row and the structure
-    constants, and reduced at its nonzero entries only.  A failed check
-    raises ``VerificationFailed``.
+    B must be commutative and associative (as every ``build_quotient``
+    output is).  The radical in degree k is the left kernel of the pairing
+    matrix B^k x B^{n-k} (``_radical_rows``); degrees above n are entirely
+    radical.  Radical rows stay on Python ints from the elimination to the
+    reducers, and a class becomes ``Fraction`` only at its output entries.
+    That the radical is an ideal, so that the induced multiplication is well
+    defined, is checked rather than assumed: each radical row times each
+    generator of B must project to zero.  Generators suffice because B is
+    commutative and associative.  Products are built from the nonzero
+    entries of the row and the structure constants, and reduced at their
+    nonzero entries only.  A failed check raises ``VerificationFailed``.
     """
     n = ell.degree
     kept: dict[int, tuple[int, ...]] = {}
@@ -290,14 +420,7 @@ def sd_quotient(b: GradedAlgebra, ell: TopFunctional) -> SdQuotient:
         dk = b.dim(k)
         if dk == 0:
             continue
-        if b.dim(n - k) == 0:
-            rad = [_unit(dk, j) for j in range(dk)]
-        else:
-            m = frobenius_matrix(b, ell, k)
-            # radical = left kernel of the pairing matrix
-            rad = kernel_basis(m.transpose())
-        rows, pivots = echelon(enumerate(v) for v in rad)
-        reducers[k] = Reducer(rows, pivots, dk)
+        reducers[k] = Reducer.from_int(_radical_rows(b, ell, k), dk)
         if reducers[k].keep:
             kept[k] = reducers[k].keep
 
@@ -325,23 +448,7 @@ def sd_quotient(b: GradedAlgebra, ell: TopFunctional) -> SdQuotient:
     out = SdQuotient(alg, None, kept, reducers)
     out.functional = TopFunctional(alg, n, (ell.values[kept[n][0]],))
 
-    # well-definedness: radical * (every original basis element) is radical
-    for k, red in reducers.items():
-        for row in red.rows():
-            for d in b.degrees():
-                if k + d not in kept:
-                    continue
-                target = reducers[k + d]
-                for j in range(b.dim(d)):
-                    acc: dict[int, Fraction] = {}
-                    for t, c in row:
-                        for u, x in b.product_pairs(k, t, d, j):
-                            acc[u] = acc.get(u, _ZERO) + c * x
-                    if target.pairs(acc.items()):
-                        raise VerificationFailed(
-                            "induced multiplication ill-defined"
-                        )
-
+    _check_radical_ideal(b, reducers, kept)
     if not check_poincare(alg, out.functional):
         raise VerificationFailed("sd quotient not Poincare")
     return out
@@ -428,34 +535,43 @@ class QuotientModel:
         return {d: len(ms) for d, ms in self.monomials.items()}
 
 
-def _expand_product(base: GradedAlgebra, m1, m2):
-    """Product of two free monomials as a coefficient map on free monomials."""
+def _product_columns(base: GradedAlgebra, column, m1, m2):
+    """Product of two free monomials as (column, coefficient) pairs."""
     r1, i1, b1 = m1
     r2, i2, b2 = m2
-    beta = tuple(a + b for a, b in zip(b1, b2))
+    beta = tuple(map(add, b1, b2))
     d = r1 + r2
-    return {
-        (d, t, beta): c for t, c in base.product_pairs(r1, i1, r2, i2)
-    }
+    return [
+        (column[(d, t, beta)], c) for t, c in base.product_pairs(r1, i1, r2, i2)
+    ]
 
 
 def _relation_rows(base: GradedAlgebra, rel: Relation, multipliers, column):
     """The rows of mono * rel over the given multiplier monomials, as
-    {column: coefficient} maps (empty when the product vanishes)."""
+    {column: coefficient} maps (empty when the product vanishes).
+
+    The relation is scaled to integer coefficients first, which leaves the
+    row space unchanged, so entries stay ints wherever the base structure
+    constants are integers.
+    """
+    scale = lcm(
+        *(cg.denominator for _, vec_g in rel.values() for cg in vec_g)
+    )
     terms = [
-        (beta_g, rg, tg, cg)
+        (beta_g, rg, tg, cg.numerator * (scale // cg.denominator))
         for beta_g, (rg, vec_g) in rel.items()
         for tg, cg in enumerate(vec_g)
         if cg
     ]
     rows = []
     for rm, im, bm in multipliers:
-        row: dict[int, Fraction] = {}
+        row: dict[int, int | Fraction] = {}
         for beta_g, rg, tg, cg in terms:
-            beta = tuple(a + b for a, b in zip(bm, beta_g))
+            beta = tuple(map(add, bm, beta_g))
             for tt, cb in base.product_pairs(rm, im, rg, tg):
                 col = column[(rm + rg, tt, beta)]
-                row[col] = row.get(col, _ZERO) + cg * cb
+                x = cg * cb.numerator if cb.denominator == 1 else cg * cb
+                row[col] = row.get(col, 0) + x
         rows.append(row)
     return rows
 
@@ -499,7 +615,9 @@ def build_quotient(p: PresentedAlgebra) -> QuotientModel:
                 continue
             multipliers = monomials.get(mult_deg, [])
             rows += _relation_rows(base, rel, multipliers, column[d])
-        red = Reducer(*echelon(row.items() for row in rows), len(monomials[d]))
+        red = Reducer.from_int(
+            echelon_int(row.items() for row in rows), len(monomials[d])
+        )
         reducers[d] = red
         basis_monos[d] = [monomials[d][t] for t in red.keep]
 
@@ -517,12 +635,18 @@ def build_quotient(p: PresentedAlgebra) -> QuotientModel:
             d = a + b
             if a > b or a == 0 or d not in labels:
                 continue
+            red, col = reducers[d], column[d]
             for i, m1 in enumerate(basis_monos[a]):
                 for j, m2 in enumerate(basis_monos[b]):
                     if a == b and i > j:
                         continue
-                    coeff_map = _expand_product(base, m1, m2)
-                    products[(a, i, b, j)] = model._class_pairs(d, coeff_map)
+                    prod = _product_columns(base, col, m1, m2)
+                    # with no relation in degree d (a free model) the reducer
+                    # is the identity: the distinct (column, Fraction) pairs
+                    # of the product are its class
+                    products[(a, i, b, j)] = (
+                        red.pairs(prod) if red.pivots else tuple(sorted(prod))
+                    )
 
     top = max(degs)
     model.algebra = GradedAlgebra.from_pairs(top, labels, products)
@@ -532,6 +656,15 @@ def build_quotient(p: PresentedAlgebra) -> QuotientModel:
 # ---------------------------------------------------------------------------
 # differential-operator model
 # ---------------------------------------------------------------------------
+
+
+def _tagged_rows(image: QMatrix) -> list[list[tuple[int, Fraction]]]:
+    """Row i of ``image`` followed by a tag column e_i, as sparse rows."""
+    m = image.cols
+    return [
+        list(enumerate(row)) + [(m + i, _ONE)]
+        for i, row in enumerate(image.entries)
+    ]
 
 
 @dataclass
@@ -544,6 +677,24 @@ class AnnModel:
     algebra: GradedAlgebra
     op_basis: dict[int, list]
     image_rows: dict[int, QMatrix]  # images of basis operators, as rows
+    _reducers: dict[int, Reducer] = field(default_factory=dict, repr=False)
+
+    def _reducer(self, d: int) -> Reducer:
+        """Reduction modulo the tagged image rows of degree d, built once.
+
+        Columns are the image columns, then one tag column per basis
+        operator.  Image i with tag e_i lies in the row space, so an image
+        sum_i c_i image_i with no tag reduces to -c at the tag columns and
+        to 0 at every image column.
+        """
+        red = self._reducers.get(d)
+        if red is None:
+            image = self.image_rows[d]
+            red = Reducer.from_int(
+                echelon_int(_tagged_rows(image)), image.cols + image.rows
+            )
+            self._reducers[d] = red
+        return red
 
     def operator_class(self, op: QPolynomial) -> tuple[int, Vec]:
         """(degree, coordinates) of the class of a homogeneous operator."""
@@ -560,18 +711,25 @@ class AnnModel:
             if any(rhs):
                 raise VerificationFailed("nonzero image in a zero component")
             return 2 * j, ()
-        sol = solve(self.image_rows[2 * j].transpose(), rhs)
-        if sol is None:
-            raise VerificationFailed("operator image outside the model")
-        return 2 * j, sol
+        image = self.image_rows[2 * j]
+        red = self._reducer(2 * j)
+        outside = len(red.keep) - image.rows  # free image columns come first
+        sol = [_ZERO] * image.rows
+        for i, x in red.pairs((t, c) for t, c in enumerate(rhs) if c):
+            if i < outside:
+                raise VerificationFailed("operator image outside the model")
+            sol[i - outside] = -x
+        return 2 * j, tuple(sol)
 
 
 def ann_quotient(f: QPolynomial, order: int) -> AnnModel:
     """The algebra of constant-coefficient operators modulo Ann(f).
 
     Degree-2j basis: the first (monomial-ordered) operators of order j whose
-    images under d |-> d(f) are linearly independent; multiplication is
-    operator composition followed by application to f; the top functional is
+    images under d |-> d(f) are linearly independent, chosen by one
+    incremental forward elimination per degree; multiplication is operator
+    composition followed by application to f, reduced through one tagged
+    reducer per degree (``AnnModel.operator_class``); the top functional is
     d |-> d(f)/order! on order-n operators.
     """
     nvars = len(f.vars)
@@ -584,18 +742,16 @@ def ann_quotient(f: QPolynomial, order: int) -> AnnModel:
         target = monomials_of_degree(nvars, order - j)
         chosen = []
         rows = []
-        rank = 0
+        span: dict[int, dict[int, int]] = {}
         for alpha in monomials_of_degree(nvars, j):
             op = QPolynomial(f.vars, {alpha: Fraction(1)})
             img = apply_operator(op, f)
             row = [img.coefficient(e) for e in target]
             if not any(row):
                 continue
-            new_rank = len(rref(QMatrix(rows + [row]))[1])
-            if new_rank > rank:
+            if insert_row(span, int_row(enumerate(row))) is not None:
                 chosen.append(alpha)
                 rows.append(row)
-                rank = new_rank
         op_basis[2 * j] = chosen
         if rows:
             image_rows[2 * j] = QMatrix(rows)

@@ -146,8 +146,16 @@ class Fan:
         return self._wall_row_cache
 
 
+def _fan_int(x, what: str) -> int:
+    """x itself if it is a plain int; a float, bool or string is refused
+    rather than truncated or coerced."""
+    if type(x) is not int:
+        raise FanError(f"{what} entry {x!r} is not an integer")
+    return x
+
+
 def validate_fan(rays, max_cones) -> Fan:
-    rays = tuple(tuple(int(x) for x in r) for r in rays)
+    rays = tuple(tuple(_fan_int(x, "ray") for x in r) for r in rays)
     if not rays:
         raise FanError("fan needs at least one ray")
     dim = len(rays[0])
@@ -164,7 +172,7 @@ def validate_fan(rays, max_cones) -> Fan:
 
     cones = []
     for cone in max_cones:
-        cone = tuple(sorted(int(i) for i in cone))
+        cone = tuple(sorted(_fan_int(i, "cone index") for i in cone))
         if len(set(cone)) != len(cone):
             raise DegenerateCone(f"repeated ray index in cone {cone}")
         if any(i < 0 or i >= len(rays) for i in cone):

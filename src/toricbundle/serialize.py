@@ -94,6 +94,8 @@ def base_to_dict(base: BaseData) -> dict:
 
 def base_from_dict(data: dict, chern_override=None) -> BaseData:
     top = int(data["top_degree"])
+    if not isinstance(data["basis"], dict):
+        raise ValueError("base basis must be an object of degree: names")
     labels = {int(d): tuple(names) for d, names in data["basis"].items()}
     where = {}
     for d, names in labels.items():

@@ -24,7 +24,7 @@ from toricbundle.bundle import (
     squarefree_evaluate,
     verify_bkk,
 )
-from toricbundle.catalog import SPECS, flag_bundle_spec
+from toricbundle.catalog import SPECS, fan_p1xp1, flag_bundle_spec
 from toricbundle.errors import DegreeMismatch
 from toricbundle.galg import _unit
 from toricbundle.integrate import mixed_integral
@@ -402,3 +402,12 @@ def test_leray_hirsch_dimension_law():
         assert rep.algebra.total_dim() == expected
         dims = rep.dims()
         assert dims == dims[::-1]  # Poincare symmetry
+
+
+def test_cross_validate_sl4_p1xp1():
+    """SL4/B x P1xP1 (total dimension 24 * 4 = 96): the three builders
+    agree."""
+    spec = flag_bundle_spec(4, fan_p1xp1())
+    assert cross_validate(spec)
+    dims = (1, 5, 12, 19, 22, 19, 12, 5, 1)
+    assert ring_via_diff(spec).dims() == ring_via_sr(spec).dims() == dims

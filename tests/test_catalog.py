@@ -243,6 +243,18 @@ def test_string_lift_matches_ring_power():
     assert lhs == factorial(5) * string_lift_volume(3, pp, delta) == 1900
 
 
+def test_string_lift_mismatch_raises(monkeypatch):
+    """The two volume pipelines are compared explicitly, not asserted."""
+    from toricbundle import catalog
+    from toricbundle.errors import VerificationFailed
+
+    real = catalog.volume
+    monkeypatch.setattr(catalog, "volume", lambda p: 2 * real(p))
+    p1 = fan_p1()
+    with pytest.raises(VerificationFailed, match="lift mismatch"):
+        string_lift_volume(2, p1, VirtualPolytope(p1, (2, -1)))
+
+
 def test_string_lift_rejects_chamber_violation():
     p1 = fan_p1()
     with pytest.raises(ChamberViolation):

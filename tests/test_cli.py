@@ -7,12 +7,14 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import toricbundle
 from toricbundle import galg
 from toricbundle.catalog import SPECS
 from toricbundle.cli import main
-from toricbundle.serialize import spec_to_dict
+from toricbundle.serialize import spec_from_dict, spec_to_dict
 
 
 def run(capsys, *argv):
@@ -201,21 +203,27 @@ def test_catalog_name_collision_errors(capsys, tmp_path, monkeypatch):
     assert code == 3 and "both a catalog name and a file" in err
 
 
-# drops one vector from each radical below the top degree (the top degree's
+# drops one row from each radical below the top degree (the top degree's
 # pairing matrix has one column), so the top degree stays one-dimensional
 _WRONG_RADICAL = """
 import sys
 from toricbundle import cli, galg
-real = galg.kernel_basis
-galg.kernel_basis = lambda m: real(m)[:-1] if m.rows > 1 else real(m)
+real = galg._radical_rows
+galg._radical_rows = lambda b, ell, k: (
+    real(b, ell, k)[:-1] if b.dim(ell.degree - k) > 1 else real(b, ell, k)
+)
 sys.exit(cli.main(["ring", "p2_toric", "--builder", "sd"]))
 """
 
 
 def test_ring_wrong_radical_exit_1(capsys, monkeypatch):
-    real = galg.kernel_basis
+    real = galg._radical_rows
     monkeypatch.setattr(
-        galg, "kernel_basis", lambda m: real(m)[:-1] if m.rows > 1 else real(m)
+        galg,
+        "_radical_rows",
+        lambda b, ell, k: (
+            real(b, ell, k)[:-1] if b.dim(ell.degree - k) > 1 else real(b, ell, k)
+        ),
     )
     code, _, err = run(capsys, "ring", "p2_toric", "--builder", "sd")
     assert code == 1
@@ -287,3 +295,124 @@ def test_self_intersection_two_routes_checked_under_optimize():
     proc = run_optimized(_DOUBLED_VIRTUAL_INTEGRAL)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "self-intersection disagreement" in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"rays": [[1.5, 0], [0, 1], [-1, -1]], "max_cones": [[0, 1], [1, 2], [0, 2]]},
+        {"rays": [[True, 0], [0, 1], [-1, -1]], "max_cones": [[0, 1], [1, 2], [0, 2]]},
+        {"rays": [[1, 0], [0, 1], [-1, -1]], "max_cones": [[0, 1.7], [1, 2], [0, 2]]},
+    ],
+    ids=["float_ray", "bool_ray", "float_index"],
+)
+def test_fan_check_non_integer_entry_exit_2(capsys, tmp_path, data):
+    """Rays and cone indices are taken as given, never truncated or coerced."""
+    path = tmp_path / "fan.json"
+    path.write_text(json.dumps(data))
+    code, out, _ = run(capsys, "fan", "check", str(path))
+    assert code == 2
+    assert "is not an integer" in out
+
+
+def test_intersect_negative_exponent_exit_3(capsys):
+    code, _, err = run(capsys, "intersect", "p2_toric", "--expr", "x1^-1")
+    assert code == 3
+    assert "negative exponent" in err
+
+
+# -- fuzz: malformed input ends in a documented exit code, never a traceback --
+
+_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 3),
+    st.floats(-3, 3, allow_nan=False),
+    st.text("x1H-", max_size=3),
+)
+_json = st.recursive(
+    _scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.dictionaries(st.text("abrxy_", max_size=3), inner, max_size=3),
+    ),
+    max_leaves=12,
+)
+_fuzz = settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+
+
+def _plain_int(x):
+    return type(x) is int
+
+
+@_fuzz
+@example({"rays": [[1.0], [-1]], "max_cones": [[0], [1]]})
+@given(
+    st.one_of(
+        _json,
+        st.fixed_dictionaries(
+            {
+                "rays": st.lists(st.lists(_scalars, max_size=3), max_size=4),
+                "max_cones": st.lists(st.lists(_scalars, max_size=3), max_size=4),
+            }
+        ),
+    )
+)
+def test_fuzz_fan_file(capsys, tmp_path, data):
+    path = tmp_path / "fan.json"
+    path.write_text(json.dumps(data))
+    code, _, _ = run(capsys, "fan", "check", str(path))
+    assert code in (0, 2, 3)
+    if isinstance(data, dict) and isinstance(data.get("rays"), list):
+        entries = [x for r in data["rays"] if isinstance(r, list) for x in r]
+        if not all(_plain_int(x) for x in entries):
+            assert code in (2, 3)
+
+
+def _paths(obj, prefix=()):
+    """Every position in a JSON document, as a key path."""
+    yield prefix
+    items = obj.items() if isinstance(obj, dict) else (
+        enumerate(obj) if isinstance(obj, list) else ()
+    )
+    for key, value in items:
+        yield from _paths(value, prefix + (key,))
+
+
+_P2_SPEC = spec_to_dict(SPECS["p2_toric"]())
+_P2_PATHS = list(_paths(json.loads(json.dumps(_P2_SPEC))))[1:]
+
+
+@_fuzz
+@given(st.sampled_from(_P2_PATHS), _json)
+@example(("base", "basis"), [])
+def test_fuzz_spec_file(capsys, tmp_path, where, value):
+    """One position of a valid spec replaced by arbitrary JSON."""
+    data = json.loads(json.dumps(_P2_SPEC))
+    node = data
+    for key in where[:-1]:
+        node = node[key]
+    node[where[-1]] = value
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(data))
+    code, _, _ = run(capsys, "ring", str(path), "--builder", "sr")
+    assert code in (0, 1, 2, 3)
+    try:
+        spec_from_dict(json.loads(path.read_text()))
+    except Exception:
+        assert code in (2, 3)
+
+
+@_fuzz
+@given(st.text("x1234H^*-+ 0", max_size=10))
+@example("x1^-2*x2^3")
+@example("--")
+def test_fuzz_intersect_expr(capsys, expr):
+    code, _, _ = run(capsys, "intersect", "p2_toric", f"--expr={expr}")
+    assert code in (0, 3)
+    if "^-" in expr.replace(" ", ""):
+        assert code == 3

@@ -11,6 +11,7 @@ from toricbundle.exactlin import (
     adjugate,
     det,
     echelon,
+    echelon_int,
     kernel_basis,
     rank,
     row_space_rref,
@@ -238,8 +239,9 @@ dense_matrices = st.integers(1, 6).flatmap(
 
 @st.composite
 def zero_heavy_matrices(draw):
-    """Up to 25 x 25, a few nonzero cells: zero rows and columns are common."""
-    nrows, ncols = draw(st.integers(1, 25)), draw(st.integers(1, 25))
+    """Up to 60 x 60, a few nonzero cells: zero rows and columns are common,
+    and a new row meets earlier pivots in no particular order."""
+    nrows, ncols = draw(st.integers(1, 60)), draw(st.integers(1, 60))
     nonzero = entries.filter(bool)
     cells = draw(
         st.lists(
@@ -283,15 +285,17 @@ def test_reduce_onto_matches_dense_elimination(rows, data):
     """Reducer classes against elimination on all columns."""
     r, pivots = rref(QMatrix(rows))
     red = r.entries[: len(pivots)]
-    reducer = Reducer(*echelon(_sparse(row) for row in rows), r.cols)
-    assert reducer.pivots == pivots
-    assert reducer.keep == tuple(j for j in range(r.cols) if j not in pivots)
-    assert reducer.rows() == tuple(_sparse(row) for row in red)
+    from_fractions = Reducer(*echelon(_sparse(row) for row in rows), r.cols)
+    from_ints = Reducer.from_int(echelon_int(_sparse(row) for row in rows), r.cols)
     vec = data.draw(
         st.lists(
             st.one_of(st.just(F(0)), rationals), min_size=r.cols, max_size=r.cols
         )
     )
     dense = _dense_reduce(red, pivots, vec)
-    want = tuple(dense[t] for t in reducer.keep)
-    assert reducer.pairs(_sparse(vec)) == _sparse(want)
+    for reducer in (from_fractions, from_ints):
+        assert reducer.pivots == pivots
+        assert reducer.keep == tuple(j for j in range(r.cols) if j not in pivots)
+        assert reducer.rows() == tuple(_sparse(row) for row in red)
+        want = tuple(dense[t] for t in reducer.keep)
+        assert reducer.pairs(_sparse(vec)) == _sparse(want)

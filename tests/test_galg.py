@@ -15,7 +15,15 @@ from toricbundle.errors import (
     VerificationFailed,
     ZeroFunctional,
 )
-from toricbundle.exactlin import QMatrix, kernel_basis, rref
+from toricbundle.exactlin import (
+    QMatrix,
+    Reducer,
+    echelon,
+    kernel_basis,
+    rank,
+    rref,
+    solve,
+)
 from toricbundle.galg import (
     GradedAlgebra,
     PresentedAlgebra,
@@ -29,7 +37,7 @@ from toricbundle.galg import (
     graded_isomorphic,
     sd_quotient,
 )
-from toricbundle.qpoly import QPolynomial
+from toricbundle.qpoly import QPolynomial, apply_operator, monomials_of_degree
 
 PT = GradedAlgebra(0, {0: ("1",)}, {})
 
@@ -359,9 +367,13 @@ def test_sparse_products_match_dense_reference(seed, xs, ys):
 def test_sd_quotient_wrong_radical_raises(monkeypatch):
     """A radical missing a vector below the top degree is caught by explicit
     checks, not asserts."""
-    real = galg.kernel_basis
+    real = galg._radical_rows
     monkeypatch.setattr(
-        galg, "kernel_basis", lambda m: real(m)[:-1] if m.rows > 1 else real(m)
+        galg,
+        "_radical_rows",
+        lambda b, ell, k: (
+            real(b, ell, k)[:-1] if b.dim(ell.degree - k) > 1 else real(b, ell, k)
+        ),
     )
     labels = {0: ("1",), 2: ("x", "y"), 4: ("x^2",)}
     products = {
@@ -438,7 +450,9 @@ def test_operator_image_outside_model_raises(monkeypatch):
     hv = ("h1", "h2", "h3")
     am = ann_quotient(QPolynomial.linear_form(hv, [1, 1, 1]) ** 2, 2)
     op = QPolynomial(hv, {(1, 0, 0): F(1)})
-    monkeypatch.setattr(galg, "solve", lambda m, b: None)
+    # the degree-2 reducer loses its one row, so no image is in its span
+    real = galg._tagged_rows
+    monkeypatch.setattr(galg, "_tagged_rows", lambda image: real(image)[:-1])
     with pytest.raises(VerificationFailed, match="outside the model"):
         am.operator_class(op)
 
@@ -481,3 +495,188 @@ def test_graded_isomorphic_negative():
     # x -> 2x IS an isomorphism; x -> 0 is not
     assert graded_isomorphic(a, a, [(F(2),)])
     assert not graded_isomorphic(a, a, [(F(0),)])
+
+
+# -- fast paths pinned to the slow paths they replace -------------------------
+
+
+def _exhaustive_ideal_check(b, reducers, kept):
+    """The check sd_quotient ran before generators: every radical row times
+    every basis element of B must project to zero."""
+    for k, red in reducers.items():
+        for row in red.rows():
+            for d in b.degrees():
+                if k + d not in kept:
+                    continue
+                target = reducers[k + d]
+                for j in range(b.dim(d)):
+                    acc = {}
+                    for t, c in row:
+                        for u, x in b.product_pairs(k, t, d, j):
+                            acc[u] = acc.get(u, F(0)) + c * x
+                    if target.pairs(acc.items()):
+                        raise VerificationFailed(
+                            "induced multiplication ill-defined"
+                        )
+
+
+def _accepts(check, b, reducers):
+    kept = {k: red.keep for k, red in reducers.items() if red.keep}
+    try:
+        check(b, reducers, kept)
+    except VerificationFailed:
+        return False
+    return True
+
+
+def _radical_reducers(b, ell):
+    return {
+        k: Reducer.from_int(galg._radical_rows(b, ell, k), b.dim(k))
+        for k in range(0, ell.degree + 1, 2)
+        if b.dim(k)
+    }
+
+
+def _without_row(red, i, ncols):
+    rows, pivots = list(red.rows()), list(red.pivots)
+    del rows[i], pivots[i]
+    return Reducer(rows, pivots, ncols)
+
+
+@st.composite
+def algebras_with_functionals(draw):
+    """A truncated polynomial algebra, perhaps modulo one quadratic relation,
+    with a nonzero functional on one positive degree."""
+    ngens = draw(st.integers(1, 3))
+    names = tuple(f"x{i + 1}" for i in range(ngens))
+    rels = ()
+    if ngens >= 2 and draw(st.booleans()):
+        coeffs = draw(
+            st.lists(
+                st.integers(-2, 2),
+                min_size=len(monomials_of_degree(ngens, 2)),
+                max_size=len(monomials_of_degree(ngens, 2)),
+            )
+        )
+        rel = {
+            e: (0, (F(c),))
+            for e, c in zip(monomials_of_degree(ngens, 2), coeffs)
+            if c
+        }
+        rels = (rel,) if rel else ()
+    top = draw(st.sampled_from((4, 6)))
+    b = build_quotient(PresentedAlgebra(PT, names, rels, top)).algebra
+    deg = draw(st.sampled_from([d for d in b.degrees() if d > 0]))
+    values = draw(
+        st.lists(
+            st.builds(F, st.integers(-3, 3), st.integers(1, 3)),
+            min_size=b.dim(deg),
+            max_size=b.dim(deg),
+        ).filter(any)
+    )
+    return b, TopFunctional(b, deg, tuple(values))
+
+
+def _generated_span(b, gens):
+    """Spanning vectors, per degree, of the subalgebra the generators
+    generate: each generator, and each generator times a lower vector."""
+    span = {0: [(F(1),)]}
+    for d in b.degrees():
+        if d == 0:
+            continue
+        span[d] = [_unit(b.dim(d), j) for e, j in gens if e == d]
+        for e, j in gens:
+            for v in span.get(d - e, ()) if e < d else ():
+                span[d].append(b.times_basis(d - e, v, e, j))
+    return span
+
+
+@settings(max_examples=60, deadline=None)
+@given(algebras_with_functionals(), st.data())
+def test_generator_ideal_check_matches_exhaustive(case, data):
+    """The radical rows span the left kernel of the pairing matrix; the
+    check on generators and the exhaustive check give the same verdict on
+    the radical and on a radical with one row dropped."""
+    b, ell = case
+    span = _generated_span(b, galg._ideal_generators(b))
+    for d in b.degrees():
+        assert rank(QMatrix(span[d])) == b.dim(d)
+    reducers = _radical_reducers(b, ell)
+    for k, red in reducers.items():
+        if b.dim(ell.degree - k):
+            left = kernel_basis(frobenius_matrix(b, ell, k).transpose())
+            assert red.rows() == echelon(enumerate(v) for v in left)[0]
+    assert _accepts(galg._check_radical_ideal, b, reducers)
+    assert _accepts(_exhaustive_ideal_check, b, reducers)
+    degrees = [k for k, red in reducers.items() if red.pivots]
+    if degrees:
+        k = data.draw(st.sampled_from(degrees))
+        i = data.draw(st.integers(0, len(reducers[k].pivots) - 1))
+        tampered = dict(reducers)
+        tampered[k] = _without_row(reducers[k], i, b.dim(k))
+        assert _accepts(galg._check_radical_ideal, b, tampered) == _accepts(
+            _exhaustive_ideal_check, b, tampered
+        )
+
+
+def test_tampered_radical_rejected_by_both_checks():
+    """Q[x1, x2] up to degree 4, ell(x1^2) = 1: the radical is (x2).  Without
+    the row x1*x2 in degree 4, x2 * x1 leaves it."""
+    b = trunc_poly_algebra(2, 4).algebra
+    values = tuple(F(int(lab == "x1^2")) for lab in b.labels[4])
+    reducers = _radical_reducers(b, TopFunctional(b, 4, values))
+    assert _accepts(galg._check_radical_ideal, b, reducers)
+    i = reducers[4].pivots.index(b.labels[4].index("x1*x2"))
+    reducers[4] = _without_row(reducers[4], i, b.dim(4))
+    assert not _accepts(galg._check_radical_ideal, b, reducers)
+    assert not _accepts(_exhaustive_ideal_check, b, reducers)
+
+
+def test_generators_of_gapped_algebra():
+    """A degree gap puts a generator above degree 2."""
+    labels = {0: ("1",), 4: ("t",), 8: ("t^2",)}
+    b = GradedAlgebra(8, labels, {(4, 0, 4, 0): (F(1),), (4, 0, 8, 0): ()})
+    assert galg._ideal_generators(b) == [(4, 0)]
+    free = trunc_poly_algebra(2, 6).algebra
+    assert galg._ideal_generators(free) == [(2, 0), (2, 1)]
+
+
+@st.composite
+def operators_on_forms(draw):
+    """A homogeneous f in up to three variables and a homogeneous operator."""
+    nvars = draw(st.integers(1, 3))
+    hv = tuple(f"h{i + 1}" for i in range(nvars))
+    order = draw(st.integers(1, 4))
+    monos = monomials_of_degree(nvars, order)
+    coeffs = draw(
+        st.lists(st.integers(-3, 3), min_size=len(monos), max_size=len(monos))
+        .filter(any)
+    )
+    f = QPolynomial(hv, {e: F(c) for e, c in zip(monos, coeffs) if c})
+    j = draw(st.integers(0, order))
+    ops = monomials_of_degree(nvars, j)
+    op_coeffs = draw(
+        st.lists(
+            st.builds(F, st.integers(-3, 3), st.integers(1, 3)),
+            min_size=len(ops),
+            max_size=len(ops),
+        ).filter(any)
+    )
+    op = QPolynomial(hv, {e: c for e, c in zip(ops, op_coeffs) if c})
+    return f, order, op, j
+
+
+@settings(max_examples=80, deadline=None)
+@given(operators_on_forms())
+def test_operator_class_matches_solve(case):
+    """The tagged reducer gives the solution of image_rows^T x = image."""
+    f, order, op, j = case
+    model = ann_quotient(f, order)
+    degree, vec = model.operator_class(op)
+    assert degree == 2 * j
+    img = apply_operator(op, f)
+    rhs = [img.coefficient(e) for e in monomials_of_degree(len(f.vars), order - j)]
+    if 2 * j not in model.image_rows:
+        assert vec == () and not any(rhs)
+        return
+    assert vec == solve(model.image_rows[2 * j].transpose(), rhs)
