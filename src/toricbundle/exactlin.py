@@ -14,18 +14,22 @@ would, bit for bit.
 Sparse callers skip the dense matrix: :func:`echelon` takes rows as
 ``(column, value)`` pairs and returns the nonzero RREF rows in the same form
 (:func:`row_space_rref` is its dense spelling), and :func:`echelon_int`
-returns the kernel's primitive integer rows themselves.  A :class:`Reducer`
-keeps those integer rows by pivot, as (pivot value, entries at the non-pivot
-columns), to compute normal forms modulo their row space; a class passes
-through :class:`~fractions.Fraction` only at its output entries.
+returns the kernel's primitive integer rows themselves; :func:`kernel_int`
+returns the kernel of a matrix in the same form, read off one elimination.
+A :class:`Reducer` keeps such integer rows by pivot, as (pivot value,
+entries at the non-pivot columns), to compute normal forms modulo their row
+space; a class passes through :class:`~fractions.Fraction` only at its
+output entries.  A :class:`Span` grows a subspace one vector at a time with
+the forward pass alone.  The integer row format stays inside this module
+and the kernel.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
-from toricbundle._kernels import forward_int, gauss_jordan_int
+from toricbundle._kernels import forward_int, gauss_jordan_int, insert_row
 
 Rat = Fraction
 
@@ -87,6 +91,71 @@ def echelon(rows) -> tuple[tuple[SparseRow, ...], tuple[int, ...]]:
         tuple(_fraction_row(p, row) for p, row in reduced),
         tuple(p for p, _ in reduced),
     )
+
+
+def kernel_int(rows, ncols: int) -> list[tuple[int, dict[int, int]]]:
+    """The kernel {v in Q^ncols : row . v = 0 for every row} as its RREF, in
+    the form :func:`echelon_int` returns.
+
+    ``rows`` is as for :func:`echelon`.  The rows are eliminated once, with
+    their columns in reverse order, so each pivot row row_p has its other
+    entries at free columns j < p.  For each free column j, with L the lcm
+    of the pivot entries row_p[p] of the rows that meet column j, the kernel
+    vector L*e_j - sum_p row_p[j] * (L / row_p[p]) * e_p is then 0 at every
+    other free column and at no column before j: divided by the gcd of its
+    entries, it is the RREF row with pivot j.
+    """
+    last = ncols - 1
+    hits: dict[int, list] = {}  # free column -> (pivot, entry, pivot entry)
+    pivots = set()
+    for p, row in echelon_int(((last - c, x) for c, x in r) for r in rows):
+        pivots.add(last - p)
+        pv = row[p]
+        for c, x in row.items():
+            if c != p:
+                hits.setdefault(last - c, []).append((last - p, x, pv))
+    out = []
+    for j in range(ncols):
+        if j in pivots:
+            continue
+        at_j = hits.get(j, ())
+        big = lcm(*(pv for _, _, pv in at_j))
+        vec = {j: big}
+        for p, x, pv in at_j:
+            vec[p] = -x * (big // pv)
+        g = gcd(*vec.values())
+        out.append((j, {c: x // g for c, x in vec.items()} if g > 1 else vec))
+    return out
+
+
+class Span:
+    """A subspace of Q^n grown one vector at a time.
+
+    Each vector goes through the kernel's forward pass only
+    (:func:`~toricbundle._kernels.insert_row`): an echelon form is enough to
+    test membership and to count the dimension, and its pivots are those of
+    the RREF.
+    """
+
+    __slots__ = ("_basis",)
+
+    def __init__(self):
+        self._basis: dict[int, dict[int, int]] = {}
+
+    def add(self, pairs) -> bool:
+        """Add sum c * e_col over (column, value) pairs, values int or
+        Fraction; return False, leaving the span unchanged, if it already
+        lies in the span."""
+        return insert_row(self._basis, int_row(pairs)) is not None
+
+    def __len__(self) -> int:
+        return len(self._basis)
+
+    @property
+    def pivots(self):
+        """The pivot columns; the unit vectors at the other columns span a
+        complement."""
+        return self._basis.keys()
 
 
 class QMatrix:
@@ -287,34 +356,22 @@ def row_space_rref(rows) -> tuple[tuple[Fraction, ...], ...]:
 class Reducer:
     """Normal forms modulo a subspace of Q^ncols, at its standard columns.
 
-    Built from the kernel's primitive integer RREF rows (:meth:`from_int`,
-    as :func:`echelon_int` returns them) or from ``Fraction`` RREF rows and
-    pivots (the constructor, as :func:`echelon` returns them).  The standard
-    columns ``keep`` are the non-pivot ones, in order.  Each row is stored
-    once, by its pivot p, as (pivot value L, tail): the tail holds the
-    row's integer entries at the standard columns as (index into ``keep``,
-    value) pairs, and the RREF row is the integer row divided by L.  That
-    row is 1 at p and 0 at every other pivot, so the class of a vector is
-    its ``keep`` part minus ``vec[p] / L * tail`` summed over the pivots p;
-    only nonzero entries of the vector and of the rows are touched.
+    Built from the kernel's primitive integer RREF rows, ``(pivot,
+    {column: int})`` in pivot order as :func:`echelon_int` and
+    :func:`kernel_int` return them: each row positive at its pivot and 0 at
+    every other pivot.  The standard columns ``keep`` are the non-pivot
+    ones, in order.  Each row is stored once, by its pivot p, as (pivot
+    value L, tail): the tail holds the row's integer entries at the
+    standard columns as (index into ``keep``, value) pairs, and the RREF row
+    is the integer row divided by L.  That row is 1 at p and 0 at every
+    other pivot, so the class of a vector is its ``keep`` part minus
+    ``vec[p] / L * tail`` summed over the pivots p; only nonzero entries of
+    the vector and of the rows are touched.
     """
 
     __slots__ = ("pivots", "keep", "_pos", "_rows")
 
-    def __init__(self, rows, pivots, ncols: int):
-        self._set(
-            [(p, int_row(row)) for row, p in zip(rows, pivots)], ncols
-        )
-
-    @classmethod
-    def from_int(cls, reduced, ncols: int) -> "Reducer":
-        """From ``(pivot, {column: int})`` rows: primitive, positive at the
-        pivot, 0 at every other pivot, in pivot order."""
-        red = cls.__new__(cls)
-        red._set(reduced, ncols)
-        return red
-
-    def _set(self, reduced, ncols: int):
+    def __init__(self, reduced, ncols: int):
         self.pivots = tuple(p for p, _ in reduced)
         pivset = set(self.pivots)
         self.keep = tuple(j for j in range(ncols) if j not in pivset)
@@ -348,9 +405,25 @@ class Reducer:
         coefficients add.
 
         Numerators are summed per denominator on Python ints; each output
-        entry is one ``Fraction``.
+        entry is one ``Fraction``.  With no rows (a degree without relations,
+        as in a free model) the class is the vector itself, so ``Fraction``
+        values pass through as they are.
         """
         pos, rows = self._pos, self._rows
+        if not rows:
+            merged: dict[int, Fraction] = {}
+            for col, c in items:
+                if col in merged:
+                    merged[col] += c
+                else:
+                    merged[col] = c
+            out = [
+                (i, x if type(x) is Fraction else Fraction(x))
+                for i, x in merged.items()
+                if x
+            ]
+            out.sort()
+            return tuple(out)
         acc: dict[int, dict[int, int]] = {}  # denominator -> index -> numerator
         for col, c in items:
             num, den = c.numerator, c.denominator

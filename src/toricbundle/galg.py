@@ -28,7 +28,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial, gcd, lcm
+from math import factorial, lcm
 from operator import add
 
 from toricbundle.errors import (
@@ -38,15 +38,15 @@ from toricbundle.errors import (
     VerificationFailed,
     ZeroFunctional,
 )
-from toricbundle._kernels import insert_row
 from toricbundle.exactlin import (
     ONE as _ONE,
     ZERO as _ZERO,
     QMatrix,
     Reducer,
+    Span,
     SparseRow,
     echelon_int,
-    int_row,
+    kernel_int,
     rref,
 )
 from toricbundle.qpoly import QPolynomial, apply_operator, monomials_of_degree
@@ -282,56 +282,27 @@ def _radical_rows(
 ) -> list[tuple[int, dict[int, int]]]:
     """The radical of the Frobenius form in degree k, the left kernel of the
     pairing matrix B^k x B^{n-k}, as its primitive integer RREF rows
-    ``(pivot, {column: int})`` in pivot order (``Reducer.from_int`` input).
-
-    The transposed pairing matrix (row j: ell(b_j * b_i) over i) is
-    eliminated once, with its columns in reverse order, so each pivot row
-    row_p has its other entries at free columns j < p.  For each free column
-    j, with L the lcm of the pivot entries row_p[p] of the rows that meet
-    column j, the kernel vector L*e_j - sum_p row_p[j] * (L / row_p[p]) * e_p
-    is then 0 at every other free column and at no column before j: divided
-    by the gcd of its entries, it is the RREF row with pivot j.  A degree
-    with no partner degree n - k is entirely radical.
+    ``(pivot, {column: int})`` in pivot order (``Reducer`` input): the
+    kernel of the transposed pairing matrix, whose row j is
+    ell(b_j * b_i) over i.  A degree with no partner degree n - k is
+    entirely radical.
     """
     n = ell.degree
-    dk, dl = b.dim(k), b.dim(n - k)
-    if dl == 0:
-        return [(j, {j: 1}) for j in range(dk)]
     scale = lcm(*(v.denominator for v in ell.values))
     values = [v.numerator * (scale // v.denominator) for v in ell.values]
-    last = dk - 1
     pairing = []
-    for j in range(dl):
+    for j in range(b.dim(n - k)):
         row = []
-        for i in range(dk):
+        for i in range(b.dim(k)):
             entry = 0
             for t, c in b.product_pairs(n - k, j, k, i):
                 v = values[t]
                 if v:
                     entry += v * c.numerator if c.denominator == 1 else v * c
             if entry:
-                row.append((last - i, entry))
+                row.append((i, entry))
         pairing.append(row)
-    hits: dict[int, list] = {}  # free column -> (pivot, entry, pivot entry)
-    pivots = set()
-    for p, row in echelon_int(pairing):
-        pivots.add(last - p)
-        pv = row[p]
-        for c, x in row.items():
-            if c != p:
-                hits.setdefault(last - c, []).append((last - p, x, pv))
-    rad = []
-    for j in range(dk):
-        if j in pivots:
-            continue
-        at_j = hits.get(j, ())
-        big = lcm(*(pv for _, _, pv in at_j)) if at_j else 1
-        vec = {j: big}
-        for p, x, pv in at_j:
-            vec[p] = -x * (big // pv)
-        g = gcd(*vec.values())
-        rad.append((j, {c: x // g for c, x in vec.items()} if g > 1 else vec))
-    return rad
+    return kernel_int(pairing, b.dim(k))
 
 
 def _ideal_generators(b: GradedAlgebra) -> list[tuple[int, int]]:
@@ -347,7 +318,7 @@ def _ideal_generators(b: GradedAlgebra) -> list[tuple[int, int]]:
         dim = b.dim(d)
         if d == 0:
             continue
-        span: dict[int, dict[int, int]] = {}
+        span = Span()
         products = (
             b.product_pairs(e, j, d - e, i)
             for e, j in gens
@@ -356,9 +327,8 @@ def _ideal_generators(b: GradedAlgebra) -> list[tuple[int, int]]:
         for prod in products:
             if len(span) == dim:
                 break
-            if prod:
-                insert_row(span, int_row(prod))
-        gens += [(d, t) for t in range(dim) if t not in span]
+            span.add(prod)
+        gens += [(d, t) for t in range(dim) if t not in span.pivots]
     return gens
 
 
@@ -401,8 +371,9 @@ def _check_radical_ideal(b: GradedAlgebra, reducers, kept) -> None:
 def sd_quotient(b: GradedAlgebra, ell: TopFunctional) -> SdQuotient:
     """B / I(L_ell): factor the radical of the Frobenius form degreewise.
 
-    B must be commutative and associative (as every ``build_quotient``
-    output is).  The radical in degree k is the left kernel of the pairing
+    B must be commutative and associative, as every ``build_quotient``
+    output over an associative base is (``serialize.base_from_dict``
+    refuses a base whose products are not associative).  The radical in degree k is the left kernel of the pairing
     matrix B^k x B^{n-k} (``_radical_rows``); degrees above n are entirely
     radical.  Radical rows stay on Python ints from the elimination to the
     reducers, and a class becomes ``Fraction`` only at its output entries.
@@ -420,7 +391,7 @@ def sd_quotient(b: GradedAlgebra, ell: TopFunctional) -> SdQuotient:
         dk = b.dim(k)
         if dk == 0:
             continue
-        reducers[k] = Reducer.from_int(_radical_rows(b, ell, k), dk)
+        reducers[k] = Reducer(_radical_rows(b, ell, k), dk)
         if reducers[k].keep:
             kept[k] = reducers[k].keep
 
@@ -615,9 +586,7 @@ def build_quotient(p: PresentedAlgebra) -> QuotientModel:
                 continue
             multipliers = monomials.get(mult_deg, [])
             rows += _relation_rows(base, rel, multipliers, column[d])
-        red = Reducer.from_int(
-            echelon_int(row.items() for row in rows), len(monomials[d])
-        )
+        red = Reducer(echelon_int(row.items() for row in rows), len(monomials[d]))
         reducers[d] = red
         basis_monos[d] = [monomials[d][t] for t in red.keep]
 
@@ -641,12 +610,7 @@ def build_quotient(p: PresentedAlgebra) -> QuotientModel:
                     if a == b and i > j:
                         continue
                     prod = _product_columns(base, col, m1, m2)
-                    # with no relation in degree d (a free model) the reducer
-                    # is the identity: the distinct (column, Fraction) pairs
-                    # of the product are its class
-                    products[(a, i, b, j)] = (
-                        red.pairs(prod) if red.pivots else tuple(sorted(prod))
-                    )
+                    products[(a, i, b, j)] = red.pairs(prod)
 
     top = max(degs)
     model.algebra = GradedAlgebra.from_pairs(top, labels, products)
@@ -690,9 +654,7 @@ class AnnModel:
         red = self._reducers.get(d)
         if red is None:
             image = self.image_rows[d]
-            red = Reducer.from_int(
-                echelon_int(_tagged_rows(image)), image.cols + image.rows
-            )
+            red = Reducer(echelon_int(_tagged_rows(image)), image.cols + image.rows)
             self._reducers[d] = red
         return red
 
@@ -742,14 +704,12 @@ def ann_quotient(f: QPolynomial, order: int) -> AnnModel:
         target = monomials_of_degree(nvars, order - j)
         chosen = []
         rows = []
-        span: dict[int, dict[int, int]] = {}
+        span = Span()
         for alpha in monomials_of_degree(nvars, j):
             op = QPolynomial(f.vars, {alpha: Fraction(1)})
             img = apply_operator(op, f)
             row = [img.coefficient(e) for e in target]
-            if not any(row):
-                continue
-            if insert_row(span, int_row(enumerate(row))) is not None:
+            if span.add(enumerate(row)):
                 chosen.append(alpha)
                 rows.append(row)
         op_basis[2 * j] = chosen

@@ -132,6 +132,10 @@ def base_from_dict(data: dict, chern_override=None) -> BaseData:
                         (Fraction(0),) * len(labels.get(da + db, ())),
                     )
     alg = GradedAlgebra(top, labels, products)
+    # the builders take a commutative associative base; products are stored
+    # once per unordered pair, so commutativity holds by construction
+    if not alg.check_associative():
+        raise ValueError("base products are not associative")
 
     ovec = [Fraction(0)] * alg.dim(top)
     for num, den, name in data["orientation"]:

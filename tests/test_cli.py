@@ -76,6 +76,30 @@ def test_ring_diff_precondition_exit_3(capsys, tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("builder", ["sr", "sd", "diff"])
+def test_ring_non_associative_base_exit_3(capsys, tmp_path, builder):
+    # Poincare over degree 2, but (a*a)*b = c*b = 0 while a*(a*b) = a*c = t
+    spec = spec_to_dict(SPECS["p2_toric"]())
+    spec["base"] = {
+        "top_degree": 6,
+        "basis": {"0": ["1"], "2": ["a", "b"], "4": ["c", "e"], "6": ["t"]},
+        "products": [
+            {"a": "a", "b": "a", "result": [[1, 1, "c"]]},
+            {"a": "a", "b": "b", "result": [[1, 1, "c"]]},
+            {"a": "b", "b": "b", "result": [[1, 1, "e"]]},
+            {"a": "a", "b": "c", "result": [[1, 1, "t"]]},
+            {"a": "b", "b": "e", "result": [[1, 1, "t"]]},
+        ],
+        "orientation": [[1, 1, "t"]],
+        "chern": [[], []],
+    }
+    path = tmp_path / "nonassoc.json"
+    path.write_text(json.dumps(spec))
+    code, _, err = run(capsys, "ring", str(path), "--builder", builder)
+    assert code == 3
+    assert "not associative" in err
+
+
 def test_verify_suites_pass(capsys):
     code, out, _ = run(
         capsys, "verify", "hirzebruch_1", "--suite", "bkk", "--seed", "3",

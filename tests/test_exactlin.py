@@ -8,11 +8,13 @@ from hypothesis import strategies as st
 from toricbundle.exactlin import (
     QMatrix,
     Reducer,
+    Span,
     adjugate,
     det,
     echelon,
     echelon_int,
     kernel_basis,
+    kernel_int,
     rank,
     row_space_rref,
     rref,
@@ -269,6 +271,24 @@ def test_rref_matches_fraction_gauss_jordan(rows):
     assert echelon(_sparse(r) for r in rows) == (sparse_rows, want_pivots)
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(dense_matrices, zero_heavy_matrices()))
+def test_kernel_int_and_span(rows):
+    """kernel_int is the integer RREF of the kernel_basis vectors; a Span
+    grown row by row takes exactly the rows that raise the rank, and ends
+    with the pivots of rref."""
+    m = QMatrix(rows)
+    want = echelon_int(enumerate(v) for v in kernel_basis(m))
+    assert kernel_int((_sparse(row) for row in rows), m.cols) == want
+    span = Span()
+    for i, row in enumerate(rows):
+        grows = rank(QMatrix(rows[: i + 1])) > len(span)
+        assert span.add(enumerate(row)) == grows
+    _, pivots = rref(m)
+    assert len(span) == len(pivots)
+    assert sorted(span.pivots) == list(pivots)
+
+
 def test_known_reduction():
     m, pivots = rref(QMatrix([[2, 4], [1, 2]]))
     assert pivots == (0,)
@@ -285,17 +305,20 @@ def test_reduce_onto_matches_dense_elimination(rows, data):
     """Reducer classes against elimination on all columns."""
     r, pivots = rref(QMatrix(rows))
     red = r.entries[: len(pivots)]
-    from_fractions = Reducer(*echelon(_sparse(row) for row in rows), r.cols)
-    from_ints = Reducer.from_int(echelon_int(_sparse(row) for row in rows), r.cols)
+    reducer = Reducer(echelon_int(_sparse(row) for row in rows), r.cols)
     vec = data.draw(
         st.lists(
             st.one_of(st.just(F(0)), rationals), min_size=r.cols, max_size=r.cols
         )
     )
     dense = _dense_reduce(red, pivots, vec)
-    for reducer in (from_fractions, from_ints):
-        assert reducer.pivots == pivots
-        assert reducer.keep == tuple(j for j in range(r.cols) if j not in pivots)
-        assert reducer.rows() == tuple(_sparse(row) for row in red)
-        want = tuple(dense[t] for t in reducer.keep)
-        assert reducer.pairs(_sparse(vec)) == _sparse(want)
+    assert reducer.pivots == pivots
+    assert reducer.keep == tuple(j for j in range(r.cols) if j not in pivots)
+    assert reducer.rows() == tuple(_sparse(row) for row in red)
+    want = tuple(dense[t] for t in reducer.keep)
+    assert reducer.pairs(_sparse(vec)) == _sparse(want)
+    # a repeated column adds, and int values come out as Fractions
+    split = [(c, x - 1) for c, x in _sparse(vec)] + [(c, 1) for c, _ in _sparse(vec)]
+    got = reducer.pairs(split)
+    assert got == _sparse(want)
+    assert all(type(x) is F for _, x in got)

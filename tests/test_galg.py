@@ -531,16 +531,16 @@ def _accepts(check, b, reducers):
 
 def _radical_reducers(b, ell):
     return {
-        k: Reducer.from_int(galg._radical_rows(b, ell, k), b.dim(k))
+        k: Reducer(galg._radical_rows(b, ell, k), b.dim(k))
         for k in range(0, ell.degree + 1, 2)
         if b.dim(k)
     }
 
 
 def _without_row(red, i, ncols):
-    rows, pivots = list(red.rows()), list(red.pivots)
-    del rows[i], pivots[i]
-    return Reducer(rows, pivots, ncols)
+    rows = [(p, dict(row)) for p, row in zip(red.pivots, red.int_rows())]
+    del rows[i]
+    return Reducer(rows, ncols)
 
 
 @st.composite
