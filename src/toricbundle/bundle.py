@@ -33,7 +33,7 @@ from toricbundle.errors import (
     OddBase,
     VerificationFailed,
 )
-from toricbundle.exactlin import QMatrix, echelon, rref, solve
+from toricbundle.exactlin import QMatrix, rank, rref, solve
 from toricbundle.galg import (
     AnnModel,
     GradedAlgebra,
@@ -46,6 +46,7 @@ from toricbundle.galg import (
     build_quotient,
     check_poincare,
     graded_isomorphic,
+    product_keys,
     sd_quotient,
 )
 from toricbundle.integrate import (
@@ -197,11 +198,9 @@ def f_gamma(spec: BundleSpec, gamma: Vec, i: int) -> QPolynomial:
 # ---------------------------------------------------------------------------
 
 
-def free_model(spec: BundleSpec, extra: int = 0) -> QuotientModel:
+def free_model(spec: BundleSpec) -> QuotientModel:
     return build_quotient(
-        PresentedAlgebra(
-            spec.base.algebra, spec.x_names, (), spec.top_degree + extra
-        )
+        PresentedAlgebra(spec.base.algebra, spec.x_names, (), spec.top_degree)
     )
 
 
@@ -289,7 +288,9 @@ def ring_via_sd(spec: BundleSpec) -> RingReport:
     return RingReport("sd", sd.algebra, sd.functional, gens, (model, sd))
 
 
-def sr_presentation(spec: BundleSpec, extra: int = 2) -> PresentedAlgebra:
+def sr_presentation(spec: BundleSpec) -> PresentedAlgebra:
+    """The Sankaran-Uma presentation, truncated at the next even degree above
+    the top so that the quotient shows it vanishes there."""
     base = spec.base
     relations = []
     for nf in _minimal_nonfaces(spec.fan):
@@ -305,7 +306,7 @@ def sr_presentation(spec: BundleSpec, extra: int = 2) -> PresentedAlgebra:
                 rel[beta] = (0, (Fraction(-ray[t]),))
         relations.append(rel)
     return PresentedAlgebra(
-        base.algebra, spec.x_names, tuple(relations), spec.top_degree + extra
+        base.algebra, spec.x_names, tuple(relations), spec.top_degree + 2
     )
 
 
@@ -433,9 +434,9 @@ def cross_validate(spec: BundleSpec) -> CrossValidation:
     sr_model: QuotientModel = sr_rep.model
 
     for d in range(0, spec.top_degree + 1, 2):
-        rad_rows = sd.reducers[d].rows() if d in sd.reducers else ()
-        ideal_rows = sr_model.reducers[d].rows()
-        if echelon(rad_rows) != echelon(ideal_rows):
+        # both are primitive integer RREF rows, unique for each subspace
+        rad_rows = sd.reducers[d].int_rows() if d in sd.reducers else ()
+        if rad_rows != sr_model.reducers[d].int_rows():
             return CrossValidation(
                 False, f"degree {d}: radical != Stanley-Reisner ideal"
             )
@@ -480,20 +481,15 @@ def cross_validate(spec: BundleSpec) -> CrossValidation:
 def _first_mismatch(sd_rep, sr_rep, gen_rows) -> CrossValidation:
     """Locate the first differing structure constant for the report."""
     a, b = sd_rep.algebra, sr_rep.algebra
-    for da in a.degrees():
-        for db in a.degrees():
-            if da > db or da + db > a.top:
-                continue
-            for i in range(a.dim(da)):
-                for j in range(b.dim(db)):
-                    pa = a.basis_product(da, i, db, j)
-                    pb = b.basis_product(da, i, db, j)
-                    if pa != pb:
-                        return CrossValidation(
-                            False,
-                            f"structure constant ({da},{i})*({db},{j}): "
-                            f"{pa} vs {pb}",
-                        )
+    # the graded dims agree, so the pairs product_keys leaves out (the unit,
+    # empty degrees, swapped factors) agree on both sides
+    for da, i, db, j in product_keys(a.labels):
+        pa = a.basis_product(da, i, db, j)
+        pb = b.basis_product(da, i, db, j)
+        if pa != pb:
+            return CrossValidation(
+                False, f"structure constant ({da},{i})*({db},{j}): {pa} vs {pb}"
+            )
     return CrossValidation(False, "graded isomorphism failed")
 
 
@@ -645,7 +641,7 @@ def _degree2_generated(r: GradedAlgebra) -> bool:
         for i in range(r.dim(2)):
             for j in range(r.dim(d - 2)):
                 rows.append(list(r.basis_product(2, i, d - 2, j)))
-        if not rows or len(rref(QMatrix(rows))[1]) != r.dim(d):
+        if not rows or rank(QMatrix(rows)) != r.dim(d):
             return False
     return True
 

@@ -30,6 +30,7 @@ from toricbundle.galg import (
     TopFunctional,
     _unit,
     build_quotient,
+    product_keys,
 )
 from toricbundle.integrate import (
     integral_over_virtual,
@@ -106,12 +107,7 @@ def base_projective(m: int, chern=()) -> BaseData:
     labels = {0: ("1",)}
     for j in range(1, m + 1):
         labels[2 * j] = ("H" if j == 1 else f"H^{j}",)
-    products = {}
-    for a in range(1, m + 1):
-        for b in range(a, m + 1):
-            products[(2 * a, 0, 2 * b, 0)] = (
-                (Fraction(1),) if a + b <= m else ()
-            )
+    products = {key: (Fraction(1),) for key in product_keys(labels)}
     alg = GradedAlgebra(2 * m, labels, products)
     ell = TopFunctional(alg, 2 * m, (Fraction(1),))
     return BaseData(alg, ell, tuple(chern))

@@ -391,14 +391,6 @@ class Reducer:
             for p, (pv, tail) in self._rows.items()
         )
 
-    def rows(self) -> tuple[SparseRow, ...]:
-        """The RREF rows in full column coordinates, in pivot order, built
-        as ``Fraction`` rows on each call."""
-        return tuple(
-            tuple((c, Fraction(x, pv)) for c, x in row)
-            for row, (pv, _) in zip(self.int_rows(), self._rows.values())
-        )
-
     def pairs(self, items) -> SparseRow:
         """Class of sum c * e_col over (col, c) pairs, as (index into keep,
         value) pairs: ascending, nonzero.  A column may repeat; its

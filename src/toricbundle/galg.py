@@ -6,17 +6,23 @@ odd cohomology), so no Koszul signs appear anywhere.  The module provides
 * ``GradedAlgebra``: per-degree bases plus structure constants, each stored
   once as its nonzero (index, coefficient) pairs; dense vectors are built
   only for the dense readers (``basis_product``, ``multiply``);
+* ``product_keys``: the one rule for which structure constants a table
+  stores, and in which order; every builder, checker and serializer walks
+  the table through it;
 * ``build_quotient``: the degreewise quotient engine for presented algebras
   R[x_1..x_s]/(relations), with deterministic monomial order; relation
   multiples are sparse rows, and the kernel's integer RREF rows
   (``exactlin.echelon_int``) become the reducer of each degree;
 * Frobenius forms, the self-dual quotient B/I(L_ell) obtained by factoring
-  out the radical of the Frobenius form degree by degree.  Pairing entries
-  and products are read from the structure constants; the radical is read
-  off one elimination of the transposed pairing matrix as integer rows, and
-  classes are computed only at the surviving basis columns
-  (``exactlin.Reducer``).  That the radical is an ideal is checked on a
-  generating set of B, which suffices for a commutative associative B;
+  out the radical of the Frobenius form degree by degree.  One builder,
+  ``_pairing_rows``, reads the pairing entries off the structure constants
+  as integer-scaled sparse rows; the radical is the kernel of the partner
+  degree's rows (the transpose, B being commutative), read off one
+  elimination as integer rows, and classes are computed only at the
+  surviving basis columns (``exactlin.Reducer``).  ``check_poincare``
+  checks full rank in degrees k <= n/2 only, the rest being transposes.
+  That the radical is an ideal is checked on a generating set of B, which
+  suffices for a commutative associative B;
 * the differential-operator model Diff(V)/Ann(f): basis operators chosen by
   one incremental forward elimination per degree, and operator classes
   reduced through one tagged reducer per degree;
@@ -47,6 +53,7 @@ from toricbundle.exactlin import (
     SparseRow,
     echelon_int,
     kernel_int,
+    rank,
     rref,
 )
 from toricbundle.qpoly import QPolynomial, apply_operator, monomials_of_degree
@@ -63,11 +70,11 @@ class GradedAlgebra:
     """Commutative graded algebra in even degrees with a degree-0 unit.
 
     ``labels[d]`` names the basis of the degree-d component.  ``products``
-    maps ``(a, i, b, j)`` with a <= b to the product of the two basis
+    maps each key of :func:`product_keys` to the product of the two basis
     elements in degree a+b, stored once as (t, c) pairs with c != 0 and t
-    ascending; a product in a degree above the top (or an empty degree) is
-    zero and need not be stored.  The constructor takes dense coefficient
-    vectors; :meth:`from_pairs` takes the pairs themselves.
+    ascending; a product with the unit, or in a degree above the top or an
+    empty degree, is never read from the table.  The constructor takes
+    dense coefficient vectors; :meth:`from_pairs` takes the pairs themselves.
     """
 
     __slots__ = ("top", "labels", "products")
@@ -177,6 +184,26 @@ class GradedAlgebra:
         return f"GradedAlgebra(top={self.top}, dims={self.dims()})"
 
 
+def product_keys(labels):
+    """The keys (a, i, b, j) of the products a structure-constant table
+    stores, in the order reports list them: 0 < a <= b with a + b a nonempty
+    degree, and i <= j when a == b.
+
+    ``labels`` maps each degree to its basis (any sized sequence; empty
+    degrees are allowed).  :meth:`GradedAlgebra.product_pairs` answers every
+    other pair without the table: by the unit, as zero, or by swapping the
+    factors into a key.
+    """
+    degs = sorted(d for d, ls in labels.items() if d > 0 and ls)
+    for n, a in enumerate(degs):
+        for b in degs[n:]:
+            if not labels.get(a + b):
+                continue
+            for i in range(len(labels[a])):
+                for j in range(i if a == b else 0, len(labels[b])):
+                    yield a, i, b, j
+
+
 def _dense(n: int, pairs) -> Vec:
     v = [_ZERO] * n
     for t, c in pairs:
@@ -214,42 +241,61 @@ class TopFunctional:
         return TopFunctional(self.algebra, self.degree, _vscale(c, self.values))
 
 
-def frobenius_matrix(b: GradedAlgebra, ell: TopFunctional, k: int) -> QMatrix:
-    """Pairing matrix of B^k x B^{n-k} -> Q, (i, j) |-> ell(b_i * b_j).
+def _pairing_rows(b: GradedAlgebra, ell: TopFunctional, k: int) -> list:
+    """Sparse rows of the pairing B^k x B^{n-k} -> Q, (i, j) |-> ell(b_i * b_j).
 
-    Each entry sums ell_t * c over the nonzero (t, c) of b_i * b_j.
+    Row i holds the nonzero ``scale * ell(b_i * b_j)`` as ascending (j,
+    value) pairs, with ``scale`` the lcm of the denominators of ell, so the
+    values are ints wherever the structure constants are.
     """
     n = ell.degree
-    values = ell.values
+    scale = lcm(*(v.denominator for v in ell.values))
+    values = [v.numerator * (scale // v.denominator) for v in ell.values]
     rows = []
     for i in range(b.dim(k)):
         row = []
         for j in range(b.dim(n - k)):
-            entry = _ZERO
+            entry = 0
             for t, c in b.product_pairs(k, i, n - k, j):
                 v = values[t]
                 if v:
-                    entry += v * c
-            row.append(entry)
+                    entry += v * c.numerator if c.denominator == 1 else v * c
+            if entry:
+                row.append((j, entry))
         rows.append(row)
-    if not rows or not rows[0]:
-        dims = (max(b.dim(k), 1), max(b.dim(n - k), 1))
-        return QMatrix([[Fraction(0)] * dims[1] for _ in range(dims[0])])
-    return QMatrix(rows)
+    return rows
+
+
+def frobenius_matrix(b: GradedAlgebra, ell: TopFunctional, k: int) -> QMatrix:
+    """Pairing matrix of B^k x B^{n-k} -> Q, (i, j) |-> ell(b_i * b_j).
+
+    The dense view of ``_pairing_rows``; an empty side counts as one zero
+    row or column.
+    """
+    scale = lcm(*(v.denominator for v in ell.values))
+    rows = _pairing_rows(b, ell, k)
+    ncols = b.dim(ell.degree - k)
+    if not rows or not ncols:
+        return QMatrix([[_ZERO] * max(ncols, 1) for _ in range(max(len(rows), 1))])
+    return QMatrix(
+        _dense(ncols, ((j, Fraction(x, scale)) for j, x in row)) for row in rows
+    )
 
 
 def check_poincare(a: GradedAlgebra, ell: TopFunctional) -> bool:
-    """Poincare duality of the pairing induced by ell on its degree."""
+    """Poincare duality of the pairing induced by ell on its degree.
+
+    The pairing matrix of degree n - k is the transpose of that of degree k
+    (the algebra is commutative), so with symmetric dims full rank is
+    checked for k <= n/2 only.
+    """
     n = ell.degree
     if a.dim(n) != 1 or any(d > n for d in a.degrees()):
         return False
-    for k in range(0, n + 1, 2):
-        if a.dim(k) != a.dim(n - k):
-            return False
-        if a.dim(k) == 0:
-            continue
-        m = frobenius_matrix(a, ell, k)
-        if len(rref(m)[1]) != a.dim(k):
+    if any(a.dim(k) != a.dim(n - k) for k in range(0, n + 1, 2)):
+        return False
+    for k in range(0, n // 2 + 1, 2):
+        if a.dim(k) and len(rref(frobenius_matrix(a, ell, k))[1]) != a.dim(k):
             return False
     return True
 
@@ -283,26 +329,10 @@ def _radical_rows(
     """The radical of the Frobenius form in degree k, the left kernel of the
     pairing matrix B^k x B^{n-k}, as its primitive integer RREF rows
     ``(pivot, {column: int})`` in pivot order (``Reducer`` input): the
-    kernel of the transposed pairing matrix, whose row j is
-    ell(b_j * b_i) over i.  A degree with no partner degree n - k is
-    entirely radical.
+    kernel of the pairing rows of degree n - k, the transposed matrix.  A
+    degree with no partner degree n - k is entirely radical.
     """
-    n = ell.degree
-    scale = lcm(*(v.denominator for v in ell.values))
-    values = [v.numerator * (scale // v.denominator) for v in ell.values]
-    pairing = []
-    for j in range(b.dim(n - k)):
-        row = []
-        for i in range(b.dim(k)):
-            entry = 0
-            for t, c in b.product_pairs(n - k, j, k, i):
-                v = values[t]
-                if v:
-                    entry += v * c.numerator if c.denominator == 1 else v * c
-            if entry:
-                row.append((i, entry))
-        pairing.append(row)
-    return kernel_int(pairing, b.dim(k))
+    return kernel_int(_pairing_rows(b, ell, ell.degree - k), b.dim(k))
 
 
 def _ideal_generators(b: GradedAlgebra) -> list[tuple[int, int]]:
@@ -398,19 +428,12 @@ def sd_quotient(b: GradedAlgebra, ell: TopFunctional) -> SdQuotient:
     labels = {
         d: tuple(b.labels[d][j] for j in idxs) for d, idxs in kept.items()
     }
-    products = {}
-    degs = sorted(kept)
-    for a in degs:
-        for e in degs:
-            if a > e or a == 0 or a + e not in kept:
-                continue
-            red = reducers[a + e]
-            for i, bi in enumerate(kept[a]):
-                for j, bj in enumerate(kept[e]):
-                    if a == e and i > j:
-                        continue
-                    prod = b.product_pairs(a, bi, e, bj)
-                    products[(a, i, e, j)] = red.pairs(prod)
+
+    def product(a, i, e, j):
+        prod = b.product_pairs(a, kept[a][i], e, kept[e][j])
+        return reducers[a + e].pairs(prod)
+
+    products = {key: product(*key) for key in product_keys(kept)}
     alg = GradedAlgebra.from_pairs(n, labels, products)
 
     # induced top functional: ell on a lift of the single top basis class
@@ -501,9 +524,6 @@ class QuotientModel:
         rdeg, ridx, beta = mono
         d = rdeg + 2 * sum(beta)
         return d, self.normal_form(d, {mono: Fraction(1)})
-
-    def free_dims(self) -> dict[int, int]:
-        return {d: len(ms) for d, ms in self.monomials.items()}
 
 
 def _product_columns(base: GradedAlgebra, column, m1, m2):
@@ -597,23 +617,13 @@ def build_quotient(p: PresentedAlgebra) -> QuotientModel:
     }
     model = QuotientModel(p, None, monomials, column, reducers, basis_monos)
 
-    products = {}
-    degs = sorted(d for d in labels)
-    for a in degs:
-        for b in degs:
-            d = a + b
-            if a > b or a == 0 or d not in labels:
-                continue
-            red, col = reducers[d], column[d]
-            for i, m1 in enumerate(basis_monos[a]):
-                for j, m2 in enumerate(basis_monos[b]):
-                    if a == b and i > j:
-                        continue
-                    prod = _product_columns(base, col, m1, m2)
-                    products[(a, i, b, j)] = red.pairs(prod)
+    def product(a, i, b, j):
+        d = a + b
+        m1, m2 = basis_monos[a][i], basis_monos[b][j]
+        return reducers[d].pairs(_product_columns(base, column[d], m1, m2))
 
-    top = max(degs)
-    model.algebra = GradedAlgebra.from_pairs(top, labels, products)
+    products = {key: product(*key) for key in product_keys(labels)}
+    model.algebra = GradedAlgebra.from_pairs(max(labels), labels, products)
     return model
 
 
@@ -718,24 +728,12 @@ def ann_quotient(f: QPolynomial, order: int) -> AnnModel:
             labels[2 * j] = tuple(_op_label(f.vars, a) for a in chosen)
 
     model = AnnModel(f, order, None, op_basis, image_rows)
-    products = {}
-    degs = sorted(labels)
-    for a in degs:
-        for b in degs:
-            if a > b or a == 0:
-                continue
-            for i, al in enumerate(op_basis[a]):
-                for j, be in enumerate(op_basis[b]):
-                    if a == b and i > j:
-                        continue
-                    comp = tuple(x + y for x, y in zip(al, be))
-                    if a + b > 2 * order or not op_basis.get(a + b):
-                        products[(a, i, b, j)] = ()
-                        continue
-                    _, vec = model.operator_class(
-                        QPolynomial(f.vars, {comp: Fraction(1)})
-                    )
-                    products[(a, i, b, j)] = vec
+
+    def product(a, i, b, j):
+        comp = tuple(map(add, op_basis[a][i], op_basis[b][j]))
+        return model.operator_class(QPolynomial(f.vars, {comp: Fraction(1)}))[1]
+
+    products = {key: product(*key) for key in product_keys(labels)}
     model.algebra = GradedAlgebra(2 * order, labels, products)
     return model
 
@@ -821,29 +819,19 @@ def graded_isomorphic(
 
     # bijectivity in each degree
     for d, rows in phi.items():
-        if len(rref(QMatrix([list(r) for r in rows]))[1]) != a.dim(d):
+        if rank(QMatrix(rows)) != a.dim(d):
             return False
 
-    # exhaustive verification of multiplicativity
-    for da in a.degrees():
-        for db in a.degrees():
-            if da > db:
-                continue
-            d = da + db
-            for i in range(a.dim(da)):
-                for j in range(a.dim(db)):
-                    prod = a.basis_product(da, i, db, j)
-                    if d <= a.top and a.dim(d):
-                        lhs = [Fraction(0)] * b.dim(d)
-                        for t, c in enumerate(prod):
-                            if c:
-                                for u, x in enumerate(phi[d][t]):
-                                    lhs[u] += c * x
-                    else:
-                        lhs = []
-                    rhs = b.multiply(da, phi[da][i], db, phi[db][j]) if (
-                        d <= b.top and b.dim(d)
-                    ) else ()
-                    if tuple(lhs) != tuple(rhs):
-                        return False
+    # multiplicativity on every stored structure constant; the pairs that
+    # product_keys leaves out agree by construction: products with the unit
+    # (phi fixes it), products into an empty degree (the dims were checked
+    # equal first) and swapped factors (both algebras are commutative)
+    for da, i, db, j in product_keys(a.labels):
+        d = da + db
+        lhs = [_ZERO] * b.dim(d)
+        for t, c in a.product_pairs(da, i, db, j):
+            for u, x in enumerate(phi[d][t]):
+                lhs[u] += c * x
+        if tuple(lhs) != b.multiply(da, phi[da][i], db, phi[db][j]):
+            return False
     return True

@@ -35,7 +35,6 @@ from toricbundle.exactlin import (
     det,
     kernel_basis,
     rank,
-    rref,
     solve,
 )
 
@@ -177,8 +176,7 @@ def validate_fan(rays, max_cones) -> Fan:
             raise DegenerateCone(f"repeated ray index in cone {cone}")
         if any(i < 0 or i >= len(rays) for i in cone):
             raise FanError(f"ray index out of range in cone {cone}")
-        mat = QMatrix([rays[i] for i in cone])
-        if len(rref(mat)[1]) != len(cone):
+        if rank(QMatrix([rays[i] for i in cone])) != len(cone):
             raise DegenerateCone(f"generators of cone {cone} are dependent")
         cones.append(cone)
     if len(set(cones)) != len(cones):
@@ -226,8 +224,11 @@ def is_complete(fan: Fan) -> bool:
     ridges = fan.ridges()
     if any(len(cones) != 2 for cones in ridges.values()):
         return False
-    # connectivity of the cone adjacency graph
+    # connectivity of the cone adjacency graph; a fan with no maximal cone
+    # covers only the origin
     n = len(fan.max_cones)
+    if n == 0:
+        return fan.dim == 0
     adj: dict[int, set[int]] = {i: set() for i in range(n)}
     for a, b in ((c[0], c[1]) for c in ridges.values()):
         adj[a].add(b)
@@ -381,13 +382,6 @@ class VirtualPolytope:
         r = Fraction(r)
         return VirtualPolytope(self.fan, tuple(r * x for x in self.h))
 
-    def translate(self, m) -> "VirtualPolytope":
-        """Minkowski-add the single point m (a lattice/rational vector)."""
-        return VirtualPolytope(
-            self.fan,
-            tuple(x + dot(m, e) for x, e in zip(self.h, self.fan.rays)),
-        )
-
     @classmethod
     def of_point(cls, fan: Fan, m) -> "VirtualPolytope":
         return cls(fan, tuple(dot(m, e) for e in fan.rays))
@@ -432,32 +426,6 @@ def affine_dim(points) -> int:
     return rank(QMatrix(diffs))
 
 
-def affine_chart(points):
-    """(origin, basis rows) spanning the affine hull, basis from rref."""
-    pts = [tuple(Fraction(x) for x in p) for p in points]
-    v0 = pts[0]
-    diffs = [[a - b for a, b in zip(p, v0)] for p in pts[1:]]
-    if not diffs:
-        return v0, []
-    m, pivots = rref(QMatrix(diffs))
-    return v0, [list(m.entries[i]) for i in range(len(pivots))]
-
-
-def to_chart_coords(points, origin, basis):
-    """Coordinates of points w.r.t. an affine chart (exact solve per point)."""
-    if not basis:
-        return [() for _ in points]
-    mat = QMatrix([list(col) for col in zip(*basis)])
-    out = []
-    for p in points:
-        rhs = [Fraction(a) - b for a, b in zip(p, origin)]
-        sol = solve(mat, rhs)
-        if sol is None:
-            raise VerificationFailed(f"point {p} outside the affine hull")
-        out.append(sol)
-    return out
-
-
 class Polytope:
     """Rational polytope; vertices canonical (irredundant, sorted).
 
@@ -498,7 +466,7 @@ class Polytope:
         pts = set()
         for subset in itertools.combinations(range(len(hs)), dim):
             mat = QMatrix([list(hs[k][0]) for k in subset])
-            if len(rref(mat)[1]) != dim:
+            if rank(mat) != dim:
                 continue
             x = solve(mat, [hs[k][1] for k in subset])
             if x is None:

@@ -18,7 +18,7 @@ import json
 from fractions import Fraction
 
 from toricbundle.bundle import BaseData, BundleSpec, RingReport
-from toricbundle.galg import GradedAlgebra, TopFunctional
+from toricbundle.galg import GradedAlgebra, TopFunctional, product_keys
 from toricbundle.polyhedral import Fan, validate_fan
 
 
@@ -48,31 +48,23 @@ def fan_from_dict(data: dict) -> Fan:
 # -- base algebras --------------------------------------------------------------
 
 
+def _product_entries(alg: GradedAlgebra) -> list[dict]:
+    """The nonzero structure constants in ``product_keys`` order, each as
+    {"a": name, "b": name, "result": [[num, den, name], ...]}."""
+    entries = []
+    for a, i, b, j in product_keys(alg.labels):
+        target = alg.labels[a + b]
+        result = [rat(c) + [target[t]] for t, c in alg.product_pairs(a, i, b, j)]
+        if result:
+            entries.append(
+                {"a": alg.labels[a][i], "b": alg.labels[b][j], "result": result}
+            )
+    return entries
+
+
 def base_to_dict(base: BaseData) -> dict:
     alg = base.algebra
     basis = {str(d): list(alg.labels[d]) for d in alg.degrees()}
-    products = []
-    for d_a in alg.degrees():
-        for d_b in alg.degrees():
-            if d_a == 0 or d_a > d_b or d_a + d_b > alg.top:
-                continue
-            target = alg.labels.get(d_a + d_b, ())
-            for i in range(alg.dim(d_a)):
-                for j in range(alg.dim(d_b)):
-                    if d_a == d_b and i > j:
-                        continue
-                    vec = alg.basis_product(d_a, i, d_b, j)
-                    result = [
-                        rat(c) + [target[t]] for t, c in enumerate(vec) if c
-                    ]
-                    if result:
-                        products.append(
-                            {
-                                "a": alg.labels[d_a][i],
-                                "b": alg.labels[d_b][j],
-                                "result": result,
-                            }
-                        )
     orientation = [
         rat(c) + [alg.labels[base.orientation.degree][t]]
         for t, c in enumerate(base.orientation.values)
@@ -81,7 +73,7 @@ def base_to_dict(base: BaseData) -> dict:
     out = {
         "top_degree": alg.top,
         "basis": basis,
-        "products": products,
+        "products": _product_entries(alg),
         "orientation": orientation,
     }
     if base.chern:
@@ -104,7 +96,7 @@ def base_from_dict(data: dict, chern_override=None) -> BaseData:
                 raise ValueError(f"duplicate basis label {name!r}")
             where[name] = (d, i)
 
-    products = {}
+    parsed = {}
     for entry in data.get("products", []):
         da, ia = where[entry["a"]]
         db, ib = where[entry["b"]]
@@ -116,21 +108,9 @@ def base_from_dict(data: dict, chern_override=None) -> BaseData:
             if dt != da + db:
                 raise ValueError(f"product lands in wrong degree: {entry}")
             vec[it] += Fraction(int(num), int(den))
-        products[(da, ia, db, ib)] = tuple(vec)
-    # unlisted pairs default to zero
-    degs = sorted(labels)
-    for da in degs:
-        for db in degs:
-            if da == 0 or da > db:
-                continue
-            for i in range(len(labels[da])):
-                for j in range(len(labels[db])):
-                    if da == db and i > j:
-                        continue
-                    products.setdefault(
-                        (da, i, db, j),
-                        (Fraction(0),) * len(labels.get(da + db, ())),
-                    )
+        parsed[(da, ia, db, ib)] = tuple(vec)
+    # unlisted pairs are zero
+    products = {key: parsed.get(key, ()) for key in product_keys(labels)}
     alg = GradedAlgebra(top, labels, products)
     # the builders take a commutative associative base; products are stored
     # once per unordered pair, so commutativity holds by construction
@@ -190,29 +170,8 @@ def report_to_dict(report: RingReport, seed=None) -> dict:
             name: {"degree": d, "coords": [rat(c) for c in vec]}
             for name, (d, vec) in sorted(report.generator_classes.items())
         },
-        "structure_constants": [],
+        "structure_constants": _product_entries(alg),
     }
-    for d_a in alg.degrees():
-        for d_b in alg.degrees():
-            if d_a == 0 or d_a > d_b or d_a + d_b > alg.top:
-                continue
-            target = alg.labels.get(d_a + d_b, ())
-            for i in range(alg.dim(d_a)):
-                for j in range(alg.dim(d_b)):
-                    if d_a == d_b and i > j:
-                        continue
-                    vec = alg.basis_product(d_a, i, d_b, j)
-                    entries = [
-                        rat(c) + [target[t]] for t, c in enumerate(vec) if c
-                    ]
-                    if entries:
-                        out["structure_constants"].append(
-                            {
-                                "a": alg.labels[d_a][i],
-                                "b": alg.labels[d_b][j],
-                                "result": entries,
-                            }
-                        )
     if seed is not None:
         out["seed"] = seed
     return out

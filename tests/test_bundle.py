@@ -189,6 +189,51 @@ def test_cross_validate_reports_mismatch():
     assert cross_validate(spec)
 
 
+def test_cross_validate_reports_radical_mismatch(monkeypatch):
+    """A radical that differs from the Stanley-Reisner ideal in one degree
+    is reported in that degree."""
+    from toricbundle import bundle
+    from toricbundle.exactlin import Reducer
+
+    real = bundle.sd_quotient
+
+    def dropped_top_row(b, ell):
+        sd = real(b, ell)
+        red = sd.reducers[ell.degree]
+        rows = [(p, dict(r)) for p, r in zip(red.pivots, red.int_rows())]
+        sd.reducers[ell.degree] = Reducer(rows[1:], b.dim(ell.degree))
+        return sd
+
+    monkeypatch.setattr(bundle, "sd_quotient", dropped_top_row)
+    result = cross_validate(SPECS["p2_toric"]())
+    assert not result
+    assert result.detail == "degree 4: radical != Stanley-Reisner ideal"
+
+
+def test_cross_validate_reports_structure_constant(monkeypatch):
+    """A structure constant of the sd ring that differs from the sr ring is
+    reported by its key."""
+    import dataclasses
+
+    from toricbundle import bundle
+    from toricbundle.galg import GradedAlgebra
+
+    real = bundle.ring_via_sd
+
+    def doubled_square(spec):
+        rep = real(spec)
+        alg = rep.algebra
+        products = dict(alg.products)
+        products[(2, 0, 2, 0)] = tuple((t, 2 * c) for t, c in products[(2, 0, 2, 0)])
+        wrong = GradedAlgebra.from_pairs(alg.top, alg.labels, products)
+        return dataclasses.replace(rep, algebra=wrong)
+
+    monkeypatch.setattr(bundle, "ring_via_sd", doubled_square)
+    result = cross_validate(SPECS["p2_toric"]())
+    assert not result
+    assert result.detail.startswith("structure constant (2,0)*(2,0): ")
+
+
 def test_verify_bkk_classical_p2():
     spec = SPECS["p2_toric"]()
     delta = VirtualPolytope(spec.fan, (0, 0, 1))

@@ -314,7 +314,10 @@ def test_reduce_onto_matches_dense_elimination(rows, data):
     dense = _dense_reduce(red, pivots, vec)
     assert reducer.pivots == pivots
     assert reducer.keep == tuple(j for j in range(r.cols) if j not in pivots)
-    assert reducer.rows() == tuple(_sparse(row) for row in red)
+    # each integer row divided by its pivot entry, its first, is the RREF row
+    assert tuple(
+        tuple((c, F(x, row[0][1])) for c, x in row) for row in reducer.int_rows()
+    ) == tuple(_sparse(row) for row in red)
     want = tuple(dense[t] for t in reducer.keep)
     assert reducer.pairs(_sparse(vec)) == _sparse(want)
     # a repeated column adds, and int values come out as Fractions

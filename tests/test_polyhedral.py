@@ -82,6 +82,7 @@ def test_completeness():
     assert is_complete(fan_p2())
     assert not is_complete(validate_fan([(1, 0), (0, 1)], [(0, 1)]))
     assert is_complete(fan_f1())
+    assert not is_complete(validate_fan([(1,)], []))
 
 
 def test_not_pure():

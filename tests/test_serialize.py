@@ -1,13 +1,19 @@
 """JSON interchange round trips."""
 
+import hashlib
 import json
 from fractions import Fraction as F
+from pathlib import Path
 
+import pytest
+
+from toricbundle import bundle
 from toricbundle.bundle import ring_via_sr
 from toricbundle.catalog import SPECS, base_projective, fan_hirzebruch1
 from toricbundle.serialize import (
     base_from_dict,
     base_to_dict,
+    dumps,
     fan_from_dict,
     fan_to_dict,
     rat,
@@ -16,6 +22,8 @@ from toricbundle.serialize import (
     spec_to_dict,
     unrat,
 )
+
+REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
 
 
 def test_rat_pairs():
@@ -57,3 +65,14 @@ def test_report_serialization_is_rational():
     assert payload["seed"] == 5
     blob = json.dumps(payload)
     assert "0.5" not in blob  # no decimals anywhere
+
+
+@pytest.mark.parametrize("builder", ("sr", "sd", "diff"))
+@pytest.mark.parametrize("name", sorted(SPECS))
+def test_catalog_reports_match_reference_digests(name, builder):
+    """Every catalog report serializes bit for bit as recorded in the
+    benchmark's reference digests."""
+    want = json.loads(REFERENCE.read_text())["digests"][f"{name}/{builder}"]
+    report = getattr(bundle, f"ring_via_{builder}")(SPECS[name]())
+    text = dumps(report_to_dict(report))
+    assert hashlib.sha256(text.encode()).hexdigest() == want
