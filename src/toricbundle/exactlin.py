@@ -5,11 +5,12 @@ Every elimination runs through one fraction-free integer Gauss-Jordan on
 sparse rows, :func:`toricbundle._kernels.gauss_jordan_int`: each row is
 cleared of denominators first, which changes neither row space nor kernel,
 and kept primitive (gcd 1) with a positive pivot.  The kernel runs a forward
-pass and then one back substitution; :func:`rank` stops after the forward
-pass, whose pivots are already those of the RREF.  The reduced row echelon
-form of a matrix is unique, so the dense :func:`rref`, :func:`kernel_basis`
-and :func:`solve` on :class:`QMatrix` return exactly what any Gauss-Jordan
-would, bit for bit.
+pass and then one back substitution; :func:`rank` (and :func:`rank_int` on
+rows that are already integers) stops after the forward pass, whose pivots
+are already those of the RREF.  The reduced row echelon form of a matrix is
+unique, so the dense :func:`rref`, :func:`kernel_basis` and :func:`solve`
+on :class:`QMatrix` return exactly what any Gauss-Jordan would, bit for
+bit.
 
 Sparse callers skip the dense matrix: :func:`echelon` takes rows as
 ``(column, value)`` pairs and returns the nonzero RREF rows in the same form
@@ -230,6 +231,11 @@ def rank(m: QMatrix) -> int:
     """The rank: the number of pivots of the forward pass alone (no back
     substitution, no rref rows built)."""
     return len(forward_int(_dense_int_rows(m.entries)))
+
+
+def rank_int(rows) -> int:
+    """The rank of dense rows of ints, by the forward pass alone."""
+    return len(forward_int([{c: x for c, x in enumerate(row) if x} for row in rows]))
 
 
 def det(rows) -> Fraction:

@@ -11,9 +11,20 @@ moment
 (|det| the determinant of the edge vectors s_k - s_0), after the
 coordinates are expanded as integer linear forms in lambda (Baldoni,
 Berline, De Loera, Koeppe and Vergne 2011, "How to integrate a polynomial
-over a simplex").  Polytopes are integrated by summing a triangulation read
-off their vertex-facet incidences; this direct integral is the oracle that
-checks everything else.
+over a simplex").
+
+A polytope is integrated over a triangulation read off its own vertices
+and H-representation, on integers throughout: the vertices are cleared of
+denominators once per polytope, one forward-pass rank tests full
+dimension, and the vertices tight on each halfspace are found by comparing
+integer sums with integer bounds.  The facets of a face are the
+inclusion-maximal proper, nonempty intersections of the face with those
+tight sets, so no rank is computed per face.  The simplices share the
+cleared points, and the integer moment numerators of every simplex are
+summed before one Fraction is built per term of f.  Triangulation and
+integration read the polytope alone, nothing of the fan's cone data or of
+the closed form below; this direct integral is the oracle that checks
+everything else.
 
 With the sign convention of :mod:`toricbundle.polyhedral`,
 P(h) = {x : <x, e_i> <= h_i}, the integral I_f(h) = int_{P(h)} f of a form f
@@ -47,8 +58,8 @@ from toricbundle.polyhedral import (
     Fan,
     Polytope,
     VirtualPolytope,
+    _cleared,
     _int_dot,
-    affine_dim,
     cone_vertices,
     dual_vertex,
     is_complete,
@@ -65,10 +76,17 @@ from toricbundle.qpoly import (
 
 @dataclass(frozen=True)
 class SimplexChain:
-    """Signed list of simplices; here always a genuine triangulation."""
+    """Signed list of simplices; here always a genuine triangulation.
+
+    ``cleared`` holds the same simplices on integers, in the same order:
+    the vertices of the polytope cleared of denominators once, each divided
+    by ``den`` gives the vertex of ``simplices`` in its place.
+    """
 
     simplices: tuple[tuple[tuple[Fraction, ...], ...], ...]
     signs: tuple[int, ...]
+    den: int
+    cleared: tuple[tuple[tuple[int, ...], ...], ...]
 
     def __len__(self):
         return len(self.simplices)
@@ -78,62 +96,74 @@ def integrate_over_simplex(f: QPolynomial, simplex) -> Fraction:
     """Exact integral of f over an n-simplex given by n+1 vertices.
 
     The vertex coordinates (ints or Fractions) are cleared of denominators
-    once, s_k = S_k / D with S integer.  A term c*x^a of f is then
-    c * D^-|a| * prod_i L_i^{a_i} with the integer linear forms
-    L_i = sum_k S_{k,i} lambda_k; its expansion sum_b c_b lambda^b runs on
-    ints (the powers of each L_i are kept for the whole simplex), and the
-    Dirichlet moments make the term's integral
+    once, s_k = S_k / D with S integer, and :func:`_integral` sums the
+    Dirichlet moments of the integer simplex.
+    """
+    if any(len(v) != len(simplex) - 1 for v in simplex):
+        raise DimensionMismatch("simplex/polynomial dimension mismatch")
+    den, pts = _cleared(simplex)
+    return _integral(f, den, [pts])
+
+
+def _integral(f: QPolynomial, den: int, simplices) -> Fraction:
+    """Sum of the integrals of f over n-simplices given by integer points:
+    the vertices of each are s_k = S_k / D, with D = ``den``.
+
+    A term c*x^a of f is c * D^-|a| * prod_i L_i^{a_i} with the integer
+    linear forms L_i = sum_k S_{k,i} lambda_k; its expansion
+    sum_b c_b lambda^b runs on ints (the powers of each L_i are kept for the
+    whole simplex), and the Dirichlet moments make the term's integral
 
         |det S_k - S_0| * c * sum_b c_b prod_k b_k!  /  ((|a| + n)! D^{|a| + n}).
 
-    One Fraction is built per term of f.
+    The denominator does not depend on the simplex, so the integer
+    numerators of a term are summed over all simplices first and one
+    Fraction is built per term of f.  Raises :class:`DimensionMismatch`
+    unless every simplex has n + 1 points, n the number of variables of f.
     """
-    n = len(simplex) - 1
-    if len(f.vars) != n or any(len(v) != n for v in simplex):
+    n = len(f.vars)
+    if any(len(pts) != n + 1 for pts in simplices):
         raise DimensionMismatch("simplex/polynomial dimension mismatch")
     if n == 0:
         return Fraction(0)
-    den, pts = _cleared(simplex)
-    v0 = pts[0]
-    # an integer matrix has an integer determinant
-    edges = [[a - b for a, b in zip(p, v0)] for p in pts[1:]]
-    scale = abs(exactlin.det(edges).numerator)
-    if scale == 0:
-        return Fraction(0)
+    terms = list(f.terms.items())
+    moments = [0] * len(terms)
     # a monomial lambda^b is the int sum_k b_k * base**k; every b_k is at most
     # deg f < base, so adding keys multiplies monomials without carries
     base = max(f.degree(), 0) + 1
-    linear = [
-        {base**k: p[i] for k, p in enumerate(pts) if p[i]} for i in range(n)
-    ]
-    powers = [[{0: 1}] for _ in range(n)]
+    for pts in simplices:
+        v0 = pts[0]
+        # an integer matrix has an integer determinant
+        edges = [[a - b for a, b in zip(p, v0)] for p in pts[1:]]
+        scale = abs(exactlin.det(edges).numerator)
+        if scale == 0:
+            continue
+        linear = [
+            {base**k: p[i] for k, p in enumerate(pts) if p[i]} for i in range(n)
+        ]
+        powers = [[{0: 1}] for _ in range(n)]
+        for t, (expo, _) in enumerate(terms):
+            expanded = {0: 1}
+            for i, e in enumerate(expo):
+                if e:
+                    pw = powers[i]
+                    while len(pw) <= e:
+                        pw.append(_times(pw[-1], linear[i]))
+                    expanded = _times(expanded, pw[e])
+            moment = 0
+            for key, c in expanded.items():
+                while key:
+                    key, b = divmod(key, base)
+                    c *= factorial(b)
+                moment += c
+            moments[t] += scale * moment
     total = Fraction(0)
-    for expo, coeff in f.terms.items():
-        expanded = {0: 1}
-        for i, e in enumerate(expo):
-            if e:
-                pw = powers[i]
-                while len(pw) <= e:
-                    pw.append(_times(pw[-1], linear[i]))
-                expanded = _times(expanded, pw[e])
-        moment = 0
-        for key, c in expanded.items():
-            while key:
-                key, b = divmod(key, base)
-                c *= factorial(b)
-            moment += c
+    for (expo, coeff), moment in zip(terms, moments):
         d = sum(expo) + n
         total += Fraction(
-            coeff.numerator * scale * moment,
-            coeff.denominator * factorial(d) * den**d,
+            coeff.numerator * moment, coeff.denominator * factorial(d) * den**d
         )
     return total
-
-
-def _cleared(points):
-    """(D, rows): the lcm D of all denominators and the integer rows D*p."""
-    den = lcm(*(x.denominator for p in points for x in p))
-    return den, [[x.numerator * (den // x.denominator) for x in p] for p in points]
 
 
 def _times(p, q):
@@ -149,71 +179,73 @@ def _times(p, q):
 def triangulate(p: Polytope) -> SimplexChain:
     """Fan-of-a-vertex triangulation from the lex-smallest vertex.
 
-    Recurses through the face lattice: the facets of a face F are the sets
-    F & T, one per halfspace of the H-representation in its order, where T
-    is the set of vertices tight on that halfspace (built once per polytope),
-    that have affine dimension dim F - 1.  A face's simplices are its
-    lex-smallest vertex joined to the simplices of each facet that misses it;
-    all signs are +1.  Raises for polytopes that are not full-dimensional in
-    their ambient space.
+    The vertices are cleared of denominators once, v = V / D with V
+    integer.  The one full-dimension test is the rank of the integer rows
+    (1, V_k), which is d + 1 exactly when P spans its ambient space R^d
+    (:func:`exactlin.rank_int`, a forward pass).  Each
+    halfspace <x, a> <= b of the H-representation, scaled to an integer
+    normal A = m*a, gives the set T of vertices tight on it: those with
+    <V, A> = b*m*D, compared on ints; a non-integral b*m*D gives an empty T.
+
+    Recurses through the face lattice.  Every face of P is an intersection
+    of facets of P, so the facets of a face F are exactly the
+    inclusion-maximal sets among the proper, nonempty F & T; no rank is
+    computed.  They are visited in the order in which each first occurs
+    along the halfspaces.  A face's simplices are its lex-smallest vertex
+    joined to the simplices of each facet that misses it; all signs are +1.
+    Raises for polytopes that are not full-dimensional in their ambient
+    space.
     """
     d = p.ambient_dim
     verts = p.vertices
-    # the integer points den * v have the same incidences and affine dimensions
     den, points = _cleared(verts)
-    if affine_dim(points) < d:
+    if exactlin.rank_int([(1, *v) for v in points]) <= d:
         raise LowerDimensional("polytope not full-dimensional")
     tight = []
     for normal, bound in p.facet_halfspaces():
         m, (row,) = _cleared([normal])
         rhs = bound * (den * m)
-        tight.append(
-            frozenset(
-                k for k, v in enumerate(points)
-                if sum(a * b for a, b in zip(v, row)) == rhs
+        if rhs.denominator == 1:  # no integer sum equals a non-integral bound
+            b = rhs.numerator
+            tight.append(
+                frozenset(k for k, v in enumerate(points) if _int_dot(v, row) == b)
             )
-        )
-    dims = {}
-
-    def dim_of(face):
-        if face not in dims:
-            dims[face] = affine_dim([points[k] for k in face])
-        return dims[face]
 
     def rec(face, a):
         if len(face) == a + 1:
-            return [tuple(verts[k] for k in sorted(face))]
+            return [tuple(sorted(face))]
         apex = min(face, key=verts.__getitem__)
+        proper = [
+            c for c in dict.fromkeys(face & t for t in tight)
+            if a <= len(c) < len(face)
+        ]
         out = []
-        seen = set()
-        for t in tight:
-            facet = face & t
-            if len(facet) < a or facet in seen or dim_of(facet) != a - 1:
-                continue
-            seen.add(facet)
-            if apex in facet:
-                continue
-            for s in rec(facet, a - 1):
-                out.append((verts[apex],) + s)
+        for facet in proper:
+            if apex not in facet and not any(facet < c for c in proper):
+                out += [(apex,) + s for s in rec(facet, a - 1)]
         return out
 
-    simplices = tuple(rec(frozenset(range(len(verts))), d))
-    return SimplexChain(simplices, (1,) * len(simplices))
+    index = rec(frozenset(range(len(verts))), d)
+    simplices = tuple(tuple(verts[k] for k in s) for s in index)
+    cleared = tuple(tuple(points[k] for k in s) for s in index)
+    return SimplexChain(simplices, (1,) * len(index), den, cleared)
 
 
 def integrate_over_polytope(f: QPolynomial, p: Polytope) -> Fraction:
-    """Integral over p in ambient measure; 0 for lower-dimensional p."""
-    if p.is_empty() or affine_dim(p.vertices) < p.ambient_dim:
+    """Integral over p in ambient measure; 0 for lower-dimensional p.
+
+    The simplices of one :func:`triangulate` are integrated by
+    :func:`_integral` from the integer points and the denominator they
+    share.
+    """
+    try:
+        chain = triangulate(p)
+    except LowerDimensional:
         return Fraction(0)
-    return sum(
-        (integrate_over_simplex(f, s) for s in triangulate(p).simplices),
-        Fraction(0),
-    )
+    return _integral(f, chain.den, chain.cleared)
 
 
 def volume(p: Polytope) -> Fraction:
-    if p.is_empty():
-        return Fraction(0)
     one = QPolynomial.constant([f"x{i}" for i in range(p.ambient_dim)], 1)
     return integrate_over_polytope(one, p)
 
@@ -507,8 +539,8 @@ def convex_chain_identity_check(
     ray_set = tuple(sorted(ray_set))
     lams = [Fraction(x) for x in lams]
     n = fan.dim
-    if len(ray_set) != n:
-        raise DegreeMismatch("need exactly dim-many ray indices")
+    if len(ray_set) != n or len(lams) != n:
+        raise DegreeMismatch("need exactly dim-many ray indices and lambdas")
     lhs = Fraction(0)
     for bits in itertools.product((0, 1), repeat=len(ray_set)):
         h = list(delta.h)

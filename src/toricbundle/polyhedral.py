@@ -35,6 +35,7 @@ from toricbundle.exactlin import (
     det,
     kernel_basis,
     rank,
+    rank_int,
     solve,
 )
 
@@ -71,8 +72,9 @@ class Fan:
 
     Construct through :func:`validate_fan`; instances are immutable.  The
     cone data (see :func:`_cone_data`), the wall rows (see
-    :func:`_wall_rows`) and the :func:`is_projective` verdict with its
-    witness are computed on first use and kept.
+    :func:`_wall_rows`) in their rational and integer forms, and the
+    :func:`is_projective` verdict with its witness are computed on first use
+    and kept.
     """
 
     __slots__ = (
@@ -81,6 +83,7 @@ class Fan:
         "max_cones",
         "_cone_data_cache",
         "_wall_row_cache",
+        "_wall_int_cache",
         "_projective_cache",
     )
 
@@ -90,6 +93,7 @@ class Fan:
         self.max_cones = max_cones
         self._cone_data_cache = None
         self._wall_row_cache = None
+        self._wall_int_cache = None
         self._projective_cache = None
 
     @property
@@ -143,6 +147,22 @@ class Fan:
         if self._wall_row_cache is None:
             self._wall_row_cache = _wall_rows(self)
         return self._wall_row_cache
+
+    def wall_rows_int(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Each row of :meth:`wall_rows` times the lcm of its denominators,
+        as (ray index, int) pairs at its nonzero entries; computed once.
+
+        A positive multiple has the sign of the row at every h, which is all
+        :func:`is_convex_on` reads.  The rational rows stay as they are,
+        because the LP of :func:`is_projective` and the self-check scale in
+        :func:`~toricbundle.integrate.i_f_polynomial` depend on their size.
+        """
+        if self._wall_int_cache is None:
+            self._wall_int_cache = tuple(
+                tuple((i, a) for i, a in enumerate(_cleared([row])[1][0]) if a)
+                for row in self.wall_rows()
+            )
+        return self._wall_int_cache
 
 
 def _fan_int(x, what: str) -> int:
@@ -273,6 +293,12 @@ def _int_dot(u, v) -> int:
     return sum(a * b for a, b in zip(u, v))
 
 
+def _cleared(points):
+    """(D, rows): the lcm D of all denominators and the integer rows D*p."""
+    den = lcm(*(x.denominator for p in points for x in p))
+    return den, [tuple(x.numerator * (den // x.denominator) for x in p) for p in points]
+
+
 def cone_vertices(fan: Fan, h) -> list[Point]:
     """The points A_sigma(h) = sum_j u_{sigma,j} h_{sigma_j}, one per maximal
     cone in the order of ``fan.max_cones``, from :meth:`Fan.cone_data`.
@@ -280,8 +306,7 @@ def cone_vertices(fan: Fan, h) -> list[Point]:
     h is cleared of denominators once, so each coordinate is one Fraction
     made from an int sum.
     """
-    den = lcm(*(x.denominator for x in h))
-    hint = [x.numerator * (den // x.denominator) for x in h]
+    den, (hint,) = _cleared([h])
     out = []
     for cone in fan.cone_data():
         scale = cone.det * den
@@ -319,12 +344,20 @@ def _wall_rows(fan: Fan):
 
 
 def is_convex_on(fan: Fan, vp: "VirtualPolytope", strict: bool = False) -> bool:
+    """Every wall gap of h is >= 0 (> 0 when ``strict``).
+
+    vp is a :class:`VirtualPolytope` or a raw support vector.  h is cleared
+    of denominators once and each gap is read, by its sign only, from the
+    integer rows of :meth:`Fan.wall_rows_int`.  Raises :class:`FanError`
+    for a support vector whose length is not the number of rays, as
+    :class:`VirtualPolytope` does.
+    """
     h = vp.h if isinstance(vp, VirtualPolytope) else tuple(Fraction(x) for x in vp)
-    for row in fan.wall_rows():
-        gap = sum((a * b for a, b in zip(row, h) if a), Fraction(0))
-        if gap < 0 or (strict and gap == 0):
-            return False
-    return True
+    if len(h) != fan.nrays:
+        raise FanError("support vector length != number of rays")
+    hint = _cleared([h])[1][0]
+    least = 1 if strict else 0  # the gaps are ints
+    return all(sum(a * hint[i] for i, a in row) >= least for row in fan.wall_rows_int())
 
 
 def is_projective(fan: Fan) -> tuple[bool, "VirtualPolytope | None"]:
@@ -416,14 +449,9 @@ class AffineVirtualPolytope:
 
 
 def affine_dim(points) -> int:
-    pts = list(points)
-    if not pts:
-        return -1
-    v0 = pts[0]
-    diffs = [[a - b for a, b in zip(p, v0)] for p in pts[1:]]
-    if not diffs:
-        return 0
-    return rank(QMatrix(diffs))
+    """The dimension of the affine hull, -1 for no points: one less than the
+    rank of the rows (1, D*p), with the points cleared of denominators."""
+    return rank_int([(1, *row) for row in _cleared(list(points))[1]]) - 1
 
 
 class Polytope:
@@ -478,9 +506,6 @@ class Polytope:
     @property
     def ambient_dim(self) -> int:
         return len(self.vertices[0]) if self.vertices else 0
-
-    def affine_dim(self) -> int:
-        return affine_dim(self.vertices)
 
     def is_empty(self) -> bool:
         return not self.vertices

@@ -179,14 +179,43 @@ def test_sd_quotient_of_partial_presentation():
     assert sq.algebra.dims() == full.algebra.dims() == (1, 1, 1)
 
 
-def test_cross_validate_reports_mismatch():
+def test_cross_validate_reports_mismatch(monkeypatch):
     """A corrupted functional must fail with a located mismatch."""
+    import dataclasses
+
+    from toricbundle import bundle
+
     spec = hirzebruch()
-    rep_sd = ring_via_sd(spec)
-    rep_sr = ring_via_sr(spec)
-    assert rep_sd.dims() == rep_sr.dims()
-    # sanity for the reporting path: identical inputs do pass
-    assert cross_validate(spec)
+    assert cross_validate(spec)  # uncorrupted, the same spec passes
+    real = bundle.ring_via_sd
+
+    def doubled_functional(spec):
+        rep = real(spec)
+        return dataclasses.replace(rep, functional=rep.functional.scale(2))
+
+    monkeypatch.setattr(bundle, "ring_via_sd", doubled_functional)
+    result = cross_validate(spec)
+    assert not result
+    assert result.detail.startswith("top functional mismatch")
+
+
+def test_cross_validate_reports_graded_dims(monkeypatch):
+    """An sd ring of other graded dimensions is reported as such, after the
+    radical check (which reads the model, left intact here) has passed."""
+    import dataclasses
+
+    from toricbundle import bundle
+
+    real = bundle.ring_via_sd
+    other = real(SPECS["p1xp1_toric"]())
+
+    def wrong_algebra(spec):
+        return dataclasses.replace(real(spec), algebra=other.algebra)
+
+    monkeypatch.setattr(bundle, "ring_via_sd", wrong_algebra)
+    result = cross_validate(SPECS["p2_toric"]())
+    assert not result
+    assert result.detail == "graded dims differ: (1, 2, 1) vs (1, 1, 1)"
 
 
 def test_cross_validate_reports_radical_mismatch(monkeypatch):

@@ -111,6 +111,22 @@ def test_verify_suites_pass(capsys):
     assert code == 0
 
 
+REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
+VERIFY_PASS_LINES = json.loads(REFERENCE.read_text())["pass_lines"]
+
+
+@pytest.mark.parametrize("job", sorted(VERIFY_PASS_LINES))
+def test_verify_workload_suites_match_reference_pass_lines(capsys, job):
+    """Every (suite, spec) pair of the benchmark's verify workload exits 0,
+    ends with RESULT: PASS and prints the recorded number of PASS lines,
+    which does not depend on the seed."""
+    suite, spec = job.split("/")
+    code, out, _ = run(capsys, "verify", spec, "--suite", suite, "--seed", "301")
+    lines = out.splitlines()
+    assert code == 0 and lines[-1] == "RESULT: PASS"
+    assert sum(line.startswith("PASS ") for line in lines) == VERIFY_PASS_LINES[job]
+
+
 def test_verify_seed_determinism(capsys):
     args = ("verify", "hirzebruch_1", "--suite", "bkk", "--seed", "11")
     _, out1, _ = run(capsys, *args)

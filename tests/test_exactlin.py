@@ -1,6 +1,7 @@
 """Exact linear algebra: spec examples plus algebraic property tests."""
 
 from fractions import Fraction as F
+from math import lcm
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +17,7 @@ from toricbundle.exactlin import (
     kernel_basis,
     kernel_int,
     rank,
+    rank_int,
     row_space_rref,
     rref,
     solve,
@@ -262,11 +264,15 @@ def zero_heavy_matrices(draw):
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(dense_matrices, zero_heavy_matrices()))
 def test_rref_matches_fraction_gauss_jordan(rows):
-    """rref, rank and the sparse echelon against plain Fraction Gauss-Jordan."""
+    """rref, rank (also of the rows scaled to ints) and the sparse echelon
+    against plain Fraction Gauss-Jordan."""
     m = QMatrix(rows)
     want_rows, want_pivots = _rref_reference(rows)
     assert rref(m) == (QMatrix(want_rows), want_pivots)
     assert rank(m) == len(want_pivots)
+    scales = [lcm(*(F(x).denominator for x in row)) for row in rows]
+    int_rows = [[int(x * c) for x in row] for row, c in zip(rows, scales)]
+    assert rank_int(int_rows) == len(want_pivots)
     sparse_rows = tuple(_sparse(r) for r in want_rows[: len(want_pivots)])
     assert echelon(_sparse(r) for r in rows) == (sparse_rows, want_pivots)
 

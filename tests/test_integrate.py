@@ -420,6 +420,17 @@ def test_convex_chain_examples():
     )
 
 
+@pytest.mark.parametrize("lams", [[F(1, 2)], [F(1, 2), F(1, 3), F(1, 4)]])
+def test_convex_chain_rejects_wrong_number_of_lambdas(lams):
+    """One lambda per ray index: a short or long list is refused, not cut
+    down to the shorter of the two."""
+    p2 = fan_p2()
+    with pytest.raises(DegreeMismatch):
+        convex_chain_identity_check(
+            p2, ONE2, VirtualPolytope(p2, (0, 0, 1)), (0, 1), lams
+        )
+
+
 def test_convex_chain_quarter_value():
     """Spec's bookkeeping case: both sides equal 1/4."""
     import itertools
@@ -543,6 +554,39 @@ def test_triangulate_matches_facet_search_on_point_sets(points):
     assert triangulate(p).simplices == _triangulate_by_facet_search(p)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(2, 3).flatmap(
+        lambda d: st.tuples(
+            st.lists(
+                st.lists(rationals, min_size=d, max_size=d),
+                min_size=d + 1,
+                max_size=7,
+            ),
+            st.dictionaries(
+                st.sampled_from(
+                    [m for k in range(3) for m in monomials_of_degree(d, k)]
+                ),
+                rationals,
+                max_size=4,
+            ),
+        )
+    )
+)
+def test_integrate_over_polytope_matches_simplex_sum(case):
+    """One integration on the triangulation's shared integer points equals
+    the sum of the public simplex integrals, each cleared on its own."""
+    points, terms = case
+    d = len(points[0])
+    p = Polytope.from_vertices(points)
+    assume(affine_dim(p.vertices) == d)
+    assume(len({x.denominator for v in p.vertices for x in v}) > 1)
+    f = QPolynomial(tuple(f"x{i + 1}" for i in range(d)), terms)
+    assert integrate_over_polytope(f, p) == sum(
+        (integrate_over_simplex(f, s) for s in triangulate(p).simplices), F(0)
+    )
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     st.sampled_from(
@@ -574,6 +618,31 @@ def test_triangulate_matches_facet_search_with_redundant_halfspace(sides):
     )
     assert len(p.vertices) == 8
     assert triangulate(p).simplices == _triangulate_by_facet_search(p)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.lists(st.integers(1, 4), min_size=4, max_size=4))
+def test_triangulate_matches_facet_search_in_dimension_four(sides):
+    """A box in R^4 with the redundant halfspace x1 + x2 <= s1 + s2, tight
+    on a square 2-face: its four vertices are as many as the box has
+    dimensions, so only maximality keeps the square out of the facets."""
+    box = list(product(*((0, s) for s in sides)))
+    unit = [tuple(int(i == j) for j in range(4)) for i in range(4)]
+    halfspaces = [(e, s) for e, s in zip(unit, sides)]
+    halfspaces += [(tuple(-x for x in e), 0) for e in unit]
+    halfspaces.append(((1, 1, 0, 0), sides[0] + sides[1]))
+    p = Polytope.from_vertices(box, halfspaces, reduce=False)
+    assert triangulate(p).simplices == _triangulate_by_facet_search(p)
+
+
+def test_triangulate_ignores_halfspace_with_non_integral_bound():
+    """x1 + x2 <= -4/3 touches no vertex of the square [-3, -1]^2; its
+    numerator -4 is the sum on the diagonal, which is no face."""
+    square = [(-3, -3), (-3, -1), (-1, -3), (-1, -1)]
+    halfspaces = [((1, 0), -1), ((0, 1), -1), ((-1, 0), 3), ((0, -1), 3)]
+    p = Polytope.from_vertices(square, halfspaces + [((1, 1), F(-4, 3))])
+    assert triangulate(p).simplices == _triangulate_by_facet_search(p)
+    assert triangulate(p) == triangulate(Polytope.from_vertices(square, halfspaces))
 
 
 # ---------------------------------------------------------------------------

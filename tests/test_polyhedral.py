@@ -7,10 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toricbundle import polyhedral
-from toricbundle.catalog import fan_projective_space
+from toricbundle.catalog import SPECS, fan_projective_space
 from toricbundle.exactlin import QMatrix, solve
 from toricbundle.errors import (
     DegenerateCone,
+    FanError,
     FanTooCoarse,
     LowerDimensional,
     NonPrimitiveRay,
@@ -220,6 +221,56 @@ def test_convexity_examples():
     p1 = fan_p1()
     assert is_convex_on(p1, VirtualPolytope(p1, (1, 1)))
     assert not is_convex_on(p1, VirtualPolytope(p1, (1, -2)))
+
+
+@pytest.mark.parametrize(
+    "h", [(0, 0), (0, 0, 0, 5), VirtualPolytope(fan_p1xp1(), (1, 1, 1, -50))]
+)
+def test_is_convex_on_rejects_wrong_length(h):
+    """A raw support vector is held to the length a VirtualPolytope needs,
+    and so is a VirtualPolytope of a fan with another number of rays."""
+    with pytest.raises(FanError):
+        is_convex_on(fan_p2(), h)
+
+
+def _convex_by_fraction_gaps(fan, h, strict):
+    """Reference: the Fraction gap sums over the rational wall rows."""
+    for row in fan.wall_rows():
+        gap = sum((a * x for a, x in zip(row, h)), F(0))
+        if gap < 0 or (strict and gap == 0):
+            return False
+    return True
+
+
+CONVEX_FANS = tuple({spec().fan: None for spec in SPECS.values()}) + (
+    fan_octant(),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(CONVEX_FANS), st.data(), st.booleans())
+def test_is_convex_on_matches_fraction_gaps(fan, data, strict):
+    """The integer wall gaps have the signs of the Fraction gap sums.  h is
+    a multiple of the projectivity witness plus a linear function (which
+    adds 0 to every gap) plus a sparse perturbation, so gaps of 0 and of
+    either sign all occur."""
+    rational = st.builds(F, st.integers(-9, 9), st.integers(1, 6))
+    witness = is_projective(fan)[1].h
+    c = data.draw(st.sampled_from([F(0), F(1, 3), F(1), F(5, 2)]))
+    m = data.draw(st.lists(rational, min_size=fan.dim, max_size=fan.dim))
+    bumps = data.draw(
+        st.lists(
+            st.one_of(st.just(F(0)), rational),
+            min_size=fan.nrays,
+            max_size=fan.nrays,
+        )
+    )
+    h = tuple(
+        c * w + dot(m, ray) + b for w, ray, b in zip(witness, fan.rays, bumps)
+    )
+    want = _convex_by_fraction_gaps(fan, h, strict)
+    assert is_convex_on(fan, h, strict) == want
+    assert is_convex_on(fan, VirtualPolytope(fan, h), strict) == want
 
 
 def test_dual_vertices_p2():
