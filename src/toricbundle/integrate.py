@@ -21,10 +21,14 @@ integer sums with integer bounds.  The facets of a face are the
 inclusion-maximal proper, nonempty intersections of the face with those
 tight sets, so no rank is computed per face.  The simplices share the
 cleared points, and the integer moment numerators of every simplex are
-summed before one Fraction is built per term of f.  Triangulation and
-integration read the polytope alone, nothing of the fan's cone data or of
-the closed form below; this direct integral is the oracle that checks
-everything else.
+summed before one Fraction is built per term of f.  This direct integral
+is the oracle that checks everything else.  On P(h) (:func:`i_f_value`)
+it runs on integers from h to the moments: the vertices come from the
+fan's cone data over one common denominator, and each is checked on
+integers against the H-representation <x, e_i> <= h_i before it is used
+(:func:`~toricbundle.polyhedral.support_points`), so wrong cone data raise
+instead of passing for a polytope.  Nothing of the closed form below is
+read.
 
 With the sign convention of :mod:`toricbundle.polyhedral`,
 P(h) = {x : <x, e_i> <= h_i}, the integral I_f(h) = int_{P(h)} f of a form f
@@ -65,7 +69,7 @@ from toricbundle.polyhedral import (
     is_complete,
     is_convex_on,
     is_projective,
-    polytope_from_support,
+    support_points,
 )
 from toricbundle.qpoly import (
     QPolynomial,
@@ -176,45 +180,29 @@ def _times(p, q):
     return out
 
 
-def triangulate(p: Polytope) -> SimplexChain:
-    """Fan-of-a-vertex triangulation from the lex-smallest vertex.
+def _simplex_indices(points, tight, d: int):
+    """Fan-of-a-vertex triangulation of a polytope in R^d, as index tuples
+    into ``points``, its integer vertices V (all over one positive
+    denominator, so their order is that of the vertices).
 
-    The vertices are cleared of denominators once, v = V / D with V
-    integer.  The one full-dimension test is the rank of the integer rows
-    (1, V_k), which is d + 1 exactly when P spans its ambient space R^d
-    (:func:`exactlin.rank_int`, a forward pass).  Each
-    halfspace <x, a> <= b of the H-representation, scaled to an integer
-    normal A = m*a, gives the set T of vertices tight on it: those with
-    <V, A> = b*m*D, compared on ints; a non-integral b*m*D gives an empty T.
-
-    Recurses through the face lattice.  Every face of P is an intersection
+    ``tight`` holds, per halfspace of an H-representation, the set T of
+    vertex indices tight on it.  The one full-dimension test is the rank of
+    the rows (1, V_k), which is d + 1 exactly when P spans R^d
+    (:func:`exactlin.rank_int`, a forward pass); it raises
+    :class:`LowerDimensional` otherwise.  Every face of P is an intersection
     of facets of P, so the facets of a face F are exactly the
     inclusion-maximal sets among the proper, nonempty F & T; no rank is
     computed.  They are visited in the order in which each first occurs
     along the halfspaces.  A face's simplices are its lex-smallest vertex
-    joined to the simplices of each facet that misses it; all signs are +1.
-    Raises for polytopes that are not full-dimensional in their ambient
-    space.
+    joined to the simplices of each facet that misses it.
     """
-    d = p.ambient_dim
-    verts = p.vertices
-    den, points = _cleared(verts)
     if exactlin.rank_int([(1, *v) for v in points]) <= d:
         raise LowerDimensional("polytope not full-dimensional")
-    tight = []
-    for normal, bound in p.facet_halfspaces():
-        m, (row,) = _cleared([normal])
-        rhs = bound * (den * m)
-        if rhs.denominator == 1:  # no integer sum equals a non-integral bound
-            b = rhs.numerator
-            tight.append(
-                frozenset(k for k, v in enumerate(points) if _int_dot(v, row) == b)
-            )
 
     def rec(face, a):
         if len(face) == a + 1:
             return [tuple(sorted(face))]
-        apex = min(face, key=verts.__getitem__)
+        apex = min(face, key=points.__getitem__)
         proper = [
             c for c in dict.fromkeys(face & t for t in tight)
             if a <= len(c) < len(face)
@@ -225,7 +213,32 @@ def triangulate(p: Polytope) -> SimplexChain:
                 out += [(apex,) + s for s in rec(facet, a - 1)]
         return out
 
-    index = rec(frozenset(range(len(verts))), d)
+    return rec(frozenset(range(len(points))), d)
+
+
+def triangulate(p: Polytope) -> SimplexChain:
+    """Fan-of-a-vertex triangulation from the lex-smallest vertex, all signs
+    +1 (:func:`_simplex_indices`).
+
+    The vertices are cleared of denominators once, v = V / D with V
+    integer.  Each halfspace <x, a> <= b of the H-representation, scaled to
+    an integer normal A = m*a, gives the set of vertices tight on it: those
+    with <V, A> = b*m*D, compared on ints; a non-integral b*m*D gives an
+    empty set.  Raises for polytopes that are not full-dimensional in their
+    ambient space.
+    """
+    verts = p.vertices
+    den, points = _cleared(verts)
+    tight = []
+    for normal, bound in p.facet_halfspaces():
+        m, (row,) = _cleared([normal])
+        rhs = bound * (den * m)
+        if rhs.denominator == 1:  # no integer sum equals a non-integral bound
+            b = rhs.numerator
+            tight.append(
+                frozenset(k for k, v in enumerate(points) if _int_dot(v, row) == b)
+            )
+    index = _simplex_indices(points, tight, p.ambient_dim)
     simplices = tuple(tuple(verts[k] for k in s) for s in index)
     cleared = tuple(tuple(points[k] for k in s) for s in index)
     return SimplexChain(simplices, (1,) * len(index), den, cleared)
@@ -279,8 +292,21 @@ def convex_anchor(fan: Fan, summands) -> VirtualPolytope:
 
 
 def i_f_value(fan: Fan, f: QPolynomial, vp: VirtualPolytope) -> Fraction:
-    """I_f at a convex support vector: a direct integral."""
-    return integrate_over_polytope(f, polytope_from_support(fan, vp))
+    """I_f at a convex support vector: a direct integral over P(h), on
+    integers from h to the moments.
+
+    The integer vertices and tight sets of :func:`support_points` (checked
+    there against the H-representation) are triangulated by
+    :func:`_simplex_indices` and integrated by :func:`_integral`; this is
+    ``integrate_over_polytope(f, polytope_from_support(fan, vp))`` without
+    a Fraction vertex.  Raises :class:`NotConvex` unless vp is convex.
+    """
+    den, points, tight = support_points(fan, vp)
+    try:
+        index = _simplex_indices(points, tight, fan.dim)
+    except LowerDimensional:
+        return Fraction(0)
+    return _integral(f, den, [[points[k] for k in s] for s in index])
 
 
 def _require_complete(fan: Fan) -> None:
@@ -393,7 +419,27 @@ def _power_decomposition(fan: Fan, f: QPolynomial, m: int):
 
 
 def i_f_polynomial(fan: Fan, f: QPolynomial) -> QPolynomial:
-    """The homogeneous polynomial in h_1..h_s restricting to I_f.
+    """The homogeneous polynomial in h_1..h_s restricting to I_f, built by
+    :func:`_i_f_polynomial` once per (fan, f) and kept on the fan.
+
+    I_f is a function of the fan and f alone, so the cache (the fan's
+    ``_i_f_cache``, keyed by f, whose hash covers its variables and terms)
+    changes no value: the vertex sum and its three direct-integral
+    self-checks run on the first call only, and an error is raised before
+    anything is kept.  Sharing it between ring builders does not make
+    cross-validation circular: ``ring_via_sr`` never reads I_f, and the
+    ``sd`` and ``diff`` rings are each compared with ``sr``, not with each
+    other.  Callers must not mutate the polynomial returned.
+    """
+    cache = fan._i_f_cache
+    poly = cache.get(f)
+    if poly is None:
+        poly = cache[f] = _i_f_polynomial(fan, f)
+    return poly
+
+
+def _i_f_polynomial(fan: Fan, f: QPolynomial) -> QPolynomial:
+    """The homogeneous polynomial in h_1..h_s restricting to I_f, uncached.
 
     Convention: P(h) = {x : <x, e_i> <= h_i}.  The vertex of P(h) at a
     maximal cone sigma is A_sigma(h) = E_sigma^-1 h_sigma, and the tangent

@@ -74,7 +74,9 @@ class Fan:
     cone data (see :func:`_cone_data`), the wall rows (see
     :func:`_wall_rows`) in their rational and integer forms, and the
     :func:`is_projective` verdict with its witness are computed on first use
-    and kept.
+    and kept.  So are the closed-form I_f polynomials, one per integrand:
+    ``_i_f_cache`` maps f to
+    :func:`~toricbundle.integrate.i_f_polynomial` of (this fan, f).
     """
 
     __slots__ = (
@@ -85,6 +87,7 @@ class Fan:
         "_wall_row_cache",
         "_wall_int_cache",
         "_projective_cache",
+        "_i_f_cache",
     )
 
     def __init__(self, dim, rays, max_cones):
@@ -95,6 +98,7 @@ class Fan:
         self._wall_row_cache = None
         self._wall_int_cache = None
         self._projective_cache = None
+        self._i_f_cache = {}
 
     @property
     def nrays(self) -> int:
@@ -299,27 +303,36 @@ def _cleared(points):
     return den, [tuple(x.numerator * (den // x.denominator) for x in p) for p in points]
 
 
+def _scaled_vertices(fan: Fan, hint) -> tuple[int, list[tuple[int, ...]]]:
+    """(L, points) for an integer support vector H: L = lcm_sigma |det
+    E_sigma| and, one per maximal cone in the order of ``fan.max_cones``,
+    the integer point V_sigma = (L / det E_sigma) adj_sigma H_sigma, so that
+    A_sigma(H) = V_sigma / L."""
+    cones = fan.cone_data()
+    scale = lcm(*(abs(cone.det) for cone in cones))
+    out = []
+    for cone in cones:
+        q = scale // cone.det
+        hs = [hint[i] for i in cone.rays]
+        out.append(
+            tuple(
+                q * sum(col[c] * x for col, x in zip(cone.adj, hs))
+                for c in range(fan.dim)
+            )
+        )
+    return scale, out
+
+
 def cone_vertices(fan: Fan, h) -> list[Point]:
     """The points A_sigma(h) = sum_j u_{sigma,j} h_{sigma_j}, one per maximal
     cone in the order of ``fan.max_cones``, from :meth:`Fan.cone_data`.
 
     h is cleared of denominators once, so each coordinate is one Fraction
-    made from an int sum.
+    made from an int of :func:`_scaled_vertices`.
     """
     den, (hint,) = _cleared([h])
-    out = []
-    for cone in fan.cone_data():
-        scale = cone.det * den
-        out.append(
-            tuple(
-                Fraction(
-                    sum(col[c] * hint[i] for col, i in zip(cone.adj, cone.rays)),
-                    scale,
-                )
-                for c in range(fan.dim)
-            )
-        )
-    return out
+    scale, points = _scaled_vertices(fan, hint)
+    return [tuple(Fraction(x, scale * den) for x in v) for v in points]
 
 
 def _wall_rows(fan: Fan):
@@ -555,15 +568,64 @@ class Polytope:
         return tuple(found)
 
 
-def polytope_from_support(fan: Fan, vp: VirtualPolytope) -> Polytope:
-    """V- and H-representation of a convex support vector."""
+class SupportPoints(NamedTuple):
+    """P(h) of a convex support vector on integers.
+
+    The vertices are ``points[k] / den``, distinct and sorted; ``tight[i]``
+    holds the indices k of the vertices on the facet hyperplane
+    <x, e_i> = h_i of ray i.
+    """
+
+    den: int
+    points: list[tuple[int, ...]]
+    tight: list[frozenset[int]]
+
+
+def support_points(fan: Fan, vp: VirtualPolytope) -> SupportPoints:
+    """The vertices A_sigma(h) of P(h) over one common denominator, with the
+    vertices tight on each ray's halfspace.
+
+    h is cleared once, h = H / den(h), and with L = lcm_sigma |det E_sigma|
+    every A_sigma is V / D for D = L den(h) and the integer V of
+    :func:`_scaled_vertices`.  Each distinct V is checked on integers
+    against the H-representation: <V, e_j> <= h_j D = L H_j for every ray
+    j, with equality at the rays of sigma, so cone data that do not invert
+    E_sigma raise :class:`VerificationFailed` instead of giving a wrong
+    polytope.  The same integer dot products give the tight sets.  Raises
+    :class:`NotConvex` unless h is convex on the fan.
+    """
     if not is_convex_on(fan, vp):
         raise NotConvex(f"support vector {vp.h} not convex on the fan")
-    verts = sorted(set(cone_vertices(fan, vp.h)))
+    hden, (hint,) = _cleared([vp.h])
+    scale, vertices = _scaled_vertices(fan, hint)
+    bounds = [x * scale for x in hint]
+    dots = {}
+    for cone, v in zip(fan.cone_data(), vertices):
+        g = dots.get(v)
+        if g is None:
+            g = dots[v] = [_int_dot(v, ray) for ray in fan.rays]
+            if any(x > b for x, b in zip(g, bounds)):
+                raise VerificationFailed(f"vertex of cone {cone.rays} outside P(h)")
+        if any(g[i] != bounds[i] for i in cone.rays):
+            raise VerificationFailed(f"vertex of cone {cone.rays} off its facets")
+    points = sorted(dots)
+    tight = [
+        frozenset(k for k, v in enumerate(points) if dots[v][i] == b)
+        for i, b in enumerate(bounds)
+    ]
+    return SupportPoints(scale * hden, points, tight)
+
+
+def polytope_from_support(fan: Fan, vp: VirtualPolytope) -> Polytope:
+    """V- and H-representation of a convex support vector: the
+    :func:`support_points` as Fractions, and one halfspace (e_i, h_i) per
+    ray."""
+    den, points, _ = support_points(fan, vp)
+    verts = tuple(tuple(Fraction(x, den) for x in v) for v in points)
     hs = tuple(
         (tuple(Fraction(x) for x in ray), vp.h[i]) for i, ray in enumerate(fan.rays)
     )
-    return Polytope(tuple(verts), hs)
+    return Polytope(verts, hs)
 
 
 def support_function(p: Polytope, fan: Fan) -> VirtualPolytope:

@@ -14,13 +14,19 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from toricbundle import exactlin, integrate
-from toricbundle.bundle import random_convex, random_virtual
-from toricbundle.catalog import SPECS, fan_projective_space
+from toricbundle import cli, exactlin, integrate
+from toricbundle.bundle import (
+    random_convex,
+    random_virtual,
+    ring_via_diff,
+    ring_via_sd,
+)
+from toricbundle.catalog import SPECS, fan_hirzebruch1, fan_projective_space
 from toricbundle.errors import (
     DegreeMismatch,
     FanError,
     LowerDimensional,
+    NotHomogeneous,
     VerificationFailed,
 )
 from toricbundle.integrate import (
@@ -41,7 +47,9 @@ from toricbundle.polyhedral import (
     Polytope,
     VirtualPolytope,
     affine_dim,
+    cone_vertices,
     dot,
+    is_convex_on,
     is_projective,
     polytope_from_support,
     validate_fan,
@@ -600,6 +608,17 @@ def test_triangulate_matches_facet_search_on_fans(fan, seed):
     assert triangulate(p).simplices == _triangulate_by_facet_search(p)
 
 
+def refined_octant_fan():
+    """The octant fan with the cones over its (x1, x2)-quadrant split by
+    the ray (1, 1, 0)."""
+    rays = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, 0, 0), (0, -1, 0), (0, 0, -1)]
+    cones = [
+        c for c in ((sx, sy, sz) for sx in (0, 3) for sy in (1, 4) for sz in (2, 5))
+        if c[:2] != (0, 1)
+    ] + [(0, 6, 2), (6, 1, 2), (0, 6, 5), (6, 1, 5)]
+    return validate_fan(rays + [(1, 1, 0)], cones)
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.lists(st.integers(1, 5), min_size=6, max_size=6))
 def test_triangulate_matches_facet_search_with_redundant_halfspace(sides):
@@ -607,12 +626,7 @@ def test_triangulate_matches_facet_search_with_redundant_halfspace(sides):
     linear across that ray: the box keeps its 8 vertices and the extra
     halfspace is tight on one edge only, so two halfspaces cut that edge out
     of each facet through it."""
-    rays = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, 0, 0), (0, -1, 0), (0, 0, -1)]
-    cones = [
-        c for c in ((sx, sy, sz) for sx in (0, 3) for sy in (1, 4) for sz in (2, 5))
-        if c[:2] != (0, 1)
-    ] + [(0, 6, 2), (6, 1, 2), (0, 6, 5), (6, 1, 5)]
-    fan = validate_fan(rays + [(1, 1, 0)], cones)
+    fan = refined_octant_fan()
     p = polytope_from_support(
         fan, VirtualPolytope(fan, tuple(sides) + (sides[0] + sides[1],))
     )
@@ -767,3 +781,176 @@ def test_integral_polynomials_reject_incomplete_fan():
         mixed_integral(fan, ONE2, [h, h])
     with pytest.raises(FanError):
         integral_over_virtual(fan, ONE2, h)
+
+
+# ---------------------------------------------------------------------------
+# the integer direct integral on P(h) and the per-fan I_f cache
+# ---------------------------------------------------------------------------
+
+
+def _boundary_support(fan, rng):
+    """r + t*w for a random integer r and the projectivity witness w, with
+    the least t that makes every wall gap >= 0: at least one gap is 0, so
+    the vertices of the two cones at that wall coincide."""
+    r = random_virtual(fan, rng).h
+    w = is_projective(fan)[1].h
+    t = max(
+        -sum((a * x for a, x in zip(row, r)), F(0))
+        / sum((a * x for a, x in zip(row, w)), F(0))
+        for row in fan.wall_rows()
+    )
+    return VirtualPolytope(fan, tuple(x + t * y for x, y in zip(r, w)))
+
+
+SUPPORT_FANS = [SPECS[name]().fan for name in CATALOG_FAN_SPECS] + [
+    octant_fan(),
+    refined_octant_fan(),
+    fan_p112(),
+]
+
+
+@st.composite
+def convex_support_and_integrand(draw):
+    """(fan, convex vp, f of degree <= 2, inhomogeneous allowed) on the
+    catalog fans, the octant fan, its refinement (where a zero gap at the
+    extra ray keeps P(h) full-dimensional) and P(1,1,2) (cones of det 2);
+    vp is strictly convex, on the boundary of the convex cone, or a single
+    point."""
+    fan = draw(st.sampled_from(SUPPORT_FANS))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    kind = draw(st.sampled_from(["strict", "boundary", "point"]))
+    if kind == "strict":
+        vp = random_convex(fan, rng)
+    elif kind == "boundary":
+        vp = _boundary_support(fan, rng)
+    else:
+        vp = VirtualPolytope.of_point(
+            fan, draw(st.lists(rationals, min_size=fan.dim, max_size=fan.dim))
+        )
+    monos = [m for k in range(3) for m in monomials_of_degree(fan.dim, k)]
+    terms = draw(st.dictionaries(st.sampled_from(monos), rationals, max_size=4))
+    f = QPolynomial(tuple(f"x{i + 1}" for i in range(fan.dim)), terms)
+    return fan, kind, vp, f
+
+
+@settings(max_examples=120, deadline=None)
+@given(convex_support_and_integrand())
+def test_i_f_value_matches_polytope_integral(case):
+    """The integer path from h to the moments equals the direct integral
+    over the Polytope built from P(h); that Polytope's vertices are the
+    sorted distinct Fraction vertices of the cones, as before the integer
+    vertex routine, and its halfspaces are (e_i, h_i)."""
+    fan, kind, vp, f = case
+    assert is_convex_on(fan, vp, strict=kind == "strict")
+    p = polytope_from_support(fan, vp)
+    assert p.vertices == tuple(sorted(set(cone_vertices(fan, vp.h))))
+    assert p.halfspaces == tuple(
+        (tuple(F(x) for x in ray), b) for ray, b in zip(fan.rays, vp.h)
+    )
+    value = i_f_value(fan, f, vp)
+    assert value == integrate_over_polytope(f, p)
+    if kind == "point":
+        assert len(p.vertices) == 1 and value == 0
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        # the vertex of cone 0 leaves P(h) (and its own facets)
+        (lambda cone: cone._replace(adj=cone.adj[::-1]), "outside P"),
+        # the vertex of cone 0 is halved: inside P(h), off its own facets
+        (lambda cone: cone._replace(det=2 * cone.det), "off its facets"),
+    ],
+    ids=["swapped_adjugate", "doubled_det"],
+)
+def test_i_f_value_rejects_corrupted_cone_data(corrupt, message):
+    """The oracle checks every vertex against the H-representation instead
+    of integrating a wrong polytope (to 0 for swapped adjugate columns)."""
+    fan = fan_hirzebruch1()
+    vp = VirtualPolytope(fan, (2, 3, 4, 5))
+    assert i_f_value(fan, ONE2, vp) == 56
+    fan.wall_rows_int()  # the convexity check still reads the true walls
+    cones = fan._cone_data_cache
+    fan._cone_data_cache = (corrupt(cones[0]),) + cones[1:]
+    with pytest.raises(VerificationFailed, match=message):
+        i_f_value(fan, ONE2, vp)
+
+
+def test_i_f_value_rejects_vertex_outside_p():
+    """With the wall rows emptied, a support vector that is not convex
+    passes :func:`is_convex_on`; its cone vertices are right but not all in
+    P(h), and the vertex check refuses them."""
+    fan = fan_hirzebruch1()
+    vp = VirtualPolytope(fan, (2, 3, 4, -5))
+    assert not is_convex_on(fan, vp)
+    fan._wall_int_cache = ()
+    with pytest.raises(VerificationFailed, match="outside P"):
+        i_f_value(fan, ONE2, vp)
+
+
+def test_i_f_value_builds_no_polytope(monkeypatch):
+    def refuse(self, *args):
+        raise RuntimeError("Polytope built")
+
+    monkeypatch.setattr(Polytope, "__init__", refuse)
+    fan = fan_hirzebruch1()
+    assert i_f_value(fan, ONE2, VirtualPolytope(fan, (2, 3, 4, 5))) == 56
+
+
+def test_verify_bkk_builds_each_i_f_once(monkeypatch, capsys):
+    """Every random Delta of a base class asks for the same I_f; the
+    uncached vertex sum runs once per distinct (fan, f_gamma)."""
+    requests, builds = [], []
+
+    def counting(real, log):
+        def wrapped(fan, f):
+            log.append((id(fan), f))
+            return real(fan, f)
+
+        return wrapped
+
+    monkeypatch.setattr(
+        integrate, "i_f_polynomial", counting(integrate.i_f_polynomial, requests)
+    )
+    monkeypatch.setattr(
+        integrate, "_i_f_polynomial", counting(integrate._i_f_polynomial, builds)
+    )
+    code = cli.main(["verify", "p2_rank2", "--suite", "bkk", "--count", "5"])
+    assert code == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "RESULT: PASS"
+    assert builds and len(set(builds)) == len(builds)
+    assert set(builds) == set(requests) and len(requests) > len(builds)
+
+
+def test_cached_i_f_matches_fresh_computation():
+    """No builder mutates a cached polynomial: after ring_via_sd and
+    ring_via_diff, each one still equals the vertex sum on a freshly
+    validated equal fan, and its key still finds it."""
+    spec = SPECS["flag_sl3_p1xp1"]()
+    ring_via_sd(spec)
+    ring_via_diff(spec)
+    cache = spec.fan._i_f_cache
+    assert cache
+    fresh = validate_fan(spec.fan.rays, spec.fan.max_cones)
+    assert fresh == spec.fan and not fresh._i_f_cache
+    for f, poly in cache.items():
+        assert cache[QPolynomial(f.vars, f.terms)] is poly
+        assert integrate._i_f_polynomial(fresh, f) == poly
+
+
+def test_i_f_polynomial_errors_leave_cache_empty(monkeypatch):
+    p2 = fan_p2()
+    with pytest.raises(NotHomogeneous):
+        i_f_polynomial(p2, X1 + ONE2)
+    assert p2._i_f_cache == {}
+    fan = validate_fan([(1, 0), (0, 1), (-1, 0)], [(0, 1), (1, 2)])
+    with pytest.raises(FanError):
+        i_f_polynomial(fan, ONE2)
+    assert fan._i_f_cache == {}
+    real = integrate.i_f_value
+    monkeypatch.setattr(
+        integrate, "i_f_value", lambda fan, f, vp: real(fan, f, vp) + 1
+    )
+    with pytest.raises(VerificationFailed, match="self-check"):
+        i_f_polynomial(p2, ONE2)
+    assert p2._i_f_cache == {}
