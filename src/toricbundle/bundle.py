@@ -12,7 +12,9 @@ space is then built three independent ways:
 * ``ring_via_sd``: quotient of the free truncated R[x_1..x_s] by the radical
   of the Frobenius form of the intersection functional, whose top-degree
   values are mixed integrals scaled by the (n+i)!/i! factor that converts a
-  polarized integral into an intersection number;
+  polarized integral into an intersection number.  The free algebra stores
+  no products, and the radical comes from the top degree down on the x_i
+  and the base generators;
 * ``ring_via_diff``: differential operators modulo the annihilator of the
   self-intersection polynomial (for bases generated in degree 2).
 """
@@ -33,9 +35,10 @@ from toricbundle.errors import (
     OddBase,
     VerificationFailed,
 )
-from toricbundle.exactlin import QMatrix, rank, rref, solve
+from toricbundle.exactlin import QMatrix, Reducer, rank, rref, solve
 from toricbundle.galg import (
     AnnModel,
+    FreeAlgebra,
     GradedAlgebra,
     PresentedAlgebra,
     QuotientModel,
@@ -199,8 +202,15 @@ def f_gamma(spec: BundleSpec, gamma: Vec, i: int) -> QPolynomial:
 
 
 def free_model(spec: BundleSpec) -> QuotientModel:
-    return build_quotient(
-        PresentedAlgebra(spec.base.algebra, spec.x_names, (), spec.top_degree)
+    """R[x_1..x_s] up to the top degree, with no relations: its algebra is a
+    ``FreeAlgebra``, which stores no product table, and the class of a
+    polynomial is its vector of monomial coefficients."""
+    base = spec.base.algebra
+    alg = FreeAlgebra(base, spec.x_names, spec.top_degree)
+    reducers = {d: Reducer((), len(ms)) for d, ms in alg.monomials.items()}
+    presented = PresentedAlgebra(base, spec.x_names, (), spec.top_degree)
+    return QuotientModel(
+        presented, alg, alg.monomials, alg.column, reducers, alg.monomials
     )
 
 
@@ -284,7 +294,9 @@ def ring_via_sd(spec: BundleSpec) -> RingReport:
     sd = sd_quotient(model.algebra, ell)
     if sd.algebra.total_dim() != _leray_hirsch_dim(spec):
         raise VerificationFailed("Leray-Hirsch dims")
-    gens = _generator_classes_quotient(spec, model, project=sd.project)
+    gens = _generator_classes_quotient(
+        spec, lambda d, cm: sd.project(d, model.normal_form(d, cm))
+    )
     return RingReport("sd", sd.algebra, sd.functional, gens, (model, sd))
 
 
@@ -338,9 +350,7 @@ def ring_via_sr(spec: BundleSpec) -> RingReport:
     ell = _sr_top_functional(spec, model)
     if not check_poincare(alg, ell):
         raise VerificationFailed("sr quotient not Poincare")
-    gens = _generator_classes_quotient(
-        spec, model, project=None, nf=lambda d, cm: model.normal_form(d, cm)
-    )
+    gens = _generator_classes_quotient(spec, model.normal_form)
     return RingReport("sr", alg, ell, gens, model)
 
 
@@ -378,26 +388,16 @@ def _sr_top_functional(spec: BundleSpec, model: QuotientModel) -> TopFunctional:
     return TopFunctional(model.algebra, top, (1 / coeff,))
 
 
-def _generator_classes_quotient(spec, model, project=None, nf=None):
-    """Classes of x_i and of the base degree-2 basis, in report coordinates."""
+def _generator_classes_quotient(spec, normal_form):
+    """Classes of x_i and of the base degree-2 basis, in report coordinates,
+    from ``normal_form(d, coeff_map)``, the class of a free polynomial."""
     out = {}
     zero = (0,) * spec.fan.nrays
-
-    def cls(mono):
-        d = mono[0] + 2 * sum(mono[2])
-        if project is not None:
-            free = model.normal_form(d, {mono: Fraction(1)})
-            # free model has no relations: normal_form is the identity on
-            # monomial coordinates, in basis order
-            return d, project(d, free)
-        return d, nf(d, {mono: Fraction(1)})
-
     for i, name in enumerate(spec.x_names):
         beta = tuple(int(j == i) for j in range(spec.fan.nrays))
-        out[name] = cls((0, 0, beta))
-    for u in range(spec.base.algebra.dim(2)):
-        label = spec.base.algebra.labels[2][u]
-        out[f"base:{label}"] = cls((2, u, zero))
+        out[name] = (2, normal_form(2, {(0, 0, beta): Fraction(1)}))
+    for u, label in enumerate(spec.base.algebra.labels.get(2, ())):
+        out[f"base:{label}"] = (2, normal_form(2, {(2, u, zero): Fraction(1)}))
     return out
 
 

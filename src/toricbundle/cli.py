@@ -291,6 +291,8 @@ def _suite_pbundle(spec: BundleSpec, rng, count, lines) -> bool:
     expected = catalog.fan_projective_space(n)
     if spec.fan != expected:
         _fail(EXIT_PRECONDITION, "pbundle suite needs the projective-space fan")
+    if not spec.base.algebra.dim(2):
+        _fail(EXIT_PRECONDITION, "pbundle suite needs a base with degree-2 classes")
     degrees = []
     for col in spec.base.chern:
         if any(col[1:]):

@@ -9,20 +9,21 @@ odd cohomology), so no Koszul signs appear anywhere.  The module provides
 * ``product_keys``: the one rule for which structure constants a table
   stores, and in which order; every builder, checker and serializer walks
   the table through it;
+* ``FreeAlgebra``: R[x_1..x_s] on its monomials, in a deterministic order,
+  with products computed when read rather than stored;
 * ``build_quotient``: the degreewise quotient engine for presented algebras
-  R[x_1..x_s]/(relations), with deterministic monomial order; relation
-  multiples are sparse rows, and the kernel's integer RREF rows
-  (``exactlin.echelon_int``) become the reducer of each degree;
+  R[x_1..x_s]/(relations); relation multiples are sparse rows over the free
+  monomials, and the kernel's integer RREF rows (``exactlin.echelon_int``)
+  become the reducer of each degree;
 * Frobenius forms, the self-dual quotient B/I(L_ell) obtained by factoring
-  out the radical of the Frobenius form degree by degree.  One builder,
-  ``_pairing_rows``, reads the pairing entries off the structure constants
-  as integer-scaled sparse rows; the radical is the kernel of the partner
-  degree's rows (the transpose, B being commutative), read off one
-  elimination as integer rows, and classes are computed only at the
-  surviving basis columns (``exactlin.Reducer``).  ``check_poincare``
-  checks full rank in degrees k <= n/2 only, the rest being transposes.
-  That the radical is an ideal is checked on a generating set of B, which
-  suffices for a commutative associative B;
+  out the radical of the Frobenius form.  The radical comes from the top
+  degree down, as Macaulay's inverse system describes B/Ann(ell): ker ell on
+  top, and below it the p with p * g radical for every generator g of B.
+  Each degree is one integer kernel, and classes are computed only at the
+  surviving basis columns (``exactlin.Reducer``).  ``_pairing_rows`` reads
+  the pairing entries off the structure constants for ``frobenius_matrix``,
+  and ``check_poincare`` checks full rank in degrees k <= n/2 only, the rest
+  being transposes;
 * the differential-operator model Diff(V)/Ann(f): basis operators chosen by
   one incremental forward elimination per degree, and operator classes
   reduced through one tagged reducer per degree;
@@ -154,6 +155,10 @@ class GradedAlgebra:
             for t, cp in self.product_pairs(a, i, b, j):
                 out[t] += ca * cp
         return tuple(out)
+
+    def generators(self) -> list[tuple[int, int]]:
+        """(degree, index) of basis elements that generate the algebra."""
+        return _ideal_generators(self)
 
     def power_of_element(self, a: int, avec, k: int):
         """(degree, vector) of the k-th power of a homogeneous element."""
@@ -324,15 +329,44 @@ class SdQuotient:
 
 
 def _radical_rows(
-    b: GradedAlgebra, ell: TopFunctional, k: int
+    b: GradedAlgebra, ell: TopFunctional, k: int, gens, reducers
 ) -> list[tuple[int, dict[int, int]]]:
-    """The radical of the Frobenius form in degree k, the left kernel of the
-    pairing matrix B^k x B^{n-k}, as its primitive integer RREF rows
-    ``(pivot, {column: int})`` in pivot order (``Reducer`` input): the
-    kernel of the pairing rows of degree n - k, the transposed matrix.  A
-    degree with no partner degree n - k is entirely radical.
+    """The radical of the Frobenius form in degree k as primitive integer
+    RREF rows (``Reducer`` input), given ``reducers`` of the radical in the
+    nonempty degrees from k + 2 to n.
+
+    On top it is ker ell.  Below, p is radical exactly when p * g is radical
+    for each generator g in ``gens``, a product above n being radical: the
+    classes of b_t * g at the kept columns of degree k + deg g are rows over
+    t, and the radical is their kernel.
     """
-    return kernel_int(_pairing_rows(b, ell, ell.degree - k), b.dim(k))
+    n = ell.degree
+    if k == n:
+        return kernel_int([enumerate(ell.values)], b.dim(n))
+    rows: dict[tuple[int, int, int], list] = {}  # (generator, kept column)
+    for e, j in gens:
+        red = reducers.get(k + e)
+        if red is None or not red.keep:
+            continue  # above n, an empty degree, or all of it radical
+        for t in range(b.dim(k)):
+            for u, x in red.pairs(b.product_pairs(k, t, e, j)):
+                rows.setdefault((e, j, u), []).append((t, x))
+    return kernel_int(rows.values(), b.dim(k))
+
+
+def _quotient_algebra(b: GradedAlgebra, reducers) -> GradedAlgebra:
+    """B modulo an ideal, given in each degree d by ``reducers[d]``; a degree
+    without a reducer is zero.  The basis is B's at the kept columns, and a
+    product is the class of the product in B."""
+    kept = {d: red.keep for d, red in reducers.items() if red.keep}
+    labels = {d: tuple(b.labels[d][j] for j in js) for d, js in kept.items()}
+
+    def product(a, i, e, j):
+        prod = b.product_pairs(a, kept[a][i], e, kept[e][j])
+        return reducers[a + e].pairs(prod)
+
+    products = {key: product(*key) for key in product_keys(kept)}
+    return GradedAlgebra.from_pairs(max(kept), labels, products)
 
 
 def _ideal_generators(b: GradedAlgebra) -> list[tuple[int, int]]:
@@ -362,90 +396,39 @@ def _ideal_generators(b: GradedAlgebra) -> list[tuple[int, int]]:
     return gens
 
 
-def _check_radical_ideal(b: GradedAlgebra, reducers, kept) -> None:
-    """Raise ``VerificationFailed`` unless radical * generator is radical.
-
-    ``reducers[k]`` reduces modulo the radical in degree k, ``kept`` holds
-    the degrees where the quotient is nonzero; every other degree counts as
-    radical throughout.  On a commutative associative B, a graded subspace
-    I with I * g inside I for each generator g of B satisfies I * B inside
-    I, since every basis element is a sum of products of generators.  The
-    product of a basis element with g is read once per pair, and integer
-    structure constants stay ints.
-    """
-    gens = _ideal_generators(b)
-    for k, red in reducers.items():
-        rows = red.int_rows()
-        for d, j in gens:
-            if k + d not in kept:
-                continue
-            target = reducers[k + d]
-            times_g: dict[int, list] = {}  # t -> b_t * g as (u, num, den)
-            for row in rows:
-                items = []
-                for t, c in row:
-                    prod = times_g.get(t)
-                    if prod is None:
-                        prod = times_g[t] = [
-                            (u, x.numerator, x.denominator)
-                            for u, x in b.product_pairs(k, t, d, j)
-                        ]
-                    items += [
-                        (u, c * x if m == 1 else Fraction(c * x, m))
-                        for u, x, m in prod
-                    ]
-                if target.pairs(items):
-                    raise VerificationFailed("induced multiplication ill-defined")
-
-
 def sd_quotient(b: GradedAlgebra, ell: TopFunctional) -> SdQuotient:
-    """B / I(L_ell): factor the radical of the Frobenius form degreewise.
+    """B / I(L_ell): factor out the radical of the Frobenius form.
 
     B must be commutative and associative, as every ``build_quotient``
     output over an associative base is (``serialize.base_from_dict``
-    refuses a base whose products are not associative).  The radical in degree k is the left kernel of the pairing
-    matrix B^k x B^{n-k} (``_radical_rows``); degrees above n are entirely
-    radical.  Radical rows stay on Python ints from the elimination to the
-    reducers, and a class becomes ``Fraction`` only at its output entries.
-    That the radical is an ideal, so that the induced multiplication is well
-    defined, is checked rather than assumed: each radical row times each
-    generator of B must project to zero.  Generators suffice because B is
-    commutative and associative.  Products are built from the nonzero
-    entries of the row and the structure constants, and reduced at their
-    nonzero entries only.  A failed check raises ``VerificationFailed``.
+    refuses a base whose products are not associative).  The radical is
+    built from the top degree down (``_radical_rows``) on the generators
+    ``b.generators()``: B/Ann(ell) is Gorenstein, fixed by its inverse
+    system.  It is an ideal by construction, since each degree is
+    everything that a generator maps into the radical above; degrees above
+    n are entirely radical.  Radical rows stay on Python ints from the
+    elimination to the reducers, and a class becomes ``Fraction`` only at
+    its output entries.  A wrong radical leaves a quotient without a unit,
+    without a one-dimensional top or without Poincare duality, and each
+    raises ``VerificationFailed``.
     """
     n = ell.degree
-    kept: dict[int, tuple[int, ...]] = {}
+    gens = b.generators()
     reducers: dict[int, Reducer] = {}
-    for k in range(0, n + 1, 2):
-        dk = b.dim(k)
-        if dk == 0:
-            continue
-        reducers[k] = Reducer(_radical_rows(b, ell, k), dk)
-        if reducers[k].keep:
-            kept[k] = reducers[k].keep
-
-    labels = {
-        d: tuple(b.labels[d][j] for j in idxs) for d, idxs in kept.items()
-    }
-
-    def product(a, i, e, j):
-        prod = b.product_pairs(a, kept[a][i], e, kept[e][j])
-        return reducers[a + e].pairs(prod)
-
-    products = {key: product(*key) for key in product_keys(kept)}
-    alg = GradedAlgebra.from_pairs(n, labels, products)
-
+    for k in range(n, -1, -2):
+        if b.dim(k):
+            rows = _radical_rows(b, ell, k, gens, reducers)
+            reducers[k] = Reducer(rows, b.dim(k))
+    reducers = dict(sorted(reducers.items()))
+    kept = {k: red.keep for k, red in reducers.items() if red.keep}
+    if 0 not in kept or len(kept.get(n, ())) != 1:
+        raise VerificationFailed("self-dual quotient must have 1-dim degrees 0, n")
+    alg = _quotient_algebra(b, reducers)
     # induced top functional: ell on a lift of the single top basis class
-    if alg.dim(n) != 1:
-        raise VerificationFailed("self-dual quotient must have 1-dim top degree")
-    out = SdQuotient(alg, None, kept, reducers)
-    out.functional = TopFunctional(alg, n, (ell.values[kept[n][0]],))
-
-    _check_radical_ideal(b, reducers, kept)
-    if not check_poincare(alg, out.functional):
+    functional = TopFunctional(alg, n, (ell.values[kept[n][0]],))
+    if not check_poincare(alg, functional):
         raise VerificationFailed("sd quotient not Poincare")
-    return out
+    return SdQuotient(alg, functional, kept, reducers)
 
 
 # ---------------------------------------------------------------------------
@@ -526,15 +509,54 @@ class QuotientModel:
         return d, self.normal_form(d, {mono: Fraction(1)})
 
 
-def _product_columns(base: GradedAlgebra, column, m1, m2):
-    """Product of two free monomials as (column, coefficient) pairs."""
-    r1, i1, b1 = m1
-    r2, i2, b2 = m2
-    beta = tuple(map(add, b1, b2))
-    d = r1 + r2
-    return [
-        (column[(d, t, beta)], c) for t, c in base.product_pairs(r1, i1, r2, i2)
-    ]
+class FreeAlgebra(GradedAlgebra):
+    """R[x_1..x_s] truncated above degree ``top``, on its free monomials
+    (base degree, base index, beta): ``monomials[d]`` lists them in
+    ``_mono_sort_key`` order, and ``column[d]`` maps each to its index.
+
+    No product table is stored: a product of two monomials is computed when
+    it is read, from the exponent sum and the base's structure constants.
+    The monomials of one beta and one base degree sort by base index, so
+    the product's columns ascend with the base's.  The generators are the
+    x_i and the generators of the base.
+    """
+
+    __slots__ = ("base", "monomials", "column")
+
+    def __init__(self, base: GradedAlgebra, gen_names, top: int):
+        self.base = base
+        self.monomials, self.column, labels = {}, {}, {}
+        for d in range(0, top + 1, 2):
+            monos = [
+                (d - 2 * m, ridx, beta)
+                for m in range(d // 2 + 1)
+                for beta in monomials_of_degree(len(gen_names), m)
+                for ridx in range(base.dim(d - 2 * m))
+            ]
+            monos.sort(key=_mono_sort_key)
+            self.monomials[d] = monos
+            self.column[d] = {m: t for t, m in enumerate(monos)}
+            labels[d] = tuple(_mono_label(base, gen_names, m) for m in monos)
+        self._set_degrees(top, labels)
+
+    def product_pairs(self, a, i, b, j) -> SparseRow:
+        d = a + b
+        if d > self.top:
+            return ()
+        r1, i1, b1 = self.monomials[a][i]
+        r2, i2, b2 = self.monomials[b][j]
+        beta = tuple(map(add, b1, b2))
+        column = self.column[d]
+        return tuple(
+            (column[(r1 + r2, t, beta)], c)
+            for t, c in self.base.product_pairs(r1, i1, r2, i2)
+        )
+
+    def generators(self) -> list[tuple[int, int]]:
+        zero = self.monomials[0][0][2]
+        xs = [(2, t) for t, m in enumerate(self.monomials.get(2, ())) if m[0] == 0]
+        lifts = [(d, self.column[d][(d, u, zero)]) for d, u in self.base.generators()]
+        return xs + lifts
 
 
 def _relation_rows(base: GradedAlgebra, rel: Relation, multipliers, column):
@@ -570,61 +592,29 @@ def _relation_rows(base: GradedAlgebra, rel: Relation, multipliers, column):
 def build_quotient(p: PresentedAlgebra) -> QuotientModel:
     """Degreewise quotient of R[x_1..x_s] by homogeneous relations.
 
-    For each even degree up to the truncation bound: enumerate the monomial
-    spanning set, enumerate every relation multiple landing there as a
-    sparse row, row-reduce, and keep the non-pivot (standard) monomials as
+    For each even degree up to the truncation bound: enumerate every
+    relation multiple landing there as a sparse row over the free
+    monomials, row-reduce, and keep the non-pivot (standard) monomials as
     the quotient basis.
     """
-    base = p.base
-    s = len(p.gen_names)
-    monomials: dict[int, list] = {}
-    column: dict[int, dict] = {}
+    free = FreeAlgebra(p.base, p.gen_names, p.truncation)
     reducers: dict[int, Reducer] = {}
-    basis_monos: dict[int, list] = {}
-
-    for d in range(0, p.truncation + 1, 2):
-        monos = []
-        for m in range(d // 2 + 1):
-            rdeg = d - 2 * m
-            if base.dim(rdeg) == 0:
-                continue
-            for beta in monomials_of_degree(s, m):
-                for ridx in range(base.dim(rdeg)):
-                    monos.append((rdeg, ridx, beta))
-        monos.sort(key=_mono_sort_key)
-        monomials[d] = monos
-        column[d] = {m: t for t, m in enumerate(monos)}
-
-    for d in range(0, p.truncation + 1, 2):
+    for d, monos in free.monomials.items():
         rows = []
         for rel in p.relations:
             rel_deg = next(
                 rdeg + 2 * sum(beta) for beta, (rdeg, _) in rel.items()
             )
-            mult_deg = d - rel_deg
-            if mult_deg < 0:
-                continue
-            multipliers = monomials.get(mult_deg, [])
-            rows += _relation_rows(base, rel, multipliers, column[d])
-        red = Reducer(echelon_int(row.items() for row in rows), len(monomials[d]))
-        reducers[d] = red
-        basis_monos[d] = [monomials[d][t] for t in red.keep]
-
-    labels = {
-        d: tuple(_mono_label(base, p.gen_names, m) for m in ms)
-        for d, ms in basis_monos.items()
-        if ms
+            multipliers = free.monomials.get(d - rel_deg, [])
+            rows += _relation_rows(p.base, rel, multipliers, free.column[d])
+        reducers[d] = Reducer(echelon_int(row.items() for row in rows), len(monos))
+    basis_monos = {
+        d: [free.monomials[d][t] for t in red.keep] for d, red in reducers.items()
     }
-    model = QuotientModel(p, None, monomials, column, reducers, basis_monos)
-
-    def product(a, i, b, j):
-        d = a + b
-        m1, m2 = basis_monos[a][i], basis_monos[b][j]
-        return reducers[d].pairs(_product_columns(base, column[d], m1, m2))
-
-    products = {key: product(*key) for key in product_keys(labels)}
-    model.algebra = GradedAlgebra.from_pairs(max(labels), labels, products)
-    return model
+    alg = _quotient_algebra(free, reducers)
+    return QuotientModel(
+        p, alg, free.monomials, free.column, reducers, basis_monos
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -239,6 +239,23 @@ def test_cross_validate_reports_radical_mismatch(monkeypatch):
     assert result.detail == "degree 4: radical != Stanley-Reisner ideal"
 
 
+def test_sd_without_base_generators_raises(monkeypatch):
+    """The radical recursion needs a generating set: with the x_i alone, the
+    free model's radical over P^1 is too large.  It holds the unit, and
+    what is left has total dimension 2 where Leray-Hirsch asks for 4."""
+    from toricbundle.errors import VerificationFailed
+    from toricbundle.galg import FreeAlgebra
+
+    real = FreeAlgebra.generators
+
+    def x_only(self):
+        return [(d, j) for d, j in real(self) if self.monomials[d][j][0] == 0]
+
+    monkeypatch.setattr(FreeAlgebra, "generators", x_only)
+    with pytest.raises(VerificationFailed):
+        ring_via_sd(SPECS["p1_trivial_over_p1"]())
+
+
 def test_cross_validate_reports_structure_constant(monkeypatch):
     """A structure constant of the sd ring that differs from the sr ring is
     reported by its key."""

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import toricbundle
 from toricbundle import galg
 from toricbundle.catalog import SPECS
-from toricbundle.cli import main
+from toricbundle.cli import SUITES, main
 from toricbundle.serialize import spec_from_dict, spec_to_dict
 
 
@@ -168,6 +168,20 @@ def test_verify_suite_without_checks_is_not_pass(capsys, monkeypatch):
     assert "PASS" not in out and "ran no check" in err
 
 
+@pytest.mark.parametrize("suite", sorted(SUITES))
+@pytest.mark.parametrize("spec", sorted(SPECS))
+def test_verify_every_spec_and_suite_ends_typed(capsys, spec, suite):
+    """Every catalog spec under every suite ends in PASS, FAIL or a typed
+    error with a message; any other exception fails here."""
+    code, out, err = run(
+        capsys, "verify", spec, "--suite", suite, "--count", "1", "--seed", "1"
+    )
+    if code in (0, 1):
+        assert out.splitlines()[-1] == ("RESULT: PASS" if code == 0 else "RESULT: FAIL")
+    else:
+        assert code in (2, 3) and err.startswith("error: ")
+
+
 def test_verify_oracle_suites(capsys):
     code, out, _ = run(
         capsys, "verify", "f1_toric", "--suite", "ider", "--seed", "3"
@@ -243,14 +257,14 @@ def test_catalog_name_collision_errors(capsys, tmp_path, monkeypatch):
     assert code == 3 and "both a catalog name and a file" in err
 
 
-# drops one row from each radical below the top degree (the top degree's
-# pairing matrix has one column), so the top degree stays one-dimensional
+# drops the last row of the radical in each degree below the top, where the
+# recursion from the top degree down computes it
 _WRONG_RADICAL = """
 import sys
 from toricbundle import cli, galg
 real = galg._radical_rows
-galg._radical_rows = lambda b, ell, k: (
-    real(b, ell, k)[:-1] if b.dim(ell.degree - k) > 1 else real(b, ell, k)
+galg._radical_rows = lambda b, ell, k, *rest: (
+    real(b, ell, k, *rest)[: -1 if k < ell.degree else None]
 )
 sys.exit(cli.main(["ring", "p2_toric", "--builder", "sd"]))
 """
@@ -261,8 +275,8 @@ def test_ring_wrong_radical_exit_1(capsys, monkeypatch):
     monkeypatch.setattr(
         galg,
         "_radical_rows",
-        lambda b, ell, k: (
-            real(b, ell, k)[:-1] if b.dim(ell.degree - k) > 1 else real(b, ell, k)
+        lambda b, ell, k, *rest: (
+            real(b, ell, k, *rest)[: -1 if k < ell.degree else None]
         ),
     )
     code, _, err = run(capsys, "ring", "p2_toric", "--builder", "sd")

@@ -1,6 +1,7 @@
 """Graded algebras: quotient engine, Frobenius forms, self-dual quotients,
 operator models, isomorphism checking."""
 
+import functools
 import random
 from fractions import Fraction as F
 from math import factorial
@@ -10,6 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toricbundle import galg
+from toricbundle.bundle import free_model, intersection_functional
+from toricbundle.catalog import SPECS
 from toricbundle.errors import (
     NonHomogeneousRelation,
     VerificationFailed,
@@ -18,8 +21,8 @@ from toricbundle.errors import (
 from toricbundle.exactlin import (
     QMatrix,
     Reducer,
-    echelon_int,
     kernel_basis,
+    kernel_int,
     rank,
     rref,
     solve,
@@ -399,8 +402,8 @@ def test_sd_quotient_wrong_radical_raises(monkeypatch):
     monkeypatch.setattr(
         galg,
         "_radical_rows",
-        lambda b, ell, k: (
-            real(b, ell, k)[:-1] if b.dim(ell.degree - k) > 1 else real(b, ell, k)
+        lambda b, ell, k, *rest: (
+            real(b, ell, k, *rest)[: -1 if k < ell.degree else None]
         ),
     )
     labels = {0: ("1",), 2: ("x", "y"), 4: ("x^2",)}
@@ -531,8 +534,7 @@ def test_graded_isomorphic_negative():
 
 
 def _exhaustive_ideal_check(b, reducers, kept):
-    """The check sd_quotient ran before generators: every radical row times
-    every basis element of B must project to zero."""
+    """Every radical row times every basis element of B projects to zero."""
     for k, red in reducers.items():
         for row in red.int_rows():
             for d in b.degrees():
@@ -548,29 +550,6 @@ def _exhaustive_ideal_check(b, reducers, kept):
                         raise VerificationFailed(
                             "induced multiplication ill-defined"
                         )
-
-
-def _accepts(check, b, reducers):
-    kept = {k: red.keep for k, red in reducers.items() if red.keep}
-    try:
-        check(b, reducers, kept)
-    except VerificationFailed:
-        return False
-    return True
-
-
-def _radical_reducers(b, ell):
-    return {
-        k: Reducer(galg._radical_rows(b, ell, k), b.dim(k))
-        for k in range(0, ell.degree + 1, 2)
-        if b.dim(k)
-    }
-
-
-def _without_row(red, i, ncols):
-    rows = [(p, dict(row)) for p, row in zip(red.pivots, red.int_rows())]
-    del rows[i]
-    return Reducer(rows, ncols)
 
 
 @st.composite
@@ -608,59 +587,49 @@ def algebras_with_functionals(draw):
 
 
 def _generated_span(b, gens):
-    """Spanning vectors, per degree, of the subalgebra the generators
+    """An echelon basis, per degree, of the subalgebra the generators
     generate: each generator, and each generator times a lower vector."""
     span = {0: [(F(1),)]}
     for d in b.degrees():
         if d == 0:
             continue
-        span[d] = [_unit(b.dim(d), j) for e, j in gens if e == d]
+        vecs = [_unit(b.dim(d), j) for e, j in gens if e == d]
         for e, j in gens:
             for v in span.get(d - e, ()) if e < d else ():
-                span[d].append(b.times_basis(d - e, v, e, j))
+                vecs.append(b.times_basis(d - e, v, e, j))
+        reduced, pivots = rref(QMatrix(vecs)) if vecs else (None, ())
+        span[d] = reduced.entries[: len(pivots)] if vecs else []
     return span
 
 
+@functools.cache
+def _catalog_free_case(name):
+    spec = SPECS[name]()
+    model = free_model(spec)
+    return model.algebra, intersection_functional(spec, model)
+
+
 @settings(max_examples=60, deadline=None)
-@given(algebras_with_functionals(), st.data())
-def test_generator_ideal_check_matches_exhaustive(case, data):
-    """The radical rows span the left kernel of the pairing matrix; the
-    check on generators and the exhaustive check give the same verdict on
-    the radical and on a radical with one row dropped."""
+@given(
+    st.one_of(
+        algebras_with_functionals(),
+        st.sampled_from(sorted(SPECS)).map(_catalog_free_case),
+    )
+)
+def test_radical_recursion_matches_pairing_kernel(case):
+    """The radical built from the top degree down on generators equals the
+    left kernel of the pairing matrix B^k x B^{n-k} in every degree, and it
+    is an ideal: every radical row times every basis element is radical."""
     b, ell = case
-    span = _generated_span(b, galg._ideal_generators(b))
-    for d in b.degrees():
-        assert rank(QMatrix(span[d])) == b.dim(d)
-    reducers = _radical_reducers(b, ell)
-    for k, red in reducers.items():
-        if b.dim(ell.degree - k):
-            left = kernel_basis(frobenius_matrix(b, ell, k).transpose())
-            want = echelon_int(enumerate(v) for v in left)
-            assert red.int_rows() == tuple(tuple(sorted(r.items())) for _, r in want)
-    assert _accepts(galg._check_radical_ideal, b, reducers)
-    assert _accepts(_exhaustive_ideal_check, b, reducers)
-    degrees = [k for k, red in reducers.items() if red.pivots]
-    if degrees:
-        k = data.draw(st.sampled_from(degrees))
-        i = data.draw(st.integers(0, len(reducers[k].pivots) - 1))
-        tampered = dict(reducers)
-        tampered[k] = _without_row(reducers[k], i, b.dim(k))
-        assert _accepts(galg._check_radical_ideal, b, tampered) == _accepts(
-            _exhaustive_ideal_check, b, tampered
-        )
-
-
-def test_tampered_radical_rejected_by_both_checks():
-    """Q[x1, x2] up to degree 4, ell(x1^2) = 1: the radical is (x2).  Without
-    the row x1*x2 in degree 4, x2 * x1 leaves it."""
-    b = trunc_poly_algebra(2, 4).algebra
-    values = tuple(F(int(lab == "x1^2")) for lab in b.labels[4])
-    reducers = _radical_reducers(b, TopFunctional(b, 4, values))
-    assert _accepts(galg._check_radical_ideal, b, reducers)
-    i = reducers[4].pivots.index(b.labels[4].index("x1*x2"))
-    reducers[4] = _without_row(reducers[4], i, b.dim(4))
-    assert not _accepts(galg._check_radical_ideal, b, reducers)
-    assert not _accepts(_exhaustive_ideal_check, b, reducers)
+    n = ell.degree
+    span = _generated_span(b, b.generators())
+    assert all(len(span[d]) == b.dim(d) for d in b.degrees())
+    sq = sd_quotient(b, ell)
+    for k in range(0, n + 1, 2):
+        if b.dim(k):
+            oracle = kernel_int(galg._pairing_rows(b, ell, n - k), b.dim(k))
+            assert sq.reducers[k].int_rows() == Reducer(oracle, b.dim(k)).int_rows()
+    _exhaustive_ideal_check(b, sq.reducers, sq.kept)
 
 
 def test_generators_of_gapped_algebra():
