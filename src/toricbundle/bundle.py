@@ -9,14 +9,18 @@ space is then built three independent ways:
 
 * ``ring_via_sr``: quotient of R[x_1..x_s] by the Stanley-Reisner ideal of
   the fan plus the linear relations c(lambda) = sum <e_i, lambda> x_i;
-* ``ring_via_sd``: quotient of the free truncated R[x_1..x_s] by the radical
-  of the Frobenius form of the intersection functional, whose top-degree
-  values are mixed integrals scaled by the (n+i)!/i! factor that converts a
-  polarized integral into an intersection number.  The free algebra stores
-  no products, and the radical comes from the top degree down on the x_i
-  and the base generators;
+* ``ring_via_sd``: quotient of the free truncated R[x_1..x_s] (a
+  ``galg.FreeAlgebra``, which stores no products) by the radical of the
+  Frobenius form of the intersection functional, whose top-degree values
+  are mixed integrals scaled by the (n+i)!/i! factor that converts a
+  polarized integral into an intersection number.  The radical comes from
+  the top degree down on the x_i and the base generators;
 * ``ring_via_diff``: differential operators modulo the annihilator of the
   self-intersection polynomial (for bases generated in degree 2).
+
+``sr`` and ``sd`` are two quotients of one free algebra, so
+``cross_validate`` checks that the radical equals the Sankaran-Uma ideal
+and then that the two reports are equal.
 """
 
 from __future__ import annotations
@@ -32,10 +36,9 @@ from toricbundle.errors import (
     FanError,
     NotConvex,
     NotDegree2Generated,
-    OddBase,
     VerificationFailed,
 )
-from toricbundle.exactlin import QMatrix, Reducer, rank, rref, solve
+from toricbundle.exactlin import QMatrix, rref, solve
 from toricbundle.galg import (
     AnnModel,
     FreeAlgebra,
@@ -201,17 +204,9 @@ def f_gamma(spec: BundleSpec, gamma: Vec, i: int) -> QPolynomial:
 # ---------------------------------------------------------------------------
 
 
-def free_model(spec: BundleSpec) -> QuotientModel:
-    """R[x_1..x_s] up to the top degree, with no relations: its algebra is a
-    ``FreeAlgebra``, which stores no product table, and the class of a
-    polynomial is its vector of monomial coefficients."""
-    base = spec.base.algebra
-    alg = FreeAlgebra(base, spec.x_names, spec.top_degree)
-    reducers = {d: Reducer((), len(ms)) for d, ms in alg.monomials.items()}
-    presented = PresentedAlgebra(base, spec.x_names, (), spec.top_degree)
-    return QuotientModel(
-        presented, alg, alg.monomials, alg.column, reducers, alg.monomials
-    )
+def _free_algebra(spec: BundleSpec) -> FreeAlgebra:
+    """R[x_1..x_s] up to the top degree, the carrier of ``ring_via_sd``."""
+    return FreeAlgebra(spec.base.algebra, spec.x_names, spec.top_degree)
 
 
 def _monomial_values(spec: BundleSpec, scaled: bool):
@@ -249,12 +244,9 @@ def _monomial_values(spec: BundleSpec, scaled: bool):
     return values
 
 
-def _functional_from_values(model: QuotientModel, degree: int, values):
-    monos = model.basis_monos[degree]
+def _functional_from_values(free: FreeAlgebra, degree: int, values):
     return TopFunctional(
-        model.algebra,
-        degree,
-        tuple(values[m] for m in monos),
+        free, degree, tuple(values[m] for m in free.monomials[degree])
     )
 
 
@@ -265,16 +257,15 @@ def ell_functional(spec: BundleSpec) -> TopFunctional:
     ``intersection_functional`` for the variant carrying the BKK factors
     (the two agree up to a global n! for a point base).
     """
-    model = free_model(spec)
     return _functional_from_values(
-        model, spec.top_degree, _monomial_values(spec, scaled=False)
+        _free_algebra(spec), spec.top_degree, _monomial_values(spec, scaled=False)
     )
 
 
-def intersection_functional(spec: BundleSpec, model: QuotientModel) -> TopFunctional:
+def intersection_functional(spec: BundleSpec, free: FreeAlgebra) -> TopFunctional:
     """Fundamental-class pairing on free top monomials: (n+i)!/i! * I-polarized."""
     return _functional_from_values(
-        model, spec.top_degree, _monomial_values(spec, scaled=True)
+        free, spec.top_degree, _monomial_values(spec, scaled=True)
     )
 
 
@@ -289,15 +280,15 @@ def _leray_hirsch_dim(spec: BundleSpec) -> int:
 
 def ring_via_sd(spec: BundleSpec) -> RingReport:
     """Self-dual quotient of the free algebra by I(L_ell)."""
-    model = free_model(spec)
-    ell = intersection_functional(spec, model)
-    sd = sd_quotient(model.algebra, ell)
+    free = _free_algebra(spec)
+    ell = intersection_functional(spec, free)
+    sd = sd_quotient(free, ell)
     if sd.algebra.total_dim() != _leray_hirsch_dim(spec):
         raise VerificationFailed("Leray-Hirsch dims")
     gens = _generator_classes_quotient(
-        spec, lambda d, cm: sd.project(d, model.normal_form(d, cm))
+        spec, lambda *element: sd.project(*free.element(*element))
     )
-    return RingReport("sd", sd.algebra, sd.functional, gens, (model, sd))
+    return RingReport("sd", sd.algebra, sd.functional, gens, (free, sd))
 
 
 def sr_presentation(spec: BundleSpec) -> PresentedAlgebra:
@@ -350,24 +341,8 @@ def ring_via_sr(spec: BundleSpec) -> RingReport:
     ell = _sr_top_functional(spec, model)
     if not check_poincare(alg, ell):
         raise VerificationFailed("sr quotient not Poincare")
-    gens = _generator_classes_quotient(spec, model.normal_form)
+    gens = _generator_classes_quotient(spec, model.class_of)
     return RingReport("sr", alg, ell, gens, model)
-
-
-def _point_class_monomials(spec: BundleSpec):
-    """(t_top, x_sigma) coefficient maps, one per maximal cone."""
-    base = spec.base
-    k = spec.k
-    ells = [
-        base.orientation.of(k, _unit(base.algebra.dim(k), u))
-        for u in range(base.algebra.dim(k))
-    ]
-    u0 = next(u for u, v in enumerate(ells) if v)
-    out = []
-    for cone in spec.fan.max_cones:
-        beta = tuple(int(i in cone) for i in range(spec.fan.nrays))
-        out.append({(k, u0, beta): 1 / ells[u0]})
-    return out
 
 
 def _sr_top_functional(spec: BundleSpec, model: QuotientModel) -> TopFunctional:
@@ -377,8 +352,12 @@ def _sr_top_functional(spec: BundleSpec, model: QuotientModel) -> TopFunctional:
     x_i for a maximal cone sigma; all cones must give the same class.
     """
     top = spec.top_degree
+    ells = spec.base.orientation.values
+    u0 = next(u for u, v in enumerate(ells) if v)
+    t_top = tuple(1 / v if u == u0 else 0 for u, v in enumerate(ells))
     classes = [
-        model.normal_form(top, cm) for cm in _point_class_monomials(spec)
+        model.class_of((int(i in cone) for i in range(spec.fan.nrays)), spec.k, t_top)
+        for cone in spec.fan.max_cones
     ]
     if any(c != classes[0] for c in classes):
         raise VerificationFailed("point class depends on the cone")
@@ -388,16 +367,17 @@ def _sr_top_functional(spec: BundleSpec, model: QuotientModel) -> TopFunctional:
     return TopFunctional(model.algebra, top, (1 / coeff,))
 
 
-def _generator_classes_quotient(spec, normal_form):
+def _generator_classes_quotient(spec, class_of):
     """Classes of x_i and of the base degree-2 basis, in report coordinates,
-    from ``normal_form(d, coeff_map)``, the class of a free polynomial."""
-    out = {}
-    zero = (0,) * spec.fan.nrays
-    for i, name in enumerate(spec.x_names):
-        beta = tuple(int(j == i) for j in range(spec.fan.nrays))
-        out[name] = (2, normal_form(2, {(0, 0, beta): Fraction(1)}))
+    from ``class_of(beta, gdeg, gamma)``, the class of p^*(gamma) * x^beta."""
+    s = spec.fan.nrays
+    out = {
+        name: (2, class_of(tuple(int(j == i) for j in range(s))))
+        for i, name in enumerate(spec.x_names)
+    }
+    dim2 = spec.base.algebra.dim(2)
     for u, label in enumerate(spec.base.algebra.labels.get(2, ())):
-        out[f"base:{label}"] = (2, normal_form(2, {(2, u, zero): Fraction(1)}))
+        out[f"base:{label}"] = (2, class_of((0,) * s, 2, _unit(dim2, u)))
     return out
 
 
@@ -421,16 +401,22 @@ class CrossValidation:
 
 
 def cross_validate(spec: BundleSpec) -> CrossValidation:
-    """ring_via_sd against ring_via_sr: same ideal, same ring, same pairing.
+    """ring_via_sd against ring_via_sr: one quotient of one free algebra.
 
-    Checks, in order: per-degree equality of the radical of the Frobenius
-    form with the Sankaran-Uma ideal (as subspaces of the free algebra),
-    graded dimensions, the graded isomorphism under the identity generator
-    map, and the top functionals under the point-class normalization.
+    The two builders run independently.  The paper's theorem is that the
+    radical of the Frobenius form equals the Sankaran-Uma ideal, and that is
+    checked first, degree by degree, as subspaces of the free algebra
+    R[x_1..x_s].  Two quotients of one free algebra by the same subspaces
+    must then give equal reports, so the rest is equality, field by field:
+    graded dimensions, basis labels, structure constants in
+    ``product_keys`` order, the top functionals (each under its own
+    normalization: the sd one from mixed integrals, the sr one from the
+    point class) and the generator classes.  The first difference is
+    reported.
     """
     sd_rep = ring_via_sd(spec)
     sr_rep = ring_via_sr(spec)
-    free, sd = sd_rep.model
+    sd = sd_rep.model[1]
     sr_model: QuotientModel = sr_rep.model
 
     for d in range(0, spec.top_degree + 1, 2):
@@ -441,56 +427,36 @@ def cross_validate(spec: BundleSpec) -> CrossValidation:
                 False, f"degree {d}: radical != Stanley-Reisner ideal"
             )
 
-    if sd_rep.dims() != sr_rep.dims():
-        return CrossValidation(
-            False, f"graded dims differ: {sd_rep.dims()} vs {sr_rep.dims()}"
-        )
-
-    # identity generator map, extended to every degree through the shared
-    # free-monomial carrier (bases with degree gaps are not generated in
-    # degree 2, so the extension is supplied explicitly)
-    def monomial_rows(d):
-        rows = []
-        for j in sd.kept.get(d, ()):
-            mono = free.basis_monos[d][j]
-            rows.append(list(sr_model.normal_form(d, {mono: Fraction(1)})))
-        return rows
-
-    gen_rows = monomial_rows(2)
-    extension = {
-        d: monomial_rows(d) for d in range(4, spec.top_degree + 1, 2)
-    }
-    if not graded_isomorphic(
-        sd_rep.algebra, sr_rep.algebra, gen_rows, extension
-    ):
-        return _first_mismatch(sd_rep, sr_rep, gen_rows)
-
-    # top functionals under the shared normalization
-    top = spec.top_degree
-    j = sd.kept[top][0]
-    mono = free.basis_monos[top][j]
-    v_sd = sd_rep.functional.values[0]
-    v_sr = sr_rep.functional.of(top, sr_model.normal_form(top, {mono: Fraction(1)}))
-    if v_sd != v_sr:
-        return CrossValidation(
-            False, f"top functional mismatch: {v_sd} vs {v_sr} on {mono}"
-        )
-    return CrossValidation(True)
-
-
-def _first_mismatch(sd_rep, sr_rep, gen_rows) -> CrossValidation:
-    """Locate the first differing structure constant for the report."""
     a, b = sd_rep.algebra, sr_rep.algebra
-    # the graded dims agree, so the pairs product_keys leaves out (the unit,
-    # empty degrees, swapped factors) agree on both sides
-    for da, i, db, j in product_keys(a.labels):
-        pa = a.basis_product(da, i, db, j)
-        pb = b.basis_product(da, i, db, j)
-        if pa != pb:
+    if a.dims() != b.dims():
+        return CrossValidation(False, f"graded dims differ: {a.dims()} vs {b.dims()}")
+    for d, labels in a.labels.items():
+        if labels != b.labels[d]:
             return CrossValidation(
-                False, f"structure constant ({da},{i})*({db},{j}): {pa} vs {pb}"
+                False, f"basis labels differ in degree {d}: {labels} vs {b.labels[d]}"
             )
-    return CrossValidation(False, "graded isomorphism failed")
+    for key in product_keys(a.labels):
+        if a.product_pairs(*key) != b.product_pairs(*key):
+            da, i, db, j = key
+            return CrossValidation(
+                False,
+                f"structure constant ({da},{i})*({db},{j}): "
+                f"{a.basis_product(*key)} vs {b.basis_product(*key)}",
+            )
+    (v_sd,), (v_sr,) = sd_rep.functional.values, sr_rep.functional.values
+    if v_sd != v_sr:
+        top = a.labels[spec.top_degree][0]
+        return CrossValidation(
+            False, f"top functional mismatch: {v_sd} vs {v_sr} on {top}"
+        )
+    for name, cls in sd_rep.generator_classes.items():
+        if cls != sr_rep.generator_classes[name]:
+            return CrossValidation(
+                False,
+                f"generator class {name} mismatch: "
+                f"{cls} vs {sr_rep.generator_classes[name]}",
+            )
+    return CrossValidation(True)
 
 
 # ---------------------------------------------------------------------------
@@ -511,13 +477,9 @@ def rho_class(spec: BundleSpec, report: RingReport, delta: VirtualPolytope) -> V
 
 def pullback_class(spec: BundleSpec, report: RingReport, gdeg: int, gamma) -> Vec:
     """p^*(gamma) for a base class given by a degree-gdeg coefficient vector."""
-    model = report.model if report.builder == "sr" else None
-    if model is None:
+    if report.builder != "sr":
         raise ValueError("pullback classes are read off the sr model")
-    zero = (0,) * spec.fan.nrays
-    return model.normal_form(
-        gdeg, {(gdeg, u, zero): c for u, c in enumerate(gamma) if c}
-    )
+    return report.model.class_of((0,) * spec.fan.nrays, gdeg, gamma)
 
 
 def verify_bkk(
@@ -592,8 +554,6 @@ def self_intersection(
     sr_report: RingReport | None = None,
 ) -> Fraction:
     """rho-bar(Delta)^{n+s} two ways: in the ring and by binomial integrals."""
-    if spec.k % 2:
-        raise OddBase("self-intersection vanishes for odd-dimensional bases")
     s = spec.k // 2
     n = spec.n
     delta0 = bar_delta.virtual
@@ -633,19 +593,6 @@ def self_intersection(
 # ---------------------------------------------------------------------------
 
 
-def _degree2_generated(r: GradedAlgebra) -> bool:
-    for d in range(4, r.top + 1, 2):
-        if r.dim(d) == 0:
-            continue
-        rows = []
-        for i in range(r.dim(2)):
-            for j in range(r.dim(d - 2)):
-                rows.append(list(r.basis_product(2, i, d - 2, j)))
-        if not rows or rank(QMatrix(rows)) != r.dim(d):
-            return False
-    return True
-
-
 def complement_basis(base: BaseData) -> list[int]:
     """Degree-2 standard basis positions complementing the chern image."""
     if not base.chern or not any(any(c) for c in base.chern):
@@ -661,8 +608,6 @@ def self_intersection_polynomial(spec: BundleSpec) -> tuple[QPolynomial, list[in
     Variables: h_1..h_s for the fiber fan, one t per complement generator of
     the chern image inside the degree-2 part of the base.
     """
-    if spec.k % 2:
-        raise OddBase("odd-dimensional base")
     s = spec.k // 2
     comp = complement_basis(spec.base)
     xvars = spec.x_vars + tuple(f"t{u + 1}" for u in range(len(comp)))
@@ -697,9 +642,7 @@ def self_intersection_polynomial(spec: BundleSpec) -> tuple[QPolynomial, list[in
 
 def ring_via_diff(spec: BundleSpec) -> RingReport:
     """Diff(P_Sigma + complement)/Ann(I) for degree-2-generated bases."""
-    if spec.k % 2:
-        raise OddBase("odd-dimensional base")
-    if not _degree2_generated(spec.base.algebra):
+    if any(d != 2 for d, _ in spec.base.algebra.generators()):
         raise NotDegree2Generated("base cohomology not generated in degree 2")
     s = spec.k // 2
     n = spec.n
@@ -736,40 +679,27 @@ def diff_matches_sr(spec: BundleSpec) -> bool:
     if diff_rep.dims() != sr_rep.dims():
         return False
     model: AnnModel = diff_rep.model
-    sr_model: QuotientModel = sr_rep.model
-    comp = complement_basis(spec.base)
-    zero = (0,) * spec.fan.nrays
-
-    # images in sr of the full operator family (h's then t's)
-    images = []
-    for i in range(spec.fan.nrays):
-        beta = tuple(int(j == i) for j in range(spec.fan.nrays))
-        images.append(sr_model.normal_form(2, {(0, 0, beta): Fraction(1)}))
-    for u in comp:
-        images.append(sr_model.normal_form(2, {(2, u, zero): Fraction(1)}))
-
-    gen_rows = []
-    for alpha in model.op_basis[2]:
-        v = alpha.index(1)
-        gen_rows.append(list(images[v]))
+    # the sr generators matching the operator family (h's then t's)
+    labels = spec.base.algebra.labels.get(2, ())
+    names = list(spec.x_names)
+    names += [f"base:{labels[u]}" for u in complement_basis(spec.base)]
+    gen_rows = [
+        list(sr_rep.generator_classes[names[alpha.index(1)]][1])
+        for alpha in model.op_basis[2]
+    ]
     return graded_isomorphic(diff_rep.algebra, sr_rep.algebra, gen_rows)
 
 
 def cherneq_holds(spec: BundleSpec, sr_report: RingReport | None = None) -> bool:
     """p^* c(lambda) = rho(lambda) in the SR ring, per lattice generator."""
     rep = sr_report or ring_via_sr(spec)
-    model: QuotientModel = sr_report.model if sr_report else rep.model
-    zero = (0,) * spec.fan.nrays
+    xs = [rep.generator_classes[name][1] for name in spec.x_names]
+    base_labels = spec.base.algebra.labels.get(2, ())
+    us = [rep.generator_classes[f"base:{label}"][1] for label in base_labels]
     for t in range(spec.n):
-        cm: dict = {}
-        for i, ray in enumerate(spec.fan.rays):
-            if ray[t]:
-                beta = tuple(int(j == i) for j in range(spec.fan.nrays))
-                cm[(0, 0, beta)] = Fraction(ray[t])
-        for u, c in enumerate(spec.base.chern[t]):
-            if c:
-                cm[(2, u, zero)] = cm.get((2, u, zero), Fraction(0)) - c
-        if any(model.normal_form(2, cm)):
+        terms = [(ray[t], x) for ray, x in zip(spec.fan.rays, xs)]
+        terms += [(-c, u) for c, u in zip(spec.base.chern[t], us)]
+        if any(sum(c * v[j] for c, v in terms) for j in range(rep.algebra.dim(2))):
             return False
     return True
 
@@ -791,7 +721,6 @@ def ring_power_derivative_check(
     from toricbundle.polyhedral import dual_vertex
 
     rep = sr_report or ring_via_sr(spec)
-    model: QuotientModel = rep.model
     n, m = spec.n, spec.n + i
     gdeg = spec.k - 2 * i
     hvars = tuple(f"h{j + 1}" for j in range(spec.fan.nrays))
@@ -800,12 +729,8 @@ def ring_power_derivative_check(
         coeff = factorial(m)
         for e in beta:
             coeff //= factorial(e)
-        cm = {}
-        for u, c in enumerate(gamma):
-            if c:
-                cm[(gdeg, u, beta)] = c
         val = rep.functional.of(
-            spec.top_degree, model.normal_form(spec.top_degree, cm)
+            spec.top_degree, rep.model.class_of(beta, gdeg, gamma)
         )
         if val:
             terms[beta] = coeff * val

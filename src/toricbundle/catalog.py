@@ -185,17 +185,16 @@ def base_flag_sl(n: int) -> FlagBase:
             f"{alg.total_dim()} instead of {2 * big_n}, {factorial(n)}"
         )
 
-    # product of positive roots = |W| * [pt]
+    # the classes of the w_t, then product of positive roots = |W| * [pt]
+    ws = [model.class_of(int(u == t) for u in range(n - 1)) for t in range(n - 1)]
     deg, vec = 0, (Fraction(1),)
     for i in range(n):
         for j in range(i + 1, n):
             root = [a - b for a, b in zip(_std_weights(n)[i], _std_weights(n)[j])]
-            cm = {}
-            for t, c in enumerate(root):
-                if c:
-                    beta = tuple(int(u == t) for u in range(n - 1))
-                    cm[(0, 0, beta)] = Fraction(c)
-            rvec = model.normal_form(2, cm)
+            rvec = tuple(
+                sum((c * w[u] for c, w in zip(root, ws)), Fraction(0))
+                for u in range(alg.dim(2))
+            )
             vec = alg.multiply(deg, vec, 2, rvec)
             deg += 2
     (c_top,) = vec
@@ -203,11 +202,7 @@ def base_flag_sl(n: int) -> FlagBase:
         raise VerificationFailed("product of the positive roots vanishes")
     ell = TopFunctional(alg, 2 * big_n, (Fraction(factorial(n)) / c_top,))
 
-    chern = []
-    for t in range(n - 1):
-        beta = tuple(int(u == t) for u in range(n - 1))
-        chern.append(model.normal_form(2, {(0, 0, beta): Fraction(1)}))
-    return FlagBase(n, BaseData(alg, ell, tuple(chern)), model)
+    return FlagBase(n, BaseData(alg, ell, tuple(ws)), model)
 
 
 # ---------------------------------------------------------------------------
@@ -523,7 +518,6 @@ def projective_bundle_check(base: BaseData, degrees) -> bool:
     spec = projective_bundle_spec(base, degrees)
     n = len(degrees)
     rep = ring_via_sr(spec)
-    model: QuotientModel = rep.model
     alg = rep.algebra
 
     # Chern classes of the rank-(n+1) sum: elementary symmetric polynomials
@@ -548,9 +542,7 @@ def projective_bundle_check(base: BaseData, degrees) -> bool:
             new.append((deg, tuple(vec)))
         elem = new
 
-    t_deg, t_cls = 2, None
-    beta_t = tuple(int(j == n) for j in range(n + 1))
-    t_cls = model.normal_form(2, {(0, 0, beta_t): Fraction(1)})
+    t_cls = rep.generator_classes[spec.x_names[n]][1]
     total_deg = 2 * (n + 1)
     deg_t, pow_t = alg.power_of_element(2, t_cls, n + 1)
     acc = list(pow_t)

@@ -54,11 +54,8 @@ EXIT_IDENTITY = 1
 EXIT_GEOMETRY = 2
 EXIT_PRECONDITION = 3
 
-# flag-bundle catalog entries: name -> (n, fan factory, lattice basis)
-FLAG_REGISTRY = {
-    "flag_sl2_p1": (2, catalog.fan_p1, None),
-    "flag_sl3_p1xp1": (3, catalog.fan_p1xp1, None),
-}
+# flag-bundle catalog specs (catalog.SPECS) and the n of their SL_n
+FLAG_RANKS = {"flag_sl2_p1": 2, "flag_sl3_p1xp1": 3}
 
 
 def _fail(code: int, message: str):
@@ -255,14 +252,14 @@ def _suite_cc(spec: BundleSpec, rng, count, lines) -> bool:
 
 
 def _suite_bk(spec_name: str, rng, count, lines) -> bool:
-    if spec_name not in FLAG_REGISTRY:
+    if spec_name not in FLAG_RANKS:
         _fail(
             EXIT_PRECONDITION,
             f"bk suite needs a flag catalog spec, got {spec_name!r}",
         )
-    n, fan_maker, lam_basis = FLAG_REGISTRY[spec_name]
-    fan = fan_maker()
-    spec = catalog.flag_bundle_spec(n, fan, lam_basis)
+    n = FLAG_RANKS[spec_name]
+    spec = catalog.SPECS[spec_name]()
+    fan = spec.fan
     rep = ring_via_sr(spec)
     ok = True
     for t in range(count):
@@ -273,7 +270,7 @@ def _suite_bk(spec_name: str, rng, count, lines) -> bool:
             else tuple(Fraction(rng.randint(-2, 2)) for _ in range(n - 1))
         )
         lhs, rhs, eq = catalog.brion_kazarnovskii_check(
-            n, fan, delta, lam_basis, shift, sr_report=rep, spec=spec
+            n, fan, delta, None, shift, sr_report=rep, spec=spec
         )
         ok &= _emit(
             lines,
@@ -314,12 +311,12 @@ def _suite_pbundle(spec: BundleSpec, rng, count, lines) -> bool:
 
 
 def _suite_gz(spec_name: str, rng, count, lines) -> bool:
-    if spec_name not in FLAG_REGISTRY:
+    if spec_name not in FLAG_RANKS:
         _fail(
             EXIT_PRECONDITION,
             f"gz suite needs a flag catalog spec, got {spec_name!r}",
         )
-    n = FLAG_REGISTRY[spec_name][0]
+    n = FLAG_RANKS[spec_name]
     ok = True
     for _ in range(count):
         lam = tuple(rng.randint(0, 5) for _ in range(n - 1))
@@ -414,18 +411,10 @@ def cmd_intersect(args) -> int:
         _fail(EXIT_PRECONDITION, str(exc))
     degree = gdeg + 2 * sum(beta)
     rep = ring_via_sr(spec)
-    model = rep.model
-    if gdeg > spec.base.algebra.top or not any(gvec):
+    if gdeg > spec.base.algebra.top:
         cls = ()
     else:
-        coeff_map = {
-            (gdeg, u, beta): c for u, c in enumerate(gvec) if c
-        }
-        cls = (
-            model.normal_form(degree, coeff_map)
-            if degree <= spec.top_degree
-            else ()
-        )
+        cls = rep.model.class_of(beta, gdeg, gvec)
     if not any(cls):
         print(f"{args.expr} = 0  (class vanishes in degree {degree})")
         print("value: [0, 1]")

@@ -79,10 +79,6 @@ class NotDegree2Generated(ToricBundleError):
     pass
 
 
-class OddBase(ToricBundleError):
-    """Base of odd real dimension where an even one is required."""
-
-
 class NotTopDegree(ToricBundleError):
     pass
 

@@ -403,25 +403,10 @@ class Reducer:
         coefficients add.
 
         Numerators are summed per denominator on Python ints; each output
-        entry is one ``Fraction``.  With no rows (a degree without relations,
-        as in a free model) the class is the vector itself, so ``Fraction``
-        values pass through as they are.
+        entry is one ``Fraction``.  Without rows (a degree free of
+        relations) every column is kept and the class is the vector itself.
         """
         pos, rows = self._pos, self._rows
-        if not rows:
-            merged: dict[int, Fraction] = {}
-            for col, c in items:
-                if col in merged:
-                    merged[col] += c
-                else:
-                    merged[col] = c
-            out = [
-                (i, x if type(x) is Fraction else Fraction(x))
-                for i, x in merged.items()
-                if x
-            ]
-            out.sort()
-            return tuple(out)
         acc: dict[int, dict[int, int]] = {}  # denominator -> index -> numerator
         for col, c in items:
             num, den = c.numerator, c.denominator

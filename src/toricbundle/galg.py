@@ -10,11 +10,14 @@ odd cohomology), so no Koszul signs appear anywhere.  The module provides
   stores, and in which order; every builder, checker and serializer walks
   the table through it;
 * ``FreeAlgebra``: R[x_1..x_s] on its monomials, in a deterministic order,
-  with products computed when read rather than stored;
+  with products computed when read rather than stored; it is the one owner
+  of free-monomial coordinates (``FreeAlgebra.element``);
 * ``build_quotient``: the degreewise quotient engine for presented algebras
   R[x_1..x_s]/(relations); relation multiples are sparse rows over the free
   monomials, and the kernel's integer RREF rows (``exactlin.echelon_int``)
-  become the reducer of each degree;
+  become the reducer of each degree.  The Stanley-Reisner and self-dual
+  rings are both quotients of one ``FreeAlgebra`` by such reducers, and a
+  class in either is the degree's reducer applied to a free element;
 * Frobenius forms, the self-dual quotient B/I(L_ell) obtained by factoring
   out the radical of the Frobenius form.  The radical comes from the top
   degree down, as Macaulay's inverse system describes B/Ann(ell): ker ell on
@@ -310,22 +313,25 @@ def check_poincare(a: GradedAlgebra, ell: TopFunctional) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def _class(reducers, d: int, pairs) -> Vec:
+    """Quotient coordinates of a degree-d element given as (column,
+    coefficient) pairs; a degree without a reducer is zero."""
+    red = reducers.get(d)
+    return _dense(len(red.keep), red.pairs(pairs)) if red else ()
+
+
 @dataclass
 class SdQuotient:
     """Quotient of B by the radical of the Frobenius form of ell."""
 
     algebra: GradedAlgebra
     functional: TopFunctional  # induced ell_* on the quotient top degree
-    kept: dict[int, tuple[int, ...]]  # surviving basis positions per degree
-    reducers: dict[int, Reducer]  # the radical per degree, kept = reducer.keep
+    reducers: dict[int, Reducer]  # the radical per degree; basis at .keep
 
-    def project(self, d: int, vec) -> Vec:
-        """Coordinates of the class of a degree-d element of B."""
-        if d not in self.kept:
-            return ()
-        red = self.reducers[d]
-        pairs = red.pairs((t, x) for t, x in enumerate(vec) if x)
-        return _dense(len(red.keep), pairs)
+    def project(self, d: int, pairs) -> Vec:
+        """Coordinates of the class of a degree-d element of B, given as
+        (column, coefficient) pairs."""
+        return _class(self.reducers, d, pairs)
 
 
 def _radical_rows(
@@ -428,7 +434,7 @@ def sd_quotient(b: GradedAlgebra, ell: TopFunctional) -> SdQuotient:
     functional = TopFunctional(alg, n, (ell.values[kept[n][0]],))
     if not check_poincare(alg, functional):
         raise VerificationFailed("sd quotient not Poincare")
-    return SdQuotient(alg, functional, kept, reducers)
+    return SdQuotient(alg, functional, reducers)
 
 
 # ---------------------------------------------------------------------------
@@ -482,37 +488,27 @@ def _mono_label(base: GradedAlgebra, gen_names, mono) -> str:
 
 @dataclass
 class QuotientModel:
-    """A built quotient: algebra plus the normal-form machinery behind it."""
+    """A built quotient of the free algebra ``free``: ``reducers[d]`` holds
+    the relation span in degree d, and the basis is the free monomials at
+    ``reducers[d].keep``."""
 
     presented: PresentedAlgebra
     algebra: GradedAlgebra
-    monomials: dict[int, list]
-    column: dict[int, dict]
-    reducers: dict[int, Reducer]  # the relation span per degree
-    basis_monos: dict[int, list]  # the monomials at reducer.keep
+    free: FreeAlgebra
+    reducers: dict[int, Reducer]
 
-    def _class_pairs(self, d: int, coeff_map) -> SparseRow:
-        column = self.column[d]
-        return self.reducers[d].pairs(
-            (column[mono], c) for mono, c in coeff_map.items()
-        )
-
-    def normal_form(self, d: int, coeff_map) -> Vec:
-        """Quotient coordinates of sum coeff * monomial in degree d."""
-        if d > self.presented.truncation or d not in self.monomials:
-            return ()
-        return _dense(len(self.basis_monos[d]), self._class_pairs(d, coeff_map))
-
-    def monomial_class(self, mono) -> tuple[int, Vec]:
-        rdeg, ridx, beta = mono
-        d = rdeg + 2 * sum(beta)
-        return d, self.normal_form(d, {mono: Fraction(1)})
+    def class_of(self, beta, gdeg: int = 0, gamma=None) -> Vec:
+        """Quotient coordinates of p^*(gamma) * x^beta (see
+        :meth:`FreeAlgebra.element`); zero above the truncation."""
+        return _class(self.reducers, *self.free.element(beta, gdeg, gamma))
 
 
 class FreeAlgebra(GradedAlgebra):
     """R[x_1..x_s] truncated above degree ``top``, on its free monomials
     (base degree, base index, beta): ``monomials[d]`` lists them in
     ``_mono_sort_key`` order, and ``column[d]`` maps each to its index.
+    Callers name an element by (beta, base degree, base vector) through
+    :meth:`element` and never build the monomial keys themselves.
 
     No product table is stored: a product of two monomials is computed when
     it is read, from the exponent sum and the base's structure constants.
@@ -551,6 +547,18 @@ class FreeAlgebra(GradedAlgebra):
             (column[(r1 + r2, t, beta)], c)
             for t, c in self.base.product_pairs(r1, i1, r2, i2)
         )
+
+    def element(self, beta, gdeg: int = 0, gamma=None):
+        """(degree, column pairs) of p^*(gamma) * x^beta, with gamma a
+        coefficient vector of base degree ``gdeg`` (the unit by default);
+        above the top the element is zero and has no pairs."""
+        beta = tuple(beta)
+        d = gdeg + 2 * sum(beta)
+        if d > self.top:
+            return d, ()
+        column = self.column[d]
+        gamma = (_ONE,) if gamma is None else gamma
+        return d, [(column[(gdeg, u, beta)], c) for u, c in enumerate(gamma) if c]
 
     def generators(self) -> list[tuple[int, int]]:
         zero = self.monomials[0][0][2]
@@ -608,13 +616,7 @@ def build_quotient(p: PresentedAlgebra) -> QuotientModel:
             multipliers = free.monomials.get(d - rel_deg, [])
             rows += _relation_rows(p.base, rel, multipliers, free.column[d])
         reducers[d] = Reducer(echelon_int(row.items() for row in rows), len(monos))
-    basis_monos = {
-        d: [free.monomials[d][t] for t in red.keep] for d, red in reducers.items()
-    }
-    alg = _quotient_algebra(free, reducers)
-    return QuotientModel(
-        p, alg, free.monomials, free.column, reducers, basis_monos
-    )
+    return QuotientModel(p, _quotient_algebra(free, reducers), free, reducers)
 
 
 # ---------------------------------------------------------------------------

@@ -6,12 +6,12 @@ from fractions import Fraction as F
 import pytest
 
 from toricbundle.bundle import (
+    _free_algebra,
     cherneq_holds,
     cross_validate,
     diff_matches_sr,
     ell_functional,
     f_gamma,
-    free_model,
     horizontal_part,
     random_convex,
     random_virtual,
@@ -26,7 +26,7 @@ from toricbundle.bundle import (
 )
 from toricbundle.catalog import SPECS, fan_p1xp1, flag_bundle_spec
 from toricbundle.errors import DegreeMismatch
-from toricbundle.galg import _unit
+from toricbundle.galg import FreeAlgebra, _unit
 from toricbundle.integrate import mixed_integral
 from toricbundle.polyhedral import AffineVirtualPolytope, VirtualPolytope
 
@@ -59,8 +59,7 @@ def test_ell_functional_p2_values():
     """Plain mixed-integral functional: frozen polarization values."""
     spec = SPECS["p2_toric"]()
     ell = ell_functional(spec)
-    model = free_model(spec)
-    by_mono = dict(zip(model.basis_monos[4], ell.values))
+    by_mono = dict(zip(_free_algebra(spec).monomials[4], ell.values))
     assert by_mono[(0, 0, (1, 1, 0))] == F(1, 2)
     assert by_mono[(0, 0, (2, 0, 0))] == F(1, 2)
 
@@ -68,17 +67,15 @@ def test_ell_functional_p2_values():
 def test_ell_functional_hirzebruch_value():
     spec = hirzebruch()
     ell = ell_functional(spec)
-    model = free_model(spec)
-    by_mono = dict(zip(model.basis_monos[4], ell.values))
+    by_mono = dict(zip(_free_algebra(spec).monomials[4], ell.values))
     assert by_mono[(0, 0, (2, 0))] == F(1, 2)
 
 
 def test_ell_matches_inclusion_exclusion_route():
     """Dual route: coefficient formula against 2^m forward differences."""
     spec = SPECS["p1xp1_over_p1"]()
-    model = free_model(spec)
     ell = ell_functional(spec)
-    by_mono = dict(zip(model.basis_monos[spec.top_degree], ell.values))
+    by_mono = dict(zip(_free_algebra(spec).monomials[spec.top_degree], ell.values))
     rng = random.Random(9)
     samples = rng.sample(list(by_mono), 5)
     for rdeg, ridx, beta in samples:
@@ -149,6 +146,23 @@ def test_diff_rejects_gapped_base():
         ring_via_diff(_gapped_base_spec())
 
 
+def test_diff_rejects_base_with_degree4_generator():
+    """Q[H, t]/(H^2, t^2) with deg t = 4: degree 2 is nonempty, but t is not
+    a product of degree-2 classes."""
+    from toricbundle.catalog import fan_p1
+    from toricbundle.errors import NotDegree2Generated
+    from toricbundle.galg import GradedAlgebra, TopFunctional
+    from toricbundle.bundle import BaseData, BundleSpec
+
+    labels = {0: ("1",), 2: ("H",), 4: ("t",), 6: ("H*t",)}
+    products = {(2, 0, 2, 0): (F(0),), (2, 0, 4, 0): (F(1),)}
+    alg = GradedAlgebra(6, labels, products)
+    assert alg.generators() == [(2, 0), (4, 0)]
+    base = BaseData(alg, TopFunctional(alg, 6, (F(1),)), ((F(1),),))
+    with pytest.raises(NotDegree2Generated):
+        ring_via_diff(BundleSpec(base, fan_p1(), "degree4_generator"))
+
+
 def test_sd_quotient_of_partial_presentation():
     """Imposing only the square-free monomial ideal first: the linear
     relations surface in the radical and the same ring comes out."""
@@ -168,12 +182,10 @@ def test_sd_quotient_of_partial_presentation():
         PresentedAlgebra(pt, ("x1", "x2", "x3"), (sr_only,), 4)
     )
     assert model_i.algebra.dims() == (1, 3, 6)
-    free = free_model(spec)
-    ell_free = intersection_functional(spec, free)
-    vals = dict(zip(free.basis_monos[4], ell_free.values))
-    ell_i = TopFunctional(
-        model_i.algebra, 4, tuple(vals[m] for m in model_i.basis_monos[4])
-    )
+    free = _free_algebra(spec)
+    vals = dict(zip(free.monomials[4], intersection_functional(spec, free).values))
+    basis = [model_i.free.monomials[4][t] for t in model_i.reducers[4].keep]
+    ell_i = TopFunctional(model_i.algebra, 4, tuple(vals[m] for m in basis))
     sq = sd_quotient(model_i.algebra, ell_i)
     full = ring_via_sr(spec)
     assert sq.algebra.dims() == full.algebra.dims() == (1, 1, 1)
@@ -239,12 +251,75 @@ def test_cross_validate_reports_radical_mismatch(monkeypatch):
     assert result.detail == "degree 4: radical != Stanley-Reisner ideal"
 
 
+def test_cross_validate_reports_generator_class(monkeypatch):
+    """An sd generator class that differs from the sr one is reported by
+    its name."""
+    import dataclasses
+
+    from toricbundle import bundle
+
+    real = bundle.ring_via_sd
+
+    def doubled_x1(spec):
+        rep = real(spec)
+        gens = dict(rep.generator_classes)
+        d, vec = gens["x1"]
+        gens["x1"] = (d, tuple(2 * c for c in vec))
+        return dataclasses.replace(rep, generator_classes=gens)
+
+    monkeypatch.setattr(bundle, "ring_via_sd", doubled_x1)
+    result = cross_validate(hirzebruch())
+    assert not result
+    assert result.detail.startswith("generator class x1 mismatch: ")
+
+
+def test_cross_validate_reports_basis_labels(monkeypatch):
+    """An sd basis named differently from the sr one is reported in its
+    degree."""
+    import dataclasses
+
+    from toricbundle import bundle
+    from toricbundle.galg import GradedAlgebra
+
+    real = bundle.ring_via_sd
+
+    def renamed_top(spec):
+        rep = real(spec)
+        alg = rep.algebra
+        labels = {**alg.labels, alg.top: ("pt",)}
+        wrong = GradedAlgebra.from_pairs(alg.top, labels, alg.products)
+        return dataclasses.replace(rep, algebra=wrong)
+
+    monkeypatch.setattr(bundle, "ring_via_sd", renamed_top)
+    result = cross_validate(SPECS["p2_toric"]())
+    assert not result
+    assert result.detail == "basis labels differ in degree 4: ('pt',) vs ('x3^2',)"
+
+
+def test_cross_validate_compares_by_equality(monkeypatch):
+    """The reports are compared field by field; no graded isomorphism is
+    searched for."""
+    from toricbundle import bundle, galg
+
+    calls = []
+    real = galg.graded_isomorphic
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(bundle, "graded_isomorphic", counting)
+    monkeypatch.setattr(galg, "graded_isomorphic", counting)
+    for spec in (hirzebruch(), _gapped_base_spec(), SPECS["p2_rank2"]()):
+        assert cross_validate(spec)
+    assert calls == []
+
+
 def test_sd_without_base_generators_raises(monkeypatch):
     """The radical recursion needs a generating set: with the x_i alone, the
     free model's radical over P^1 is too large.  It holds the unit, and
     what is left has total dimension 2 where Leray-Hirsch asks for 4."""
     from toricbundle.errors import VerificationFailed
-    from toricbundle.galg import FreeAlgebra
 
     real = FreeAlgebra.generators
 
@@ -356,15 +431,6 @@ def test_self_intersection_point_base_is_classical():
     assert self_intersection(spec, av, rep) == 1  # 2! * Vol(triangle)
 
 
-def test_self_intersection_rejects_odd_base():
-    # no odd-degree base can even be constructed in this engine; the guard
-    # is the even-k check inside self_intersection, exercised via k=0 spec
-    spec = SPECS["p2_toric"]()
-    rep = ring_via_sr(spec)
-    av = AffineVirtualPolytope(VirtualPolytope(spec.fan, (1, 1, 1)), ())
-    assert self_intersection(spec, av, rep) == F(2) * F(9, 2)
-
-
 def test_ring_via_diff_examples():
     assert ring_via_diff(SPECS["p2_toric"]()).dims() == (1, 1, 1)
     assert ring_via_diff(hirzebruch()).dims() == (1, 2, 1)
@@ -434,13 +500,11 @@ def test_squarefree_matches_ring():
         spec = SPECS[name]()
         rep = ring_via_sr(spec)
         model = rep.model
-        for mono in model.monomials[spec.top_degree]:
-            rdeg, ridx, beta = mono
+        for rdeg, ridx, beta in model.free.monomials[spec.top_degree]:
             gamma = _unit(spec.base.algebra.dim(rdeg), ridx)
             direct = squarefree_evaluate(spec, beta, rdeg, gamma)
             via_ring = rep.functional.of(
-                spec.top_degree,
-                model.normal_form(spec.top_degree, {mono: F(1)}),
+                spec.top_degree, model.class_of(beta, rdeg, gamma)
             )
             assert direct == via_ring
 

@@ -48,6 +48,29 @@ def test_fan_check_invalid_exit_2(capsys, tmp_path):
     assert code == 2
 
 
+def test_fan_check_overlapping_cones_exit_2(capsys, tmp_path):
+    path = tmp_path / "overlap.json"
+    path.write_text(
+        json.dumps({"rays": [[1, 0], [1, 1], [0, 1]], "max_cones": [[0, 2], [1, 2]]})
+    )
+    code, out, _ = run(capsys, "fan", "check", str(path))
+    assert code == 2
+    assert "do not meet in a face" in out
+
+
+def test_ring_odd_degree_base_exit_3(capsys, tmp_path):
+    """Odd degrees are refused where the algebra is built, as a malformed
+    spec file."""
+    spec = spec_to_dict(SPECS["hirzebruch_1"]())
+    spec["base"]["top_degree"] = 3
+    path = tmp_path / "odd.json"
+    path.write_text(json.dumps(spec))
+    code, _, err = run(capsys, "ring", str(path), "--builder", "sr")
+    assert code == 3
+    assert "malformed spec file" in err
+    assert "odd degree in even-degree algebra" in err
+
+
 def test_ring_builders(capsys):
     for builder, dims in (("sr", [1, 1, 1]), ("sd", [1, 1, 1]), ("diff", [1, 1, 1])):
         code, out, _ = run(

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toricbundle import galg
-from toricbundle.bundle import free_model, intersection_functional
+from toricbundle.bundle import _free_algebra, intersection_functional
 from toricbundle.catalog import SPECS
 from toricbundle.errors import (
     NonHomogeneousRelation,
@@ -28,6 +28,7 @@ from toricbundle.exactlin import (
     solve,
 )
 from toricbundle.galg import (
+    FreeAlgebra,
     GradedAlgebra,
     PresentedAlgebra,
     TopFunctional,
@@ -50,12 +51,21 @@ def trunc_poly_algebra(ngens: int, top: int):
     return build_quotient(PresentedAlgebra(PT, names, (), top))
 
 
+def test_odd_degree_algebra_rejected():
+    """Odd degrees are refused where an algebra is built, so no odd-degree
+    base reaches the bundle builders."""
+    with pytest.raises(ValueError, match="odd degree"):
+        GradedAlgebra(3, {0: ("1",), 2: ("H",)}, {})
+    with pytest.raises(ValueError, match="odd degree"):
+        GradedAlgebra(2, {0: ("1",), 1: ("e",), 2: ("H",)}, {})
+
+
 def test_build_quotient_p1():
     rel_sr = {(1, 1): (0, (F(1),))}
     rel_lin = {(1, 0): (0, (F(1),)), (0, 1): (0, (F(-1),))}
     m = build_quotient(PresentedAlgebra(PT, ("x1", "x2"), (rel_sr, rel_lin), 4))
     assert m.algebra.dims() == (1, 1)
-    assert m.monomial_class((0, 0, (2, 0)))[1] == ()  # x1^2 = 0
+    assert m.class_of((2, 0)) == ()  # x1^2 = 0
 
 
 def test_build_quotient_p2():
@@ -65,9 +75,7 @@ def test_build_quotient_p2():
     m = build_quotient(PresentedAlgebra(PT, ("x1", "x2", "x3"), (r1, r2, r3), 6))
     assert m.algebra.dims() == (1, 1, 1)
     # x1*x1 equals the top class x1*x3
-    assert m.monomial_class((0, 0, (2, 0, 0)))[1] == m.monomial_class(
-        (0, 0, (1, 0, 1))
-    )[1]
+    assert m.class_of((2, 0, 0)) == m.class_of((1, 0, 1))
 
 
 def test_build_quotient_truncated_free():
@@ -321,12 +329,12 @@ def _dense_structure_constants(model):
     point, by dense elimination of the relation multiples in each degree."""
     pres = model.presented
     reduced = {}
-    for d, monos in model.monomials.items():
+    for d, monos in model.free.monomials.items():
         col = {m: t for t, m in enumerate(monos)}
         rows = []
         for rel in pres.relations:
             rel_deg = 2 * sum(next(iter(rel)))
-            for _, _, bm in model.monomials.get(d - rel_deg, []):
+            for _, _, bm in model.free.monomials.get(d - rel_deg, []):
                 row = [F(0)] * len(monos)
                 for beta_g, (_, (c,)) in rel.items():
                     beta = tuple(a + b for a, b in zip(bm, beta_g))
@@ -368,12 +376,16 @@ def test_sparse_products_match_dense_reference(seed, xs, ys):
     model = _random_presented(random.Random(seed))
     alg = model.algebra
     product = _dense_structure_constants(model)
+    basis = {
+        d: [model.free.monomials[d][t] for t in red.keep]
+        for d, red in model.reducers.items()
+    }
     degs = alg.degrees()
     for a in degs:
         for b in degs:
             d = a + b
             table = {
-                (i, j): product(model.basis_monos[a][i], model.basis_monos[b][j])
+                (i, j): product(basis[a][i], basis[b][j])
                 if d <= alg.top
                 else (F(0),) * alg.dim(d)
                 for i in range(alg.dim(a))
@@ -446,25 +458,21 @@ def test_ann_quotient_matches_sd_of_free():
     order = 2
     am = ann_quotient(f, order)
 
-    free = trunc_poly_algebra(2, 2 * order)
-    from toricbundle.qpoly import apply_operator
-
+    free = FreeAlgebra(PT, hv, 2 * order)
     values = []
-    for mono in free.basis_monos[2 * order]:
-        _, _, beta = mono
+    for _, _, beta in free.monomials[2 * order]:
         op = QPolynomial(hv, {beta: F(1)})
         values.append(
             apply_operator(op, f).coefficient((0, 0)) / factorial(order)
         )
-    ell = TopFunctional(free.algebra, 2 * order, tuple(values))
-    sq = sd_quotient(free.algebra, ell)
+    ell = TopFunctional(free, 2 * order, tuple(values))
+    sq = sd_quotient(free, ell)
     assert sq.algebra.dims() == am.algebra.dims()
 
     # canonical generator map: class of x_i in sq  ->  class of d_i in ann
     gen_rows = []
-    for j in sq.kept[2]:
-        mono = free.basis_monos[2][j]
-        beta = mono[2]
+    for j in sq.reducers[2].keep:
+        beta = free.monomials[2][j][2]
         op = QPolynomial(hv, {beta: F(1)})
         gen_rows.append(list(am.operator_class(op)[1]))
     assert graded_isomorphic(sq.algebra, am.algebra, gen_rows)
@@ -533,14 +541,14 @@ def test_graded_isomorphic_negative():
 # -- fast paths pinned to the slow paths they replace -------------------------
 
 
-def _exhaustive_ideal_check(b, reducers, kept):
+def _exhaustive_ideal_check(b, reducers):
     """Every radical row times every basis element of B projects to zero."""
     for k, red in reducers.items():
         for row in red.int_rows():
             for d in b.degrees():
-                if k + d not in kept:
+                target = reducers.get(k + d)
+                if target is None or not target.keep:
                     continue
-                target = reducers[k + d]
                 for j in range(b.dim(d)):
                     acc = {}
                     for t, c in row:
@@ -605,8 +613,8 @@ def _generated_span(b, gens):
 @functools.cache
 def _catalog_free_case(name):
     spec = SPECS[name]()
-    model = free_model(spec)
-    return model.algebra, intersection_functional(spec, model)
+    free = _free_algebra(spec)
+    return free, intersection_functional(spec, free)
 
 
 @settings(max_examples=60, deadline=None)
@@ -629,7 +637,7 @@ def test_radical_recursion_matches_pairing_kernel(case):
         if b.dim(k):
             oracle = kernel_int(galg._pairing_rows(b, ell, n - k), b.dim(k))
             assert sq.reducers[k].int_rows() == Reducer(oracle, b.dim(k)).int_rows()
-    _exhaustive_ideal_check(b, sq.reducers, sq.kept)
+    _exhaustive_ideal_check(b, sq.reducers)
 
 
 def test_generators_of_gapped_algebra():

@@ -10,6 +10,7 @@ from toricbundle import polyhedral
 from toricbundle.catalog import SPECS, fan_projective_space
 from toricbundle.exactlin import QMatrix, solve
 from toricbundle.errors import (
+    BadFaceIntersection,
     DegenerateCone,
     FanError,
     FanTooCoarse,
@@ -71,6 +72,20 @@ def test_validate_rejects_nonprimitive():
 def test_validate_rejects_degenerate_cone():
     with pytest.raises(DegenerateCone):
         validate_fan([(1, 0), (-1, 0)], [(0, 1)])
+
+
+@pytest.mark.parametrize(
+    "rays, cones",
+    [
+        # the cone of (1,1), (0,1) lies inside the first quadrant
+        ([(1, 0), (1, 1), (0, 1)], [(0, 2), (1, 2)]),
+        # P^2 plus the ray (1,1) and a cone inside the cone of (1,0), (0,1)
+        ([(1, 0), (0, 1), (-1, -1), (1, 1)], [(0, 1), (1, 2), (0, 2), (0, 3)]),
+    ],
+)
+def test_validate_rejects_cones_not_meeting_in_a_face(rays, cones):
+    with pytest.raises(BadFaceIntersection, match="do not meet in a face"):
+        validate_fan(rays, cones)
 
 
 def test_smoothness():
