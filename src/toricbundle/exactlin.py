@@ -51,6 +51,13 @@ def _int_rows(rows) -> list[list[int]]:
     return out
 
 
+def _cleared(points):
+    """(D, rows): the lcm D of all denominators of ints and Fractions and
+    the integer rows D*p, as tuples."""
+    den = lcm(*(x.denominator for p in points for x in p))
+    return den, [tuple(x.numerator * (den // x.denominator) for x in p) for p in points]
+
+
 def int_row(pairs) -> dict[int, int]:
     """``{column: int}`` from (column, rational) pairs, zeros dropped, scaled
     by the lcm of the denominators."""

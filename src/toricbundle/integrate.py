@@ -57,12 +57,11 @@ from toricbundle.errors import (
     LowerDimensional,
     VerificationFailed,
 )
-from toricbundle.exactlin import QMatrix, solve
+from toricbundle.exactlin import QMatrix, _cleared, solve
 from toricbundle.polyhedral import (
     Fan,
     Polytope,
     VirtualPolytope,
-    _cleared,
     _int_dot,
     cone_vertices,
     dual_vertex,

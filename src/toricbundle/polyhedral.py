@@ -31,6 +31,7 @@ from toricbundle.errors import (
 )
 from toricbundle.exactlin import (
     QMatrix,
+    _cleared,
     adjugate,
     det,
     kernel_basis,
@@ -205,6 +206,11 @@ def validate_fan(rays, max_cones) -> Fan:
         cones.append(cone)
     if len(set(cones)) != len(cones):
         raise FanError("duplicate maximal cones")
+    # a listed cone spanned by some of another's rays is a face of it, not
+    # a maximal cone; the pairwise LPs below would accept it
+    for (ca, cb) in itertools.permutations(cones, 2):
+        if set(ca) < set(cb):
+            raise FanError(f"cone {ca} is a face of cone {cb}")
 
     # pairwise face condition: a separating functional that vanishes exactly
     # on the common generators certifies cone_a /\ cone_b = cone(common).
@@ -295,12 +301,6 @@ def _cone_data(fan: Fan) -> tuple[ConeData, ...]:
 
 def _int_dot(u, v) -> int:
     return sum(a * b for a, b in zip(u, v))
-
-
-def _cleared(points):
-    """(D, rows): the lcm D of all denominators and the integer rows D*p."""
-    den = lcm(*(x.denominator for p in points for x in p))
-    return den, [tuple(x.numerator * (den // x.denominator) for x in p) for p in points]
 
 
 def _scaled_vertices(fan: Fan, hint) -> tuple[int, list[tuple[int, ...]]]:

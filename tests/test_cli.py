@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import toricbundle
 from toricbundle import galg
-from toricbundle.catalog import SPECS
+from toricbundle.catalog import FANS, SPECS
 from toricbundle.cli import SUITES, main
 from toricbundle.serialize import spec_from_dict, spec_to_dict
 
@@ -56,6 +56,59 @@ def test_fan_check_overlapping_cones_exit_2(capsys, tmp_path):
     code, out, _ = run(capsys, "fan", "check", str(path))
     assert code == 2
     assert "do not meet in a face" in out
+
+
+def test_fan_check_listed_face_exit_2(capsys, tmp_path):
+    path = tmp_path / "face.json"
+    rays = [[1, 0], [0, 1], [-1, 0], [0, -1]]
+    cones = [[0, 1], [1, 2], [2, 3], [3, 0], [0]]
+    path.write_text(json.dumps({"rays": rays, "max_cones": cones}))
+    code, out, _ = run(capsys, "fan", "check", str(path))
+    assert code == 2
+    assert out == "invalid fan: cone (0,) is a face of cone (0, 1)\n"
+
+
+# `fan check` witness lines, recorded with the Fraction-tableau LP: the
+# integer tableau must keep Bland's path and so the same witness.  p112 is
+# P(1,1,2) as in test_integrate.py (integer wall rows); p112_reordered lists
+# its cones so that a wall row has denominator 2 (the LP is cleared by D = 2).
+OCTANT_CONES = [[sx, sy, sz] for sx in (0, 3) for sy in (1, 4) for sz in (2, 5)]
+WITNESS_FANS = {
+    "octant": (
+        [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, 0, 0], [0, -1, 0], [0, 0, -1]],
+        OCTANT_CONES,
+    ),
+    "p112": ([[1, 0], [0, 1], [-1, -2]], [[0, 1], [1, 2], [0, 2]]),
+    "p112_reordered": ([[1, 0], [0, 1], [-1, -2]], [[0, 2], [1, 2], [0, 1]]),
+    "p123": ([[1, 0], [0, 1], [-2, -3]], [[0, 1], [1, 2], [0, 2]]),
+}
+WITNESS_LINES = {
+    "p1": "witness h*: [[1, 1], [0, 1]]",
+    "p2": "witness h*: [[1, 1], [0, 1], [0, 1]]",
+    "p1xp1": "witness h*: [[1, 1], [1, 1], [0, 1], [0, 1]]",
+    "f1": "witness h*: [[2, 1], [1, 1], [0, 1], [0, 1]]",
+    "octant": "witness h*: [[1, 1], [1, 1], [1, 1], [0, 1], [0, 1], [0, 1]]",
+    "p112": "witness h*: [[1, 1], [0, 1], [0, 1]]",
+    "p112_reordered": "witness h*: [[2, 1], [0, 1], [0, 1]]",
+    "p123": "witness h*: [[1, 1], [0, 1], [0, 1]]",
+}
+
+
+def test_witness_pins_cover_every_catalog_fan():
+    assert set(FANS) <= set(WITNESS_LINES)
+
+
+@pytest.mark.parametrize("name", sorted(WITNESS_LINES))
+def test_fan_check_witness_pinned(capsys, tmp_path, name):
+    token = name
+    if name in WITNESS_FANS:
+        rays, cones = WITNESS_FANS[name]
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"rays": rays, "max_cones": cones}))
+        token = str(path)
+    code, out, _ = run(capsys, "fan", "check", token)
+    assert code == 0
+    assert out.splitlines()[-1] == WITNESS_LINES[name]
 
 
 def test_ring_odd_degree_base_exit_3(capsys, tmp_path):

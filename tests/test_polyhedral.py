@@ -88,6 +88,24 @@ def test_validate_rejects_cones_not_meeting_in_a_face(rays, cones):
         validate_fan(rays, cones)
 
 
+P1XP1_RAYS = [(1, 0), (0, 1), (-1, 0), (0, -1)]
+P1XP1_CONES = [(0, 1), (1, 2), (2, 3), (3, 0)]
+
+
+@pytest.mark.parametrize(
+    "cones, message",
+    [
+        (P1XP1_CONES + [(0,)], r"cone \(0,\) is a face of cone \(0, 1\)"),
+        ([(1,)] + P1XP1_CONES, r"cone \(1,\) is a face of cone \(0, 1\)"),
+        ([(2, 3), (3,)], r"cone \(3,\) is a face of cone \(2, 3\)"),
+    ],
+)
+def test_validate_rejects_a_listed_face_of_another_cone(cones, message):
+    # the pairwise LP alone accepts these: a face meets its cone in a face
+    with pytest.raises(FanError, match=message):
+        validate_fan(P1XP1_RAYS, cones)
+
+
 def test_smoothness():
     assert is_smooth(fan_p2())
     assert not is_smooth(validate_fan([(1, 0), (1, 2)], [(0, 1)]))
