@@ -656,6 +656,8 @@ def ring_via_diff(spec: BundleSpec) -> RingReport:
     ell = ann_top_functional(model).scale(
         Fraction(factorial(n + s), factorial(s))
     )
+    if not check_poincare(alg, ell):
+        raise VerificationFailed("diff quotient not Poincare")
     gens: dict[str, tuple[int, Vec]] = {}
     nvars = len(ipoly.vars)
     for i, name in enumerate(spec.x_names):

@@ -27,21 +27,22 @@ odd cohomology), so no Koszul signs appear anywhere.  The module provides
   the pairing entries off the structure constants for ``frobenius_matrix``,
   and ``check_poincare`` checks full rank in degrees k <= n/2 only, the rest
   being transposes;
-* the differential-operator model Diff(V)/Ann(f): basis operators chosen by
-  one incremental forward elimination per degree, and operator classes
-  reduced through one tagged reducer per degree;
+* the differential-operator model Diff(V)/Ann(f): one RREF per degree of
+  the images d^alpha f, whose pivot columns are the basis operators and
+  whose column alpha is the class of d^alpha, so products are lookups;
 * graded isomorphism checking by multiplicative extension of a degree-2 map.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial, lcm, prod
 from operator import add
 
 from toricbundle.errors import (
+    DimensionMismatch,
     NonHomogeneousRelation,
     NotGenerated,
     NotHomogeneous,
@@ -473,16 +474,14 @@ def _mono_sort_key(mono):
     return (-sum(beta), tuple(reversed(beta)), ridx)
 
 
+def _powers(names, beta) -> list[str]:
+    """The factors of a monomial: name^e for each e > 0, with ^1 left out."""
+    return [name + (f"^{e}" if e > 1 else "") for name, e in zip(names, beta) if e]
+
+
 def _mono_label(base: GradedAlgebra, gen_names, mono) -> str:
     rdeg, ridx, beta = mono
-    bits = []
-    if rdeg != 0:
-        bits.append(base.labels[rdeg][ridx])
-    for name, e in zip(gen_names, beta):
-        if e == 1:
-            bits.append(name)
-        elif e > 1:
-            bits.append(f"{name}^{e}")
+    bits = ([base.labels[rdeg][ridx]] if rdeg else []) + _powers(gen_names, beta)
     return "*".join(bits) if bits else base.labels[0][0]
 
 
@@ -624,131 +623,92 @@ def build_quotient(p: PresentedAlgebra) -> QuotientModel:
 # ---------------------------------------------------------------------------
 
 
-def _tagged_rows(image: QMatrix) -> list[list[tuple[int, Fraction]]]:
-    """Row i of ``image`` followed by a tag column e_i, as sparse rows."""
-    m = image.cols
-    return [
-        list(enumerate(row)) + [(m + i, _ONE)]
-        for i, row in enumerate(image.entries)
-    ]
+def _degree_classes(f: QPolynomial, j: int):
+    """(basis, classes) of degree 2j, from the RREF of the matrix M_j whose
+    columns are the images d^alpha f of the order-j monomials, in order.
+
+    The pivot columns are the first alphas with independent images: the
+    basis.  Column alpha holds the coordinates of d^alpha f on the basis
+    images, the class of d^alpha; kernel row k is RREF row k times its pivot.
+    """
+    alphas = monomials_of_degree(len(f.vars), j)
+    rows: dict[tuple[int, ...], list] = {}  # target monomial -> (column, value)
+    for t, alpha in enumerate(alphas):
+        image = apply_operator(QPolynomial(f.vars, {alpha: _ONE}), f)
+        for e, c in image.terms.items():
+            rows.setdefault(e, []).append((t, c))
+    reduced = echelon_int(rows.values())
+    classes = {alpha: () for alpha in alphas}
+    for k, (p, row) in enumerate(reduced):
+        for t, x in row.items():
+            classes[alphas[t]] += ((k, Fraction(x, row[p])),)
+    return [alphas[p] for p, _ in reduced], classes
 
 
 @dataclass
 class AnnModel:
     """Diff(V)/Ann(f) for homogeneous f of degree n: the graded algebra whose
-    degree-2j part is the image of order-j operators applied to f."""
+    degree-2j part is the image of order-j operators applied to f.
+    ``classes[2j]`` maps each order-j monomial alpha to the class of d^alpha
+    as (index into ``op_basis[2j]``, value) pairs."""
 
     f: QPolynomial
     order: int
     algebra: GradedAlgebra
     op_basis: dict[int, list]
-    image_rows: dict[int, QMatrix]  # images of basis operators, as rows
-    _reducers: dict[int, Reducer] = field(default_factory=dict, repr=False)
-
-    def _reducer(self, d: int) -> Reducer:
-        """Reduction modulo the tagged image rows of degree d, built once.
-
-        Columns are the image columns, then one tag column per basis
-        operator.  Image i with tag e_i lies in the row space, so an image
-        sum_i c_i image_i with no tag reduces to -c at the tag columns and
-        to 0 at every image column.
-        """
-        red = self._reducers.get(d)
-        if red is None:
-            image = self.image_rows[d]
-            red = Reducer(echelon_int(_tagged_rows(image)), image.cols + image.rows)
-            self._reducers[d] = red
-        return red
+    classes: dict[int, dict[tuple[int, ...], SparseRow]]
 
     def operator_class(self, op: QPolynomial) -> tuple[int, Vec]:
-        """(degree, coordinates) of the class of a homogeneous operator."""
+        """(degree, coordinates) of the class of a homogeneous operator:
+        the sum of c * class(d^alpha) over its terms c * x^alpha."""
+        if op.vars != self.f.vars:
+            raise DimensionMismatch("operator and polynomial over different variables")
         degs = {sum(e) for e in op.terms}
         if len(degs) != 1:
             raise NotHomogeneous("operator not homogeneous")
         j = degs.pop()
         if j > self.order:
             return 2 * j, ()
-        img = apply_operator(op, self.f)
-        target = monomials_of_degree(len(self.f.vars), self.order - j)
-        rhs = [img.coefficient(e) for e in target]
-        if 2 * j not in self.image_rows:
-            if any(rhs):
-                raise VerificationFailed("nonzero image in a zero component")
-            return 2 * j, ()
-        image = self.image_rows[2 * j]
-        red = self._reducer(2 * j)
-        outside = len(red.keep) - image.rows  # free image columns come first
-        sol = [_ZERO] * image.rows
-        for i, x in red.pairs((t, c) for t, c in enumerate(rhs) if c):
-            if i < outside:
-                raise VerificationFailed("operator image outside the model")
-            sol[i - outside] = -x
-        return 2 * j, tuple(sol)
+        out = [_ZERO] * len(self.op_basis[2 * j])
+        for alpha, c in op.terms.items():
+            for i, x in self.classes[2 * j][alpha]:
+                out[i] += c * x
+        return 2 * j, tuple(out)
 
 
 def ann_quotient(f: QPolynomial, order: int) -> AnnModel:
     """The algebra of constant-coefficient operators modulo Ann(f).
 
-    Degree-2j basis: the first (monomial-ordered) operators of order j whose
-    images under d |-> d(f) are linearly independent, chosen by one
-    incremental forward elimination per degree; multiplication is operator
-    composition followed by application to f, reduced through one tagged
-    reducer per degree (``AnnModel.operator_class``); the top functional is
-    d |-> d(f)/order! on order-n operators.
+    One elimination per degree (``_degree_classes``) gives the basis, the
+    first (monomial-ordered) operators whose images d(f) are independent,
+    and the class of every monomial; a structure constant is the class of
+    the composed monomial.  ``ring_via_diff`` checks Poincare duality.
     """
-    nvars = len(f.vars)
     if not f.is_homogeneous() or f.degree() != order:
         raise NotHomogeneous(f"f must be homogeneous of degree {order}")
-    op_basis: dict[int, list] = {}
-    image_rows: dict[int, QMatrix] = {}
-    labels = {}
+    op_basis, classes = {}, {}
     for j in range(order + 1):
-        target = monomials_of_degree(nvars, order - j)
-        chosen = []
-        rows = []
-        span = Span()
-        for alpha in monomials_of_degree(nvars, j):
-            op = QPolynomial(f.vars, {alpha: Fraction(1)})
-            img = apply_operator(op, f)
-            row = [img.coefficient(e) for e in target]
-            if span.add(enumerate(row)):
-                chosen.append(alpha)
-                rows.append(row)
-        op_basis[2 * j] = chosen
-        if rows:
-            image_rows[2 * j] = QMatrix(rows)
-            labels[2 * j] = tuple(_op_label(f.vars, a) for a in chosen)
-
-    model = AnnModel(f, order, None, op_basis, image_rows)
-
-    def product(a, i, b, j):
-        comp = tuple(map(add, op_basis[a][i], op_basis[b][j]))
-        return model.operator_class(QPolynomial(f.vars, {comp: Fraction(1)}))[1]
-
-    products = {key: product(*key) for key in product_keys(labels)}
-    model.algebra = GradedAlgebra(2 * order, labels, products)
-    return model
+        op_basis[2 * j], classes[2 * j] = _degree_classes(f, j)
+    labels = {d: [_op_label(f.vars, a) for a in ops] for d, ops in op_basis.items()}
+    products = {
+        (a, i, b, k): classes[a + b][tuple(map(add, op_basis[a][i], op_basis[b][k]))]
+        for a, i, b, k in product_keys(labels)
+    }
+    algebra = GradedAlgebra.from_pairs(2 * order, labels, products)
+    return AnnModel(f, order, algebra, op_basis, classes)
 
 
 def ann_top_functional(model: AnnModel) -> TopFunctional:
-    """ell(d) = d(f)/order! on the (one-dimensional) top degree."""
-    (alpha,) = model.op_basis[2 * model.order]
-    op = QPolynomial(model.f.vars, {alpha: Fraction(1)})
-    const = apply_operator(op, model.f).coefficient((0,) * len(model.f.vars))
-    return TopFunctional(
-        model.algebra,
-        2 * model.order,
-        (const / factorial(model.order),),
-    )
+    """ell(d) = d(f)/order! on the (one-dimensional) top degree, where
+    d^alpha f = alpha! * (the coefficient of x^alpha in f) for |alpha| = n."""
+    n = model.order
+    (alpha,) = model.op_basis[2 * n]
+    value = model.f.coefficient(alpha) * prod(map(factorial, alpha)) / factorial(n)
+    return TopFunctional(model.algebra, 2 * n, (value,))
 
 
 def _op_label(vars, alpha) -> str:
-    bits = [
-        f"d{v}" + (f"^{e}" if e > 1 else "")
-        for v, e in zip(vars, alpha)
-        if e
-    ]
-    return "*".join(bits) if bits else "1"
+    return "*".join(_powers([f"d{v}" for v in vars], alpha)) or "1"
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,8 @@ the exponents as orders of partial derivatives.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import perm, prod
+from operator import le, sub
 
 from toricbundle.errors import DimensionMismatch, NotHomogeneous
 
@@ -210,24 +211,18 @@ class QPolynomial:
 def apply_operator(op: QPolynomial, f: QPolynomial) -> QPolynomial:
     """Apply ``op`` read as a constant-coefficient differential operator.
 
-    A term c * x^alpha of ``op`` acts as c * d^alpha/dx^alpha.
+    A term c * x^alpha of ``op`` acts as c * d^alpha/dx^alpha: it takes x^e
+    to e!/(e - alpha)! * x^(e - alpha) when alpha <= e, and to 0 otherwise.
     """
     if op.vars != f.vars:
         raise DimensionMismatch("operator and polynomial over different variables")
-    out = QPolynomial.zero(f.vars)
+    out: dict[tuple[int, ...], Fraction] = {}
     for alpha, c in op.terms.items():
-        part = {}
         for expo, coeff in f.terms.items():
-            if any(a > e for a, e in zip(alpha, expo)):
-                continue
-            scale = Fraction(1)
-            new = []
-            for a, e in zip(alpha, expo):
-                scale *= Fraction(factorial(e), factorial(e - a))
-                new.append(e - a)
-            part[tuple(new)] = part.get(tuple(new), Fraction(0)) + coeff * scale
-        out = out + QPolynomial(f.vars, {e: c * v for e, v in part.items()})
-    return out
+            if all(map(le, alpha, expo)):
+                new = tuple(map(sub, expo, alpha))
+                out[new] = out.get(new, 0) + c * coeff * prod(map(perm, expo, alpha))
+    return QPolynomial(f.vars, out)
 
 
 def monomials_of_degree(nvars: int, d: int) -> list[tuple[int, ...]]:

@@ -27,8 +27,21 @@ def rat(x: Fraction):
     return [x.numerator, x.denominator]
 
 
+def _json_int(x, what: str) -> int:
+    """x itself if it is a plain int; a float, bool or string is refused
+    rather than truncated or coerced."""
+    if type(x) is not int:
+        raise ValueError(f"{what} {x!r} is not an integer")
+    return x
+
+
 def unrat(pair) -> Fraction:
-    return Fraction(int(pair[0]), int(pair[1]))
+    """The rational of a [num, den] pair of plain ints; a non-integer entry
+    or a zero denominator raises ``ValueError``."""
+    num, den = pair
+    if _json_int(den, "denominator") == 0:
+        raise ValueError(f"rational {num!r}/0 has a zero denominator")
+    return Fraction(_json_int(num, "numerator"), den)
 
 
 # -- fans ---------------------------------------------------------------------
@@ -85,7 +98,7 @@ def base_to_dict(base: BaseData) -> dict:
 
 
 def base_from_dict(data: dict, chern_override=None) -> BaseData:
-    top = int(data["top_degree"])
+    top = _json_int(data["top_degree"], "top_degree")
     if not isinstance(data["basis"], dict):
         raise ValueError("base basis must be an object of degree: names")
     labels = {int(d): tuple(names) for d, names in data["basis"].items()}
@@ -107,7 +120,7 @@ def base_from_dict(data: dict, chern_override=None) -> BaseData:
             dt, it = where[name]
             if dt != da + db:
                 raise ValueError(f"product lands in wrong degree: {entry}")
-            vec[it] += Fraction(int(num), int(den))
+            vec[it] += unrat((num, den))
         parsed[(da, ia, db, ib)] = tuple(vec)
     # unlisted pairs are zero
     products = {key: parsed.get(key, ()) for key in product_keys(labels)}
@@ -122,7 +135,7 @@ def base_from_dict(data: dict, chern_override=None) -> BaseData:
         dt, it = where[name]
         if dt != top:
             raise ValueError("orientation entry not in top degree")
-        ovec[it] += Fraction(int(num), int(den))
+        ovec[it] += unrat((num, den))
     ell = TopFunctional(alg, top, tuple(ovec))
 
     chern_data = chern_override if chern_override is not None else data.get(
@@ -135,7 +148,7 @@ def base_from_dict(data: dict, chern_override=None) -> BaseData:
             dt, it = where[name]
             if dt != 2:
                 raise ValueError("chern entry is not a degree-2 class")
-            vec[it] += Fraction(int(num), int(den))
+            vec[it] += unrat((num, den))
         chern.append(tuple(vec))
     return BaseData(alg, ell, tuple(chern))
 

@@ -380,6 +380,40 @@ def test_ring_wrong_radical_exit_1_under_optimize():
     assert "verification failed" in proc.stderr
 
 
+# zeroes the top-degree class table of the operator model: every product
+# into the top degree vanishes, so the pairing is degenerate
+_WRONG_TOP_CLASSES = """
+import sys
+from toricbundle import cli, galg
+real = galg._degree_classes
+def zeroed(f, j):
+    basis, classes = real(f, j)
+    return basis, classes if j < f.degree() else dict.fromkeys(classes, ())
+galg._degree_classes = zeroed
+sys.exit(cli.main(["ring", "p2_rank2", "--builder", "diff"]))
+"""
+
+
+def test_ring_diff_wrong_class_table_exit_1(capsys, monkeypatch):
+    real = galg._degree_classes
+
+    def zeroed(f, j):
+        basis, classes = real(f, j)
+        return basis, classes if j < f.degree() else dict.fromkeys(classes, ())
+
+    monkeypatch.setattr(galg, "_degree_classes", zeroed)
+    code, _, err = run(capsys, "ring", "p2_rank2", "--builder", "diff")
+    assert code == 1
+    assert "diff quotient not Poincare" in err
+
+
+def test_ring_diff_wrong_class_table_exit_1_under_optimize():
+    """ring_via_diff checks Poincare duality explicitly, so -O keeps it."""
+    proc = run_optimized(_WRONG_TOP_CLASSES)
+    assert proc.returncode == 1, proc.stderr
+    assert "diff quotient not Poincare" in proc.stderr
+
+
 # doubles every I_f polynomial: d_I I_f on a cone is then 2 f(A) / |det|
 _DOUBLED_I_F = """
 import sys
@@ -443,6 +477,69 @@ def test_fan_check_non_integer_entry_exit_2(capsys, tmp_path, data):
     code, out, _ = run(capsys, "fan", "check", str(path))
     assert code == 2
     assert "is not an integer" in out
+
+
+def _edited_spec_file(tmp_path, data, where, value):
+    """A spec file: ``data`` with the entry at key path ``where`` replaced."""
+    data = json.loads(json.dumps(data))
+    node = data
+    for key in where[:-1]:
+        node = node[key]
+    node[where[-1]] = value
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(data))
+    return path
+
+
+_SPEC_COMMANDS = pytest.mark.parametrize(
+    "command",
+    [("ring", "--builder", "sr"), ("verify", "--suite", "bkk"), ("intersect", "--expr", "x1")],
+    ids=["ring", "verify", "intersect"],
+)
+
+
+@_SPEC_COMMANDS
+@pytest.mark.parametrize(
+    "spec, where, value, message",
+    [
+        ("hirzebruch_1", ("base", "orientation", 0, 1), 0, "zero denominator"),
+        ("p2_rank2", ("base", "products", 0, "result", 0, 1), 0, "zero denominator"),
+        ("p2_rank2", ("base", "chern", 1, 0, 1), 0, "zero denominator"),
+        ("hirzebruch_1", ("base", "chern", 0, 0, 0), 1.5, "is not an integer"),
+        ("hirzebruch_1", ("base", "chern", 0, 0, 1), True, "is not an integer"),
+        ("hirzebruch_1", ("base", "orientation", 0, 0), "1", "is not an integer"),
+        ("hirzebruch_1", ("base", "top_degree"), 2.5, "is not an integer"),
+    ],
+    ids=[
+        "orientation_zero_den",
+        "product_zero_den",
+        "chern_zero_den",
+        "float_num",
+        "bool_den",
+        "string_num",
+        "float_top_degree",
+    ],
+)
+def test_spec_file_non_integer_rational_exit_3(
+    capsys, tmp_path, command, spec, where, value, message
+):
+    """Rationals and the top degree are taken as given, never truncated,
+    coerced or divided by zero."""
+    path = _edited_spec_file(tmp_path, spec_to_dict(SPECS[spec]()), where, value)
+    code, out, err = run(capsys, command[0], str(path), *command[1:])
+    assert code == 3
+    assert "malformed spec file" in err and message in err
+
+
+@_SPEC_COMMANDS
+def test_spec_file_invalid_geometry_exit_2(capsys, tmp_path, command):
+    """A spec file with a non-primitive ray is invalid geometry in every
+    command that reads one."""
+    data = spec_to_dict(SPECS["hirzebruch_1"]())
+    path = _edited_spec_file(tmp_path, data, ("fan", "rays", 0), [2])
+    code, _, err = run(capsys, command[0], str(path), *command[1:])
+    assert code == 2
+    assert "invalid geometry" in err and "not primitive" in err
 
 
 def test_intersect_negative_exponent_exit_3(capsys):
@@ -520,15 +617,10 @@ _P2_PATHS = list(_paths(json.loads(json.dumps(_P2_SPEC))))[1:]
 @_fuzz
 @given(st.sampled_from(_P2_PATHS), _json)
 @example(("base", "basis"), [])
+@example(("base", "orientation", 0, 1), 0)
 def test_fuzz_spec_file(capsys, tmp_path, where, value):
     """One position of a valid spec replaced by arbitrary JSON."""
-    data = json.loads(json.dumps(_P2_SPEC))
-    node = data
-    for key in where[:-1]:
-        node = node[key]
-    node[where[-1]] = value
-    path = tmp_path / "spec.json"
-    path.write_text(json.dumps(data))
+    path = _edited_spec_file(tmp_path, _P2_SPEC, where, value)
     code, _, _ = run(capsys, "ring", str(path), "--builder", "sr")
     assert code in (0, 1, 2, 3)
     try:

@@ -5,6 +5,7 @@ import functools
 import random
 from fractions import Fraction as F
 from math import factorial
+from operator import add
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +22,7 @@ from toricbundle.errors import (
 from toricbundle.exactlin import (
     QMatrix,
     Reducer,
+    Span,
     kernel_basis,
     kernel_int,
     rank,
@@ -39,6 +41,7 @@ from toricbundle.galg import (
     check_poincare,
     frobenius_matrix,
     graded_isomorphic,
+    product_keys,
     sd_quotient,
 )
 from toricbundle.qpoly import QPolynomial, apply_operator, monomials_of_degree
@@ -485,26 +488,6 @@ def test_ann_top_functional():
     assert ann_top_functional(am).values == (F(1, 2),)
 
 
-def test_operator_image_outside_model_raises(monkeypatch):
-    hv = ("h1", "h2", "h3")
-    am = ann_quotient(QPolynomial.linear_form(hv, [1, 1, 1]) ** 2, 2)
-    op = QPolynomial(hv, {(1, 0, 0): F(1)})
-    # the degree-2 reducer loses its one row, so no image is in its span
-    real = galg._tagged_rows
-    monkeypatch.setattr(galg, "_tagged_rows", lambda image: real(image)[:-1])
-    with pytest.raises(VerificationFailed, match="outside the model"):
-        am.operator_class(op)
-
-
-def test_operator_image_in_zero_component_raises():
-    hv = ("h1", "h2", "h3")
-    am = ann_quotient(QPolynomial.linear_form(hv, [1, 1, 1]) ** 2, 2)
-    op = QPolynomial(hv, {(1, 0, 0): F(1)})
-    del am.image_rows[2]  # pretend degree 2 of the model is zero
-    with pytest.raises(VerificationFailed, match="zero component"):
-        am.operator_class(op)
-
-
 def test_ann_quotient_rejects_inhomogeneous():
     from toricbundle.errors import NotHomogeneous
 
@@ -651,16 +634,17 @@ def test_generators_of_gapped_algebra():
 
 @st.composite
 def operators_on_forms(draw):
-    """A homogeneous f in up to three variables and a homogeneous operator."""
+    """A homogeneous f in up to three variables, with rational coefficients
+    and often missing terms, and a homogeneous operator."""
     nvars = draw(st.integers(1, 3))
     hv = tuple(f"h{i + 1}" for i in range(nvars))
     order = draw(st.integers(1, 4))
     monos = monomials_of_degree(nvars, order)
+    coeff = st.one_of(st.just(0), st.builds(F, st.integers(-3, 3), st.integers(1, 3)))
     coeffs = draw(
-        st.lists(st.integers(-3, 3), min_size=len(monos), max_size=len(monos))
-        .filter(any)
+        st.lists(coeff, min_size=len(monos), max_size=len(monos)).filter(any)
     )
-    f = QPolynomial(hv, {e: F(c) for e, c in zip(monos, coeffs) if c})
+    f = QPolynomial(hv, {e: c for e, c in zip(monos, coeffs) if c})
     j = draw(st.integers(0, order))
     ops = monomials_of_degree(nvars, j)
     op_coeffs = draw(
@@ -674,17 +658,46 @@ def operators_on_forms(draw):
     return f, order, op, j
 
 
+def _greedy_ann_model(f, order):
+    """The operator model by the greedy route, as a reference: a ``Span``
+    picks the first order-j monomials with independent images, and the
+    class of an order-j operator solves image_rows^T x = image."""
+    nvars = len(f.vars)
+    basis, images = {}, {}
+    for j in range(order + 1):
+        target = monomials_of_degree(nvars, order - j)
+        span, rows = Span(), []
+        basis[2 * j] = []
+        for alpha in monomials_of_degree(nvars, j):
+            img = apply_operator(QPolynomial(f.vars, {alpha: F(1)}), f)
+            row = [img.coefficient(e) for e in target]
+            if span.add(enumerate(row)):
+                basis[2 * j].append(alpha)
+                rows.append(row)
+        images[2 * j] = QMatrix(rows).transpose()
+
+    def operator_class(op, j):
+        img = apply_operator(op, f)
+        rhs = [img.coefficient(e) for e in monomials_of_degree(nvars, order - j)]
+        if not basis[2 * j]:
+            assert not any(rhs)
+            return ()
+        return solve(images[2 * j], rhs)
+
+    return basis, operator_class
+
+
 @settings(max_examples=80, deadline=None)
 @given(operators_on_forms())
-def test_operator_class_matches_solve(case):
-    """The tagged reducer gives the solution of image_rows^T x = image."""
+def test_ann_model_matches_greedy_route(case):
+    """Bases, operator classes and structure constants read off one RREF
+    per degree equal those of the greedy basis and per-operator solves."""
     f, order, op, j = case
     model = ann_quotient(f, order)
-    degree, vec = model.operator_class(op)
-    assert degree == 2 * j
-    img = apply_operator(op, f)
-    rhs = [img.coefficient(e) for e in monomials_of_degree(len(f.vars), order - j)]
-    if 2 * j not in model.image_rows:
-        assert vec == () and not any(rhs)
-        return
-    assert vec == solve(model.image_rows[2 * j].transpose(), rhs)
+    basis, operator_class = _greedy_ann_model(f, order)
+    assert model.op_basis == basis
+    assert model.operator_class(op) == (2 * j, operator_class(op, j))
+    for a, i, b, k in product_keys(model.algebra.labels):
+        comp = tuple(map(add, basis[a][i], basis[b][k]))
+        expected = operator_class(QPolynomial(f.vars, {comp: F(1)}), (a + b) // 2)
+        assert model.algebra.basis_product(a, i, b, k) == expected

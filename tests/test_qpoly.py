@@ -3,6 +3,8 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toricbundle.errors import DimensionMismatch
 from toricbundle.qpoly import QPolynomial, apply_operator, monomials_of_degree
@@ -58,6 +60,27 @@ def test_operator_action():
     d2 = QPolynomial(XY, {(2, 0): F(1)})
     assert apply_operator(d2, f) == 2 * y
     assert apply_operator(QPolynomial(XY, {(3, 0): 1}), f).terms == {}
+
+
+_exponents = st.lists(st.integers(0, 3), min_size=3, max_size=3).map(tuple)
+_polys = st.dictionaries(
+    _exponents, st.builds(F, st.integers(-4, 4), st.integers(1, 4)), max_size=5
+).map(lambda terms: QPolynomial(("x", "y", "z"), terms))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_polys, _polys)
+def test_operator_action_matches_repeated_partials(op, f):
+    """Each term c * x^alpha of the operator acts as alpha_i partial
+    derivatives in each variable i, times c."""
+    expected = QPolynomial.zero(f.vars)
+    for alpha, c in op.terms.items():
+        g = f
+        for i, a in enumerate(alpha):
+            for _ in range(a):
+                g = g.partial(i)
+        expected = expected + c * g
+    assert apply_operator(op, f) == expected
 
 
 def test_monomials_of_degree_count_and_order():
