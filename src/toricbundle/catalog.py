@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 from toricbundle.bundle import (
     BaseData,
@@ -22,11 +22,15 @@ from toricbundle.bundle import (
     rho_class,
     ring_via_sr,
 )
-from toricbundle.errors import ChamberViolation, NotDominant, VerificationFailed
+from toricbundle.errors import (
+    ChamberViolation,
+    DegreeMismatch,
+    NotDominant,
+    VerificationFailed,
+)
 from toricbundle.galg import (
     GradedAlgebra,
     PresentedAlgebra,
-    QuotientModel,
     TopFunctional,
     _unit,
     build_quotient,
@@ -119,20 +123,18 @@ class FlagBase:
 
     n: int
     base: BaseData
-    model: QuotientModel
-
-    @property
-    def rank(self) -> int:
-        return self.n - 1
 
     def weight_class(self, lam) -> Vec:
         """Degree-2 class of a weight in fundamental coordinates."""
-        out = [Fraction(0)] * self.base.algebra.dim(2)
-        for t, c in enumerate(lam):
-            col = self.base.chern[t]
-            for u, x in enumerate(col):
-                out[u] += Fraction(c) * x
-        return tuple(out)
+        return _combine(_weight(self.n, lam), self.base.chern)
+
+
+def _combine(coeffs, vecs) -> Vec:
+    """The exact linear combination sum_t coeffs[t] * vecs[t]."""
+    return tuple(
+        sum((Fraction(c) * v[u] for c, v in zip(coeffs, vecs)), Fraction(0))
+        for u in range(len(vecs[0]))
+    )
 
 
 def _std_weights(n: int):
@@ -147,6 +149,33 @@ def _std_weights(n: int):
             row[i - 2] -= 1
         out.append(row)
     return out
+
+
+def _positive_roots(n: int):
+    """The positive roots L_i - L_j (i < j, lexicographic) of SL_n, each as
+    (coroot, root): the coroot is 1 at t = i..j-1, so <lambda, alpha^v> =
+    a_i + ... + a_{j-1} and <rho, alpha^v> = j - i is its sum; the root is
+    in fundamental coordinates."""
+    std = _std_weights(n)
+    return [
+        (
+            tuple(int(i <= t < j) for t in range(n - 1)),
+            tuple(a - b for a, b in zip(std[i], std[j])),
+        )
+        for i, j in itertools.combinations(range(n), 2)
+    ]
+
+
+def _weight(n: int, lam, dominant: bool = False) -> Vec:
+    """lam as n - 1 fundamental coordinates of an SL_n weight; another length
+    raises ``DegreeMismatch``, and with ``dominant`` a negative entry raises
+    ``NotDominant``."""
+    lam = tuple(Fraction(x) for x in lam)
+    if len(lam) != n - 1:
+        raise DegreeMismatch(f"{lam} is not an sl_{n} weight: need {n - 1} entries")
+    if dominant and any(x < 0 for x in lam):
+        raise NotDominant(f"{lam} is not a dominant weight for sl_{n}")
+    return lam
 
 
 def base_flag_sl(n: int) -> FlagBase:
@@ -188,21 +217,15 @@ def base_flag_sl(n: int) -> FlagBase:
     # the classes of the w_t, then product of positive roots = |W| * [pt]
     ws = [model.class_of(int(u == t) for u in range(n - 1)) for t in range(n - 1)]
     deg, vec = 0, (Fraction(1),)
-    for i in range(n):
-        for j in range(i + 1, n):
-            root = [a - b for a, b in zip(_std_weights(n)[i], _std_weights(n)[j])]
-            rvec = tuple(
-                sum((c * w[u] for c, w in zip(root, ws)), Fraction(0))
-                for u in range(alg.dim(2))
-            )
-            vec = alg.multiply(deg, vec, 2, rvec)
-            deg += 2
+    for _, root in _positive_roots(n):
+        vec = alg.multiply(deg, vec, 2, _combine(root, ws))
+        deg += 2
     (c_top,) = vec
     if c_top == 0:
         raise VerificationFailed("product of the positive roots vanishes")
     ell = TopFunctional(alg, 2 * big_n, (Fraction(factorial(n)) / c_top,))
 
-    return FlagBase(n, BaseData(alg, ell, tuple(ws)), model)
+    return FlagBase(n, BaseData(alg, ell, tuple(ws)))
 
 
 # ---------------------------------------------------------------------------
@@ -211,30 +234,25 @@ def base_flag_sl(n: int) -> FlagBase:
 
 
 def weyl_top_polynomial_sl(n: int) -> QPolynomial:
-    """Top part of the Weyl polynomial: prod_{i<j} (a_i+..+a_{j-1})/(j-i)."""
+    """Top part of the Weyl polynomial: prod_{alpha > 0}
+    <lambda, alpha^v> / <rho, alpha^v>."""
     if not 2 <= n <= 4:
         raise ValueError("implemented for 2 <= n <= 4")
     names = tuple(f"a{i + 1}" for i in range(n - 1))
     out = QPolynomial.constant(names, 1)
-    for i in range(1, n):
-        for j in range(i + 1, n + 1):
-            coeffs = [
-                Fraction(1) if i <= t + 1 <= j - 1 else Fraction(0)
-                for t in range(n - 1)
-            ]
-            out = out * QPolynomial.linear_form(names, coeffs)
-            out = out * Fraction(1, j - i)
+    for coroot, _ in _positive_roots(n):
+        form = QPolynomial.linear_form(names, coroot)
+        out = out * form * Fraction(1, sum(coroot))
     return out
 
 
 def weyl_dimension(n: int, lam) -> Fraction:
-    """Full Weyl dimension formula in fundamental coordinates."""
-    lam = [Fraction(x) for x in lam]
-    lamp = _partition_coords(n, lam)
+    """Weyl dimension formula prod_{alpha > 0} <lambda + rho, alpha^v> /
+    <rho, alpha^v>, lambda in fundamental coordinates."""
+    lam = _weight(n, lam)
     dim = Fraction(1)
-    for i in range(n):
-        for j in range(i + 1, n):
-            dim *= (lamp[i] - lamp[j] + j - i) / (j - i)
+    for coroot, _ in _positive_roots(n):
+        dim *= sum(c * (a + 1) for c, a in zip(coroot, lam)) / sum(coroot)
     return dim
 
 
@@ -256,38 +274,31 @@ class GZData:
     polytope: Polytope
 
 
-def _gz_halfspaces(n: int, top_row):
-    """Interlacing constraints for pattern rows 1..n-1 below a fixed top row.
+def _interlacing(n: int, top, offset: int):
+    """Interlacing halfspaces for pattern rows 1..n-1 below a top row.
 
-    Pattern variables are row-major; row r (1-based) has n - r entries and
-    every entry sits between its two upper neighbours.
+    Coordinates: ``offset`` leading ones, then the pattern variables row by
+    row (row r, 1-based, has n - r entries).  Top-row entry c is the pair
+    (linear form over the leading coordinates, constant); every pattern
+    entry sits between its two upper neighbours.
     """
-    nv = n * (n - 1) // 2
-    idx = {}
-    pos = 0
-    for r in range(1, n):
-        for c in range(n - r):
-            idx[(r, c)] = pos
-            pos += 1
+    dim = offset + n * (n - 1) // 2
+    zeros = [Fraction(0)] * (dim - offset)
+    upper = [([Fraction(x) for x in form] + zeros, Fraction(b)) for form, b in top]
     halfspaces = []
-
-    def unit(k, sign):
-        row = [Fraction(0)] * nv
-        row[k] = Fraction(sign)
-        return row
-
+    pos = offset
     for r in range(1, n):
+        row = []
         for c in range(n - r):
-            if r == 1:
-                halfspaces.append((unit(idx[(r, c)], 1), Fraction(top_row[c])))
-                halfspaces.append((unit(idx[(r, c)], -1), -Fraction(top_row[c + 1])))
-            else:
-                row = unit(idx[(r, c)], 1)
-                row[idx[(r - 1, c)]] -= 1
-                halfspaces.append((row, Fraction(0)))
-                row = unit(idx[(r, c)], -1)
-                row[idx[(r - 1, c + 1)]] += 1
-                halfspaces.append((row, Fraction(0)))
+            (hi, b_hi), (lo, b_lo) = upper[c], upper[c + 1]
+            le = [-x for x in hi]
+            le[pos] += 1
+            ge = list(lo)
+            ge[pos] -= 1
+            halfspaces += [(le, b_hi), (ge, -b_lo)]
+            row.append(([Fraction(int(t == pos)) for t in range(dim)], Fraction(0)))
+            pos += 1
+        upper = row
     return halfspaces
 
 
@@ -295,21 +306,16 @@ def gz_polytope(n: int, lam) -> GZData:
     """The Gelfand-Zetlin polytope of a dominant weight (fundamental coords)."""
     if not 2 <= n <= 4:
         raise ValueError("implemented for 2 <= n <= 4")
-    lam = tuple(Fraction(x) for x in lam)
-    if len(lam) != n - 1 or any(x < 0 for x in lam):
-        raise NotDominant(f"{lam} is not a dominant weight for sl_{n}")
-    top_row = _partition_coords(n, lam)
-    hs = _gz_halfspaces(n, top_row)
-    poly = Polytope.from_halfspaces(hs, n * (n - 1) // 2)
+    lam = _weight(n, lam, dominant=True)
+    top = [((), x) for x in _partition_coords(n, lam)]
+    poly = Polytope.from_halfspaces(_interlacing(n, top, 0), n * (n - 1) // 2)
     return GZData(n, lam, poly)
 
 
 def gz_lattice_points(n: int, lam) -> int:
     """Enumeration oracle: integer interlacing patterns below lambda."""
-    lam = [int(x) for x in lam]
-    top = [int(x) for x in _partition_coords(n, lam)]
+    lam = _weight(n, (int(x) for x in lam), dominant=True)
     count = 0
-    rows = [top]
 
     def rec(prev_row):
         nonlocal count
@@ -323,7 +329,7 @@ def gz_lattice_points(n: int, lam) -> int:
         for row in itertools.product(*ranges):
             rec(list(row))
 
-    rec(top)
+    rec([int(x) for x in _partition_coords(n, lam)])
     return count
 
 
@@ -407,11 +413,9 @@ def brion_kazarnovskii_check(
 
     rho = list(rho_class(spec, rep, delta))
     if shift is not None:
-        flag_cls = [Fraction(0)] * spec.base.algebra.dim(2)
-        for t, c in enumerate(shift):
-            for u, x in enumerate(_flag_gen_class(spec, t)):
-                flag_cls[u] += Fraction(c) * x
-        pg = pullback_class(spec, rep, 2, tuple(flag_cls))
+        # the flag base's degree-2 basis is the fundamental weights
+        shift = _weight(n, shift)
+        pg = pullback_class(spec, rep, 2, shift)
         rho = [a + b for a, b in zip(rho, pg)]
     exponent = fan.dim + big_n
     deg, vec = rep.algebra.power_of_element(2, tuple(rho), exponent)
@@ -422,19 +426,13 @@ def brion_kazarnovskii_check(
     images = []
     for t in range(n - 1):
         coeffs = [Fraction(lam_basis[j][t]) for j in range(fan.dim)]
-        const = Fraction(shift[t]) if shift is not None else Fraction(0)
+        const = shift[t] if shift is not None else Fraction(0)
         images.append(QPolynomial.linear_form(yvars, coeffs, const=const))
     fw_restricted = fw.substitute(images)
     rhs = factorial(exponent) * integral_over_virtual(
         spec.fan, fw_restricted, delta
     )
     return lhs, rhs, lhs == rhs
-
-
-def _flag_gen_class(spec: BundleSpec, t: int) -> Vec:
-    """Degree-2 class of the t-th fundamental weight inside the base algebra
-    (the base of a flag bundle stores them as its degree-2 basis)."""
-    return _unit(spec.base.algebra.dim(2), t)
 
 
 def string_lift_volume(n: int, fan: Fan, delta: VirtualPolytope) -> Fraction:
@@ -453,42 +451,14 @@ def string_lift_volume(n: int, fan: Fan, delta: VirtualPolytope) -> Fraction:
     direct = integrate_over_polytope(fw, p)
 
     rank = n - 1
-    big_n = n * (n - 1) // 2
-    dim = rank + big_n
-    halfspaces = []
-    for i, ray in enumerate(fan.rays):
-        normal = [Fraction(x) for x in ray] + [Fraction(0)] * big_n
-        halfspaces.append((normal, delta.h[i]))
-    # partition coordinates of x: lambda'_c = x_c + ... + x_{rank-1}
-    idx = {}
-    pos = rank
-    for r in range(1, n):
-        for c in range(n - r):
-            idx[(r, c)] = pos
-            pos += 1
-
-    def lamp_row(c):
-        row = [Fraction(0)] * dim
-        for t in range(c, rank):
-            row[t] = Fraction(1)
-        return row
-
-    for r in range(1, n):
-        for c in range(n - r):
-            up_le = [Fraction(0)] * dim
-            up_le[idx[(r, c)]] = Fraction(1)
-            up_ge = [Fraction(0)] * dim
-            up_ge[idx[(r, c)]] = Fraction(-1)
-            if r == 1:
-                for t, v in enumerate(lamp_row(c)):
-                    up_le[t] -= v
-                for t, v in enumerate(lamp_row(c + 1)):
-                    up_ge[t] += v
-            else:
-                up_le[idx[(r - 1, c)]] -= 1
-                up_ge[idx[(r - 1, c + 1)]] += 1
-            halfspaces.append((up_le, Fraction(0)))
-            halfspaces.append((up_ge, Fraction(0)))
+    dim = rank + n * (n - 1) // 2
+    halfspaces = [
+        ([Fraction(x) for x in ray] + [Fraction(0)] * (dim - rank), h)
+        for ray, h in zip(fan.rays, delta.h)
+    ]
+    # top row: the partition coordinates lambda'_c = x_c + ... + x_{rank-1}
+    top = [([int(t >= c) for t in range(rank)], 0) for c in range(n)]
+    halfspaces += _interlacing(n, top, rank)
     lifted = Polytope.from_halfspaces(halfspaces, dim)
     lifted_vol = volume(lifted)
     if direct != lifted_vol:
@@ -520,43 +490,20 @@ def projective_bundle_check(base: BaseData, degrees) -> bool:
     rep = ring_via_sr(spec)
     alg = rep.algebra
 
-    # Chern classes of the rank-(n+1) sum: elementary symmetric polynomials
-    # of the line-bundle classes, computed inside the base algebra
+    # c(V + O) = prod_k (1 + d_k H) = sum_i e_i(degrees) H^i in the base
     r = base.algebra
-    elem: list[tuple[int, Vec]] = [(0, (Fraction(1),))]
-    for d in degrees:
-        col = tuple(Fraction(d) * x for x in _unit(r.dim(2), 0))
-        new = []
-        for i in range(len(elem) + 1):
-            deg = 2 * i
-            vec = list((Fraction(0),) * r.dim(deg)) if deg <= r.top else []
-            if i < len(elem):
-                for t, c in enumerate(elem[i][1]):
-                    if t < len(vec):
-                        vec[t] += c
-            if i > 0 and 2 * i <= r.top:
-                pdeg, pvec = elem[i - 1]
-                prod = r.multiply(pdeg, pvec, 2, col)
-                for t, c in enumerate(prod):
-                    vec[t] += c
-            new.append((deg, tuple(vec)))
-        elem = new
-
+    h = _unit(r.dim(2), 0)
     t_cls = rep.generator_classes[spec.x_names[n]][1]
-    total_deg = 2 * (n + 1)
-    deg_t, pow_t = alg.power_of_element(2, t_cls, n + 1)
-    acc = list(pow_t)
-    for i in range(1, n + 2):
-        if i >= len(elem):
-            continue  # c_{n+1}(V + O) = 0: the trivial summand kills it
-        cdeg, cvec = elem[i]
-        if cdeg > r.top or not any(cvec):
+    acc = list(alg.power_of_element(2, t_cls, n + 1)[1])
+    for i in range(1, min(n, r.top // 2) + 1):
+        e_i = sum(prod(ds) for ds in itertools.combinations(degrees, i))
+        cdeg, h_i = r.power_of_element(2, h, i)
+        cvec = tuple(e_i * x for x in h_i)
+        if not any(cvec):
             continue
         pg = pullback_class(spec, rep, cdeg, cvec)
         dt, tp = alg.power_of_element(2, t_cls, n + 1 - i)
-        prod = alg.multiply(dt, tp, cdeg, pg)
-        for t, c in enumerate(prod):
-            acc[t] += c
+        acc = [a + b for a, b in zip(acc, alg.multiply(dt, tp, cdeg, pg))]
     return not any(acc)
 
 

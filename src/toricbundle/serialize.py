@@ -109,19 +109,21 @@ def base_from_dict(data: dict, chern_override=None) -> BaseData:
                 raise ValueError(f"duplicate basis label {name!r}")
             where[name] = (d, i)
 
+    def parse(entries, degree: int, error: str):
+        """The degree-``degree`` vector of a [[num, den, name], ...] list."""
+        vec = [Fraction(0)] * len(labels.get(degree, ()))
+        for num, den, name in entries:
+            dt, it = where[name]
+            if dt != degree:
+                raise ValueError(error)
+            vec[it] += unrat((num, den))
+        return tuple(vec)
+
     parsed = {}
     for entry in data.get("products", []):
-        da, ia = where[entry["a"]]
-        db, ib = where[entry["b"]]
-        if (da, ia) > (db, ib):
-            da, ia, db, ib = db, ib, da, ia
-        vec = [Fraction(0)] * len(labels.get(da + db, ()))
-        for num, den, name in entry["result"]:
-            dt, it = where[name]
-            if dt != da + db:
-                raise ValueError(f"product lands in wrong degree: {entry}")
-            vec[it] += unrat((num, den))
-        parsed[(da, ia, db, ib)] = tuple(vec)
+        a, b = sorted((where[entry["a"]], where[entry["b"]]))
+        wrong = f"product lands in wrong degree: {entry}"
+        parsed[a + b] = parse(entry["result"], a[0] + b[0], wrong)
     # unlisted pairs are zero
     products = {key: parsed.get(key, ()) for key in product_keys(labels)}
     alg = GradedAlgebra(top, labels, products)
@@ -130,26 +132,15 @@ def base_from_dict(data: dict, chern_override=None) -> BaseData:
     if not alg.check_associative():
         raise ValueError("base products are not associative")
 
-    ovec = [Fraction(0)] * alg.dim(top)
-    for num, den, name in data["orientation"]:
-        dt, it = where[name]
-        if dt != top:
-            raise ValueError("orientation entry not in top degree")
-        ovec[it] += unrat((num, den))
-    ell = TopFunctional(alg, top, tuple(ovec))
+    ovec = parse(data["orientation"], top, "orientation entry not in top degree")
+    ell = TopFunctional(alg, top, ovec)
 
     chern_data = chern_override if chern_override is not None else data.get(
         "chern", []
     )
-    chern = []
-    for col in chern_data:
-        vec = [Fraction(0)] * alg.dim(2)
-        for num, den, name in col:
-            dt, it = where[name]
-            if dt != 2:
-                raise ValueError("chern entry is not a degree-2 class")
-            vec[it] += unrat((num, den))
-        chern.append(tuple(vec))
+    chern = [
+        parse(col, 2, "chern entry is not a degree-2 class") for col in chern_data
+    ]
     return BaseData(alg, ell, tuple(chern))
 
 

@@ -7,10 +7,13 @@ from math import factorial
 
 import pytest
 
+from toricbundle import catalog
 from toricbundle.bundle import random_convex, random_virtual, ring_via_sr
 from toricbundle.catalog import (
     BASES,
     SPECS,
+    _interlacing,
+    _positive_roots,
     base_flag_sl,
     base_point,
     base_projective,
@@ -29,8 +32,8 @@ from toricbundle.catalog import (
     weyl_dimension,
     weyl_top_polynomial_sl,
 )
-from toricbundle.errors import ChamberViolation, NotDominant
-from toricbundle.galg import check_poincare
+from toricbundle.errors import ChamberViolation, DegreeMismatch, NotDominant
+from toricbundle.galg import _unit, check_poincare
 from toricbundle.integrate import integrate_over_polytope, volume
 from toricbundle.polyhedral import VirtualPolytope, polytope_from_support
 from toricbundle.qpoly import QPolynomial
@@ -270,3 +273,244 @@ def test_catalog_bases_poincare():
     for name, maker in BASES.items():
         base = maker() if name != "point" else maker()
         assert check_poincare(base.algebra, base.orientation), name
+
+
+# -- wrong-shape weights and shifts -------------------------------------------
+
+
+def test_weyl_dimension_rejects_long_weight():
+    with pytest.raises(DegreeMismatch):
+        weyl_dimension(3, (1, 0, 5))
+
+
+def test_gz_lattice_points_rejects_short_weight():
+    with pytest.raises(DegreeMismatch):
+        gz_lattice_points(3, (1,))
+    with pytest.raises(DegreeMismatch):
+        gz_polytope(3, (1,))
+
+
+def test_gz_lattice_points_rejects_non_dominant():
+    with pytest.raises(NotDominant):
+        gz_lattice_points(3, (-1, 2))
+
+
+def test_brion_kazarnovskii_rejects_short_shift():
+    pp = fan_p1xp1()
+    with pytest.raises(DegreeMismatch):
+        brion_kazarnovskii_check(3, pp, VirtualPolytope(pp, (1, 1, 0, 0)), shift=(1,))
+
+
+def test_flag_bundle_spec_rejects_short_lattice_row():
+    with pytest.raises(DegreeMismatch):
+        flag_bundle_spec(3, fan_p1(), [[1]])
+
+
+# -- the root table and the interlacing builder against the code they replaced
+
+
+def _old_gz_halfspaces(n, top_row):
+    nv = n * (n - 1) // 2
+    idx = {}
+    pos = 0
+    for r in range(1, n):
+        for c in range(n - r):
+            idx[(r, c)] = pos
+            pos += 1
+    halfspaces = []
+
+    def unit(k, sign):
+        row = [F(0)] * nv
+        row[k] = F(sign)
+        return row
+
+    for r in range(1, n):
+        for c in range(n - r):
+            if r == 1:
+                halfspaces.append((unit(idx[(r, c)], 1), F(top_row[c])))
+                halfspaces.append((unit(idx[(r, c)], -1), -F(top_row[c + 1])))
+            else:
+                row = unit(idx[(r, c)], 1)
+                row[idx[(r - 1, c)]] -= 1
+                halfspaces.append((row, F(0)))
+                row = unit(idx[(r, c)], -1)
+                row[idx[(r - 1, c + 1)]] += 1
+                halfspaces.append((row, F(0)))
+    return halfspaces
+
+
+def _old_string_lift_interlacing(n):
+    rank = n - 1
+    dim = rank + n * (n - 1) // 2
+    idx = {}
+    pos = rank
+    for r in range(1, n):
+        for c in range(n - r):
+            idx[(r, c)] = pos
+            pos += 1
+
+    def lamp_row(c):
+        row = [F(0)] * dim
+        for t in range(c, rank):
+            row[t] = F(1)
+        return row
+
+    halfspaces = []
+    for r in range(1, n):
+        for c in range(n - r):
+            up_le = [F(0)] * dim
+            up_le[idx[(r, c)]] = F(1)
+            up_ge = [F(0)] * dim
+            up_ge[idx[(r, c)]] = F(-1)
+            if r == 1:
+                for t, v in enumerate(lamp_row(c)):
+                    up_le[t] -= v
+                for t, v in enumerate(lamp_row(c + 1)):
+                    up_ge[t] += v
+            else:
+                up_le[idx[(r - 1, c)]] -= 1
+                up_ge[idx[(r - 1, c + 1)]] += 1
+            halfspaces.append((up_le, F(0)))
+            halfspaces.append((up_ge, F(0)))
+    return halfspaces
+
+
+@pytest.mark.parametrize("n", (2, 3, 4))
+def test_interlacing_matches_old_builders(n):
+    for top_row in ([0] * n, list(range(n, 0, -1)), [F(7, 2)] + [F(1, 3)] * (n - 1)):
+        assert _interlacing(n, [((), x) for x in top_row], 0) == _old_gz_halfspaces(
+            n, top_row
+        )
+    rank = n - 1
+    top = [([int(t >= c) for t in range(rank)], 0) for c in range(n)]
+    assert _interlacing(n, top, rank) == _old_string_lift_interlacing(n)
+
+
+def test_string_lift_halfspaces_match_old_block(monkeypatch):
+    """string_lift_volume hands the polytope the fan's rows followed by the
+    old interlacing block, in the old order."""
+    seen = []
+    real = catalog.Polytope.from_halfspaces
+
+    def record(halfspaces, dim):
+        seen.append(halfspaces)
+        return real(halfspaces, dim)
+
+    monkeypatch.setattr(catalog.Polytope, "from_halfspaces", record)
+    for n, fan, delta in (
+        (2, fan_p1(), VirtualPolytope(fan_p1(), (2, -1))),
+        (3, fan_p1xp1(), VirtualPolytope(fan_p1xp1(), (3, 3, -2, -2))),
+    ):
+        seen.clear()
+        string_lift_volume(n, fan, delta)
+        big_n = n * (n - 1) // 2
+        rays = [
+            ([F(x) for x in ray] + [F(0)] * big_n, h)
+            for ray, h in zip(fan.rays, delta.h)
+        ]
+        assert seen == [rays + _old_string_lift_interlacing(n)]
+
+
+def _old_weyl_top(n):
+    names = tuple(f"a{i + 1}" for i in range(n - 1))
+    out = QPolynomial.constant(names, 1)
+    for i in range(1, n):
+        for j in range(i + 1, n + 1):
+            coeffs = [F(1) if i <= t + 1 <= j - 1 else F(0) for t in range(n - 1)]
+            out = out * QPolynomial.linear_form(names, coeffs) * F(1, j - i)
+    return out
+
+
+def _old_weyl_dimension(n, lam):
+    lam = [F(x) for x in lam] + [F(0)]
+    lamp = [sum(lam[i:], F(0)) for i in range(n)]
+    dim = F(1)
+    for i in range(n):
+        for j in range(i + 1, n):
+            dim *= (lamp[i] - lamp[j] + j - i) / (j - i)
+    return dim
+
+
+@pytest.mark.parametrize("n", (2, 3, 4))
+def test_weyl_products_match_old_formulas(n):
+    assert weyl_top_polynomial_sl(n) == _old_weyl_top(n)
+    rng = random.Random(n)
+    lams = [(0,) * (n - 1), (1,) * (n - 1), tuple(range(n - 1)), (F(1, 2),) * (n - 1)]
+    lams += [tuple(rng.randint(-3, 6) for _ in range(n - 1)) for _ in range(6)]
+    for lam in lams:
+        assert weyl_dimension(n, lam) == _old_weyl_dimension(n, lam), lam
+
+
+def test_root_table_orients_flag_bases():
+    """The root classes multiply to |W| times the point class."""
+    for n in (2, 3, 4):
+        fb = base_flag_sl(n)
+        deg, vec = 0, (F(1),)
+        for coroot, root in _positive_roots(n):
+            assert sum(c * a for c, a in zip(coroot, root)) == 2  # <a, a^v>
+            vec = fb.base.algebra.multiply(deg, vec, 2, fb.weight_class(root))
+            deg += 2
+        assert fb.base.orientation.of(deg, vec) == factorial(n)
+
+
+def _old_chern_classes(r, degrees):
+    """The iterated product prod_k (1 + d_k H) in the base algebra r, as the
+    (degree, vector) pairs that reach the pullback."""
+    elem = [(0, (F(1),))]
+    for d in degrees:
+        col = tuple(F(d) * x for x in _unit(r.dim(2), 0))
+        new = []
+        for i in range(len(elem) + 1):
+            deg = 2 * i
+            vec = list((F(0),) * r.dim(deg)) if deg <= r.top else []
+            if i < len(elem):
+                for t, c in enumerate(elem[i][1]):
+                    if t < len(vec):
+                        vec[t] += c
+            if i > 0 and 2 * i <= r.top:
+                pdeg, pvec = elem[i - 1]
+                for t, c in enumerate(r.multiply(pdeg, pvec, 2, col)):
+                    vec[t] += c
+            new.append((deg, tuple(vec)))
+        elem = new
+    return [
+        (cdeg, cvec)
+        for cdeg, cvec in elem[1 : len(degrees) + 1]
+        if cdeg <= r.top and any(cvec)
+    ]
+
+
+def test_projective_bundle_chern_classes_match_iterated_product(monkeypatch):
+    seen = []
+    real = catalog.pullback_class
+
+    def record(spec, rep, gdeg, gamma):
+        seen.append((gdeg, tuple(gamma)))
+        return real(spec, rep, gdeg, gamma)
+
+    monkeypatch.setattr(catalog, "pullback_class", record)
+    for m, degrees in (
+        (1, (0,)),
+        (1, (1,)),
+        (1, (2, -3)),
+        (2, (1, 2)),
+        (2, (F(1, 2), -1, 3)),
+        (3, (1, 1)),
+        (3, (2, -1, 1)),
+        (3, (0, 0, 0)),
+    ):
+        base = base_projective(m)
+        seen.clear()
+        assert projective_bundle_check(base, degrees), (m, degrees)
+        assert seen == _old_chern_classes(base.algebra, degrees), (m, degrees)
+
+
+def test_projective_bundle_check_catches_wrong_pullback(monkeypatch):
+    real = catalog.pullback_class
+    monkeypatch.setattr(
+        catalog,
+        "pullback_class",
+        lambda *args: tuple(2 * x for x in real(*args)),
+    )
+    assert not projective_bundle_check(base_projective(1), (1,))
+    assert not projective_bundle_check(base_projective(2), (1, 2))

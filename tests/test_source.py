@@ -20,3 +20,40 @@ def test_no_assert_statements():
             if isinstance(node, ast.Assert)
         ]
     assert not found, f"assert statements in the package: {found}"
+
+
+def _unused_imports(tree: ast.Module) -> list[str]:
+    """Names a module imports and never reads; a name listed in ``__all__``
+    counts as read."""
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used |= {
+                c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant)
+            }
+    return [
+        f"{name} (line {line})" for name, line in imported.items() if name not in used
+    ]
+
+
+def test_no_unused_imports():
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}: {name}" for name in _unused_imports(tree)]
+    assert not found, f"unused imports in the package: {found}"
+
+
+def test_unused_import_rule_sees_a_dead_import():
+    tree = ast.parse("from a import B, C\nimport d.e\n__all__ = ['C']\nd.f()\n")
+    assert _unused_imports(tree) == ["B (line 1)"]
