@@ -8,7 +8,9 @@ smooth projective simplicial fan for the fiber.  The ring of the total
 space is then built three independent ways:
 
 * ``ring_via_sr``: quotient of R[x_1..x_s] by the Stanley-Reisner ideal of
-  the fan plus the linear relations c(lambda) = sum <e_i, lambda> x_i;
+  the fan plus the linear relations c(lambda) = sum <e_i, lambda> x_i; the
+  linear relations are solved first, so ``galg.build_quotient`` eliminates
+  the monomial relations on the s - n variables they leave;
 * ``ring_via_sd``: quotient of the free truncated R[x_1..x_s] (a
   ``galg.FreeAlgebra``, which stores no products) by the radical of the
   Frobenius form of the intersection functional, whose top-degree values
@@ -20,11 +22,13 @@ space is then built three independent ways:
 
 ``sr`` and ``sd`` are two quotients of one free algebra, so
 ``cross_validate`` checks that the radical equals the Sankaran-Uma ideal
-and then that the two reports are equal.
+(equal quotient dimensions, and every relation multiple radical) and then
+that the two reports are equal.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -46,6 +50,8 @@ from toricbundle.galg import (
     PresentedAlgebra,
     QuotientModel,
     TopFunctional,
+    _rel_degree,
+    _relation_rows,
     _unit,
     ann_quotient,
     ann_top_functional,
@@ -65,6 +71,7 @@ from toricbundle.polyhedral import (
     Fan,
     VirtualPolytope,
     dot,
+    dual_vertex,
     is_complete,
     is_convex_on,
     is_projective,
@@ -314,8 +321,6 @@ def sr_presentation(spec: BundleSpec) -> PresentedAlgebra:
 
 
 def _minimal_nonfaces(fan: Fan):
-    import itertools
-
     nonfaces = []
     for size in range(2, fan.dim + 2):
         for subset in itertools.combinations(range(fan.nrays), size):
@@ -404,10 +409,14 @@ def cross_validate(spec: BundleSpec) -> CrossValidation:
     """ring_via_sd against ring_via_sr: one quotient of one free algebra.
 
     The two builders run independently.  The paper's theorem is that the
-    radical of the Frobenius form equals the Sankaran-Uma ideal, and that is
-    checked first, degree by degree, as subspaces of the free algebra
-    R[x_1..x_s].  Two quotients of one free algebra by the same subspaces
-    must then give equal reports, so the rest is equality, field by field:
+    radical of the Frobenius form equals the Sankaran-Uma ideal I, and that
+    is checked first, degree by degree, as subspaces of the free algebra
+    R[x_1..x_s]: the two quotients have the same dimension, and every
+    multiple of a Sankaran-Uma relation by a free monomial projects to 0
+    under the sd reducer.  So I_d lies in the radical and has its
+    dimension, hence equals it.  Two quotients of one free algebra by the
+    same subspaces must then give equal reports, so the rest is equality,
+    field by field:
     graded dimensions, basis labels, structure constants in
     ``product_keys`` order, the top functionals (each under its own
     normalization: the sd one from mixed integrals, the sr one from the
@@ -417,12 +426,15 @@ def cross_validate(spec: BundleSpec) -> CrossValidation:
     sd_rep = ring_via_sd(spec)
     sr_rep = ring_via_sr(spec)
     sd = sd_rep.model[1]
-    sr_model: QuotientModel = sr_rep.model
-
+    free = sd_rep.model[0]
     for d in range(0, spec.top_degree + 1, 2):
-        # both are primitive integer RREF rows, unique for each subspace
-        rad_rows = sd.reducers[d].int_rows() if d in sd.reducers else ()
-        if rad_rows != sr_model.reducers[d].int_rows():
+        rad, rows = sd.reducers[d], []
+        for rel in sr_rep.model.presented.relations:
+            multipliers = free.monomials.get(d - _rel_degree(rel), [])
+            rows += _relation_rows(spec.base.algebra, rel, multipliers, free.column[d])
+        if len(rad.keep) != sr_rep.algebra.dim(d) or any(
+            rad.pairs(row.items()) for row in rows
+        ):
             return CrossValidation(
                 False, f"degree {d}: radical != Stanley-Reisner ideal"
             )
@@ -720,8 +732,6 @@ def ring_power_derivative_check(
     assembled symbolically from the ring; its square-free derivative must
     vanish off cones and equal (n+i)!/i! f_gamma(dual vertex) on them.
     """
-    from toricbundle.polyhedral import dual_vertex
-
     rep = sr_report or ring_via_sr(spec)
     n, m = spec.n, spec.n + i
     gdeg = spec.k - 2 * i

@@ -45,6 +45,7 @@ from toricbundle.polyhedral import (
     Fan,
     Polytope,
     VirtualPolytope,
+    dot,
     polytope_from_support,
     validate_fan,
 )
@@ -313,8 +314,11 @@ def gz_polytope(n: int, lam) -> GZData:
 
 
 def gz_lattice_points(n: int, lam) -> int:
-    """Enumeration oracle: integer interlacing patterns below lambda."""
-    lam = _weight(n, (int(x) for x in lam), dominant=True)
+    """Enumeration oracle: integer interlacing patterns below lambda, a
+    dominant integral weight (anything else raises ``NotDominant``)."""
+    lam = _weight(n, lam)
+    if any(x < 0 or x.denominator != 1 for x in lam):
+        raise NotDominant(f"{lam} is not a dominant integral weight for sl_{n}")
     count = 0
 
     def rec(prev_row):
@@ -355,7 +359,6 @@ def gz_minkowski_additive(n: int, lam, mu) -> bool:
         for i in range(big_n)
         for s in (1, -1)
     ]
-    from toricbundle.polyhedral import dot
 
     for d in dirs:
         hl = max(dot(v, d) for v in p_l.vertices)

@@ -17,6 +17,7 @@ Rationals in machine output are [numerator, denominator] pairs.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import random
@@ -207,8 +208,6 @@ def _ider_integrands(spec):
 
 
 def _suite_ider(spec: BundleSpec, rng, count, lines) -> bool:
-    import itertools
-
     ok = True
     fan = spec.fan
     for fname, f in _ider_integrands(spec):
@@ -230,8 +229,6 @@ def _suite_ider(spec: BundleSpec, rng, count, lines) -> bool:
 
 
 def _suite_cc(spec: BundleSpec, rng, count, lines) -> bool:
-    import itertools
-
     ok = True
     fan = spec.fan
     for fname, f in _ider_integrands(spec):

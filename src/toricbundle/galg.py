@@ -13,11 +13,12 @@ odd cohomology), so no Koszul signs appear anywhere.  The module provides
   with products computed when read rather than stored; it is the one owner
   of free-monomial coordinates (``FreeAlgebra.element``);
 * ``build_quotient``: the degreewise quotient engine for presented algebras
-  R[x_1..x_s]/(relations); relation multiples are sparse rows over the free
-  monomials, and the kernel's integer RREF rows (``exactlin.echelon_int``)
-  become the reducer of each degree.  The Stanley-Reisner and self-dual
-  rings are both quotients of one ``FreeAlgebra`` by such reducers, and a
-  class in either is the degree's reducer applied to a free element;
+  R[x_1..x_s]/(relations).  Each degree-2 relation led by a variable x_p is
+  solved for it, and the other relations, so substituted, are eliminated on
+  the free algebra of the kept variables: relation multiples are sparse
+  rows over its monomials, and the kernel's integer RREF rows
+  (``exactlin.echelon_int``) become the reducer of each degree.  A class is
+  the degree's reducer applied to a free element, after the substitution;
 * Frobenius forms, the self-dual quotient B/I(L_ell) obtained by factoring
   out the radical of the Frobenius form.  The radical comes from the top
   degree down, as Macaulay's inverse system describes B/Ann(ell): ker ell on
@@ -487,19 +488,31 @@ def _mono_label(base: GradedAlgebra, gen_names, mono) -> str:
 
 @dataclass
 class QuotientModel:
-    """A built quotient of the free algebra ``free``: ``reducers[d]`` holds
-    the relation span in degree d, and the basis is the free monomials at
-    ``reducers[d].keep``."""
+    """A built quotient of the free algebra ``free`` on the kept variables:
+    ``solved[p]`` is the degree-2 expression that replaces the eliminated
+    x_p, ``reducers[d]`` holds the relation span in degree d, and the basis
+    is the free monomials at ``reducers[d].keep``."""
 
     presented: PresentedAlgebra
     algebra: GradedAlgebra
     free: FreeAlgebra
     reducers: dict[int, Reducer]
+    solved: dict[int, Relation]
 
     def class_of(self, beta, gdeg: int = 0, gamma=None) -> Vec:
         """Quotient coordinates of p^*(gamma) * x^beta (see
-        :meth:`FreeAlgebra.element`); zero above the truncation."""
-        return _class(self.reducers, *self.free.element(beta, gdeg, gamma))
+        :meth:`FreeAlgebra.element`), each eliminated x_p replaced by
+        ``solved[p]``; zero above the truncation."""
+        beta = tuple(beta)
+        d = gdeg + 2 * sum(beta)
+        if d > self.free.top:
+            return ()
+        gamma = (_ONE,) if gamma is None else gamma
+        terms = _substitute(self.free.base, self.solved, {beta: (gdeg, gamma)})
+        pairs = []
+        for b, (r, v) in terms.items():
+            pairs += self.free.element(b, r, v)[1]
+        return _class(self.reducers, d, pairs)
 
 
 class FreeAlgebra(GradedAlgebra):
@@ -507,7 +520,9 @@ class FreeAlgebra(GradedAlgebra):
     (base degree, base index, beta): ``monomials[d]`` lists them in
     ``_mono_sort_key`` order, and ``column[d]`` maps each to its index.
     Callers name an element by (beta, base degree, base vector) through
-    :meth:`element` and never build the monomial keys themselves.
+    :meth:`element` and never build the monomial keys themselves.  The x_i
+    with an index in ``solved`` do not occur; beta keeps one entry per name,
+    so labels and order are those of the full algebra.
 
     No product table is stored: a product of two monomials is computed when
     it is read, from the exponent sum and the base's structure constants.
@@ -518,7 +533,7 @@ class FreeAlgebra(GradedAlgebra):
 
     __slots__ = ("base", "monomials", "column")
 
-    def __init__(self, base: GradedAlgebra, gen_names, top: int):
+    def __init__(self, base: GradedAlgebra, gen_names, top: int, solved=()):
         self.base = base
         self.monomials, self.column, labels = {}, {}, {}
         for d in range(0, top + 1, 2):
@@ -526,6 +541,7 @@ class FreeAlgebra(GradedAlgebra):
                 (d - 2 * m, ridx, beta)
                 for m in range(d // 2 + 1)
                 for beta in monomials_of_degree(len(gen_names), m)
+                if not any(beta[p] for p in solved)
                 for ridx in range(base.dim(d - 2 * m))
             ]
             monos.sort(key=_mono_sort_key)
@@ -596,26 +612,94 @@ def _relation_rows(base: GradedAlgebra, rel: Relation, multipliers, column):
     return rows
 
 
+def _rel_degree(rel: Relation) -> int:
+    return next(rdeg + 2 * sum(beta) for beta, (rdeg, _) in rel.items())
+
+
+def _as_relation(base: GradedAlgebra, monos, pairs) -> Relation:
+    """The element sum c * monos[col] over (col, c) pairs, as a Relation."""
+    rel: dict = {}
+    for col, c in pairs:
+        rdeg, ridx, beta = monos[col]
+        vec = rel.setdefault(beta, (rdeg, [_ZERO] * base.dim(rdeg)))[1]
+        vec[ridx] += c
+    return {beta: (rdeg, tuple(vec)) for beta, (rdeg, vec) in rel.items()}
+
+
+def _substitute(base: GradedAlgebra, solved, rel: Relation) -> Relation:
+    """rel with each x_p in ``solved`` replaced by the degree-2 element
+    ``solved[p]``, which holds no solved variable: one power of x_p at a
+    time, like terms merged after each; vanishing terms are dropped."""
+    cur = dict(rel)
+    for p, lin in solved.items():
+        while hit := [b for b in cur if b[p]]:
+            for beta in hit:
+                rdeg, vec = cur.pop(beta)
+                lower = beta[:p] + (beta[p] - 1,) + beta[p + 1 :]
+                for b2, (r2, v2) in lin.items():
+                    v = base.multiply(rdeg, vec, r2, v2)
+                    b = tuple(map(add, lower, b2))
+                    if b in cur:
+                        v = tuple(map(add, cur[b][1], v))
+                    cur[b] = (rdeg + r2, v)
+    return {b: t for b, t in cur.items() if any(t[1])}
+
+
+def _solve_degree_two(p: PresentedAlgebra):
+    """(solved, relations) from the RREF of the degree-2 relations.
+
+    A row led by a variable x_p gives x_p = ``solved[p]``, over the kept
+    variables and the base classes.  It leads with x_p in the
+    ``_mono_sort_key`` order, so no standard monomial holds x_p.  A row led
+    by a base class has no x-part and stays a relation.  The other
+    relations come back as (degree, relation) pairs, each solved x_p
+    substituted; one that vanishes is dropped.
+    """
+    free2 = FreeAlgebra(p.base, p.gen_names, 2)
+    monos = free2.monomials[2]
+    rows, others, solved, kept = [], [], {}, []
+    for rel in p.relations:
+        if _rel_degree(rel) == 2:
+            rows += _relation_rows(p.base, rel, free2.monomials[0], free2.column[2])
+        else:
+            others.append(rel)
+    for piv, row in echelon_int(row.items() for row in rows):
+        rdeg, _, beta = monos[piv]
+        pv = -row[piv]
+        terms = [(c, Fraction(x, pv)) for c, x in row.items()]
+        rel = _as_relation(p.base, monos, terms)
+        if rdeg:
+            kept.append((2, rel))
+        else:  # rel is L_p - x_p
+            del rel[beta]
+            solved[beta.index(1)] = rel
+    for rel in others:
+        if sub := _substitute(p.base, solved, rel):
+            kept.append((_rel_degree(rel), sub))
+    return solved, kept
+
+
 def build_quotient(p: PresentedAlgebra) -> QuotientModel:
     """Degreewise quotient of R[x_1..x_s] by homogeneous relations.
 
-    For each even degree up to the truncation bound: enumerate every
-    relation multiple landing there as a sparse row over the free
-    monomials, row-reduce, and keep the non-pivot (standard) monomials as
-    the quotient basis.
+    The degree-2 relations are solved first (``_solve_degree_two``).  Then,
+    for each even degree up to the truncation bound, every multiple of the
+    other relations by a free monomial in the kept variables is a sparse
+    row; the row-reduced rows are the degree's reducer, and the non-pivot
+    (standard) monomials are the quotient basis.  Normal forms are unique,
+    so basis and structure constants are those of eliminating every
+    relation multiple over all the x_i.
     """
-    free = FreeAlgebra(p.base, p.gen_names, p.truncation)
+    solved, relations = _solve_degree_two(p)
+    free = FreeAlgebra(p.base, p.gen_names, p.truncation, solved)
     reducers: dict[int, Reducer] = {}
     for d, monos in free.monomials.items():
         rows = []
-        for rel in p.relations:
-            rel_deg = next(
-                rdeg + 2 * sum(beta) for beta, (rdeg, _) in rel.items()
-            )
+        for rel_deg, rel in relations:
             multipliers = free.monomials.get(d - rel_deg, [])
             rows += _relation_rows(p.base, rel, multipliers, free.column[d])
         reducers[d] = Reducer(echelon_int(row.items() for row in rows), len(monos))
-    return QuotientModel(p, _quotient_algebra(free, reducers), free, reducers)
+    return QuotientModel(p, _quotient_algebra(free, reducers), free, reducers, solved)
 
 
 # ---------------------------------------------------------------------------

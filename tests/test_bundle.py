@@ -251,6 +251,32 @@ def test_cross_validate_reports_radical_mismatch(monkeypatch):
     assert result.detail == "degree 4: radical != Stanley-Reisner ideal"
 
 
+def test_cross_validate_reports_radical_row_outside_ideal(monkeypatch):
+    """A radical row moved off the Stanley-Reisner ideal, with the degree's
+    dimension unchanged, is reported in that degree: some relation multiple
+    no longer projects to 0."""
+    from toricbundle import bundle
+    from toricbundle.exactlin import Reducer
+
+    real = bundle.sd_quotient
+    spec = SPECS["p2_rank2"]()
+
+    def shifted_row(b, ell):
+        sd = real(b, ell)
+        red = sd.reducers[4]
+        rows = [(p, dict(r)) for p, r in zip(red.pivots, red.int_rows())]
+        p, row = rows[0]
+        row[red.keep[0]] = row.get(red.keep[0], 0) + row[p]
+        sd.reducers[4] = Reducer(rows, b.dim(4))
+        assert sd.reducers[4].keep == red.keep
+        return sd
+
+    monkeypatch.setattr(bundle, "sd_quotient", shifted_row)
+    result = cross_validate(spec)
+    assert not result
+    assert result.detail == "degree 4: radical != Stanley-Reisner ideal"
+
+
 def test_cross_validate_reports_generator_class(monkeypatch):
     """An sd generator class that differs from the sr one is reported by
     its name."""
@@ -500,7 +526,7 @@ def test_squarefree_matches_ring():
         spec = SPECS[name]()
         rep = ring_via_sr(spec)
         model = rep.model
-        for rdeg, ridx, beta in model.free.monomials[spec.top_degree]:
+        for rdeg, ridx, beta in _free_algebra(spec).monomials[spec.top_degree]:
             gamma = _unit(spec.base.algebra.dim(rdeg), ridx)
             direct = squarefree_evaluate(spec, beta, rdeg, gamma)
             via_ring = rep.functional.of(
@@ -557,6 +583,14 @@ def test_leray_hirsch_dimension_law():
         assert rep.algebra.total_dim() == expected
         dims = rep.dims()
         assert dims == dims[::-1]  # Poincare symmetry
+
+
+def test_cross_validate_sl4_p3():
+    """SL4/B x P3: sr and sd agree on a 3-dimensional fiber over a flag
+    base."""
+    from toricbundle.catalog import fan_projective_space
+
+    assert cross_validate(flag_bundle_spec(4, fan_projective_space(3)))
 
 
 def test_cross_validate_sl4_p1xp1():

@@ -104,6 +104,19 @@ def test_gz_rejects_non_dominant():
         gz_polytope(3, (-1, 2))
 
 
+def test_gz_lattice_points_rejects_fractional_weight():
+    """(3/2, 0) is dominant but not integral; truncating it would count the
+    patterns of (1, 0)."""
+    with pytest.raises(NotDominant, match="dominant integral weight"):
+        gz_lattice_points(3, (F(3, 2), 0))
+
+
+def test_gz_lattice_points_rejects_negative_fraction():
+    """(-1/2, 0) would truncate to the dominant weight (0, 0)."""
+    with pytest.raises(NotDominant, match="dominant integral weight"):
+        gz_lattice_points(3, (F(-1, 2), 0))
+
+
 def test_gz_volume_checks():
     rng = random.Random(41)
     for n in (2, 3):

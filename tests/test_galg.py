@@ -23,6 +23,7 @@ from toricbundle.exactlin import (
     QMatrix,
     Reducer,
     Span,
+    echelon_int,
     kernel_basis,
     kernel_int,
     rank,
@@ -79,6 +80,108 @@ def test_build_quotient_p2():
     assert m.algebra.dims() == (1, 1, 1)
     # x1*x1 equals the top class x1*x3
     assert m.class_of((2, 0, 0)) == m.class_of((1, 0, 1))
+
+
+# P^1 x P^1 as a base table: two degree-2 classes with a*b the point
+P1XP1 = GradedAlgebra(
+    4,
+    {0: ("1",), 2: ("a", "b"), 4: ("ab",)},
+    {(2, 0, 2, 0): (F(0),), (2, 0, 2, 1): (F(1),), (2, 1, 2, 1): (F(0),)},
+)
+
+
+def _all_multiples_quotient(p):
+    """(free, reducers, algebra): every relation multiple over all the x_i
+    eliminated in each degree, the route that build_quotient replaced; kept
+    as its oracle."""
+    free = FreeAlgebra(p.base, p.gen_names, p.truncation)
+    reducers = {}
+    for d, monos in free.monomials.items():
+        rows = []
+        for rel in p.relations:
+            multipliers = free.monomials.get(d - galg._rel_degree(rel), [])
+            rows += galg._relation_rows(p.base, rel, multipliers, free.column[d])
+        reducers[d] = Reducer(echelon_int(row.items() for row in rows), len(monos))
+    return free, reducers, galg._quotient_algebra(free, reducers)
+
+
+@st.composite
+def presentations(draw):
+    """R[x_1..x_s] over the point or over P^1 x P^1, modulo random degree-2
+    relations (perhaps a dependent one, perhaps one without x-part) and
+    random degree-4 relations."""
+    base = draw(st.sampled_from((PT, P1XP1)))
+    s = draw(st.integers(1, 3))
+    names = tuple(f"x{i + 1}" for i in range(s))
+    zero = (0,) * s
+    coeffs = st.integers(-2, 2)
+    # a degree-2 element: coefficients of x_1..x_s, then of the base classes
+    width = s + base.dim(2)
+    lin = draw(st.lists(st.lists(coeffs, min_size=width, max_size=width), max_size=2))
+    if lin and draw(st.booleans()):
+        c1, c2 = draw(coeffs), draw(coeffs)
+        lin.append([c1 * a + c2 * b for a, b in zip(lin[0], lin[-1])])
+    if base.dim(2) and draw(st.booleans()):
+        lin.append([0] * s + draw(st.lists(coeffs, min_size=2, max_size=2)))
+    rels = []
+    for row in lin:
+        rel = {
+            tuple(int(j == i) for j in range(s)): (0, (F(c),))
+            for i, c in enumerate(row[:s])
+            if c
+        }
+        if any(row[s:]):
+            rel[zero] = (2, tuple(F(c) for c in row[s:]))
+        if rel:
+            rels.append(rel)
+    for _ in range(draw(st.integers(0, 2))):
+        rel = {}
+        for e in monomials_of_degree(s, 2):
+            if c := draw(coeffs):
+                rel[e] = (0, (F(c),))
+        for e in monomials_of_degree(s, 1) if base.dim(2) else ():
+            vec = tuple(F(draw(coeffs)) for _ in range(base.dim(2)))
+            if any(vec):
+                rel[e] = (2, vec)
+        if base.dim(4) and (c := draw(coeffs)):
+            rel[zero] = (4, (F(c),))
+        if rel:
+            rels.append(rel)
+    top = draw(st.sampled_from((4, 6)))
+    return PresentedAlgebra(base, names, tuple(rels), top)
+
+
+@settings(max_examples=80, deadline=None)
+@given(presentations())
+def test_build_quotient_matches_all_multiples(p):
+    """Solving the degree-2 relations first gives the oracle's labels and
+    structure constants, and the class of every free monomial over all the
+    x_i, an eliminated one included, is the oracle's."""
+    free, reducers, want = _all_multiples_quotient(p)
+    model = build_quotient(p)
+    assert model.algebra.top == want.top
+    assert model.algebra.labels == want.labels
+    assert model.algebra.products == want.products
+    for d, monos in free.monomials.items():
+        for t, (rdeg, ridx, beta) in enumerate(monos):
+            gamma = _unit(p.base.dim(rdeg), ridx)
+            oracle = galg._class(reducers, d, ((t, F(1)),))
+            assert model.class_of(beta, rdeg, gamma) == oracle
+
+
+def test_build_quotient_solves_degree_two_relations():
+    """x1 = x2 + a is solved for x1, the leading monomial, so the free
+    algebra holds x2 alone; b = 0, without x-part, stays a relation."""
+    rels = (
+        {(1, 0): (0, (F(1),)), (0, 1): (0, (F(-1),)), (0, 0): (2, (F(-1), F(0)))},
+        {(0, 0): (2, (F(0), F(1)))},
+    )
+    model = build_quotient(PresentedAlgebra(P1XP1, ("x1", "x2"), rels, 4))
+    assert model.solved == {0: {(0, 1): (0, (F(1),)), (0, 0): (2, (F(1), F(0)))}}
+    assert model.free.labels[2] == ("x2", "a", "b")
+    assert model.algebra.labels == {0: ("1",), 2: ("x2", "a"), 4: ("x2^2", "a*x2")}
+    assert model.class_of((1, 0)) == (F(1), F(1))  # x1 = x2 + a
+    assert model.class_of((2, 0)) == (F(1), F(2))  # a^2 = 0 on P^1 x P^1
 
 
 def test_build_quotient_truncated_free():

@@ -54,6 +54,36 @@ def test_no_unused_imports():
     assert not found, f"unused imports in the package: {found}"
 
 
+def _function_imports(tree: ast.Module) -> list[int]:
+    """Lines of the import statements inside a function body."""
+    return sorted(
+        {
+            node.lineno
+            for fn in ast.walk(tree)
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for node in ast.walk(fn)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+        }
+    )
+
+
+def test_no_function_level_imports():
+    """Every module imports at its top, so its dependencies show in one
+    place and a call does not pay for an import."""
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{line}" for line in _function_imports(tree)]
+    assert not found, f"function-level imports in the package: {found}"
+
+
+def test_function_import_rule_sees_a_nested_import():
+    tree = ast.parse(
+        "import a\ndef f():\n    import b\n    def g():\n        from c import d\n"
+    )
+    assert _function_imports(tree) == [3, 5]
+
+
 def test_unused_import_rule_sees_a_dead_import():
     tree = ast.parse("from a import B, C\nimport d.e\n__all__ = ['C']\nd.f()\n")
     assert _unused_imports(tree) == ["B (line 1)"]
