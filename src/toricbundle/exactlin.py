@@ -28,7 +28,7 @@ and the kernel.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from toricbundle._kernels import forward_int, gauss_jordan_int, insert_row
 
@@ -40,15 +40,6 @@ SparseRow = tuple[tuple[int, Fraction], ...]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-
-
-def _int_rows(rows) -> list[list[int]]:
-    """Scale each row of ints and Fractions by the lcm of its denominators."""
-    out = []
-    for row in rows:
-        m = lcm(*(x.denominator for x in row))
-        out.append([x.numerator * (m // x.denominator) for x in row])
-    return out
 
 
 def _cleared(points):
@@ -246,37 +237,40 @@ def rank_int(rows) -> int:
 
 
 def det(rows) -> Fraction:
-    """Exact determinant of a square matrix given by rows of ints and Fractions.
-
-    Rows are cleared of denominators, then Bareiss fraction-free elimination
-    runs on Python ints (every division is exact); the row scales are divided
-    out at the end.  An integer matrix has an integer-valued result.
-    """
+    """Exact determinant of a square matrix given by rows of ints and
+    Fractions: :func:`det_int` of the rows cleared of denominators, divided
+    by the row scales.  An integer matrix has an integer-valued result."""
     rows = list(rows)
-    n = len(rows)
-    if any(len(row) != n for row in rows):
+    if any(len(row) != len(rows) for row in rows):
         raise ValueError("determinant of a non-square matrix")
-    scale = 1
-    for row in rows:
-        scale *= lcm(*(x.denominator for x in row))
-    work = _int_rows(rows)
+    scales = [lcm(*(x.denominator for x in row)) for row in rows]
+    cleared = (
+        [x.numerator * (m // x.denominator) for x in row]
+        for row, m in zip(rows, scales)
+    )
+    return Fraction(det_int(cleared), prod(scales))
+
+
+def det_int(rows) -> int:
+    """Determinant of a square integer matrix given by rows, by Bareiss
+    fraction-free elimination on Python ints (every division is exact)."""
+    work = [list(row) for row in rows]
+    n = len(work)
     sign, prev = 1, 1
     for k in range(n):
         piv = next((r for r in range(k, n) if work[r][k]), None)
         if piv is None:
-            return Fraction(0)
+            return 0
         if piv != k:
             work[k], work[piv] = work[piv], work[k]
             sign = -sign
-        pk = work[k]
-        pval = pk[k]
-        for i in range(k + 1, n):
-            row = work[i]
+        pk, pval = work[k], work[k][k]
+        for row in work[k + 1 :]:
             v = row[k]
             for j in range(k + 1, n):
                 row[j] = (row[j] * pval - v * pk[j]) // prev
         prev = pval
-    return Fraction(sign * prev, scale)
+    return sign * prev
 
 
 def adjugate(rows) -> tuple[int, tuple[tuple[int, ...], ...]]:
@@ -394,15 +388,6 @@ class Reducer:
             p: (row[p], tuple((pos[c], x) for c, x in row.items() if c != p))
             for p, row in reduced
         }
-
-    def int_rows(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """The primitive integer rows in full column coordinates, as
-        ascending (column, int) pairs, in pivot order."""
-        keep = self.keep
-        return tuple(
-            tuple(sorted(((p, pv),) + tuple((keep[i], x) for i, x in tail)))
-            for p, (pv, tail) in self._rows.items()
-        )
 
     def pairs(self, items) -> SparseRow:
         """Class of sum c * e_col over (col, c) pairs, as (index into keep,

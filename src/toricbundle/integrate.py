@@ -23,12 +23,12 @@ tight sets, so no rank is computed per face.  The simplices share the
 cleared points, and the integer moment numerators of every simplex are
 summed before one Fraction is built per term of f.  This direct integral
 is the oracle that checks everything else.  On P(h) (:func:`i_f_value`)
-it runs on integers from h to the moments: the vertices come from the
-fan's cone data over one common denominator, and each is checked on
-integers against the H-representation <x, e_i> <= h_i before it is used
-(:func:`~toricbundle.polyhedral.support_points`), so wrong cone data raise
-instead of passing for a polytope.  Nothing of the closed form below is
-read.
+it runs on integers from h to the moments, from the fan's cone vertices
+checked against <x, e_i> <= h_i, so wrong cone data raise instead of
+passing for a polytope.  At a strictly convex h the face lattice of P(h) is
+the fan's and one triangulation per fan serves; zero wall gaps merge
+vertices, and then the measured vertices are triangulated.  Nothing of the
+closed form below is read.
 
 With the sign convention of :mod:`toricbundle.polyhedral`,
 P(h) = {x : <x, e_i> <= h_i}, the integral I_f(h) = int_{P(h)} f of a form f
@@ -63,6 +63,7 @@ from toricbundle.polyhedral import (
     Polytope,
     VirtualPolytope,
     _int_dot,
+    _scaled_vertices,
     cone_vertices,
     dual_vertex,
     is_complete,
@@ -136,9 +137,8 @@ def _integral(f: QPolynomial, den: int, simplices) -> Fraction:
     base = max(f.degree(), 0) + 1
     for pts in simplices:
         v0 = pts[0]
-        # an integer matrix has an integer determinant
         edges = [[a - b for a, b in zip(p, v0)] for p in pts[1:]]
-        scale = abs(exactlin.det(edges).numerator)
+        scale = abs(exactlin.det_int(edges))
         if scale == 0:
             continue
         linear = [
@@ -180,28 +180,28 @@ def _times(p, q):
 
 
 def _simplex_indices(points, tight, d: int):
-    """Fan-of-a-vertex triangulation of a polytope in R^d, as index tuples
-    into ``points``, its integer vertices V (all over one positive
-    denominator, so their order is that of the vertices).
-
-    ``tight`` holds, per halfspace of an H-representation, the set T of
-    vertex indices tight on it.  The one full-dimension test is the rank of
-    the rows (1, V_k), which is d + 1 exactly when P spans R^d
-    (:func:`exactlin.rank_int`, a forward pass); it raises
-    :class:`LowerDimensional` otherwise.  Every face of P is an intersection
-    of facets of P, so the facets of a face F are exactly the
-    inclusion-maximal sets among the proper, nonempty F & T; no rank is
-    computed.  They are visited in the order in which each first occurs
-    along the halfspaces.  A face's simplices are its lex-smallest vertex
-    joined to the simplices of each facet that misses it.
-    """
+    """:func:`_pulling` on integer vertices V in R^d, sorted and over one
+    positive denominator, after the one full-dimension test: the rank of the
+    rows (1, V_k) is d + 1 exactly when P spans R^d (a forward pass);
+    raises :class:`LowerDimensional` otherwise."""
     if exactlin.rank_int([(1, *v) for v in points]) <= d:
         raise LowerDimensional("polytope not full-dimensional")
+    return _pulling(tight, len(points), d)
+
+
+def _pulling(tight, count: int, d: int):
+    """Pulling triangulation (Bueler-Enge-Fukuda 2000) of a d-polytope with
+    vertices 0..count-1, as index tuples, from ``tight``: per halfspace of
+    an H-representation, the set T of vertices on it.  The facets of a face
+    F are the inclusion-maximal proper F & T with at least dim F vertices,
+    in order of first occurrence; no rank is computed.  A face's simplices
+    are its smallest vertex joined to those of each facet that misses it.
+    """
 
     def rec(face, a):
         if len(face) == a + 1:
             return [tuple(sorted(face))]
-        apex = min(face, key=points.__getitem__)
+        apex = min(face)
         proper = [
             c for c in dict.fromkeys(face & t for t in tight)
             if a <= len(c) < len(face)
@@ -212,12 +212,12 @@ def _simplex_indices(points, tight, d: int):
                 out += [(apex,) + s for s in rec(facet, a - 1)]
         return out
 
-    return rec(frozenset(range(len(points))), d)
+    return rec(frozenset(range(count)), d)
 
 
 def triangulate(p: Polytope) -> SimplexChain:
-    """Fan-of-a-vertex triangulation from the lex-smallest vertex, all signs
-    +1 (:func:`_simplex_indices`).
+    """Pulling triangulation from the lex-smallest vertex, all signs +1
+    (:func:`_simplex_indices`).
 
     The vertices are cleared of denominators once, v = V / D with V
     integer.  Each halfspace <x, a> <= b of the H-representation, scaled to
@@ -291,15 +291,33 @@ def convex_anchor(fan: Fan, summands) -> VirtualPolytope:
 
 
 def i_f_value(fan: Fan, f: QPolynomial, vp: VirtualPolytope) -> Fraction:
-    """I_f at a convex support vector: a direct integral over P(h), on
-    integers from h to the moments.
+    """I_f at a convex support vector: ``integrate_over_polytope(f,
+    polytope_from_support(fan, vp))`` on integers from h to the moments.
 
-    The integer vertices and tight sets of :func:`support_points` (checked
-    there against the H-representation) are triangulated by
-    :func:`_simplex_indices` and integrated by :func:`_integral`; this is
-    ``integrate_over_polytope(f, polytope_from_support(fan, vp))`` without
-    a Fraction vertex.  Raises :class:`NotConvex` unless vp is convex.
+    With h = H / den(h), the vertices V_sigma = L den(h) A_sigma(h) of
+    :func:`_scaled_vertices` are checked: <V_sigma, e_j> <= L H_j for every
+    ray j, with equality exactly for j in sigma.  Then h is strictly convex
+    and P(h) is simple with the fan as normal fan: vertex sigma is on facet
+    i iff i is in sigma, and the :func:`_pulling` triangulation of that face
+    lattice is kept on the fan.  Otherwise the vertices and tight sets of
+    :func:`support_points` (checked there) are triangulated.  Raises
+    :class:`FanError` on a fan that is not complete and :class:`NotConvex`
+    unless vp is convex.
     """
+    if fan._pulling_cache is None:
+        _require_complete(fan)
+        cones = fan.max_cones
+        facets = [{k for k, c in enumerate(cones) if i in c} for i in range(fan.nrays)]
+        fan._pulling_cache = _pulling(facets, len(cones), fan.dim)
+    hden, (hint,) = _cleared([vp.h])
+    scale, vertices = _scaled_vertices(fan, hint)
+    for cone, v in zip(fan.max_cones, vertices):
+        gaps = [x * scale - _int_dot(v, ray) for ray, x in zip(fan.rays, hint)]
+        if any(g < 0 or (g > 0) == (i in cone) for i, g in enumerate(gaps)):
+            break
+    else:
+        index = fan._pulling_cache
+        return _integral(f, scale * hden, [[vertices[k] for k in s] for s in index])
     den, points, tight = support_points(fan, vp)
     try:
         index = _simplex_indices(points, tight, fan.dim)
@@ -576,10 +594,13 @@ def convex_chain_identity_check(
 ) -> bool:
     """Inclusion-exclusion over facet shifts against the corner box.
 
-    For a cone-spanning index set I and small lambda_i > 0, the alternating
-    sum of integrals over the shifted polytopes equals the integral over the
-    parallelepiped spanned by lambda_i e_i at the dual vertex; with any
-    lambda_i = 0 both sides vanish.
+    For a cone-spanning index set I and small nonzero lambda_i, the
+    alternating sum of the integrals over the shifted P(h), an iterated
+    difference of I_f, is prod_i sign(lambda_i) (a negative step turns a
+    difference around) times the integral over the box a + sum_i t_i
+    lambda_i u_i, 0 <= t_i <= 1, at the dual vertex a (<u_i, e_j> =
+    delta_ij).  The box is integrated over its n! Kuhn simplices, cleared
+    to integers once.  With any lambda_i = 0 both sides vanish.
     """
     ray_set = tuple(sorted(ray_set))
     lams = [Fraction(x) for x in lams]
@@ -587,39 +608,24 @@ def convex_chain_identity_check(
     if len(ray_set) != n or len(lams) != n:
         raise DegreeMismatch("need exactly dim-many ray indices and lambdas")
     lhs = Fraction(0)
-    for bits in itertools.product((0, 1), repeat=len(ray_set)):
+    for bits in itertools.product((0, 1), repeat=n):
         h = list(delta.h)
         for take, i, lam in zip(bits, ray_set, lams):
-            if take:
-                h[i] += lam
+            h[i] += take * lam
         vp = VirtualPolytope(fan, tuple(h))
-        sign = (-1) ** (n + sum(bits))
-        lhs += sign * i_f_value(fan, f, vp)
+        lhs += (-1) ** (n + sum(bits)) * i_f_value(fan, f, vp)
 
     if any(lam == 0 for lam in lams) or not fan.spans_cone(ray_set):
-        rhs = Fraction(0)
-    else:
-        # corner box at the dual vertex: edges lambda_i * u_i where the u_i
-        # are dual to the cone generators (<u_i, e_j> = delta_ij), i.e. the
-        # region of points beyond exactly the shifted facets; its facets are
-        # h_i <= <x, e_i> <= h_i + lambda_i (for lambda_i > 0), i in I
-        k = fan.max_cones.index(ray_set)
-        cone = fan.cone_data()[k]
-        a = cone_vertices(fan, delta.h)[k]
-        duals = [[Fraction(x, cone.det) for x in col] for col in cone.adj]
-        corners = []
-        for bits in itertools.product((0, 1), repeat=n):
-            pt = list(a)
-            for take, w, lam in zip(bits, duals, lams):
-                if take:
-                    for c in range(n):
-                        pt[c] += lam * w[c]
-            corners.append(tuple(pt))
-        halfspaces = []
-        for i, lam in zip(ray_set, lams):
-            ray = fan.rays[i]
-            halfspaces.append((ray, delta.h[i] + max(lam, 0)))
-            halfspaces.append(([-x for x in ray], -delta.h[i] - min(lam, 0)))
-        box = Polytope.from_vertices(corners, halfspaces, reduce=False)
-        rhs = integrate_over_polytope(f, box)
-    return lhs == rhs
+        return lhs == 0
+    k = fan.max_cones.index(ray_set)
+    cone = fan.cone_data()[k]
+    edges = [[lam * x / cone.det for x in col] for col, lam in zip(cone.adj, lams)]
+    den, (corner, *steps) = _cleared([cone_vertices(fan, delta.h)[k]] + edges)
+    simplices = []  # n! Kuhn simplices: the edges added to the corner in each order
+    for order in itertools.permutations(steps):
+        pts = [corner]
+        for e in order:
+            pts.append(tuple(x + y for x, y in zip(pts[-1], e)))
+        simplices.append(pts)
+    sign = prod(1 if lam > 0 else -1 for lam in lams)
+    return lhs == sign * _integral(f, den, simplices)

@@ -75,9 +75,9 @@ class Fan:
     cone data (see :func:`_cone_data`), the wall rows (see
     :func:`_wall_rows`) in their rational and integer forms, and the
     :func:`is_projective` verdict with its witness are computed on first use
-    and kept.  So are the closed-form I_f polynomials, one per integrand:
-    ``_i_f_cache`` maps f to
-    :func:`~toricbundle.integrate.i_f_polynomial` of (this fan, f).
+    and kept.  So are the cone-index triangulation of P(h)
+    (``_pulling_cache``) and the closed-form I_f polynomials: ``_i_f_cache``
+    maps f to :func:`~toricbundle.integrate.i_f_polynomial` of (fan, f).
     """
 
     __slots__ = (
@@ -88,6 +88,7 @@ class Fan:
         "_wall_row_cache",
         "_wall_int_cache",
         "_projective_cache",
+        "_pulling_cache",
         "_i_f_cache",
     )
 
@@ -99,6 +100,7 @@ class Fan:
         self._wall_row_cache = None
         self._wall_int_cache = None
         self._projective_cache = None
+        self._pulling_cache = None
         self._i_f_cache = {}
 
     @property

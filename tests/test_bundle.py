@@ -5,6 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from helpers import int_rows
 from toricbundle.bundle import (
     _free_algebra,
     cherneq_holds,
@@ -241,7 +242,7 @@ def test_cross_validate_reports_radical_mismatch(monkeypatch):
     def dropped_top_row(b, ell):
         sd = real(b, ell)
         red = sd.reducers[ell.degree]
-        rows = [(p, dict(r)) for p, r in zip(red.pivots, red.int_rows())]
+        rows = [(p, dict(r)) for p, r in zip(red.pivots, int_rows(red))]
         sd.reducers[ell.degree] = Reducer(rows[1:], b.dim(ell.degree))
         return sd
 
@@ -264,7 +265,7 @@ def test_cross_validate_reports_radical_row_outside_ideal(monkeypatch):
     def shifted_row(b, ell):
         sd = real(b, ell)
         red = sd.reducers[4]
-        rows = [(p, dict(r)) for p, r in zip(red.pivots, red.int_rows())]
+        rows = [(p, dict(r)) for p, r in zip(red.pivots, int_rows(red))]
         p, row = rows[0]
         row[red.keep[0]] = row.get(red.keep[0], 0) + row[p]
         sd.reducers[4] = Reducer(rows, b.dim(4))

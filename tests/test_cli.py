@@ -270,6 +270,31 @@ def test_verify_oracle_suites(capsys):
     assert code == 0 and "RESULT: PASS" in out
 
 
+CC_P2_SEED4 = """\
+suite: cc  spec: p2_toric  seed: 4
+PASS cc f=1 I=(0, 1) lams=('2/5', '1/5')
+PASS cc f=1 I=(0, 2) lams=('1/6', '3/7')
+PASS cc f=1 I=(1, 2) lams=('1/2', '2/7')
+PASS cc f=x1 I=(0, 1) lams=('3/5', '3/8')
+PASS cc f=x1 I=(0, 2) lams=('1/7', '1/3')
+PASS cc f=x1 I=(1, 2) lams=('2/3', '2/7')
+PASS cc f=x1*x2 I=(0, 1) lams=('4/7', '1/3')
+PASS cc f=x1*x2 I=(0, 2) lams=('1/2', '3/8')
+PASS cc f=x1*x2 I=(1, 2) lams=('2/7', '1/5')
+RESULT: PASS
+"""
+
+
+def test_verify_cc_output_pinned(capsys):
+    """The corner-box suite's whole report at one seed, byte for byte, as
+    the suite printed it when the box was still triangulated through a
+    Polytope built from its vertices and halfspaces."""
+    code, out, err = run(
+        capsys, "verify", "p2_toric", "--suite", "cc", "--seed", "4", "--count", "1"
+    )
+    assert (code, out, err) == (0, CC_P2_SEED4, "")
+
+
 def test_verify_gz_and_bk_suites(capsys):
     code, out, _ = run(
         capsys, "verify", "flag_sl2_p1", "--suite", "gz", "--seed", "4",

@@ -6,12 +6,14 @@ from math import lcm
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import int_rows
 from toricbundle.exactlin import (
     QMatrix,
     Reducer,
     Span,
     adjugate,
     det,
+    det_int,
     echelon,
     echelon_int,
     kernel_basis,
@@ -149,8 +151,12 @@ def test_det_matches_cofactor_expansion(rows):
     )
 )
 def test_det_of_integer_matrix_is_integer(rows):
+    """det is det_int of the cleared rows, and det_int leaves its input
+    rows as they were."""
+    copy = [list(row) for row in rows]
     value = det(rows)
     assert value.denominator == 1 and value == _cofactor_det(rows)
+    assert det_int(rows) == value and rows == copy
 
 
 @settings(max_examples=100, deadline=None)
@@ -271,8 +277,8 @@ def test_rref_matches_fraction_gauss_jordan(rows):
     assert rref(m) == (QMatrix(want_rows), want_pivots)
     assert rank(m) == len(want_pivots)
     scales = [lcm(*(F(x).denominator for x in row)) for row in rows]
-    int_rows = [[int(x * c) for x in row] for row, c in zip(rows, scales)]
-    assert rank_int(int_rows) == len(want_pivots)
+    scaled = [[int(x * c) for x in row] for row, c in zip(rows, scales)]
+    assert rank_int(scaled) == len(want_pivots)
     sparse_rows = tuple(_sparse(r) for r in want_rows[: len(want_pivots)])
     assert echelon(_sparse(r) for r in rows) == (sparse_rows, want_pivots)
 
@@ -322,7 +328,7 @@ def test_reduce_onto_matches_dense_elimination(rows, data):
     assert reducer.keep == tuple(j for j in range(r.cols) if j not in pivots)
     # each integer row divided by its pivot entry, its first, is the RREF row
     assert tuple(
-        tuple((c, F(x, row[0][1])) for c, x in row) for row in reducer.int_rows()
+        tuple((c, F(x, row[0][1])) for c, x in row) for row in int_rows(reducer)
     ) == tuple(_sparse(row) for row in red)
     want = tuple(dense[t] for t in reducer.keep)
     assert reducer.pairs(_sparse(vec)) == _sparse(want)

@@ -9,6 +9,7 @@ import random
 from fractions import Fraction as F
 from itertools import product
 from math import ceil, factorial
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -426,6 +427,17 @@ def test_convex_chain_examples():
     assert convex_chain_identity_check(
         p2, X1, VirtualPolytope(p2, (1, 1, 1)), (1, 2), [F(1, 3), F(1, 4)]
     )
+    # each negative lambda turns one difference around: the box integral
+    # carries prod sign(lambda_i), -1 for an odd number of negative ones
+    p1 = fan_p1()
+    for lam in (F(1, 2), F(-1, 2)):
+        assert convex_chain_identity_check(
+            p1, ONE1, VirtualPolytope(p1, (2, 3)), (0,), [lam]
+        )
+    for lams in ([F(-1, 2), F(1, 3)], [F(-1, 2), F(-1, 3)]):
+        assert convex_chain_identity_check(
+            p2, X1, VirtualPolytope(p2, (1, 1, 1)), (1, 2), lams
+        )
 
 
 @pytest.mark.parametrize("lams", [[F(1, 2)], [F(1, 2), F(1, 3), F(1, 4)]])
@@ -781,6 +793,18 @@ def test_integral_polynomials_reject_incomplete_fan():
         mixed_integral(fan, ONE2, [h, h])
     with pytest.raises(FanError):
         integral_over_virtual(fan, ONE2, h)
+    with pytest.raises(FanError):
+        i_f_value(fan, ONE2, h)
+    with pytest.raises(FanError):
+        convex_chain_identity_check(fan, ONE2, h, (0, 1), [F(1, 2), F(1, 2)])
+    # the four quadrant rays with one quadrant missing: P(h) = [-1, 1]^2
+    # has area 4, while the three cones' vertices span a triangle of area 2
+    fan = validate_fan(
+        [(1, 0), (0, 1), (-1, 0), (0, -1)], [(0, 1), (1, 2), (2, 3)]
+    )
+    with pytest.raises(FanError):
+        i_f_value(fan, ONE2, VirtualPolytope(fan, (1, 1, 1, 1)))
+    assert fan._pulling_cache is None
 
 
 # ---------------------------------------------------------------------------
@@ -839,7 +863,10 @@ def test_i_f_value_matches_polytope_integral(case):
     """The integer path from h to the moments equals the direct integral
     over the Polytope built from P(h); that Polytope's vertices are the
     sorted distinct Fraction vertices of the cones, as before the integer
-    vertex routine, and its halfspaces are (e_i, h_i)."""
+    vertex routine, and its halfspaces are (e_i, h_i).  A strictly convex
+    h takes the fan's own face lattice and measures nothing; a boundary h,
+    whose merged vertices change the face lattice, takes the measured
+    vertices and tight sets of support_points."""
     fan, kind, vp, f = case
     assert is_convex_on(fan, vp, strict=kind == "strict")
     p = polytope_from_support(fan, vp)
@@ -847,10 +874,35 @@ def test_i_f_value_matches_polytope_integral(case):
     assert p.halfspaces == tuple(
         (tuple(F(x) for x in ray), b) for ray, b in zip(fan.rays, vp.h)
     )
-    value = i_f_value(fan, f, vp)
+    real = integrate.support_points
+    with mock.patch.object(integrate, "support_points", wraps=real) as measured:
+        value = i_f_value(fan, f, vp)
     assert value == integrate_over_polytope(f, p)
+    assert measured.called == (kind != "strict")
+    assert fan._pulling_cache is not None
     if kind == "point":
         assert len(p.vertices) == 1 and value == 0
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(SUPPORT_FANS), st.integers(0, 2**32))
+def test_fan_face_lattice_is_the_measured_one(fan, seed):
+    """At a strictly convex h every cone has its own vertex, and the tight
+    set measured on ray i's facet holds exactly the vertices of the cones
+    through i: the face lattice that the cached triangulation is read from."""
+    vp = random_convex(fan, random.Random(seed))
+    one = QPolynomial.constant(tuple(f"x{i + 1}" for i in range(fan.dim)), 1)
+    i_f_value(fan, one, vp)
+    den, points, tight = integrate.support_points(fan, vp)
+    where = {tuple(F(x, den) for x in v): k for k, v in enumerate(points)}
+    at = [where[v] for v in cone_vertices(fan, vp.h)]
+    assert sorted(at) == list(range(len(fan.max_cones)))
+    facets = [{k for k, j in enumerate(at) if j in t} for t in tight]
+    assert facets == [
+        {k for k, cone in enumerate(fan.max_cones) if i in cone}
+        for i in range(fan.nrays)
+    ]
+    assert fan._pulling_cache == integrate._pulling(facets, len(at), fan.dim)
 
 
 @pytest.mark.parametrize(
@@ -954,3 +1006,65 @@ def test_i_f_polynomial_errors_leave_cache_empty(monkeypatch):
     with pytest.raises(VerificationFailed, match="self-check"):
         i_f_polynomial(p2, ONE2)
     assert p2._i_f_cache == {}
+
+
+def _polytope_corner_box(fan, f, delta, ray_set, lams):
+    """The corner box as the identity check integrated it before the Kuhn
+    simplices: a Polytope from its 2^n corners and 2n halfspaces, through
+    :func:`triangulate`, with no sign."""
+    n = fan.dim
+    k = fan.max_cones.index(ray_set)
+    cone = fan.cone_data()[k]
+    a = cone_vertices(fan, delta.h)[k]
+    duals = [[F(x, cone.det) for x in col] for col in cone.adj]
+    corners = []
+    for bits in product((0, 1), repeat=n):
+        pt = list(a)
+        for take, w, lam in zip(bits, duals, lams):
+            if take:
+                for c in range(n):
+                    pt[c] += lam * w[c]
+        corners.append(tuple(pt))
+    halfspaces = []
+    for i, lam in zip(ray_set, lams):
+        ray = fan.rays[i]
+        halfspaces.append((ray, delta.h[i] + max(lam, 0)))
+        halfspaces.append(([-x for x in ray], -delta.h[i] - min(lam, 0)))
+    box = Polytope.from_vertices(corners, halfspaces, reduce=False)
+    return integrate_over_polytope(f, box)
+
+
+@st.composite
+def corner_box_case(draw):
+    """(fan, f of degree <= 2, strictly convex Delta, a maximal cone, one
+    nonzero lambda per ray of it, of either sign and of the sizes the cc
+    suite draws).  Delta is scaled by 8 so that every wall gap stays
+    positive when the facets move by the lambdas."""
+    fan = draw(st.sampled_from(SUPPORT_FANS))
+    delta = random_convex(fan, random.Random(draw(st.integers(0, 2**32)))).scale(8)
+    ray_set = draw(st.sampled_from(fan.max_cones))
+    size = st.builds(F, st.integers(1, 4), st.integers(5, 9))
+    signed = st.builds(lambda x, s: s * x, size, st.sampled_from((1, -1)))
+    lams = draw(st.lists(signed, min_size=fan.dim, max_size=fan.dim))
+    monos = [m for k in range(3) for m in monomials_of_degree(fan.dim, k)]
+    terms = draw(st.dictionaries(st.sampled_from(monos), rationals, max_size=3))
+    f = QPolynomial(tuple(f"x{i + 1}" for i in range(fan.dim)), terms)
+    return fan, f, delta, ray_set, lams
+
+
+@settings(max_examples=60, deadline=None)
+@given(corner_box_case())
+def test_kuhn_box_matches_polytope_box(case):
+    """The box integral of the check, its last :func:`_integral` (over the
+    n! Kuhn simplices), is the Polytope box; and with the sign
+    prod sign(lambda_i) put on it the identity holds for both signs."""
+    fan, f, delta, ray_set, lams = case
+    real = integrate._integral
+    with mock.patch.object(integrate, "_integral", wraps=real) as spy:
+        holds = convex_chain_identity_check(fan, f, delta, ray_set, lams)
+    _, _, simplices = spy.call_args.args
+    assert len(simplices) == factorial(fan.dim)
+    assert real(*spy.call_args.args) == _polytope_corner_box(
+        fan, f, delta, ray_set, lams
+    )
+    assert holds
