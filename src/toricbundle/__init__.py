@@ -21,7 +21,7 @@ from toricbundle.bundle import (
     self_intersection,
     verify_bkk,
 )
-from toricbundle.exactlin import QMatrix, kernel_basis, rref, solve
+from toricbundle.exactlin import QMatrix, rref, solve
 from toricbundle.galg import (
     GradedAlgebra,
     TopFunctional,
@@ -93,7 +93,6 @@ __all__ = [
     "is_projective",
     "is_smooth",
     "kernel_backend",
-    "kernel_basis",
     "minkowski_sum",
     "mixed_integral",
     "polytope_from_support",

@@ -815,9 +815,8 @@ def squarefree_evaluate(
             total += val
             continue
         # chi with <chi, e_i> = 1 and 0 on the other support rays
-        mat = QMatrix([fan.rays[i] for i in support])
-        rhs = [Fraction(int(i == rep_i)) for i in support]
-        chi = solve(mat, rhs)
+        rhs = [int(i == rep_i) for i in support]
+        chi = solve([fan.rays[i] for i in support], rhs)
         if chi is None:
             raise VerificationFailed(f"no dual vector on the cone {support}")
         b_low = tuple(e - int(i == rep_i) for i, e in enumerate(b))

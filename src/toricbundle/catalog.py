@@ -167,6 +167,13 @@ def _positive_roots(n: int):
     ]
 
 
+def _rank(n: int) -> None:
+    """The flag bases, Weyl polynomials and Gelfand-Zetlin polytopes are
+    implemented for SL_n with 2 <= n <= 4; another n raises ValueError."""
+    if not 2 <= n <= 4:
+        raise ValueError(f"SL_n implemented for 2 <= n <= 4, got n = {n}")
+
+
 def _weight(n: int, lam, dominant: bool = False) -> Vec:
     """lam as n - 1 fundamental coordinates of an SL_n weight; another length
     raises ``DegreeMismatch``, and with ``dominant`` a negative entry raises
@@ -187,8 +194,7 @@ def base_flag_sl(n: int) -> FlagBase:
     |W| = n! (so the point class pairs to 1; cross-checked downstream by the
     degree identity c(lambda)^N = N! f_W(lambda)).
     """
-    if not 2 <= n <= 4:
-        raise ValueError("flag bases implemented for 2 <= n <= 4")
+    _rank(n)
     names = tuple(f"w{i + 1}" for i in range(n - 1))
     ls = [
         QPolynomial.linear_form(names, row) for row in _std_weights(n)
@@ -237,8 +243,7 @@ def base_flag_sl(n: int) -> FlagBase:
 def weyl_top_polynomial_sl(n: int) -> QPolynomial:
     """Top part of the Weyl polynomial: prod_{alpha > 0}
     <lambda, alpha^v> / <rho, alpha^v>."""
-    if not 2 <= n <= 4:
-        raise ValueError("implemented for 2 <= n <= 4")
+    _rank(n)
     names = tuple(f"a{i + 1}" for i in range(n - 1))
     out = QPolynomial.constant(names, 1)
     for coroot, _ in _positive_roots(n):
@@ -305,8 +310,7 @@ def _interlacing(n: int, top, offset: int):
 
 def gz_polytope(n: int, lam) -> GZData:
     """The Gelfand-Zetlin polytope of a dominant weight (fundamental coords)."""
-    if not 2 <= n <= 4:
-        raise ValueError("implemented for 2 <= n <= 4")
+    _rank(n)
     lam = _weight(n, lam, dominant=True)
     top = [((), x) for x in _partition_coords(n, lam)]
     poly = Polytope.from_halfspaces(_interlacing(n, top, 0), n * (n - 1) // 2)

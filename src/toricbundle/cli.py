@@ -64,47 +64,35 @@ def _fail(code: int, message: str):
     raise SystemExit(code)
 
 
-def _resolve_fan(token: str):
-    if token in catalog.FANS:
+def _resolve(token: str, table, parse, noun: str):
+    """The catalog entry ``table[token]()``, or ``parse`` of the JSON file
+    named ``token``.  A missing, unreadable or malformed file is a
+    precondition failure; invalid geometry in it raises :class:`FanError`."""
+    if token in table:
         if os.path.exists(token):
-            _fail(
-                EXIT_PRECONDITION,
-                f"{token!r} is both a catalog name and a file",
-            )
-        return catalog.FANS[token]()
+            _fail(EXIT_PRECONDITION, f"{token!r} is both a catalog name and a file")
+        return table[token]()
     if not os.path.exists(token):
-        _fail(EXIT_PRECONDITION, f"no catalog fan or file named {token!r}")
+        _fail(EXIT_PRECONDITION, f"no catalog {noun} or file named {token!r}")
     try:
         with open(token) as fh:
-            return serialize.fan_from_dict(json.load(fh))
+            return parse(json.load(fh))
+    except OSError as exc:
+        _fail(EXIT_PRECONDITION, f"cannot read {noun} file {token!r}: {exc}")
     except (KeyError, ValueError, TypeError) as exc:
-        if isinstance(exc, FanError):
-            raise
-        _fail(EXIT_PRECONDITION, f"malformed fan file {token!r}: {exc}")
+        _fail(EXIT_PRECONDITION, f"malformed {noun} file {token!r}: {exc}")
 
 
 def _resolve_spec(token: str) -> BundleSpec:
-    if token in catalog.SPECS:
-        if os.path.exists(token):
-            _fail(
-                EXIT_PRECONDITION,
-                f"{token!r} is both a catalog name and a file",
-            )
-        return catalog.SPECS[token]()
-    if not os.path.exists(token):
-        _fail(EXIT_PRECONDITION, f"no catalog spec or file named {token!r}")
-    try:
-        with open(token) as fh:
-            return serialize.spec_from_dict(json.load(fh), name=token)
-    except (KeyError, ValueError, TypeError) as exc:
-        if isinstance(exc, FanError):
-            raise
-        _fail(EXIT_PRECONDITION, f"malformed spec file {token!r}: {exc}")
+    def parse(data):
+        return serialize.spec_from_dict(data, name=token)
+
+    return _resolve(token, catalog.SPECS, parse, "spec")
 
 
 def cmd_fan_check(args) -> int:
     try:
-        fan = _resolve_fan(args.fan)
+        fan = _resolve(args.fan, catalog.FANS, serialize.fan_from_dict, "fan")
     except FanError as exc:
         print(f"invalid fan: {exc}")
         return EXIT_GEOMETRY

@@ -4,35 +4,37 @@ All arithmetic is exact; there is no floating point anywhere in the package.
 Every elimination runs through one fraction-free integer Gauss-Jordan on
 sparse rows, :func:`toricbundle._kernels.gauss_jordan_int`: each row is
 cleared of denominators first, which changes neither row space nor kernel,
-and kept primitive (gcd 1) with a positive pivot.  The kernel runs a forward
-pass and then one back substitution; :func:`rank` (and :func:`rank_int` on
-rows that are already integers) stops after the forward pass, whose pivots
-are already those of the RREF.  The reduced row echelon form of a matrix is
-unique, so the dense :func:`rref`, :func:`kernel_basis` and :func:`solve`
-on :class:`QMatrix` return exactly what any Gauss-Jordan would, bit for
-bit.
+and kept primitive (gcd 1) with a positive pivot.  Rows are sparse
+``(column, value)`` pairs or dense sequences, with int or Fraction values.
+One routine per operation:
 
-Sparse callers skip the dense matrix: :func:`echelon` takes rows as
-``(column, value)`` pairs and returns the nonzero RREF rows in the same form
-(:func:`row_space_rref` is its dense spelling), and :func:`echelon_int`
-returns the kernel's primitive integer rows themselves; :func:`kernel_int`
-returns the kernel of a matrix in the same form, read off one elimination.
-A :class:`Reducer` keeps such integer rows by pivot, as (pivot value,
-entries at the non-pivot columns), to compute normal forms modulo their row
-space; a class passes through :class:`~fractions.Fraction` only at its
-output entries.  A :class:`Span` grows a subspace one vector at a time with
-the forward pass alone.  The integer row format stays inside this module
-and the kernel.
+- :func:`echelon_int`: the RREF of sparse rows, as the kernel's primitive
+  integer rows;
+- :func:`kernel_int`: the kernel of sparse rows in the same form, read off
+  one elimination;
+- :func:`rank`: the rank of dense rows, by the forward pass alone, whose
+  pivots are already those of the RREF;
+- :func:`solve`: one solution of a dense linear system;
+- :func:`det_int`: the determinant of a square integer matrix, by Bareiss
+  elimination; :func:`adjugate` adds the inverse up to that factor;
+- :func:`rref`: the dense RREF of a :class:`QMatrix`, with its pivots
+  (:func:`row_space_rref` spells it for spanning rows);
+- :class:`Reducer`: normal forms modulo the row space of integer RREF rows;
+  a class passes through :class:`~fractions.Fraction` only at its output
+  entries;
+- :class:`Span`: a subspace grown one vector at a time by the forward pass.
+
+The reduced row echelon form is unique, so each returns exactly what any
+Gauss-Jordan would, bit for bit.  The integer row format stays inside this
+module and the kernel.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import gcd, lcm
 
 from toricbundle._kernels import forward_int, gauss_jordan_int, insert_row
-
-Rat = Fraction
 
 QVector = tuple[Fraction, ...]
 # (column, value) pairs, columns ascending, values nonzero
@@ -49,7 +51,7 @@ def _cleared(points):
     return den, [tuple(x.numerator * (den // x.denominator) for x in p) for p in points]
 
 
-def int_row(pairs) -> dict[int, int]:
+def _int_row(pairs) -> dict[int, int]:
     """``{column: int}`` from (column, rational) pairs, zeros dropped, scaled
     by the lcm of the denominators."""
     items = [(c, x) for c, x in pairs if x]
@@ -59,50 +61,42 @@ def int_row(pairs) -> dict[int, int]:
     return {c: x.numerator * (m // x.denominator) for c, x in items}
 
 
-def _fraction_row(p: int, row: dict[int, int]) -> SparseRow:
-    """The RREF row from a primitive integer row with pivot p."""
-    pv = row[p]
-    return tuple(
-        (c, ONE if c == p else Fraction(x, pv)) for c, x in sorted(row.items())
-    )
+def _dense_rows(reduced, ncols: int) -> list[list[Fraction]]:
+    """The RREF rows, dense, from primitive integer rows ``(pivot, row)``:
+    each row divided by its pivot entry."""
+    out = []
+    for p, row in reduced:
+        pv = row[p]
+        dense = [ZERO] * ncols
+        for c, x in row.items():
+            dense[c] = Fraction(x, pv)
+        out.append(dense)
+    return out
 
 
 def echelon_int(rows) -> list[tuple[int, dict[int, int]]]:
     """The RREF of sparse rows as the kernel returns it: ``(pivot, row)`` in
     pivot order, each row a primitive ``{column: int}`` positive at its pivot.
 
-    ``rows`` is as for :func:`echelon`; dividing each row by its pivot
-    entry gives the RREF row.
-    """
-    return gauss_jordan_int([int_row(r) for r in rows])
-
-
-def echelon(rows) -> tuple[tuple[SparseRow, ...], tuple[int, ...]]:
-    """Nonzero rows and pivot columns of the RREF of sparse rows.
-
     ``rows`` is an iterable of rows, each an iterable of (column, value)
     pairs with int or Fraction values (zeros allowed, columns distinct).
-    The output rows are :data:`SparseRow` tuples, one per pivot, in pivot
-    order; the RREF is unique, so equal outputs mean equal row spaces.
+    Dividing each output row by its pivot entry gives the RREF row; the RREF
+    is unique, so equal outputs mean equal row spaces.
     """
-    reduced = echelon_int(rows)
-    return (
-        tuple(_fraction_row(p, row) for p, row in reduced),
-        tuple(p for p, _ in reduced),
-    )
+    return gauss_jordan_int([_int_row(r) for r in rows])
 
 
 def kernel_int(rows, ncols: int) -> list[tuple[int, dict[int, int]]]:
     """The kernel {v in Q^ncols : row . v = 0 for every row} as its RREF, in
     the form :func:`echelon_int` returns.
 
-    ``rows`` is as for :func:`echelon`.  The rows are eliminated once, with
-    their columns in reverse order, so each pivot row row_p has its other
-    entries at free columns j < p.  For each free column j, with L the lcm
-    of the pivot entries row_p[p] of the rows that meet column j, the kernel
-    vector L*e_j - sum_p row_p[j] * (L / row_p[p]) * e_p is then 0 at every
-    other free column and at no column before j: divided by the gcd of its
-    entries, it is the RREF row with pivot j.
+    ``rows`` is as for :func:`echelon_int`.  The rows are eliminated once,
+    with their columns in reverse order, so each pivot row row_p has its
+    other entries at free columns j < p.  For each free column j, with L the
+    lcm of the pivot entries row_p[p] of the rows that meet column j, the
+    kernel vector L*e_j - sum_p row_p[j] * (L / row_p[p]) * e_p is then 0 at
+    every other free column and at no column before j: divided by the gcd of
+    its entries, it is the RREF row with pivot j.
     """
     last = ncols - 1
     hits: dict[int, list] = {}  # free column -> (pivot, entry, pivot entry)
@@ -145,7 +139,7 @@ class Span:
         """Add sum c * e_col over (column, value) pairs, values int or
         Fraction; return False, leaving the span unchanged, if it already
         lies in the span."""
-        return insert_row(self._basis, int_row(pairs)) is not None
+        return insert_row(self._basis, _int_row(pairs)) is not None
 
     def __len__(self) -> int:
         return len(self._basis)
@@ -173,10 +167,6 @@ class QMatrix:
             raise ValueError("ragged matrix")
         self.entries = entries
 
-    @classmethod
-    def identity(cls, n: int) -> "QMatrix":
-        return cls([[Fraction(int(i == j)) for j in range(n)] for i in range(n)])
-
     def __getitem__(self, ij):
         i, j = ij
         return self.entries[i][j]
@@ -191,64 +181,53 @@ class QMatrix:
         body = "; ".join(" ".join(str(x) for x in row) for row in self.entries)
         return f"QMatrix[{body}]"
 
-    def transpose(self) -> "QMatrix":
-        return QMatrix(list(zip(*self.entries))) if self.rows else QMatrix([])
-
-    def matvec(self, v) -> QVector:
-        return tuple(
-            sum((row[j] * v[j] for j in range(self.cols)), Fraction(0))
-            for row in self.entries
-        )
-
-
-def _dense_int_rows(rows) -> list[dict[int, int]]:
-    return [int_row(enumerate(row)) for row in rows]
-
-
-def _reduce_dense(rows) -> list[tuple[int, dict[int, int]]]:
-    return gauss_jordan_int(_dense_int_rows(rows))
-
 
 def rref(m: QMatrix) -> tuple[QMatrix, tuple[int, ...]]:
     """Reduced row echelon form and pivot columns.  rank = len(pivots)."""
     if m.rows == 0 or m.cols == 0:
         return m, ()
-    reduced = _reduce_dense(m.entries)
-    out = []
-    for p, row in reduced:
-        dense = [ZERO] * m.cols
-        for c, x in _fraction_row(p, row):
-            dense[c] = x
-        out.append(dense)
-    zero_row = [ZERO] * m.cols
-    out.extend(zero_row for _ in range(m.rows - len(reduced)))
+    reduced = echelon_int(enumerate(row) for row in m.entries)
+    out = _dense_rows(reduced, m.cols)
+    out += [[ZERO] * m.cols] * (m.rows - len(reduced))
     return QMatrix(out), tuple(p for p, _ in reduced)
 
 
-def rank(m: QMatrix) -> int:
-    """The rank: the number of pivots of the forward pass alone (no back
-    substitution, no rref rows built)."""
-    return len(forward_int(_dense_int_rows(m.entries)))
+def row_space_rref(rows) -> tuple[tuple[Fraction, ...], ...]:
+    """Canonical form of a subspace given by dense spanning rows of ints and
+    Fractions: the nonzero rows of its RREF, so two row sets span the same
+    subspace iff this returns the same tuple."""
+    rows = [tuple(row) for row in rows]
+    if not rows:
+        return ()
+    reduced = echelon_int(enumerate(row) for row in rows)
+    return tuple(tuple(row) for row in _dense_rows(reduced, len(rows[0])))
 
 
-def rank_int(rows) -> int:
-    """The rank of dense rows of ints, by the forward pass alone."""
-    return len(forward_int([{c: x for c, x in enumerate(row) if x} for row in rows]))
+def rank(rows) -> int:
+    """The rank of dense rows of ints and Fractions: the number of pivots of
+    the forward pass alone (no back substitution, no RREF rows built)."""
+    return len(forward_int([_int_row(enumerate(row)) for row in rows]))
 
 
-def det(rows) -> Fraction:
-    """Exact determinant of a square matrix given by rows of ints and
-    Fractions: :func:`det_int` of the rows cleared of denominators, divided
-    by the row scales.  An integer matrix has an integer-valued result."""
-    rows = list(rows)
-    if any(len(row) != len(rows) for row in rows):
-        raise ValueError("determinant of a non-square matrix")
-    scales = [lcm(*(x.denominator for x in row)) for row in rows]
-    cleared = (
-        [x.numerator * (m // x.denominator) for x in row]
-        for row, m in zip(rows, scales)
+def solve(rows, b) -> QVector | None:
+    """One exact solution x of ``sum_j rows[i][j] x_j = b[i]`` for every i,
+    or None when the system is inconsistent; ``rows`` are dense rows of ints
+    and Fractions."""
+    rows, b = list(rows), list(b)
+    if len(b) != len(rows):
+        raise ValueError("rhs length mismatch")
+    n = len(rows[0]) if rows else 0
+    reduced = gauss_jordan_int(
+        [_int_row(enumerate((*row, x))) for row, x in zip(rows, b)]
     )
-    return Fraction(det_int(cleared), prod(scales))
+    if reduced and reduced[-1][0] == n:
+        return None
+    x = [ZERO] * n
+    for p, row in reduced:
+        rhs = row.get(n)
+        if rhs:
+            x[p] = Fraction(rhs, row[p])
+    return tuple(x)
 
 
 def det_int(rows) -> int:
@@ -283,7 +262,9 @@ def adjugate(rows) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """
     rows = [list(row) for row in rows]
     n = len(rows)
-    d = det(rows).numerator
+    if any(len(row) != n for row in rows):
+        raise ValueError("adjugate of a non-square matrix")
+    d = det_int(rows)
     if d == 0:
         raise ValueError("adjugate of a singular matrix")
     reduced = dict(
@@ -298,66 +279,6 @@ def adjugate(rows) -> tuple[int, tuple[tuple[int, ...], ...]]:
         tuple(d * reduced[k].get(n + j, 0) // reduced[k][k] for k in range(n))
         for j in range(n)
     )
-
-
-def kernel_basis(m: QMatrix) -> list[QVector]:
-    """Basis of the right null space; empty iff the columns are independent.
-
-    For each free column j the basis vector has a 1 in slot j and
-    ``-rref[i][j]`` in each pivot slot.
-    """
-    reduced = _reduce_dense(m.entries)
-    pivset = {p for p, _ in reduced}
-    basis = []
-    for j in range(m.cols):
-        if j in pivset:
-            continue
-        v = [ZERO] * m.cols
-        v[j] = ONE
-        for p, row in reduced:
-            x = row.get(j)
-            if x:
-                v[p] = Fraction(-x, row[p])
-        basis.append(tuple(v))
-    return basis
-
-
-def solve(m: QMatrix, b) -> QVector | None:
-    """One exact solution of ``m x = b``, or None when inconsistent."""
-    b = [Fraction(x) for x in b]
-    if len(b) != m.rows:
-        raise ValueError("rhs length mismatch")
-    n = m.cols
-    reduced = gauss_jordan_int(
-        [int_row(enumerate(row + (b[i],))) for i, row in enumerate(m.entries)]
-    )
-    if reduced and reduced[-1][0] == n:
-        return None
-    x = [ZERO] * n
-    for p, row in reduced:
-        rhs = row.get(n)
-        if rhs:
-            x[p] = Fraction(rhs, row[p])
-    return tuple(x)
-
-
-def row_space_rref(rows) -> tuple[tuple[Fraction, ...], ...]:
-    """Canonical form of a subspace given by dense spanning rows.
-
-    The nonzero rows of :func:`echelon`, dense: two row sets span the same
-    subspace iff this returns the same tuple.  Accepts any iterable of rows
-    of ints and Fractions.
-    """
-    rows = [tuple(row) for row in rows]
-    if not rows:
-        return ()
-    out = []
-    for row in echelon(enumerate(row) for row in rows)[0]:
-        dense = [ZERO] * len(rows[0])
-        for c, x in row:
-            dense[c] = x
-        out.append(tuple(dense))
-    return tuple(out)
 
 
 class Reducer:

@@ -855,7 +855,7 @@ def graded_isomorphic(
 
     # bijectivity in each degree
     for d, rows in phi.items():
-        if rank(QMatrix(rows)) != a.dim(d):
+        if rank(rows) != a.dim(d):
             return False
 
     # multiplicativity on every stored structure constant; the pairs that

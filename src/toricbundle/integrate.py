@@ -57,7 +57,7 @@ from toricbundle.errors import (
     LowerDimensional,
     VerificationFailed,
 )
-from toricbundle.exactlin import QMatrix, _cleared, solve
+from toricbundle.exactlin import _cleared, solve
 from toricbundle.polyhedral import (
     Fan,
     Polytope,
@@ -184,7 +184,7 @@ def _simplex_indices(points, tight, d: int):
     positive denominator, after the one full-dimension test: the rank of the
     rows (1, V_k) is d + 1 exactly when P spans R^d (a forward pass);
     raises :class:`LowerDimensional` otherwise."""
-    if exactlin.rank_int([(1, *v) for v in points]) <= d:
+    if exactlin.rank([(1, *v) for v in points]) <= d:
         raise LowerDimensional("polytope not full-dimensional")
     return _pulling(tight, len(points), d)
 
@@ -424,8 +424,8 @@ def _power_decomposition(fan: Fan, f: QPolynomial, m: int):
         forms = [tuple(a + b for a, b in zip(g, alpha)) for alpha in alphas]
         if any(_int_dot(l, col) == 0 for l in forms for col in columns):
             continue
-        system = QMatrix(
-            [[prod(x**e for x, e in zip(l, beta)) for l in forms] for beta in alphas]
+        system = (
+            [prod(x**e for x, e in zip(l, beta)) for l in forms] for beta in alphas
         )
         coeffs = solve(system, rhs)
         if coeffs is not None:
@@ -579,7 +579,7 @@ def square_free_derivative_check(
             raise VerificationFailed(f"d_I I_f != 0 on non-cone {ray_set}")
     elif len(ray_set) == fan.dim:
         a = dual_vertex(fan, ray_set, delta.h)
-        det = abs(exactlin.det([fan.rays[i] for i in ray_set]))
+        det = abs(exactlin.det_int([fan.rays[i] for i in ray_set]))
         # det is 1 on smooth cones; the corner region scales with the dual
         # basis, hence the division for merely simplicial ones.
         if value != f.evaluate(a) / det:

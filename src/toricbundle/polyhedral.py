@@ -29,16 +29,7 @@ from toricbundle.errors import (
     NotPure,
     VerificationFailed,
 )
-from toricbundle.exactlin import (
-    QMatrix,
-    _cleared,
-    adjugate,
-    det,
-    kernel_basis,
-    rank,
-    rank_int,
-    solve,
-)
+from toricbundle.exactlin import _cleared, adjugate, det_int, kernel_int, rank, solve
 
 Point = tuple[Fraction, ...]
 
@@ -203,7 +194,7 @@ def validate_fan(rays, max_cones) -> Fan:
             raise DegenerateCone(f"repeated ray index in cone {cone}")
         if any(i < 0 or i >= len(rays) for i in cone):
             raise FanError(f"ray index out of range in cone {cone}")
-        if rank(QMatrix([rays[i] for i in cone])) != len(cone):
+        if rank([rays[i] for i in cone]) != len(cone):
             raise DegenerateCone(f"generators of cone {cone} are dependent")
         cones.append(cone)
     if len(set(cones)) != len(cones):
@@ -213,6 +204,11 @@ def validate_fan(rays, max_cones) -> Fan:
     for (ca, cb) in itertools.permutations(cones, 2):
         if set(ca) < set(cb):
             raise FanError(f"cone {ca} is a face of cone {cb}")
+    # every ray is a cone of the fan: the builders read each one as a facet
+    # of P(h) and a generator of the ring
+    unused = set(range(len(rays))).difference(*cones)
+    if unused:
+        raise FanError(f"ray {rays[min(unused)]} lies in no maximal cone")
 
     # pairwise face condition: a separating functional that vanishes exactly
     # on the common generators certifies cone_a /\ cone_b = cone(common).
@@ -234,16 +230,16 @@ def validate_fan(rays, max_cones) -> Fan:
 def is_smooth(fan: Fan) -> bool:
     """Each maximal cone's generators extend to a lattice basis."""
     for cone in fan.max_cones:
-        gens = [list(fan.rays[i]) for i in cone]
+        gens = [fan.rays[i] for i in cone]
         k = len(gens)
         if k == fan.dim:
-            if abs(det(gens)) != 1:
+            if abs(det_int(gens)) != 1:
                 return False
         else:
             g = 0
             for cols in itertools.combinations(range(fan.dim), k):
                 minor = [[row[c] for c in cols] for row in gens]
-                g = gcd(g, abs(int(det(minor))))
+                g = gcd(g, abs(det_int(minor)))
             if g != 1:
                 return False
     return True
@@ -256,11 +252,8 @@ def is_complete(fan: Fan) -> bool:
     ridges = fan.ridges()
     if any(len(cones) != 2 for cones in ridges.values()):
         return False
-    # connectivity of the cone adjacency graph; a fan with no maximal cone
-    # covers only the origin
+    # connectivity of the cone adjacency graph
     n = len(fan.max_cones)
-    if n == 0:
-        return fan.dim == 0
     adj: dict[int, set[int]] = {i: set() for i in range(n)}
     for a, b in ((c[0], c[1]) for c in ridges.values()):
         adj[a].add(b)
@@ -277,8 +270,7 @@ def is_complete(fan: Fan) -> bool:
 
 def dual_vertex(fan: Fan, cone, h) -> Point:
     """The point A with <A, e_i> = h_i for every ray i of the full cone."""
-    mat = QMatrix([fan.rays[i] for i in cone])
-    sol = solve(mat, [h[i] for i in cone])
+    sol = solve([fan.rays[i] for i in cone], [h[i] for i in cone])
     if sol is None:
         raise VerificationFailed(f"cone {cone} has dependent generators")
     return sol
@@ -466,7 +458,7 @@ class AffineVirtualPolytope:
 def affine_dim(points) -> int:
     """The dimension of the affine hull, -1 for no points: one less than the
     rank of the rows (1, D*p), with the points cleared of denominators."""
-    return rank_int([(1, *row) for row in _cleared(list(points))[1]]) - 1
+    return rank([(1, *row) for row in _cleared(list(points))[1]]) - 1
 
 
 class Polytope:
@@ -508,7 +500,7 @@ class Polytope:
         ]
         pts = set()
         for subset in itertools.combinations(range(len(hs)), dim):
-            mat = QMatrix([list(hs[k][0]) for k in subset])
+            mat = [hs[k][0] for k in subset]
             if rank(mat) != dim:
                 continue
             x = solve(mat, [hs[k][1] for k in subset])
@@ -545,14 +537,11 @@ class Polytope:
         found = {}
         for combo in itertools.combinations(verts, d):
             v0 = combo[0]
-            diffs = [[a - b for a, b in zip(p, v0)] for p in combo[1:]]
-            if d > 1:
-                kb = kernel_basis(QMatrix(diffs))
-                if len(kb) != 1:
-                    continue
-                normal = list(kb[0])
-            else:
-                normal = [Fraction(1)]
+            diffs = ([a - b for a, b in zip(p, v0)] for p in combo[1:])
+            kernel = kernel_int(map(enumerate, diffs), d)
+            if len(kernel) != 1:
+                continue
+            normal = [kernel[0][1].get(c, 0) for c in range(d)]
             bound = dot(normal, v0)
             sides = {(dot(v, normal) > bound) - (dot(v, normal) < bound) for v in verts}
             if 1 in sides and -1 in sides:
@@ -561,10 +550,10 @@ class Polytope:
                 normal = [-x for x in normal]
                 bound = -bound
             # normalize for dedup
-            g = Fraction(0)
+            g = 0
             for x in normal:
                 g = g or abs(x)
-            scale = 1 / g
+            scale = Fraction(1, g)
             key = (tuple(x * scale for x in normal), bound * scale)
             found[key] = key
         return tuple(found)

@@ -97,7 +97,7 @@ def base_to_dict(base: BaseData) -> dict:
     return out
 
 
-def base_from_dict(data: dict, chern_override=None) -> BaseData:
+def base_from_dict(data: dict) -> BaseData:
     top = _json_int(data["top_degree"], "top_degree")
     if not isinstance(data["basis"], dict):
         raise ValueError("base basis must be an object of degree: names")
@@ -135,11 +135,9 @@ def base_from_dict(data: dict, chern_override=None) -> BaseData:
     ovec = parse(data["orientation"], top, "orientation entry not in top degree")
     ell = TopFunctional(alg, top, ovec)
 
-    chern_data = chern_override if chern_override is not None else data.get(
-        "chern", []
-    )
     chern = [
-        parse(col, 2, "chern entry is not a degree-2 class") for col in chern_data
+        parse(col, 2, "chern entry is not a degree-2 class")
+        for col in data.get("chern", [])
     ]
     return BaseData(alg, ell, tuple(chern))
 
@@ -160,9 +158,9 @@ def spec_from_dict(data: dict, name: str = "") -> BundleSpec:
 # -- reports --------------------------------------------------------------------
 
 
-def report_to_dict(report: RingReport, seed=None) -> dict:
+def report_to_dict(report: RingReport) -> dict:
     alg = report.algebra
-    out = {
+    return {
         "builder": report.builder,
         "graded_dims": list(alg.dims()),
         "basis": {str(d): list(alg.labels[d]) for d in alg.degrees()},
@@ -176,9 +174,6 @@ def report_to_dict(report: RingReport, seed=None) -> dict:
         },
         "structure_constants": _product_entries(alg),
     }
-    if seed is not None:
-        out["seed"] = seed
-    return out
 
 
 def dumps(obj) -> str:

@@ -117,6 +117,21 @@ def test_gz_lattice_points_rejects_negative_fraction():
         gz_lattice_points(3, (F(-1, 2), 0))
 
 
+@pytest.mark.parametrize("n", [1, 5])
+@pytest.mark.parametrize(
+    "build",
+    [
+        catalog.base_flag_sl,
+        catalog.weyl_top_polynomial_sl,
+        lambda n: gz_polytope(n, (0,) * (n - 1)),
+    ],
+    ids=["base_flag_sl", "weyl_top_polynomial_sl", "gz_polytope"],
+)
+def test_sl_rank_outside_two_to_four_rejected(build, n):
+    with pytest.raises(ValueError, match=rf"2 <= n <= 4, got n = {n}$"):
+        build(n)
+
+
 def test_gz_volume_checks():
     rng = random.Random(41)
     for n in (2, 3):

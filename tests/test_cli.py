@@ -567,6 +567,51 @@ def test_spec_file_invalid_geometry_exit_2(capsys, tmp_path, command):
     assert "invalid geometry" in err and "not primitive" in err
 
 
+# P^2 with the ray (1, 1) listed but in no maximal cone
+_STRAY_RAY_FAN = {
+    "rays": [[1, 0], [0, 1], [-1, -1], [1, 1]],
+    "max_cones": [[0, 1], [0, 2], [1, 2]],
+}
+
+
+def test_fan_check_ray_in_no_cone_exit_2(capsys, tmp_path):
+    """Not a smooth complete projective fan with a spare ray: every ray
+    must be a cone of the fan."""
+    path = tmp_path / "stray.json"
+    path.write_text(json.dumps(_STRAY_RAY_FAN))
+    code, out, _ = run(capsys, "fan", "check", str(path))
+    assert code == 2
+    assert out == "invalid fan: ray (1, 1) lies in no maximal cone\n"
+
+
+@pytest.mark.parametrize("builder", ("sr", "sd", "diff"))
+def test_ring_ray_in_no_cone_exit_2(capsys, tmp_path, builder):
+    """Invalid geometry, not a failed identity in the builder."""
+    data = spec_to_dict(SPECS["p2_toric"]())
+    path = _edited_spec_file(tmp_path, data, ("fan",), _STRAY_RAY_FAN)
+    code, _, err = run(capsys, "ring", str(path), "--builder", builder)
+    assert code == 2
+    assert err == "error: invalid geometry: ray (1, 1) lies in no maximal cone\n"
+
+
+@pytest.mark.parametrize(
+    "argv, noun",
+    [
+        (("fan", "check", "{}"), "fan"),
+        (("ring", "{}"), "spec"),
+        (("verify", "{}", "--suite", "bkk"), "spec"),
+        (("intersect", "{}", "--expr", "x1"), "spec"),
+    ],
+    ids=["fan", "ring", "verify", "intersect"],
+)
+def test_directory_input_exit_3(capsys, tmp_path, argv, noun):
+    """A FAN or SPEC argument that names a directory cannot be read: a
+    precondition failure, not a traceback or an identity failure."""
+    code, out, err = run(capsys, *(a.format(tmp_path) for a in argv))
+    assert code == 3 and out == ""
+    assert err.startswith(f"error: cannot read {noun} file {str(tmp_path)!r}: ")
+
+
 def test_intersect_negative_exponent_exit_3(capsys):
     code, _, err = run(capsys, "intersect", "p2_toric", "--expr", "x1^-1")
     assert code == 3

@@ -6,24 +6,40 @@ from math import lcm
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import int_rows
+from helpers import int_rows, kernel_basis
 from toricbundle.exactlin import (
     QMatrix,
     Reducer,
     Span,
     adjugate,
-    det,
     det_int,
-    echelon,
     echelon_int,
-    kernel_basis,
     kernel_int,
     rank,
-    rank_int,
     row_space_rref,
     rref,
     solve,
 )
+
+
+def _identity(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def _sparse(row):
+    return tuple((c, x) for c, x in enumerate(row) if x)
+
+
+def _dense_kernel(rows, ncols):
+    """The kernel_int vectors, dense."""
+    return [
+        tuple(v.get(c, 0) for c in range(ncols))
+        for _, v in kernel_int(map(_sparse, rows), ncols)
+    ]
+
+
+def _annihilates(rows, v):
+    return all(sum(a * b for a, b in zip(row, v)) == 0 for row in rows)
 
 
 def test_rref_rank_one():
@@ -33,7 +49,7 @@ def test_rref_rank_one():
 
 
 def test_rref_identity():
-    m = QMatrix.identity(3)
+    m = QMatrix(_identity(3))
     r, pivots = rref(m)
     assert r == m
     assert pivots == (0, 1, 2)
@@ -41,38 +57,38 @@ def test_rref_identity():
 
 def test_rref_hand_reduction():
     r, pivots = rref(QMatrix([[1, 1], [1, -1]]))
-    assert r == QMatrix.identity(2)
+    assert r == QMatrix(_identity(2))
     assert pivots == (0, 1)
 
 
 def test_kernel_single_relation():
-    (v,) = kernel_basis(QMatrix([[1, 1]]))
-    assert v[0] + v[1] == 0 and any(v)
+    ((j, v),) = kernel_int([[(0, 1), (1, 1)]], 2)
+    assert j == 0 and v == {0: 1, 1: -1}
 
 
 def test_kernel_identity_empty():
-    assert kernel_basis(QMatrix.identity(4)) == []
+    assert kernel_int(map(_sparse, _identity(4)), 4) == []
 
 
 def test_kernel_vectors_annihilated():
-    m = QMatrix([[1, 2, 3]])
-    basis = kernel_basis(m)
+    rows = [[1, 2, 3]]
+    basis = _dense_kernel(rows, 3)
     assert len(basis) == 2
     for v in basis:
-        assert m.matvec(v) == (F(0),)
-    assert rank(QMatrix(basis)) == 2
+        assert _annihilates(rows, v)
+    assert rank(basis) == 2
 
 
 def test_solve_identity():
-    assert solve(QMatrix.identity(2), [F(3), F(5)]) == (F(3), F(5))
+    assert solve(_identity(2), [F(3), F(5)]) == (F(3), F(5))
 
 
 def test_solve_scalar_division():
-    assert solve(QMatrix([[2]]), [3]) == (F(3, 2),)
+    assert solve([[2]], [3]) == (F(3, 2),)
 
 
 def test_solve_inconsistent():
-    assert solve(QMatrix([[1, 0], [0, 0]]), [0, 1]) is None
+    assert solve([[1, 0], [0, 0]], [0, 1]) is None
 
 
 rationals = st.builds(F, st.integers(-20, 20), st.integers(1, 7))
@@ -97,23 +113,22 @@ def test_rref_idempotent(rows):
 @settings(max_examples=120, deadline=None)
 @given(matrices)
 def test_rank_nullity(rows):
-    m = QMatrix(rows)
-    assert rank(m) + len(kernel_basis(m)) == m.cols
+    ncols = len(rows[0])
+    assert rank(rows) + len(kernel_int(map(_sparse, rows), ncols)) == ncols
 
 
 @settings(max_examples=120, deadline=None)
 @given(matrices)
 def test_kernel_exact(rows):
-    m = QMatrix(rows)
-    for v in kernel_basis(m):
-        assert all(x == 0 for x in m.matvec(v))
+    for v in _dense_kernel(rows, len(rows[0])):
+        assert _annihilates(rows, v)
 
 
 def test_det_examples():
-    assert det([]) == 1
-    assert det([[F(1, 2), 3], [1, 4]]) == -1
-    assert det([[0, 1], [1, 0]]) == -1
-    assert det([[1, 2], [2, 4]]) == 0
+    assert det_int([]) == 1
+    assert det_int([[1, 6], [1, 4]]) == -2
+    assert det_int([[0, 1], [1, 0]]) == -1
+    assert det_int([[1, 2], [2, 4]]) == 0
 
 
 def _cofactor_det(rows):
@@ -129,7 +144,9 @@ def _cofactor_det(rows):
 
 square_matrices = st.integers(0, 5).flatmap(
     lambda n: st.lists(
-        st.lists(rationals, min_size=n, max_size=n), min_size=n, max_size=n
+        st.lists(st.integers(-20, 20), min_size=n, max_size=n),
+        min_size=n,
+        max_size=n,
     )
 )
 
@@ -137,7 +154,7 @@ square_matrices = st.integers(0, 5).flatmap(
 @settings(max_examples=150, deadline=None)
 @given(square_matrices)
 def test_det_matches_cofactor_expansion(rows):
-    assert det(rows) == _cofactor_det(rows)
+    assert det_int(rows) == _cofactor_det(rows)
 
 
 @settings(max_examples=100, deadline=None)
@@ -151,12 +168,12 @@ def test_det_matches_cofactor_expansion(rows):
     )
 )
 def test_det_of_integer_matrix_is_integer(rows):
-    """det is det_int of the cleared rows, and det_int leaves its input
-    rows as they were."""
+    """det_int returns a Python int and leaves its input rows as they
+    were."""
     copy = [list(row) for row in rows]
-    value = det(rows)
-    assert value.denominator == 1 and value == _cofactor_det(rows)
-    assert det_int(rows) == value and rows == copy
+    value = det_int(rows)
+    assert type(value) is int and value == _cofactor_det(rows)
+    assert rows == copy
 
 
 @settings(max_examples=100, deadline=None)
@@ -199,7 +216,7 @@ def test_qmatrix_keeps_fraction_entries():
 def test_row_space_canonical():
     a = [[F(2), F(4)], [F(1), F(3)]]
     b = [[F(1), F(2)], [F(0), F(1)], [F(3), F(7)]]
-    assert echelon(_sparse(row) for row in a) == echelon(_sparse(row) for row in b)
+    assert echelon_int(map(_sparse, a)) == echelon_int(map(_sparse, b))
     assert row_space_rref(a) == row_space_rref(b) == ((1, 0), (0, 1))
 
 
@@ -212,10 +229,6 @@ def _dense_reduce(rows, pivots, vec):
             for t in range(len(v)):
                 v[t] -= c * row[t]
     return v
-
-
-def _sparse(row):
-    return tuple((c, x) for c, x in enumerate(row) if x)
 
 
 def _rref_reference(rows):
@@ -270,17 +283,23 @@ def zero_heavy_matrices(draw):
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(dense_matrices, zero_heavy_matrices()))
 def test_rref_matches_fraction_gauss_jordan(rows):
-    """rref, rank (also of the rows scaled to ints) and the sparse echelon
-    against plain Fraction Gauss-Jordan."""
-    m = QMatrix(rows)
+    """rref, row_space_rref, rank (also of the rows scaled to ints) and the
+    sparse integer echelon against plain Fraction Gauss-Jordan."""
     want_rows, want_pivots = _rref_reference(rows)
-    assert rref(m) == (QMatrix(want_rows), want_pivots)
-    assert rank(m) == len(want_pivots)
+    assert rref(QMatrix(rows)) == (QMatrix(want_rows), want_pivots)
+    nonzero = want_rows[: len(want_pivots)]
+    assert row_space_rref(rows) == tuple(map(tuple, nonzero))
+    assert rank(rows) == len(want_pivots)
     scales = [lcm(*(F(x).denominator for x in row)) for row in rows]
     scaled = [[int(x * c) for x in row] for row, c in zip(rows, scales)]
-    assert rank_int(scaled) == len(want_pivots)
-    sparse_rows = tuple(_sparse(r) for r in want_rows[: len(want_pivots)])
-    assert echelon(_sparse(r) for r in rows) == (sparse_rows, want_pivots)
+    assert rank(scaled) == len(want_pivots)
+    reduced = echelon_int(map(_sparse, rows))
+    assert tuple(p for p, _ in reduced) == want_pivots
+    # each integer row divided by its pivot entry is the RREF row
+    assert [
+        tuple((c, F(x, row[p])) for c, x in sorted(row.items()))
+        for p, row in reduced
+    ] == [_sparse(r) for r in nonzero]
 
 
 @settings(max_examples=150, deadline=None)
@@ -289,14 +308,13 @@ def test_kernel_int_and_span(rows):
     """kernel_int is the integer RREF of the kernel_basis vectors; a Span
     grown row by row takes exactly the rows that raise the rank, and ends
     with the pivots of rref."""
-    m = QMatrix(rows)
-    want = echelon_int(enumerate(v) for v in kernel_basis(m))
-    assert kernel_int((_sparse(row) for row in rows), m.cols) == want
+    want = echelon_int(enumerate(v) for v in kernel_basis(rows))
+    assert kernel_int(map(_sparse, rows), len(rows[0])) == want
     span = Span()
     for i, row in enumerate(rows):
-        grows = rank(QMatrix(rows[: i + 1])) > len(span)
+        grows = rank(rows[: i + 1]) > len(span)
         assert span.add(enumerate(row)) == grows
-    _, pivots = rref(m)
+    _, pivots = rref(QMatrix(rows))
     assert len(span) == len(pivots)
     assert sorted(span.pivots) == list(pivots)
 
@@ -305,10 +323,7 @@ def test_known_reduction():
     m, pivots = rref(QMatrix([[2, 4], [1, 2]]))
     assert pivots == (0,)
     assert m == QMatrix([[1, 2], [0, 0]])
-    assert echelon([[(0, 2), (1, 4)], [(0, 1), (1, 2)]]) == (
-        (((0, F(1)), (1, F(2))),),
-        (0,),
-    )
+    assert echelon_int([[(0, 2), (1, 4)], [(0, 1), (1, 2)]]) == [(0, {0: 1, 1: 2})]
 
 
 @settings(max_examples=150, deadline=None)

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from helpers import det
 from toricbundle import cli, exactlin, integrate
 from toricbundle.bundle import (
     random_convex,
@@ -484,8 +485,8 @@ def _simplex_integral_by_pullback(f, simplex):
         return F(0)
     v0 = verts[0]
     cols = [[verts[j + 1][i] - v0[i] for j in range(n)] for i in range(n)]
-    det = abs(exactlin.det(cols))
-    if det == 0:
+    scale = abs(det(cols))
+    if scale == 0:
         return F(0)
     images = [
         QPolynomial.linear_form(f.vars, cols[i], const=v0[i]) for i in range(n)
@@ -497,7 +498,7 @@ def _simplex_integral_by_pullback(f, simplex):
         for e in expo:
             num *= factorial(e)
         total += coeff * F(num, factorial(sum(expo) + n))
-    return det * total
+    return scale * total
 
 
 def _triangulate_by_facet_search(p):
@@ -714,7 +715,7 @@ def _grid_interpolant(fan, expo):
         )
         rows.append(_monomial_row(vp.h, monos, d))
         vals.append(i_f_value(fan, f, vp))
-    sol = exactlin.solve(exactlin.QMatrix(rows), vals)
+    sol = exactlin.solve(rows, vals)
     hvars = tuple(f"h{i + 1}" for i in range(fan.nrays))
     return QPolynomial(hvars, dict(zip(monos, sol)))
 

@@ -1,5 +1,6 @@
 """Fans, support vectors, polytopes: spec examples and invariants."""
 
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from toricbundle import polyhedral
 from toricbundle.catalog import SPECS, fan_projective_space
-from toricbundle.exactlin import QMatrix, solve
+from toricbundle.exactlin import solve
 from toricbundle.errors import (
     BadFaceIntersection,
     DegenerateCone,
@@ -106,6 +107,20 @@ def test_validate_rejects_a_listed_face_of_another_cone(cones, message):
         validate_fan(P1XP1_RAYS, cones)
 
 
+@pytest.mark.parametrize(
+    "rays, cones, ray",
+    [
+        # P^2 plus the ray (1, 1), which no cone uses
+        ([(1, 0), (0, 1), (-1, -1), (1, 1)], [(0, 1), (0, 2), (1, 2)], "(1, 1)"),
+        # the first quadrant with all four rays of P^1 x P^1 listed
+        (P1XP1_RAYS, [(0, 1)], "(-1, 0)"),
+    ],
+)
+def test_validate_rejects_a_ray_in_no_cone(rays, cones, ray):
+    with pytest.raises(FanError, match=re.escape(f"ray {ray} lies in no maximal cone")):
+        validate_fan(rays, cones)
+
+
 def test_smoothness():
     assert is_smooth(fan_p2())
     assert not is_smooth(validate_fan([(1, 0), (1, 2)], [(0, 1)]))
@@ -116,7 +131,8 @@ def test_completeness():
     assert is_complete(fan_p2())
     assert not is_complete(validate_fan([(1, 0), (0, 1)], [(0, 1)]))
     assert is_complete(fan_f1())
-    assert not is_complete(validate_fan([(1,)], []))
+    with pytest.raises(FanError, match=r"ray \(1,\) lies in no maximal cone"):
+        validate_fan([(1,)], [])
 
 
 def test_not_pure():
@@ -194,8 +210,7 @@ def _wall_rows_by_solve(fan):
     for ca, cb, ridge in fan.walls():
         cone_a = fan.max_cones[ca]
         (jp,) = [i for i in fan.max_cones[cb] if i not in ridge]
-        mat = QMatrix([list(col) for col in zip(*[fan.rays[i] for i in cone_a])])
-        x = solve(mat, fan.rays[jp])
+        x = solve(list(zip(*[fan.rays[i] for i in cone_a])), fan.rays[jp])
         row = [F(0)] * fan.nrays
         row[jp] += 1
         for idx, i in enumerate(cone_a):

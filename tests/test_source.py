@@ -87,3 +87,69 @@ def test_function_import_rule_sees_a_nested_import():
 def test_unused_import_rule_sees_a_dead_import():
     tree = ast.parse("from a import B, C\nimport d.e\n__all__ = ['C']\nd.f()\n")
     assert _unused_imports(tree) == ["B (line 1)"]
+
+
+def _dead_entry_points(module: str, trees: dict, wrapped) -> list[str]:
+    """Public top-level functions and classes of ``module`` that no other
+    module of ``trees`` (module name -> parsed source) reads and that no
+    ``module.name`` entry of ``wrapped`` names.  A module reads a name when
+    it imports it from ``toricbundle.<module>`` or takes it as an attribute
+    of ``module``."""
+    public = [
+        node.name
+        for node in trees[module].body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+    ]
+    read = {name.split(".")[1] for name in wrapped if name.startswith(f"{module}.")}
+    for other, tree in trees.items():
+        if other == module:
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == f"toricbundle.{module}":
+                read |= {alias.name for alias in node.names}
+            elif (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == module
+            ):
+                read.add(node.attr)
+    return [name for name in public if name not in read]
+
+
+def _wrapped_names() -> tuple[str, ...]:
+    """``perfbench.spans.WRAPPED``, read from its source without importing
+    the benchmark."""
+    path = SRC.parents[1] / "perfbench" / "spans.py"
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "WRAPPED" for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    raise LookupError(f"no WRAPPED in {path}")
+
+
+def test_exactlin_has_no_dead_entry_points():
+    """Every public function and class of the exact-linear-algebra core has
+    a reader in the package or is a benchmark span, so no second route to an
+    operation outlives its last caller."""
+    trees = {
+        path.stem: ast.parse(path.read_text(), filename=str(path))
+        for path in sorted(SRC.glob("*.py"))
+    }
+    found = _dead_entry_points("exactlin", trees, _wrapped_names())
+    assert not found, f"exactlin entry points nothing reads: {found}"
+
+
+def test_dead_entry_point_rule_sees_an_unread_function():
+    trees = {
+        "lin": ast.parse(
+            "def a(): pass\ndef b(): pass\nclass C: pass\ndef d(): pass\n"
+            "def _e(): pass\nclass F:\n    def g(self): pass\n"
+        ),
+        "user": ast.parse(
+            "from toricbundle.lin import a\nfrom toricbundle import lin\n"
+            "lin.C()\nb = 1\n"
+        ),
+    }
+    assert _dead_entry_points("lin", trees, ("lin.d", "other.b")) == ["b", "F"]
