@@ -35,6 +35,7 @@ from fractions import Fraction
 from math import factorial, comb
 
 from toricbundle.errors import (
+    AmbiguousLabel,
     AnchorFailure,
     DegreeMismatch,
     FanError,
@@ -72,7 +73,6 @@ from toricbundle.polyhedral import (
     VirtualPolytope,
     dot,
     dual_vertex,
-    is_complete,
     is_convex_on,
     is_projective,
     is_smooth,
@@ -124,10 +124,15 @@ class BundleSpec:
             raise DegreeMismatch("fan dimension != number of chern columns")
         if not is_smooth(self.fan):
             raise FanError("fan must be smooth")
-        if not is_complete(self.fan):
+        if not self.fan.complete:
             raise FanError("fan must be complete")
-        if not is_projective(self.fan)[0]:
+        if not self.fan.projective[0]:
             raise FanError("fan must be projective")
+        # a base label with a fiber generator as one of its '*'-factors
+        # would read as that generator in a report or an --expr
+        for label in itertools.chain(*self.base.algebra.labels.values()):
+            if {f.partition("^")[0] for f in label.split("*")} & set(self.x_names):
+                raise AmbiguousLabel(f"base label {label!r} names a fiber generator")
 
     @property
     def n(self) -> int:

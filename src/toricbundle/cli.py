@@ -367,9 +367,11 @@ def _parse_monomial(spec: BundleSpec, expr: str):
     xnames = {name: i for i, name in enumerate(spec.x_names)}
     for factor in expr.replace(" ", "").split("*"):
         if not factor:
-            continue
-        name, _, power = factor.partition("^")
-        power = int(power) if power else 1
+            raise ValueError(f"empty factor in expression {expr!r}")
+        name, caret, power = factor.partition("^")
+        if caret and not power:
+            raise ValueError(f"empty exponent in factor {factor!r}")
+        power = int(power) if caret else 1
         if power < 0:
             raise ValueError(f"negative exponent in factor {factor!r}")
         if name in xnames:

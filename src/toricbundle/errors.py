@@ -83,6 +83,10 @@ class NotTopDegree(ToricBundleError):
     pass
 
 
+class AmbiguousLabel(ToricBundleError):
+    """A base basis label that reads as a fiber generator."""
+
+
 # -- catalog ------------------------------------------------------------------
 
 class NotDominant(ToricBundleError):

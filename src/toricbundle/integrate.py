@@ -63,13 +63,13 @@ from toricbundle.polyhedral import (
     Polytope,
     VirtualPolytope,
     _int_dot,
+    _pulling,
     _scaled_vertices,
     cone_vertices,
     dual_vertex,
-    is_complete,
     is_convex_on,
     is_projective,
-    support_points,
+    polytope_from_support,
 )
 from toricbundle.qpoly import (
     QPolynomial,
@@ -179,52 +179,17 @@ def _times(p, q):
     return out
 
 
-def _simplex_indices(points, tight, d: int):
-    """:func:`_pulling` on integer vertices V in R^d, sorted and over one
-    positive denominator, after the one full-dimension test: the rank of the
-    rows (1, V_k) is d + 1 exactly when P spans R^d (a forward pass);
-    raises :class:`LowerDimensional` otherwise."""
-    if exactlin.rank([(1, *v) for v in points]) <= d:
-        raise LowerDimensional("polytope not full-dimensional")
-    return _pulling(tight, len(points), d)
-
-
-def _pulling(tight, count: int, d: int):
-    """Pulling triangulation (Bueler-Enge-Fukuda 2000) of a d-polytope with
-    vertices 0..count-1, as index tuples, from ``tight``: per halfspace of
-    an H-representation, the set T of vertices on it.  The facets of a face
-    F are the inclusion-maximal proper F & T with at least dim F vertices,
-    in order of first occurrence; no rank is computed.  A face's simplices
-    are its smallest vertex joined to those of each facet that misses it.
-    """
-
-    def rec(face, a):
-        if len(face) == a + 1:
-            return [tuple(sorted(face))]
-        apex = min(face)
-        proper = [
-            c for c in dict.fromkeys(face & t for t in tight)
-            if a <= len(c) < len(face)
-        ]
-        out = []
-        for facet in proper:
-            if apex not in facet and not any(facet < c for c in proper):
-                out += [(apex,) + s for s in rec(facet, a - 1)]
-        return out
-
-    return rec(frozenset(range(count)), d)
-
-
 def triangulate(p: Polytope) -> SimplexChain:
     """Pulling triangulation from the lex-smallest vertex, all signs +1
-    (:func:`_simplex_indices`).
+    (:func:`~toricbundle.polyhedral._pulling`).
 
     The vertices are cleared of denominators once, v = V / D with V
     integer.  Each halfspace <x, a> <= b of the H-representation, scaled to
     an integer normal A = m*a, gives the set of vertices tight on it: those
     with <V, A> = b*m*D, compared on ints; a non-integral b*m*D gives an
-    empty set.  Raises for polytopes that are not full-dimensional in their
-    ambient space.
+    empty set.  Raises :class:`LowerDimensional` unless the rank of the
+    rows (1, V_k) is d + 1 (one forward pass), that is unless p spans its
+    ambient space R^d.
     """
     verts = p.vertices
     den, points = _cleared(verts)
@@ -237,7 +202,10 @@ def triangulate(p: Polytope) -> SimplexChain:
             tight.append(
                 frozenset(k for k, v in enumerate(points) if _int_dot(v, row) == b)
             )
-    index = _simplex_indices(points, tight, p.ambient_dim)
+    d = p.ambient_dim
+    if exactlin.rank([(1, *v) for v in points]) <= d:
+        raise LowerDimensional("polytope not full-dimensional")
+    index = _pulling(tight, len(points), d)
     simplices = tuple(tuple(verts[k] for k in s) for s in index)
     cleared = tuple(tuple(points[k] for k in s) for s in index)
     return SimplexChain(simplices, (1,) * len(index), den, cleared)
@@ -292,43 +260,32 @@ def convex_anchor(fan: Fan, summands) -> VirtualPolytope:
 
 def i_f_value(fan: Fan, f: QPolynomial, vp: VirtualPolytope) -> Fraction:
     """I_f at a convex support vector: ``integrate_over_polytope(f,
-    polytope_from_support(fan, vp))`` on integers from h to the moments.
+    polytope_from_support(fan, vp))``, on integers from h to the moments.
 
     With h = H / den(h), the vertices V_sigma = L den(h) A_sigma(h) of
     :func:`_scaled_vertices` are checked: <V_sigma, e_j> <= L H_j for every
     ray j, with equality exactly for j in sigma.  Then h is strictly convex
-    and P(h) is simple with the fan as normal fan: vertex sigma is on facet
-    i iff i is in sigma, and the :func:`_pulling` triangulation of that face
-    lattice is kept on the fan.  Otherwise the vertices and tight sets of
-    :func:`support_points` (checked there) are triangulated.  Raises
+    and P(h) is simple with the fan as normal fan, so the fan's own
+    triangulation :attr:`Fan.pulling` of that face lattice serves and
+    nothing is measured.  Otherwise the value is that definition itself,
+    whose vertices are checked in :func:`support_points`; both routes
+    triangulate the same sorted points with the same tight sets.  Raises
     :class:`FanError` on a fan that is not complete and :class:`NotConvex`
     unless vp is convex.
     """
-    if fan._pulling_cache is None:
-        _require_complete(fan)
-        cones = fan.max_cones
-        facets = [{k for k, c in enumerate(cones) if i in c} for i in range(fan.nrays)]
-        fan._pulling_cache = _pulling(facets, len(cones), fan.dim)
+    _require_complete(fan)
     hden, (hint,) = _cleared([vp.h])
     scale, vertices = _scaled_vertices(fan, hint)
     for cone, v in zip(fan.max_cones, vertices):
         gaps = [x * scale - _int_dot(v, ray) for ray, x in zip(fan.rays, hint)]
         if any(g < 0 or (g > 0) == (i in cone) for i, g in enumerate(gaps)):
-            break
-    else:
-        index = fan._pulling_cache
-        return _integral(f, scale * hden, [[vertices[k] for k in s] for s in index])
-    den, points, tight = support_points(fan, vp)
-    try:
-        index = _simplex_indices(points, tight, fan.dim)
-    except LowerDimensional:
-        return Fraction(0)
-    return _integral(f, den, [[points[k] for k in s] for s in index])
+            return integrate_over_polytope(f, polytope_from_support(fan, vp))
+    return _integral(f, scale * hden, [[vertices[k] for k in s] for s in fan.pulling])
 
 
 def _require_complete(fan: Fan) -> None:
     """P(h) is bounded for every h only on a complete fan."""
-    if not is_complete(fan):
+    if not fan.complete:
         raise FanError("integral polynomials need a complete fan")
 
 
@@ -416,7 +373,7 @@ def _power_decomposition(fan: Fan, f: QPolynomial, m: int):
     """
     n = fan.dim
     alphas = monomials_of_degree(n, m)
-    columns = {col for cone in fan.cone_data() for col in cone.adj}
+    columns = {col for cone in fan.cone_data for col in cone.adj}
     # the coefficient of x^beta in <l, x>^m is multinomial(m; beta) l^beta
     rhs = [f.coefficient(beta) / _multinomial(beta) for beta in alphas]
     for t in range(1, (n - 1) * len(alphas) * len(columns) + 2):
@@ -439,8 +396,8 @@ def i_f_polynomial(fan: Fan, f: QPolynomial) -> QPolynomial:
     """The homogeneous polynomial in h_1..h_s restricting to I_f, built by
     :func:`_i_f_polynomial` once per (fan, f) and kept on the fan.
 
-    I_f is a function of the fan and f alone, so the cache (the fan's
-    ``_i_f_cache``, keyed by f, whose hash covers its variables and terms)
+    I_f is a function of the fan and f alone, so the memo (the fan's
+    ``i_f_polynomials``, keyed by f, whose hash covers its variables and terms)
     changes no value: the vertex sum and its three direct-integral
     self-checks run on the first call only, and an error is raised before
     anything is kept.  Sharing it between ring builders does not make
@@ -448,10 +405,10 @@ def i_f_polynomial(fan: Fan, f: QPolynomial) -> QPolynomial:
     ``sd`` and ``diff`` rings are each compared with ``sr``, not with each
     other.  Callers must not mutate the polynomial returned.
     """
-    cache = fan._i_f_cache
-    poly = cache.get(f)
+    memo = fan.i_f_polynomials
+    poly = memo.get(f)
     if poly is None:
-        poly = cache[f] = _i_f_polynomial(fan, f)
+        poly = memo[f] = _i_f_polynomial(fan, f)
     return poly
 
 
@@ -461,7 +418,7 @@ def _i_f_polynomial(fan: Fan, f: QPolynomial) -> QPolynomial:
     Convention: P(h) = {x : <x, e_i> <= h_i}.  The vertex of P(h) at a
     maximal cone sigma is A_sigma(h) = E_sigma^-1 h_sigma, and the tangent
     cone there is generated by the -u_{sigma,j}, where u_{sigma,j} =
-    adj_j / det E_sigma are the columns of E_sigma^-1 (:meth:`Fan.cone_data`).
+    adj_j / det E_sigma are the columns of E_sigma^-1 (:attr:`Fan.cone_data`).
     For a form l with every <l, u_{sigma,j}> != 0, the vertex-cone formula
     (Brion 1988; Lawrence 1991) for int_P exp<l, x>, cut to its degree-d
     part, gives with d = n + m
@@ -503,7 +460,7 @@ def _i_f_polynomial(fan: Fan, f: QPolynomial) -> QPolynomial:
 
     # per cone: (rays, [(c_k numerator, denominator, a)]) over the forms
     cone_terms = []
-    for cone in fan.cone_data():
+    for cone in fan.cone_data:
         per_form = []
         for l, c in zip(forms, coeffs):
             if c:
@@ -541,7 +498,7 @@ def _i_f_polynomial(fan: Fan, f: QPolynomial) -> QPolynomial:
         },
     )
 
-    norm = max((sum(abs(x) for x in row) for row in fan.wall_rows()), default=0)
+    norm = max((sum(abs(x) for x in row) for row in fan.wall_rows), default=0)
     c = ceil((d + 1) * norm) + 1
     base = witness.scale(c).h
     for beta in itertools.islice(monomials_of_degree(s, d + 1), 3):
@@ -618,7 +575,7 @@ def convex_chain_identity_check(
     if any(lam == 0 for lam in lams) or not fan.spans_cone(ray_set):
         return lhs == 0
     k = fan.max_cones.index(ray_set)
-    cone = fan.cone_data()[k]
+    cone = fan.cone_data[k]
     edges = [[lam * x / cone.det for x in col] for col, lam in zip(cone.adj, lams)]
     den, (corner, *steps) = _cleared([cone_vertices(fan, delta.h)[k]] + edges)
     simplices = []  # n! Kuhn simplices: the edges added to the corner in each order

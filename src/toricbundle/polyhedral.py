@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 from typing import NamedTuple
 
@@ -62,37 +63,70 @@ class ConeData(NamedTuple):
 class Fan:
     """Simplicial rational fan given by primitive rays and maximal cones.
 
-    Construct through :func:`validate_fan`; instances are immutable.  The
-    cone data (see :func:`_cone_data`), the wall rows (see
-    :func:`_wall_rows`) in their rational and integer forms, and the
-    :func:`is_projective` verdict with its witness are computed on first use
-    and kept.  So are the cone-index triangulation of P(h)
-    (``_pulling_cache``) and the closed-form I_f polynomials: ``_i_f_cache``
-    maps f to :func:`~toricbundle.integrate.i_f_polynomial` of (fan, f).
+    ``Fan(rays, max_cones)`` validates its input and raises
+    :class:`FanError` (or a subclass) unless the rays are distinct
+    primitive integer vectors of one dimension, each in some maximal cone,
+    and the maximal cones have independent generators, are not faces of
+    one another and meet pairwise in a common face.  Instances are
+    immutable.  Every fact that depends on the fan alone is a cached
+    property, computed on first use.  ``i_f_polynomials`` maps f to
+    :func:`~toricbundle.integrate.i_f_polynomial` of (fan, f).
     """
 
-    __slots__ = (
-        "dim",
-        "rays",
-        "max_cones",
-        "_cone_data_cache",
-        "_wall_row_cache",
-        "_wall_int_cache",
-        "_projective_cache",
-        "_pulling_cache",
-        "_i_f_cache",
-    )
+    def __init__(self, rays, max_cones):
+        rays = tuple(tuple(_fan_int(x, "ray") for x in r) for r in rays)
+        if not rays:
+            raise FanError("fan needs at least one ray")
+        dim = len(rays[0])
+        if any(len(r) != dim for r in rays):
+            raise FanError("rays of mixed dimension")
+        for r in rays:
+            if gcd(*r) != 1:
+                raise NonPrimitiveRay(f"ray {r} is not primitive")
+        if len(set(rays)) != len(rays):
+            raise FanError("duplicate rays")
 
-    def __init__(self, dim, rays, max_cones):
+        cones = []
+        for cone in max_cones:
+            cone = tuple(sorted(_fan_int(i, "cone index") for i in cone))
+            if len(set(cone)) != len(cone):
+                raise DegenerateCone(f"repeated ray index in cone {cone}")
+            if any(i < 0 or i >= len(rays) for i in cone):
+                raise FanError(f"ray index out of range in cone {cone}")
+            if rank([rays[i] for i in cone]) != len(cone):
+                raise DegenerateCone(f"generators of cone {cone} are dependent")
+            cones.append(cone)
+        if len(set(cones)) != len(cones):
+            raise FanError("duplicate maximal cones")
+        # a listed cone spanned by some of another's rays is a face of it, not
+        # a maximal cone; the pairwise LPs below would accept it
+        for (ca, cb) in itertools.permutations(cones, 2):
+            if set(ca) < set(cb):
+                raise FanError(f"cone {ca} is a face of cone {cb}")
+        # every ray is a cone of the fan: the builders read each one as a facet
+        # of P(h) and a generator of the ring
+        unused = set(range(len(rays))).difference(*cones)
+        if unused:
+            raise FanError(f"ray {rays[min(unused)]} lies in no maximal cone")
+
+        # pairwise face condition: a separating functional that vanishes exactly
+        # on the common generators certifies cone_a /\ cone_b = cone(common).
+        for (ca, cb) in itertools.combinations(cones, 2):
+            common = set(ca) & set(cb)
+            only_a = [i for i in ca if i not in common]
+            only_b = [i for i in cb if i not in common]
+            if not only_a and not only_b:
+                continue
+            ge_rows = [[-x for x in rays[i]] for i in only_a]
+            ge_rows += [list(rays[i]) for i in only_b]
+            eq_rows = [list(rays[i]) for i in sorted(common)]
+            w = _lp.solve_inequalities(ge_rows, [1] * len(ge_rows), eq_rows)
+            if w is None:
+                raise BadFaceIntersection(f"cones {ca} and {cb} do not meet in a face")
         self.dim = dim
         self.rays = rays
-        self.max_cones = max_cones
-        self._cone_data_cache = None
-        self._wall_row_cache = None
-        self._wall_int_cache = None
-        self._projective_cache = None
-        self._pulling_cache = None
-        self._i_f_cache = {}
+        self.max_cones = tuple(cones)
+        self.i_f_polynomials = {}
 
     @property
     def nrays(self) -> int:
@@ -121,46 +155,124 @@ class Fan:
 
     def walls(self):
         """(cone_a, cone_b, ridge) triples for ridges shared by two cones."""
-        out = []
-        for ridge, cones in sorted(
-            self.ridges().items(), key=lambda kv: sorted(kv[0])
-        ):
-            if len(cones) == 2:
-                out.append((cones[0], cones[1], ridge))
-        return out
+        ridges = sorted(self.ridges().items(), key=lambda kv: sorted(kv[0]))
+        return [(c[0], c[1], ridge) for ridge, c in ridges if len(c) == 2]
 
     def spans_cone(self, ray_indices) -> bool:
         """True iff the given rays together span a cone of the fan."""
         s = set(ray_indices)
         return any(s.issubset(cone) for cone in self.max_cones)
 
+    @cached_property
     def cone_data(self) -> tuple[ConeData, ...]:
-        """:func:`_cone_data`, one entry per maximal cone, computed once."""
-        if self._cone_data_cache is None:
-            self._cone_data_cache = _cone_data(self)
-        return self._cone_data_cache
+        """det E_sigma and the adjugate columns of every maximal cone, from
+        :func:`exactlin.adjugate`.  Raises :class:`NotPure` for a maximal
+        cone that is not full-dimensional, which has no vertex."""
+        out = []
+        for cone in self.max_cones:
+            if len(cone) != self.dim:
+                raise NotPure(f"maximal cone {cone} is not full-dimensional")
+            d, adj = adjugate([self.rays[i] for i in cone])
+            out.append(ConeData(cone, d, adj))
+        return tuple(out)
 
+    @cached_property
+    def scaled_inverses(self) -> tuple[int, tuple]:
+        """(L, matrices): L = lcm_sigma |det E_sigma| and, one per maximal
+        cone in the order of ``max_cones``, the integer matrix L E_sigma^-1
+        as a tuple of rows (its column j is L / det E_sigma times adj_j).
+        The vertex of P(h) at sigma is A_sigma(h) = L E_sigma^-1 h_sigma / L
+        (:func:`_scaled_vertices`)."""
+        scale = lcm(*(abs(cone.det) for cone in self.cone_data))
+        return scale, tuple(
+            tuple(tuple(scale // cone.det * x for x in row) for row in zip(*cone.adj))
+            for cone in self.cone_data
+        )
+
+    @cached_property
     def wall_rows(self) -> tuple[tuple[Fraction, ...], ...]:
-        """The rows of :func:`_wall_rows`, computed once per fan."""
-        if self._wall_row_cache is None:
-            self._wall_row_cache = _wall_rows(self)
-        return self._wall_row_cache
+        """One linear functional of h per wall; >= 0 on all walls iff h
+        convex.
 
+        For the wall between cones a and b with opposite ray j' in b, the
+        row is h_{j'} - <A_a(h), e_{j'}> = h_{j'} - sum_j <u_{a,j}, e_{j'}>
+        h_{a_j}, expressed in the coordinates h_1..h_s and read off the cone
+        data.
+        """
+        rows = []
+        for ca, cb, ridge in self.walls():
+            cone_a = self.cone_data[ca]
+            (jp,) = [i for i in self.max_cones[cb] if i not in ridge]
+            row = [Fraction(0)] * self.nrays
+            row[jp] += 1
+            for col, i in zip(cone_a.adj, cone_a.rays):
+                row[i] -= Fraction(_int_dot(col, self.rays[jp]), cone_a.det)
+            rows.append(tuple(row))
+        return tuple(rows)
+
+    @cached_property
     def wall_rows_int(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """Each row of :meth:`wall_rows` times the lcm of its denominators,
-        as (ray index, int) pairs at its nonzero entries; computed once.
+        """Each row of :attr:`wall_rows` times the lcm of its denominators,
+        as (ray index, int) pairs at its nonzero entries.
 
         A positive multiple has the sign of the row at every h, which is all
         :func:`is_convex_on` reads.  The rational rows stay as they are,
-        because the LP of :func:`is_projective` and the self-check scale in
+        because the LP of :attr:`projective` and the self-check scale in
         :func:`~toricbundle.integrate.i_f_polynomial` depend on their size.
         """
-        if self._wall_int_cache is None:
-            self._wall_int_cache = tuple(
-                tuple((i, a) for i, a in enumerate(_cleared([row])[1][0]) if a)
-                for row in self.wall_rows()
-            )
-        return self._wall_int_cache
+        return tuple(
+            tuple((i, a) for i, a in enumerate(_cleared([row])[1][0]) if a)
+            for row in self.wall_rows
+        )
+
+    @cached_property
+    def complete(self) -> bool:
+        """Ridge pairing + connectivity test; raises :class:`NotPure` for a
+        maximal cone of deficient dimension."""
+        if any(len(cone) != self.dim for cone in self.max_cones):
+            raise NotPure("maximal cone of deficient dimension")
+        ridges = self.ridges()
+        if any(len(cones) != 2 for cones in ridges.values()):
+            return False
+        # connectivity of the cone adjacency graph
+        adj: dict[int, set[int]] = {i: set() for i in range(len(self.max_cones))}
+        for a, b in ridges.values():
+            adj[a].add(b)
+            adj[b].add(a)
+        seen, stack = {0}, [0]
+        while stack:
+            new = adj[stack.pop()] - seen
+            seen |= new
+            stack += new
+        return len(seen) == len(self.max_cones)
+
+    @cached_property
+    def projective(self) -> tuple[bool, "VirtualPolytope | None"]:
+        """Existence of a strictly convex support vector, with witness.
+
+        The strict system (all wall gaps > 0) is homogeneous, hence
+        equivalent to the exact feasibility of gaps >= 1.
+        """
+        rows = self.wall_rows
+        if not rows:  # single-cone or wall-free degenerate fans
+            return True, VirtualPolytope(self, (Fraction(0),) * self.nrays)
+        w = _lp.solve_inequalities(rows, [1] * len(rows))
+        if w is None:
+            return False, None
+        return True, VirtualPolytope(self, tuple(w))
+
+    @cached_property
+    def pulling(self) -> list[tuple[int, ...]]:
+        """The :func:`_pulling` triangulation of P(h) at every strictly
+        convex h, as tuples of cone indices: P(h) is simple with the fan as
+        its normal fan, so the vertex of cone sigma is on the facet of ray i
+        exactly when i is in sigma.  Raises :class:`FanError` on a fan that
+        is not complete."""
+        if not self.complete:
+            raise FanError("integral polynomials need a complete fan")
+        cones = self.max_cones
+        facets = [{k for k, c in enumerate(cones) if i in c} for i in range(self.nrays)]
+        return _pulling(facets, len(cones), self.dim)
 
 
 def _fan_int(x, what: str) -> int:
@@ -172,59 +284,8 @@ def _fan_int(x, what: str) -> int:
 
 
 def validate_fan(rays, max_cones) -> Fan:
-    rays = tuple(tuple(_fan_int(x, "ray") for x in r) for r in rays)
-    if not rays:
-        raise FanError("fan needs at least one ray")
-    dim = len(rays[0])
-    if any(len(r) != dim for r in rays):
-        raise FanError("rays of mixed dimension")
-    for r in rays:
-        g = 0
-        for x in r:
-            g = gcd(g, x)
-        if g != 1:
-            raise NonPrimitiveRay(f"ray {r} is not primitive")
-    if len(set(rays)) != len(rays):
-        raise FanError("duplicate rays")
-
-    cones = []
-    for cone in max_cones:
-        cone = tuple(sorted(_fan_int(i, "cone index") for i in cone))
-        if len(set(cone)) != len(cone):
-            raise DegenerateCone(f"repeated ray index in cone {cone}")
-        if any(i < 0 or i >= len(rays) for i in cone):
-            raise FanError(f"ray index out of range in cone {cone}")
-        if rank([rays[i] for i in cone]) != len(cone):
-            raise DegenerateCone(f"generators of cone {cone} are dependent")
-        cones.append(cone)
-    if len(set(cones)) != len(cones):
-        raise FanError("duplicate maximal cones")
-    # a listed cone spanned by some of another's rays is a face of it, not
-    # a maximal cone; the pairwise LPs below would accept it
-    for (ca, cb) in itertools.permutations(cones, 2):
-        if set(ca) < set(cb):
-            raise FanError(f"cone {ca} is a face of cone {cb}")
-    # every ray is a cone of the fan: the builders read each one as a facet
-    # of P(h) and a generator of the ring
-    unused = set(range(len(rays))).difference(*cones)
-    if unused:
-        raise FanError(f"ray {rays[min(unused)]} lies in no maximal cone")
-
-    # pairwise face condition: a separating functional that vanishes exactly
-    # on the common generators certifies cone_a /\ cone_b = cone(common).
-    for (ca, cb) in itertools.combinations(cones, 2):
-        common = set(ca) & set(cb)
-        only_a = [i for i in ca if i not in common]
-        only_b = [i for i in cb if i not in common]
-        if not only_a and not only_b:
-            continue
-        ge_rows = [[-x for x in rays[i]] for i in only_a]
-        ge_rows += [list(rays[i]) for i in only_b]
-        eq_rows = [list(rays[i]) for i in sorted(common)]
-        w = _lp.solve_inequalities(ge_rows, [1] * len(ge_rows), eq_rows)
-        if w is None:
-            raise BadFaceIntersection(f"cones {ca} and {cb} do not meet in a face")
-    return Fan(dim, rays, tuple(cones))
+    """``Fan(rays, max_cones)``, which validates."""
+    return Fan(rays, max_cones)
 
 
 def is_smooth(fan: Fan) -> bool:
@@ -246,26 +307,8 @@ def is_smooth(fan: Fan) -> bool:
 
 
 def is_complete(fan: Fan) -> bool:
-    """Ridge pairing + connectivity test for pure full-dimensional fans."""
-    if any(len(cone) != fan.dim for cone in fan.max_cones):
-        raise NotPure("maximal cone of deficient dimension")
-    ridges = fan.ridges()
-    if any(len(cones) != 2 for cones in ridges.values()):
-        return False
-    # connectivity of the cone adjacency graph
-    n = len(fan.max_cones)
-    adj: dict[int, set[int]] = {i: set() for i in range(n)}
-    for a, b in ((c[0], c[1]) for c in ridges.values()):
-        adj[a].add(b)
-        adj[b].add(a)
-    seen = {0}
-    stack = [0]
-    while stack:
-        for nb in adj[stack.pop()]:
-            if nb not in seen:
-                seen.add(nb)
-                stack.append(nb)
-    return len(seen) == n
+    """:attr:`Fan.complete`."""
+    return fan.complete
 
 
 def dual_vertex(fan: Fan, cone, h) -> Point:
@@ -276,21 +319,30 @@ def dual_vertex(fan: Fan, cone, h) -> Point:
     return sol
 
 
-def _cone_data(fan: Fan) -> tuple[ConeData, ...]:
-    """det E_sigma and the adjugate columns of every maximal cone, from
-    :func:`exactlin.adjugate`.
-
-    Raises :class:`NotPure` for a maximal cone that is not
-    full-dimensional, which has no vertex.  Callers read the cached
-    :meth:`Fan.cone_data`.
+def _pulling(tight, count: int, d: int):
+    """Pulling triangulation (Bueler-Enge-Fukuda 2000) of a d-polytope with
+    vertices 0..count-1, as index tuples, from ``tight``: per halfspace of
+    an H-representation, the set T of vertices on it.  The facets of a face
+    F are the inclusion-maximal proper F & T with at least dim F vertices,
+    in order of first occurrence; no rank is computed.  A face's simplices
+    are its smallest vertex joined to those of each facet that misses it.
     """
-    out = []
-    for cone in fan.max_cones:
-        if len(cone) != fan.dim:
-            raise NotPure(f"maximal cone {cone} is not full-dimensional")
-        d, adj = adjugate([fan.rays[i] for i in cone])
-        out.append(ConeData(cone, d, adj))
-    return tuple(out)
+
+    def rec(face, a):
+        if len(face) == a + 1:
+            return [tuple(sorted(face))]
+        apex = min(face)
+        proper = [
+            c for c in dict.fromkeys(face & t for t in tight)
+            if a <= len(c) < len(face)
+        ]
+        out = []
+        for facet in proper:
+            if apex not in facet and not any(facet < c for c in proper):
+                out += [(apex,) + s for s in rec(facet, a - 1)]
+        return out
+
+    return rec(frozenset(range(count)), d)
 
 
 def _int_dot(u, v) -> int:
@@ -298,28 +350,21 @@ def _int_dot(u, v) -> int:
 
 
 def _scaled_vertices(fan: Fan, hint) -> tuple[int, list[tuple[int, ...]]]:
-    """(L, points) for an integer support vector H: L = lcm_sigma |det
-    E_sigma| and, one per maximal cone in the order of ``fan.max_cones``,
-    the integer point V_sigma = (L / det E_sigma) adj_sigma H_sigma, so that
+    """(L, points) for an integer support vector H, from
+    :attr:`Fan.scaled_inverses`: one integer point V_sigma = L E_sigma^-1
+    H_sigma per maximal cone in the order of ``fan.max_cones``, so that
     A_sigma(H) = V_sigma / L."""
-    cones = fan.cone_data()
-    scale = lcm(*(abs(cone.det) for cone in cones))
+    scale, matrices = fan.scaled_inverses
     out = []
-    for cone in cones:
-        q = scale // cone.det
-        hs = [hint[i] for i in cone.rays]
-        out.append(
-            tuple(
-                q * sum(col[c] * x for col, x in zip(cone.adj, hs))
-                for c in range(fan.dim)
-            )
-        )
+    for cone, rows in zip(fan.max_cones, matrices):
+        hs = [hint[i] for i in cone]
+        out.append(tuple(_int_dot(row, hs) for row in rows))
     return scale, out
 
 
 def cone_vertices(fan: Fan, h) -> list[Point]:
     """The points A_sigma(h) = sum_j u_{sigma,j} h_{sigma_j}, one per maximal
-    cone in the order of ``fan.max_cones``, from :meth:`Fan.cone_data`.
+    cone in the order of ``fan.max_cones``.
 
     h is cleared of denominators once, so each coordinate is one Fraction
     made from an int of :func:`_scaled_vertices`.
@@ -329,33 +374,12 @@ def cone_vertices(fan: Fan, h) -> list[Point]:
     return [tuple(Fraction(x, scale * den) for x in v) for v in points]
 
 
-def _wall_rows(fan: Fan):
-    """One linear functional of h per wall; >= 0 on all walls iff h convex.
-
-    For the wall between cones a and b with opposite ray j' in b, the row is
-    h_{j'} - <A_a(h), e_{j'}> = h_{j'} - sum_j <u_{a,j}, e_{j'}> h_{a_j},
-    expressed in the coordinates h_1..h_s and read off the cone data.
-    Callers read the cached :meth:`Fan.wall_rows`.
-    """
-    cones = fan.cone_data()
-    rows = []
-    for ca, cb, ridge in fan.walls():
-        cone_a = cones[ca]
-        (jp,) = [i for i in fan.max_cones[cb] if i not in ridge]
-        row = [Fraction(0)] * fan.nrays
-        row[jp] += 1
-        for col, i in zip(cone_a.adj, cone_a.rays):
-            row[i] -= Fraction(_int_dot(col, fan.rays[jp]), cone_a.det)
-        rows.append(tuple(row))
-    return tuple(rows)
-
-
 def is_convex_on(fan: Fan, vp: "VirtualPolytope", strict: bool = False) -> bool:
     """Every wall gap of h is >= 0 (> 0 when ``strict``).
 
     vp is a :class:`VirtualPolytope` or a raw support vector.  h is cleared
     of denominators once and each gap is read, by its sign only, from the
-    integer rows of :meth:`Fan.wall_rows_int`.  Raises :class:`FanError`
+    integer rows of :attr:`Fan.wall_rows_int`.  Raises :class:`FanError`
     for a support vector whose length is not the number of rays, as
     :class:`VirtualPolytope` does.
     """
@@ -364,29 +388,13 @@ def is_convex_on(fan: Fan, vp: "VirtualPolytope", strict: bool = False) -> bool:
         raise FanError("support vector length != number of rays")
     hint = _cleared([h])[1][0]
     least = 1 if strict else 0  # the gaps are ints
-    return all(sum(a * hint[i] for i, a in row) >= least for row in fan.wall_rows_int())
+    return all(sum(a * hint[i] for i, a in row) >= least for row in fan.wall_rows_int)
 
 
 def is_projective(fan: Fan) -> tuple[bool, "VirtualPolytope | None"]:
-    """Existence of a strictly convex support vector, with witness.
-
-    The strict system (all wall gaps > 0) is homogeneous, hence equivalent
-    to the exact feasibility of gaps >= 1.  The answer depends on the fan
-    alone, so the LP is solved once per fan and its result kept.
-    """
-    if fan._projective_cache is None:
-        fan._projective_cache = _projectivity(fan)
-    return fan._projective_cache
-
-
-def _projectivity(fan: Fan) -> tuple[bool, "VirtualPolytope | None"]:
-    rows = fan.wall_rows()
-    if not rows:  # single-cone or wall-free degenerate fans
-        return True, VirtualPolytope(fan, (Fraction(0),) * fan.nrays)
-    w = _lp.solve_inequalities(rows, [1] * len(rows))
-    if w is None:
-        return False, None
-    return True, VirtualPolytope(fan, tuple(w))
+    """:attr:`Fan.projective`: whether a strictly convex support vector
+    exists, with one as witness; the LP is solved once per fan."""
+    return fan.projective
 
 
 # ---------------------------------------------------------------------------
@@ -560,30 +568,24 @@ class Polytope:
 
 
 class SupportPoints(NamedTuple):
-    """P(h) of a convex support vector on integers.
-
-    The vertices are ``points[k] / den``, distinct and sorted; ``tight[i]``
-    holds the indices k of the vertices on the facet hyperplane
-    <x, e_i> = h_i of ray i.
-    """
+    """P(h) of a convex support vector on integers: the vertices are
+    ``points[k] / den``, distinct and sorted."""
 
     den: int
     points: list[tuple[int, ...]]
-    tight: list[frozenset[int]]
 
 
 def support_points(fan: Fan, vp: VirtualPolytope) -> SupportPoints:
-    """The vertices A_sigma(h) of P(h) over one common denominator, with the
-    vertices tight on each ray's halfspace.
+    """The vertices A_sigma(h) of P(h) over one common denominator.
 
     h is cleared once, h = H / den(h), and with L = lcm_sigma |det E_sigma|
     every A_sigma is V / D for D = L den(h) and the integer V of
     :func:`_scaled_vertices`.  Each distinct V is checked on integers
     against the H-representation: <V, e_j> <= h_j D = L H_j for every ray
-    j, with equality at the rays of sigma, so cone data that do not invert
-    E_sigma raise :class:`VerificationFailed` instead of giving a wrong
-    polytope.  The same integer dot products give the tight sets.  Raises
-    :class:`NotConvex` unless h is convex on the fan.
+    j, with equality at the rays of sigma, so a scaled inverse that does not
+    invert E_sigma raises :class:`VerificationFailed` instead of giving a
+    wrong polytope.  Raises :class:`NotConvex` unless h is convex on the
+    fan.
     """
     if not is_convex_on(fan, vp):
         raise NotConvex(f"support vector {vp.h} not convex on the fan")
@@ -591,27 +593,22 @@ def support_points(fan: Fan, vp: VirtualPolytope) -> SupportPoints:
     scale, vertices = _scaled_vertices(fan, hint)
     bounds = [x * scale for x in hint]
     dots = {}
-    for cone, v in zip(fan.cone_data(), vertices):
+    for cone, v in zip(fan.max_cones, vertices):
         g = dots.get(v)
         if g is None:
             g = dots[v] = [_int_dot(v, ray) for ray in fan.rays]
             if any(x > b for x, b in zip(g, bounds)):
-                raise VerificationFailed(f"vertex of cone {cone.rays} outside P(h)")
-        if any(g[i] != bounds[i] for i in cone.rays):
-            raise VerificationFailed(f"vertex of cone {cone.rays} off its facets")
-    points = sorted(dots)
-    tight = [
-        frozenset(k for k, v in enumerate(points) if dots[v][i] == b)
-        for i, b in enumerate(bounds)
-    ]
-    return SupportPoints(scale * hden, points, tight)
+                raise VerificationFailed(f"vertex of cone {cone} outside P(h)")
+        if any(g[i] != bounds[i] for i in cone):
+            raise VerificationFailed(f"vertex of cone {cone} off its facets")
+    return SupportPoints(scale * hden, sorted(dots))
 
 
 def polytope_from_support(fan: Fan, vp: VirtualPolytope) -> Polytope:
     """V- and H-representation of a convex support vector: the
     :func:`support_points` as Fractions, and one halfspace (e_i, h_i) per
     ray."""
-    den, points, _ = support_points(fan, vp)
+    den, points = support_points(fan, vp)
     verts = tuple(tuple(Fraction(x, den) for x in v) for v in points)
     hs = tuple(
         (tuple(Fraction(x) for x in ray), vp.h[i]) for i, ray in enumerate(fan.rays)

@@ -105,6 +105,8 @@ def base_from_dict(data: dict) -> BaseData:
     where = {}
     for d, names in labels.items():
         for i, name in enumerate(names):
+            if type(name) is not str:
+                raise ValueError(f"basis label {name!r} is not a string")
             if name in where:
                 raise ValueError(f"duplicate basis label {name!r}")
             where[name] = (d, i)

@@ -176,6 +176,57 @@ def test_ring_non_associative_base_exit_3(capsys, tmp_path, builder):
     assert "not associative" in err
 
 
+def _p1_spec_file(tmp_path, label, unit="1"):
+    """P^1 over P^1 with ``unit`` and ``label`` naming the base's basis."""
+    spec = {
+        "base": {
+            "top_degree": 2,
+            "basis": {"0": [unit], "2": [label]},
+            "products": [],
+            "orientation": [[1, 1, label]],
+            "chern": [[[1, 1, label]]],
+        },
+        "fan": {"rays": [[1], [-1]], "max_cones": [[0], [1]]},
+    }
+    path = tmp_path / "p1.json"
+    path.write_text(json.dumps(spec))
+    return path
+
+
+LABEL_COMMANDS = [
+    ("ring", "--builder", "sr"),
+    ("ring", "--builder", "sd"),
+    ("verify", "--suite", "cross"),
+    ("verify", "--suite", "bkk"),
+    ("intersect", "--expr", "x1^2"),
+]
+
+
+@pytest.mark.parametrize("command", LABEL_COMMANDS, ids=" ".join)
+def test_non_string_base_label_exit_3(capsys, tmp_path, command):
+    path = _p1_spec_file(tmp_path, 2, unit=1)
+    code, _, err = run(capsys, command[0], str(path), *command[1:])
+    assert code == 3
+    assert "basis label 1 is not a string" in err
+
+
+@pytest.mark.parametrize("label", ["x2", "H*x1", "x1^2", "w*x2^3"])
+@pytest.mark.parametrize("command", LABEL_COMMANDS, ids=" ".join)
+def test_base_label_naming_a_fiber_generator_exit_3(capsys, tmp_path, command, label):
+    """A base label x2 on the P^1 fan would print the sr basis "x2, x2" and
+    make --expr x2^2 read the fiber generator."""
+    path = _p1_spec_file(tmp_path, label)
+    code, _, err = run(capsys, command[0], str(path), *command[1:])
+    assert code == 3
+    assert f"base label {label!r} names a fiber generator" in err
+
+
+def test_base_label_near_a_fiber_name_is_kept(capsys, tmp_path):
+    code, out, _ = run(capsys, "ring", str(_p1_spec_file(tmp_path, "x3*x")))
+    assert code == 0
+    assert "degree 2: x2, x3*x" in out
+
+
 def test_verify_suites_pass(capsys):
     code, out, _ = run(
         capsys, "verify", "hirzebruch_1", "--suite", "bkk", "--seed", "3",
@@ -708,3 +759,24 @@ def test_fuzz_intersect_expr(capsys, expr):
     assert code in (0, 3)
     if "^-" in expr.replace(" ", ""):
         assert code == 3
+
+
+@pytest.mark.parametrize(
+    "expr, message",
+    [
+        ("x1*x1^", "empty exponent in factor 'x1^'"),
+        ("x1^*x1", "empty exponent in factor 'x1^'"),
+        ("x1**x1", "empty factor"),
+        ("*x1^2", "empty factor"),
+        ("x1^2*", "empty factor"),
+        ("", "empty factor"),
+    ],
+)
+def test_intersect_expr_refuses_empty_factor_or_exponent(capsys, expr, message):
+    """Each of these once read as x1^2 (= 1 on p2_toric) or as the empty
+    monomial."""
+    code, _, err = run(capsys, "intersect", "p2_toric", f"--expr={expr}")
+    assert code == 3
+    assert message in err
+    code, out, _ = run(capsys, "intersect", "p2_toric", "--expr=x1^2")
+    assert code == 0 and out.startswith("x1^2 = 1\n")

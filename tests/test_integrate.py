@@ -16,7 +16,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import det
-from toricbundle import cli, exactlin, integrate
+from toricbundle import cli, exactlin, integrate, polyhedral
 from toricbundle.bundle import (
     random_convex,
     random_virtual,
@@ -704,7 +704,7 @@ def _grid_interpolant(fan, expo):
     d = fan.dim + sum(expo)
     monos = monomials_of_degree(fan.nrays, d)
     _, witness = is_projective(fan)
-    norm = max(sum(abs(x) for x in row) for row in fan.wall_rows())
+    norm = max(sum(abs(x) for x in row) for row in fan.wall_rows)
     c = ceil((d + 1) * norm) + 1
     if c * sum(witness.h) + d == 0:
         c += 1
@@ -805,7 +805,7 @@ def test_integral_polynomials_reject_incomplete_fan():
     )
     with pytest.raises(FanError):
         i_f_value(fan, ONE2, VirtualPolytope(fan, (1, 1, 1, 1)))
-    assert fan._pulling_cache is None
+    assert "pulling" not in vars(fan)
 
 
 # ---------------------------------------------------------------------------
@@ -822,7 +822,7 @@ def _boundary_support(fan, rng):
     t = max(
         -sum((a * x for a, x in zip(row, r)), F(0))
         / sum((a * x for a, x in zip(row, w)), F(0))
-        for row in fan.wall_rows()
+        for row in fan.wall_rows
     )
     return VirtualPolytope(fan, tuple(x + t * y for x, y in zip(r, w)))
 
@@ -867,7 +867,7 @@ def test_i_f_value_matches_polytope_integral(case):
     vertex routine, and its halfspaces are (e_i, h_i).  A strictly convex
     h takes the fan's own face lattice and measures nothing; a boundary h,
     whose merged vertices change the face lattice, takes the measured
-    vertices and tight sets of support_points."""
+    vertices of support_points, through that Polytope."""
     fan, kind, vp, f = case
     assert is_convex_on(fan, vp, strict=kind == "strict")
     p = polytope_from_support(fan, vp)
@@ -875,12 +875,13 @@ def test_i_f_value_matches_polytope_integral(case):
     assert p.halfspaces == tuple(
         (tuple(F(x) for x in ray), b) for ray, b in zip(fan.rays, vp.h)
     )
-    real = integrate.support_points
-    with mock.patch.object(integrate, "support_points", wraps=real) as measured:
+    real = polyhedral.support_points
+    with mock.patch.object(polyhedral, "support_points", wraps=real) as measured:
         value = i_f_value(fan, f, vp)
     assert value == integrate_over_polytope(f, p)
     assert measured.called == (kind != "strict")
-    assert fan._pulling_cache is not None
+    if kind == "strict":
+        assert "pulling" in vars(fan)
     if kind == "point":
         assert len(p.vertices) == 1 and value == 0
 
@@ -889,12 +890,17 @@ def test_i_f_value_matches_polytope_integral(case):
 @given(st.sampled_from(SUPPORT_FANS), st.integers(0, 2**32))
 def test_fan_face_lattice_is_the_measured_one(fan, seed):
     """At a strictly convex h every cone has its own vertex, and the tight
-    set measured on ray i's facet holds exactly the vertices of the cones
-    through i: the face lattice that the cached triangulation is read from."""
+    set measured on ray i's facet, as triangulate measures it, holds exactly
+    the vertices of the cones through i: the face lattice that the cached
+    triangulation is read from."""
     vp = random_convex(fan, random.Random(seed))
     one = QPolynomial.constant(tuple(f"x{i + 1}" for i in range(fan.dim)), 1)
     i_f_value(fan, one, vp)
-    den, points, tight = integrate.support_points(fan, vp)
+    den, points = polyhedral.support_points(fan, vp)
+    tight = [
+        {k for k, v in enumerate(points) if polyhedral.dot(v, ray) == b * den}
+        for ray, b in zip(fan.rays, vp.h)
+    ]
     where = {tuple(F(x, den) for x in v): k for k, v in enumerate(points)}
     at = [where[v] for v in cone_vertices(fan, vp.h)]
     assert sorted(at) == list(range(len(fan.max_cones)))
@@ -903,28 +909,44 @@ def test_fan_face_lattice_is_the_measured_one(fan, seed):
         {k for k, cone in enumerate(fan.max_cones) if i in cone}
         for i in range(fan.nrays)
     ]
-    assert fan._pulling_cache == integrate._pulling(facets, len(at), fan.dim)
+    assert fan.pulling == polyhedral._pulling(facets, len(at), fan.dim)
+
+
+def _doubled(matrix):
+    return tuple(tuple(2 * x for x in row) for row in matrix)
 
 
 @pytest.mark.parametrize(
     "corrupt, message",
     [
-        # the vertex of cone 0 leaves P(h) (and its own facets)
-        (lambda cone: cone._replace(adj=cone.adj[::-1]), "outside P"),
-        # the vertex of cone 0 is halved: inside P(h), off its own facets
-        (lambda cone: cone._replace(det=2 * cone.det), "off its facets"),
+        # the columns of cone 0's inverse are swapped: its vertex leaves
+        # P(h) (and its own facets)
+        (
+            lambda scale, mats: (
+                scale,
+                (tuple(row[::-1] for row in mats[0]),) + mats[1:],
+            ),
+            "outside P",
+        ),
+        # as if det E_sigma of cone 0 were doubled: L doubles and so does
+        # every other inverse, so only the vertex of cone 0 is halved:
+        # inside P(h), off its own facets
+        (
+            lambda scale, mats: (2 * scale, mats[:1] + tuple(map(_doubled, mats[1:]))),
+            "off its facets",
+        ),
     ],
     ids=["swapped_adjugate", "doubled_det"],
 )
 def test_i_f_value_rejects_corrupted_cone_data(corrupt, message):
     """The oracle checks every vertex against the H-representation instead
-    of integrating a wrong polytope (to 0 for swapped adjugate columns)."""
+    of integrating a wrong polytope (to 0 for swapped adjugate columns).
+    The vertices are read from the fan's scaled inverses; the convexity
+    check reads the true walls."""
     fan = fan_hirzebruch1()
     vp = VirtualPolytope(fan, (2, 3, 4, 5))
     assert i_f_value(fan, ONE2, vp) == 56
-    fan.wall_rows_int()  # the convexity check still reads the true walls
-    cones = fan._cone_data_cache
-    fan._cone_data_cache = (corrupt(cones[0]),) + cones[1:]
+    fan.scaled_inverses = corrupt(*fan.scaled_inverses)
     with pytest.raises(VerificationFailed, match=message):
         i_f_value(fan, ONE2, vp)
 
@@ -936,7 +958,7 @@ def test_i_f_value_rejects_vertex_outside_p():
     fan = fan_hirzebruch1()
     vp = VirtualPolytope(fan, (2, 3, 4, -5))
     assert not is_convex_on(fan, vp)
-    fan._wall_int_cache = ()
+    fan.wall_rows_int = ()
     with pytest.raises(VerificationFailed, match="outside P"):
         i_f_value(fan, ONE2, vp)
 
@@ -982,10 +1004,10 @@ def test_cached_i_f_matches_fresh_computation():
     spec = SPECS["flag_sl3_p1xp1"]()
     ring_via_sd(spec)
     ring_via_diff(spec)
-    cache = spec.fan._i_f_cache
+    cache = spec.fan.i_f_polynomials
     assert cache
     fresh = validate_fan(spec.fan.rays, spec.fan.max_cones)
-    assert fresh == spec.fan and not fresh._i_f_cache
+    assert fresh == spec.fan and not fresh.i_f_polynomials
     for f, poly in cache.items():
         assert cache[QPolynomial(f.vars, f.terms)] is poly
         assert integrate._i_f_polynomial(fresh, f) == poly
@@ -995,18 +1017,18 @@ def test_i_f_polynomial_errors_leave_cache_empty(monkeypatch):
     p2 = fan_p2()
     with pytest.raises(NotHomogeneous):
         i_f_polynomial(p2, X1 + ONE2)
-    assert p2._i_f_cache == {}
+    assert p2.i_f_polynomials == {}
     fan = validate_fan([(1, 0), (0, 1), (-1, 0)], [(0, 1), (1, 2)])
     with pytest.raises(FanError):
         i_f_polynomial(fan, ONE2)
-    assert fan._i_f_cache == {}
+    assert fan.i_f_polynomials == {}
     real = integrate.i_f_value
     monkeypatch.setattr(
         integrate, "i_f_value", lambda fan, f, vp: real(fan, f, vp) + 1
     )
     with pytest.raises(VerificationFailed, match="self-check"):
         i_f_polynomial(p2, ONE2)
-    assert p2._i_f_cache == {}
+    assert p2.i_f_polynomials == {}
 
 
 def _polytope_corner_box(fan, f, delta, ray_set, lams):
@@ -1015,7 +1037,7 @@ def _polytope_corner_box(fan, f, delta, ray_set, lams):
     :func:`triangulate`, with no sign."""
     n = fan.dim
     k = fan.max_cones.index(ray_set)
-    cone = fan.cone_data()[k]
+    cone = fan.cone_data[k]
     a = cone_vertices(fan, delta.h)[k]
     duals = [[F(x, cone.det) for x in col] for col in cone.adj]
     corners = []

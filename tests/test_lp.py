@@ -221,7 +221,7 @@ def test_wall_rows_with_denominators_keep_the_fraction_witness():
     from the det-2 cone: a wall row has denominator 2, so the system is
     cleared by D = 2 before the integer tableau, and the witness is 2e_0."""
     fan = validate_fan([(1, 0), (0, 1), (-1, -2)], [(0, 2), (1, 2), (0, 1)])
-    rows = fan.wall_rows()
+    rows = fan.wall_rows
     assert any(x.denominator > 1 for row in rows for x in row)
     ones = [1] * len(rows)
     expected = fraction_solve_inequalities(rows, ones)

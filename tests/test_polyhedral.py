@@ -1,5 +1,6 @@
 """Fans, support vectors, polytopes: spec examples and invariants."""
 
+import functools
 import re
 from fractions import Fraction as F
 
@@ -22,6 +23,7 @@ from toricbundle.errors import (
     VerificationFailed,
 )
 from toricbundle.polyhedral import (
+    Fan,
     Polytope,
     VirtualPolytope,
     cone_vertices,
@@ -121,6 +123,31 @@ def test_validate_rejects_a_ray_in_no_cone(rays, cones, ray):
         validate_fan(rays, cones)
 
 
+def test_fan_constructor_validates():
+    """No Fan escapes validation: the non-primitive ray (2, 2) in no cone
+    and a ray with no cone at all are refused where the fan is built, so
+    is_complete never reads an unchecked fan."""
+    with pytest.raises(NonPrimitiveRay):
+        Fan([(1, 0), (0, 1), (-1, -1), (2, 2)], [(0, 1), (0, 2), (1, 2)])
+    with pytest.raises(FanError, match=r"ray \(1,\) lies in no maximal cone"):
+        Fan([(1,)], [])
+    assert validate_fan(P1XP1_RAYS, P1XP1_CONES) == Fan(P1XP1_RAYS, P1XP1_CONES)
+
+
+def test_fan_facts_are_computed_once():
+    """Each fact derived from the fan alone is built on first read and then
+    read back, the same object every time."""
+    fan = fan_f1()
+    names = (
+        "cone_data", "scaled_inverses", "wall_rows", "wall_rows_int",
+        "complete", "projective", "pulling",
+    )
+    assert not set(names) & set(vars(fan))
+    first = [getattr(fan, name) for name in names]
+    assert all(getattr(fan, name) is x for name, x in zip(names, first))
+    assert is_complete(fan) is fan.complete and is_projective(fan) is fan.projective
+
+
 def test_smoothness():
     assert is_smooth(fan_p2())
     assert not is_smooth(validate_fan([(1, 0), (1, 2)], [(0, 1)]))
@@ -177,18 +204,21 @@ def test_wall_rows_built_once_per_fan(monkeypatch):
     calls = []
     cone_calls = []
 
-    def counting(real, log):
+    def counting(name, log):
+        """The cached property ``Fan.<name>``, logging each fan it builds for."""
+        real = polyhedral.Fan.__dict__[name].func
+
         def wrapped(fan):
             log.append(fan)
             return real(fan)
 
-        return wrapped
+        prop = functools.cached_property(wrapped)
+        prop.__set_name__(polyhedral.Fan, name)
+        return prop
 
+    monkeypatch.setattr(polyhedral.Fan, "wall_rows", counting("wall_rows", calls))
     monkeypatch.setattr(
-        polyhedral, "_wall_rows", counting(polyhedral._wall_rows, calls)
-    )
-    monkeypatch.setattr(
-        polyhedral, "_cone_data", counting(polyhedral._cone_data, cone_calls)
+        polyhedral.Fan, "cone_data", counting("cone_data", cone_calls)
     )
     fan = fan_f1()
     assert calls == [] and cone_calls == []  # not built by validate_fan
@@ -253,13 +283,13 @@ def test_cone_data_matches_solves(fan, data):
     assert cone_vertices(fan, h) == [
         dual_vertex(fan, cone, h) for cone in fan.max_cones
     ]
-    assert fan.wall_rows() == _wall_rows_by_solve(fan)
+    assert fan.wall_rows == _wall_rows_by_solve(fan)
 
 
 def test_cone_data_rejects_lower_dimensional_cones():
     fan = validate_fan([(1, 0), (0, 1)], [(0,), (1,)])
     with pytest.raises(NotPure):
-        fan.cone_data()
+        fan.cone_data
 
 
 def test_convexity_examples():
@@ -283,7 +313,7 @@ def test_is_convex_on_rejects_wrong_length(h):
 
 def _convex_by_fraction_gaps(fan, h, strict):
     """Reference: the Fraction gap sums over the rational wall rows."""
-    for row in fan.wall_rows():
+    for row in fan.wall_rows:
         gap = sum((a * x for a, x in zip(row, h)), F(0))
         if gap < 0 or (strict and gap == 0):
             return False

@@ -153,3 +153,52 @@ def test_dead_entry_point_rule_sees_an_unread_function():
         ),
     }
     assert _dead_entry_points("lin", trees, ("lin.d", "other.b")) == ["b", "F"]
+
+
+def _private_attributes(tree: ast.Module, modules) -> list[int]:
+    """Lines where a module-level function reads or writes an underscore
+    attribute of an object.  Methods may use their own object's; a dunder
+    is protocol, not private state; and an attribute of a module alias
+    (``import m``, or ``from pkg import m`` for a name m in ``modules``) is
+    that module's own name."""
+    aliases = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            aliases |= {a.asname or a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            aliases |= {a.asname or a.name for a in node.names if a.name in modules}
+    return sorted(
+        {
+            node.lineno
+            for fn in tree.body
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for node in ast.walk(fn)
+            if isinstance(node, ast.Attribute)
+            and node.attr.startswith("_")
+            and not node.attr.endswith("__")
+            and not (isinstance(node.value, ast.Name) and node.value.id in aliases)
+        }
+    )
+
+
+def test_no_private_attributes_outside_methods():
+    """A fact derived from an object is owned by its class: a module-level
+    function reads public attributes only, so no module keeps a cache on
+    another's objects."""
+    modules = {path.stem for path in SRC.glob("*.py")}
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        lines = _private_attributes(tree, modules)
+        found += [f"{path.name}:{line}" for line in lines]
+    assert not found, f"underscore attributes read outside methods: {found}"
+
+
+def test_private_attribute_rule_sees_a_foreign_slot():
+    tree = ast.parse(
+        "import m\nfrom pkg import lin, Thing\n"
+        "def f(o):\n    o._a = m._b\n    lin._c()\n    return o.__dict__\n"
+        "def g(o):\n    def h():\n        return Thing._d\n    return h\n"
+        "class C:\n    def k(self, o):\n        return o._e + self._f\n"
+    )
+    assert _private_attributes(tree, {"lin"}) == [4, 9]
