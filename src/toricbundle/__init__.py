@@ -50,7 +50,6 @@ from toricbundle.polyhedral import (
     is_convex_on,
     is_projective,
     is_smooth,
-    minkowski_sum,
     polytope_from_support,
     support_function,
     validate_fan,
@@ -93,7 +92,6 @@ __all__ = [
     "is_projective",
     "is_smooth",
     "kernel_backend",
-    "minkowski_sum",
     "mixed_integral",
     "polytope_from_support",
     "ring_via_diff",

@@ -1,8 +1,8 @@
 """Exact rational linear programming (feasibility only).
 
 A single phase-1 simplex with Bland's rule backs every feasibility question
-in the package: strictly convex support vectors, pairwise face checks of
-fans, and irredundancy of vertex sets.  Bland's rule guarantees termination.
+in the package: strictly convex support vectors and pairwise face checks
+of fans.  Bland's rule guarantees termination.
 
 The tableau is kept on Python ints by integer-preserving elimination
 (Edmonds 1967, Bareiss 1968): the system is cleared by one common
@@ -127,14 +127,3 @@ def solve_inequalities(ge_rows, ge_rhs, eq_rows=()) -> list[Fraction] | None:
     if sol is None:
         return None
     return [sol[j] - sol[nvars + j] for j in range(nvars)]
-
-
-def in_convex_hull(point, points) -> bool:
-    """Exact membership of ``point`` in the convex hull of ``points``."""
-    if not points:
-        return False
-    dim = len(point)
-    a_rows = [[p[d] for p in points] for d in range(dim)]
-    a_rows.append([1] * len(points))
-    b = list(point) + [1]
-    return feasible_nonneg(a_rows, b) is not None

@@ -350,27 +350,21 @@ def gz_volume_check(n: int, lam) -> bool:
 def gz_minkowski_additive(n: int, lam, mu) -> bool:
     """Support vectors of GZ polytopes add: h_{GZ(l+m)} = h_{GZ l} + h_{GZ m}.
 
-    Checked on support values at a fixed ray set (all +-coordinate vectors),
-    which pins the polytopes since GZ bodies share their normal fan on the
-    open chamber.
+    Checked on support values at the facet normals of the three polytopes:
+    every GZ polytope is cut out by the same interlacing normals, with
+    bounds linear in the weight.  The values at the +-coordinate vectors
+    would pin only the bounding boxes.
     """
-    big_n = n * (n - 1) // 2
-    p_l = gz_polytope(n, lam).polytope
-    p_m = gz_polytope(n, mu).polytope
-    p_s = gz_polytope(n, [a + b for a, b in zip(lam, mu)]).polytope
-    dirs = [
-        tuple(int(i == j) * s for j in range(big_n))
-        for i in range(big_n)
-        for s in (1, -1)
+    polys = [
+        gz_polytope(n, w).polytope for w in (lam, mu, [a + b for a, b in zip(lam, mu)])
     ]
-
-    for d in dirs:
-        hl = max(dot(v, d) for v in p_l.vertices)
-        hm = max(dot(v, d) for v in p_m.vertices)
-        hs = max(dot(v, d) for v in p_s.vertices)
-        if hl + hm != hs:
-            return False
-    return True
+    normals = {normal for p in polys for normal, _ in p.halfspaces}
+    p_l, p_m, p_s = polys
+    return all(
+        max(dot(v, a) for v in p_l.vertices) + max(dot(v, a) for v in p_m.vertices)
+        == max(dot(v, a) for v in p_s.vertices)
+        for a in normals
+    )
 
 
 # ---------------------------------------------------------------------------

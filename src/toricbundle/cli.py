@@ -21,6 +21,7 @@ import itertools
 import json
 import os
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -371,6 +372,8 @@ def _parse_monomial(spec: BundleSpec, expr: str):
         name, caret, power = factor.partition("^")
         if caret and not power:
             raise ValueError(f"empty exponent in factor {factor!r}")
+        if caret and not re.fullmatch("-?[0-9]+", power):
+            raise ValueError(f"exponent in factor {factor!r} is not in the digits 0-9")
         power = int(power) if caret else 1
         if power < 0:
             raise ValueError(f"negative exponent in factor {factor!r}")

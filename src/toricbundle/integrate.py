@@ -13,19 +13,20 @@ coordinates are expanded as integer linear forms in lambda (Baldoni,
 Berline, De Loera, Koeppe and Vergne 2011, "How to integrate a polynomial
 over a simplex").
 
-A polytope is integrated over a triangulation read off its own vertices
-and H-representation, on integers throughout: the vertices are cleared of
-denominators once per polytope, one forward-pass rank tests full
-dimension, and the vertices tight on each halfspace are found by comparing
-integer sums with integer bounds.  The facets of a face are the
-inclusion-maximal proper, nonempty intersections of the face with those
-tight sets, so no rank is computed per face.  The simplices share the
-cleared points, and the integer moment numerators of every simplex are
-summed before one Fraction is built per term of f.  This direct integral
-is the oracle that checks everything else.  On P(h) (:func:`i_f_value`)
-it runs on integers from h to the moments, from the fan's cone vertices
-checked against <x, e_i> <= h_i, so wrong cone data raise instead of
-passing for a polytope.  At a strictly convex h the face lattice of P(h) is
+A polytope is integrated over a triangulation read off its vertices and
+the halfspaces every :class:`~toricbundle.polyhedral.Polytope` carries, on
+integers throughout: the vertices are cleared of denominators once per
+polytope, one forward-pass rank tests full dimension, and the vertices
+tight on each halfspace are found by comparing integer sums with integer
+bounds.  The facets of a face are the inclusion-maximal proper, nonempty
+intersections of the face with those tight sets, so no rank is computed
+per face.  :func:`triangulate` returns the simplices on the cleared
+points with their one denominator, and the integer moment numerators of
+every simplex are summed before one Fraction is built per term of f.
+This direct integral is the oracle that checks everything else.  On P(h)
+(:func:`i_f_value`) it runs on integers from h to the moments, from the
+fan's cone vertices checked against <x, e_i> <= h_i, so wrong cone data
+raise instead of passing for a polytope.  At a strictly convex h the face lattice of P(h) is
 the fan's and one triangulation per fan serves; zero wall gaps merge
 vertices, and then the measured vertices are triangulated.  Nothing of the
 closed form below is read.
@@ -44,7 +45,6 @@ polynomial extension of I_f to virtual polytopes (Khovanskii-Pukhlikov
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, comb, factorial, lcm, prod
 
@@ -76,24 +76,6 @@ from toricbundle.qpoly import (
     monomials_of_degree,
     require_homogeneous,
 )
-
-
-@dataclass(frozen=True)
-class SimplexChain:
-    """Signed list of simplices; here always a genuine triangulation.
-
-    ``cleared`` holds the same simplices on integers, in the same order:
-    the vertices of the polytope cleared of denominators once, each divided
-    by ``den`` gives the vertex of ``simplices`` in its place.
-    """
-
-    simplices: tuple[tuple[tuple[Fraction, ...], ...], ...]
-    signs: tuple[int, ...]
-    den: int
-    cleared: tuple[tuple[tuple[int, ...], ...], ...]
-
-    def __len__(self):
-        return len(self.simplices)
 
 
 def integrate_over_simplex(f: QPolynomial, simplex) -> Fraction:
@@ -179,22 +161,21 @@ def _times(p, q):
     return out
 
 
-def triangulate(p: Polytope) -> SimplexChain:
-    """Pulling triangulation from the lex-smallest vertex, all signs +1
-    (:func:`~toricbundle.polyhedral._pulling`).
+def triangulate(p: Polytope) -> tuple[int, tuple]:
+    """Pulling triangulation from the lex-smallest vertex
+    (:func:`~toricbundle.polyhedral._pulling`), as (D, simplices): each
+    simplex is a tuple of integer points V, the vertices v = V / D of p.
 
-    The vertices are cleared of denominators once, v = V / D with V
-    integer.  Each halfspace <x, a> <= b of the H-representation, scaled to
-    an integer normal A = m*a, gives the set of vertices tight on it: those
-    with <V, A> = b*m*D, compared on ints; a non-integral b*m*D gives an
-    empty set.  Raises :class:`LowerDimensional` unless the rank of the
+    Each halfspace <x, a> <= b of ``p.halfspaces``, scaled to an integer
+    normal A = m*a, gives the set of vertices tight on it: those with
+    <V, A> = b*m*D, compared on ints; a non-integral b*m*D gives an empty
+    set.  Raises :class:`LowerDimensional` unless the rank of the
     rows (1, V_k) is d + 1 (one forward pass), that is unless p spans its
     ambient space R^d.
     """
-    verts = p.vertices
-    den, points = _cleared(verts)
+    den, points = _cleared(p.vertices)
     tight = []
-    for normal, bound in p.facet_halfspaces():
+    for normal, bound in p.halfspaces:
         m, (row,) = _cleared([normal])
         rhs = bound * (den * m)
         if rhs.denominator == 1:  # no integer sum equals a non-integral bound
@@ -206,9 +187,7 @@ def triangulate(p: Polytope) -> SimplexChain:
     if exactlin.rank([(1, *v) for v in points]) <= d:
         raise LowerDimensional("polytope not full-dimensional")
     index = _pulling(tight, len(points), d)
-    simplices = tuple(tuple(verts[k] for k in s) for s in index)
-    cleared = tuple(tuple(points[k] for k in s) for s in index)
-    return SimplexChain(simplices, (1,) * len(index), den, cleared)
+    return den, tuple(tuple(points[k] for k in s) for s in index)
 
 
 def integrate_over_polytope(f: QPolynomial, p: Polytope) -> Fraction:
@@ -219,10 +198,10 @@ def integrate_over_polytope(f: QPolynomial, p: Polytope) -> Fraction:
     share.
     """
     try:
-        chain = triangulate(p)
+        den, simplices = triangulate(p)
     except LowerDimensional:
         return Fraction(0)
-    return _integral(f, chain.den, chain.cleared)
+    return _integral(f, den, simplices)
 
 
 def volume(p: Polytope) -> Fraction:

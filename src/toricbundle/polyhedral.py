@@ -24,13 +24,12 @@ from toricbundle.errors import (
     DegenerateCone,
     FanError,
     FanTooCoarse,
-    LowerDimensional,
     NonPrimitiveRay,
     NotConvex,
     NotPure,
     VerificationFailed,
 )
-from toricbundle.exactlin import _cleared, adjugate, det_int, kernel_int, rank, solve
+from toricbundle.exactlin import _cleared, adjugate, det_int, rank, solve
 
 Point = tuple[Fraction, ...]
 
@@ -463,42 +462,21 @@ class AffineVirtualPolytope:
 # ---------------------------------------------------------------------------
 
 
-def affine_dim(points) -> int:
-    """The dimension of the affine hull, -1 for no points: one less than the
-    rank of the rows (1, D*p), with the points cleared of denominators."""
-    return rank([(1, *row) for row in _cleared(list(points))[1]]) - 1
-
-
 class Polytope:
-    """Rational polytope; vertices canonical (irredundant, sorted).
+    """Rational polytope given by both of its representations.
 
-    ``halfspaces`` is an optional sequence of (normal, bound) pairs known to
-    cut out the same set; it is kept because faces are cheap to read off an
-    H-representation.
+    ``vertices`` are canonical (irredundant, sorted) and ``halfspaces`` is a
+    sequence of (normal, bound) pairs that cut out the same set; both are
+    required, and faces are read off the halfspaces.  The package builds
+    polytopes through :meth:`from_halfspaces` and
+    :func:`polytope_from_support`.
     """
 
     __slots__ = ("vertices", "halfspaces")
 
-    def __init__(self, vertices, halfspaces=None):
+    def __init__(self, vertices, halfspaces):
         self.vertices = vertices
         self.halfspaces = halfspaces
-
-    @classmethod
-    def from_vertices(cls, points, halfspaces=None, reduce=True) -> "Polytope":
-        pts = sorted({tuple(Fraction(x) for x in p) for p in points})
-        if reduce and len(pts) > 1:
-            keep = []
-            for i, p in enumerate(pts):
-                others = [q for j, q in enumerate(pts) if j != i]
-                if not _lp.in_convex_hull(p, others):
-                    keep.append(p)
-            pts = keep
-        hs = None
-        if halfspaces is not None:
-            hs = tuple(
-                (tuple(Fraction(x) for x in n), Fraction(b)) for n, b in halfspaces
-            )
-        return cls(tuple(pts), hs)
 
     @classmethod
     def from_halfspaces(cls, halfspaces, dim: int) -> "Polytope":
@@ -533,38 +511,6 @@ class Polytope:
 
     def __repr__(self):
         return f"Polytope({len(self.vertices)} vertices, dim {self.ambient_dim})"
-
-    def facet_halfspaces(self):
-        """An H-representation: stored one, or computed by hyperplane search."""
-        if self.halfspaces is not None:
-            return self.halfspaces
-        d = self.ambient_dim
-        verts = self.vertices
-        if affine_dim(verts) != d:
-            raise LowerDimensional("H-rep search requires full dimension")
-        found = {}
-        for combo in itertools.combinations(verts, d):
-            v0 = combo[0]
-            diffs = ([a - b for a, b in zip(p, v0)] for p in combo[1:])
-            kernel = kernel_int(map(enumerate, diffs), d)
-            if len(kernel) != 1:
-                continue
-            normal = [kernel[0][1].get(c, 0) for c in range(d)]
-            bound = dot(normal, v0)
-            sides = {(dot(v, normal) > bound) - (dot(v, normal) < bound) for v in verts}
-            if 1 in sides and -1 in sides:
-                continue
-            if -1 in sides:
-                normal = [-x for x in normal]
-                bound = -bound
-            # normalize for dedup
-            g = 0
-            for x in normal:
-                g = g or abs(x)
-            scale = Fraction(1, g)
-            key = (tuple(x * scale for x in normal), bound * scale)
-            found[key] = key
-        return tuple(found)
 
 
 class SupportPoints(NamedTuple):
@@ -628,14 +574,3 @@ def support_function(p: Polytope, fan: Fan) -> VirtualPolytope:
     if back.vertices != p.vertices:
         raise FanTooCoarse("fan does not refine the normal fan")
     return vp
-
-
-def minkowski_sum(p: Polytope, q: Polytope) -> Polytope:
-    if p.ambient_dim != q.ambient_dim:
-        raise FanError("Minkowski sum of polytopes in different spaces")
-    sums = {
-        tuple(a + b for a, b in zip(v, w))
-        for v in p.vertices
-        for w in q.vertices
-    }
-    return Polytope.from_vertices(sums)

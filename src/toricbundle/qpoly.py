@@ -236,10 +236,7 @@ def monomials_of_degree(nvars: int, d: int) -> list[tuple[int, ...]]:
     return out
 
 
-def require_homogeneous(f: QPolynomial, degree: int | None = None) -> int:
+def require_homogeneous(f: QPolynomial) -> int:
     if not f.is_homogeneous():
         raise NotHomogeneous(f"not homogeneous: {f!r}")
-    d = f.degree()
-    if degree is not None and f and d != degree:
-        raise NotHomogeneous(f"degree {d} != required {degree}")
-    return d
+    return f.degree()

@@ -1,10 +1,12 @@
 """Shared test helpers that read package internals, and copies of removed
 package routines that tests keep as oracles."""
 
+import itertools
 from fractions import Fraction as F
 from math import lcm, prod
 
-from toricbundle.exactlin import QMatrix, det_int, rref
+from toricbundle.exactlin import QMatrix, _cleared, det_int, kernel_int, rank, rref
+from toricbundle.polyhedral import Polytope, dot
 
 
 def int_rows(reducer):
@@ -42,3 +44,46 @@ def kernel_basis(rows):
             v[p] = -reduced.entries[i][j]
         basis.append(tuple(v))
     return basis
+
+
+def affine_dim(points) -> int:
+    """The dimension of the affine hull, -1 for no points: one less than the
+    rank of the rows (1, D*p), with the points cleared of denominators."""
+    return rank([(1, *row) for row in _cleared(list(points))[1]]) - 1
+
+
+def polytope_from_points(points) -> Polytope:
+    """The convex hull of a full-dimensional point set in R^d, with its
+    facets found by hyperplane search.
+
+    Every hyperplane through d of the points with all points on one side
+    supports a facet; its (normal, bound), scaled so the first nonzero
+    entry of the normal is +-1, is kept once.  A point is a vertex when the
+    normals of the facets tight at it have rank d, so no LP is solved.
+    """
+    pts = sorted({tuple(F(x) for x in p) for p in points})
+    d = len(pts[0])
+    found = {}
+    for combo in itertools.combinations(pts, d):
+        v0 = combo[0]
+        diffs = ([a - b for a, b in zip(p, v0)] for p in combo[1:])
+        kernel = kernel_int(map(enumerate, diffs), d)
+        if len(kernel) != 1:
+            continue
+        normal = [kernel[0][1].get(c, 0) for c in range(d)]
+        bound = dot(normal, v0)
+        sides = {(dot(v, normal) > bound) - (dot(v, normal) < bound) for v in pts}
+        if 1 in sides and -1 in sides:
+            continue
+        if -1 in sides:
+            normal = [-x for x in normal]
+            bound = -bound
+        scale = F(1, abs(next(x for x in normal if x)))
+        found[(tuple(x * scale for x in normal), bound * scale)] = None
+    halfspaces = tuple(found)
+    vertices = tuple(
+        v
+        for v in pts
+        if rank([n for n, b in halfspaces if dot(v, n) == b]) == d
+    )
+    return Polytope(vertices, halfspaces)

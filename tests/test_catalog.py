@@ -35,7 +35,7 @@ from toricbundle.catalog import (
 from toricbundle.errors import ChamberViolation, DegreeMismatch, NotDominant
 from toricbundle.galg import _unit, check_poincare
 from toricbundle.integrate import integrate_over_polytope, volume
-from toricbundle.polyhedral import VirtualPolytope, polytope_from_support
+from toricbundle.polyhedral import Polytope, VirtualPolytope, polytope_from_support
 from toricbundle.qpoly import QPolynomial
 
 
@@ -152,6 +152,32 @@ def test_gz_minkowski_additivity():
     assert gz_minkowski_additive(3, (1, 0), (0, 1))
     assert gz_minkowski_additive(3, (2, 1), (1, 3))
     assert gz_minkowski_additive(2, (3,), (4,))
+    assert gz_minkowski_additive(4, (1, 0, 2), (0, 1, 1))
+
+
+def test_gz_minkowski_additivity_tells_a_polytope_from_its_box(monkeypatch):
+    """GZ((1,2) + (2,1)) has 7 vertices and its bounding box 8; the two
+    have the same support values at every +-coordinate vector."""
+    real = catalog.gz_polytope
+
+    def boxed(n, lam):
+        data = real(n, lam)
+        if tuple(lam) != (3, 3):
+            return data
+        verts = data.polytope.vertices
+        lo = [min(c) for c in zip(*verts)]
+        hi = [max(c) for c in zip(*verts)]
+        unit = [tuple(int(i == j) for j in range(3)) for i in range(3)]
+        box = Polytope.from_halfspaces(
+            [(e, b) for e, b in zip(unit, hi)]
+            + [(tuple(-x for x in e), -a) for e, a in zip(unit, lo)],
+            3,
+        )
+        assert (len(verts), len(box.vertices)) == (7, 8)
+        return catalog.GZData(n, data.lam, box)
+
+    monkeypatch.setattr(catalog, "gz_polytope", boxed)
+    assert not gz_minkowski_additive(3, (1, 2), (2, 1))
 
 
 def test_gz_sl4():

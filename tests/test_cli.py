@@ -780,3 +780,14 @@ def test_intersect_expr_refuses_empty_factor_or_exponent(capsys, expr, message):
     assert message in err
     code, out, _ = run(capsys, "intersect", "p2_toric", "--expr=x1^2")
     assert code == 0 and out.startswith("x1^2 = 1\n")
+
+
+@pytest.mark.parametrize("expr", ["x1^+2", "x1^0_2", "x1^\u0662"])
+def test_intersect_expr_refuses_exponent_beyond_ascii_digits(capsys, expr):
+    """int() reads each of these exponents as 2, so they once printed
+    x1^2 = 1; a negative exponent keeps its own message."""
+    code, _, err = run(capsys, "intersect", "p2_toric", f"--expr={expr}")
+    assert code == 3
+    assert "is not in the digits 0-9" in err
+    code, _, err = run(capsys, "intersect", "p2_toric", "--expr=x1^-2")
+    assert code == 3 and "negative exponent" in err

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import det
+from helpers import affine_dim, det, polytope_from_points
 from toricbundle import cli, exactlin, integrate, polyhedral
 from toricbundle.bundle import (
     random_convex,
@@ -32,7 +32,6 @@ from toricbundle.errors import (
     VerificationFailed,
 )
 from toricbundle.integrate import (
-    SimplexChain,
     convex_anchor,
     convex_chain_identity_check,
     i_f_polynomial,
@@ -48,7 +47,6 @@ from toricbundle.integrate import (
 from toricbundle.polyhedral import (
     Polytope,
     VirtualPolytope,
-    affine_dim,
     cone_vertices,
     dot,
     is_convex_on,
@@ -110,42 +108,49 @@ def test_simplex_dimension_mismatch():
         integrate_over_simplex(ONE1, STD)
 
 
+def fraction_simplices(p):
+    """The simplices of :func:`triangulate` with their vertices as
+    Fractions."""
+    den, simplices = triangulate(p)
+    return tuple(tuple(tuple(F(x, den) for x in v) for v in s) for s in simplices)
+
+
 def test_triangulate_triangle_is_itself():
-    tri = Polytope.from_vertices(STD)
-    chain = triangulate(tri)
-    assert len(chain) == 1 and chain.signs == (1,)
+    tri = polytope_from_points(STD)
+    assert triangulate(tri) == (1, (((0, 0), (0, 1), (1, 0)),))
 
 
 def test_triangulate_square():
-    sq = Polytope.from_vertices([(0, 0), (1, 0), (0, 1), (1, 1)])
-    chain = triangulate(sq)
-    assert len(chain) == 2
-    total = sum(
-        (integrate_over_simplex(ONE2, s) for s in chain.simplices), F(0)
-    )
+    sq = polytope_from_points([(0, 0), (1, 0), (0, 1), (1, 1)])
+    simplices = fraction_simplices(sq)
+    assert len(simplices) == 2
+    total = sum((integrate_over_simplex(ONE2, s) for s in simplices), F(0))
     assert total == 1
 
 
 def test_triangulate_f1_quadrilateral():
     f1 = fan_f1()
     quad = polytope_from_support(f1, VirtualPolytope(f1, (1, 1, 1, 1)))
-    chain = triangulate(quad)
     # oracle: shoelace area of (1,1),(0,1),(-2,-1),(1,-1) = 4
-    assert len(chain) == 2
+    assert len(triangulate(quad)[1]) == 2
     assert volume(quad) == 4
 
 
 def test_triangulate_rejects_lower_dimensional():
-    seg = Polytope.from_vertices([(0, 0), (1, 1)])
+    """The diagonal segment 0 <= x1 = x2 <= 1 in the plane."""
+    seg = Polytope.from_halfspaces(
+        [((1, -1), 0), ((-1, 1), 0), ((1, 0), 1), ((-1, 0), 0)], 2
+    )
+    assert seg.vertices == ((0, 0), (1, 1))
     with pytest.raises(LowerDimensional):
         triangulate(seg)
     assert integrate_over_polytope(ONE2, seg) == 0
 
 
 def test_polytope_integrals():
-    sq = Polytope.from_vertices([(0, 0), (1, 0), (0, 1), (1, 1)])
+    sq = polytope_from_points([(0, 0), (1, 0), (0, 1), (1, 1)])
     assert integrate_over_polytope(ONE2, sq) == 1
-    tri = Polytope.from_vertices(STD)
+    tri = polytope_from_points(STD)
     assert integrate_over_polytope(X1 + X2, tri) == F(1, 3)
     p2 = fan_p2()
     big = polytope_from_support(p2, VirtualPolytope(p2, (0, 0, 3)))
@@ -156,9 +161,8 @@ def test_volume_additivity_over_any_triangulation():
     """Valuation property: simplex volumes sum to the polytope volume."""
     f1 = fan_f1()
     quad = polytope_from_support(f1, VirtualPolytope(f1, (2, 1, 1, 1)))
-    chain = triangulate(quad)
     assert sum(
-        (integrate_over_simplex(X1 * X2, s) for s in chain.simplices), F(0)
+        (integrate_over_simplex(X1 * X2, s) for s in fraction_simplices(quad)), F(0)
     ) == integrate_over_polytope(X1 * X2, quad)
 
 
@@ -507,7 +511,7 @@ def _triangulate_by_facet_search(p):
     def facets(verts):
         a = affine_dim(verts)
         out, seen = [], set()
-        for normal, bound in p.facet_halfspaces():
+        for normal, bound in p.halfspaces:
             sat = tuple(v for v in verts if dot(v, normal) == bound)
             if len(sat) < a or affine_dim(sat) != a - 1:
                 continue
@@ -570,9 +574,9 @@ def test_simplex_integral_matches_pullback(case):
     )
 )
 def test_triangulate_matches_facet_search_on_point_sets(points):
-    p = Polytope.from_vertices(points)
-    assume(affine_dim(p.vertices) == p.ambient_dim)
-    assert triangulate(p).simplices == _triangulate_by_facet_search(p)
+    assume(affine_dim(points) == len(points[0]))
+    p = polytope_from_points(points)
+    assert fraction_simplices(p) == _triangulate_by_facet_search(p)
 
 
 @settings(max_examples=60, deadline=None)
@@ -599,12 +603,12 @@ def test_integrate_over_polytope_matches_simplex_sum(case):
     the sum of the public simplex integrals, each cleared on its own."""
     points, terms = case
     d = len(points[0])
-    p = Polytope.from_vertices(points)
-    assume(affine_dim(p.vertices) == d)
+    assume(affine_dim(points) == d)
+    p = polytope_from_points(points)
     assume(len({x.denominator for v in p.vertices for x in v}) > 1)
     f = QPolynomial(tuple(f"x{i + 1}" for i in range(d)), terms)
     assert integrate_over_polytope(f, p) == sum(
-        (integrate_over_simplex(f, s) for s in triangulate(p).simplices), F(0)
+        (integrate_over_simplex(f, s) for s in fraction_simplices(p)), F(0)
     )
 
 
@@ -618,7 +622,7 @@ def test_integrate_over_polytope_matches_simplex_sum(case):
 )
 def test_triangulate_matches_facet_search_on_fans(fan, seed):
     p = polytope_from_support(fan, random_convex(fan, random.Random(seed)))
-    assert triangulate(p).simplices == _triangulate_by_facet_search(p)
+    assert fraction_simplices(p) == _triangulate_by_facet_search(p)
 
 
 def refined_octant_fan():
@@ -644,7 +648,7 @@ def test_triangulate_matches_facet_search_with_redundant_halfspace(sides):
         fan, VirtualPolytope(fan, tuple(sides) + (sides[0] + sides[1],))
     )
     assert len(p.vertices) == 8
-    assert triangulate(p).simplices == _triangulate_by_facet_search(p)
+    assert fraction_simplices(p) == _triangulate_by_facet_search(p)
 
 
 @settings(max_examples=10, deadline=None)
@@ -658,18 +662,18 @@ def test_triangulate_matches_facet_search_in_dimension_four(sides):
     halfspaces = [(e, s) for e, s in zip(unit, sides)]
     halfspaces += [(tuple(-x for x in e), 0) for e in unit]
     halfspaces.append(((1, 1, 0, 0), sides[0] + sides[1]))
-    p = Polytope.from_vertices(box, halfspaces, reduce=False)
-    assert triangulate(p).simplices == _triangulate_by_facet_search(p)
+    p = Polytope(tuple(box), halfspaces)
+    assert fraction_simplices(p) == _triangulate_by_facet_search(p)
 
 
 def test_triangulate_ignores_halfspace_with_non_integral_bound():
     """x1 + x2 <= -4/3 touches no vertex of the square [-3, -1]^2; its
     numerator -4 is the sum on the diagonal, which is no face."""
-    square = [(-3, -3), (-3, -1), (-1, -3), (-1, -1)]
+    square = ((-3, -3), (-3, -1), (-1, -3), (-1, -1))
     halfspaces = [((1, 0), -1), ((0, 1), -1), ((-1, 0), 3), ((0, -1), 3)]
-    p = Polytope.from_vertices(square, halfspaces + [((1, 1), F(-4, 3))])
-    assert triangulate(p).simplices == _triangulate_by_facet_search(p)
-    assert triangulate(p) == triangulate(Polytope.from_vertices(square, halfspaces))
+    p = Polytope(square, halfspaces + [((1, 1), F(-4, 3))])
+    assert fraction_simplices(p) == _triangulate_by_facet_search(p)
+    assert triangulate(p) == triangulate(Polytope(square, halfspaces))
 
 
 # ---------------------------------------------------------------------------
@@ -1053,7 +1057,7 @@ def _polytope_corner_box(fan, f, delta, ray_set, lams):
         ray = fan.rays[i]
         halfspaces.append((ray, delta.h[i] + max(lam, 0)))
         halfspaces.append(([-x for x in ray], -delta.h[i] - min(lam, 0)))
-    box = Polytope.from_vertices(corners, halfspaces, reduce=False)
+    box = Polytope(tuple(sorted(corners)), halfspaces)
     return integrate_over_polytope(f, box)
 
 

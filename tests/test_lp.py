@@ -160,30 +160,6 @@ def test_solve_inequalities_matches_fraction_tableau(system, data):
         assert all(sum(F(a) * y for a, y in zip(row, got)) == 0 for row in eq_rows)
 
 
-@settings(max_examples=200, deadline=None)
-@given(
-    st.integers(1, 3).flatmap(
-        lambda dim: st.tuples(
-            st.lists(entries, min_size=dim, max_size=dim),
-            st.lists(st.lists(entries, min_size=dim, max_size=dim), max_size=5),
-        )
-    )
-)
-def test_in_convex_hull_matches_fraction_tableau(case):
-    point, points = case
-    expected = bool(points) and (
-        fraction_feasible_nonneg(
-            [[F(p[d]) for p in points] for d in range(len(point))]
-            + [[F(1)] * len(points)],
-            [F(x) for x in point] + [F(1)],
-        )
-        is not None
-    )
-    assert _lp.in_convex_hull(point, points) == expected
-    if points:
-        assert _lp.in_convex_hull(points[0], points)
-
-
 # systems with two equal rows whose vertex depends on the tie-break: giving
 # ratio ties to the larger basis index ends elsewhere (the first at
 # (0, 1/7, 2/7, 3/7)).  Random systems rarely show this (under 1 in 200 of
@@ -211,9 +187,6 @@ def test_infeasible_and_empty_systems():
     assert _lp.feasible_nonneg([[0, 0]], [F(1, 3)]) is None
     assert _lp.solve_inequalities([[1], [-1]], [1, 1]) is None
     assert _lp.solve_inequalities([[F(1, 2), 0]], [1], [[0, 1]]) == [F(2), F(0)]
-    assert not _lp.in_convex_hull((1,), [])
-    assert not _lp.in_convex_hull((F(5, 2),), [(0,), (2,)])
-    assert _lp.in_convex_hull((F(3, 2),), [(0,), (2,)])
 
 
 def test_wall_rows_with_denominators_keep_the_fraction_witness():

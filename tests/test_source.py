@@ -3,6 +3,8 @@
 import ast
 from pathlib import Path
 
+import pytest
+
 import toricbundle
 
 SRC = Path(toricbundle.__file__).resolve().parent
@@ -129,16 +131,17 @@ def _wrapped_names() -> tuple[str, ...]:
     raise LookupError(f"no WRAPPED in {path}")
 
 
-def test_exactlin_has_no_dead_entry_points():
-    """Every public function and class of the exact-linear-algebra core has
-    a reader in the package or is a benchmark span, so no second route to an
-    operation outlives its last caller."""
+@pytest.mark.parametrize("module", ["exactlin", "integrate"])
+def test_no_dead_entry_points(module):
+    """Every public function and class of the exact-linear-algebra core and
+    of the integration layer has a reader in the package or is a benchmark
+    span, so no second route to an operation outlives its last caller."""
     trees = {
         path.stem: ast.parse(path.read_text(), filename=str(path))
         for path in sorted(SRC.glob("*.py"))
     }
-    found = _dead_entry_points("exactlin", trees, _wrapped_names())
-    assert not found, f"exactlin entry points nothing reads: {found}"
+    found = _dead_entry_points(module, trees, _wrapped_names())
+    assert not found, f"{module} entry points nothing reads: {found}"
 
 
 def test_dead_entry_point_rule_sees_an_unread_function():
