@@ -172,25 +172,24 @@ class RingReport:
 # ---------------------------------------------------------------------------
 
 
-def _chern_power(base: BaseData, xvars, columns, i: int):
-    """c(x)^i as a dict: degree-2i basis index -> polynomial coefficient."""
+def _chern_powers(base: BaseData, xvars, columns, top: int):
+    """[c(x)^0, ..., c(x)^top], each a dict: degree-2i basis index ->
+    polynomial coefficient; c(x)^i is built as c(x)^(i-1) * c(x)."""
     r = base.algebra
-    cur = {0: QPolynomial.constant(xvars, 1)}
-    deg = 0
-    for _ in range(i):
+    xs = [QPolynomial.variable(xvars, j) for j in range(len(columns))]
+    powers = [{0: QPolynomial.constant(xvars, 1)}]
+    for deg in range(0, 2 * top, 2):
         nxt: dict[int, QPolynomial] = {}
-        for u, poly in cur.items():
-            for j, col in enumerate(columns):
-                xj = QPolynomial.variable(xvars, j)
+        for u, poly in powers[-1].items():
+            for xj, col in zip(xs, columns):
                 for w, cw in enumerate(col):
                     if not cw:
                         continue
                     for t, cp in r.product_pairs(2, w, deg, u):
                         term = (cw * cp) * (xj * poly)
                         nxt[t] = nxt.get(t, QPolynomial.zero(xvars)) + term
-        cur = nxt
-        deg += 2
-    return cur
+        powers.append(nxt)
+    return powers
 
 
 def f_gamma(spec: BundleSpec, gamma: Vec, i: int) -> QPolynomial:
@@ -202,7 +201,15 @@ def f_gamma(spec: BundleSpec, gamma: Vec, i: int) -> QPolynomial:
     gdeg = base.k - 2 * i
     if gdeg < 0 or len(gamma) != base.algebra.dim(gdeg):
         raise DegreeMismatch("gamma must have degree k - 2i")
-    power = _chern_power(base, spec.x_vars, base.chern, i)
+    power = _chern_powers(base, spec.x_vars, base.chern, i)[i]
+    return _pair_with_power(spec, power, gamma, i)
+
+
+def _pair_with_power(spec: BundleSpec, power, gamma: Vec, i: int) -> QPolynomial:
+    """x |-> ell_B(power(x) * gamma) for ``power`` = c(x)^i as
+    :func:`_chern_powers` gives it and gamma of degree k - 2i, unchecked."""
+    base = spec.base
+    gdeg = base.k - 2 * i
     out = QPolynomial.zero(spec.x_vars)
     for t, poly in power.items():
         et = _unit(base.algebra.dim(2 * i), t)
@@ -231,6 +238,7 @@ def _monomial_values(spec: BundleSpec, scaled: bool):
     base = spec.base
     n, k = spec.n, spec.k
     values: dict[tuple[int, int, tuple[int, ...]], Fraction] = {}
+    powers = _chern_powers(base, spec.x_vars, base.chern, k // 2)
     for gdeg in range(0, k + 1, 2):
         if base.algebra.dim(gdeg) == 0:
             continue
@@ -238,7 +246,7 @@ def _monomial_values(spec: BundleSpec, scaled: bool):
         m = n + i
         for ridx in range(base.algebra.dim(gdeg)):
             gamma = _unit(base.algebra.dim(gdeg), ridx)
-            f = f_gamma(spec, gamma, i)
+            f = _pair_with_power(spec, powers[i], gamma, i)
             if not f:
                 poly = None
             else:
@@ -538,7 +546,7 @@ def horizontal_part(
     n = spec.n
     if 2 * i > spec.k:
         raise DegreeMismatch("2i exceeds the base dimension")
-    power = _chern_power(base, spec.x_vars, base.chern, i)
+    power = _chern_powers(base, spec.x_vars, base.chern, i)[i]
     scale = Fraction(factorial(n + i), factorial(i))
     b = [Fraction(0)] * base.algebra.dim(2 * i)
     for t, poly in power.items():
@@ -631,7 +639,7 @@ def self_intersection_polynomial(spec: BundleSpec) -> tuple[QPolynomial, list[in
     columns = list(spec.base.chern) + [
         _unit(spec.base.algebra.dim(2), u) for u in comp
     ]
-    power = _chern_power(spec.base, xvars, columns, s)
+    power = _chern_powers(spec.base, xvars, columns, s)[s]
     f_ext = QPolynomial.zero(xvars)
     for t, poly in power.items():
         et = _unit(spec.base.algebra.dim(2 * s), t)
@@ -640,20 +648,18 @@ def self_intersection_polynomial(spec: BundleSpec) -> tuple[QPolynomial, list[in
     hvars = tuple(f"h{i + 1}" for i in range(spec.fan.nrays))
     allvars = hvars + tuple(f"t{u + 1}" for u in range(len(comp)))
     # split off the t-monomials and integrate each x-part over the fan
-    by_tau: dict[tuple[int, ...], QPolynomial] = {}
+    by_tau: dict[tuple[int, ...], dict] = {}
     nx = spec.n
-    for expo, coeff in f_ext.terms.items():
-        tau = expo[nx:]
-        xpart = QPolynomial(spec.x_vars, {expo[:nx]: coeff})
-        by_tau[tau] = by_tau.get(tau, QPolynomial.zero(spec.x_vars)) + xpart
+    for expo, c in f_ext.num.items():
+        by_tau.setdefault(expo[nx:], {})[expo[:nx]] = c
     out = QPolynomial.zero(allvars)
-    for tau, fx in by_tau.items():
-        ih = i_f_polynomial(spec.fan, fx).embed(allvars)
-        tmono = QPolynomial(
-            allvars,
-            {(0,) * len(hvars) + tau: Fraction(1)},
+    for tau, num in by_tau.items():
+        fx = QPolynomial.from_numerators(spec.x_vars, num, f_ext.den)
+        ih = i_f_polynomial(spec.fan, fx)
+        # allvars is hvars then the t's: I_f times t^tau appends tau
+        out = out + QPolynomial.from_numerators(
+            allvars, {e + tau: c for e, c in ih.num.items()}, ih.den
         )
-        out = out + ih * tmono
     return out, comp
 
 

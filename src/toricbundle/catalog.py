@@ -209,7 +209,8 @@ def base_flag_sl(n: int) -> FlagBase:
             for i in subset:
                 term = term * ls[i]
             ej = ej + term
-        rel = {expo: (0, (c,)) for expo, c in ej.terms.items()}
+        # the weights are integral, so e_j is ej.num over ej.den == 1
+        rel = {expo: (0, (c,)) for expo, c in ej.num.items()}
         relations.append(rel)
     model = build_quotient(
         PresentedAlgebra(pt, names, tuple(relations), 2 * big_n + 2)

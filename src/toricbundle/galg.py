@@ -718,9 +718,11 @@ def _degree_classes(f: QPolynomial, j: int):
     alphas = monomials_of_degree(len(f.vars), j)
     rows: dict[tuple[int, ...], list] = {}  # target monomial -> (column, value)
     for t, alpha in enumerate(alphas):
-        image = apply_operator(QPolynomial(f.vars, {alpha: _ONE}), f)
-        for e, c in image.terms.items():
-            rows.setdefault(e, []).append((t, c))
+        image = apply_operator(QPolynomial.from_numerators(f.vars, {alpha: 1}), f)
+        # every column over f.den: M_j times f.den, which keeps its RREF
+        scale = f.den // image.den
+        for e, c in image.num.items():
+            rows.setdefault(e, []).append((t, c * scale))
     reduced = echelon_int(rows.values())
     classes = {alpha: () for alpha in alphas}
     for k, (p, row) in enumerate(reduced):
@@ -747,17 +749,17 @@ class AnnModel:
         the sum of c * class(d^alpha) over its terms c * x^alpha."""
         if op.vars != self.f.vars:
             raise DimensionMismatch("operator and polynomial over different variables")
-        degs = {sum(e) for e in op.terms}
+        degs = {sum(e) for e in op.num}
         if len(degs) != 1:
             raise NotHomogeneous("operator not homogeneous")
         j = degs.pop()
         if j > self.order:
             return 2 * j, ()
         out = [_ZERO] * len(self.op_basis[2 * j])
-        for alpha, c in op.terms.items():
+        for alpha, c in op.num.items():
             for i, x in self.classes[2 * j][alpha]:
                 out[i] += c * x
-        return 2 * j, tuple(out)
+        return 2 * j, tuple(x / op.den for x in out)
 
 
 def ann_quotient(f: QPolynomial, order: int) -> AnnModel:

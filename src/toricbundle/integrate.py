@@ -22,7 +22,7 @@ bounds.  The facets of a face are the inclusion-maximal proper, nonempty
 intersections of the face with those tight sets, so no rank is computed
 per face.  :func:`triangulate` returns the simplices on the cleared
 points with their one denominator, and the integer moment numerators of
-every simplex are summed before one Fraction is built per term of f.
+every simplex and term of f are summed before one Fraction is built.
 This direct integral is the oracle that checks everything else.  On P(h)
 (:func:`i_f_value`) it runs on integers from h to the moments, from the
 fan's cone vertices checked against <x, e_i> <= h_i, so wrong cone data
@@ -102,21 +102,23 @@ def _integral(f: QPolynomial, den: int, simplices) -> Fraction:
 
         |det S_k - S_0| * c * sum_b c_b prod_k b_k!  /  ((|a| + n)! D^{|a| + n}).
 
-    The denominator does not depend on the simplex, so the integer
-    numerators of a term are summed over all simplices first and one
-    Fraction is built per term of f.  Raises :class:`DimensionMismatch`
-    unless every simplex has n + 1 points, n the number of variables of f.
+    With f = sum c_a x^a / F on integer numerators, every term lies over
+    F (deg f + n)! D^(deg f + n), which does not depend on the simplex, so
+    the integer numerators are summed over all simplices and terms and one
+    Fraction is built per call.  Raises :class:`DimensionMismatch` unless
+    every simplex has n + 1 points, n the number of variables of f.
     """
     n = len(f.vars)
     if any(len(pts) != n + 1 for pts in simplices):
         raise DimensionMismatch("simplex/polynomial dimension mismatch")
     if n == 0:
         return Fraction(0)
-    terms = list(f.terms.items())
+    terms = list(f.num.items())
     moments = [0] * len(terms)
+    top = max(f.degree(), 0)
     # a monomial lambda^b is the int sum_k b_k * base**k; every b_k is at most
     # deg f < base, so adding keys multiplies monomials without carries
-    base = max(f.degree(), 0) + 1
+    base = top + 1
     for pts in simplices:
         v0 = pts[0]
         edges = [[a - b for a, b in zip(p, v0)] for p in pts[1:]]
@@ -142,13 +144,12 @@ def _integral(f: QPolynomial, den: int, simplices) -> Fraction:
                     c *= factorial(b)
                 moment += c
             moments[t] += scale * moment
-    total = Fraction(0)
+    d = top + n
+    total = 0
     for (expo, coeff), moment in zip(terms, moments):
-        d = sum(expo) + n
-        total += Fraction(
-            coeff.numerator * moment, coeff.denominator * factorial(d) * den**d
-        )
-    return total
+        k = sum(expo) + n
+        total += coeff * moment * (factorial(d) // factorial(k)) * den ** (d - k)
+    return Fraction(total, f.den * factorial(d) * den**d)
 
 
 def _times(p, q):
@@ -376,13 +377,14 @@ def i_f_polynomial(fan: Fan, f: QPolynomial) -> QPolynomial:
     :func:`_i_f_polynomial` once per (fan, f) and kept on the fan.
 
     I_f is a function of the fan and f alone, so the memo (the fan's
-    ``i_f_polynomials``, keyed by f, whose hash covers its variables and terms)
-    changes no value: the vertex sum and its three direct-integral
-    self-checks run on the first call only, and an error is raised before
-    anything is kept.  Sharing it between ring builders does not make
-    cross-validation circular: ``ring_via_sr`` never reads I_f, and the
-    ``sd`` and ``diff`` rings are each compared with ``sr``, not with each
-    other.  Callers must not mutate the polynomial returned.
+    ``i_f_polynomials``, keyed by f, which is kept in lowest terms, so equal
+    polynomials built by any route hash alike) changes no value: the vertex
+    sum and its three direct-integral self-checks run on the first call
+    only, and an error is raised before anything is kept.  Sharing it
+    between ring builders does not make cross-validation circular:
+    ``ring_via_sr`` never reads I_f, and the ``sd`` and ``diff`` rings are
+    each compared with ``sr``, not with each other.  Callers must not
+    mutate the polynomial returned.
     """
     memo = fan.i_f_polynomials
     poly = memo.get(f)
@@ -468,13 +470,14 @@ def _i_f_polynomial(fan: Fan, f: QPolynomial) -> QPolynomial:
                 expo = tuple(expo)
                 acc[expo] = acc.get(expo, 0) + v
     scale = common * factorial(d)
-    poly = QPolynomial(
+    poly = QPolynomial.from_numerators(
         hvars,
         {
-            mono: Fraction(acc[mono] * factorial(m), scale)
+            mono: acc[mono] * factorial(m)
             for mono in monomials_of_degree(s, d)
-            if acc.get(mono)
+            if mono in acc
         },
+        scale,
     )
 
     norm = max((sum(abs(x) for x in row) for row in fan.wall_rows), default=0)

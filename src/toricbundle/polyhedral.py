@@ -571,6 +571,6 @@ def support_function(p: Polytope, fan: Fan) -> VirtualPolytope:
     if not is_convex_on(fan, vp):
         raise FanTooCoarse("fan does not refine the normal fan")
     back = polytope_from_support(fan, vp)
-    if back.vertices != p.vertices:
+    if set(back.vertices) != set(p.vertices):
         raise FanTooCoarse("fan does not refine the normal fan")
     return vp

@@ -384,6 +384,9 @@ def test_support_function_examples():
     pp = fan_p1xp1()
     square = polytope_from_points([(0, 0), (1, 0), (0, 1), (1, 1)])
     assert support_function(square, pp).h == (1, 1, 0, 0)
+    # the vertices given out of order describe the same square
+    unsorted = Polytope(((1, 1), (0, 0), (0, 1), (1, 0)), square.halfspaces)
+    assert support_function(unsorted, pp).h == (1, 1, 0, 0)
     p2 = fan_p2()
     point = Polytope.from_halfspaces(
         [((1, 0), 2), ((-1, 0), -2), ((0, 1), 3), ((0, -1), -3)], 2

@@ -1,12 +1,14 @@
 """Polynomial arithmetic, substitution and the operator action."""
 
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toricbundle.errors import DimensionMismatch
+from helpers import FractionPolynomial, fraction_apply_operator
+from toricbundle.errors import DegreeMismatch, DimensionMismatch
 from toricbundle.qpoly import QPolynomial, apply_operator, monomials_of_degree
 
 XY = ("x", "y")
@@ -83,6 +85,13 @@ def test_operator_action_matches_repeated_partials(op, f):
     assert apply_operator(op, f) == expected
 
 
+@pytest.mark.parametrize("k", [0.5, 1.9, -1, F(2), "2"])
+def test_power_refuses_other_exponents(k):
+    x = QPolynomial.variable(XY, 0)
+    with pytest.raises(DegreeMismatch):
+        (x + 1) ** k
+
+
 def test_monomials_of_degree_count_and_order():
     ms = monomials_of_degree(3, 2)
     assert len(ms) == 6
@@ -94,3 +103,99 @@ def test_embed():
     x = QPolynomial.variable(("a",), 0)
     big = (x**2).embed(("z", "a"))
     assert big.coefficient((0, 2)) == 1
+
+
+# -- the integer representation against the Fraction-per-term oracle ------
+
+_coeffs = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+
+
+@st.composite
+def _spaces(draw, count):
+    """(vars, [terms, ...]): ``count`` random term dicts over one random
+    variable tuple, zero coefficients and all."""
+    vars = tuple(draw(st.lists(st.sampled_from("xyzuvw"), unique=True, max_size=3)))
+    expo = st.tuples(*[st.integers(0, 3)] * len(vars))
+    return vars, [
+        draw(st.dictionaries(expo, _coeffs, max_size=5)) for _ in range(count)
+    ]
+
+
+def _same(p, oracle):
+    """p is in canonical form and equals the oracle polynomial, term by term
+    and in repr."""
+    assert p.den > 0 and 0 not in p.num.values()
+    assert gcd(p.den, *p.num.values()) == 1 and (p.num or p.den == 1)
+    assert p.vars == oracle.vars
+    assert p.terms == oracle.terms
+    assert repr(p) == repr(oracle)
+
+
+def _both(vars, terms):
+    return QPolynomial(vars, terms), FractionPolynomial(vars, terms)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_spaces(2), _coeffs, st.integers(-3, 3), st.integers(0, 3), st.data())
+def test_integer_polynomial_matches_fraction_oracle(space, c, n, k, data):
+    vars, (t1, t2) = space
+    (p, po), (q, qo) = _both(vars, t1), _both(vars, t2)
+    _same(p, po)
+    _same(p + q, po + qo)
+    _same(p - q, po - qo)
+    _same(p + c, po + c)
+    _same(p - n, po - n)
+    _same(-p, -po)
+    _same(p * c, po * c)
+    _same(n * p, po * n)
+    _same(p * q, po * qo)
+    _same(p**k, po**k)
+    _same(apply_operator(p, q), fraction_apply_operator(po, qo))
+    for d in range(-1, 8):
+        _same(p.homogeneous_part(d), po.homogeneous_part(d))
+    assert p.degree() == po.degree()
+    assert p.is_homogeneous() == po.is_homogeneous()
+    point = data.draw(st.lists(_coeffs, min_size=len(vars), max_size=len(vars)))
+    assert p.evaluate(point) == po.evaluate(point)
+    for i in range(len(vars)):
+        _same(p.partial(i), po.partial(i))
+    for expo in list(t1) + [(0,) * len(vars)]:
+        assert p.coefficient(expo) == po.coefficient(expo)
+    wide = data.draw(st.permutations(vars + ("s", "t")))
+    _same(p.embed(wide), po.embed(wide))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_spaces(1), _spaces(3))
+def test_substitute_matches_fraction_oracle(source, target):
+    vars, (terms,) = source
+    tvars, images = target
+    images = images[: len(vars)]
+    p, po = _both(vars, terms)
+    got = p.substitute([QPolynomial(tvars, t) for t in images])
+    want = po.substitute([FractionPolynomial(tvars, t) for t in images])
+    _same(got, want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_spaces(2), _coeffs)
+def test_equal_polynomials_hash_alike(space, c):
+    """Equal polynomials built by different routes are equal and hash alike
+    (the I_f memo is keyed by polynomial)."""
+    vars, (t1, t2) = space
+    p, q = QPolynomial(vars, t1), QPolynomial(vars, t2)
+    routes = [
+        p,
+        (p + q) - q,
+        -(-p),
+        p * 3 - p * 2,
+        QPolynomial.from_numerators(
+            vars, {e: 6 * x for e, x in p.num.items()}, -6 * p.den
+        ) * -1,
+        QPolynomial(vars, p.terms),
+    ]
+    if c:
+        routes.append((p * c) * (1 / c))
+    for r in routes:
+        assert r == p and hash(r) == hash(p)
+        assert r.num == p.num and r.den == p.den

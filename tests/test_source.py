@@ -131,11 +131,12 @@ def _wrapped_names() -> tuple[str, ...]:
     raise LookupError(f"no WRAPPED in {path}")
 
 
-@pytest.mark.parametrize("module", ["exactlin", "integrate"])
+@pytest.mark.parametrize("module", ["exactlin", "integrate", "qpoly", "galg"])
 def test_no_dead_entry_points(module):
-    """Every public function and class of the exact-linear-algebra core and
-    of the integration layer has a reader in the package or is a benchmark
-    span, so no second route to an operation outlives its last caller."""
+    """Every public function and class of the exact-linear-algebra core, the
+    integration layer, the polynomial type and the graded algebras has a
+    reader in the package or is a benchmark span, so no second route to an
+    operation outlives its last caller."""
     trees = {
         path.stem: ast.parse(path.read_text(), filename=str(path))
         for path in sorted(SRC.glob("*.py"))
