@@ -12,13 +12,10 @@ from toricbundle.bundle import (
     BundleSpec,
     RingReport,
     cross_validate,
-    ell_functional,
     f_gamma,
-    horizontal_part,
     ring_via_diff,
     ring_via_sd,
     ring_via_sr,
-    self_intersection,
     verify_bkk,
 )
 from toricbundle.exactlin import QMatrix, rref, solve
@@ -34,14 +31,12 @@ from toricbundle.galg import (
 )
 from toricbundle.integrate import (
     integrate_over_polytope,
-    integrate_over_simplex,
     i_f_polynomial,
     mixed_integral,
     triangulate,
     volume,
 )
 from toricbundle.polyhedral import (
-    AffineVirtualPolytope,
     Fan,
     Polytope,
     VirtualPolytope,
@@ -51,7 +46,6 @@ from toricbundle.polyhedral import (
     is_projective,
     is_smooth,
     polytope_from_support,
-    support_function,
     validate_fan,
 )
 from toricbundle.qpoly import QPolynomial
@@ -63,7 +57,6 @@ __version__ = "0.1.0"
 kernel_backend = "python"
 
 __all__ = [
-    "AffineVirtualPolytope",
     "BaseData",
     "BundleSpec",
     "Fan",
@@ -79,14 +72,11 @@ __all__ = [
     "check_poincare",
     "cross_validate",
     "dual_vertex",
-    "ell_functional",
     "f_gamma",
     "frobenius_matrix",
     "graded_isomorphic",
-    "horizontal_part",
     "i_f_polynomial",
     "integrate_over_polytope",
-    "integrate_over_simplex",
     "is_complete",
     "is_convex_on",
     "is_projective",
@@ -99,9 +89,7 @@ __all__ = [
     "ring_via_sr",
     "rref",
     "sd_quotient",
-    "self_intersection",
     "solve",
-    "support_function",
     "triangulate",
     "validate_fan",
     "verify_bkk",

@@ -22,8 +22,13 @@ space is then built three independent ways:
 
 ``sr`` and ``sd`` are two quotients of one free algebra, so
 ``cross_validate`` checks that the radical equals the Sankaran-Uma ideal
-(equal quotient dimensions, and every relation multiple radical) and then
-that the two reports are equal.
+(equal quotient dimensions, and every relation radical) and then that the
+two reports are equal.  ``ring_via_sd`` checks its own classes against
+p^*c(lambda) = rho(lambda) (``cherneq_holds``).  The identity checks read
+the rings: ``verify_bkk`` is the BKK identity (n+i)! I_gamma(Delta) =
+i! ell(rho(Delta)^(n+i) p^*gamma) for one base class, and
+``ring_power_derivative_check`` is the square-free derivative of F_gamma,
+assembled from the sr ring, against its closed form.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, comb
+from math import factorial
 
 from toricbundle.errors import (
     AmbiguousLabel,
@@ -45,7 +50,6 @@ from toricbundle.errors import (
 )
 from toricbundle.exactlin import QMatrix, rref, solve
 from toricbundle.galg import (
-    AnnModel,
     FreeAlgebra,
     GradedAlgebra,
     PresentedAlgebra,
@@ -58,17 +62,14 @@ from toricbundle.galg import (
     ann_top_functional,
     build_quotient,
     check_poincare,
-    graded_isomorphic,
     product_keys,
     sd_quotient,
 )
 from toricbundle.integrate import (
     i_f_polynomial,
-    integral_over_virtual,
     mixed_integral,
 )
 from toricbundle.polyhedral import (
-    AffineVirtualPolytope,
     Fan,
     VirtualPolytope,
     dot,
@@ -228,12 +229,12 @@ def _free_algebra(spec: BundleSpec) -> FreeAlgebra:
     return FreeAlgebra(spec.base.algebra, spec.x_names, spec.top_degree)
 
 
-def _monomial_values(spec: BundleSpec, scaled: bool):
+def _monomial_values(spec: BundleSpec):
     """ell on the top-degree free monomials, from I_f-polynomial coefficients.
 
     The polarization of a homogeneous degree-m polynomial p = sum c_a h^a at
     the coordinate virtual polytopes with multiset b is b! c_b / m!; the
-    intersection-number ("scaled") variant multiplies by (n+i)!/i! = m!/i!.
+    intersection number is (n+i)!/i! = m!/i! times it, so b! c_b / i!.
     """
     base = spec.base
     n, k = spec.n, spec.k
@@ -258,35 +259,16 @@ def _monomial_values(spec: BundleSpec, scaled: bool):
                     bfact = 1
                     for e in beta_key:
                         bfact *= factorial(e)
-                    val = poly.coefficient(beta_key) * bfact
-                    val /= factorial(i) if scaled else factorial(m)
+                    val = poly.coefficient(beta_key) * bfact / factorial(i)
                 values[(gdeg, ridx, beta_key)] = val
     return values
 
 
-def _functional_from_values(free: FreeAlgebra, degree: int, values):
-    return TopFunctional(
-        free, degree, tuple(values[m] for m in free.monomials[degree])
-    )
-
-
-def ell_functional(spec: BundleSpec) -> TopFunctional:
-    """Plain polarized mixed integrals on top-degree free monomials.
-
-    Values are I_gamma polarized at coordinate virtual polytopes; see
-    ``intersection_functional`` for the variant carrying the BKK factors
-    (the two agree up to a global n! for a point base).
-    """
-    return _functional_from_values(
-        _free_algebra(spec), spec.top_degree, _monomial_values(spec, scaled=False)
-    )
-
-
 def intersection_functional(spec: BundleSpec, free: FreeAlgebra) -> TopFunctional:
     """Fundamental-class pairing on free top monomials: (n+i)!/i! * I-polarized."""
-    return _functional_from_values(
-        free, spec.top_degree, _monomial_values(spec, scaled=True)
-    )
+    values = _monomial_values(spec)
+    top = spec.top_degree
+    return TopFunctional(free, top, tuple(values[m] for m in free.monomials[top]))
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +281,12 @@ def _leray_hirsch_dim(spec: BundleSpec) -> int:
 
 
 def ring_via_sd(spec: BundleSpec) -> RingReport:
-    """Self-dual quotient of the free algebra by I(L_ell)."""
+    """Self-dual quotient of the free algebra by I(L_ell).
+
+    The linear relation L_t = p^*c(lambda_t) - rho(lambda_t) of each lattice
+    generator lies in the radical exactly when its class is 0, so the
+    generator classes are checked against :func:`cherneq_holds`.
+    """
     free = _free_algebra(spec)
     ell = intersection_functional(spec, free)
     sd = sd_quotient(free, ell)
@@ -308,7 +295,10 @@ def ring_via_sd(spec: BundleSpec) -> RingReport:
     gens = _generator_classes_quotient(
         spec, lambda *element: sd.project(*free.element(*element))
     )
-    return RingReport("sd", sd.algebra, sd.functional, gens, (free, sd))
+    report = RingReport("sd", sd.algebra, sd.functional, gens, (free, sd))
+    if not (check := cherneq_holds(spec, report)):
+        raise VerificationFailed(f"sd classes fail p^*c = rho at {check.detail}")
+    return report
 
 
 def sr_presentation(spec: BundleSpec) -> PresentedAlgebra:
@@ -423,10 +413,10 @@ def cross_validate(spec: BundleSpec) -> CrossValidation:
 
     The two builders run independently.  The paper's theorem is that the
     radical of the Frobenius form equals the Sankaran-Uma ideal I, and that
-    is checked first, degree by degree, as subspaces of the free algebra
-    R[x_1..x_s]: the two quotients have the same dimension, and every
-    multiple of a Sankaran-Uma relation by a free monomial projects to 0
-    under the sd reducer.  So I_d lies in the radical and has its
+    is checked first, as subspaces of the free algebra R[x_1..x_s]: the two
+    quotients have the same dimension in every degree, and every
+    Sankaran-Uma relation projects to 0 under the sd reducer of its degree.
+    The radical is an ideal, so it holds I; in each degree I_d has its
     dimension, hence equals it.  Two quotients of one free algebra by the
     same subspaces must then give equal reports, so the rest is equality,
     field by field:
@@ -438,18 +428,21 @@ def cross_validate(spec: BundleSpec) -> CrossValidation:
     """
     sd_rep = ring_via_sd(spec)
     sr_rep = ring_via_sr(spec)
-    sd = sd_rep.model[1]
-    free = sd_rep.model[0]
+    free, sd = sd_rep.model
     for d in range(0, spec.top_degree + 1, 2):
-        rad, rows = sd.reducers[d], []
-        for rel in sr_rep.model.presented.relations:
-            multipliers = free.monomials.get(d - _rel_degree(rel), [])
-            rows += _relation_rows(spec.base.algebra, rel, multipliers, free.column[d])
-        if len(rad.keep) != sr_rep.algebra.dim(d) or any(
-            rad.pairs(row.items()) for row in rows
-        ):
+        if len(sd.reducers[d].keep) != sr_rep.algebra.dim(d):
             return CrossValidation(
                 False, f"degree {d}: radical != Stanley-Reisner ideal"
+            )
+    one = free.monomials[0]
+    for j, rel in enumerate(sr_rep.model.presented.relations):
+        d = _rel_degree(rel)
+        if d > spec.top_degree:  # 0 in the truncated free algebra
+            continue
+        (row,) = _relation_rows(spec.base.algebra, rel, one, free.column[d])
+        if sd.reducers[d].pairs(row.items()):
+            return CrossValidation(
+                False, f"degree {d}: Sankaran-Uma relation {j} is not in the radical"
             )
 
     a, b = sd_rep.algebra, sr_rep.algebra
@@ -535,84 +528,6 @@ def verify_bkk(
     return lhs, rhs, lhs == rhs
 
 
-def horizontal_part(
-    spec: BundleSpec,
-    delta: VirtualPolytope,
-    i: int,
-    sr_report: RingReport | None = None,
-) -> Vec:
-    """b_{2i} = (n+i)!/i! * int_Delta c(x)^i, verified by its adjunction."""
-    base = spec.base
-    n = spec.n
-    if 2 * i > spec.k:
-        raise DegreeMismatch("2i exceeds the base dimension")
-    power = _chern_powers(base, spec.x_vars, base.chern, i)[i]
-    scale = Fraction(factorial(n + i), factorial(i))
-    b = [Fraction(0)] * base.algebra.dim(2 * i)
-    for t, poly in power.items():
-        b[t] = scale * integral_over_virtual(spec.fan, poly, delta)
-    b = tuple(b)
-
-    rep = sr_report or ring_via_sr(spec)
-    rho = rho_class(spec, rep, delta)
-    deg, vec = rep.algebra.power_of_element(2, rho, n + i)
-    gdeg = spec.k - 2 * i
-    for u in range(base.algebra.dim(gdeg)):
-        eta = _unit(base.algebra.dim(gdeg), u)
-        pg = pullback_class(spec, rep, gdeg, eta)
-        lhs = rep.functional.of(
-            spec.top_degree, rep.algebra.multiply(deg, vec, gdeg, pg)
-        )
-        rhs = base.orientation.of(
-            spec.k, base.algebra.multiply(2 * i, b, gdeg, eta)
-        )
-        if lhs != rhs:
-            raise VerificationFailed(
-                f"horizontal part fails adjunction at eta index {u}"
-            )
-    return b
-
-
-def self_intersection(
-    spec: BundleSpec,
-    bar_delta: AffineVirtualPolytope,
-    sr_report: RingReport | None = None,
-) -> Fraction:
-    """rho-bar(Delta)^{n+s} two ways: in the ring and by binomial integrals."""
-    s = spec.k // 2
-    n = spec.n
-    delta0 = bar_delta.virtual
-    gamma = bar_delta.shift
-    if len(gamma) != spec.base.algebra.dim(2):
-        raise DegreeMismatch("shift must be a degree-2 base class")
-
-    rep = sr_report or ring_via_sr(spec)
-    rho = list(rho_class(spec, rep, delta0))
-    pg = pullback_class(spec, rep, 2, gamma) if any(gamma) else None
-    if pg is not None:
-        rho = [a + b for a, b in zip(rho, pg)]
-    deg, vec = rep.algebra.power_of_element(2, tuple(rho), n + s)
-    route_ring = rep.functional.of(spec.top_degree, vec)
-
-    total = Fraction(0)
-    gpow_deg, gpow = 0, (Fraction(1),)
-    for i in range(s + 1):
-        f = f_gamma(spec, gpow, s - i)
-        term = integral_over_virtual(spec.fan, f, delta0) if f else Fraction(0)
-        total += comb(s, i) * term
-        gpow_deg, gpow = (
-            gpow_deg + 2,
-            spec.base.algebra.multiply(gpow_deg, gpow, 2, gamma),
-        )
-    route_integral = Fraction(factorial(n + s), factorial(s)) * total
-
-    if route_ring != route_integral:
-        raise VerificationFailed(
-            f"self-intersection disagreement: {route_ring} vs {route_integral}"
-        )
-    return route_ring
-
-
 # ---------------------------------------------------------------------------
 # differential-operator builder
 # ---------------------------------------------------------------------------
@@ -682,7 +597,6 @@ def ring_via_diff(spec: BundleSpec) -> RingReport:
     if not check_poincare(alg, ell):
         raise VerificationFailed("diff quotient not Poincare")
     gens: dict[str, tuple[int, Vec]] = {}
-    nvars = len(ipoly.vars)
     for i, name in enumerate(spec.x_names):
         op = QPolynomial.variable(ipoly.vars, i)
         gens[name] = model.operator_class(op)
@@ -693,40 +607,18 @@ def ring_via_diff(spec: BundleSpec) -> RingReport:
     return RingReport("diff", alg, ell, gens, model)
 
 
-def diff_matches_sr(spec: BundleSpec) -> bool:
-    """Graded isomorphism of the operator model with the SR ring.
-
-    The degree-2 map sends the class of d/dh_i to x_i and the class of each
-    complement direction to the pullback of the matching base class.
-    """
-    diff_rep = ring_via_diff(spec)
-    sr_rep = ring_via_sr(spec)
-    if diff_rep.dims() != sr_rep.dims():
-        return False
-    model: AnnModel = diff_rep.model
-    # the sr generators matching the operator family (h's then t's)
-    labels = spec.base.algebra.labels.get(2, ())
-    names = list(spec.x_names)
-    names += [f"base:{labels[u]}" for u in complement_basis(spec.base)]
-    gen_rows = [
-        list(sr_rep.generator_classes[names[alpha.index(1)]][1])
-        for alpha in model.op_basis[2]
-    ]
-    return graded_isomorphic(diff_rep.algebra, sr_rep.algebra, gen_rows)
-
-
-def cherneq_holds(spec: BundleSpec, sr_report: RingReport | None = None) -> bool:
-    """p^* c(lambda) = rho(lambda) in the SR ring, per lattice generator."""
-    rep = sr_report or ring_via_sr(spec)
-    xs = [rep.generator_classes[name][1] for name in spec.x_names]
+def cherneq_holds(spec: BundleSpec, report: RingReport) -> CrossValidation:
+    """p^* c(lambda) = rho(lambda) among the generator classes of a report,
+    per lattice generator; the detail names the first generator that fails."""
+    xs = [report.generator_classes[name][1] for name in spec.x_names]
     base_labels = spec.base.algebra.labels.get(2, ())
-    us = [rep.generator_classes[f"base:{label}"][1] for label in base_labels]
+    us = [report.generator_classes[f"base:{label}"][1] for label in base_labels]
     for t in range(spec.n):
         terms = [(ray[t], x) for ray, x in zip(spec.fan.rays, xs)]
         terms += [(-c, u) for c, u in zip(spec.base.chern[t], us)]
-        if any(sum(c * v[j] for c, v in terms) for j in range(rep.algebra.dim(2))):
-            return False
-    return True
+        if any(sum(c * v[j] for c, v in terms) for j in range(report.algebra.dim(2))):
+            return CrossValidation(False, f"lattice generator t={t}")
+    return CrossValidation(True)
 
 
 def ring_power_derivative_check(
@@ -735,15 +627,15 @@ def ring_power_derivative_check(
     i: int,
     delta: VirtualPolytope,
     ray_set,
-    sr_report: RingReport | None = None,
+    sr_report: RingReport,
 ) -> bool:
     """d_I of F_gamma in h-coordinates, against the closed form.
 
     F_gamma(h) = sum_beta multinomial(beta) ell(x^beta p^* gamma) h^beta is
-    assembled symbolically from the ring; its square-free derivative must
-    vanish off cones and equal (n+i)!/i! f_gamma(dual vertex) on them.
+    assembled symbolically from the sr ring; its square-free derivative must
+    vanish off cones and equal (n+i)!/i! f_gamma(dual vertex) on maximal
+    cones.  A set I that spans a smaller cone raises ``DegreeMismatch``.
     """
-    rep = sr_report or ring_via_sr(spec)
     n, m = spec.n, spec.n + i
     gdeg = spec.k - 2 * i
     hvars = tuple(f"h{j + 1}" for j in range(spec.fan.nrays))
@@ -752,8 +644,8 @@ def ring_power_derivative_check(
         coeff = factorial(m)
         for e in beta:
             coeff //= factorial(e)
-        val = rep.functional.of(
-            spec.top_degree, rep.model.class_of(beta, gdeg, gamma)
+        val = sr_report.functional.of(
+            spec.top_degree, sr_report.model.class_of(beta, gdeg, gamma)
         )
         if val:
             terms[beta] = coeff * val
@@ -764,7 +656,7 @@ def ring_power_derivative_check(
     if not spec.fan.spans_cone(ray_set):
         return value == 0
     if len(ray_set) != n:
-        return True
+        raise DegreeMismatch(f"rays {tuple(ray_set)} span a cone of dimension < {n}")
     a = dual_vertex(spec.fan, tuple(sorted(ray_set)), delta.h)
     f = f_gamma(spec, gamma, i)
     expected = Fraction(factorial(n + i), factorial(i)) * f.evaluate(a)

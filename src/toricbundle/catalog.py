@@ -23,7 +23,6 @@ from toricbundle.bundle import (
     ring_via_sr,
 )
 from toricbundle.errors import (
-    ChamberViolation,
     DegreeMismatch,
     NotDominant,
     VerificationFailed,
@@ -36,19 +35,8 @@ from toricbundle.galg import (
     build_quotient,
     product_keys,
 )
-from toricbundle.integrate import (
-    integral_over_virtual,
-    integrate_over_polytope,
-    volume,
-)
-from toricbundle.polyhedral import (
-    Fan,
-    Polytope,
-    VirtualPolytope,
-    dot,
-    polytope_from_support,
-    validate_fan,
-)
+from toricbundle.integrate import integral_over_virtual, volume
+from toricbundle.polyhedral import Fan, Polytope, VirtualPolytope, validate_fan
 from toricbundle.qpoly import QPolynomial
 
 Vec = tuple[Fraction, ...]
@@ -348,29 +336,14 @@ def gz_volume_check(n: int, lam) -> bool:
     return volume(data.polytope) == weyl_top_polynomial_sl(n).evaluate(lam)
 
 
-def gz_minkowski_additive(n: int, lam, mu) -> bool:
-    """Support vectors of GZ polytopes add: h_{GZ(l+m)} = h_{GZ l} + h_{GZ m}.
-
-    Checked on support values at the facet normals of the three polytopes:
-    every GZ polytope is cut out by the same interlacing normals, with
-    bounds linear in the weight.  The values at the +-coordinate vectors
-    would pin only the bounding boxes.
-    """
-    polys = [
-        gz_polytope(n, w).polytope for w in (lam, mu, [a + b for a, b in zip(lam, mu)])
-    ]
-    normals = {normal for p in polys for normal, _ in p.halfspaces}
-    p_l, p_m, p_s = polys
-    return all(
-        max(dot(v, a) for v in p_l.vertices) + max(dot(v, a) for v in p_m.vertices)
-        == max(dot(v, a) for v in p_s.vertices)
-        for a in normals
-    )
-
-
 # ---------------------------------------------------------------------------
 # flag bundle specs and the Brion-Kazarnovskii identity
 # ---------------------------------------------------------------------------
+
+
+def _identity_basis(n: int, fan: Fan) -> list[list[int]]:
+    """The first fan.dim fundamental weights: the default ``lam_basis``."""
+    return [[int(i == j) for j in range(n - 1)] for i in range(fan.dim)]
 
 
 def flag_bundle_spec(n: int, fan: Fan, lam_basis=None, name="") -> BundleSpec:
@@ -382,9 +355,7 @@ def flag_bundle_spec(n: int, fan: Fan, lam_basis=None, name="") -> BundleSpec:
     """
     flag = base_flag_sl(n)
     if lam_basis is None:
-        lam_basis = [
-            [int(i == j) for j in range(n - 1)] for i in range(fan.dim)
-        ]
+        lam_basis = _identity_basis(n, fan)
     chern = tuple(flag.weight_class(row) for row in lam_basis)
     base = BaseData(flag.base.algebra, flag.base.orientation, chern)
     return BundleSpec(base, fan, name or f"flag_sl{n}")
@@ -407,9 +378,7 @@ def brion_kazarnovskii_check(
     """
     spec = spec or flag_bundle_spec(n, fan, lam_basis)
     if lam_basis is None:
-        lam_basis = [
-            [int(i == j) for j in range(n - 1)] for i in range(fan.dim)
-        ]
+        lam_basis = _identity_basis(n, fan)
     big_n = n * (n - 1) // 2
     rep = sr_report or ring_via_sr(spec)
 
@@ -435,37 +404,6 @@ def brion_kazarnovskii_check(
         spec.fan, fw_restricted, delta
     )
     return lhs, rhs, lhs == rhs
-
-
-def string_lift_volume(n: int, fan: Fan, delta: VirtualPolytope) -> Fraction:
-    """Lifted Gelfand-Zetlin volume over a chamber-interior polytope.
-
-    Two pipelines, checked equal (``VerificationFailed`` otherwise): the
-    weighted integral int_Delta f_W, and the honest volume of
-    {(x, y) : x in Delta, y in GZ(x)} from its combined H-representation.
-    """
-    if not 2 <= n <= 3:
-        raise ValueError("string lift implemented for n = 2, 3")
-    p = polytope_from_support(fan, delta)
-    if any(any(c <= 0 for c in v) for v in p.vertices):
-        raise ChamberViolation("polytope leaves the open positive chamber")
-    fw = weyl_top_polynomial_sl(n)
-    direct = integrate_over_polytope(fw, p)
-
-    rank = n - 1
-    dim = rank + n * (n - 1) // 2
-    halfspaces = [
-        ([Fraction(x) for x in ray] + [Fraction(0)] * (dim - rank), h)
-        for ray, h in zip(fan.rays, delta.h)
-    ]
-    # top row: the partition coordinates lambda'_c = x_c + ... + x_{rank-1}
-    top = [([int(t >= c) for t in range(rank)], 0) for c in range(n)]
-    halfspaces += _interlacing(n, top, rank)
-    lifted = Polytope.from_halfspaces(halfspaces, dim)
-    lifted_vol = volume(lifted)
-    if direct != lifted_vol:
-        raise VerificationFailed(f"lift mismatch: {direct} vs {lifted_vol}")
-    return direct
 
 
 # ---------------------------------------------------------------------------

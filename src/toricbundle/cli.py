@@ -31,6 +31,7 @@ from toricbundle.bundle import (
     cross_validate,
     random_convex,
     random_virtual,
+    ring_power_derivative_check,
     ring_via_diff,
     ring_via_sd,
     ring_via_sr,
@@ -197,11 +198,14 @@ def _ider_integrands(spec):
 
 
 def _suite_ider(spec: BundleSpec, rng, count, lines) -> bool:
+    """d_I I_f per integrand, then d_I F_gamma read off one sr ring per base
+    basis class gamma, for every set I of n rays."""
     ok = True
     fan = spec.fan
+    subsets = list(itertools.combinations(range(fan.nrays), fan.dim))
     for fname, f in _ider_integrands(spec):
         delta = random_convex(fan, rng)
-        for subset in itertools.combinations(range(fan.nrays), fan.dim):
+        for subset in subsets:
             try:
                 val = square_free_derivative_check(fan, f, delta, subset)
                 good = True
@@ -214,6 +218,17 @@ def _suite_ider(spec: BundleSpec, rng, count, lines) -> bool:
                 f"ider f={fname} I={subset}",
                 f"d_I I_f = {val}",
             )
+    rep = ring_via_sr(spec)
+    delta = random_convex(fan, rng)
+    alg = spec.base.algebra
+    for gdeg in range(0, spec.k + 1, 2):
+        for ridx, label in enumerate(alg.labels.get(gdeg, ())):
+            gamma = _unit(alg.dim(gdeg), ridx)
+            for subset in subsets:
+                good = ring_power_derivative_check(
+                    spec, gamma, (spec.k - gdeg) // 2, delta, subset, rep
+                )
+                ok &= _emit(lines, good, f"ider ring gamma={label} I={subset}")
     return ok
 
 

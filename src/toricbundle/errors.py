@@ -35,10 +35,6 @@ class NotConvex(ToricBundleError):
     """Support vector is not convex on the fan."""
 
 
-class FanTooCoarse(ToricBundleError):
-    """The fan does not refine the normal fan of the polytope."""
-
-
 class LowerDimensional(ToricBundleError):
     """Polytope is not full-dimensional in its ambient space."""
 
@@ -91,7 +87,3 @@ class AmbiguousLabel(ToricBundleError):
 
 class NotDominant(ToricBundleError):
     pass
-
-
-class ChamberViolation(ToricBundleError):
-    """Polytope leaves the open positive Weyl chamber."""

@@ -29,7 +29,8 @@ odd cohomology), so no Koszul signs appear anywhere.  The module provides
   and ``check_poincare`` checks full rank in degrees k <= n/2 only, the rest
   being transposes;
 * the differential-operator model Diff(V)/Ann(f): one RREF per degree of
-  the images d^alpha f, whose pivot columns are the basis operators and
+  the images d^alpha f, read off the terms of f (a term x^e feeds only the
+  columns alpha <= e), whose pivot columns are the basis operators and
   whose column alpha is the class of d^alpha, so products are lookups;
 * graded isomorphism checking by multiplicative extension of a degree-2 map.
 """
@@ -39,8 +40,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, lcm, prod
-from operator import add
+from math import factorial, lcm, perm, prod
+from operator import add, sub
 
 from toricbundle.errors import (
     DimensionMismatch,
@@ -62,7 +63,7 @@ from toricbundle.exactlin import (
     rank,
     rref,
 )
-from toricbundle.qpoly import QPolynomial, apply_operator, monomials_of_degree
+from toricbundle.qpoly import QPolynomial, monomials_of_degree
 
 Vec = tuple[Fraction, ...]
 
@@ -707,22 +708,36 @@ def build_quotient(p: PresentedAlgebra) -> QuotientModel:
 # ---------------------------------------------------------------------------
 
 
+def _orders_below(e: tuple[int, ...], j: int):
+    """The exponent tuples alpha <= e (entrywise) with |alpha| = j."""
+    if not e:
+        if j == 0:
+            yield ()
+        return
+    for a in range(min(e[0], j), max(j - sum(e[1:]), 0) - 1, -1):
+        for rest in _orders_below(e[1:], j - a):
+            yield (a,) + rest
+
+
 def _degree_classes(f: QPolynomial, j: int):
     """(basis, classes) of degree 2j, from the RREF of the matrix M_j whose
     columns are the images d^alpha f of the order-j monomials, in order.
 
-    The pivot columns are the first alphas with independent images: the
-    basis.  Column alpha holds the coordinates of d^alpha f on the basis
-    images, the class of d^alpha; kernel row k is RREF row k times its pivot.
+    M_j is read off the terms of f, times f.den (which keeps its RREF): a
+    term c x^e / f.den feeds only the columns alpha <= e, with the entry
+    c * e!/(e - alpha)! in row e - alpha.  The pivot columns are the first
+    alphas with independent images: the basis.  Column alpha holds the
+    coordinates of d^alpha f on the basis images, the class of d^alpha;
+    kernel row k is RREF row k times its pivot.
     """
     alphas = monomials_of_degree(len(f.vars), j)
+    column = {alpha: t for t, alpha in enumerate(alphas)}
     rows: dict[tuple[int, ...], list] = {}  # target monomial -> (column, value)
-    for t, alpha in enumerate(alphas):
-        image = apply_operator(QPolynomial.from_numerators(f.vars, {alpha: 1}), f)
-        # every column over f.den: M_j times f.den, which keeps its RREF
-        scale = f.den // image.den
-        for e, c in image.num.items():
-            rows.setdefault(e, []).append((t, c * scale))
+    for e, c in f.num.items():
+        for alpha in _orders_below(e, j):
+            rows.setdefault(tuple(map(sub, e, alpha)), []).append(
+                (column[alpha], c * prod(map(perm, e, alpha)))
+            )
     reduced = echelon_int(rows.values())
     classes = {alpha: () for alpha in alphas}
     for k, (p, row) in enumerate(reduced):

@@ -78,19 +78,6 @@ from toricbundle.qpoly import (
 )
 
 
-def integrate_over_simplex(f: QPolynomial, simplex) -> Fraction:
-    """Exact integral of f over an n-simplex given by n+1 vertices.
-
-    The vertex coordinates (ints or Fractions) are cleared of denominators
-    once, s_k = S_k / D with S integer, and :func:`_integral` sums the
-    Dirichlet moments of the integer simplex.
-    """
-    if any(len(v) != len(simplex) - 1 for v in simplex):
-        raise DimensionMismatch("simplex/polynomial dimension mismatch")
-    den, pts = _cleared(simplex)
-    return _integral(f, den, [pts])
-
-
 def _integral(f: QPolynomial, den: int, simplices) -> Fraction:
     """Sum of the integrals of f over n-simplices given by integer points:
     the vertices of each are s_k = S_k / D, with D = ``den``.

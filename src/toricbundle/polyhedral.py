@@ -23,7 +23,6 @@ from toricbundle.errors import (
     BadFaceIntersection,
     DegenerateCone,
     FanError,
-    FanTooCoarse,
     NonPrimitiveRay,
     NotConvex,
     NotPure,
@@ -441,22 +440,6 @@ class VirtualPolytope:
         return cls(fan, tuple(h))
 
 
-@dataclass(frozen=True)
-class AffineVirtualPolytope:
-    """A virtual polytope plus a shift in a complement space.
-
-    The shift coordinates live in whatever complement the consumer declares
-    (degree-2 base classes for bundle computations); only its length is kept
-    here.
-    """
-
-    virtual: VirtualPolytope
-    shift: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "shift", tuple(Fraction(x) for x in self.shift))
-
-
 # ---------------------------------------------------------------------------
 # polytopes
 # ---------------------------------------------------------------------------
@@ -560,17 +543,3 @@ def polytope_from_support(fan: Fan, vp: VirtualPolytope) -> Polytope:
         (tuple(Fraction(x) for x in ray), vp.h[i]) for i, ray in enumerate(fan.rays)
     )
     return Polytope(verts, hs)
-
-
-def support_function(p: Polytope, fan: Fan) -> VirtualPolytope:
-    """Support values of p at the fan's rays, with round-trip verification."""
-    if p.is_empty():
-        raise FanTooCoarse("empty polytope has no support function")
-    h = tuple(max(dot(v, ray) for v in p.vertices) for ray in fan.rays)
-    vp = VirtualPolytope(fan, h)
-    if not is_convex_on(fan, vp):
-        raise FanTooCoarse("fan does not refine the normal fan")
-    back = polytope_from_support(fan, vp)
-    if set(back.vertices) != set(p.vertices):
-        raise FanTooCoarse("fan does not refine the normal fan")
-    return vp

@@ -6,17 +6,18 @@ int, in lowest terms (gcd(den, *num.values()) == 1, and den == 1 for the
 zero polynomial).  So equal polynomials have equal fields and hash alike,
 and the arithmetic runs on ints: ``Fraction`` appears only at constructor
 input, :meth:`~QPolynomial.coefficient`, :meth:`~QPolynomial.evaluate`, the
-read-only :attr:`~QPolynomial.terms` view and ``repr``.  The same object
-doubles as a constant-coefficient differential operator:
-``apply_operator`` reads the exponents as orders of partial derivatives.
+read-only :attr:`~QPolynomial.terms` view and ``repr``.  A polynomial
+also names a constant-coefficient differential operator, its exponents the
+orders of partial derivatives; ``galg`` applies such operators to f by
+reading the terms of f.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import gcd, lcm, perm, prod
-from operator import add, le, sub
+from math import gcd, lcm
+from operator import add
 
 from toricbundle.errors import DegreeMismatch, DimensionMismatch, NotHomogeneous
 
@@ -260,24 +261,6 @@ class QPolynomial:
                 e[p] = k
             num[tuple(e)] = c
         return QPolynomial.from_numerators(vars, num, self.den)
-
-
-def apply_operator(op: QPolynomial, f: QPolynomial) -> QPolynomial:
-    """Apply ``op`` read as a constant-coefficient differential operator.
-
-    A term c * x^alpha of ``op`` acts as c * d^alpha/dx^alpha: it takes x^e
-    to e!/(e - alpha)! * x^(e - alpha) when alpha <= e, and to 0 otherwise.
-    The integer numerators of the result lie over ``op.den * f.den``.
-    """
-    if op.vars != f.vars:
-        raise DimensionMismatch("operator and polynomial over different variables")
-    out: dict[tuple[int, ...], int] = {}
-    for alpha, c in op.num.items():
-        for expo, coeff in f.num.items():
-            if all(map(le, alpha, expo)):
-                new = tuple(map(sub, expo, alpha))
-                out[new] = out.get(new, 0) + c * coeff * prod(map(perm, expo, alpha))
-    return QPolynomial.from_numerators(f.vars, out, op.den * f.den)
 
 
 @cache

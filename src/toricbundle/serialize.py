@@ -47,13 +47,6 @@ def unrat(pair) -> Fraction:
 # -- fans ---------------------------------------------------------------------
 
 
-def fan_to_dict(fan: Fan) -> dict:
-    return {
-        "rays": [list(r) for r in fan.rays],
-        "max_cones": [list(c) for c in fan.max_cones],
-    }
-
-
 def fan_from_dict(data: dict) -> Fan:
     return validate_fan(data["rays"], data["max_cones"])
 
@@ -73,28 +66,6 @@ def _product_entries(alg: GradedAlgebra) -> list[dict]:
                 {"a": alg.labels[a][i], "b": alg.labels[b][j], "result": result}
             )
     return entries
-
-
-def base_to_dict(base: BaseData) -> dict:
-    alg = base.algebra
-    basis = {str(d): list(alg.labels[d]) for d in alg.degrees()}
-    orientation = [
-        rat(c) + [alg.labels[base.orientation.degree][t]]
-        for t, c in enumerate(base.orientation.values)
-        if c
-    ]
-    out = {
-        "top_degree": alg.top,
-        "basis": basis,
-        "products": _product_entries(alg),
-        "orientation": orientation,
-    }
-    if base.chern:
-        out["chern"] = [
-            [rat(c) + [alg.labels[2][t]] for t, c in enumerate(col) if c]
-            for col in base.chern
-        ]
-    return out
 
 
 def base_from_dict(data: dict) -> BaseData:
@@ -145,10 +116,6 @@ def base_from_dict(data: dict) -> BaseData:
 
 
 # -- bundle specs --------------------------------------------------------------
-
-
-def spec_to_dict(spec: BundleSpec) -> dict:
-    return {"base": base_to_dict(spec.base), "fan": fan_to_dict(spec.fan)}
 
 
 def spec_from_dict(data: dict, name: str = "") -> BundleSpec:

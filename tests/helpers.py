@@ -2,13 +2,61 @@
 package routines that tests keep as oracles."""
 
 import itertools
+from dataclasses import dataclass
 from fractions import Fraction as F
-from math import lcm, perm, prod
+from math import comb, factorial, lcm, perm, prod
 from operator import le, sub
 
-from toricbundle.errors import DimensionMismatch
-from toricbundle.exactlin import QMatrix, _cleared, det_int, kernel_int, rank, rref
-from toricbundle.polyhedral import Polytope, dot
+from toricbundle.bundle import (
+    BaseData,
+    BundleSpec,
+    RingReport,
+    _chern_powers,
+    complement_basis,
+    f_gamma,
+    pullback_class,
+    rho_class,
+    ring_via_diff,
+    ring_via_sr,
+)
+from toricbundle.catalog import _interlacing, gz_polytope, weyl_top_polynomial_sl
+from toricbundle.errors import (
+    DegreeMismatch,
+    DimensionMismatch,
+    ToricBundleError,
+    VerificationFailed,
+)
+from toricbundle.exactlin import (
+    QMatrix,
+    _cleared,
+    det_int,
+    echelon_int,
+    kernel_int,
+    rank,
+    rref,
+)
+from toricbundle.galg import (
+    _rel_degree,
+    _relation_rows,
+    _unit,
+    graded_isomorphic,
+)
+from toricbundle.integrate import (
+    _integral,
+    integral_over_virtual,
+    integrate_over_polytope,
+    volume,
+)
+from toricbundle.polyhedral import (
+    Fan,
+    Polytope,
+    VirtualPolytope,
+    dot,
+    is_convex_on,
+    polytope_from_support,
+)
+from toricbundle.qpoly import QPolynomial, monomials_of_degree
+from toricbundle.serialize import _product_entries, rat
 
 
 def int_rows(reducer):
@@ -230,7 +278,7 @@ class FractionPolynomial:
 
 
 def fraction_apply_operator(op: FractionPolynomial, f: FractionPolynomial):
-    """``qpoly.apply_operator`` on :class:`FractionPolynomial` terms."""
+    """:func:`apply_operator` on :class:`FractionPolynomial` terms."""
     out = {}
     for alpha, c in op.terms.items():
         for expo, coeff in f.terms.items():
@@ -238,3 +286,298 @@ def fraction_apply_operator(op: FractionPolynomial, f: FractionPolynomial):
                 new = tuple(map(sub, expo, alpha))
                 out[new] = out.get(new, 0) + c * coeff * prod(map(perm, expo, alpha))
     return FractionPolynomial(f.vars, out)
+
+
+def apply_operator(op: QPolynomial, f: QPolynomial) -> QPolynomial:
+    """Apply ``op`` read as a constant-coefficient differential operator.
+
+    A term c * x^alpha of ``op`` acts as c * d^alpha/dx^alpha: it takes x^e
+    to e!/(e - alpha)! * x^(e - alpha) when alpha <= e, and to 0 otherwise.
+    The integer numerators of the result lie over ``op.den * f.den``.
+    """
+    if op.vars != f.vars:
+        raise DimensionMismatch("operator and polynomial over different variables")
+    out: dict[tuple[int, ...], int] = {}
+    for alpha, c in op.num.items():
+        for expo, coeff in f.num.items():
+            if all(map(le, alpha, expo)):
+                new = tuple(map(sub, expo, alpha))
+                out[new] = out.get(new, 0) + c * coeff * prod(map(perm, expo, alpha))
+    return QPolynomial.from_numerators(f.vars, out, op.den * f.den)
+
+
+def column_degree_classes(f: QPolynomial, j: int):
+    """``galg._degree_classes`` built column by column, as the package did
+    before it read M_j off the terms of f: one :func:`apply_operator` image
+    per order-j monomial alpha, every column over f.den."""
+    alphas = monomials_of_degree(len(f.vars), j)
+    rows: dict[tuple[int, ...], list] = {}
+    for t, alpha in enumerate(alphas):
+        image = apply_operator(QPolynomial.from_numerators(f.vars, {alpha: 1}), f)
+        scale = f.den // image.den
+        for e, c in image.num.items():
+            rows.setdefault(e, []).append((t, c * scale))
+    reduced = echelon_int(rows.values())
+    classes = {alpha: () for alpha in alphas}
+    for k, (p, row) in enumerate(reduced):
+        for t, x in row.items():
+            classes[alphas[t]] += ((k, F(x, row[p])),)
+    return [alphas[p] for p, _ in reduced], classes
+
+
+def integrate_over_simplex(f: QPolynomial, simplex) -> F:
+    """Exact integral of f over an n-simplex given by n+1 vertices.
+
+    The vertex coordinates (ints or Fractions) are cleared of denominators
+    once, s_k = S_k / D with S integer, and ``integrate._integral`` sums the
+    Dirichlet moments of the integer simplex.
+    """
+    if any(len(v) != len(simplex) - 1 for v in simplex):
+        raise DimensionMismatch("simplex/polynomial dimension mismatch")
+    den, pts = _cleared(simplex)
+    return _integral(f, den, [pts])
+
+
+class FanTooCoarse(ToricBundleError):
+    """The fan does not refine the normal fan of the polytope."""
+
+
+def support_function(p: Polytope, fan: Fan) -> VirtualPolytope:
+    """Support values of p at the fan's rays, with round-trip verification."""
+    if p.is_empty():
+        raise FanTooCoarse("empty polytope has no support function")
+    h = tuple(max(dot(v, ray) for v in p.vertices) for ray in fan.rays)
+    vp = VirtualPolytope(fan, h)
+    if not is_convex_on(fan, vp):
+        raise FanTooCoarse("fan does not refine the normal fan")
+    back = polytope_from_support(fan, vp)
+    if set(back.vertices) != set(p.vertices):
+        raise FanTooCoarse("fan does not refine the normal fan")
+    return vp
+
+
+def fan_to_dict(fan: Fan) -> dict:
+    """The JSON fan object that ``serialize.fan_from_dict`` reads."""
+    return {
+        "rays": [list(r) for r in fan.rays],
+        "max_cones": [list(c) for c in fan.max_cones],
+    }
+
+
+def base_to_dict(base: BaseData) -> dict:
+    """The JSON base object that ``serialize.base_from_dict`` reads."""
+    alg = base.algebra
+    basis = {str(d): list(alg.labels[d]) for d in alg.degrees()}
+    orientation = [
+        rat(c) + [alg.labels[base.orientation.degree][t]]
+        for t, c in enumerate(base.orientation.values)
+        if c
+    ]
+    out = {
+        "top_degree": alg.top,
+        "basis": basis,
+        "products": _product_entries(alg),
+        "orientation": orientation,
+    }
+    if base.chern:
+        out["chern"] = [
+            [rat(c) + [alg.labels[2][t]] for t, c in enumerate(col) if c]
+            for col in base.chern
+        ]
+    return out
+
+
+def spec_to_dict(spec: BundleSpec) -> dict:
+    """The JSON bundle object that ``serialize.spec_from_dict`` reads."""
+    return {"base": base_to_dict(spec.base), "fan": fan_to_dict(spec.fan)}
+
+
+# -- corollaries of the per-basis BKK identity ---------------------------------
+
+
+def horizontal_part(
+    spec: BundleSpec,
+    delta: VirtualPolytope,
+    i: int,
+    sr_report: RingReport | None = None,
+):
+    """b_{2i} = (n+i)!/i! * int_Delta c(x)^i, verified by its adjunction:
+    ell(rho(Delta)^(n+i) p^*eta) = ell_B(b_{2i} eta) for every basis class
+    eta of degree k - 2i, which is the BKK identity at eta."""
+    base = spec.base
+    n = spec.n
+    if 2 * i > spec.k:
+        raise DegreeMismatch("2i exceeds the base dimension")
+    power = _chern_powers(base, spec.x_vars, base.chern, i)[i]
+    scale = F(factorial(n + i), factorial(i))
+    b = [F(0)] * base.algebra.dim(2 * i)
+    for t, poly in power.items():
+        b[t] = scale * integral_over_virtual(spec.fan, poly, delta)
+    b = tuple(b)
+
+    rep = sr_report or ring_via_sr(spec)
+    rho = rho_class(spec, rep, delta)
+    deg, vec = rep.algebra.power_of_element(2, rho, n + i)
+    gdeg = spec.k - 2 * i
+    for u in range(base.algebra.dim(gdeg)):
+        eta = _unit(base.algebra.dim(gdeg), u)
+        pg = pullback_class(spec, rep, gdeg, eta)
+        lhs = rep.functional.of(
+            spec.top_degree, rep.algebra.multiply(deg, vec, gdeg, pg)
+        )
+        rhs = base.orientation.of(
+            spec.k, base.algebra.multiply(2 * i, b, gdeg, eta)
+        )
+        if lhs != rhs:
+            raise VerificationFailed(
+                f"horizontal part fails adjunction at eta index {u}"
+            )
+    return b
+
+
+@dataclass(frozen=True)
+class AffineVirtualPolytope:
+    """A virtual polytope plus a shift by degree-2 base classes."""
+
+    virtual: VirtualPolytope
+    shift: tuple[F, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "shift", tuple(F(x) for x in self.shift))
+
+
+def self_intersection(
+    spec: BundleSpec,
+    bar_delta: AffineVirtualPolytope,
+    sr_report: RingReport | None = None,
+) -> F:
+    """rho-bar(Delta)^{n+s} two ways: in the ring and by binomial integrals,
+    the binomial sum of the BKK identity over the powers of the shift."""
+    s = spec.k // 2
+    n = spec.n
+    delta0 = bar_delta.virtual
+    gamma = bar_delta.shift
+    if len(gamma) != spec.base.algebra.dim(2):
+        raise DegreeMismatch("shift must be a degree-2 base class")
+
+    rep = sr_report or ring_via_sr(spec)
+    rho = list(rho_class(spec, rep, delta0))
+    pg = pullback_class(spec, rep, 2, gamma) if any(gamma) else None
+    if pg is not None:
+        rho = [a + b for a, b in zip(rho, pg)]
+    deg, vec = rep.algebra.power_of_element(2, tuple(rho), n + s)
+    route_ring = rep.functional.of(spec.top_degree, vec)
+
+    total = F(0)
+    gpow_deg, gpow = 0, (F(1),)
+    for i in range(s + 1):
+        f = f_gamma(spec, gpow, s - i)
+        term = integral_over_virtual(spec.fan, f, delta0) if f else F(0)
+        total += comb(s, i) * term
+        gpow_deg, gpow = (
+            gpow_deg + 2,
+            spec.base.algebra.multiply(gpow_deg, gpow, 2, gamma),
+        )
+    route_integral = F(factorial(n + s), factorial(s)) * total
+
+    if route_ring != route_integral:
+        raise VerificationFailed(
+            f"self-intersection disagreement: {route_ring} vs {route_integral}"
+        )
+    return route_ring
+
+
+# -- ring comparisons that cross_validate and the builders replaced ------------
+
+
+def diff_matches_sr(spec: BundleSpec) -> bool:
+    """Graded isomorphism of the operator model with the SR ring.
+
+    The degree-2 map sends the class of d/dh_i to x_i and the class of each
+    complement direction to the pullback of the matching base class.
+    """
+    diff_rep = ring_via_diff(spec)
+    sr_rep = ring_via_sr(spec)
+    if diff_rep.dims() != sr_rep.dims():
+        return False
+    # the sr generators matching the operator family (h's then t's)
+    labels = spec.base.algebra.labels.get(2, ())
+    names = list(spec.x_names)
+    names += [f"base:{labels[u]}" for u in complement_basis(spec.base)]
+    gen_rows = [
+        list(sr_rep.generator_classes[names[alpha.index(1)]][1])
+        for alpha in diff_rep.model.op_basis[2]
+    ]
+    return graded_isomorphic(diff_rep.algebra, sr_rep.algebra, gen_rows)
+
+
+def radical_holds_relation_multiples(spec, sd_report, sr_report) -> bool:
+    """Every multiple of a Sankaran-Uma relation by a free monomial, in every
+    degree up to the top, projects to 0 under the sd reducer of its degree:
+    the ideal containment ``cross_validate`` reads off the relations alone."""
+    free, sd = sd_report.model
+    for d in range(0, spec.top_degree + 1, 2):
+        for rel in sr_report.model.presented.relations:
+            multipliers = free.monomials.get(d - _rel_degree(rel), [])
+            rows = _relation_rows(spec.base.algebra, rel, multipliers, free.column[d])
+            if any(sd.reducers[d].pairs(row.items()) for row in rows):
+                return False
+    return True
+
+
+# -- Gelfand-Zetlin checks ------------------------------------------------------
+
+
+def gz_minkowski_additive(n: int, lam, mu) -> bool:
+    """Support vectors of GZ polytopes add: h_{GZ(l+m)} = h_{GZ l} + h_{GZ m}.
+
+    Checked on support values at the facet normals of the three polytopes:
+    every GZ polytope is cut out by the same interlacing normals, with
+    bounds linear in the weight.  The values at the +-coordinate vectors
+    would pin only the bounding boxes.
+    """
+    polys = [
+        gz_polytope(n, w).polytope for w in (lam, mu, [a + b for a, b in zip(lam, mu)])
+    ]
+    normals = {normal for p in polys for normal, _ in p.halfspaces}
+    p_l, p_m, p_s = polys
+    return all(
+        max(dot(v, a) for v in p_l.vertices) + max(dot(v, a) for v in p_m.vertices)
+        == max(dot(v, a) for v in p_s.vertices)
+        for a in normals
+    )
+
+
+class ChamberViolation(ToricBundleError):
+    """Polytope leaves the open positive Weyl chamber."""
+
+
+def string_lift_volume(n: int, fan: Fan, delta: VirtualPolytope) -> F:
+    """Lifted Gelfand-Zetlin volume over a chamber-interior polytope.
+
+    Two pipelines, checked equal (``VerificationFailed`` otherwise): the
+    weighted integral int_Delta f_W, and the honest volume of
+    {(x, y) : x in Delta, y in GZ(x)} from its combined H-representation.
+    """
+    if not 2 <= n <= 3:
+        raise ValueError("string lift implemented for n = 2, 3")
+    p = polytope_from_support(fan, delta)
+    if any(any(c <= 0 for c in v) for v in p.vertices):
+        raise ChamberViolation("polytope leaves the open positive chamber")
+    fw = weyl_top_polynomial_sl(n)
+    direct = integrate_over_polytope(fw, p)
+
+    rk = n - 1
+    dim = rk + n * (n - 1) // 2
+    halfspaces = [
+        ([F(x) for x in ray] + [F(0)] * (dim - rk), h)
+        for ray, h in zip(fan.rays, delta.h)
+    ]
+    # top row: the partition coordinates lambda'_c = x_c + ... + x_{rk-1}
+    top = [([int(t >= c) for t in range(rk)], 0) for c in range(n)]
+    halfspaces += _interlacing(n, top, rk)
+    lifted = Polytope.from_halfspaces(halfspaces, dim)
+    lifted_vol = volume(lifted)
+    if direct != lifted_vol:
+        raise VerificationFailed(f"lift mismatch: {direct} vs {lifted_vol}")
+    return direct

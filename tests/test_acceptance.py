@@ -10,14 +10,13 @@ import time
 from fractions import Fraction as F
 from math import factorial
 
+from helpers import AffineVirtualPolytope, diff_matches_sr, self_intersection
 from toricbundle.bundle import (
     cross_validate,
-    diff_matches_sr,
     random_convex,
     random_virtual,
     ring_via_sr,
     rho_class,
-    self_intersection,
     verify_bkk,
 )
 from toricbundle.catalog import (
@@ -48,11 +47,7 @@ from toricbundle.integrate import (
     integrate_over_polytope,
     square_free_derivative_check,
 )
-from toricbundle.polyhedral import (
-    AffineVirtualPolytope,
-    VirtualPolytope,
-    polytope_from_support,
-)
+from toricbundle.polyhedral import VirtualPolytope, polytope_from_support
 from toricbundle.qpoly import QPolynomial
 
 

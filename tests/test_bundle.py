@@ -2,25 +2,30 @@
 
 import random
 from fractions import Fraction as F
+from math import factorial
 
 import pytest
 
-from helpers import int_rows
+from helpers import (
+    AffineVirtualPolytope,
+    diff_matches_sr,
+    horizontal_part,
+    int_rows,
+    radical_holds_relation_multiples,
+    self_intersection,
+)
 from toricbundle.bundle import (
     _free_algebra,
     cherneq_holds,
     cross_validate,
-    diff_matches_sr,
-    ell_functional,
     f_gamma,
-    horizontal_part,
+    intersection_functional,
     random_convex,
     random_virtual,
     ring_power_derivative_check,
     ring_via_diff,
     ring_via_sd,
     ring_via_sr,
-    self_intersection,
     self_intersection_polynomial,
     squarefree_evaluate,
     verify_bkk,
@@ -29,7 +34,7 @@ from toricbundle.catalog import SPECS, fan_p1xp1, flag_bundle_spec
 from toricbundle.errors import DegreeMismatch
 from toricbundle.galg import FreeAlgebra, _unit
 from toricbundle.integrate import mixed_integral
-from toricbundle.polyhedral import AffineVirtualPolytope, VirtualPolytope
+from toricbundle.polyhedral import VirtualPolytope
 
 
 def hirzebruch():
@@ -56,27 +61,35 @@ def test_f_gamma_degree_mismatch():
         f_gamma(spec, (F(1),), 2)
 
 
+def plain_ell(spec):
+    """The plain polarized mixed integrals on the top free monomials: the
+    intersection functional times i!/(n+i)! on a monomial whose base part
+    has degree k - 2i."""
+    free = _free_algebra(spec)
+    ell = intersection_functional(spec, free)
+    out = {}
+    for (rdeg, ridx, beta), v in zip(free.monomials[spec.top_degree], ell.values):
+        i = (spec.k - rdeg) // 2
+        out[(rdeg, ridx, beta)] = v * F(factorial(i), factorial(spec.n + i))
+    return out
+
+
 def test_ell_functional_p2_values():
     """Plain mixed-integral functional: frozen polarization values."""
-    spec = SPECS["p2_toric"]()
-    ell = ell_functional(spec)
-    by_mono = dict(zip(_free_algebra(spec).monomials[4], ell.values))
+    by_mono = plain_ell(SPECS["p2_toric"]())
     assert by_mono[(0, 0, (1, 1, 0))] == F(1, 2)
     assert by_mono[(0, 0, (2, 0, 0))] == F(1, 2)
 
 
 def test_ell_functional_hirzebruch_value():
-    spec = hirzebruch()
-    ell = ell_functional(spec)
-    by_mono = dict(zip(_free_algebra(spec).monomials[4], ell.values))
+    by_mono = plain_ell(hirzebruch())
     assert by_mono[(0, 0, (2, 0))] == F(1, 2)
 
 
 def test_ell_matches_inclusion_exclusion_route():
     """Dual route: coefficient formula against 2^m forward differences."""
     spec = SPECS["p1xp1_over_p1"]()
-    ell = ell_functional(spec)
-    by_mono = dict(zip(_free_algebra(spec).monomials[spec.top_degree], ell.values))
+    by_mono = plain_ell(spec)
     rng = random.Random(9)
     samples = rng.sample(list(by_mono), 5)
     for rdeg, ridx, beta in samples:
@@ -252,30 +265,69 @@ def test_cross_validate_reports_radical_mismatch(monkeypatch):
     assert result.detail == "degree 4: radical != Stanley-Reisner ideal"
 
 
-def test_cross_validate_reports_radical_row_outside_ideal(monkeypatch):
-    """A radical row moved off the Stanley-Reisner ideal, with the degree's
-    dimension unchanged, is reported in that degree: some relation multiple
-    no longer projects to 0."""
+def _shifted_rows(monkeypatch, degree, which):
+    """Patch ``bundle.sd_quotient`` so that the radical rows of ``degree``
+    at the positions ``which`` (all rows for None) gain their pivot entry at
+    the first standard column: the degree keeps its dimension, but the
+    rows leave the radical."""
     from toricbundle import bundle
     from toricbundle.exactlin import Reducer
 
     real = bundle.sd_quotient
-    spec = SPECS["p2_rank2"]()
 
-    def shifted_row(b, ell):
+    def shifted(b, ell):
         sd = real(b, ell)
-        red = sd.reducers[4]
+        red = sd.reducers[degree]
         rows = [(p, dict(r)) for p, r in zip(red.pivots, int_rows(red))]
-        p, row = rows[0]
-        row[red.keep[0]] = row.get(red.keep[0], 0) + row[p]
-        sd.reducers[4] = Reducer(rows, b.dim(4))
-        assert sd.reducers[4].keep == red.keep
+        for k, (p, row) in enumerate(rows):
+            if which is None or k in which:
+                row[red.keep[0]] = row.get(red.keep[0], 0) + row[p]
+        sd.reducers[degree] = Reducer(rows, b.dim(degree))
+        assert sd.reducers[degree].keep == red.keep
         return sd
 
-    monkeypatch.setattr(bundle, "sd_quotient", shifted_row)
-    result = cross_validate(spec)
+    monkeypatch.setattr(bundle, "sd_quotient", shifted)
+
+
+def test_cross_validate_reports_radical_row_outside_ideal(monkeypatch):
+    """Radical rows moved off the Stanley-Reisner ideal in the degree of its
+    monomial generator x1*x2*x3, with the degree's dimension unchanged, are
+    reported in that degree: the relation no longer projects to 0."""
+    _shifted_rows(monkeypatch, 6, None)
+    result = cross_validate(SPECS["p2_rank2"]())
     assert not result
-    assert result.detail == "degree 4: radical != Stanley-Reisner ideal"
+    assert result.detail == "degree 6: Sankaran-Uma relation 0 is not in the radical"
+
+
+def test_cross_validate_reports_one_radical_row_outside_ideal(monkeypatch):
+    """One radical row moved off the ideal, with every dimension equal, is
+    reported at the degree and index of the relation it loses."""
+    _shifted_rows(monkeypatch, 4, {1})
+    result = cross_validate(hirzebruch())
+    assert not result
+    assert result.detail == "degree 4: Sankaran-Uma relation 0 is not in the radical"
+
+
+def test_relation_multiples_oracle_agrees_on_the_catalog():
+    """On every catalog spec every relation multiple is radical, as
+    cross_validate concludes from the relations alone."""
+    for name, make in SPECS.items():
+        spec = make()
+        assert radical_holds_relation_multiples(
+            spec, ring_via_sd(spec), ring_via_sr(spec)
+        ), name
+
+
+def test_relation_multiples_oracle_sees_a_degree_without_generators(monkeypatch):
+    """A radical row moved off the ideal in degree 4 of p2_rank2, where no
+    Sankaran-Uma relation lives, fails the all-multiples oracle; the sd ring
+    itself, built before the row moved, is unchanged."""
+    from toricbundle import bundle
+
+    _shifted_rows(monkeypatch, 4, {0})
+    spec = SPECS["p2_rank2"]()
+    sd_rep = bundle.ring_via_sd(spec)
+    assert not radical_holds_relation_multiples(spec, sd_rep, ring_via_sr(spec))
 
 
 def test_cross_validate_reports_generator_class(monkeypatch):
@@ -335,7 +387,7 @@ def test_cross_validate_compares_by_equality(monkeypatch):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(bundle, "graded_isomorphic", counting)
+    assert not hasattr(bundle, "graded_isomorphic")
     monkeypatch.setattr(galg, "graded_isomorphic", counting)
     for spec in (hirzebruch(), _gapped_base_spec(), SPECS["p2_rank2"]()):
         assert cross_validate(spec)
@@ -488,7 +540,43 @@ def test_diff_matches_sr_flag_sl3():
 
 def test_cherneq_identity():
     for name in ("hirzebruch_1", "p1xp1_over_p1", "p2_rank2"):
-        assert cherneq_holds(SPECS[name]())
+        spec = SPECS[name]()
+        assert cherneq_holds(spec, ring_via_sr(spec))
+        assert cherneq_holds(spec, ring_via_sd(spec))
+
+
+def _doubled_x1(gens):
+    d, vec = gens["x1"]
+    return {**gens, "x1": (d, tuple(2 * c for c in vec))}
+
+
+def test_cherneq_names_the_failing_generator():
+    """A doubled x1 class breaks p^*c(lambda) = rho(lambda) at the lattice
+    generator t = 0, the only one on which x1's ray (1, 0) pairs nonzero."""
+    import dataclasses
+
+    spec = SPECS["p1xp1_over_p1"]()
+    rep = ring_via_sr(spec)
+    bad = dataclasses.replace(rep, generator_classes=_doubled_x1(rep.generator_classes))
+    result = cherneq_holds(spec, bad)
+    assert not result
+    assert result.detail == "lattice generator t=0"
+
+
+def test_ring_via_sd_checks_its_generator_classes(monkeypatch):
+    """ring_via_sd raises, naming the lattice generator, when its own
+    classes fail p^*c(lambda) = rho(lambda)."""
+    from toricbundle import bundle
+    from toricbundle.errors import VerificationFailed
+
+    real = bundle._generator_classes_quotient
+    monkeypatch.setattr(
+        bundle,
+        "_generator_classes_quotient",
+        lambda spec, class_of: _doubled_x1(real(spec, class_of)),
+    )
+    with pytest.raises(VerificationFailed, match="at lattice generator t=0$"):
+        ring_via_sd(SPECS["p1xp1_over_p1"]())
 
 
 def test_ring_power_derivative_oracle():

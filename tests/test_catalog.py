@@ -7,6 +7,8 @@ from math import factorial
 
 import pytest
 
+import helpers
+from helpers import ChamberViolation, gz_minkowski_additive, string_lift_volume
 from toricbundle import catalog
 from toricbundle.bundle import random_convex, random_virtual, ring_via_sr
 from toricbundle.catalog import (
@@ -24,15 +26,13 @@ from toricbundle.catalog import (
     fan_projective_space,
     flag_bundle_spec,
     gz_lattice_points,
-    gz_minkowski_additive,
     gz_polytope,
     gz_volume_check,
     projective_bundle_check,
-    string_lift_volume,
     weyl_dimension,
     weyl_top_polynomial_sl,
 )
-from toricbundle.errors import ChamberViolation, DegreeMismatch, NotDominant
+from toricbundle.errors import DegreeMismatch, NotDominant
 from toricbundle.galg import _unit, check_poincare
 from toricbundle.integrate import integrate_over_polytope, volume
 from toricbundle.polyhedral import Polytope, VirtualPolytope, polytope_from_support
@@ -176,7 +176,7 @@ def test_gz_minkowski_additivity_tells_a_polytope_from_its_box(monkeypatch):
         assert (len(verts), len(box.vertices)) == (7, 8)
         return catalog.GZData(n, data.lam, box)
 
-    monkeypatch.setattr(catalog, "gz_polytope", boxed)
+    monkeypatch.setattr(helpers, "gz_polytope", boxed)
     assert not gz_minkowski_additive(3, (1, 2), (2, 1))
 
 
@@ -302,11 +302,10 @@ def test_string_lift_matches_ring_power():
 
 def test_string_lift_mismatch_raises(monkeypatch):
     """The two volume pipelines are compared explicitly, not asserted."""
-    from toricbundle import catalog
     from toricbundle.errors import VerificationFailed
 
-    real = catalog.volume
-    monkeypatch.setattr(catalog, "volume", lambda p: 2 * real(p))
+    real = helpers.volume
+    monkeypatch.setattr(helpers, "volume", lambda p: 2 * real(p))
     p1 = fan_p1()
     with pytest.raises(VerificationFailed, match="lift mismatch"):
         string_lift_volume(2, p1, VirtualPolytope(p1, (2, -1)))

@@ -11,10 +11,11 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import toricbundle
+from helpers import spec_to_dict
 from toricbundle import galg
 from toricbundle.catalog import FANS, SPECS
 from toricbundle.cli import SUITES, main
-from toricbundle.serialize import spec_from_dict, spec_to_dict
+from toricbundle.serialize import spec_from_dict
 
 
 def run(capsys, *argv):
@@ -509,32 +510,30 @@ def test_verify_ider_doubled_integrand_exit_1_under_optimize():
     assert any(line.startswith("FAIL ider") for line in lines)
 
 
-# doubles the binomial-integral route of self_intersection, not the ring route
-_DOUBLED_VIRTUAL_INTEGRAL = """
-import sys
-from toricbundle import bundle
-from toricbundle.catalog import SPECS
-from toricbundle.errors import VerificationFailed
-from toricbundle.polyhedral import AffineVirtualPolytope, VirtualPolytope
-real = bundle.integral_over_virtual
-bundle.integral_over_virtual = lambda fan, f, vp: 2 * real(fan, f, vp)
-spec = SPECS["p2_toric"]()
-delta = AffineVirtualPolytope(VirtualPolytope(spec.fan, (1, 1, 1)), ())
-try:
-    value = bundle.self_intersection(spec, delta)
-except VerificationFailed as exc:
-    print(exc)
-    sys.exit(0)
-print("returned", value)
-sys.exit(2)
+# doubles the top functional of every sr ring the ider suite reads: d_I F_gamma
+# on a cone is then twice (n+i)!/i! f_gamma at its vertex
+_DOUBLED_SR_FUNCTIONAL = """
+import dataclasses, sys
+from toricbundle import cli
+real = cli.ring_via_sr
+def doubled(spec):
+    rep = real(spec)
+    return dataclasses.replace(rep, functional=rep.functional.scale(2))
+cli.ring_via_sr = doubled
+sys.exit(cli.main(["verify", "p2_rank2", "--suite", "ider"]))
 """
 
 
-def test_self_intersection_two_routes_checked_under_optimize():
-    """The two-route self-intersection check is explicit, so -O keeps it."""
-    proc = run_optimized(_DOUBLED_VIRTUAL_INTEGRAL)
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "self-intersection disagreement" in proc.stdout
+def test_verify_ider_ring_doubled_functional_exit_1_under_optimize():
+    """The ider ring lines compare d_I F_gamma with its closed form
+    explicitly, so -O keeps them: those with a nonzero closed form fail,
+    and the d_I I_f lines, which read no ring, still pass."""
+    proc = run_optimized(_DOUBLED_SR_FUNCTIONAL)
+    assert proc.returncode == 1, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[-1] == "RESULT: FAIL"
+    failed = [line for line in lines if line.startswith("FAIL")]
+    assert failed and all(line.startswith("FAIL ider ring gamma=") for line in failed)
 
 
 @pytest.mark.parametrize(

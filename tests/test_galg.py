@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import int_rows, kernel_basis
+from helpers import apply_operator, column_degree_classes, int_rows, kernel_basis
 from toricbundle import galg
 from toricbundle.bundle import _free_algebra, intersection_functional
 from toricbundle.catalog import SPECS
@@ -45,7 +45,7 @@ from toricbundle.galg import (
     product_keys,
     sd_quotient,
 )
-from toricbundle.qpoly import QPolynomial, apply_operator, monomials_of_degree
+from toricbundle.qpoly import QPolynomial, monomials_of_degree
 
 PT = GradedAlgebra(0, {0: ("1",)}, {})
 
@@ -786,6 +786,16 @@ def _greedy_ann_model(f, order):
         return solve(images[2 * j], rhs)
 
     return basis, operator_class
+
+
+@settings(max_examples=150, deadline=None)
+@given(operators_on_forms())
+def test_degree_classes_match_column_construction(case):
+    """M_j read off the terms of f gives the basis and classes of building
+    it column by column from the image d^alpha f of every order-j alpha."""
+    f, order, _, j = case
+    assert galg._degree_classes(f, j) == column_degree_classes(f, j)
+    assert galg._degree_classes(f, order - j) == column_degree_classes(f, order - j)
 
 
 @settings(max_examples=80, deadline=None)

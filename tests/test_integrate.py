@@ -15,7 +15,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import affine_dim, det, polytope_from_points
+from helpers import affine_dim, det, integrate_over_simplex, polytope_from_points
 from toricbundle import cli, exactlin, integrate, polyhedral
 from toricbundle.bundle import (
     random_convex,
@@ -38,7 +38,6 @@ from toricbundle.integrate import (
     i_f_value,
     integral_over_virtual,
     integrate_over_polytope,
-    integrate_over_simplex,
     mixed_integral,
     square_free_derivative_check,
     triangulate,

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import polytope_from_points
+from helpers import FanTooCoarse, polytope_from_points, support_function
 from toricbundle import polyhedral
 from toricbundle.catalog import SPECS, fan_projective_space
 from toricbundle.exactlin import solve
@@ -16,7 +16,6 @@ from toricbundle.errors import (
     BadFaceIntersection,
     DegenerateCone,
     FanError,
-    FanTooCoarse,
     NonPrimitiveRay,
     NotConvex,
     NotPure,
@@ -34,7 +33,6 @@ from toricbundle.polyhedral import (
     is_projective,
     is_smooth,
     polytope_from_support,
-    support_function,
     validate_fan,
 )
 

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import FractionPolynomial, fraction_apply_operator
+from helpers import FractionPolynomial, apply_operator, fraction_apply_operator
 from toricbundle.errors import DegreeMismatch, DimensionMismatch
-from toricbundle.qpoly import QPolynomial, apply_operator, monomials_of_degree
+from toricbundle.qpoly import QPolynomial, monomials_of_degree
 
 XY = ("x", "y")
 

@@ -7,19 +7,17 @@ from pathlib import Path
 
 import pytest
 
+from helpers import base_to_dict, fan_to_dict, spec_to_dict
 from toricbundle import bundle
 from toricbundle.bundle import ring_via_sr
 from toricbundle.catalog import SPECS, base_projective, fan_hirzebruch1
 from toricbundle.serialize import (
     base_from_dict,
-    base_to_dict,
     dumps,
     fan_from_dict,
-    fan_to_dict,
     rat,
     report_to_dict,
     spec_from_dict,
-    spec_to_dict,
     unrat,
 )
 

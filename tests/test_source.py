@@ -92,20 +92,30 @@ def test_unused_import_rule_sees_a_dead_import():
 
 
 def _dead_entry_points(module: str, trees: dict, wrapped) -> list[str]:
-    """Public top-level functions and classes of ``module`` that no other
-    module of ``trees`` (module name -> parsed source) reads and that no
-    ``module.name`` entry of ``wrapped`` names.  A module reads a name when
-    it imports it from ``toricbundle.<module>`` or takes it as an attribute
-    of ``module``."""
-    public = [
-        node.name
+    """Public top-level functions and classes of ``module`` that nothing in
+    ``trees`` (module name -> parsed source) reads and that no
+    ``module.name`` entry of ``wrapped`` names.
+
+    Another module reads a name when it imports it from
+    ``toricbundle.<module>`` or takes it as an attribute of ``module``; a
+    re-export from ``__init__`` is not a read.  The module itself reads a
+    name when it names it anywhere outside the name's own definition."""
+    defs = {
+        node.name: node
         for node in trees[module].body
         if isinstance(node, (ast.FunctionDef, ast.ClassDef))
         and not node.name.startswith("_")
-    ]
+    }
     read = {name.split(".")[1] for name in wrapped if name.startswith(f"{module}.")}
+    for name, node in defs.items():
+        own = set(map(id, ast.walk(node)))
+        if any(
+            isinstance(n, ast.Name) and n.id == name and id(n) not in own
+            for n in ast.walk(trees[module])
+        ):
+            read.add(name)
     for other, tree in trees.items():
-        if other == module:
+        if other in (module, "__init__"):
             continue
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and node.module == f"toricbundle.{module}":
@@ -116,7 +126,7 @@ def _dead_entry_points(module: str, trees: dict, wrapped) -> list[str]:
                 and node.value.id == module
             ):
                 read.add(node.attr)
-    return [name for name in public if name not in read]
+    return [name for name in defs if name not in read]
 
 
 def _wrapped_names() -> tuple[str, ...]:
@@ -131,12 +141,14 @@ def _wrapped_names() -> tuple[str, ...]:
     raise LookupError(f"no WRAPPED in {path}")
 
 
-@pytest.mark.parametrize("module", ["exactlin", "integrate", "qpoly", "galg"])
+MODULES = sorted(path.stem for path in SRC.glob("*.py"))
+
+
+@pytest.mark.parametrize("module", MODULES)
 def test_no_dead_entry_points(module):
-    """Every public function and class of the exact-linear-algebra core, the
-    integration layer, the polynomial type and the graded algebras has a
-    reader in the package or is a benchmark span, so no second route to an
-    operation outlives its last caller."""
+    """Every public function and class of the package has a reader in the
+    package or is a benchmark span, so no second route to an operation
+    outlives its last caller."""
     trees = {
         path.stem: ast.parse(path.read_text(), filename=str(path))
         for path in sorted(SRC.glob("*.py"))
@@ -157,6 +169,30 @@ def test_dead_entry_point_rule_sees_an_unread_function():
         ),
     }
     assert _dead_entry_points("lin", trees, ("lin.d", "other.b")) == ["b", "F"]
+
+
+def test_dead_entry_point_rule_counts_reads_inside_the_module():
+    """A name read by another definition of its own module, or at module
+    level, is alive; a read inside its own definition is not."""
+    trees = {
+        "lin": ast.parse(
+            "def a(): pass\ndef b(): return a()\ndef c(): return c()\n"
+            "class D:\n    def m(self): return D()\nclass E: pass\nTABLE = {'e': E}\n"
+        ),
+    }
+    assert _dead_entry_points("lin", trees, ()) == ["b", "c", "D"]
+
+
+def test_dead_entry_point_rule_skips_init_reexports():
+    """A name that only ``__init__`` imports, by name or as a module
+    attribute, has no reader."""
+    trees = {
+        "lin": ast.parse("def a(): pass\ndef b(): pass\n"),
+        "__init__": ast.parse(
+            "from toricbundle.lin import a\nfrom toricbundle import lin\nlin.b\n"
+        ),
+    }
+    assert _dead_entry_points("lin", trees, ()) == ["a", "b"]
 
 
 def _private_attributes(tree: ast.Module, modules) -> list[int]:
