@@ -55,8 +55,6 @@ from toricbundle.galg import (
     PresentedAlgebra,
     QuotientModel,
     TopFunctional,
-    _rel_degree,
-    _relation_rows,
     _unit,
     ann_quotient,
     ann_top_functional,
@@ -434,20 +432,16 @@ def cross_validate(spec: BundleSpec) -> CrossValidation:
             return CrossValidation(
                 False, f"degree {d}: radical != Stanley-Reisner ideal"
             )
-    one = free.monomials[0]
     for j, rel in enumerate(sr_rep.model.presented.relations):
-        d = _rel_degree(rel)
-        if d > spec.top_degree:  # 0 in the truncated free algebra
-            continue
-        (row,) = _relation_rows(spec.base.algebra, rel, one, free.column[d])
-        if sd.reducers[d].pairs(row.items()):
+        terms = [free.element(beta, *term) for beta, term in rel.items()]
+        d = terms[0][0]
+        # above the top the relation is 0 in the free algebra and projects to ()
+        if any(sd.project(d, [p for _, pairs in terms for p in pairs])):
             return CrossValidation(
                 False, f"degree {d}: Sankaran-Uma relation {j} is not in the radical"
             )
 
     a, b = sd_rep.algebra, sr_rep.algebra
-    if a.dims() != b.dims():
-        return CrossValidation(False, f"graded dims differ: {a.dims()} vs {b.dims()}")
     for d, labels in a.labels.items():
         if labels != b.labels[d]:
             return CrossValidation(
@@ -626,15 +620,17 @@ def ring_power_derivative_check(
     gamma: Vec,
     i: int,
     delta: VirtualPolytope,
-    ray_set,
+    ray_sets,
     sr_report: RingReport,
-) -> bool:
-    """d_I of F_gamma in h-coordinates, against the closed form.
+) -> list[bool]:
+    """d_I of F_gamma in h-coordinates, against the closed form, one verdict
+    per set I of ``ray_sets``.
 
     F_gamma(h) = sum_beta multinomial(beta) ell(x^beta p^* gamma) h^beta is
-    assembled symbolically from the sr ring; its square-free derivative must
-    vanish off cones and equal (n+i)!/i! f_gamma(dual vertex) on maximal
-    cones.  A set I that spans a smaller cone raises ``DegreeMismatch``.
+    assembled symbolically from the sr ring, once; its square-free
+    derivative must vanish off cones and equal (n+i)!/i! f_gamma(dual
+    vertex) on maximal cones.  A set I that spans a smaller cone raises
+    ``DegreeMismatch``.
     """
     n, m = spec.n, spec.n + i
     gdeg = spec.k - 2 * i
@@ -650,17 +646,22 @@ def ring_power_derivative_check(
         if val:
             terms[beta] = coeff * val
     fpoly = QPolynomial(hvars, terms)
-    for j in ray_set:
-        fpoly = fpoly.partial(j)
-    value = fpoly.evaluate(delta.h)
-    if not spec.fan.spans_cone(ray_set):
-        return value == 0
-    if len(ray_set) != n:
-        raise DegreeMismatch(f"rays {tuple(ray_set)} span a cone of dimension < {n}")
-    a = dual_vertex(spec.fan, tuple(sorted(ray_set)), delta.h)
     f = f_gamma(spec, gamma, i)
-    expected = Fraction(factorial(n + i), factorial(i)) * f.evaluate(a)
-    return value == expected
+    scale = Fraction(factorial(n + i), factorial(i))
+    verdicts = []
+    for ray_set in ray_sets:
+        derivative = fpoly
+        for j in ray_set:
+            derivative = derivative.partial(j)
+        value = derivative.evaluate(delta.h)
+        if not spec.fan.spans_cone(ray_set):
+            verdicts.append(value == 0)
+            continue
+        if len(ray_set) != n:
+            raise DegreeMismatch(f"rays {tuple(ray_set)} span a cone of dimension < {n}")
+        a = dual_vertex(spec.fan, tuple(sorted(ray_set)), delta.h)
+        verdicts.append(value == scale * f.evaluate(a))
+    return verdicts
 
 
 # ---------------------------------------------------------------------------

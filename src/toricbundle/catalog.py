@@ -12,7 +12,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, prod
+from math import factorial
+from operator import add
 
 from toricbundle.bundle import (
     BaseData,
@@ -25,13 +26,13 @@ from toricbundle.bundle import (
 from toricbundle.errors import (
     DegreeMismatch,
     NotDominant,
+    NotProjectiveSpace,
     VerificationFailed,
 )
 from toricbundle.galg import (
     GradedAlgebra,
     PresentedAlgebra,
     TopFunctional,
-    _unit,
     build_quotient,
     product_keys,
 )
@@ -106,18 +107,6 @@ def base_projective(m: int, chern=()) -> BaseData:
     return BaseData(alg, ell, tuple(chern))
 
 
-@dataclass(frozen=True)
-class FlagBase:
-    """Coinvariant-algebra model of the full flag variety of SL_n."""
-
-    n: int
-    base: BaseData
-
-    def weight_class(self, lam) -> Vec:
-        """Degree-2 class of a weight in fundamental coordinates."""
-        return _combine(_weight(self.n, lam), self.base.chern)
-
-
 def _combine(coeffs, vecs) -> Vec:
     """The exact linear combination sum_t coeffs[t] * vecs[t]."""
     return tuple(
@@ -174,8 +163,12 @@ def _weight(n: int, lam, dominant: bool = False) -> Vec:
     return lam
 
 
-def base_flag_sl(n: int) -> FlagBase:
+def base_flag_sl(n: int) -> BaseData:
     """Sym(M_R) modulo the Weyl-invariants ideal; dim n!.
+
+    The degree-2 basis is the fundamental weights w_1..w_{n-1}, and the
+    Chern rows are their classes, so a weight's class is :func:`_combine`
+    of its fundamental coordinates with the rows.
 
     Relations: the elementary symmetric polynomials e_2..e_n of the standard
     weights.  Orientation: the product of the positive roots evaluates to
@@ -221,7 +214,7 @@ def base_flag_sl(n: int) -> FlagBase:
         raise VerificationFailed("product of the positive roots vanishes")
     ell = TopFunctional(alg, 2 * big_n, (Fraction(factorial(n)) / c_top,))
 
-    return FlagBase(n, BaseData(alg, ell, tuple(ws)))
+    return BaseData(alg, ell, tuple(ws))
 
 
 # ---------------------------------------------------------------------------
@@ -269,19 +262,18 @@ class GZData:
     polytope: Polytope
 
 
-def _interlacing(n: int, top, offset: int):
-    """Interlacing halfspaces for pattern rows 1..n-1 below a top row.
+def _interlacing(n: int, top):
+    """Interlacing halfspaces for pattern rows 1..n-1 below the constant top
+    row ``top``.
 
-    Coordinates: ``offset`` leading ones, then the pattern variables row by
-    row (row r, 1-based, has n - r entries).  Top-row entry c is the pair
-    (linear form over the leading coordinates, constant); every pattern
-    entry sits between its two upper neighbours.
+    Coordinates: the pattern variables row by row (row r, 1-based, has
+    n - r entries); every pattern entry sits between its two upper
+    neighbours.
     """
-    dim = offset + n * (n - 1) // 2
-    zeros = [Fraction(0)] * (dim - offset)
-    upper = [([Fraction(x) for x in form] + zeros, Fraction(b)) for form, b in top]
+    dim = n * (n - 1) // 2
+    upper = [([Fraction(0)] * dim, Fraction(b)) for b in top]
     halfspaces = []
-    pos = offset
+    pos = 0
     for r in range(1, n):
         row = []
         for c in range(n - r):
@@ -301,8 +293,8 @@ def gz_polytope(n: int, lam) -> GZData:
     """The Gelfand-Zetlin polytope of a dominant weight (fundamental coords)."""
     _rank(n)
     lam = _weight(n, lam, dominant=True)
-    top = [((), x) for x in _partition_coords(n, lam)]
-    poly = Polytope.from_halfspaces(_interlacing(n, top, 0), n * (n - 1) // 2)
+    top = _partition_coords(n, lam)
+    poly = Polytope.from_halfspaces(_interlacing(n, top), n * (n - 1) // 2)
     return GZData(n, lam, poly)
 
 
@@ -341,65 +333,60 @@ def gz_volume_check(n: int, lam) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _identity_basis(n: int, fan: Fan) -> list[list[int]]:
-    """The first fan.dim fundamental weights: the default ``lam_basis``."""
-    return [[int(i == j) for j in range(n - 1)] for i in range(fan.dim)]
-
-
 def flag_bundle_spec(n: int, fan: Fan, lam_basis=None, name="") -> BundleSpec:
     """Toric bundle over SL_n/B with torus lattice the span of lam_basis.
 
     ``lam_basis``: rows = basis of the sublattice, in fundamental
-    coordinates; defaults to the full weight lattice (identity).  The Chern
-    map is the inclusion composed with the Borel isomorphism.
+    coordinates; defaults to the first fan.dim fundamental weights.  The
+    Chern map is the inclusion composed with the Borel isomorphism.
     """
     flag = base_flag_sl(n)
     if lam_basis is None:
-        lam_basis = _identity_basis(n, fan)
-    chern = tuple(flag.weight_class(row) for row in lam_basis)
-    base = BaseData(flag.base.algebra, flag.base.orientation, chern)
+        lam_basis = [[int(i == j) for j in range(n - 1)] for i in range(fan.dim)]
+    chern = tuple(_combine(_weight(n, row), flag.chern) for row in lam_basis)
+    base = BaseData(flag.algebra, flag.orientation, chern)
     return BundleSpec(base, fan, name or f"flag_sl{n}")
 
 
 def brion_kazarnovskii_check(
-    n: int,
-    fan: Fan,
+    spec: BundleSpec,
     delta: VirtualPolytope,
-    lam_basis=None,
     shift=None,
     sr_report: RingReport | None = None,
-    spec: BundleSpec | None = None,
 ):
-    """rho-bar(Delta)^{rk+N} against (rk+N)! int_Delta f_W, both exact.
+    """rho-bar(Delta)^{rk+N} against (rk+N)! int_Delta f_W, both exact, on a
+    spec built by :func:`flag_bundle_spec`.
 
-    ``delta`` lives on a fan in the sublattice's own coordinates, ``shift``
-    is an optional translation in fundamental coordinates (a degree-2 class
-    of the flag base under the Borel identification).
+    The base is the flag variety of SL_n with n - 1 = dim H^2, and a base of
+    top degree other than n(n - 1) raises ``DegreeMismatch``.  Its degree-2
+    basis is the fundamental weights, so the Chern rows are the sublattice
+    basis in fundamental coordinates.  ``delta`` lives on the spec's fan, in
+    the sublattice's own coordinates; ``shift`` is an optional translation
+    in fundamental coordinates (a degree-2 class of the base).
     """
-    spec = spec or flag_bundle_spec(n, fan, lam_basis)
-    if lam_basis is None:
-        lam_basis = _identity_basis(n, fan)
-    big_n = n * (n - 1) // 2
+    n = spec.base.algebra.dim(2) + 1
+    if spec.k != n * (n - 1):
+        raise DegreeMismatch(
+            f"base of top degree {spec.k} is not the SL_{n} flag variety"
+        )
     rep = sr_report or ring_via_sr(spec)
 
-    rho = list(rho_class(spec, rep, delta))
-    if shift is not None:
-        # the flag base's degree-2 basis is the fundamental weights
+    rho = rho_class(spec, rep, delta)
+    if shift is None:
+        shift = (Fraction(0),) * (n - 1)
+    else:
         shift = _weight(n, shift)
-        pg = pullback_class(spec, rep, 2, shift)
-        rho = [a + b for a, b in zip(rho, pg)]
-    exponent = fan.dim + big_n
-    deg, vec = rep.algebra.power_of_element(2, tuple(rho), exponent)
+        rho = tuple(map(add, rho, pullback_class(spec, rep, 2, shift)))
+    exponent = spec.top_degree // 2
+    deg, vec = rep.algebra.power_of_element(2, rho, exponent)
     lhs = rep.functional.of(spec.top_degree, vec)
 
-    fw = weyl_top_polynomial_sl(n)
-    yvars = tuple(f"y{j + 1}" for j in range(fan.dim))
-    images = []
-    for t in range(n - 1):
-        coeffs = [Fraction(lam_basis[j][t]) for j in range(fan.dim)]
-        const = shift[t] if shift is not None else Fraction(0)
-        images.append(QPolynomial.linear_form(yvars, coeffs, const=const))
-    fw_restricted = fw.substitute(images)
+    yvars = tuple(f"y{j + 1}" for j in range(spec.n))
+    images = [
+        QPolynomial.linear_form(yvars, coeffs, const=const)
+        for coeffs, const in zip(zip(*spec.base.chern), shift)
+    ]
+    fw_restricted = weyl_top_polynomial_sl(n).substitute(images)
     rhs = factorial(exponent) * integral_over_virtual(
         spec.fan, fw_restricted, delta
     )
@@ -411,39 +398,31 @@ def brion_kazarnovskii_check(
 # ---------------------------------------------------------------------------
 
 
-def projective_bundle_spec(base: BaseData, degrees, name="") -> BundleSpec:
-    """P(L_1 + ... + L_n + O) over the base, deg L_i = degrees[i] times the
-    first degree-2 generator."""
-    n = len(degrees)
-    h = _unit(base.algebra.dim(2), 0)
-    chern = tuple(
-        tuple(Fraction(d) * x for x in h) for d in degrees
-    )
-    spec_base = BaseData(base.algebra, base.orientation, chern)
-    return BundleSpec(spec_base, fan_projective_space(n), name)
+def projective_bundle_check(spec: BundleSpec) -> bool:
+    """Whitney relation t^{n+1} + sum c_i t^{n+1-i} = 0 in the SR ring.
 
-
-def projective_bundle_check(base: BaseData, degrees) -> bool:
-    """Whitney relation t^{n+1} + sum c_i t^{n+1-i} = 0 in the SR ring."""
-    spec = projective_bundle_spec(base, degrees)
-    n = len(degrees)
+    A spec on the fan of P^n is P(V + O) over its base, t is the class of
+    the last ray and c(V + O) = prod_k (1 + c_k) over the Chern columns c_k,
+    multiplied out in the base.  Another fan raises ``NotProjectiveSpace``.
+    """
+    n = spec.n
+    if spec.fan != fan_projective_space(n):
+        raise NotProjectiveSpace(f"the fan of {spec.name!r} is not that of P^{n}")
     rep = ring_via_sr(spec)
-    alg = rep.algebra
+    alg, r = rep.algebra, spec.base.algebra
 
-    # c(V + O) = prod_k (1 + d_k H) = sum_i e_i(degrees) H^i in the base
-    r = base.algebra
-    h = _unit(r.dim(2), 0)
+    # c[i]: the degree-2i part of the product, one factor (1 + c_k) at a time
+    c = [(Fraction(1),)] + [(Fraction(0),) * r.dim(2 * i) for i in range(1, n + 1)]
+    for col in spec.base.chern:
+        for i in range(n, 0, -1):
+            c[i] = tuple(map(add, c[i], r.multiply(2 * i - 2, c[i - 1], 2, col)))
     t_cls = rep.generator_classes[spec.x_names[n]][1]
-    acc = list(alg.power_of_element(2, t_cls, n + 1)[1])
-    for i in range(1, min(n, r.top // 2) + 1):
-        e_i = sum(prod(ds) for ds in itertools.combinations(degrees, i))
-        cdeg, h_i = r.power_of_element(2, h, i)
-        cvec = tuple(e_i * x for x in h_i)
-        if not any(cvec):
-            continue
-        pg = pullback_class(spec, rep, cdeg, cvec)
-        dt, tp = alg.power_of_element(2, t_cls, n + 1 - i)
-        acc = [a + b for a, b in zip(acc, alg.multiply(dt, tp, cdeg, pg))]
+    acc = alg.power_of_element(2, t_cls, n + 1)[1]
+    for i in range(1, n + 1):
+        if any(c[i]):
+            pg = pullback_class(spec, rep, 2 * i, c[i])
+            dt, tp = alg.power_of_element(2, t_cls, n + 1 - i)
+            acc = tuple(map(add, acc, alg.multiply(dt, tp, 2 * i, pg)))
     return not any(acc)
 
 
@@ -503,7 +482,7 @@ BASES = {
     "point": base_point,
     "p1": lambda: base_projective(1),
     "p2": lambda: base_projective(2),
-    "flag_sl2": lambda: base_flag_sl(2).base,
-    "flag_sl3": lambda: base_flag_sl(3).base,
-    "flag_sl4": lambda: base_flag_sl(4).base,
+    "flag_sl2": lambda: base_flag_sl(2),
+    "flag_sl3": lambda: base_flag_sl(3),
+    "flag_sl4": lambda: base_flag_sl(4),
 }

@@ -9,8 +9,10 @@ Commands::
     toricbundle intersect SPEC --expr "x1^2*H" [-v]
 
 FAN and SPEC are catalog names or JSON files (catalog names win; a name
-that is also an existing file is an error).  Exit codes: 0 all checks pass,
-1 an identity failed, 2 invalid geometry, 3 precondition failure.
+that is also an existing file is an error).  Every suite takes the resolved
+spec: bk and gz need a flag catalog spec, pbundle a spec on the fan of P^n.
+Exit codes: 0 all checks pass, 1 an identity failed, 2 invalid geometry,
+3 precondition failure.
 Rationals in machine output are [numerator, denominator] pairs.
 """
 
@@ -224,10 +226,10 @@ def _suite_ider(spec: BundleSpec, rng, count, lines) -> bool:
     for gdeg in range(0, spec.k + 1, 2):
         for ridx, label in enumerate(alg.labels.get(gdeg, ())):
             gamma = _unit(alg.dim(gdeg), ridx)
-            for subset in subsets:
-                good = ring_power_derivative_check(
-                    spec, gamma, (spec.k - gdeg) // 2, delta, subset, rep
-                )
+            verdicts = ring_power_derivative_check(
+                spec, gamma, (spec.k - gdeg) // 2, delta, subsets, rep
+            )
+            for subset, good in zip(subsets, verdicts):
                 ok &= _emit(lines, good, f"ider ring gamma={label} I={subset}")
     return ok
 
@@ -252,14 +254,17 @@ def _suite_cc(spec: BundleSpec, rng, count, lines) -> bool:
     return ok
 
 
-def _suite_bk(spec_name: str, rng, count, lines) -> bool:
-    if spec_name not in FLAG_RANKS:
+def _flag_rank(spec: BundleSpec, suite: str) -> int:
+    if spec.name not in FLAG_RANKS:
         _fail(
             EXIT_PRECONDITION,
-            f"bk suite needs a flag catalog spec, got {spec_name!r}",
+            f"{suite} suite needs a flag catalog spec, got {spec.name!r}",
         )
-    n = FLAG_RANKS[spec_name]
-    spec = catalog.SPECS[spec_name]()
+    return FLAG_RANKS[spec.name]
+
+
+def _suite_bk(spec: BundleSpec, rng, count, lines) -> bool:
+    n = _flag_rank(spec, "bk")
     fan = spec.fan
     rep = ring_via_sr(spec)
     ok = True
@@ -270,9 +275,7 @@ def _suite_bk(spec_name: str, rng, count, lines) -> bool:
             if t % 3 == 0
             else tuple(Fraction(rng.randint(-2, 2)) for _ in range(n - 1))
         )
-        lhs, rhs, eq = catalog.brion_kazarnovskii_check(
-            n, fan, delta, None, shift, sr_report=rep, spec=spec
-        )
+        lhs, rhs, eq = catalog.brion_kazarnovskii_check(spec, delta, shift, rep)
         ok &= _emit(
             lines,
             eq,
@@ -283,41 +286,13 @@ def _suite_bk(spec_name: str, rng, count, lines) -> bool:
 
 
 def _suite_pbundle(spec: BundleSpec, rng, count, lines) -> bool:
-    # recover line-bundle degrees: chern columns must be multiples of the
-    # first degree-2 generator and the fan the standard projective one
-    n = spec.n
-    expected = catalog.fan_projective_space(n)
-    if spec.fan != expected:
-        _fail(EXIT_PRECONDITION, "pbundle suite needs the projective-space fan")
-    if not spec.base.algebra.dim(2):
-        _fail(EXIT_PRECONDITION, "pbundle suite needs a base with degree-2 classes")
-    degrees = []
-    for col in spec.base.chern:
-        if any(col[1:]):
-            _fail(
-                EXIT_PRECONDITION,
-                "pbundle suite needs chern columns proportional to the "
-                "first degree-2 generator",
-            )
-        degrees.append(col[0] if col else Fraction(0))
-    base = catalog.BaseData(
-        spec.base.algebra, spec.base.orientation, ()
-    )
-    good = catalog.projective_bundle_check(base, degrees)
-    return _emit(
-        lines,
-        good,
-        f"projective-bundle relation degrees={tuple(map(str, degrees))}",
-    )
+    chern = tuple(tuple(map(str, col)) for col in spec.base.chern)
+    good = catalog.projective_bundle_check(spec)
+    return _emit(lines, good, f"projective-bundle relation chern={chern}")
 
 
-def _suite_gz(spec_name: str, rng, count, lines) -> bool:
-    if spec_name not in FLAG_RANKS:
-        _fail(
-            EXIT_PRECONDITION,
-            f"gz suite needs a flag catalog spec, got {spec_name!r}",
-        )
-    n = FLAG_RANKS[spec_name]
+def _suite_gz(spec: BundleSpec, rng, count, lines) -> bool:
+    n = _flag_rank(spec, "gz")
     ok = True
     for _ in range(count):
         lam = tuple(rng.randint(0, 5) for _ in range(n - 1))
@@ -351,8 +326,7 @@ def cmd_verify(args) -> int:
     rng = random.Random(args.seed)
     lines: list[str] = []
     suite = SUITES[args.suite]
-    # bk and gz take a catalog name; a spec's invalid geometry is exit 2
-    spec = args.spec if args.suite in ("bk", "gz") else _resolve_spec(args.spec)
+    spec = _resolve_spec(args.spec)
     try:
         ok = suite(spec, rng, args.count, lines)
     except VerificationFailed:

@@ -87,3 +87,7 @@ class AmbiguousLabel(ToricBundleError):
 
 class NotDominant(ToricBundleError):
     pass
+
+
+class NotProjectiveSpace(ToricBundleError):
+    """A projective-bundle check on a fan other than that of P^n."""

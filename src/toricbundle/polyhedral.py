@@ -428,17 +428,6 @@ class VirtualPolytope:
         r = Fraction(r)
         return VirtualPolytope(self.fan, tuple(r * x for x in self.h))
 
-    @classmethod
-    def of_point(cls, fan: Fan, m) -> "VirtualPolytope":
-        return cls(fan, tuple(dot(m, e) for e in fan.rays))
-
-    @classmethod
-    def coordinate(cls, fan: Fan, i: int) -> "VirtualPolytope":
-        """The i-th coordinate virtual polytope: 1 at ray i, 0 elsewhere."""
-        h = [Fraction(0)] * fan.nrays
-        h[i] = Fraction(1)
-        return cls(fan, tuple(h))
-
 
 # ---------------------------------------------------------------------------
 # polytopes
@@ -482,9 +471,6 @@ class Polytope:
     @property
     def ambient_dim(self) -> int:
         return len(self.vertices[0]) if self.vertices else 0
-
-    def is_empty(self) -> bool:
-        return not self.vertices
 
     def __eq__(self, other):
         return isinstance(other, Polytope) and self.vertices == other.vertices

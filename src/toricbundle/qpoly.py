@@ -250,18 +250,6 @@ class QPolynomial:
             out = out + term
         return QPolynomial.from_numerators(target, out.num, out.den * self.den)
 
-    def embed(self, vars) -> "QPolynomial":
-        """Reinterpret over a larger variable tuple (by name)."""
-        vars = tuple(vars)
-        pos = [vars.index(v) for v in self.vars]
-        num = {}
-        for expo, c in self.num.items():
-            e = [0] * len(vars)
-            for p, k in zip(pos, expo):
-                e[p] = k
-            num[tuple(e)] = c
-        return QPolynomial.from_numerators(vars, num, self.den)
-
 
 @cache
 def monomials_of_degree(nvars: int, d: int) -> tuple[tuple[int, ...], ...]:

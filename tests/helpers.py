@@ -19,7 +19,11 @@ from toricbundle.bundle import (
     ring_via_diff,
     ring_via_sr,
 )
-from toricbundle.catalog import _interlacing, gz_polytope, weyl_top_polynomial_sl
+from toricbundle.catalog import (
+    fan_projective_space,
+    gz_polytope,
+    weyl_top_polynomial_sl,
+)
 from toricbundle.errors import (
     DegreeMismatch,
     DimensionMismatch,
@@ -265,17 +269,6 @@ class FractionPolynomial:
             out = out + term
         return out
 
-    def embed(self, vars):
-        vars = tuple(vars)
-        pos = [vars.index(v) for v in self.vars]
-        terms = {}
-        for expo, coeff in self.terms.items():
-            e = [0] * len(vars)
-            for p, k in zip(pos, expo):
-                e[p] = k
-            terms[tuple(e)] = coeff
-        return FractionPolynomial(vars, terms)
-
 
 def fraction_apply_operator(op: FractionPolynomial, f: FractionPolynomial):
     """:func:`apply_operator` on :class:`FractionPolynomial` terms."""
@@ -344,7 +337,7 @@ class FanTooCoarse(ToricBundleError):
 
 def support_function(p: Polytope, fan: Fan) -> VirtualPolytope:
     """Support values of p at the fan's rays, with round-trip verification."""
-    if p.is_empty():
+    if is_empty(p):
         raise FanTooCoarse("empty polytope has no support function")
     h = tuple(max(dot(v, ray) for v in p.vertices) for ray in fan.rays)
     vp = VirtualPolytope(fan, h)
@@ -552,6 +545,36 @@ class ChamberViolation(ToricBundleError):
     """Polytope leaves the open positive Weyl chamber."""
 
 
+def lifted_interlacing(n: int, top, offset: int):
+    """Interlacing halfspaces for pattern rows 1..n-1 below a top row of
+    linear forms: ``catalog._interlacing`` over ``offset`` leading
+    coordinates.
+
+    Coordinates: ``offset`` leading ones, then the pattern variables row by
+    row (row r, 1-based, has n - r entries).  Top-row entry c is the pair
+    (linear form over the leading coordinates, constant); every pattern
+    entry sits between its two upper neighbours.
+    """
+    dim = offset + n * (n - 1) // 2
+    zeros = [F(0)] * (dim - offset)
+    upper = [([F(x) for x in form] + zeros, F(b)) for form, b in top]
+    halfspaces = []
+    pos = offset
+    for r in range(1, n):
+        row = []
+        for c in range(n - r):
+            (hi, b_hi), (lo, b_lo) = upper[c], upper[c + 1]
+            le = [-x for x in hi]
+            le[pos] += 1
+            ge = list(lo)
+            ge[pos] -= 1
+            halfspaces += [(le, b_hi), (ge, -b_lo)]
+            row.append(([F(int(t == pos)) for t in range(dim)], F(0)))
+            pos += 1
+        upper = row
+    return halfspaces
+
+
 def string_lift_volume(n: int, fan: Fan, delta: VirtualPolytope) -> F:
     """Lifted Gelfand-Zetlin volume over a chamber-interior polytope.
 
@@ -575,9 +598,33 @@ def string_lift_volume(n: int, fan: Fan, delta: VirtualPolytope) -> F:
     ]
     # top row: the partition coordinates lambda'_c = x_c + ... + x_{rk-1}
     top = [([int(t >= c) for t in range(rk)], 0) for c in range(n)]
-    halfspaces += _interlacing(n, top, rk)
+    halfspaces += lifted_interlacing(n, top, rk)
     lifted = Polytope.from_halfspaces(halfspaces, dim)
     lifted_vol = volume(lifted)
     if direct != lifted_vol:
         raise VerificationFailed(f"lift mismatch: {direct} vs {lifted_vol}")
     return direct
+
+
+def projective_bundle_spec(base: BaseData, degrees, name="") -> BundleSpec:
+    """P(L_1 + ... + L_n + O) over the base, deg L_i = degrees[i] times the
+    first degree-2 generator."""
+    h = _unit(base.algebra.dim(2), 0)
+    chern = tuple(tuple(F(d) * x for x in h) for d in degrees)
+    spec_base = BaseData(base.algebra, base.orientation, chern)
+    return BundleSpec(spec_base, fan_projective_space(len(degrees)), name)
+
+
+def of_point(fan: Fan, m) -> VirtualPolytope:
+    """The support values of the one-point polytope {m}."""
+    return VirtualPolytope(fan, tuple(dot(m, e) for e in fan.rays))
+
+
+def coordinate(fan: Fan, i: int) -> VirtualPolytope:
+    """The i-th coordinate virtual polytope: 1 at ray i, 0 elsewhere."""
+    return VirtualPolytope(fan, tuple(F(int(j == i)) for j in range(fan.nrays)))
+
+
+def is_empty(p: Polytope) -> bool:
+    """True iff the polytope has no vertex."""
+    return not p.vertices

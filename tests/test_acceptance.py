@@ -10,7 +10,12 @@ import time
 from fractions import Fraction as F
 from math import factorial
 
-from helpers import AffineVirtualPolytope, diff_matches_sr, self_intersection
+from helpers import (
+    AffineVirtualPolytope,
+    diff_matches_sr,
+    projective_bundle_spec,
+    self_intersection,
+)
 from toricbundle.bundle import (
     cross_validate,
     random_convex,
@@ -21,6 +26,7 @@ from toricbundle.bundle import (
 )
 from toricbundle.catalog import (
     SPECS,
+    _combine,
     base_flag_sl,
     base_projective,
     brion_kazarnovskii_check,
@@ -186,9 +192,9 @@ def test_criterion_7_flag_examples():
         fw = weyl_top_polynomial_sl(n)
         for _ in range(10):
             lam = tuple(rng.randint(0, 6) for _ in range(n - 1))
-            cls = fb.weight_class(lam)
-            deg, vec = fb.base.algebra.power_of_element(2, cls, big_n)
-            assert fb.base.orientation.of(2 * big_n, vec) == factorial(
+            cls = _combine(lam, fb.chern)
+            deg, vec = fb.algebra.power_of_element(2, cls, big_n)
+            assert fb.orientation.of(2 * big_n, vec) == factorial(
                 big_n
             ) * fw.evaluate(lam), (n, lam)
         for _ in range(10):
@@ -204,26 +210,24 @@ def test_criterion_7_flag_examples():
     rep2 = ring_via_sr(spec2)
     rep3 = ring_via_sr(spec3)
     pairs = [
-        (2, p1, VirtualPolytope(p1, (1, 0)), None, rep2, spec2),
-        (2, p1, random_virtual(p1, rng), (F(2),), rep2, spec2),
-        (3, pp, VirtualPolytope(pp, (1, 1, 0, 0)), None, rep3, spec3),
-        (3, pp, random_convex(pp, rng), (F(1), F(-1)), rep3, spec3),
-        (3, pp, random_virtual(pp, rng), None, rep3, spec3),
+        (spec2, VirtualPolytope(p1, (1, 0)), None, rep2),
+        (spec2, random_virtual(p1, rng), (F(2),), rep2),
+        (spec3, VirtualPolytope(pp, (1, 1, 0, 0)), None, rep3),
+        (spec3, random_convex(pp, rng), (F(1), F(-1)), rep3),
+        (spec3, random_virtual(pp, rng), None, rep3),
     ]
-    for n, fan, delta, shift, rep, spec in pairs:
-        lhs, rhs, eq = brion_kazarnovskii_check(
-            n, fan, delta, None, shift, sr_report=rep, spec=spec
-        )
-        assert eq, (n, delta.h, shift, lhs, rhs)
+    for spec, delta, shift, rep in pairs:
+        lhs, rhs, eq = brion_kazarnovskii_check(spec, delta, shift, sr_report=rep)
+        assert eq, (spec.name, delta.h, shift, lhs, rhs)
     _report(7, "prop:degree, GZ volume/count, Brion-Kazarnovskii (5 pairs)", t0)
 
 
 def test_criterion_8_projective_bundles():
     """Whitney relation t^{n+1} + sum c_i t^{n+1-i} = 0 in the SR ring."""
     t0 = time.time()
-    assert projective_bundle_check(base_projective(1), (0,))
-    assert projective_bundle_check(base_projective(1), (1,))
-    assert projective_bundle_check(base_projective(2), (1, 2))
+    for m, degrees in ((1, (0,)), (1, (1,)), (2, (1, 2))):
+        spec = projective_bundle_spec(base_projective(m), degrees)
+        assert projective_bundle_check(spec), (m, degrees)
     _report(8, "projective-bundle relation for P1/(0), P1/(1), P2/(1,2)", t0)
 
 

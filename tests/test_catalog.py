@@ -8,12 +8,25 @@ from math import factorial
 import pytest
 
 import helpers
-from helpers import ChamberViolation, gz_minkowski_additive, string_lift_volume
+from helpers import (
+    ChamberViolation,
+    gz_minkowski_additive,
+    of_point,
+    projective_bundle_spec,
+    string_lift_volume,
+)
 from toricbundle import catalog
-from toricbundle.bundle import random_convex, random_virtual, ring_via_sr
+from toricbundle.bundle import (
+    BaseData,
+    BundleSpec,
+    random_convex,
+    random_virtual,
+    ring_via_sr,
+)
 from toricbundle.catalog import (
     BASES,
     SPECS,
+    _combine,
     _interlacing,
     _positive_roots,
     base_flag_sl,
@@ -32,7 +45,7 @@ from toricbundle.catalog import (
     weyl_dimension,
     weyl_top_polynomial_sl,
 )
-from toricbundle.errors import DegreeMismatch, NotDominant
+from toricbundle.errors import DegreeMismatch, NotDominant, NotProjectiveSpace
 from toricbundle.galg import _unit, check_poincare
 from toricbundle.integrate import integrate_over_polytope, volume
 from toricbundle.polyhedral import Polytope, VirtualPolytope, polytope_from_support
@@ -49,18 +62,28 @@ def test_base_point_and_projective():
 
 
 def test_flag_base_dimensions():
-    assert base_flag_sl(2).base.algebra.dims() == (1, 1)
+    assert base_flag_sl(2).algebra.dims() == (1, 1)
     fb3 = base_flag_sl(3)
-    assert fb3.base.algebra.dims() == (1, 2, 2, 1)
-    assert fb3.base.algebra.total_dim() == 6
-    assert base_flag_sl(4).base.algebra.total_dim() == 24
+    assert fb3.algebra.dims() == (1, 2, 2, 1)
+    assert fb3.algebra.total_dim() == 6
+    assert base_flag_sl(4).algebra.total_dim() == 24
 
 
 def test_flag_base_poincare_and_associative():
     for n in (2, 3):
         fb = base_flag_sl(n)
-        assert check_poincare(fb.base.algebra, fb.base.orientation)
-        assert fb.base.algebra.check_associative()
+        assert check_poincare(fb.algebra, fb.orientation)
+        assert fb.algebra.check_associative()
+
+
+@pytest.mark.parametrize("n", (2, 3, 4))
+def test_flag_base_chern_rows_are_the_degree_two_basis(n):
+    """The class of w_t is the t-th degree-2 basis vector, so the Chern rows
+    of a flag bundle spec are its lattice basis in fundamental coordinates
+    (what brion_kazarnovskii_check reads)."""
+    fb = base_flag_sl(n)
+    assert fb.algebra.dim(2) == n - 1
+    assert fb.chern == tuple(_unit(n - 1, t) for t in range(n - 1))
 
 
 def test_weyl_top_polynomials():
@@ -83,9 +106,9 @@ def test_degree_identity_prop():
         fw = weyl_top_polynomial_sl(n)
         for _ in range(10):
             lam = tuple(rng.randint(0, 6) for _ in range(n - 1))
-            cls = fb.weight_class(lam)
-            deg, vec = fb.base.algebra.power_of_element(2, cls, big_n)
-            lhs = fb.base.orientation.of(2 * big_n, vec)
+            cls = _combine(lam, fb.chern)
+            deg, vec = fb.algebra.power_of_element(2, cls, big_n)
+            lhs = fb.orientation.of(2 * big_n, vec)
             assert lhs == factorial(big_n) * fw.evaluate(lam)
 
 
@@ -190,15 +213,15 @@ def test_gz_sl4():
 
 def test_brion_kazarnovskii_sl2():
     p1 = fan_p1()
-    lhs, rhs, eq = brion_kazarnovskii_check(2, p1, VirtualPolytope(p1, (1, 0)))
+    spec = flag_bundle_spec(2, p1)
+    lhs, rhs, eq = brion_kazarnovskii_check(spec, VirtualPolytope(p1, (1, 0)))
     assert eq and lhs == 1  # 2! int_0^1 a da
 
 
 def test_brion_kazarnovskii_point_delta():
     p1 = fan_p1()
-    lhs, rhs, eq = brion_kazarnovskii_check(
-        2, p1, VirtualPolytope.of_point(p1, (3,))
-    )
+    spec = flag_bundle_spec(2, p1)
+    lhs, rhs, eq = brion_kazarnovskii_check(spec, of_point(p1, (3,)))
     assert eq and lhs == 0
 
 
@@ -213,19 +236,15 @@ def test_brion_kazarnovskii_sl3_pairs():
         (random_virtual(pp, rng), (F(1), F(-1))),
     ]
     for delta, shift in checks:
-        lhs, rhs, eq = brion_kazarnovskii_check(
-            3, pp, delta, None, shift, sr_report=rep, spec=spec
-        )
+        lhs, rhs, eq = brion_kazarnovskii_check(spec, delta, shift, sr_report=rep)
         assert eq, (delta.h, shift, lhs, rhs)
 
 
 def test_brion_kazarnovskii_sublattice():
     """Index-2 sublattice of the SL2 weight lattice: measure renormalizes."""
     p1 = fan_p1()
-    lam_basis = [[2]]
-    lhs, rhs, eq = brion_kazarnovskii_check(
-        2, p1, VirtualPolytope(p1, (1, 0)), lam_basis
-    )
+    spec = flag_bundle_spec(2, p1, [[2]])
+    lhs, rhs, eq = brion_kazarnovskii_check(spec, VirtualPolytope(p1, (1, 0)))
     # f_W(2y) = 2y integrated over [0,1] in Lambda-measure: 2! * 1 = 2
     assert eq and lhs == 2
 
@@ -234,22 +253,65 @@ def test_brion_kazarnovskii_rank1_inside_sl3():
     """Proper sublattice span{(1,1)} of the SL3 weights: a P1-bundle over
     the full flag threefold."""
     p1 = fan_p1()
-    lam_basis = [[1, 1]]
-    lhs, rhs, eq = brion_kazarnovskii_check(
-        3, p1, VirtualPolytope(p1, (1, 0)), lam_basis
-    )
+    spec = flag_bundle_spec(3, p1, [[1, 1]])
     # f_W(t, t) = t^3, exponent 1 + 3: 4! int_0^1 t^3 dt = 6
-    assert eq and lhs == 6
+    assert brion_kazarnovskii_check(spec, VirtualPolytope(p1, (1, 0))) == (6, 6, True)
     lhs, rhs, eq = brion_kazarnovskii_check(
-        3, p1, VirtualPolytope(p1, (2, 1)), lam_basis, shift=(F(1), F(0))
+        spec, VirtualPolytope(p1, (2, 1)), shift=(F(1), F(0))
     )
     assert eq
 
 
+def test_brion_kazarnovskii_rejects_a_base_that_is_no_flag_variety():
+    """The base of p2_rank2 has dim H^2 = 1, so it would be SL_2/B, of top
+    degree 2; its top degree is 4."""
+    spec = SPECS["p2_rank2"]()
+    with pytest.raises(DegreeMismatch, match="not the SL_2 flag variety"):
+        brion_kazarnovskii_check(spec, VirtualPolytope(spec.fan, (1, 0, 0)))
+
+
 def test_projective_bundle_checks():
-    assert projective_bundle_check(base_projective(1), (0,))
-    assert projective_bundle_check(base_projective(1), (1,))
-    assert projective_bundle_check(base_projective(2), (1, 2))
+    for m, degrees in ((1, (0,)), (1, (1,)), (2, (1, 2))):
+        spec = projective_bundle_spec(base_projective(m), degrees)
+        assert projective_bundle_check(spec), (m, degrees)
+
+
+P_N_SPECS = (
+    "p1_toric",
+    "p2_toric",
+    "hirzebruch_1",
+    "p1_trivial_over_p1",
+    "p2_rank2",
+    "flag_sl2_p1",
+)
+
+
+@pytest.mark.parametrize("name", P_N_SPECS)
+def test_projective_bundle_check_on_catalog_specs(name):
+    """Every catalog spec on the fan of P^n is a projective bundle P(V + O)
+    with c(V + O) the product of its Chern columns."""
+    assert projective_bundle_check(SPECS[name]())
+
+
+def test_projective_bundle_check_rejects_another_fan():
+    with pytest.raises(NotProjectiveSpace, match="'p1xp1_toric' is not that of P"):
+        projective_bundle_check(SPECS["p1xp1_toric"]())
+
+
+def test_projective_bundle_check_fails_on_negated_chern_columns(monkeypatch):
+    """The ring of p2_rank2 with every Chern column negated is P(V* + O):
+    c(V + O) read off the spec's own columns is the wrong total Chern class
+    there, so the relation fails."""
+    real = catalog.ring_via_sr
+
+    def negated(spec):
+        base = spec.base
+        chern = tuple(tuple(-x for x in col) for col in base.chern)
+        other = BaseData(base.algebra, base.orientation, chern)
+        return real(BundleSpec(other, spec.fan, spec.name))
+
+    monkeypatch.setattr(catalog, "ring_via_sr", negated)
+    assert not projective_bundle_check(SPECS["p2_rank2"]())
 
 
 def test_projective_space_fan_shape():
@@ -319,7 +381,7 @@ def test_string_lift_rejects_chamber_violation():
 
 def test_string_lift_degenerate_point():
     p1 = fan_p1()
-    assert string_lift_volume(2, p1, VirtualPolytope.of_point(p1, (2,))) == 0
+    assert string_lift_volume(2, p1, of_point(p1, (2,))) == 0
 
 
 def test_catalog_bases_poincare():
@@ -350,8 +412,9 @@ def test_gz_lattice_points_rejects_non_dominant():
 
 def test_brion_kazarnovskii_rejects_short_shift():
     pp = fan_p1xp1()
+    spec = flag_bundle_spec(3, pp)
     with pytest.raises(DegreeMismatch):
-        brion_kazarnovskii_check(3, pp, VirtualPolytope(pp, (1, 1, 0, 0)), shift=(1,))
+        brion_kazarnovskii_check(spec, VirtualPolytope(pp, (1, 1, 0, 0)), shift=(1,))
 
 
 def test_flag_bundle_spec_rejects_short_lattice_row():
@@ -431,12 +494,10 @@ def _old_string_lift_interlacing(n):
 @pytest.mark.parametrize("n", (2, 3, 4))
 def test_interlacing_matches_old_builders(n):
     for top_row in ([0] * n, list(range(n, 0, -1)), [F(7, 2)] + [F(1, 3)] * (n - 1)):
-        assert _interlacing(n, [((), x) for x in top_row], 0) == _old_gz_halfspaces(
-            n, top_row
-        )
+        assert _interlacing(n, top_row) == _old_gz_halfspaces(n, top_row)
     rank = n - 1
     top = [([int(t >= c) for t in range(rank)], 0) for c in range(n)]
-    assert _interlacing(n, top, rank) == _old_string_lift_interlacing(n)
+    assert helpers.lifted_interlacing(n, top, rank) == _old_string_lift_interlacing(n)
 
 
 def test_string_lift_halfspaces_match_old_block(monkeypatch):
@@ -501,9 +562,9 @@ def test_root_table_orients_flag_bases():
         deg, vec = 0, (F(1),)
         for coroot, root in _positive_roots(n):
             assert sum(c * a for c, a in zip(coroot, root)) == 2  # <a, a^v>
-            vec = fb.base.algebra.multiply(deg, vec, 2, fb.weight_class(root))
+            vec = fb.algebra.multiply(deg, vec, 2, _combine(root, fb.chern))
             deg += 2
-        assert fb.base.orientation.of(deg, vec) == factorial(n)
+        assert fb.orientation.of(deg, vec) == factorial(n)
 
 
 def _old_chern_classes(r, degrees):
@@ -554,7 +615,8 @@ def test_projective_bundle_chern_classes_match_iterated_product(monkeypatch):
     ):
         base = base_projective(m)
         seen.clear()
-        assert projective_bundle_check(base, degrees), (m, degrees)
+        spec = projective_bundle_spec(base, degrees)
+        assert projective_bundle_check(spec), (m, degrees)
         assert seen == _old_chern_classes(base.algebra, degrees), (m, degrees)
 
 
@@ -565,5 +627,6 @@ def test_projective_bundle_check_catches_wrong_pullback(monkeypatch):
         "pullback_class",
         lambda *args: tuple(2 * x for x in real(*args)),
     )
-    assert not projective_bundle_check(base_projective(1), (1,))
-    assert not projective_bundle_check(base_projective(2), (1, 2))
+    for m, degrees in ((1, (1,)), (2, (1, 2))):
+        spec = projective_bundle_spec(base_projective(m), degrees)
+        assert not projective_bundle_check(spec), (m, degrees)

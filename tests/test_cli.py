@@ -271,6 +271,32 @@ def test_verify_bk_requires_flag_spec(capsys):
 
 
 @pytest.mark.parametrize(
+    "spec",
+    [
+        "p1_toric",
+        "p2_toric",
+        "hirzebruch_1",
+        "p1_trivial_over_p1",
+        "p2_rank2",
+        "flag_sl2_p1",
+    ],
+)
+def test_verify_pbundle_on_projective_space_fans(capsys, spec):
+    """Every catalog spec on the fan of P^n, toric ones included, is checked
+    as the projective bundle its Chern columns make."""
+    code, out, _ = run(capsys, "verify", spec, "--suite", "pbundle")
+    lines = out.splitlines()
+    assert code == 0 and len(lines) == 3 and lines[-1] == "RESULT: PASS"
+    assert lines[1].startswith("PASS projective-bundle relation chern=")
+
+
+def test_verify_pbundle_needs_the_projective_space_fan(capsys):
+    code, out, err = run(capsys, "verify", "p1xp1_toric", "--suite", "pbundle")
+    assert code == 3 and out == ""
+    assert err.startswith("error: suite pbundle: ") and "not that of P^2" in err
+
+
+@pytest.mark.parametrize(
     "spec, suite, count",
     [
         ("p2_toric", "bkk", "0"),
@@ -536,6 +562,28 @@ def test_verify_ider_ring_doubled_functional_exit_1_under_optimize():
     assert failed and all(line.startswith("FAIL ider ring gamma=") for line in failed)
 
 
+# doubles every pullback the projective-bundle check reads: c_1 t^2 + c_2 t
+# then enters twice
+_DOUBLED_PULLBACK = """
+import sys
+from toricbundle import catalog, cli
+real = catalog.pullback_class
+catalog.pullback_class = lambda *args: tuple(2 * x for x in real(*args))
+sys.exit(cli.main(["verify", "p2_rank2", "--suite", "pbundle"]))
+"""
+
+
+def test_verify_pbundle_doubled_pullback_exit_1_under_optimize():
+    """The Whitney relation is an explicit comparison, so -O keeps it."""
+    proc = run_optimized(_DOUBLED_PULLBACK)
+    assert proc.returncode == 1, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[-2:] == [
+        "FAIL projective-bundle relation chern=(('1',), ('2',))",
+        "RESULT: FAIL",
+    ]
+
+
 @pytest.mark.parametrize(
     "data",
     [
@@ -614,6 +662,17 @@ def test_spec_file_invalid_geometry_exit_2(capsys, tmp_path, command):
     path = _edited_spec_file(tmp_path, data, ("fan", "rays", 0), [2])
     code, _, err = run(capsys, command[0], str(path), *command[1:])
     assert code == 2
+    assert "invalid geometry" in err and "not primitive" in err
+
+
+@pytest.mark.parametrize("suite", sorted(SUITES))
+def test_verify_spec_file_invalid_geometry_exit_2(capsys, tmp_path, suite):
+    """Every suite reads the spec it checks, so a spec file with invalid
+    geometry is exit 2 under each one, the flag-only suites included."""
+    data = spec_to_dict(SPECS["flag_sl2_p1"]())
+    path = _edited_spec_file(tmp_path, data, ("fan", "rays", 0), [2])
+    code, out, err = run(capsys, "verify", str(path), "--suite", suite)
+    assert (code, out) == (2, "")
     assert "invalid geometry" in err and "not primitive" in err
 
 

@@ -15,7 +15,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import affine_dim, det, integrate_over_simplex, polytope_from_points
+from helpers import (
+    affine_dim,
+    det,
+    integrate_over_simplex,
+    of_point,
+    polytope_from_points,
+)
 from toricbundle import cli, exactlin, integrate, polyhedral
 from toricbundle.bundle import (
     random_convex,
@@ -852,7 +858,7 @@ def convex_support_and_integrand(draw):
     elif kind == "boundary":
         vp = _boundary_support(fan, rng)
     else:
-        vp = VirtualPolytope.of_point(
+        vp = of_point(
             fan, draw(st.lists(rationals, min_size=fan.dim, max_size=fan.dim))
         )
     monos = [m for k in range(3) for m in monomials_of_degree(fan.dim, k)]

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import FanTooCoarse, polytope_from_points, support_function
+from helpers import FanTooCoarse, of_point, polytope_from_points, support_function
 from toricbundle import polyhedral
 from toricbundle.catalog import SPECS, fan_projective_space
 from toricbundle.exactlin import solve
@@ -389,9 +389,7 @@ def test_support_function_examples():
     point = Polytope.from_halfspaces(
         [((1, 0), 2), ((-1, 0), -2), ((0, 1), 3), ((0, -1), -3)], 2
     )
-    assert support_function(point, p2).h == VirtualPolytope.of_point(
-        p2, (2, 3)
-    ).h
+    assert support_function(point, p2).h == of_point(p2, (2, 3)).h
     tri = polytope_from_points([(0, 0), (-1, 0), (0, -1)])
     assert support_function(tri, p2).h == (0, 0, 1)
 

@@ -99,12 +99,6 @@ def test_monomials_of_degree_count_and_order():
     assert len(set(ms)) == len(ms)
 
 
-def test_embed():
-    x = QPolynomial.variable(("a",), 0)
-    big = (x**2).embed(("z", "a"))
-    assert big.coefficient((0, 2)) == 1
-
-
 # -- the integer representation against the Fraction-per-term oracle ------
 
 _coeffs = st.fractions(min_value=-4, max_value=4, max_denominator=6)
@@ -161,8 +155,6 @@ def test_integer_polynomial_matches_fraction_oracle(space, c, n, k, data):
         _same(p.partial(i), po.partial(i))
     for expo in list(t1) + [(0,) * len(vars)]:
         assert p.coefficient(expo) == po.coefficient(expo)
-    wide = data.draw(st.permutations(vars + ("s", "t")))
-    _same(p.embed(wide), po.embed(wide))
 
 
 @settings(max_examples=60, deadline=None)

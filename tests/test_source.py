@@ -195,6 +195,68 @@ def test_dead_entry_point_rule_skips_init_reexports():
     assert _dead_entry_points("lin", trees, ()) == ["a", "b"]
 
 
+def _dead_methods(module: str, trees: dict, wrapped) -> list[str]:
+    """Public methods of the classes of ``module``, as ``Class.method``,
+    that no tree of ``trees`` (module name -> parsed source) reads as an
+    attribute outside the method's own definition and that no
+    ``module.Class.method`` entry of ``wrapped`` names.  A read is by
+    attribute name alone: ``x.m`` keeps every method called m alive."""
+    methods = {
+        f"{cls.name}.{fn.name}": fn
+        for cls in trees[module].body
+        if isinstance(cls, ast.ClassDef)
+        for fn in cls.body
+        if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")
+    }
+    read = {name.split(".", 1)[1] for name in wrapped if name.startswith(f"{module}.")}
+    for qualname, fn in methods.items():
+        own = set(map(id, ast.walk(fn)))
+        if any(
+            isinstance(n, ast.Attribute) and n.attr == fn.name and id(n) not in own
+            for tree in trees.values()
+            for n in ast.walk(tree)
+        ):
+            read.add(qualname)
+    return [name for name in methods if name not in read]
+
+
+def _reader_trees() -> dict:
+    """The parsed modules of the package and of the benchmark (not its
+    tests), keyed by module name."""
+    bench = SRC.parents[1] / "perfbench"
+    paths = sorted(SRC.glob("*.py")) + sorted(bench.glob("*.py"))
+    return {
+        (path.stem if path.parent == SRC else f"perfbench.{path.stem}"): ast.parse(
+            path.read_text(), filename=str(path)
+        )
+        for path in paths
+    }
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_dead_methods(module):
+    """Every public method of the package is read by the package or the
+    benchmark, or is a benchmark span: a method only tests call is a test
+    helper."""
+    found = _dead_methods(module, _reader_trees(), _wrapped_names())
+    assert not found, f"{module} methods nothing reads: {found}"
+
+
+def test_dead_method_rule_sees_an_unread_method():
+    """A method read only inside its own body, or only named by a function
+    of the same name, is dead; a read from another method, another module
+    or a wrapped span keeps it alive, and private methods are skipped."""
+    trees = {
+        "lin": ast.parse(
+            "class A:\n    def a(self): return self.b()\n    def b(self): pass\n"
+            "    def c(self): return self.c()\n    def d(self): pass\n"
+            "    def _e(self): pass\n    def f(self): pass\ndef d(): pass\n"
+        ),
+        "perfbench.run": ast.parse("import lin\nlin.A().f\n"),
+    }
+    assert _dead_methods("lin", trees, ("lin.A.a",)) == ["A.c", "A.d"]
+
+
 def _private_attributes(tree: ast.Module, modules) -> list[int]:
     """Lines where a module-level function reads or writes an underscore
     attribute of an object.  Methods may use their own object's; a dunder
