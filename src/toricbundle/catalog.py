@@ -10,7 +10,6 @@ map lambda'_i = a_i + ... + a_{n-1}.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 from operator import add
@@ -255,13 +254,6 @@ def _partition_coords(n: int, lam):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GZData:
-    n: int
-    lam: tuple[Fraction, ...]
-    polytope: Polytope
-
-
 def _interlacing(n: int, top):
     """Interlacing halfspaces for pattern rows 1..n-1 below the constant top
     row ``top``.
@@ -289,13 +281,11 @@ def _interlacing(n: int, top):
     return halfspaces
 
 
-def gz_polytope(n: int, lam) -> GZData:
+def gz_polytope(n: int, lam) -> Polytope:
     """The Gelfand-Zetlin polytope of a dominant weight (fundamental coords)."""
     _rank(n)
-    lam = _weight(n, lam, dominant=True)
-    top = _partition_coords(n, lam)
-    poly = Polytope.from_halfspaces(_interlacing(n, top), n * (n - 1) // 2)
-    return GZData(n, lam, poly)
+    top = _partition_coords(n, _weight(n, lam, dominant=True))
+    return Polytope.from_halfspaces(_interlacing(n, top), n * (n - 1) // 2)
 
 
 def gz_lattice_points(n: int, lam) -> int:
@@ -324,8 +314,7 @@ def gz_lattice_points(n: int, lam) -> int:
 
 def gz_volume_check(n: int, lam) -> bool:
     """Vol(GZ_lambda) = f_W(lambda), exactly."""
-    data = gz_polytope(n, lam)
-    return volume(data.polytope) == weyl_top_polynomial_sl(n).evaluate(lam)
+    return volume(gz_polytope(n, lam)) == weyl_top_polynomial_sl(n).evaluate(lam)
 
 
 # ---------------------------------------------------------------------------
@@ -357,14 +346,17 @@ def brion_kazarnovskii_check(
     """rho-bar(Delta)^{rk+N} against (rk+N)! int_Delta f_W, both exact, on a
     spec built by :func:`flag_bundle_spec`.
 
-    The base is the flag variety of SL_n with n - 1 = dim H^2, and a base of
-    top degree other than n(n - 1) raises ``DegreeMismatch``.  Its degree-2
-    basis is the fundamental weights, so the Chern rows are the sublattice
-    basis in fundamental coordinates.  ``delta`` lives on the spec's fan, in
-    the sublattice's own coordinates; ``shift`` is an optional translation
-    in fundamental coordinates (a degree-2 class of the base).
+    The base is the flag variety of SL_n with n - 1 = dim H^2, and a base
+    without degree-2 classes or of top degree other than n(n - 1) raises
+    ``DegreeMismatch``.  Its degree-2 basis is the fundamental weights, so
+    the Chern rows are the sublattice basis in fundamental coordinates.
+    ``delta`` lives on the spec's fan, in the sublattice's own coordinates;
+    ``shift`` is an optional translation in fundamental coordinates (a
+    degree-2 class of the base).
     """
     n = spec.base.algebra.dim(2) + 1
+    if n < 2:
+        raise DegreeMismatch("a base without degree-2 classes is no flag variety")
     if spec.k != n * (n - 1):
         raise DegreeMismatch(
             f"base of top degree {spec.k} is not the SL_{n} flag variety"
@@ -476,13 +468,4 @@ SPECS = {
     "p2_rank2": spec_p2_rank2,
     "flag_sl2_p1": spec_flag_sl2_p1,
     "flag_sl3_p1xp1": spec_flag_sl3_p1xp1,
-}
-
-BASES = {
-    "point": base_point,
-    "p1": lambda: base_projective(1),
-    "p2": lambda: base_projective(2),
-    "flag_sl2": lambda: base_flag_sl(2),
-    "flag_sl3": lambda: base_flag_sl(3),
-    "flag_sl4": lambda: base_flag_sl(4),
 }

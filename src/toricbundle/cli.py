@@ -27,6 +27,7 @@ import re
 import sys
 from fractions import Fraction
 
+import toricbundle
 from toricbundle import catalog, serialize
 from toricbundle.bundle import (
     BundleSpec,
@@ -131,7 +132,7 @@ def cmd_ring(args) -> int:
     except ToricBundleError as exc:
         _fail(EXIT_PRECONDITION, f"builder {args.builder}: {exc}")
     payload = serialize.report_to_dict(report)
-    payload["kernel_backend"] = __import__("toricbundle").kernel_backend
+    payload["kernel_backend"] = toricbundle.kernel_backend
     if args.json:
         print(serialize.dumps(payload))
     else:

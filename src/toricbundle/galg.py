@@ -11,14 +11,16 @@ odd cohomology), so no Koszul signs appear anywhere.  The module provides
   the table through it;
 * ``FreeAlgebra``: R[x_1..x_s] on its monomials, in a deterministic order,
   with products computed when read rather than stored; it is the one owner
-  of free-monomial coordinates (``FreeAlgebra.element``);
+  of free-monomial coordinates (``FreeAlgebra.element``), and it carries the
+  degree-2 values of the variables a quotient eliminates, so ``element``
+  returns an element with each of them replaced (memoised per monomial);
 * ``build_quotient``: the degreewise quotient engine for presented algebras
   R[x_1..x_s]/(relations).  Each degree-2 relation led by a variable x_p is
-  solved for it, and the other relations, so substituted, are eliminated on
-  the free algebra of the kept variables: relation multiples are sparse
-  rows over its monomials, and the kernel's integer RREF rows
+  solved for it, and the free algebra of the kept variables carries every
+  relation, so substituted, as column pairs: relation multiples are its
+  monomial products, and the kernel's integer RREF rows
   (``exactlin.echelon_int``) become the reducer of each degree.  A class is
-  the degree's reducer applied to a free element, after the substitution;
+  the degree's reducer applied to ``FreeAlgebra.element``;
 * Frobenius forms, the self-dual quotient B/I(L_ell) obtained by factoring
   out the radical of the Frobenius form.  The radical comes from the top
   degree down, as Macaulay's inverse system describes B/Ann(ell): ker ell on
@@ -489,31 +491,20 @@ def _mono_label(base: GradedAlgebra, gen_names, mono) -> str:
 
 @dataclass
 class QuotientModel:
-    """A built quotient of the free algebra ``free`` on the kept variables:
-    ``solved[p]`` is the degree-2 expression that replaces the eliminated
-    x_p, ``reducers[d]`` holds the relation span in degree d, and the basis
-    is the free monomials at ``reducers[d].keep``."""
+    """A built quotient of the free algebra ``free`` on the kept variables
+    (its ``solved`` map replaces each eliminated x_p): ``reducers[d]`` holds
+    the relation span in degree d, and the basis is the free monomials at
+    ``reducers[d].keep``."""
 
     presented: PresentedAlgebra
     algebra: GradedAlgebra
     free: FreeAlgebra
     reducers: dict[int, Reducer]
-    solved: dict[int, Relation]
 
     def class_of(self, beta, gdeg: int = 0, gamma=None) -> Vec:
-        """Quotient coordinates of p^*(gamma) * x^beta (see
-        :meth:`FreeAlgebra.element`), each eliminated x_p replaced by
-        ``solved[p]``; zero above the truncation."""
-        beta = tuple(beta)
-        d = gdeg + 2 * sum(beta)
-        if d > self.free.top:
-            return ()
-        gamma = (_ONE,) if gamma is None else gamma
-        terms = _substitute(self.free.base, self.solved, {beta: (gdeg, gamma)})
-        pairs = []
-        for b, (r, v) in terms.items():
-            pairs += self.free.element(b, r, v)[1]
-        return _class(self.reducers, d, pairs)
+        """Quotient coordinates of p^*(gamma) * x^beta, through
+        :meth:`FreeAlgebra.element`; zero above the truncation."""
+        return _class(self.reducers, *self.free.element(beta, gdeg, gamma))
 
 
 class FreeAlgebra(GradedAlgebra):
@@ -521,9 +512,13 @@ class FreeAlgebra(GradedAlgebra):
     (base degree, base index, beta): ``monomials[d]`` lists them in
     ``_mono_sort_key`` order, and ``column[d]`` maps each to its index.
     Callers name an element by (beta, base degree, base vector) through
-    :meth:`element` and never build the monomial keys themselves.  The x_i
-    with an index in ``solved`` do not occur; beta keeps one entry per name,
-    so labels and order are those of the full algebra.
+    :meth:`element` and never build the monomial keys themselves.
+
+    ``solved`` maps the index p of each eliminated x_i to its degree-2
+    value, x_p = sum c * m over (m, c) terms with m a free monomial of
+    degree 2.  The eliminated x_p do not occur among the monomials; beta
+    keeps one entry per name, so labels and order are those of the full
+    algebra.
 
     No product table is stored: a product of two monomials is computed when
     it is read, from the exponent sum and the base's structure constants.
@@ -532,17 +527,19 @@ class FreeAlgebra(GradedAlgebra):
     x_i and the generators of the base.
     """
 
-    __slots__ = ("base", "monomials", "column")
+    __slots__ = ("base", "monomials", "column", "solved", "_images")
 
     def __init__(self, base: GradedAlgebra, gen_names, top: int, solved=()):
         self.base = base
+        self.solved = dict(solved)
+        self._images = {}
         self.monomials, self.column, labels = {}, {}, {}
         for d in range(0, top + 1, 2):
             monos = [
                 (d - 2 * m, ridx, beta)
                 for m in range(d // 2 + 1)
                 for beta in monomials_of_degree(len(gen_names), m)
-                if not any(beta[p] for p in solved)
+                if not any(beta[p] for p in self.solved)
                 for ridx in range(base.dim(d - 2 * m))
             ]
             monos.sort(key=_mono_sort_key)
@@ -560,21 +557,51 @@ class FreeAlgebra(GradedAlgebra):
         beta = tuple(map(add, b1, b2))
         column = self.column[d]
         return tuple(
-            (column[(r1 + r2, t, beta)], c)
-            for t, c in self.base.product_pairs(r1, i1, r2, i2)
+            [
+                (column[(r1 + r2, t, beta)], c)
+                for t, c in self.base.product_pairs(r1, i1, r2, i2)
+            ]
         )
 
     def element(self, beta, gdeg: int = 0, gamma=None):
         """(degree, column pairs) of p^*(gamma) * x^beta, with gamma a
-        coefficient vector of base degree ``gdeg`` (the unit by default);
-        above the top the element is zero and has no pairs."""
+        coefficient vector of base degree ``gdeg`` (the unit by default) and
+        each eliminated x_p replaced by ``solved[p]``; above the top the
+        element is zero and has no pairs."""
         beta = tuple(beta)
         d = gdeg + 2 * sum(beta)
         if d > self.top:
             return d, ()
-        column = self.column[d]
         gamma = (_ONE,) if gamma is None else gamma
-        return d, [(column[(gdeg, u, beta)], c) for u, c in enumerate(gamma) if c]
+        out: dict[int, Fraction] = {}
+        for u, c in enumerate(gamma):
+            if c:
+                for t, x in self._image((gdeg, u, beta)):
+                    out[t] = out.get(t, 0) + c * x
+        return d, [(t, x) for t, x in out.items() if x]
+
+    def _image(self, mono) -> SparseRow:
+        """The column pairs of a monomial over all the x_i, memoised: a
+        kept monomial is its own column, and x^beta with an eliminated x_p
+        is x^(beta - e_p) * ``solved[p]``, multiplied by ``product_pairs``."""
+        image = self._images.get(mono)
+        if image is not None:
+            return image
+        rdeg, ridx, beta = mono
+        d = rdeg + 2 * sum(beta)
+        p = next((p for p in self.solved if beta[p]), None)
+        if p is None:
+            image = ((self.column[d][mono], _ONE),)
+        else:
+            lower = (rdeg, ridx, beta[:p] + (beta[p] - 1,) + beta[p + 1 :])
+            acc: dict[int, Fraction] = {}
+            for t, x in self._image(lower):
+                for m, c in self.solved[p]:
+                    for u, y in self.product_pairs(d - 2, t, 2, self.column[2][m]):
+                        acc[u] = acc.get(u, 0) + x * c * y
+            image = tuple((u, x) for u, x in acc.items() if x)
+        self._images[mono] = image
+        return image
 
     def generators(self) -> list[tuple[int, int]]:
         zero = self.monomials[0][0][2]
@@ -583,124 +610,64 @@ class FreeAlgebra(GradedAlgebra):
         return xs + lifts
 
 
-def _relation_rows(base: GradedAlgebra, rel: Relation, multipliers, column):
-    """The rows of mono * rel over the given multiplier monomials, as
-    {column: coefficient} maps (empty when the product vanishes).
-
-    The relation is scaled to integer coefficients first, which leaves the
-    row space unchanged, so entries stay ints wherever the base structure
-    constants are integers.
-    """
-    scale = lcm(
-        *(cg.denominator for _, vec_g in rel.values() for cg in vec_g)
-    )
-    terms = [
-        (beta_g, rg, tg, cg.numerator * (scale // cg.denominator))
-        for beta_g, (rg, vec_g) in rel.items()
-        for tg, cg in enumerate(vec_g)
-        if cg
-    ]
-    rows = []
-    for rm, im, bm in multipliers:
-        row: dict[int, int | Fraction] = {}
-        for beta_g, rg, tg, cg in terms:
-            beta = tuple(map(add, bm, beta_g))
-            for tt, cb in base.product_pairs(rm, im, rg, tg):
-                col = column[(rm + rg, tt, beta)]
-                x = cg * cb.numerator if cb.denominator == 1 else cg * cb
-                row[col] = row.get(col, 0) + x
-        rows.append(row)
-    return rows
-
-
-def _rel_degree(rel: Relation) -> int:
-    return next(rdeg + 2 * sum(beta) for beta, (rdeg, _) in rel.items())
-
-
-def _as_relation(base: GradedAlgebra, monos, pairs) -> Relation:
-    """The element sum c * monos[col] over (col, c) pairs, as a Relation."""
-    rel: dict = {}
-    for col, c in pairs:
-        rdeg, ridx, beta = monos[col]
-        vec = rel.setdefault(beta, (rdeg, [_ZERO] * base.dim(rdeg)))[1]
-        vec[ridx] += c
-    return {beta: (rdeg, tuple(vec)) for beta, (rdeg, vec) in rel.items()}
-
-
-def _substitute(base: GradedAlgebra, solved, rel: Relation) -> Relation:
-    """rel with each x_p in ``solved`` replaced by the degree-2 element
-    ``solved[p]``, which holds no solved variable: one power of x_p at a
-    time, like terms merged after each; vanishing terms are dropped."""
-    cur = dict(rel)
-    for p, lin in solved.items():
-        while hit := [b for b in cur if b[p]]:
-            for beta in hit:
-                rdeg, vec = cur.pop(beta)
-                lower = beta[:p] + (beta[p] - 1,) + beta[p + 1 :]
-                for b2, (r2, v2) in lin.items():
-                    v = base.multiply(rdeg, vec, r2, v2)
-                    b = tuple(map(add, lower, b2))
-                    if b in cur:
-                        v = tuple(map(add, cur[b][1], v))
-                    cur[b] = (rdeg + r2, v)
-    return {b: t for b, t in cur.items() if any(t[1])}
-
-
-def _solve_degree_two(p: PresentedAlgebra):
-    """(solved, relations) from the RREF of the degree-2 relations.
-
-    A row led by a variable x_p gives x_p = ``solved[p]``, over the kept
-    variables and the base classes.  It leads with x_p in the
-    ``_mono_sort_key`` order, so no standard monomial holds x_p.  A row led
-    by a base class has no x-part and stays a relation.  The other
-    relations come back as (degree, relation) pairs, each solved x_p
-    substituted; one that vanishes is dropped.
-    """
-    free2 = FreeAlgebra(p.base, p.gen_names, 2)
-    monos = free2.monomials[2]
-    rows, others, solved, kept = [], [], {}, []
-    for rel in p.relations:
-        if _rel_degree(rel) == 2:
-            rows += _relation_rows(p.base, rel, free2.monomials[0], free2.column[2])
-        else:
-            others.append(rel)
-    for piv, row in echelon_int(row.items() for row in rows):
-        rdeg, _, beta = monos[piv]
-        pv = -row[piv]
-        terms = [(c, Fraction(x, pv)) for c, x in row.items()]
-        rel = _as_relation(p.base, monos, terms)
-        if rdeg:
-            kept.append((2, rel))
-        else:  # rel is L_p - x_p
-            del rel[beta]
-            solved[beta.index(1)] = rel
-    for rel in others:
-        if sub := _substitute(p.base, solved, rel):
-            kept.append((_rel_degree(rel), sub))
-    return solved, kept
+def _relation_pairs(free: FreeAlgebra, relations):
+    """(degree, column pairs) of each relation in ``free``, through
+    :meth:`FreeAlgebra.element`, scaled to integer coefficients; scaling
+    leaves the span of its multiples unchanged.  Above the top, or where the
+    substitution cancels it, a relation has no pairs."""
+    out = []
+    for rel in relations:
+        acc: dict[int, Fraction] = {}
+        for beta, (rdeg, vec) in rel.items():
+            d, pairs = free.element(beta, rdeg, vec)
+            for t, c in pairs:
+                acc[t] = acc.get(t, 0) + c
+        scale = lcm(*(c.denominator for c in acc.values()))
+        out.append((d, [(t, int(c * scale)) for t, c in acc.items() if c]))
+    return out
 
 
 def build_quotient(p: PresentedAlgebra) -> QuotientModel:
     """Degreewise quotient of R[x_1..x_s] by homogeneous relations.
 
-    The degree-2 relations are solved first (``_solve_degree_two``).  Then,
-    for each even degree up to the truncation bound, every multiple of the
-    other relations by a free monomial in the kept variables is a sparse
-    row; the row-reduced rows are the degree's reducer, and the non-pivot
-    (standard) monomials are the quotient basis.  Normal forms are unique,
-    so basis and structure constants are those of eliminating every
-    relation multiple over all the x_i.
+    The degree-2 relations are solved first: in their RREF over all the x_i,
+    a row led by a variable x_p gives x_p over the kept variables and the
+    base classes.  It leads with x_p in the ``_mono_sort_key`` order, so no
+    standard monomial holds x_p; a row led by a base class has no x-part.
+    The free algebra of the kept variables then carries every relation,
+    each x_p replaced (``FreeAlgebra.element``), as one set of column pairs.
+    For each even degree up to the truncation bound, every multiple of a
+    relation by a free monomial is a sparse row; the row-reduced rows are
+    the degree's reducer, and the non-pivot (standard) monomials are the
+    quotient basis.  Normal forms are unique, so basis and structure
+    constants are those of eliminating every relation multiple over all the
+    x_i.
     """
-    solved, relations = _solve_degree_two(p)
+    free2 = FreeAlgebra(p.base, p.gen_names, 2)
+    monos = free2.monomials[2]
+    lin = [pairs for d, pairs in _relation_pairs(free2, p.relations) if d == 2]
+    solved = {}
+    for piv, row in echelon_int(lin):
+        rdeg, _, beta = monos[piv]
+        if not rdeg:  # row / row[piv] is x_p - solved[p]
+            pv = -row[piv]
+            terms = [(monos[c], Fraction(x, pv)) for c, x in row.items() if c != piv]
+            solved[beta.index(1)] = tuple(terms)
     free = FreeAlgebra(p.base, p.gen_names, p.truncation, solved)
+    relations = [(d, pairs) for d, pairs in _relation_pairs(free, p.relations) if pairs]
     reducers: dict[int, Reducer] = {}
     for d, monos in free.monomials.items():
         rows = []
-        for rel_deg, rel in relations:
-            multipliers = free.monomials.get(d - rel_deg, [])
-            rows += _relation_rows(p.base, rel, multipliers, free.column[d])
-        reducers[d] = Reducer(echelon_int(row.items() for row in rows), len(monos))
-    return QuotientModel(p, _quotient_algebra(free, reducers), free, reducers, solved)
+        for e, pairs in relations:
+            for i in range(free.dim(d - e)):
+                row: dict[int, int | Fraction] = {}
+                for col, c in pairs:
+                    for t, x in free.product_pairs(d - e, i, e, col):
+                        x = c * x.numerator if x.denominator == 1 else c * x
+                        row[t] = row.get(t, 0) + x
+                rows.append(row.items())
+        reducers[d] = Reducer(echelon_int(rows), len(monos))
+    return QuotientModel(p, _quotient_algebra(free, reducers), free, reducers)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction as F
 from math import comb, factorial, lcm, perm, prod
-from operator import le, sub
+from operator import add, le, sub
 
 from toricbundle.bundle import (
     BaseData,
@@ -39,12 +39,7 @@ from toricbundle.exactlin import (
     rank,
     rref,
 )
-from toricbundle.galg import (
-    _rel_degree,
-    _relation_rows,
-    _unit,
-    graded_isomorphic,
-)
+from toricbundle.galg import _unit, graded_isomorphic
 from toricbundle.integrate import (
     _integral,
     integral_over_virtual,
@@ -480,6 +475,85 @@ def self_intersection(
     return route_ring
 
 
+# -- the relation and substitution routines that FreeAlgebra replaced ----------
+
+
+def rel_degree(rel) -> int:
+    """The degree of a homogeneous relation, given as a dict beta ->
+    (base degree, base coefficient vector)."""
+    return next(rdeg + 2 * sum(beta) for beta, (rdeg, _) in rel.items())
+
+
+def relation_rows(base, rel, multipliers, column):
+    """The rows of mono * rel over the given multiplier monomials, as
+    {column: coefficient} maps (empty when the product vanishes).
+
+    The relation is scaled to integer coefficients first, which leaves the
+    row space unchanged, so entries stay ints wherever the base structure
+    constants are integers.
+    """
+    scale = lcm(*(cg.denominator for _, vec_g in rel.values() for cg in vec_g))
+    terms = [
+        (beta_g, rg, tg, cg.numerator * (scale // cg.denominator))
+        for beta_g, (rg, vec_g) in rel.items()
+        for tg, cg in enumerate(vec_g)
+        if cg
+    ]
+    rows = []
+    for rm, im, bm in multipliers:
+        row = {}
+        for beta_g, rg, tg, cg in terms:
+            beta = tuple(map(add, bm, beta_g))
+            for tt, cb in base.product_pairs(rm, im, rg, tg):
+                col = column[(rm + rg, tt, beta)]
+                x = cg * cb.numerator if cb.denominator == 1 else cg * cb
+                row[col] = row.get(col, 0) + x
+        rows.append(row)
+    return rows
+
+
+def substitute(base, solved, rel):
+    """rel with each x_p in ``solved`` replaced by the degree-2 relation
+    ``solved[p]``, which holds no solved variable: one power of x_p at a
+    time on dense base vectors, like terms merged after each; vanishing
+    terms are dropped."""
+    cur = dict(rel)
+    for p, lin in solved.items():
+        while hit := [b for b in cur if b[p]]:
+            for beta in hit:
+                rdeg, vec = cur.pop(beta)
+                lower = beta[:p] + (beta[p] - 1,) + beta[p + 1 :]
+                for b2, (r2, v2) in lin.items():
+                    v = base.multiply(rdeg, vec, r2, v2)
+                    b = tuple(map(add, lower, b2))
+                    if b in cur:
+                        v = tuple(map(add, cur[b][1], v))
+                    cur[b] = (rdeg + r2, v)
+    return {b: t for b, t in cur.items() if any(t[1])}
+
+
+def substituted_element(free, beta, gdeg, gamma) -> dict:
+    """``free.element(beta, gdeg, gamma)`` as {column: coefficient}, nonzero,
+    by the dense route: ``substitute`` on the element, then the columns of
+    its terms, which hold no eliminated variable."""
+    base = free.base
+    solved = {}
+    for p, terms in free.solved.items():
+        lin = {}
+        for (rdeg, ridx, b), c in terms:
+            vec = list(lin.get(b, (rdeg, (F(0),) * base.dim(rdeg)))[1])
+            vec[ridx] += c
+            lin[b] = (rdeg, tuple(vec))
+        solved[p] = lin
+    column = free.column[gdeg + 2 * sum(beta)]
+    out = {}
+    for b, (rdeg, vec) in substitute(base, solved, {beta: (gdeg, gamma)}).items():
+        for u, c in enumerate(vec):
+            if c:
+                out[column[(rdeg, u, b)]] = c
+    return out
+
+
 # -- ring comparisons that cross_validate and the builders replaced ------------
 
 
@@ -511,8 +585,8 @@ def radical_holds_relation_multiples(spec, sd_report, sr_report) -> bool:
     free, sd = sd_report.model
     for d in range(0, spec.top_degree + 1, 2):
         for rel in sr_report.model.presented.relations:
-            multipliers = free.monomials.get(d - _rel_degree(rel), [])
-            rows = _relation_rows(spec.base.algebra, rel, multipliers, free.column[d])
+            multipliers = free.monomials.get(d - rel_degree(rel), [])
+            rows = relation_rows(spec.base.algebra, rel, multipliers, free.column[d])
             if any(sd.reducers[d].pairs(row.items()) for row in rows):
                 return False
     return True
@@ -529,9 +603,7 @@ def gz_minkowski_additive(n: int, lam, mu) -> bool:
     bounds linear in the weight.  The values at the +-coordinate vectors
     would pin only the bounding boxes.
     """
-    polys = [
-        gz_polytope(n, w).polytope for w in (lam, mu, [a + b for a, b in zip(lam, mu)])
-    ]
+    polys = [gz_polytope(n, w) for w in (lam, mu, [a + b for a, b in zip(lam, mu)])]
     normals = {normal for p in polys for normal, _ in p.halfspaces}
     p_l, p_m, p_s = polys
     return all(

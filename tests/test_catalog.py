@@ -24,7 +24,6 @@ from toricbundle.bundle import (
     ring_via_sr,
 )
 from toricbundle.catalog import (
-    BASES,
     SPECS,
     _combine,
     _interlacing,
@@ -35,7 +34,6 @@ from toricbundle.catalog import (
     brion_kazarnovskii_check,
     fan_p1,
     fan_p1xp1,
-    fan_p2,
     fan_projective_space,
     flag_bundle_spec,
     gz_lattice_points,
@@ -113,13 +111,11 @@ def test_degree_identity_prop():
 
 
 def test_gz_polytope_examples():
-    seg = gz_polytope(2, (5,))
-    assert volume(seg.polytope) == 5
-    g = gz_polytope(3, (1, 1))
-    assert volume(g.polytope) == 1
+    assert volume(gz_polytope(2, (5,))) == 5
+    assert volume(gz_polytope(3, (1, 1))) == 1
     assert gz_lattice_points(3, (1, 1)) == 8
     assert gz_lattice_points(3, (2, 0)) == 6
-    assert volume(gz_polytope(3, (3, 1)).polytope) == 6
+    assert volume(gz_polytope(3, (3, 1))) == 6
 
 
 def test_gz_rejects_non_dominant():
@@ -184,10 +180,10 @@ def test_gz_minkowski_additivity_tells_a_polytope_from_its_box(monkeypatch):
     real = catalog.gz_polytope
 
     def boxed(n, lam):
-        data = real(n, lam)
+        poly = real(n, lam)
         if tuple(lam) != (3, 3):
-            return data
-        verts = data.polytope.vertices
+            return poly
+        verts = poly.vertices
         lo = [min(c) for c in zip(*verts)]
         hi = [max(c) for c in zip(*verts)]
         unit = [tuple(int(i == j) for j in range(3)) for i in range(3)]
@@ -197,7 +193,7 @@ def test_gz_minkowski_additivity_tells_a_polytope_from_its_box(monkeypatch):
             3,
         )
         assert (len(verts), len(box.vertices)) == (7, 8)
-        return catalog.GZData(n, data.lam, box)
+        return box
 
     monkeypatch.setattr(helpers, "gz_polytope", boxed)
     assert not gz_minkowski_additive(3, (1, 2), (2, 1))
@@ -268,6 +264,14 @@ def test_brion_kazarnovskii_rejects_a_base_that_is_no_flag_variety():
     spec = SPECS["p2_rank2"]()
     with pytest.raises(DegreeMismatch, match="not the SL_2 flag variety"):
         brion_kazarnovskii_check(spec, VirtualPolytope(spec.fan, (1, 0, 0)))
+
+
+def test_brion_kazarnovskii_rejects_a_base_without_degree_two_classes():
+    """Over a point there is no SL_n: the check raises before any flag
+    variety is built."""
+    spec = SPECS["p1_toric"]()
+    with pytest.raises(DegreeMismatch, match="without degree-2 classes"):
+        brion_kazarnovskii_check(spec, VirtualPolytope(spec.fan, (1, 0)))
 
 
 def test_projective_bundle_checks():
@@ -385,9 +389,9 @@ def test_string_lift_degenerate_point():
 
 
 def test_catalog_bases_poincare():
-    for name, maker in BASES.items():
-        base = maker() if name != "point" else maker()
-        assert check_poincare(base.algebra, base.orientation), name
+    bases = [base_point(), base_projective(1), base_projective(2)]
+    for base in bases + [base_flag_sl(n) for n in (2, 3, 4)]:
+        assert check_poincare(base.algebra, base.orientation), base.algebra
 
 
 # -- wrong-shape weights and shifts -------------------------------------------

@@ -11,7 +11,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import apply_operator, column_degree_classes, int_rows, kernel_basis
+from helpers import (
+    apply_operator,
+    column_degree_classes,
+    int_rows,
+    kernel_basis,
+    rel_degree,
+    relation_rows,
+    substituted_element,
+)
 from toricbundle import galg
 from toricbundle.bundle import _free_algebra, intersection_functional
 from toricbundle.catalog import SPECS
@@ -99,8 +107,8 @@ def _all_multiples_quotient(p):
     for d, monos in free.monomials.items():
         rows = []
         for rel in p.relations:
-            multipliers = free.monomials.get(d - galg._rel_degree(rel), [])
-            rows += galg._relation_rows(p.base, rel, multipliers, free.column[d])
+            multipliers = free.monomials.get(d - rel_degree(rel), [])
+            rows += relation_rows(p.base, rel, multipliers, free.column[d])
         reducers[d] = Reducer(echelon_int(row.items() for row in rows), len(monos))
     return free, reducers, galg._quotient_algebra(free, reducers)
 
@@ -169,6 +177,22 @@ def test_build_quotient_matches_all_multiples(p):
             assert model.class_of(beta, rdeg, gamma) == oracle
 
 
+@settings(max_examples=80, deadline=None)
+@given(presentations())
+def test_free_element_matches_dense_substitution(p):
+    """The memoised element map of the built free algebra is the dense
+    substitution, one power of an eliminated x_p at a time, on every free
+    monomial over all the x_i, an eliminated one included."""
+    model = build_quotient(p)
+    full = FreeAlgebra(p.base, p.gen_names, p.truncation)
+    for d, monos in full.monomials.items():
+        for rdeg, ridx, beta in monos:
+            gamma = _unit(p.base.dim(rdeg), ridx)
+            got_d, pairs = model.free.element(beta, rdeg, gamma)
+            assert got_d == d
+            assert dict(pairs) == substituted_element(model.free, beta, rdeg, gamma)
+
+
 def test_build_quotient_solves_degree_two_relations():
     """x1 = x2 + a is solved for x1, the leading monomial, so the free
     algebra holds x2 alone; b = 0, without x-part, stays a relation."""
@@ -177,7 +201,7 @@ def test_build_quotient_solves_degree_two_relations():
         {(0, 0): (2, (F(0), F(1)))},
     )
     model = build_quotient(PresentedAlgebra(P1XP1, ("x1", "x2"), rels, 4))
-    assert model.solved == {0: {(0, 1): (0, (F(1),)), (0, 0): (2, (F(1), F(0)))}}
+    assert model.free.solved == {0: (((0, 0, (0, 1)), F(1)), ((2, 0, (0, 0)), F(1)))}
     assert model.free.labels[2] == ("x2", "a", "b")
     assert model.algebra.labels == {0: ("1",), 2: ("x2", "a"), 4: ("x2^2", "a*x2")}
     assert model.class_of((1, 0)) == (F(1), F(1))  # x1 = x2 + a

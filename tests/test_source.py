@@ -48,23 +48,49 @@ def _unused_imports(tree: ast.Module) -> list[str]:
     ]
 
 
-def test_no_unused_imports():
+def _unused_imports_in(paths) -> list[str]:
     found = []
-    for path in sorted(SRC.rglob("*.py")):
+    for path in sorted(paths):
         tree = ast.parse(path.read_text(), filename=str(path))
         found += [f"{path.name}: {name}" for name in _unused_imports(tree)]
+    return found
+
+
+def test_no_unused_imports():
+    found = _unused_imports_in(SRC.rglob("*.py"))
     assert not found, f"unused imports in the package: {found}"
 
 
+def test_no_unused_imports_in_tests():
+    found = _unused_imports_in(Path(__file__).resolve().parent.glob("*.py"))
+    assert not found, f"unused imports in the tests: {found}"
+
+
+def _is_import_call(node) -> bool:
+    """``__import__(...)`` or ``importlib.import_module(...)``."""
+    if not isinstance(node, ast.Call):
+        return False
+    fn = node.func
+    if isinstance(fn, ast.Name):
+        return fn.id == "__import__"
+    return (
+        isinstance(fn, ast.Attribute)
+        and fn.attr == "import_module"
+        and isinstance(fn.value, ast.Name)
+        and fn.value.id == "importlib"
+    )
+
+
 def _function_imports(tree: ast.Module) -> list[int]:
-    """Lines of the import statements inside a function body."""
+    """Lines of the import statements and import calls inside a function
+    body."""
     return sorted(
         {
             node.lineno
             for fn in ast.walk(tree)
             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
             for node in ast.walk(fn)
-            if isinstance(node, (ast.Import, ast.ImportFrom))
+            if isinstance(node, (ast.Import, ast.ImportFrom)) or _is_import_call(node)
         }
     )
 
@@ -84,6 +110,15 @@ def test_function_import_rule_sees_a_nested_import():
         "import a\ndef f():\n    import b\n    def g():\n        from c import d\n"
     )
     assert _function_imports(tree) == [3, 5]
+
+
+def test_function_import_rule_sees_an_import_call():
+    tree = ast.parse(
+        "import importlib\nm = __import__('a')\ndef f():\n"
+        "    return __import__('b').c\ndef g():\n"
+        "    return importlib.import_module('d')\n"
+    )
+    assert _function_imports(tree) == [4, 6]
 
 
 def test_unused_import_rule_sees_a_dead_import():
