@@ -8,24 +8,22 @@ smooth projective simplicial fan for the fiber.  The ring of the total
 space is then built three independent ways:
 
 * ``ring_via_sr``: quotient of R[x_1..x_s] by the Stanley-Reisner ideal of
-  the fan plus the linear relations c(lambda) = sum <e_i, lambda> x_i; the
-  linear relations are solved first, so ``galg.build_quotient`` eliminates
-  the monomial relations on the s - n variables they leave;
-* ``ring_via_sd``: quotient of the free truncated R[x_1..x_s] (a
-  ``galg.FreeAlgebra``, which stores no products) by the radical of the
+  the fan plus the linear relations L_t: c(lambda_t) = sum <e_i, lambda_t>
+  x_i; ``galg.kept_carrier`` solves the L_t, so ``galg.build_quotient``
+  eliminates the monomial relations on the s - n variables they leave;
+* ``ring_via_sd``: quotient of the same free algebra of the kept variables
+  (a ``galg.FreeAlgebra``, which stores no products) by the radical of the
   Frobenius form of the intersection functional, whose top-degree values
   are mixed integrals scaled by the (n+i)!/i! factor that converts a
-  polarized integral into an intersection number.  The radical comes from
-  the top degree down on the x_i and the base generators;
+  polarized integral into an intersection number; each L_t is checked to
+  be radical before it is solved;
 * ``ring_via_diff``: differential operators modulo the annihilator of the
   self-intersection polynomial (for bases generated in degree 2).
 
-``sr`` and ``sd`` are two quotients of one free algebra, so
-``cross_validate`` checks that the radical equals the Sankaran-Uma ideal
-(equal quotient dimensions, and every relation radical) and then that the
-two reports are equal.  ``ring_via_sd`` checks its own classes against
-p^*c(lambda) = rho(lambda) (``cherneq_holds``).  The identity checks read
-the rings: ``verify_bkk`` is the BKK identity (n+i)! I_gamma(Delta) =
+``cross_validate`` checks that the radical equals the Sankaran-Uma ideal as
+equal sd and sr reducers in every degree, then compares the two
+independently normalised top functionals.  The identity checks read the
+rings: ``verify_bkk`` is the BKK identity (n+i)! I_gamma(Delta) =
 i! ell(rho(Delta)^(n+i) p^*gamma) for one base class, and
 ``ring_power_derivative_check`` is the square-free derivative of F_gamma,
 assembled from the sr ring, against its closed form.
@@ -37,7 +35,8 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
+from operator import add
 
 from toricbundle.errors import (
     AmbiguousLabel,
@@ -50,17 +49,17 @@ from toricbundle.errors import (
 )
 from toricbundle.exactlin import QMatrix, rref, solve
 from toricbundle.galg import (
-    FreeAlgebra,
     GradedAlgebra,
     PresentedAlgebra,
     QuotientModel,
     TopFunctional,
+    _mono_label,
     _unit,
     ann_quotient,
     ann_top_functional,
     build_quotient,
     check_poincare,
-    product_keys,
+    kept_carrier,
     sd_quotient,
 )
 from toricbundle.integrate import (
@@ -222,51 +221,31 @@ def _pair_with_power(spec: BundleSpec, power, gamma: Vec, i: int) -> QPolynomial
 # ---------------------------------------------------------------------------
 
 
-def _free_algebra(spec: BundleSpec) -> FreeAlgebra:
-    """R[x_1..x_s] up to the top degree, the carrier of ``ring_via_sd``."""
-    return FreeAlgebra(spec.base.algebra, spec.x_names, spec.top_degree)
-
-
-def _monomial_values(spec: BundleSpec):
-    """ell on the top-degree free monomials, from I_f-polynomial coefficients.
+def intersection_functional(spec: BundleSpec) -> dict:
+    """The fundamental-class pairing ell on every top-degree free monomial
+    (base degree, base index, beta) over all the x_i, from I_f-polynomial
+    coefficients.
 
     The polarization of a homogeneous degree-m polynomial p = sum c_a h^a at
     the coordinate virtual polytopes with multiset b is b! c_b / m!; the
     intersection number is (n+i)!/i! = m!/i! times it, so b! c_b / i!.
     """
-    base = spec.base
-    n, k = spec.n, spec.k
+    base, k = spec.base, spec.k
     values: dict[tuple[int, int, tuple[int, ...]], Fraction] = {}
     powers = _chern_powers(base, spec.x_vars, base.chern, k // 2)
     for gdeg in range(0, k + 1, 2):
-        if base.algebra.dim(gdeg) == 0:
-            continue
         i = (k - gdeg) // 2
-        m = n + i
         for ridx in range(base.algebra.dim(gdeg)):
             gamma = _unit(base.algebra.dim(gdeg), ridx)
             f = _pair_with_power(spec, powers[i], gamma, i)
-            if not f:
-                poly = None
-            else:
-                poly = i_f_polynomial(spec.fan, f)
-            for beta_key in monomials_of_degree(spec.fan.nrays, m):
-                if poly is None:
-                    val = Fraction(0)
-                else:
-                    bfact = 1
-                    for e in beta_key:
-                        bfact *= factorial(e)
-                    val = poly.coefficient(beta_key) * bfact / factorial(i)
-                values[(gdeg, ridx, beta_key)] = val
+            poly = i_f_polynomial(spec.fan, f) if f else None
+            for beta in monomials_of_degree(spec.fan.nrays, spec.n + i):
+                values[(gdeg, ridx, beta)] = (
+                    poly.coefficient(beta) * prod(map(factorial, beta)) / factorial(i)
+                    if poly is not None
+                    else Fraction(0)
+                )
     return values
-
-
-def intersection_functional(spec: BundleSpec, free: FreeAlgebra) -> TopFunctional:
-    """Fundamental-class pairing on free top monomials: (n+i)!/i! * I-polarized."""
-    values = _monomial_values(spec)
-    top = spec.top_degree
-    return TopFunctional(free, top, tuple(values[m] for m in free.monomials[top]))
 
 
 # ---------------------------------------------------------------------------
@@ -279,45 +258,91 @@ def _leray_hirsch_dim(spec: BundleSpec) -> int:
 
 
 def ring_via_sd(spec: BundleSpec) -> RingReport:
-    """Self-dual quotient of the free algebra by I(L_ell).
+    """Self-dual quotient by I(L_ell), on the variables the L_t leave.
 
-    The linear relation L_t = p^*c(lambda_t) - rho(lambda_t) of each lattice
-    generator lies in the radical exactly when its class is 0, so the
-    generator classes are checked against :func:`cherneq_holds`.
+    ``sd`` shares two inputs with ``sr``: the rays and the Chern data, from
+    which :func:`_linear_relations` writes the L_t = p^*c(lambda_t) -
+    rho(lambda_t).  It reads neither ``sr``'s output nor its monomial
+    relations.  Each L_t must lie in the radical of ell before it is solved
+    (:func:`_check_linear_relations`, on the full top degree); the radical
+    then holds the ideal (L_t), so quotienting by the L_t first
+    (``galg.kept_carrier``) and taking the radical of the induced
+    functional on the kept variables gives the same ring.
     """
-    free = _free_algebra(spec)
-    ell = intersection_functional(spec, free)
+    values = intersection_functional(spec)
+    relations = _linear_relations(spec)
+    _check_linear_relations(spec, relations, values)
+    top = spec.top_degree
+    free = kept_carrier(spec.base.algebra, spec.x_names, top, relations)
+    ell = TopFunctional(free, top, tuple(values[m] for m in free.monomials[top]))
     sd = sd_quotient(free, ell)
     if sd.algebra.total_dim() != _leray_hirsch_dim(spec):
         raise VerificationFailed("Leray-Hirsch dims")
     gens = _generator_classes_quotient(
         spec, lambda *element: sd.project(*free.element(*element))
     )
-    report = RingReport("sd", sd.algebra, sd.functional, gens, (free, sd))
-    if not (check := cherneq_holds(spec, report)):
-        raise VerificationFailed(f"sd classes fail p^*c = rho at {check.detail}")
-    return report
+    return RingReport("sd", sd.algebra, sd.functional, gens, (free, sd))
+
+
+def _check_linear_relations(spec: BundleSpec, relations, values) -> None:
+    """ell(L_t * m) = 0 for each relation L_t and each free monomial m of
+    degree top - 2 over all the x_i, read off ``values`` (ell on the top
+    monomials, mostly 0); otherwise ``VerificationFailed`` names t, m and
+    the value.  ell is 0 above the top, so L_t is then radical."""
+    r = spec.base.algebra
+    nonzero = {m: v for m, v in values.items() if v}
+    for rdeg in range(0, spec.k + 1, 2):
+        betas = monomials_of_degree(spec.fan.nrays, (spec.top_degree - 2 - rdeg) // 2)
+        cases = itertools.product(range(r.dim(rdeg)), enumerate(relations))
+        for ridx, (t, rel) in cases:
+            # L_t * p^*(base class ridx) as (beta, [(base degree, index, c)])
+            terms = [
+                (beta_g, [
+                    (rg + rdeg, u, cg * c)
+                    for tg, cg in enumerate(vec) if cg
+                    for u, c in r.product_pairs(rg, tg, rdeg, ridx)
+                ])
+                for beta_g, (rg, vec) in rel.items()
+            ]
+            for beta in betas:
+                value = 0
+                for beta_g, pairs in terms:
+                    b = tuple(map(add, beta, beta_g))
+                    for d, u, c in pairs:
+                        if v := nonzero.get((d, u, b)):
+                            value += c * v
+                if value:
+                    m = _mono_label(r, spec.x_names, (rdeg, ridx, beta))
+                    raise VerificationFailed(
+                        f"linear relation t={t} is not radical: "
+                        f"ell(L_t * {m}) = {value}"
+                    )
+
+
+def _linear_relations(spec: BundleSpec) -> list:
+    """L_t = p^*c(lambda_t) - sum_i <e_i, lambda_t> x_i for each lattice
+    generator lambda_t, as ``galg.Relation`` dicts."""
+    s, chern = spec.fan.nrays, spec.base.chern
+    relations = []
+    for t in range(spec.n):
+        rel = {(0,) * s: (2, chern[t])} if any(chern[t]) else {}
+        for i, ray in enumerate(spec.fan.rays):
+            if ray[t]:
+                rel[tuple(int(j == i) for j in range(s))] = (0, (Fraction(-ray[t]),))
+        relations.append(rel)
+    return relations
 
 
 def sr_presentation(spec: BundleSpec) -> PresentedAlgebra:
     """The Sankaran-Uma presentation, truncated at the next even degree above
     the top so that the quotient shows it vanishes there."""
-    base = spec.base
     relations = []
     for nf in _minimal_nonfaces(spec.fan):
         beta = tuple(int(i in nf) for i in range(spec.fan.nrays))
         relations.append({beta: (0, (Fraction(1),))})
-    for t in range(spec.n):
-        rel = {}
-        if any(base.chern[t]):
-            rel[(0,) * spec.fan.nrays] = (2, base.chern[t])
-        for i, ray in enumerate(spec.fan.rays):
-            if ray[t]:
-                beta = tuple(int(j == i) for j in range(spec.fan.nrays))
-                rel[beta] = (0, (Fraction(-ray[t]),))
-        relations.append(rel)
+    relations += _linear_relations(spec)
     return PresentedAlgebra(
-        base.algebra, spec.x_names, tuple(relations), spec.top_degree + 2
+        spec.base.algebra, spec.x_names, tuple(relations), spec.top_degree + 2
     )
 
 
@@ -407,67 +432,31 @@ class CrossValidation:
 
 
 def cross_validate(spec: BundleSpec) -> CrossValidation:
-    """ring_via_sd against ring_via_sr: one quotient of one free algebra.
+    """ring_via_sd against ring_via_sr, two independent quotients of the
+    free algebra of the variables that the L_t leave.
 
-    The two builders run independently.  The paper's theorem is that the
-    radical of the Frobenius form equals the Sankaran-Uma ideal I, and that
-    is checked first, as subspaces of the free algebra R[x_1..x_s]: the two
-    quotients have the same dimension in every degree, and every
-    Sankaran-Uma relation projects to 0 under the sd reducer of its degree.
-    The radical is an ideal, so it holds I; in each degree I_d has its
-    dimension, hence equals it.  Two quotients of one free algebra by the
-    same subspaces must then give equal reports, so the rest is equality,
-    field by field:
-    graded dimensions, basis labels, structure constants in
-    ``product_keys`` order, the top functionals (each under its own
-    normalization: the sd one from mixed integrals, the sr one from the
-    point class) and the generator classes.  The first difference is
-    reported.
+    The paper's theorem, radical of the Frobenius form = Sankaran-Uma
+    ideal, is the equality of the sd and sr reducers in every degree up to
+    the top, each the unique primitive integer RREF of the subspace it
+    kills.  Labels, structure constants and generator classes then come
+    from the same code over equal inputs; the one independent normalisation
+    left is the top functional (sd: mixed integrals, sr: the point class).
+    The first difference is reported.
     """
     sd_rep = ring_via_sd(spec)
     sr_rep = ring_via_sr(spec)
-    free, sd = sd_rep.model
+    _, sd = sd_rep.model
     for d in range(0, spec.top_degree + 1, 2):
-        if len(sd.reducers[d].keep) != sr_rep.algebra.dim(d):
+        if sd.reducers.get(d) != sr_rep.model.reducers[d]:
             return CrossValidation(
                 False, f"degree {d}: radical != Stanley-Reisner ideal"
             )
-    for j, rel in enumerate(sr_rep.model.presented.relations):
-        terms = [free.element(beta, *term) for beta, term in rel.items()]
-        d = terms[0][0]
-        # above the top the relation is 0 in the free algebra and projects to ()
-        if any(sd.project(d, [p for _, pairs in terms for p in pairs])):
-            return CrossValidation(
-                False, f"degree {d}: Sankaran-Uma relation {j} is not in the radical"
-            )
-
-    a, b = sd_rep.algebra, sr_rep.algebra
-    for d, labels in a.labels.items():
-        if labels != b.labels[d]:
-            return CrossValidation(
-                False, f"basis labels differ in degree {d}: {labels} vs {b.labels[d]}"
-            )
-    for key in product_keys(a.labels):
-        if a.product_pairs(*key) != b.product_pairs(*key):
-            da, i, db, j = key
-            return CrossValidation(
-                False,
-                f"structure constant ({da},{i})*({db},{j}): "
-                f"{a.basis_product(*key)} vs {b.basis_product(*key)}",
-            )
     (v_sd,), (v_sr,) = sd_rep.functional.values, sr_rep.functional.values
     if v_sd != v_sr:
-        top = a.labels[spec.top_degree][0]
+        top = sd_rep.algebra.labels[spec.top_degree][0]
         return CrossValidation(
             False, f"top functional mismatch: {v_sd} vs {v_sr} on {top}"
         )
-    for name, cls in sd_rep.generator_classes.items():
-        if cls != sr_rep.generator_classes[name]:
-            return CrossValidation(
-                False,
-                f"generator class {name} mismatch: "
-                f"{cls} vs {sr_rep.generator_classes[name]}",
-            )
     return CrossValidation(True)
 
 
@@ -599,20 +588,6 @@ def ring_via_diff(spec: BundleSpec) -> RingReport:
         op = QPolynomial.variable(ipoly.vars, spec.fan.nrays + t)
         gens[f"base:{label}"] = model.operator_class(op)
     return RingReport("diff", alg, ell, gens, model)
-
-
-def cherneq_holds(spec: BundleSpec, report: RingReport) -> CrossValidation:
-    """p^* c(lambda) = rho(lambda) among the generator classes of a report,
-    per lattice generator; the detail names the first generator that fails."""
-    xs = [report.generator_classes[name][1] for name in spec.x_names]
-    base_labels = spec.base.algebra.labels.get(2, ())
-    us = [report.generator_classes[f"base:{label}"][1] for label in base_labels]
-    for t in range(spec.n):
-        terms = [(ray[t], x) for ray, x in zip(spec.fan.rays, xs)]
-        terms += [(-c, u) for c, u in zip(spec.base.chern[t], us)]
-        if any(sum(c * v[j] for c, v in terms) for j in range(report.algebra.dim(2))):
-            return CrossValidation(False, f"lattice generator t={t}")
-    return CrossValidation(True)
 
 
 def ring_power_derivative_check(

@@ -63,6 +63,10 @@ class NonHomogeneousRelation(ToricBundleError):
     pass
 
 
+class EmptyRelation(ToricBundleError):
+    """A relation without terms: the zero polynomial, which has no degree."""
+
+
 class ZeroFunctional(ToricBundleError):
     pass
 

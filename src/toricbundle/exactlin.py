@@ -290,11 +290,11 @@ class Reducer:
     every other pivot.  The standard columns ``keep`` are the non-pivot
     ones, in order.  Each row is stored once, by its pivot p, as (pivot
     value L, tail): the tail holds the row's integer entries at the
-    standard columns as (index into ``keep``, value) pairs, and the RREF row
-    is the integer row divided by L.  That row is 1 at p and 0 at every
-    other pivot, so the class of a vector is its ``keep`` part minus
-    ``vec[p] / L * tail`` summed over the pivots p; only nonzero entries of
-    the vector and of the rows are touched.
+    standard columns as ascending (index into ``keep``, value) pairs, and
+    the RREF row is the integer row divided by L.  That row is 1 at p and 0
+    at every other pivot, so the class of a vector is its ``keep`` part
+    minus ``vec[p] / L * tail`` summed over the pivots p; only nonzero
+    entries of the vector and of the rows are touched.
     """
 
     __slots__ = ("pivots", "keep", "_pos", "_rows")
@@ -306,9 +306,15 @@ class Reducer:
         pos = {t: i for i, t in enumerate(self.keep)}
         self._pos = pos
         self._rows = {
-            p: (row[p], tuple((pos[c], x) for c, x in row.items() if c != p))
+            p: (row[p], tuple(sorted((pos[c], x) for c, x in row.items() if c != p)))
             for p, row in reduced
         }
+
+    def __eq__(self, other):
+        """Equal subspaces: the primitive RREF is unique, tails sorted."""
+        if not isinstance(other, Reducer):
+            return NotImplemented
+        return self.keep == other.keep and self._rows == other._rows
 
     def pairs(self, items) -> SparseRow:
         """Class of sum c * e_col over (col, c) pairs, as (index into keep,

@@ -14,13 +14,15 @@ odd cohomology), so no Koszul signs appear anywhere.  The module provides
   of free-monomial coordinates (``FreeAlgebra.element``), and it carries the
   degree-2 values of the variables a quotient eliminates, so ``element``
   returns an element with each of them replaced (memoised per monomial);
+* ``kept_carrier``: the free algebra of the variables that the degree-2
+  relations leave, each x_p that one leads solved for; ``build_quotient``
+  and a bundle's self-dual quotient both take it;
 * ``build_quotient``: the degreewise quotient engine for presented algebras
-  R[x_1..x_s]/(relations).  Each degree-2 relation led by a variable x_p is
-  solved for it, and the free algebra of the kept variables carries every
-  relation, so substituted, as column pairs: relation multiples are its
-  monomial products, and the kernel's integer RREF rows
-  (``exactlin.echelon_int``) become the reducer of each degree.  A class is
-  the degree's reducer applied to ``FreeAlgebra.element``;
+  R[x_1..x_s]/(relations).  The kept carrier holds every relation, so
+  substituted, as column pairs: relation multiples are its monomial
+  products, and the kernel's integer RREF rows (``exactlin.echelon_int``)
+  become the reducer of each degree.  A class is the degree's reducer
+  applied to ``FreeAlgebra.element``;
 * Frobenius forms, the self-dual quotient B/I(L_ell) obtained by factoring
   out the radical of the Frobenius form.  The radical comes from the top
   degree down, as Macaulay's inverse system describes B/Ann(ell): ker ell on
@@ -47,6 +49,7 @@ from operator import add, sub
 
 from toricbundle.errors import (
     DimensionMismatch,
+    EmptyRelation,
     NonHomogeneousRelation,
     NotGenerated,
     NotHomogeneous,
@@ -463,6 +466,8 @@ class PresentedAlgebra:
             raise ValueError("truncation degree must be even")
         for rel in self.relations:
             degs = {rdeg + 2 * sum(beta) for beta, (rdeg, _) in rel.items()}
+            if not degs:
+                raise EmptyRelation("a relation without terms has no degree")
             if len(degs) > 1:
                 raise NonHomogeneousRelation(f"relation of mixed degrees {degs}")
 
@@ -496,7 +501,6 @@ class QuotientModel:
     the relation span in degree d, and the basis is the free monomials at
     ``reducers[d].keep``."""
 
-    presented: PresentedAlgebra
     algebra: GradedAlgebra
     free: FreeAlgebra
     reducers: dict[int, Reducer]
@@ -627,25 +631,19 @@ def _relation_pairs(free: FreeAlgebra, relations):
     return out
 
 
-def build_quotient(p: PresentedAlgebra) -> QuotientModel:
-    """Degreewise quotient of R[x_1..x_s] by homogeneous relations.
+def kept_carrier(base: GradedAlgebra, gen_names, top: int, relations) -> FreeAlgebra:
+    """R[x_1..x_s] up to degree ``top`` on the variables that the degree-2
+    relations among ``relations`` leave.
 
-    The degree-2 relations are solved first: in their RREF over all the x_i,
-    a row led by a variable x_p gives x_p over the kept variables and the
-    base classes.  It leads with x_p in the ``_mono_sort_key`` order, so no
-    standard monomial holds x_p; a row led by a base class has no x-part.
-    The free algebra of the kept variables then carries every relation,
-    each x_p replaced (``FreeAlgebra.element``), as one set of column pairs.
-    For each even degree up to the truncation bound, every multiple of a
-    relation by a free monomial is a sparse row; the row-reduced rows are
-    the degree's reducer, and the non-pivot (standard) monomials are the
-    quotient basis.  Normal forms are unique, so basis and structure
-    constants are those of eliminating every relation multiple over all the
-    x_i.
+    In the RREF of the degree-2 relations over all the x_i, a row led by a
+    variable x_p gives x_p over the kept variables and the base classes, and
+    ``FreeAlgebra.element`` replaces x_p by it.  The row leads with x_p in
+    the ``_mono_sort_key`` order, so no standard monomial holds x_p; a row
+    led by a base class has no x-part and eliminates nothing.
     """
-    free2 = FreeAlgebra(p.base, p.gen_names, 2)
+    free2 = FreeAlgebra(base, gen_names, 2)
     monos = free2.monomials[2]
-    lin = [pairs for d, pairs in _relation_pairs(free2, p.relations) if d == 2]
+    lin = [pairs for d, pairs in _relation_pairs(free2, relations) if d == 2]
     solved = {}
     for piv, row in echelon_int(lin):
         rdeg, _, beta = monos[piv]
@@ -653,7 +651,22 @@ def build_quotient(p: PresentedAlgebra) -> QuotientModel:
             pv = -row[piv]
             terms = [(monos[c], Fraction(x, pv)) for c, x in row.items() if c != piv]
             solved[beta.index(1)] = tuple(terms)
-    free = FreeAlgebra(p.base, p.gen_names, p.truncation, solved)
+    return FreeAlgebra(base, gen_names, top, solved)
+
+
+def build_quotient(p: PresentedAlgebra) -> QuotientModel:
+    """Degreewise quotient of R[x_1..x_s] by homogeneous relations.
+
+    The degree-2 relations are solved first (:func:`kept_carrier`), and
+    the free algebra of the kept variables carries every relation, each
+    solved x_p replaced, as one set of column pairs.  For each even degree
+    up to the truncation bound, every multiple of a relation by a free
+    monomial is a sparse row; the row-reduced rows are the degree's reducer,
+    and the non-pivot (standard) monomials are the quotient basis.  Normal
+    forms are unique, so basis and structure constants are those of
+    eliminating every relation multiple over all the x_i.
+    """
+    free = kept_carrier(p.base, p.gen_names, p.truncation, p.relations)
     relations = [(d, pairs) for d, pairs in _relation_pairs(free, p.relations) if pairs]
     reducers: dict[int, Reducer] = {}
     for d, monos in free.monomials.items():
@@ -667,7 +680,7 @@ def build_quotient(p: PresentedAlgebra) -> QuotientModel:
                         row[t] = row.get(t, 0) + x
                 rows.append(row.items())
         reducers[d] = Reducer(echelon_int(rows), len(monos))
-    return QuotientModel(p, _quotient_algebra(free, reducers), free, reducers)
+    return QuotientModel(_quotient_algebra(free, reducers), free, reducers)
 
 
 # ---------------------------------------------------------------------------

@@ -10,14 +10,19 @@ from operator import add, le, sub
 from toricbundle.bundle import (
     BaseData,
     BundleSpec,
+    CrossValidation,
     RingReport,
     _chern_powers,
+    _generator_classes_quotient,
+    _leray_hirsch_dim,
     complement_basis,
     f_gamma,
+    intersection_functional,
     pullback_class,
     rho_class,
     ring_via_diff,
     ring_via_sr,
+    sr_presentation,
 )
 from toricbundle.catalog import (
     fan_projective_space,
@@ -39,7 +44,13 @@ from toricbundle.exactlin import (
     rank,
     rref,
 )
-from toricbundle.galg import _unit, graded_isomorphic
+from toricbundle.galg import (
+    FreeAlgebra,
+    TopFunctional,
+    _unit,
+    graded_isomorphic,
+    sd_quotient,
+)
 from toricbundle.integrate import (
     _integral,
     integral_over_virtual,
@@ -578,18 +589,71 @@ def diff_matches_sr(spec: BundleSpec) -> bool:
     return graded_isomorphic(diff_rep.algebra, sr_rep.algebra, gen_rows)
 
 
-def radical_holds_relation_multiples(spec, sd_report, sr_report) -> bool:
+def radical_holds_relation_multiples(spec, sd_report) -> bool:
     """Every multiple of a Sankaran-Uma relation by a free monomial, in every
     degree up to the top, projects to 0 under the sd reducer of its degree:
-    the ideal containment ``cross_validate`` reads off the relations alone."""
+    the ideal containment that the radical's equality with the Sankaran-Uma
+    ideal implies, checked on the carrier of the sd report."""
     free, sd = sd_report.model
+    base = spec.base.algebra
     for d in range(0, spec.top_degree + 1, 2):
-        for rel in sr_report.model.presented.relations:
-            multipliers = free.monomials.get(d - rel_degree(rel), [])
-            rows = relation_rows(spec.base.algebra, rel, multipliers, free.column[d])
-            if any(sd.reducers[d].pairs(row.items()) for row in rows):
-                return False
+        for rel in sr_presentation(spec).relations:
+            for rm, im, bm in free.monomials.get(d - rel_degree(rel), []):
+                pairs = []
+                for beta, (rg, vec) in rel.items():
+                    gamma = base.multiply(rm, _unit(base.dim(rm), im), rg, vec)
+                    pairs += free.element(tuple(map(add, bm, beta)), rm + rg, gamma)[1]
+                if any(sd.reducers[d].pairs(pairs)):
+                    return False
     return True
+
+
+# -- the full-width self-dual route that the kept-variable carrier replaced ---
+
+
+def full_free_algebra(spec: BundleSpec) -> FreeAlgebra:
+    """R[x_1..x_s] up to the top degree, over all the x_i."""
+    return FreeAlgebra(spec.base.algebra, spec.x_names, spec.top_degree)
+
+
+def full_functional(spec: BundleSpec):
+    """(free, ell): the full-width free algebra and the intersection
+    functional on its top monomials."""
+    free = full_free_algebra(spec)
+    values = intersection_functional(spec)
+    top = spec.top_degree
+    return free, TopFunctional(free, top, tuple(values[m] for m in free.monomials[top]))
+
+
+def cherneq_holds(spec: BundleSpec, report: RingReport) -> CrossValidation:
+    """p^* c(lambda) = rho(lambda) among the generator classes of a report,
+    per lattice generator; the detail names the first generator that fails."""
+    xs = [report.generator_classes[name][1] for name in spec.x_names]
+    base_labels = spec.base.algebra.labels.get(2, ())
+    us = [report.generator_classes[f"base:{label}"][1] for label in base_labels]
+    for t in range(spec.n):
+        terms = [(ray[t], x) for ray, x in zip(spec.fan.rays, xs)]
+        terms += [(-c, u) for c, u in zip(spec.base.chern[t], us)]
+        if any(sum(c * v[j] for c, v in terms) for j in range(report.algebra.dim(2))):
+            return CrossValidation(False, f"lattice generator t={t}")
+    return CrossValidation(True)
+
+
+def full_width_ring_via_sd(spec: BundleSpec) -> RingReport:
+    """The sd ring on all the x_i: the radical of ell on the full free
+    algebra, with the L_t checked afterwards on the generator classes
+    (``cherneq_holds``) instead of solved first."""
+    free, ell = full_functional(spec)
+    sd = sd_quotient(free, ell)
+    if sd.algebra.total_dim() != _leray_hirsch_dim(spec):
+        raise VerificationFailed("Leray-Hirsch dims")
+    gens = _generator_classes_quotient(
+        spec, lambda *element: sd.project(*free.element(*element))
+    )
+    report = RingReport("sd", sd.algebra, sd.functional, gens, (free, sd))
+    if not (check := cherneq_holds(spec, report)):
+        raise VerificationFailed(f"sd classes fail p^*c = rho at {check.detail}")
+    return report
 
 
 # -- Gelfand-Zetlin checks ------------------------------------------------------

@@ -5,11 +5,16 @@ from fractions import Fraction as F
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     AffineVirtualPolytope,
+    cherneq_holds,
     coordinate,
     diff_matches_sr,
+    full_free_algebra,
+    full_width_ring_via_sd,
     horizontal_part,
     int_rows,
     of_point,
@@ -17,8 +22,7 @@ from helpers import (
     self_intersection,
 )
 from toricbundle.bundle import (
-    _free_algebra,
-    cherneq_holds,
+    BundleSpec,
     cross_validate,
     f_gamma,
     intersection_functional,
@@ -32,15 +36,23 @@ from toricbundle.bundle import (
     squarefree_evaluate,
     verify_bkk,
 )
-from toricbundle.catalog import SPECS, fan_p1xp1, flag_bundle_spec
+from toricbundle.catalog import FANS, SPECS, base_projective, fan_p1xp1, flag_bundle_spec
 from toricbundle.errors import DegreeMismatch
 from toricbundle.galg import FreeAlgebra, _unit
 from toricbundle.integrate import mixed_integral
-from toricbundle.polyhedral import VirtualPolytope
+from toricbundle.polyhedral import VirtualPolytope, validate_fan
+from toricbundle.serialize import report_to_dict
 
 
 def hirzebruch():
     return SPECS["hirzebruch_1"]()
+
+
+def octant_fan():
+    """The fan of (P^1)^3: one maximal cone per octant."""
+    rays = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, 0, 0), (0, -1, 0), (0, 0, -1)]
+    cones = [(sx, sy, sz) for sx in (0, 3) for sy in (1, 4) for sz in (2, 5)]
+    return validate_fan(rays, cones)
 
 
 def test_f_gamma_point_base():
@@ -67,10 +79,8 @@ def plain_ell(spec):
     """The plain polarized mixed integrals on the top free monomials: the
     intersection functional times i!/(n+i)! on a monomial whose base part
     has degree k - 2i."""
-    free = _free_algebra(spec)
-    ell = intersection_functional(spec, free)
     out = {}
-    for (rdeg, ridx, beta), v in zip(free.monomials[spec.top_degree], ell.values):
+    for (rdeg, ridx, beta), v in intersection_functional(spec).items():
         i = (spec.k - rdeg) // 2
         out[(rdeg, ridx, beta)] = v * F(factorial(i), factorial(spec.n + i))
     return out
@@ -111,6 +121,32 @@ def test_ring_via_sd_examples():
     assert ring_via_sd(SPECS["p1_toric"]()).dims() == (1, 1)
     assert ring_via_sd(hirzebruch()).dims() == (1, 2, 1)
     assert ring_via_sd(SPECS["p1_trivial_over_p1"]()).dims() == (1, 2, 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from((1, 2)), st.sampled_from(sorted(FANS)), st.data())
+def test_kept_variable_sd_matches_the_full_width_route(m, fan_name, data):
+    """On random integer Chern data, the sd ring on the variables the L_t
+    leave is the full-width sd ring, report for report."""
+    fan = FANS[fan_name]()
+    chern = data.draw(
+        st.lists(st.integers(-3, 3), min_size=fan.dim, max_size=fan.dim)
+    )
+    base = base_projective(m, tuple((F(c),) for c in chern))
+    spec = BundleSpec(base, fan, f"p{m}_{fan_name}")
+    assert report_to_dict(ring_via_sd(spec)) == report_to_dict(
+        full_width_ring_via_sd(spec)
+    )
+
+
+def test_sd_and_sr_reports_agree_on_the_catalog():
+    """Two quotients of one free algebra by equal subspaces: the sd and sr
+    reports are equal in every field but the builder's name."""
+    for name, make in SPECS.items():
+        spec = make()
+        sd, sr = report_to_dict(ring_via_sd(spec)), report_to_dict(ring_via_sr(spec))
+        assert sd.pop("builder") == "sd" and sr.pop("builder") == "sr"
+        assert sd == sr, name
 
 
 def test_product_vs_twisted_structure_constants():
@@ -198,8 +234,7 @@ def test_sd_quotient_of_partial_presentation():
         PresentedAlgebra(pt, ("x1", "x2", "x3"), (sr_only,), 4)
     )
     assert model_i.algebra.dims() == (1, 3, 6)
-    free = _free_algebra(spec)
-    vals = dict(zip(free.monomials[4], intersection_functional(spec, free).values))
+    vals = intersection_functional(spec)
     basis = [model_i.free.monomials[4][t] for t in model_i.reducers[4].keep]
     ell_i = TopFunctional(model_i.algebra, 4, tuple(vals[m] for m in basis))
     sq = sd_quotient(model_i.algebra, ell_i)
@@ -229,7 +264,8 @@ def test_cross_validate_reports_mismatch(monkeypatch):
 
 def test_cross_validate_reports_radical_mismatch(monkeypatch):
     """A radical that differs from the Stanley-Reisner ideal in one degree
-    is reported in that degree."""
+    is reported in that degree: one of the six top radical rows of
+    p1xp1_over_p1 dropped."""
     from toricbundle import bundle
     from toricbundle.exactlin import Reducer
 
@@ -239,13 +275,14 @@ def test_cross_validate_reports_radical_mismatch(monkeypatch):
         sd = real(b, ell)
         red = sd.reducers[ell.degree]
         rows = [(p, dict(r)) for p, r in zip(red.pivots, int_rows(red))]
+        assert len(rows) == 6
         sd.reducers[ell.degree] = Reducer(rows[1:], b.dim(ell.degree))
         return sd
 
     monkeypatch.setattr(bundle, "sd_quotient", dropped_top_row)
-    result = cross_validate(SPECS["p2_toric"]())
+    result = cross_validate(SPECS["p1xp1_over_p1"]())
     assert not result
-    assert result.detail == "degree 4: radical != Stanley-Reisner ideal"
+    assert result.detail == "degree 6: radical != Stanley-Reisner ideal"
 
 
 def _shifted_rows(monkeypatch, degree, which):
@@ -265,6 +302,7 @@ def _shifted_rows(monkeypatch, degree, which):
         for k, (p, row) in enumerate(rows):
             if which is None or k in which:
                 row[red.keep[0]] = row.get(red.keep[0], 0) + row[p]
+        assert which is None or max(which) < len(rows)
         sd.reducers[degree] = Reducer(rows, b.dim(degree))
         assert sd.reducers[degree].keep == red.keep
         return sd
@@ -275,20 +313,31 @@ def _shifted_rows(monkeypatch, degree, which):
 def test_cross_validate_reports_radical_row_outside_ideal(monkeypatch):
     """Radical rows moved off the Stanley-Reisner ideal in the degree of its
     monomial generator x1*x2*x3, with the degree's dimension unchanged, are
-    reported in that degree: the relation no longer projects to 0."""
+    reported in that degree."""
     _shifted_rows(monkeypatch, 6, None)
     result = cross_validate(SPECS["p2_rank2"]())
     assert not result
-    assert result.detail == "degree 6: Sankaran-Uma relation 0 is not in the radical"
+    assert result.detail == "degree 6: radical != Stanley-Reisner ideal"
 
 
 def test_cross_validate_reports_one_radical_row_outside_ideal(monkeypatch):
     """One radical row moved off the ideal, with every dimension equal, is
-    reported at the degree and index of the relation it loses."""
+    reported at its degree: the second of the two degree-4 rows of
+    p1xp1_over_p1."""
     _shifted_rows(monkeypatch, 4, {1})
-    result = cross_validate(hirzebruch())
+    result = cross_validate(SPECS["p1xp1_over_p1"]())
     assert not result
-    assert result.detail == "degree 4: Sankaran-Uma relation 0 is not in the radical"
+    assert result.detail == "degree 4: radical != Stanley-Reisner ideal"
+
+
+def test_cross_validate_sees_a_degree_without_relation_generators(monkeypatch):
+    """A radical row moved off the ideal in degree 8 of p2_rank2, the top,
+    where no Sankaran-Uma relation lives, is reported: the reducers are
+    compared in every degree, not only where a relation generator is."""
+    _shifted_rows(monkeypatch, 8, {0})
+    result = cross_validate(SPECS["p2_rank2"]())
+    assert not result
+    assert result.detail == "degree 8: radical != Stanley-Reisner ideal"
 
 
 def test_relation_multiples_oracle_agrees_on_the_catalog():
@@ -296,71 +345,23 @@ def test_relation_multiples_oracle_agrees_on_the_catalog():
     cross_validate concludes from the relations alone."""
     for name, make in SPECS.items():
         spec = make()
-        assert radical_holds_relation_multiples(
-            spec, ring_via_sd(spec), ring_via_sr(spec)
-        ), name
+        assert radical_holds_relation_multiples(spec, ring_via_sd(spec)), name
 
 
 def test_relation_multiples_oracle_sees_a_degree_without_generators(monkeypatch):
-    """A radical row moved off the ideal in degree 4 of p2_rank2, where no
+    """A radical row moved off the ideal in degree 8 of p2_rank2, where no
     Sankaran-Uma relation lives, fails the all-multiples oracle; the sd ring
     itself, built before the row moved, is unchanged."""
     from toricbundle import bundle
 
-    _shifted_rows(monkeypatch, 4, {0})
+    _shifted_rows(monkeypatch, 8, {0})
     spec = SPECS["p2_rank2"]()
-    sd_rep = bundle.ring_via_sd(spec)
-    assert not radical_holds_relation_multiples(spec, sd_rep, ring_via_sr(spec))
-
-
-def test_cross_validate_reports_generator_class(monkeypatch):
-    """An sd generator class that differs from the sr one is reported by
-    its name."""
-    import dataclasses
-
-    from toricbundle import bundle
-
-    real = bundle.ring_via_sd
-
-    def doubled_x1(spec):
-        rep = real(spec)
-        gens = dict(rep.generator_classes)
-        d, vec = gens["x1"]
-        gens["x1"] = (d, tuple(2 * c for c in vec))
-        return dataclasses.replace(rep, generator_classes=gens)
-
-    monkeypatch.setattr(bundle, "ring_via_sd", doubled_x1)
-    result = cross_validate(hirzebruch())
-    assert not result
-    assert result.detail.startswith("generator class x1 mismatch: ")
-
-
-def test_cross_validate_reports_basis_labels(monkeypatch):
-    """An sd basis named differently from the sr one is reported in its
-    degree."""
-    import dataclasses
-
-    from toricbundle import bundle
-    from toricbundle.galg import GradedAlgebra
-
-    real = bundle.ring_via_sd
-
-    def renamed_top(spec):
-        rep = real(spec)
-        alg = rep.algebra
-        labels = {**alg.labels, alg.top: ("pt",)}
-        wrong = GradedAlgebra.from_pairs(alg.top, labels, alg.products)
-        return dataclasses.replace(rep, algebra=wrong)
-
-    monkeypatch.setattr(bundle, "ring_via_sd", renamed_top)
-    result = cross_validate(SPECS["p2_toric"]())
-    assert not result
-    assert result.detail == "basis labels differ in degree 4: ('pt',) vs ('x3^2',)"
+    assert not radical_holds_relation_multiples(spec, bundle.ring_via_sd(spec))
 
 
 def test_cross_validate_compares_by_equality(monkeypatch):
-    """The reports are compared field by field; no graded isomorphism is
-    searched for."""
+    """The reducers and the top functionals are compared by equality; no
+    graded isomorphism is searched for."""
     from toricbundle import bundle, galg
 
     calls = []
@@ -391,30 +392,6 @@ def test_sd_without_base_generators_raises(monkeypatch):
     monkeypatch.setattr(FreeAlgebra, "generators", x_only)
     with pytest.raises(VerificationFailed):
         ring_via_sd(SPECS["p1_trivial_over_p1"]())
-
-
-def test_cross_validate_reports_structure_constant(monkeypatch):
-    """A structure constant of the sd ring that differs from the sr ring is
-    reported by its key."""
-    import dataclasses
-
-    from toricbundle import bundle
-    from toricbundle.galg import GradedAlgebra
-
-    real = bundle.ring_via_sd
-
-    def doubled_square(spec):
-        rep = real(spec)
-        alg = rep.algebra
-        products = dict(alg.products)
-        products[(2, 0, 2, 0)] = tuple((t, 2 * c) for t, c in products[(2, 0, 2, 0)])
-        wrong = GradedAlgebra.from_pairs(alg.top, alg.labels, products)
-        return dataclasses.replace(rep, algebra=wrong)
-
-    monkeypatch.setattr(bundle, "ring_via_sd", doubled_square)
-    result = cross_validate(SPECS["p2_toric"]())
-    assert not result
-    assert result.detail.startswith("structure constant (2,0)*(2,0): ")
 
 
 def test_verify_bkk_classical_p2():
@@ -546,20 +523,27 @@ def test_cherneq_names_the_failing_generator():
     assert result.detail == "lattice generator t=0"
 
 
-def test_ring_via_sd_checks_its_generator_classes(monkeypatch):
-    """ring_via_sd raises, naming the lattice generator, when its own
-    classes fail p^*c(lambda) = rho(lambda)."""
+def test_ring_via_sd_checks_its_linear_relations(monkeypatch):
+    """ring_via_sd checks each L_t against ell before it solves it: with one
+    Chern coefficient of the L_t that it reads changed, it raises, naming
+    t, the monomial m and the value of ell(L_t * m)."""
+    import dataclasses
+
     from toricbundle import bundle
     from toricbundle.errors import VerificationFailed
 
-    real = bundle._generator_classes_quotient
-    monkeypatch.setattr(
-        bundle,
-        "_generator_classes_quotient",
-        lambda spec, class_of: _doubled_x1(real(spec, class_of)),
-    )
-    with pytest.raises(VerificationFailed, match="at lattice generator t=0$"):
-        ring_via_sd(SPECS["p1xp1_over_p1"]())
+    spec = SPECS["p1xp1_over_p1"]()
+    real = bundle._linear_relations
+
+    def wrong_chern(spec):
+        base = spec.base
+        chern = ((base.chern[0][0] + 1,),) + base.chern[1:]
+        return real(dataclasses.replace(spec, base=dataclasses.replace(base, chern=chern)))
+
+    monkeypatch.setattr(bundle, "_linear_relations", wrong_chern)
+    with pytest.raises(VerificationFailed) as info:
+        ring_via_sd(spec)
+    assert str(info.value) == "linear relation t=0 is not radical: ell(L_t * x1*x2) = 1"
 
 
 def test_ring_power_derivative_oracle():
@@ -598,7 +582,7 @@ def test_squarefree_matches_ring():
         spec = SPECS[name]()
         rep = ring_via_sr(spec)
         model = rep.model
-        for rdeg, ridx, beta in _free_algebra(spec).monomials[spec.top_degree]:
+        for rdeg, ridx, beta in full_free_algebra(spec).monomials[spec.top_degree]:
             gamma = _unit(spec.base.algebra.dim(rdeg), ridx)
             direct = squarefree_evaluate(spec, beta, rdeg, gamma)
             via_ring = rep.functional.of(
@@ -610,15 +594,8 @@ def test_squarefree_matches_ring():
 def test_three_dimensional_fiber():
     """Octant fan of (P1)^3: 3-dim triangulations and a rank-3 quotient."""
     from toricbundle.catalog import base_point
-    from toricbundle.polyhedral import validate_fan
-    from toricbundle.bundle import BundleSpec
 
-    rays = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, 0, 0), (0, -1, 0), (0, 0, -1)]
-    cones = [
-        (sx, sy, sz) for sx in (0, 3) for sy in (1, 4) for sz in (2, 5)
-    ]
-    fan = validate_fan(rays, cones)
-    spec = BundleSpec(base_point(3), fan, "p13_toric")
+    spec = BundleSpec(base_point(3), octant_fan(), "p13_toric")
     assert cross_validate(spec)
     assert ring_via_sr(spec).dims() == (1, 3, 3, 1)
 
@@ -626,11 +603,7 @@ def test_three_dimensional_fiber():
 def test_self_intersection_polynomial_sl4_octant():
     """SL4/B x (P1)^3: I_f of degree 9 in 6 h-variables.  The polynomial is
     verified by direct integration inside i_f_polynomial."""
-    from toricbundle.polyhedral import validate_fan
-
-    rays = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, 0, 0), (0, -1, 0), (0, 0, -1)]
-    cones = [(sx, sy, sz) for sx in (0, 3) for sy in (1, 4) for sz in (2, 5)]
-    spec = flag_bundle_spec(4, validate_fan(rays, cones))
+    spec = flag_bundle_spec(4, octant_fan())
     poly, comp = self_intersection_polynomial(spec)
     assert spec.n + spec.k // 2 == 9 and comp == []
     assert poly and poly.is_homogeneous() and poly.degree() == 9
@@ -663,6 +636,12 @@ def test_cross_validate_sl4_p3():
     from toricbundle.catalog import fan_projective_space
 
     assert cross_validate(flag_bundle_spec(4, fan_projective_space(3)))
+
+
+def test_cross_validate_sl4_octant():
+    """SL4/B x (P1)^3: the radical equals the Sankaran-Uma ideal on the
+    three variables the L_t leave."""
+    assert cross_validate(flag_bundle_spec(4, octant_fan()))
 
 
 def test_cross_validate_sl4_p1xp1():

@@ -437,7 +437,9 @@ def test_catalog_name_collision_errors(capsys, tmp_path, monkeypatch):
 
 
 # drops the last row of the radical in each degree below the top, where the
-# recursion from the top degree down computes it
+# recursion from the top degree down computes it; on the kept variables of
+# p2_rank2 that is the one radical row of degree 6, and the quotient loses
+# Poincare duality
 _WRONG_RADICAL = """
 import sys
 from toricbundle import cli, galg
@@ -445,7 +447,7 @@ real = galg._radical_rows
 galg._radical_rows = lambda b, ell, k, *rest: (
     real(b, ell, k, *rest)[: -1 if k < ell.degree else None]
 )
-sys.exit(cli.main(["ring", "p2_toric", "--builder", "sd"]))
+sys.exit(cli.main(["ring", "p2_rank2", "--builder", "sd"]))
 """
 
 
@@ -458,9 +460,9 @@ def test_ring_wrong_radical_exit_1(capsys, monkeypatch):
             real(b, ell, k, *rest)[: -1 if k < ell.degree else None]
         ),
     )
-    code, _, err = run(capsys, "ring", "p2_toric", "--builder", "sd")
+    code, _, err = run(capsys, "ring", "p2_rank2", "--builder", "sd")
     assert code == 1
-    assert "verification failed" in err
+    assert "verification failed: sd quotient not Poincare" in err
 
 
 def run_optimized(script):
@@ -480,7 +482,7 @@ def test_ring_wrong_radical_exit_1_under_optimize():
     """The self-dual checks are explicit comparisons, so -O keeps them."""
     proc = run_optimized(_WRONG_RADICAL)
     assert proc.returncode == 1, proc.stderr
-    assert "verification failed" in proc.stderr
+    assert "verification failed: sd quotient not Poincare" in proc.stderr
 
 
 # zeroes the top-degree class table of the operator model: every product

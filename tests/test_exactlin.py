@@ -352,3 +352,20 @@ def test_reduce_onto_matches_dense_elimination(rows, data):
     got = reducer.pairs(split)
     assert got == _sparse(want)
     assert all(type(x) is F for _, x in got)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(matrices, zero_heavy_matrices()))
+def test_reducer_equality_is_subspace_equality(rows):
+    """Reducers of one subspace built by different routines compare equal:
+    the row space by echelon_int and as the kernel of its kernel by
+    kernel_int, whose rows list their entries in another order.  A row
+    outside the space makes them unequal."""
+    ncols = len(rows[0])
+    by_rows = Reducer(echelon_int(map(_sparse, rows)), ncols)
+    kernel = kernel_int(map(_sparse, rows), ncols)
+    by_kernel = Reducer(kernel_int((row.items() for _, row in kernel), ncols), ncols)
+    assert by_rows == by_kernel
+    if kernel:
+        wider = echelon_int([*map(_sparse, rows), kernel[0][1].items()])
+        assert Reducer(wider, ncols) != by_rows

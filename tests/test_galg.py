@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from helpers import (
     apply_operator,
     column_degree_classes,
+    full_functional,
     int_rows,
     kernel_basis,
     rel_degree,
@@ -21,9 +22,9 @@ from helpers import (
     substituted_element,
 )
 from toricbundle import galg
-from toricbundle.bundle import _free_algebra, intersection_functional
 from toricbundle.catalog import SPECS
 from toricbundle.errors import (
+    EmptyRelation,
     NonHomogeneousRelation,
     VerificationFailed,
     ZeroFunctional,
@@ -219,6 +220,13 @@ def test_build_quotient_rejects_mixed_degree():
         PresentedAlgebra(PT, ("x1", "x2"), (bad,), 4)
 
 
+def test_presented_algebra_rejects_an_empty_relation():
+    """The zero polynomial as a relation has no degree; it is refused when
+    the presentation is built, before any quotient is."""
+    with pytest.raises(EmptyRelation):
+        PresentedAlgebra(PT, ("x1",), ({},), 4)
+
+
 def test_algebra_is_associative():
     m = trunc_poly_algebra(2, 6)
     assert m.algebra.check_associative()
@@ -328,7 +336,7 @@ def test_sd_quotient_idempotent():
     assert again.algebra.products == first.algebra.products
 
 
-def _random_presented(rng: random.Random):
+def _random_presentation(rng: random.Random) -> PresentedAlgebra:
     ngens = rng.choice((1, 2, 3))
     top = rng.choice((4, 6))
     names = tuple(f"x{i + 1}" for i in range(ngens))
@@ -344,7 +352,11 @@ def _random_presented(rng: random.Random):
                 rel[expo] = (0, (F(c),))
         if rel:
             rels.append(rel)
-    return build_quotient(PresentedAlgebra(PT, names, tuple(rels), top))
+    return PresentedAlgebra(PT, names, tuple(rels), top)
+
+
+def _random_presented(rng: random.Random):
+    return build_quotient(_random_presentation(rng))
 
 
 def test_sd_quotient_randomized_properties():
@@ -452,10 +464,10 @@ def test_sparse_pairing_and_projection_match_dense_reference():
         done += 1
 
 
-def _dense_structure_constants(model):
-    """Products of the standard monomials of a presented algebra over the
-    point, by dense elimination of the relation multiples in each degree."""
-    pres = model.presented
+def _dense_structure_constants(pres, model):
+    """Products of the standard monomials of ``model``, built from the
+    presentation ``pres`` over the point, by dense elimination of the
+    relation multiples in each degree."""
     reduced = {}
     for d, monos in model.free.monomials.items():
         col = {m: t for t, m in enumerate(monos)}
@@ -501,9 +513,10 @@ vectors = st.lists(
 def test_sparse_products_match_dense_reference(seed, xs, ys):
     """basis_product, times_basis and multiply on the stored (t, c) pairs
     equal products computed from dense elimination."""
-    model = _random_presented(random.Random(seed))
+    pres = _random_presentation(random.Random(seed))
+    model = build_quotient(pres)
     alg = model.algebra
-    product = _dense_structure_constants(model)
+    product = _dense_structure_constants(pres, model)
     basis = {
         d: [model.free.monomials[d][t] for t in red.keep]
         for d, red in model.reducers.items()
@@ -720,9 +733,7 @@ def _generated_span(b, gens):
 
 @functools.cache
 def _catalog_free_case(name):
-    spec = SPECS[name]()
-    free = _free_algebra(spec)
-    return free, intersection_functional(spec, free)
+    return full_functional(SPECS[name]())
 
 
 @settings(max_examples=60, deadline=None)
