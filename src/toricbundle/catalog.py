@@ -100,7 +100,7 @@ def base_projective(m: int, chern=()) -> BaseData:
     labels = {0: ("1",)}
     for j in range(1, m + 1):
         labels[2 * j] = ("H" if j == 1 else f"H^{j}",)
-    products = {key: (Fraction(1),) for key in product_keys(labels)}
+    products = {key: ((0, Fraction(1)),) for key in product_keys(labels)}
     alg = GradedAlgebra(2 * m, labels, products)
     ell = TopFunctional(alg, 2 * m, (Fraction(1),))
     return BaseData(alg, ell, tuple(chern))

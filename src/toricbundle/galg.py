@@ -3,9 +3,10 @@
 Everything is concentrated in even degrees (all targets here have vanishing
 odd cohomology), so no Koszul signs appear anywhere.  The module provides
 
-* ``GradedAlgebra``: per-degree bases plus structure constants, each stored
-  once as its nonzero (index, coefficient) pairs; dense vectors are built
-  only for the dense readers (``basis_product``, ``multiply``);
+* ``GradedAlgebra``: per-degree bases plus structure constants, each held
+  once as its nonzero (index, coefficient) pairs: a stored table (a base)
+  passes them all, and a computed one (a quotient) is a ``_ComputedTable``
+  that fills in each product on its first read;
 * ``product_keys``: the one rule for which structure constants a table
   stores, and in which order; every builder, checker and serializer walks
   the table through it;
@@ -73,50 +74,29 @@ from toricbundle.qpoly import QPolynomial, monomials_of_degree
 Vec = tuple[Fraction, ...]
 
 
-def _vscale(c, a: Vec) -> Vec:
-    c = Fraction(c)
-    return tuple(c * x for x in a)
-
-
 class GradedAlgebra:
     """Commutative graded algebra in even degrees with a degree-0 unit.
 
     ``labels[d]`` names the basis of the degree-d component.  ``products``
     maps each key of :func:`product_keys` to the product of the two basis
-    elements in degree a+b, stored once as (t, c) pairs with c != 0 and t
-    ascending; a product with the unit, or in a degree above the top or an
-    empty degree, is never read from the table.  The constructor takes
-    dense coefficient vectors; :meth:`from_pairs` takes the pairs themselves.
+    elements in degree a+b, as (t, c) pairs with c != 0 and t ascending: a
+    dict that holds them all, or a ``_ComputedTable`` that computes each on
+    its first read.  A product with the unit, or in a degree above the top
+    or an empty degree, is never read from the table.
     """
 
     __slots__ = ("top", "labels", "products")
 
     def __init__(self, top, labels, products):
-        self._set_degrees(top, labels)
-        self.products = {
-            k: tuple(
-                (t, x if type(x) is Fraction else Fraction(x))
-                for t, x in enumerate(v)
-                if x
-            )
-            for k, v in products.items()
-        }
-
-    @classmethod
-    def from_pairs(cls, top, labels, products) -> "GradedAlgebra":
-        """An algebra whose ``products`` are already (t, c) pair tuples."""
-        alg = cls.__new__(cls)
-        alg._set_degrees(top, labels)
-        alg.products = products
-        return alg
-
-    def _set_degrees(self, top, labels):
         self.top = int(top)
         self.labels = {int(d): tuple(ls) for d, ls in labels.items() if ls}
         if self.top % 2 or any(d % 2 for d in self.labels):
             raise ValueError("odd degree in even-degree algebra")
         if self.dim(0) != 1:
             raise ValueError("degree 0 must be one-dimensional")
+        if min(self.labels) < 0:
+            raise ValueError(f"negative degree {min(self.labels)} in a graded algebra")
+        self.products = products
 
     def degrees(self):
         return sorted(self.labels)
@@ -220,6 +200,19 @@ def product_keys(labels):
                     yield a, i, b, j
 
 
+class _ComputedTable(dict):
+    """A structure-constant table that computes each product on its first
+    read: ``product(*key)`` gives the pairs of a ``product_keys`` key, and
+    the table keeps them, so each is computed at most once."""
+
+    def __init__(self, product):
+        self.product = product
+
+    def __missing__(self, key):
+        pairs = self[key] = self.product(*key)
+        return pairs
+
+
 def _dense(n: int, pairs) -> Vec:
     v = [_ZERO] * n
     for t, c in pairs:
@@ -254,7 +247,8 @@ class TopFunctional:
         return sum((a * b for a, b in zip(self.values, vec)), Fraction(0))
 
     def scale(self, c) -> "TopFunctional":
-        return TopFunctional(self.algebra, self.degree, _vscale(c, self.values))
+        c = Fraction(c)
+        return TopFunctional(self.algebra, self.degree, [c * x for x in self.values])
 
 
 def _pairing_rows(b: GradedAlgebra, ell: TopFunctional, k: int) -> list:
@@ -371,7 +365,7 @@ def _radical_rows(
 def _quotient_algebra(b: GradedAlgebra, reducers) -> GradedAlgebra:
     """B modulo an ideal, given in each degree d by ``reducers[d]``; a degree
     without a reducer is zero.  The basis is B's at the kept columns, and a
-    product is the class of the product in B."""
+    product is the class of the product in B, computed on its first read."""
     kept = {d: red.keep for d, red in reducers.items() if red.keep}
     labels = {d: tuple(b.labels[d][j] for j in js) for d, js in kept.items()}
 
@@ -379,8 +373,7 @@ def _quotient_algebra(b: GradedAlgebra, reducers) -> GradedAlgebra:
         prod = b.product_pairs(a, kept[a][i], e, kept[e][j])
         return reducers[a + e].pairs(prod)
 
-    products = {key: product(*key) for key in product_keys(kept)}
-    return GradedAlgebra.from_pairs(max(kept), labels, products)
+    return GradedAlgebra(max(kept), labels, _ComputedTable(product))
 
 
 def _ideal_generators(b: GradedAlgebra) -> list[tuple[int, int]]:
@@ -524,8 +517,9 @@ class FreeAlgebra(GradedAlgebra):
     keeps one entry per name, so labels and order are those of the full
     algebra.
 
-    No product table is stored: a product of two monomials is computed when
-    it is read, from the exponent sum and the base's structure constants.
+    No product table is stored (``products`` is None): a product of two
+    monomials is computed on every read, from the exponent sum and the
+    base's structure constants.
     The monomials of one beta and one base degree sort by base index, so
     the product's columns ascend with the base's.  The generators are the
     x_i and the generators of the base.
@@ -550,7 +544,7 @@ class FreeAlgebra(GradedAlgebra):
             self.monomials[d] = monos
             self.column[d] = {m: t for t, m in enumerate(monos)}
             labels[d] = tuple(_mono_label(base, gen_names, m) for m in monos)
-        self._set_degrees(top, labels)
+        super().__init__(top, labels, None)
 
     def product_pairs(self, a, i, b, j) -> SparseRow:
         d = a + b
@@ -763,7 +757,8 @@ def ann_quotient(f: QPolynomial, order: int) -> AnnModel:
     One elimination per degree (``_degree_classes``) gives the basis, the
     first (monomial-ordered) operators whose images d(f) are independent,
     and the class of every monomial; a structure constant is the class of
-    the composed monomial.  ``ring_via_diff`` checks Poincare duality.
+    the composed monomial, looked up on its first read.  ``ring_via_diff``
+    checks Poincare duality.
     """
     if not f.is_homogeneous() or f.degree() != order:
         raise NotHomogeneous(f"f must be homogeneous of degree {order}")
@@ -771,11 +766,11 @@ def ann_quotient(f: QPolynomial, order: int) -> AnnModel:
     for j in range(order + 1):
         op_basis[2 * j], classes[2 * j] = _degree_classes(f, j)
     labels = {d: [_op_label(f.vars, a) for a in ops] for d, ops in op_basis.items()}
-    products = {
-        (a, i, b, k): classes[a + b][tuple(map(add, op_basis[a][i], op_basis[b][k]))]
-        for a, i, b, k in product_keys(labels)
-    }
-    algebra = GradedAlgebra.from_pairs(2 * order, labels, products)
+
+    def product(a, i, b, k):
+        return classes[a + b][tuple(map(add, op_basis[a][i], op_basis[b][k]))]
+
+    algebra = GradedAlgebra(2 * order, labels, _ComputedTable(product))
     return AnnModel(f, order, algebra, op_basis, classes)
 
 

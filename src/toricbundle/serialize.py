@@ -72,7 +72,11 @@ def base_from_dict(data: dict) -> BaseData:
     top = _json_int(data["top_degree"], "top_degree")
     if not isinstance(data["basis"], dict):
         raise ValueError("base basis must be an object of degree: names")
-    labels = {int(d): tuple(names) for d, names in data["basis"].items()}
+    labels, keys = {}, {}
+    for key, names in data["basis"].items():
+        if (d := int(key)) in keys:
+            raise ValueError(f"basis keys {keys[d]!r} and {key!r} name one degree {d}")
+        labels[d], keys[d] = tuple(names), key
     where = {}
     for d, names in labels.items():
         for i, name in enumerate(names):
@@ -96,7 +100,8 @@ def base_from_dict(data: dict) -> BaseData:
     for entry in data.get("products", []):
         a, b = sorted((where[entry["a"]], where[entry["b"]]))
         wrong = f"product lands in wrong degree: {entry}"
-        parsed[a + b] = parse(entry["result"], a[0] + b[0], wrong)
+        vec = parse(entry["result"], a[0] + b[0], wrong)
+        parsed[a + b] = tuple((t, c) for t, c in enumerate(vec) if c)
     # unlisted pairs are zero
     products = {key: parsed.get(key, ()) for key in product_keys(labels)}
     alg = GradedAlgebra(top, labels, products)

@@ -46,9 +46,11 @@ from toricbundle.exactlin import (
 )
 from toricbundle.galg import (
     FreeAlgebra,
+    GradedAlgebra,
     TopFunctional,
     _unit,
     graded_isomorphic,
+    product_keys,
     sd_quotient,
 )
 from toricbundle.integrate import (
@@ -606,6 +608,32 @@ def radical_holds_relation_multiples(spec, sd_report) -> bool:
                 if any(sd.reducers[d].pairs(pairs)):
                     return False
     return True
+
+
+# -- structure-constant tables ---------------------------------------------------
+
+
+def full_table(alg: GradedAlgebra) -> dict:
+    """Every structure constant of ``alg`` as (t, c) pairs, keyed in
+    ``product_keys`` order and read through ``product_pairs``: the whole
+    table, whether stored or computed on its first read."""
+    return {key: alg.product_pairs(*key) for key in product_keys(alg.labels)}
+
+
+def eager_quotient_algebra(b: GradedAlgebra, reducers) -> GradedAlgebra:
+    """``galg._quotient_algebra`` with every product computed up front into
+    a stored table, the route the computed table replaced; kept as its
+    oracle.  A product is ``reducers[a + e]`` applied to the product in B
+    of the kept basis elements."""
+    kept = {d: red.keep for d, red in reducers.items() if red.keep}
+    labels = {d: tuple(b.labels[d][j] for j in js) for d, js in kept.items()}
+    products = {
+        (a, i, e, j): reducers[a + e].pairs(
+            b.product_pairs(a, kept[a][i], e, kept[e][j])
+        )
+        for a, i, e, j in product_keys(kept)
+    }
+    return GradedAlgebra(max(kept), labels, products)
 
 
 # -- the full-width self-dual route that the kept-variable carrier replaced ---

@@ -38,7 +38,7 @@ from toricbundle.bundle import (
 )
 from toricbundle.catalog import FANS, SPECS, base_projective, fan_p1xp1, flag_bundle_spec
 from toricbundle.errors import DegreeMismatch
-from toricbundle.galg import FreeAlgebra, _unit
+from toricbundle.galg import FreeAlgebra, _unit, product_keys
 from toricbundle.integrate import mixed_integral
 from toricbundle.polyhedral import VirtualPolytope, validate_fan
 from toricbundle.serialize import report_to_dict
@@ -178,7 +178,7 @@ def _gapped_base_spec():
     from toricbundle.bundle import BaseData, BundleSpec
 
     labels = {0: ("1",), 4: ("t",), 8: ("t^2",)}
-    products = {(4, 0, 4, 0): (F(1),), (4, 0, 8, 0): ()}
+    products = {(4, 0, 4, 0): ((0, F(1)),), (4, 0, 8, 0): ()}
     alg = GradedAlgebra(8, labels, products)
     base = BaseData(alg, TopFunctional(alg, 8, (F(1),)), ((),))
     return BundleSpec(base, fan_p1(), "gapped")
@@ -207,7 +207,7 @@ def test_diff_rejects_base_with_degree4_generator():
     from toricbundle.bundle import BaseData, BundleSpec
 
     labels = {0: ("1",), 2: ("H",), 4: ("t",), 6: ("H*t",)}
-    products = {(2, 0, 2, 0): (F(0),), (2, 0, 4, 0): (F(1),)}
+    products = {(2, 0, 2, 0): (), (2, 0, 4, 0): ((0, F(1)),)}
     alg = GradedAlgebra(6, labels, products)
     assert alg.generators() == [(2, 0), (4, 0)]
     base = BaseData(alg, TopFunctional(alg, 6, (F(1),)), ((F(1),),))
@@ -376,6 +376,35 @@ def test_cross_validate_compares_by_equality(monkeypatch):
     for spec in (hirzebruch(), _gapped_base_spec(), SPECS["p2_rank2"]()):
         assert cross_validate(spec)
     assert calls == []
+
+
+def test_cross_validate_computes_only_top_products(monkeypatch):
+    """cross_validate compares reducers and top functionals, so of the sd
+    and sr structure constants it computes only the products into the top
+    degree that the Poincare checks read; every key with a + b < top stays
+    unread."""
+    from toricbundle import galg
+
+    built, computed = [], []
+    quotient, missing = galg._quotient_algebra, galg._ComputedTable.__missing__
+
+    def spy_quotient(*args):
+        built.append(quotient(*args))
+        return built[-1]
+
+    def spy_missing(table, key):
+        computed.append(key)
+        return missing(table, key)
+
+    monkeypatch.setattr(galg, "_quotient_algebra", spy_quotient)
+    monkeypatch.setattr(galg._ComputedTable, "__missing__", spy_missing)
+    spec = SPECS["p1xp1_over_p1"]()
+    top = spec.top_degree
+    assert cross_validate(spec)
+    assert [alg.top for alg in built] == [top, top]
+    below = [k for alg in built for k in product_keys(alg.labels) if k[0] + k[2] < top]
+    assert below and computed
+    assert all(a + b == top for a, _, b, _ in computed)
 
 
 def test_sd_without_base_generators_raises(monkeypatch):

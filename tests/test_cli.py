@@ -657,6 +657,29 @@ def test_spec_file_non_integer_rational_exit_3(
 
 
 @_SPEC_COMMANDS
+@pytest.mark.parametrize(
+    "basis, message",
+    [
+        (
+            {"0": ["1"], "2": ["G"], "02": ["H"]},
+            "basis keys '2' and '02' name one degree 2",
+        ),
+        ({"-2": ["z"], "0": ["1"], "2": ["H"]}, "negative degree -2"),
+    ],
+    ids=["two_keys_one_degree", "negative_degree"],
+)
+def test_spec_file_bad_basis_degree_exit_3(capsys, tmp_path, command, basis, message):
+    """Each basis degree has one key and none is negative: the first base
+    once lost G in silence and exited 0, and the second ended in a bare
+    KeyError from the associativity check."""
+    data = spec_to_dict(SPECS["hirzebruch_1"]())
+    path = _edited_spec_file(tmp_path, data, ("base", "basis"), basis)
+    code, out, err = run(capsys, command[0], str(path), *command[1:])
+    assert code == 3 and out == ""
+    assert "malformed spec file" in err and message in err
+
+
+@_SPEC_COMMANDS
 def test_spec_file_invalid_geometry_exit_2(capsys, tmp_path, command):
     """A spec file with a non-primitive ray is invalid geometry in every
     command that reads one."""

@@ -24,6 +24,39 @@ def test_no_assert_statements():
     assert not found, f"assert statements in the package: {found}"
 
 
+def _table_reads(tree: ast.Module) -> list[int]:
+    """Lines that read a ``.products`` attribute."""
+    return sorted(
+        {
+            node.lineno
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "products"
+        }
+    )
+
+
+def test_no_table_reads_outside_galg():
+    """Only ``galg`` reads an algebra's table: every other reader goes
+    through ``product_pairs`` and ``product_keys``, which serve a stored
+    table and one computed on first read alike, where the dict itself holds
+    only the products read so far."""
+    tests = Path(__file__).resolve().parent
+    found = []
+    for path in sorted(SRC.rglob("*.py")) + sorted(tests.glob("*.py")):
+        if path != SRC / "galg.py":
+            tree = ast.parse(path.read_text(), filename=str(path))
+            found += [f"{path.name}:{line}" for line in _table_reads(tree)]
+    assert not found, f"structure-constant tables read outside galg: {found}"
+
+
+def test_table_read_rule_sees_a_read():
+    tree = ast.parse(
+        "def f(a, b):\n    k = product_keys(a.labels)\n"
+        "    return a.products == b.algebra.products\n"
+    )
+    assert _table_reads(tree) == [3]
+
+
 def _unused_imports(tree: ast.Module) -> list[str]:
     """Names a module imports and never reads; a name listed in ``__all__``
     counts as read."""
