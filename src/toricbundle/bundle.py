@@ -13,10 +13,11 @@ space is then built three independent ways:
   eliminates the monomial relations on the s - n variables they leave;
 * ``ring_via_sd``: quotient of the same free algebra of the kept variables
   (a ``galg.FreeAlgebra``, which stores no products) by the radical of the
-  Frobenius form of the intersection functional, whose top-degree values
+  Frobenius form of the intersection functional ell, whose top-degree values
   are mixed integrals scaled by the (n+i)!/i! factor that converts a
-  polarized integral into an intersection number; each L_t is checked to
-  be radical before it is solved;
+  polarized integral into an intersection number, kept as one polynomial
+  I_gamma per base basis class; each L_t, read as a differential operator,
+  is checked to kill them before it is solved;
 * ``ring_via_diff``: differential operators modulo the annihilator of the
   self-intersection polynomial (for bases generated in degree 2).
 
@@ -36,7 +37,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, prod
-from operator import add
 
 from toricbundle.errors import (
     AmbiguousLabel,
@@ -222,30 +222,29 @@ def _pair_with_power(spec: BundleSpec, power, gamma: Vec, i: int) -> QPolynomial
 
 
 def intersection_functional(spec: BundleSpec) -> dict:
-    """The fundamental-class pairing ell on every top-degree free monomial
-    (base degree, base index, beta) over all the x_i, from I_f-polynomial
-    coefficients.
+    """ell as one polynomial per base basis class: (gdeg, ridx) |-> I_gamma
+    = I_f / i!, with f = f_gamma for the basis class gamma of degree gdeg =
+    k - 2i, in the variables h_1..h_s of :func:`i_f_polynomial`.
 
     The polarization of a homogeneous degree-m polynomial p = sum c_a h^a at
     the coordinate virtual polytopes with multiset b is b! c_b / m!; the
-    intersection number is (n+i)!/i! = m!/i! times it, so b! c_b / i!.
+    intersection number is (n+i)!/i! = m!/i! times it, so
+    ell(p^*gamma * x^beta) = beta! [h^beta] I_gamma (:func:`_pairing`).
     """
     base, k = spec.base, spec.k
-    values: dict[tuple[int, int, tuple[int, ...]], Fraction] = {}
     powers = _chern_powers(base, spec.x_vars, base.chern, k // 2)
+    polys = {}
     for gdeg in range(0, k + 1, 2):
         i = (k - gdeg) // 2
         for ridx in range(base.algebra.dim(gdeg)):
-            gamma = _unit(base.algebra.dim(gdeg), ridx)
-            f = _pair_with_power(spec, powers[i], gamma, i)
-            poly = i_f_polynomial(spec.fan, f) if f else None
-            for beta in monomials_of_degree(spec.fan.nrays, spec.n + i):
-                values[(gdeg, ridx, beta)] = (
-                    poly.coefficient(beta) * prod(map(factorial, beta)) / factorial(i)
-                    if poly is not None
-                    else Fraction(0)
-                )
-    return values
+            f = _pair_with_power(spec, powers[i], _unit(base.algebra.dim(gdeg), ridx), i)
+            polys[(gdeg, ridx)] = Fraction(1, factorial(i)) * i_f_polynomial(spec.fan, f)
+    return polys
+
+
+def _pairing(poly: QPolynomial, beta) -> Fraction:
+    """beta! [h^beta] poly: ell(p^*gamma * x^beta) for poly = I_gamma."""
+    return poly.coefficient(beta) * prod(map(factorial, beta))
 
 
 # ---------------------------------------------------------------------------
@@ -263,19 +262,20 @@ def ring_via_sd(spec: BundleSpec) -> RingReport:
     ``sd`` shares two inputs with ``sr``: the rays and the Chern data, from
     which :func:`_linear_relations` writes the L_t = p^*c(lambda_t) -
     rho(lambda_t).  It reads neither ``sr``'s output nor its monomial
-    relations.  Each L_t must lie in the radical of ell before it is solved
-    (:func:`_check_linear_relations`, on the full top degree); the radical
-    then holds the ideal (L_t), so quotienting by the L_t first
-    (``galg.kept_carrier``) and taking the radical of the induced
-    functional on the kept variables gives the same ring.
+    relations.  Each L_t, read as a differential operator, must kill the
+    I_gamma of :func:`intersection_functional` before it is solved
+    (:func:`_check_linear_relations`); the radical then holds the ideal
+    (L_t), so quotienting by the L_t first (``galg.kept_carrier``) and
+    taking the radical of the induced functional on the kept variables
+    gives the same ring.
     """
-    values = intersection_functional(spec)
+    polys = intersection_functional(spec)
     relations = _linear_relations(spec)
-    _check_linear_relations(spec, relations, values)
+    _check_linear_relations(spec, relations, polys)
     top = spec.top_degree
     free = kept_carrier(spec.base.algebra, spec.x_names, top, relations)
-    ell = TopFunctional(free, top, tuple(values[m] for m in free.monomials[top]))
-    sd = sd_quotient(free, ell)
+    values = [_pairing(polys[(d, u)], beta) for d, u, beta in free.monomials[top]]
+    sd = sd_quotient(free, TopFunctional(free, top, values))
     if sd.algebra.total_dim() != _leray_hirsch_dim(spec):
         raise VerificationFailed("Leray-Hirsch dims")
     gens = _generator_classes_quotient(
@@ -284,39 +284,37 @@ def ring_via_sd(spec: BundleSpec) -> RingReport:
     return RingReport("sd", sd.algebra, sd.functional, gens, (free, sd))
 
 
-def _check_linear_relations(spec: BundleSpec, relations, values) -> None:
-    """ell(L_t * m) = 0 for each relation L_t and each free monomial m of
-    degree top - 2 over all the x_i, read off ``values`` (ell on the top
-    monomials, mostly 0); otherwise ``VerificationFailed`` names t, m and
-    the value.  ell is 0 above the top, so L_t is then radical."""
+def _check_linear_relations(spec: BundleSpec, relations, polys) -> None:
+    """A term c * p^*delta * x^b of L_t, times p^*gamma * x^beta, pairs to
+    beta! [h^beta] (c * d^b I_{delta gamma}), and ell is 0 above the top,
+    where the base gives no delta gamma.  So L_t is radical exactly when
+    sum c * d^b I_{delta gamma} is the zero polynomial for each base basis
+    class gamma; otherwise ``VerificationFailed`` names t, the monomial m
+    = p^*gamma * x^beta of its first nonzero beta and ell(L_t * m)."""
     r = spec.base.algebra
-    nonzero = {m: v for m, v in values.items() if v}
     for rdeg in range(0, spec.k + 1, 2):
-        betas = monomials_of_degree(spec.fan.nrays, (spec.top_degree - 2 - rdeg) // 2)
         cases = itertools.product(range(r.dim(rdeg)), enumerate(relations))
         for ridx, (t, rel) in cases:
-            # L_t * p^*(base class ridx) as (beta, [(base degree, index, c)])
-            terms = [
-                (beta_g, [
-                    (rg + rdeg, u, cg * c)
-                    for tg, cg in enumerate(vec) if cg
-                    for u, c in r.product_pairs(rg, tg, rdeg, ridx)
-                ])
-                for beta_g, (rg, vec) in rel.items()
-            ]
-            for beta in betas:
-                value = 0
-                for beta_g, pairs in terms:
-                    b = tuple(map(add, beta, beta_g))
-                    for d, u, c in pairs:
-                        if v := nonzero.get((d, u, b)):
-                            value += c * v
-                if value:
-                    m = _mono_label(r, spec.x_names, (rdeg, ridx, beta))
-                    raise VerificationFailed(
-                        f"linear relation t={t} is not radical: "
-                        f"ell(L_t * {m}) = {value}"
-                    )
+            image = sum(
+                cg * c * _derivative(polys[(rg + rdeg, u)], b)
+                for b, (rg, vec) in rel.items()
+                for tg, cg in enumerate(vec) if cg
+                for u, c in r.product_pairs(rg, tg, rdeg, ridx)
+            )
+            if image:
+                beta = max(image.num)  # first in monomials_of_degree order
+                m = _mono_label(r, spec.x_names, (rdeg, ridx, beta))
+                raise VerificationFailed(
+                    f"linear relation t={t} is not radical: "
+                    f"ell(L_t * {m}) = {_pairing(image, beta)}"
+                )
+
+
+def _derivative(poly: QPolynomial, b) -> QPolynomial:
+    """d^b poly: b[j] partial derivatives in the j-th variable."""
+    for j in (j for j, e in enumerate(b) for _ in range(e)):
+        poly = poly.partial(j)
+    return poly
 
 
 def _linear_relations(spec: BundleSpec) -> list:
@@ -488,13 +486,14 @@ def verify_bkk(
     gamma: Vec,
     i: int,
     delta: VirtualPolytope,
-    sr_report: RingReport | None = None,
+    sr_report: RingReport,
 ) -> tuple[Fraction, Fraction, bool]:
     """(n+i)! I_gamma(Delta) against i! F_gamma(Delta), both exact.
 
     The left side is the diagonal polarization of the mixed integral of
-    f_gamma; the right side is computed inside the Stanley-Reisner ring as
-    i! * ell(rho(Delta)^{n+i} * p^*(gamma)).
+    f_gamma; the right side is computed inside ``sr_report``, the
+    Stanley-Reisner ring of ``spec``, as i! * ell(rho(Delta)^{n+i} *
+    p^*(gamma)).
     """
     n = spec.n
     if spec.k - 2 * i < 0 or len(gamma) != spec.base.algebra.dim(spec.k - 2 * i):
@@ -502,12 +501,11 @@ def verify_bkk(
     f = f_gamma(spec, gamma, i)
     lhs = factorial(n + i) * mixed_integral(spec.fan, f, [delta] * (n + i))
 
-    rep = sr_report or ring_via_sr(spec)
-    rho = rho_class(spec, rep, delta)
-    deg, vec = rep.algebra.power_of_element(2, rho, n + i)
-    pg = pullback_class(spec, rep, spec.k - 2 * i, gamma)
-    prod = rep.algebra.multiply(deg, vec, spec.k - 2 * i, pg)
-    rhs = factorial(i) * rep.functional.of(spec.top_degree, prod)
+    rho = rho_class(spec, sr_report, delta)
+    deg, vec = sr_report.algebra.power_of_element(2, rho, n + i)
+    pg = pullback_class(spec, sr_report, spec.k - 2 * i, gamma)
+    prod = sr_report.algebra.multiply(deg, vec, spec.k - 2 * i, pg)
+    rhs = factorial(i) * sr_report.functional.of(spec.top_degree, prod)
     return lhs, rhs, lhs == rhs
 
 
@@ -727,15 +725,13 @@ def squarefree_evaluate(
 # ---------------------------------------------------------------------------
 
 
-def random_convex(fan: Fan, rng: random.Random, width: int = 6) -> VirtualPolytope:
-    """Scaled projectivity witness plus a bounded integer perturbation."""
+def random_convex(fan: Fan, rng: random.Random) -> VirtualPolytope:
+    """Scaled projectivity witness plus an integer perturbation in [-6, 6]."""
     ok, witness = is_projective(fan)
     if not ok:
         raise NotConvex("fan is not projective: no strictly convex sample")
     for scale in (2, 4, 8, 16, 64, 256):
-        h = tuple(
-            scale * w + rng.randint(-width, width) for w in witness.h
-        )
+        h = tuple(scale * w + rng.randint(-6, 6) for w in witness.h)
         vp = VirtualPolytope(fan, h)
         if is_convex_on(fan, vp, strict=True):
             return vp

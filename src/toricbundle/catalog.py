@@ -341,7 +341,8 @@ def brion_kazarnovskii_check(
     spec: BundleSpec,
     delta: VirtualPolytope,
     shift=None,
-    sr_report: RingReport | None = None,
+    *,
+    sr_report: RingReport,
 ):
     """rho-bar(Delta)^{rk+N} against (rk+N)! int_Delta f_W, both exact, on a
     spec built by :func:`flag_bundle_spec`.
@@ -352,7 +353,8 @@ def brion_kazarnovskii_check(
     the Chern rows are the sublattice basis in fundamental coordinates.
     ``delta`` lives on the spec's fan, in the sublattice's own coordinates;
     ``shift`` is an optional translation in fundamental coordinates (a
-    degree-2 class of the base).
+    degree-2 class of the base).  The left side is read off ``sr_report``,
+    the Stanley-Reisner ring of ``spec``.
     """
     n = spec.base.algebra.dim(2) + 1
     if n < 2:
@@ -361,17 +363,15 @@ def brion_kazarnovskii_check(
         raise DegreeMismatch(
             f"base of top degree {spec.k} is not the SL_{n} flag variety"
         )
-    rep = sr_report or ring_via_sr(spec)
-
-    rho = rho_class(spec, rep, delta)
+    rho = rho_class(spec, sr_report, delta)
     if shift is None:
         shift = (Fraction(0),) * (n - 1)
     else:
         shift = _weight(n, shift)
-        rho = tuple(map(add, rho, pullback_class(spec, rep, 2, shift)))
+        rho = tuple(map(add, rho, pullback_class(spec, sr_report, 2, shift)))
     exponent = spec.top_degree // 2
-    deg, vec = rep.algebra.power_of_element(2, rho, exponent)
-    lhs = rep.functional.of(spec.top_degree, vec)
+    deg, vec = sr_report.algebra.power_of_element(2, rho, exponent)
+    lhs = sr_report.functional.of(spec.top_degree, vec)
 
     yvars = tuple(f"y{j + 1}" for j in range(spec.n))
     images = [

@@ -27,7 +27,6 @@ import re
 import sys
 from fractions import Fraction
 
-import toricbundle
 from toricbundle import catalog, serialize
 from toricbundle.bundle import (
     BundleSpec,
@@ -131,10 +130,8 @@ def cmd_ring(args) -> int:
         raise
     except ToricBundleError as exc:
         _fail(EXIT_PRECONDITION, f"builder {args.builder}: {exc}")
-    payload = serialize.report_to_dict(report)
-    payload["kernel_backend"] = toricbundle.kernel_backend
     if args.json:
-        print(serialize.dumps(payload))
+        print(serialize.dumps(serialize.report_to_dict(report)))
     else:
         print(f"builder: {report.builder}")
         print(f"graded dims: {list(report.algebra.dims())}")
@@ -276,7 +273,9 @@ def _suite_bk(spec: BundleSpec, rng, count, lines) -> bool:
             if t % 3 == 0
             else tuple(Fraction(rng.randint(-2, 2)) for _ in range(n - 1))
         )
-        lhs, rhs, eq = catalog.brion_kazarnovskii_check(spec, delta, shift, rep)
+        lhs, rhs, eq = catalog.brion_kazarnovskii_check(
+            spec, delta, shift, sr_report=rep
+        )
         ok &= _emit(
             lines,
             eq,

@@ -99,9 +99,13 @@ def base_from_dict(data: dict) -> BaseData:
     parsed = {}
     for entry in data.get("products", []):
         a, b = sorted((where[entry["a"]], where[entry["b"]]))
+        if a + b in parsed:
+            raise ValueError(f"product of {entry['a']!r} and {entry['b']!r} listed twice")
         wrong = f"product lands in wrong degree: {entry}"
         vec = parse(entry["result"], a[0] + b[0], wrong)
         parsed[a + b] = tuple((t, c) for t, c in enumerate(vec) if c)
+        if a[0] == 0 and parsed[a + b] != ((b[1], 1),):  # the table keeps no unit
+            raise ValueError(f"product with the unit contradicts it: {entry}")
     # unlisted pairs are zero
     products = {key: parsed.get(key, ()) for key in product_keys(labels)}
     alg = GradedAlgebra(top, labels, products)

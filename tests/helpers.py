@@ -48,6 +48,7 @@ from toricbundle.galg import (
     FreeAlgebra,
     GradedAlgebra,
     TopFunctional,
+    _mono_label,
     _unit,
     graded_isomorphic,
     product_keys,
@@ -644,13 +645,62 @@ def full_free_algebra(spec: BundleSpec) -> FreeAlgebra:
     return FreeAlgebra(spec.base.algebra, spec.x_names, spec.top_degree)
 
 
+def ell_table(spec: BundleSpec) -> dict:
+    """ell on every top-degree free monomial (gdeg, ridx, beta) over all the
+    x_i, expanded from the per-class polynomials of
+    ``intersection_functional``: beta! times the h^beta coefficient of
+    I_gamma.  The table the package built before it kept the polynomials."""
+    top, nrays = spec.top_degree, spec.fan.nrays
+    return {
+        (gdeg, ridx, beta): poly.coefficient(beta) * prod(map(factorial, beta))
+        for (gdeg, ridx), poly in intersection_functional(spec).items()
+        for beta in monomials_of_degree(nrays, (top - gdeg) // 2)
+    }
+
+
 def full_functional(spec: BundleSpec):
     """(free, ell): the full-width free algebra and the intersection
     functional on its top monomials."""
     free = full_free_algebra(spec)
-    values = intersection_functional(spec)
+    values = ell_table(spec)
     top = spec.top_degree
     return free, TopFunctional(free, top, tuple(values[m] for m in free.monomials[top]))
+
+
+def check_linear_relations_by_monomials(spec: BundleSpec, relations, values) -> None:
+    """``bundle._check_linear_relations`` as it was before ell was kept as
+    polynomials, kept as its oracle: ell(L_t * m) = 0 for each relation L_t
+    and each free monomial m of degree top - 2 over all the x_i, read off
+    ``values`` (``ell_table``); otherwise ``VerificationFailed`` names t, m
+    and the value."""
+    r = spec.base.algebra
+    nonzero = {m: v for m, v in values.items() if v}
+    for rdeg in range(0, spec.k + 1, 2):
+        betas = monomials_of_degree(spec.fan.nrays, (spec.top_degree - 2 - rdeg) // 2)
+        cases = itertools.product(range(r.dim(rdeg)), enumerate(relations))
+        for ridx, (t, rel) in cases:
+            # L_t * p^*(base class ridx) as (beta, [(base degree, index, c)])
+            terms = [
+                (beta_g, [
+                    (rg + rdeg, u, cg * c)
+                    for tg, cg in enumerate(vec) if cg
+                    for u, c in r.product_pairs(rg, tg, rdeg, ridx)
+                ])
+                for beta_g, (rg, vec) in rel.items()
+            ]
+            for beta in betas:
+                value = 0
+                for beta_g, pairs in terms:
+                    b = tuple(map(add, beta, beta_g))
+                    for d, u, c in pairs:
+                        if v := nonzero.get((d, u, b)):
+                            value += c * v
+                if value:
+                    m = _mono_label(r, spec.x_names, (rdeg, ridx, beta))
+                    raise VerificationFailed(
+                        f"linear relation t={t} is not radical: "
+                        f"ell(L_t * {m}) = {value}"
+                    )
 
 
 def cherneq_holds(spec: BundleSpec, report: RingReport) -> CrossValidation:

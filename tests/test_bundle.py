@@ -1,5 +1,6 @@
 """Bundle specs and the three ring builders, with all cross identities."""
 
+import functools
 import random
 from fractions import Fraction as F
 from math import factorial
@@ -10,9 +11,11 @@ from hypothesis import strategies as st
 
 from helpers import (
     AffineVirtualPolytope,
+    check_linear_relations_by_monomials,
     cherneq_holds,
     coordinate,
     diff_matches_sr,
+    ell_table,
     full_free_algebra,
     full_width_ring_via_sd,
     horizontal_part,
@@ -23,6 +26,8 @@ from helpers import (
 )
 from toricbundle.bundle import (
     BundleSpec,
+    _check_linear_relations,
+    _linear_relations,
     cross_validate,
     f_gamma,
     intersection_functional,
@@ -37,7 +42,7 @@ from toricbundle.bundle import (
     verify_bkk,
 )
 from toricbundle.catalog import FANS, SPECS, base_projective, fan_p1xp1, flag_bundle_spec
-from toricbundle.errors import DegreeMismatch
+from toricbundle.errors import DegreeMismatch, VerificationFailed
 from toricbundle.galg import FreeAlgebra, _unit, product_keys
 from toricbundle.integrate import mixed_integral
 from toricbundle.polyhedral import VirtualPolytope, validate_fan
@@ -80,7 +85,7 @@ def plain_ell(spec):
     intersection functional times i!/(n+i)! on a monomial whose base part
     has degree k - 2i."""
     out = {}
-    for (rdeg, ridx, beta), v in intersection_functional(spec).items():
+    for (rdeg, ridx, beta), v in ell_table(spec).items():
         i = (spec.k - rdeg) // 2
         out[(rdeg, ridx, beta)] = v * F(factorial(i), factorial(spec.n + i))
     return out
@@ -225,7 +230,6 @@ def test_sd_quotient_of_partial_presentation():
         build_quotient,
         sd_quotient,
     )
-    from toricbundle.bundle import intersection_functional
 
     spec = SPECS["p2_toric"]()
     pt = GradedAlgebra(0, {0: ("1",)}, {})
@@ -234,7 +238,7 @@ def test_sd_quotient_of_partial_presentation():
         PresentedAlgebra(pt, ("x1", "x2", "x3"), (sr_only,), 4)
     )
     assert model_i.algebra.dims() == (1, 3, 6)
-    vals = intersection_functional(spec)
+    vals = ell_table(spec)
     basis = [model_i.free.monomials[4][t] for t in model_i.reducers[4].keep]
     ell_i = TopFunctional(model_i.algebra, 4, tuple(vals[m] for m in basis))
     sq = sd_quotient(model_i.algebra, ell_i)
@@ -426,7 +430,7 @@ def test_sd_without_base_generators_raises(monkeypatch):
 def test_verify_bkk_classical_p2():
     spec = SPECS["p2_toric"]()
     delta = VirtualPolytope(spec.fan, (0, 0, 1))
-    lhs, rhs, eq = verify_bkk(spec, (F(1),), 0, delta)
+    lhs, rhs, eq = verify_bkk(spec, (F(1),), 0, delta, ring_via_sr(spec))
     assert (lhs, rhs, eq) == (F(1), F(1), True)
 
 
@@ -573,6 +577,46 @@ def test_ring_via_sd_checks_its_linear_relations(monkeypatch):
     with pytest.raises(VerificationFailed) as info:
         ring_via_sd(spec)
     assert str(info.value) == "linear relation t=0 is not radical: ell(L_t * x1*x2) = 1"
+
+
+@functools.cache
+def _relation_check_case(name):
+    """(spec, ell polynomials, ell table) of a catalog spec, built once."""
+    spec = SPECS[name]()
+    return spec, intersection_functional(spec), ell_table(spec)
+
+
+def _raised(check, *args):
+    try:
+        check(*args)
+    except VerificationFailed as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(sorted(SPECS)), st.data())
+def test_operator_check_matches_the_monomial_oracle(name, data):
+    """With one coefficient of one L_t changed, a Chern entry or a ray
+    entry, the operator check on the I_gamma and the monomial-by-monomial
+    oracle on the full table both pass, or both raise the same message."""
+    spec, polys, table = _relation_check_case(name)
+    relations = _linear_relations(spec)
+    t = data.draw(st.integers(0, spec.n - 1), label="t")
+    rel = relations[t] = dict(relations[t])
+    # the new value may equal the old one, so some relations stay radical
+    value = data.draw(st.sampled_from((-2, -1, 0, 1, 2, F(1, 2))), label="value")
+    dim2, s = spec.base.algebra.dim(2), spec.fan.nrays
+    if dim2 and data.draw(st.booleans(), label="chern entry"):
+        u = data.draw(st.integers(0, dim2 - 1), label="u")
+        chern = list(spec.base.chern[t])
+        chern[u] = F(value)
+        rel[(0,) * s] = (2, tuple(chern))
+    else:
+        i = data.draw(st.integers(0, s - 1), label="ray")
+        rel[tuple(int(j == i) for j in range(s))] = (0, (F(value),))
+    expected = _raised(check_linear_relations_by_monomials, spec, relations, table)
+    assert _raised(_check_linear_relations, spec, relations, polys) == expected
 
 
 def test_ring_power_derivative_oracle():

@@ -210,14 +210,18 @@ def test_gz_sl4():
 def test_brion_kazarnovskii_sl2():
     p1 = fan_p1()
     spec = flag_bundle_spec(2, p1)
-    lhs, rhs, eq = brion_kazarnovskii_check(spec, VirtualPolytope(p1, (1, 0)))
+    lhs, rhs, eq = brion_kazarnovskii_check(
+        spec, VirtualPolytope(p1, (1, 0)), sr_report=ring_via_sr(spec)
+    )
     assert eq and lhs == 1  # 2! int_0^1 a da
 
 
 def test_brion_kazarnovskii_point_delta():
     p1 = fan_p1()
     spec = flag_bundle_spec(2, p1)
-    lhs, rhs, eq = brion_kazarnovskii_check(spec, of_point(p1, (3,)))
+    lhs, rhs, eq = brion_kazarnovskii_check(
+        spec, of_point(p1, (3,)), sr_report=ring_via_sr(spec)
+    )
     assert eq and lhs == 0
 
 
@@ -240,7 +244,9 @@ def test_brion_kazarnovskii_sublattice():
     """Index-2 sublattice of the SL2 weight lattice: measure renormalizes."""
     p1 = fan_p1()
     spec = flag_bundle_spec(2, p1, [[2]])
-    lhs, rhs, eq = brion_kazarnovskii_check(spec, VirtualPolytope(p1, (1, 0)))
+    lhs, rhs, eq = brion_kazarnovskii_check(
+        spec, VirtualPolytope(p1, (1, 0)), sr_report=ring_via_sr(spec)
+    )
     # f_W(2y) = 2y integrated over [0,1] in Lambda-measure: 2! * 1 = 2
     assert eq and lhs == 2
 
@@ -250,10 +256,13 @@ def test_brion_kazarnovskii_rank1_inside_sl3():
     the full flag threefold."""
     p1 = fan_p1()
     spec = flag_bundle_spec(3, p1, [[1, 1]])
+    rep = ring_via_sr(spec)
     # f_W(t, t) = t^3, exponent 1 + 3: 4! int_0^1 t^3 dt = 6
-    assert brion_kazarnovskii_check(spec, VirtualPolytope(p1, (1, 0))) == (6, 6, True)
+    assert brion_kazarnovskii_check(
+        spec, VirtualPolytope(p1, (1, 0)), sr_report=rep
+    ) == (6, 6, True)
     lhs, rhs, eq = brion_kazarnovskii_check(
-        spec, VirtualPolytope(p1, (2, 1)), shift=(F(1), F(0))
+        spec, VirtualPolytope(p1, (2, 1)), shift=(F(1), F(0)), sr_report=rep
     )
     assert eq
 
@@ -263,7 +272,9 @@ def test_brion_kazarnovskii_rejects_a_base_that_is_no_flag_variety():
     degree 2; its top degree is 4."""
     spec = SPECS["p2_rank2"]()
     with pytest.raises(DegreeMismatch, match="not the SL_2 flag variety"):
-        brion_kazarnovskii_check(spec, VirtualPolytope(spec.fan, (1, 0, 0)))
+        brion_kazarnovskii_check(
+            spec, VirtualPolytope(spec.fan, (1, 0, 0)), sr_report=ring_via_sr(spec)
+        )
 
 
 def test_brion_kazarnovskii_rejects_a_base_without_degree_two_classes():
@@ -271,7 +282,9 @@ def test_brion_kazarnovskii_rejects_a_base_without_degree_two_classes():
     variety is built."""
     spec = SPECS["p1_toric"]()
     with pytest.raises(DegreeMismatch, match="without degree-2 classes"):
-        brion_kazarnovskii_check(spec, VirtualPolytope(spec.fan, (1, 0)))
+        brion_kazarnovskii_check(
+            spec, VirtualPolytope(spec.fan, (1, 0)), sr_report=ring_via_sr(spec)
+        )
 
 
 def test_projective_bundle_checks():
@@ -417,8 +430,11 @@ def test_gz_lattice_points_rejects_non_dominant():
 def test_brion_kazarnovskii_rejects_short_shift():
     pp = fan_p1xp1()
     spec = flag_bundle_spec(3, pp)
+    rep = ring_via_sr(spec)
     with pytest.raises(DegreeMismatch):
-        brion_kazarnovskii_check(spec, VirtualPolytope(pp, (1, 1, 0, 0)), shift=(1,))
+        brion_kazarnovskii_check(
+            spec, VirtualPolytope(pp, (1, 1, 0, 0)), shift=(1,), sr_report=rep
+        )
 
 
 def test_flag_bundle_spec_rejects_short_lattice_row():

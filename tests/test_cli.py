@@ -13,9 +13,10 @@ from hypothesis import strategies as st
 import toricbundle
 from helpers import spec_to_dict
 from toricbundle import galg
+from toricbundle.bundle import ring_via_sr
 from toricbundle.catalog import FANS, SPECS
 from toricbundle.cli import SUITES, main
-from toricbundle.serialize import spec_from_dict
+from toricbundle.serialize import dumps, report_to_dict, spec_from_dict
 
 
 def run(capsys, *argv):
@@ -125,6 +126,24 @@ def test_ring_odd_degree_base_exit_3(capsys, tmp_path):
     assert "odd degree in even-degree algebra" in err
 
 
+@pytest.mark.parametrize(
+    "entries, message",
+    [
+        ([{"a": "1", "b": "H", "result": [[2, 1, "H"]]}], "product with the unit contradicts it"),
+        ([{"a": "H", "b": "H", "result": []}] * 2, "product of 'H' and 'H' listed twice"),
+    ],
+    ids=["unit", "repeated"],
+)
+def test_ring_bad_product_entry_exit_3(capsys, tmp_path, entries, message):
+    spec = spec_to_dict(SPECS["hirzebruch_1"]())
+    spec["base"]["products"] += entries
+    path = tmp_path / "bad_product.json"
+    path.write_text(json.dumps(spec))
+    code, _, err = run(capsys, "ring", str(path), "--builder", "sr")
+    assert code == 3
+    assert "malformed spec file" in err and message in err
+
+
 def test_ring_builders(capsys):
     for builder, dims in (("sr", [1, 1, 1]), ("sd", [1, 1, 1]), ("diff", [1, 1, 1])):
         code, out, _ = run(
@@ -138,6 +157,8 @@ def test_ring_hirzebruch_dims(capsys):
     code, out, _ = run(capsys, "ring", "hirzebruch_1", "--builder", "sr", "--json")
     assert code == 0
     assert json.loads(out)["graded_dims"] == [1, 2, 1]
+    # the report and nothing else
+    assert out == dumps(report_to_dict(ring_via_sr(SPECS["hirzebruch_1"]()))) + "\n"
 
 
 def test_ring_diff_precondition_exit_3(capsys, tmp_path):

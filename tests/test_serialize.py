@@ -45,6 +45,40 @@ def test_base_round_trip():
     assert back.chern == base.chern
 
 
+def p1_base_dict(*products):
+    """The README's base example, the cohomology of P^1, with ``products``
+    appended to its one entry H*H = 0 above the top."""
+    return {
+        "top_degree": 2,
+        "basis": {"0": ["1"], "2": ["H"]},
+        "products": [{"a": "H", "b": "H", "result": []}, *products],
+        "orientation": [[1, 1, "H"]],
+        "chern": [[[1, 1, "H"]]],
+    }
+
+
+def test_base_example_with_a_product_above_the_top_loads():
+    base = base_from_dict(p1_base_dict())
+    assert base.algebra.dims() == (1, 1)
+    assert base.chern == ((F(1),),)
+
+
+def test_base_refuses_a_product_with_the_unit_that_contradicts_it():
+    restated = base_from_dict(p1_base_dict({"a": "1", "b": "H", "result": [[1, 1, "H"]]}))
+    assert restated.algebra.product_pairs(0, 0, 2, 0) == ((0, 1),)
+    with pytest.raises(ValueError, match="product with the unit contradicts it"):
+        base_from_dict(p1_base_dict({"a": "1", "b": "H", "result": [[2, 1, "H"]]}))
+
+
+def test_base_refuses_a_repeated_product_pair():
+    data = base_to_dict(base_projective(2))
+    (square,) = data["products"]
+    data["products"].append({"a": "H", "b": "H", "result": [[3, 1, "H^2"]]})
+    assert square == {"a": "H", "b": "H", "result": [[1, 1, "H^2"]]}
+    with pytest.raises(ValueError, match="product of 'H' and 'H' listed twice"):
+        base_from_dict(data)
+
+
 def test_spec_round_trip_preserves_ring():
     spec = SPECS["hirzebruch_1"]()
     data = json.loads(json.dumps(spec_to_dict(spec)))
