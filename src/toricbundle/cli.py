@@ -19,6 +19,7 @@ Rationals in machine output are [numerator, denominator] pairs.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import os
@@ -183,17 +184,12 @@ def _suite_cross(spec: BundleSpec, rng, count, lines) -> bool:
 
 
 def _ider_integrands(spec):
-    nv = spec.n
-    xvars = tuple(f"x{i + 1}" for i in range(nv))
-    fs = [("1", QPolynomial.constant(xvars, 1))]
-    fs.append(("x1", QPolynomial.variable(xvars, 0)))
-    if nv >= 2:
-        fs.append(
-            (
-                "x1*x2",
-                QPolynomial.variable(xvars, 0) * QPolynomial.variable(xvars, 1),
-            )
-        )
+    """(name, f) for f = 1, x1 and, in fiber dimension >= 2, x1*x2."""
+    xvars = tuple(f"x{i + 1}" for i in range(spec.n))
+    x1 = QPolynomial.variable(xvars, 0)
+    fs = [("1", QPolynomial.constant(xvars, 1)), ("x1", x1)]
+    if spec.n >= 2:
+        fs.append(("x1*x2", x1 * QPolynomial.variable(xvars, 1)))
     return fs
 
 
@@ -416,7 +412,9 @@ def cmd_intersect(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves it unchanged."""
     ap = argparse.ArgumentParser(
         prog="toricbundle",
         description="exact cohomology rings of toric bundles",

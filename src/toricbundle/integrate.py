@@ -24,12 +24,13 @@ per face.  :func:`triangulate` returns the simplices on the cleared
 points with their one denominator, and the integer moment numerators of
 every simplex and term of f are summed before one Fraction is built.
 This direct integral is the oracle that checks everything else.  On P(h)
-(:func:`i_f_value`) it runs on integers from h to the moments, from the
-fan's cone vertices checked against <x, e_i> <= h_i, so wrong cone data
-raise instead of passing for a polytope.  At a strictly convex h the face lattice of P(h) is
-the fan's and one triangulation per fan serves; zero wall gaps merge
-vertices, and then the measured vertices are triangulated.  Nothing of the
-closed form below is read.
+(:func:`i_f_value`, and each shifted P(h) and box of one clearing in
+:func:`convex_chain_identity_check`) it runs on integers from h to the
+moments, from cone vertices checked against <x, e_i> <= h_i, so wrong cone
+data raise instead of passing for a polytope.  At a strictly convex h the
+face lattice of P(h) is the fan's and one triangulation per fan serves; zero
+wall gaps merge vertices, and then the measured vertices are triangulated.
+Nothing of the closed form below is read.
 
 With the sign convention of :mod:`toricbundle.polyhedral`,
 P(h) = {x : <x, e_i> <= h_i}, the integral I_f(h) = int_{P(h)} f of a form f
@@ -47,6 +48,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import ceil, comb, factorial, lcm, prod
+from operator import sub
 
 from toricbundle import exactlin
 from toricbundle.errors import (
@@ -65,7 +67,6 @@ from toricbundle.polyhedral import (
     _int_dot,
     _pulling,
     _scaled_vertices,
-    cone_vertices,
     dual_vertex,
     is_convex_on,
     is_projective,
@@ -226,34 +227,52 @@ def convex_anchor(fan: Fan, summands) -> VirtualPolytope:
 
 
 def i_f_value(fan: Fan, f: QPolynomial, vp: VirtualPolytope) -> Fraction:
-    """I_f at a convex support vector: ``integrate_over_polytope(f,
-    polytope_from_support(fan, vp))``, on integers from h to the moments.
-
-    With h = H / den(h), the vertices V_sigma = L den(h) A_sigma(h) of
-    :func:`_scaled_vertices` are checked: <V_sigma, e_j> <= L H_j for every
-    ray j, with equality exactly for j in sigma.  Then h is strictly convex
-    and P(h) is simple with the fan as normal fan, so the fan's own
-    triangulation :attr:`Fan.pulling` of that face lattice serves and
-    nothing is measured.  Otherwise the value is that definition itself,
-    whose vertices are checked in :func:`support_points`; both routes
-    triangulate the same sorted points with the same tight sets.  Raises
-    :class:`FanError` on a fan that is not complete and :class:`NotConvex`
-    unless vp is convex.
-    """
-    _require_complete(fan)
+    """I_f at a convex support vector, ``integrate_over_polytope(f,
+    polytope_from_support(fan, vp))``: :func:`_i_f_value` on h cleared once.
+    Raises :class:`FanError` on a fan that is not complete or a vp on another
+    fan and :class:`NotConvex` unless vp is convex."""
+    _require_integrable(fan, vp)
     hden, (hint,) = _cleared([vp.h])
+    return _i_f_value(fan, f, hint, hden)
+
+
+def _i_f_value(fan: Fan, f: QPolynomial, hint, hden: int) -> Fraction:
+    """I_f at h = H / den(h), H = ``hint``, on integers to the moments: the
+    vertices V_sigma = L den(h) A_sigma(h) of :func:`_scaled_vertices` are
+    checked against the bounds L H_j, <V_sigma, e_j> <= L H_j for every ray
+    j, with equality exactly for j in sigma.  Then h is strictly convex and
+    P(h) is simple with the fan as normal fan, so :attr:`Fan.pulling`
+    triangulates it.  At the first gap that fails, the value is the
+    definition itself, whose vertices :func:`support_points` checks; both
+    routes triangulate the same sorted points with the same tight sets."""
     scale, vertices = _scaled_vertices(fan, hint)
+    bounds = [x * scale for x in hint]
     for cone, v in zip(fan.max_cones, vertices):
-        gaps = [x * scale - _int_dot(v, ray) for ray, x in zip(fan.rays, hint)]
+        gaps = map(sub, bounds, map(_int_dot, itertools.repeat(v), fan.rays))
         if any(g < 0 or (g > 0) == (i in cone) for i, g in enumerate(gaps)):
+            vp = VirtualPolytope(fan, tuple(Fraction(x, hden) for x in hint))
             return integrate_over_polytope(f, polytope_from_support(fan, vp))
     return _integral(f, scale * hden, [[vertices[k] for k in s] for s in fan.pulling])
 
 
-def _require_complete(fan: Fan) -> None:
-    """P(h) is bounded for every h only on a complete fan."""
+def _require_integrable(fan: Fan, *vps: VirtualPolytope) -> None:
+    """P(h) is bounded for every h only on a complete fan, and a support
+    vector is read on its own fan only."""
     if not fan.complete:
         raise FanError("integral polynomials need a complete fan")
+    if any(vp.fan != fan for vp in vps):
+        raise FanError("virtual polytopes on different fans")
+
+
+def _ray_indices(fan: Fan, ray_set) -> tuple[int, ...]:
+    """I sorted; raises :class:`DegreeMismatch` for a repeated index and
+    :class:`FanError` for one that names no ray."""
+    ray_set = tuple(sorted(ray_set))
+    if len(set(ray_set)) != len(ray_set):
+        raise DegreeMismatch(f"repeated ray index in {ray_set}")
+    if any(i < 0 or i >= fan.nrays for i in ray_set):
+        raise FanError(f"ray index out of range in {ray_set}")
+    return ray_set
 
 
 def mixed_integral(fan: Fan, f: QPolynomial, args) -> Fraction:
@@ -277,8 +296,7 @@ def mixed_integral(fan: Fan, f: QPolynomial, args) -> Fraction:
         raise DegreeMismatch(
             f"need {fan.dim + deg} arguments for degree-{deg} integrand, got {m}"
         )
-    if any(arg.fan != fan for arg in args):
-        raise FanError("virtual polytopes on different fans")
+    _require_integrable(fan, *args)
     poly = i_f_polynomial(fan, f.homogeneous_part(deg))
     counts: dict[tuple[Fraction, ...], int] = {}
     for arg in args:
@@ -305,9 +323,7 @@ def integral_over_virtual(fan: Fan, f: QPolynomial, vp: VirtualPolytope) -> Frac
     integral when vp is convex.  Raises :class:`FanError` on a fan that is
     not complete.
     """
-    _require_complete(fan)
-    if vp.fan != fan:
-        raise FanError("virtual polytopes on different fans")
+    _require_integrable(fan, vp)
     total = Fraction(0)
     for d in range(f.degree() + 1):
         part = f.homogeneous_part(d)
@@ -412,7 +428,7 @@ def _i_f_polynomial(fan: Fan, f: QPolynomial) -> QPolynomial:
     Raises :class:`FanError` on a fan that is not complete and
     :class:`VerificationFailed` when a check fails.
     """
-    _require_complete(fan)
+    _require_integrable(fan)
     m = max(require_homogeneous(f), 0)
     n = fan.dim
     d = n + m
@@ -493,9 +509,10 @@ def square_free_derivative_check(
     fails: 0 when the rays of I span no cone, and f(A) / |det(e_i : i in I)|
     for cone-spanning sets of full size n, with A the vertex of Delta dual to
     the cone.  (Index sets larger than n never span a cone, so they must
-    give 0.)
+    give 0.)  Ray sets are checked by :func:`_ray_indices`.
     """
-    ray_set = tuple(sorted(ray_set))
+    ray_set = _ray_indices(fan, ray_set)
+    _require_integrable(fan, delta)
     poly = i_f_polynomial(fan, f)
     for i in ray_set:
         poly = poly.partial(i)
@@ -525,33 +542,36 @@ def convex_chain_identity_check(
     difference of I_f, is prod_i sign(lambda_i) (a negative step turns a
     difference around) times the integral over the box a + sum_i t_i
     lambda_i u_i, 0 <= t_i <= 1, at the dual vertex a (<u_i, e_j> =
-    delta_ij).  The box is integrated over its n! Kuhn simplices, cleared
-    to integers once.  With any lambda_i = 0 both sides vanish.
+    delta_ij).  With any lambda_i = 0 both sides vanish.  h and the lambdas
+    are cleared together once, to H / D and Lam / D; the box is cut into its
+    n! Kuhn simplices on the one denominator L D, with its corner at the
+    :func:`_scaled_vertices` of H and edge i Lam_i times column i of L E^-1.
     """
-    ray_set = tuple(sorted(ray_set))
+    ray_set = _ray_indices(fan, ray_set)
     lams = [Fraction(x) for x in lams]
     n = fan.dim
     if len(ray_set) != n or len(lams) != n:
         raise DegreeMismatch("need exactly dim-many ray indices and lambdas")
+    _require_integrable(fan, delta)
+    den, (hint, steps) = _cleared([delta.h, lams])
     lhs = Fraction(0)
     for bits in itertools.product((0, 1), repeat=n):
-        h = list(delta.h)
-        for take, i, lam in zip(bits, ray_set, lams):
-            h[i] += take * lam
-        vp = VirtualPolytope(fan, tuple(h))
-        lhs += (-1) ** (n + sum(bits)) * i_f_value(fan, f, vp)
+        h = list(hint)
+        for take, i, step in zip(bits, ray_set, steps):
+            h[i] += take * step
+        lhs += (-1) ** (n + sum(bits)) * _i_f_value(fan, f, h, den)
 
-    if any(lam == 0 for lam in lams) or not fan.spans_cone(ray_set):
+    if 0 in steps or not fan.spans_cone(ray_set):
         return lhs == 0
     k = fan.max_cones.index(ray_set)
-    cone = fan.cone_data[k]
-    edges = [[lam * x / cone.det for x in col] for col, lam in zip(cone.adj, lams)]
-    den, (corner, *steps) = _cleared([cone_vertices(fan, delta.h)[k]] + edges)
+    scale, matrices = fan.scaled_inverses
+    corner = _scaled_vertices(fan, hint)[1][k]
+    edges = [[step * x for x in col] for col, step in zip(zip(*matrices[k]), steps)]
     simplices = []  # n! Kuhn simplices: the edges added to the corner in each order
-    for order in itertools.permutations(steps):
+    for order in itertools.permutations(edges):
         pts = [corner]
         for e in order:
             pts.append(tuple(x + y for x, y in zip(pts[-1], e)))
         simplices.append(pts)
-    sign = prod(1 if lam > 0 else -1 for lam in lams)
-    return lhs == sign * _integral(f, den, simplices)
+    sign = prod(1 if step > 0 else -1 for step in steps)
+    return lhs == sign * _integral(f, scale * den, simplices)

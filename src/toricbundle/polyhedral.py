@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
+from operator import mul
 from typing import NamedTuple
 
 from toricbundle import _lp
@@ -344,7 +345,8 @@ def _pulling(tight, count: int, d: int):
 
 
 def _int_dot(u, v) -> int:
-    return sum(a * b for a, b in zip(u, v))
+    """<u, v> for integer vectors, multiplied and summed in C."""
+    return sum(map(mul, u, v))
 
 
 def _scaled_vertices(fan: Fan, hint) -> tuple[int, list[tuple[int, ...]]]:
@@ -353,23 +355,10 @@ def _scaled_vertices(fan: Fan, hint) -> tuple[int, list[tuple[int, ...]]]:
     H_sigma per maximal cone in the order of ``fan.max_cones``, so that
     A_sigma(H) = V_sigma / L."""
     scale, matrices = fan.scaled_inverses
-    out = []
-    for cone, rows in zip(fan.max_cones, matrices):
-        hs = [hint[i] for i in cone]
-        out.append(tuple(_int_dot(row, hs) for row in rows))
-    return scale, out
-
-
-def cone_vertices(fan: Fan, h) -> list[Point]:
-    """The points A_sigma(h) = sum_j u_{sigma,j} h_{sigma_j}, one per maximal
-    cone in the order of ``fan.max_cones``.
-
-    h is cleared of denominators once, so each coordinate is one Fraction
-    made from an int of :func:`_scaled_vertices`.
-    """
-    den, (hint,) = _cleared([h])
-    scale, points = _scaled_vertices(fan, hint)
-    return [tuple(Fraction(x, scale * den) for x in v) for v in points]
+    return scale, [
+        tuple(map(_int_dot, rows, itertools.repeat([hint[i] for i in cone])))
+        for cone, rows in zip(fan.max_cones, matrices)
+    ]
 
 
 def is_convex_on(fan: Fan, vp: "VirtualPolytope", strict: bool = False) -> bool:
@@ -482,16 +471,9 @@ class Polytope:
         return f"Polytope({len(self.vertices)} vertices, dim {self.ambient_dim})"
 
 
-class SupportPoints(NamedTuple):
-    """P(h) of a convex support vector on integers: the vertices are
-    ``points[k] / den``, distinct and sorted."""
-
-    den: int
-    points: list[tuple[int, ...]]
-
-
-def support_points(fan: Fan, vp: VirtualPolytope) -> SupportPoints:
-    """The vertices A_sigma(h) of P(h) over one common denominator.
+def support_points(fan: Fan, vp: VirtualPolytope) -> tuple[int, list]:
+    """(D, points): the vertices A_sigma(h) of P(h) as ``points[k] / D``,
+    distinct and sorted, over one common denominator.
 
     h is cleared once, h = H / den(h), and with L = lcm_sigma |det E_sigma|
     every A_sigma is V / D for D = L den(h) and the integer V of
@@ -516,7 +498,7 @@ def support_points(fan: Fan, vp: VirtualPolytope) -> SupportPoints:
                 raise VerificationFailed(f"vertex of cone {cone} outside P(h)")
         if any(g[i] != bounds[i] for i in cone):
             raise VerificationFailed(f"vertex of cone {cone} off its facets")
-    return SupportPoints(scale * hden, sorted(dots))
+    return scale * hden, sorted(dots)
 
 
 def polytope_from_support(fan: Fan, vp: VirtualPolytope) -> Polytope:

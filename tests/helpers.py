@@ -56,6 +56,7 @@ from toricbundle.galg import (
 )
 from toricbundle.integrate import (
     _integral,
+    i_f_value,
     integral_over_virtual,
     integrate_over_polytope,
     volume,
@@ -64,6 +65,7 @@ from toricbundle.polyhedral import (
     Fan,
     Polytope,
     VirtualPolytope,
+    _scaled_vertices,
     dot,
     is_convex_on,
     polytope_from_support,
@@ -338,6 +340,51 @@ def integrate_over_simplex(f: QPolynomial, simplex) -> F:
         raise DimensionMismatch("simplex/polynomial dimension mismatch")
     den, pts = _cleared(simplex)
     return _integral(f, den, [pts])
+
+
+def cone_vertices(fan: Fan, h) -> list[tuple[F, ...]]:
+    """The points A_sigma(h) = sum_j u_{sigma,j} h_{sigma_j} as Fractions,
+    one per maximal cone in the order of ``fan.max_cones``: h cleared of
+    denominators once, each coordinate one Fraction made from an int of
+    ``polyhedral._scaled_vertices``."""
+    den, (hint,) = _cleared([h])
+    scale, points = _scaled_vertices(fan, hint)
+    return [tuple(F(x, scale * den) for x in v) for v in points]
+
+
+def convex_chain_by_fractions(fan: Fan, f: QPolynomial, delta, ray_set, lams) -> bool:
+    """``integrate.convex_chain_identity_check`` on Fractions, for valid
+    ray sets: each shifted h is a VirtualPolytope integrated by
+    ``i_f_value``, the box corner comes from :func:`cone_vertices` and edge
+    i is lambda_i * adj_i / det E_sigma, and corner and edges are cleared
+    together for the n! Kuhn simplices."""
+    ray_set = tuple(sorted(ray_set))
+    lams = [F(x) for x in lams]
+    n = fan.dim
+    if len(ray_set) != n or len(lams) != n:
+        raise DegreeMismatch("need exactly dim-many ray indices and lambdas")
+    lhs = F(0)
+    for bits in itertools.product((0, 1), repeat=n):
+        h = list(delta.h)
+        for take, i, lam in zip(bits, ray_set, lams):
+            h[i] += take * lam
+        vp = VirtualPolytope(fan, tuple(h))
+        lhs += (-1) ** (n + sum(bits)) * i_f_value(fan, f, vp)
+
+    if any(lam == 0 for lam in lams) or not fan.spans_cone(ray_set):
+        return lhs == 0
+    k = fan.max_cones.index(ray_set)
+    cone = fan.cone_data[k]
+    edges = [[lam * x / cone.det for x in col] for col, lam in zip(cone.adj, lams)]
+    den, (corner, *steps) = _cleared([cone_vertices(fan, delta.h)[k]] + edges)
+    simplices = []
+    for order in itertools.permutations(steps):
+        pts = [corner]
+        for e in order:
+            pts.append(tuple(x + y for x, y in zip(pts[-1], e)))
+        simplices.append(pts)
+    sign = prod(1 if lam > 0 else -1 for lam in lams)
+    return lhs == sign * _integral(f, den, simplices)
 
 
 class FanTooCoarse(ToricBundleError):

@@ -1,5 +1,7 @@
 """Command-line interface: commands, exit-code contract, determinism."""
 
+import argparse
+import hashlib
 import json
 import os
 import subprocess
@@ -12,7 +14,7 @@ from hypothesis import strategies as st
 
 import toricbundle
 from helpers import spec_to_dict
-from toricbundle import galg
+from toricbundle import cli, galg
 from toricbundle.bundle import ring_via_sr
 from toricbundle.catalog import FANS, SPECS
 from toricbundle.cli import SUITES, main
@@ -895,3 +897,32 @@ def test_intersect_expr_refuses_exponent_beyond_ascii_digits(capsys, expr):
     assert "is not in the digits 0-9" in err
     code, _, err = run(capsys, "intersect", "p2_toric", "--expr=x1^-2")
     assert code == 3 and "negative exponent" in err
+
+
+def test_main_builds_the_parser_once(capsys, monkeypatch):
+    """Every main call after the first parses with the same parser."""
+    assert run(capsys, "fan", "check", "p2")[0] == 0
+    assert cli.build_parser() is cli.build_parser()
+
+    def refuse(*args, **kwargs):
+        raise RuntimeError("parser rebuilt")
+
+    monkeypatch.setattr(argparse, "ArgumentParser", refuse)
+    assert run(capsys, "fan", "check", "p1")[0] == 0
+
+
+@pytest.mark.parametrize(
+    "spec, seed, digest",
+    [
+        ("f1_toric", 7, "d1c2a5d960fe1cc7a256d117d06fbd56"
+         "ddc08042e9ab533b5c5a0d127888b977"),
+        ("p2_toric", 3, "d0bb16850d7f29d55ac6058d7cea2e1c"
+         "77f91a269cbd1d9bb1f04226f0313164"),
+    ],
+)
+def test_cc_transcript_is_pinned(capsys, spec, seed, digest):
+    """The cc suite's stdout, byte for byte: the draws it takes from the
+    seeded rng, its checks and its PASS lines."""
+    code, out, _ = run(capsys, "verify", spec, "--suite", "cc", "--seed", str(seed))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

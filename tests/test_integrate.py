@@ -7,7 +7,7 @@ iterated univariate integration or shoelace areas done by hand.
 import functools
 import random
 from fractions import Fraction as F
-from itertools import product
+from itertools import combinations, product
 from math import ceil, factorial
 from unittest import mock
 
@@ -17,6 +17,8 @@ from hypothesis import strategies as st
 
 from helpers import (
     affine_dim,
+    cone_vertices,
+    convex_chain_by_fractions,
     det,
     integrate_over_simplex,
     of_point,
@@ -29,12 +31,18 @@ from toricbundle.bundle import (
     ring_via_diff,
     ring_via_sd,
 )
-from toricbundle.catalog import SPECS, fan_hirzebruch1, fan_projective_space
+from toricbundle.catalog import (
+    SPECS,
+    fan_hirzebruch1,
+    fan_p1xp1,
+    fan_projective_space,
+)
 from toricbundle.errors import (
     DegreeMismatch,
     FanError,
     LowerDimensional,
     NotHomogeneous,
+    ToricBundleError,
     VerificationFailed,
 )
 from toricbundle.integrate import (
@@ -52,7 +60,6 @@ from toricbundle.integrate import (
 from toricbundle.polyhedral import (
     Polytope,
     VirtualPolytope,
-    cone_vertices,
     dot,
     is_convex_on,
     is_projective,
@@ -1100,3 +1107,106 @@ def test_kuhn_box_matches_polytope_box(case):
         fan, f, delta, ray_set, lams
     )
     assert holds
+
+
+def _verdict(check, *args):
+    """What an identity check gives: its bool, or the type and message of
+    the typed error it raises."""
+    try:
+        return check(*args)
+    except ToricBundleError as exc:
+        return type(exc).__name__, str(exc)
+
+
+CHAIN_FANS = [SPECS[name]().fan for name in CATALOG_FAN_SPECS] + [
+    fan_projective_space(3),
+    fan_p112(),
+]
+
+
+@st.composite
+def chain_case(draw):
+    """(fan, f of degree <= 2, Delta, any n rays, n lambdas) on the catalog
+    fans, P^3 and P(1,1,2), whose L = 2 puts the box on a denominator
+    larger than D.  Delta is strictly convex, on the boundary of the convex
+    cone, or the negative of a strictly convex one (every wall gap < 0);
+    each lambda is negative, zero or positive, up to 4."""
+    fan = draw(st.sampled_from(CHAIN_FANS))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    kind = draw(st.sampled_from(["strict", "boundary", "non-convex"]))
+    if kind == "strict":
+        delta = random_convex(fan, rng)
+    elif kind == "boundary":
+        delta = _boundary_support(fan, rng)
+    else:
+        delta = random_convex(fan, rng).scale(-1)
+    ray_set = draw(st.sampled_from(list(combinations(range(fan.nrays), fan.dim))))
+    lam = st.builds(F, st.integers(-4, 4), st.integers(1, 9))
+    lams = draw(st.lists(lam, min_size=fan.dim, max_size=fan.dim))
+    monos = [m for k in range(3) for m in monomials_of_degree(fan.dim, k)]
+    terms = draw(st.dictionaries(st.sampled_from(monos), rationals, max_size=3))
+    f = QPolynomial(tuple(f"x{i + 1}" for i in range(fan.dim)), terms)
+    return fan, f, delta, ray_set, lams
+
+
+def test_integer_chain_check_matches_the_fraction_oracle():
+    """The check on integers (one clearing of Delta and the lambdas, the box
+    on L D) gives the verdict of the Fraction route it replaced
+    (``helpers.convex_chain_by_fractions``): the same bool, or the same
+    error.  A shifted h that is not convex is refused by the direct
+    integral with :class:`NotConvex` rather than giving False, so the
+    non-convex Delta, and some large lambdas, are the draws whose verdict is
+    not True; some of each kind must occur."""
+    verdicts = []
+
+    @settings(max_examples=200, deadline=None)
+    @given(chain_case())
+    def agree(case):
+        verdict = _verdict(convex_chain_identity_check, *case)
+        assert verdict == _verdict(convex_chain_by_fractions, *case)
+        verdicts.append(verdict)
+
+    agree()
+    assert True in verdicts and any(v is not True for v in verdicts)
+
+
+def test_integrals_refuse_a_support_vector_on_another_fan():
+    """A Delta is read on its own fan only: P^1 x P^1 and F_1 have four rays
+    each, so the support vector of one fits the other."""
+    fan = fan_p1xp1()
+    vp = VirtualPolytope(fan_hirzebruch1(), (2, 3, 4, 5))
+    with pytest.raises(FanError, match="different fans"):
+        i_f_value(fan, ONE2, vp)
+    with pytest.raises(FanError, match="different fans"):
+        convex_chain_identity_check(fan, ONE2, vp, (0, 1), [F(1, 2), F(1, 3)])
+    with pytest.raises(FanError, match="different fans"):
+        square_free_derivative_check(fan, ONE2, vp, (0, 1))
+
+
+@pytest.mark.parametrize(
+    "ray_set, error",
+    [
+        ((0, 0), DegreeMismatch),
+        ((1, 1), DegreeMismatch),
+        ((0, 3), FanError),
+        ((0, 9), FanError),
+        ((-1, 0), FanError),
+    ],
+)
+def test_identity_checks_refuse_malformed_ray_sets(monkeypatch, ray_set, error):
+    """A repeated index and one that names no ray (a negative one would wrap
+    to the last ray) are refused by type before any integral runs."""
+
+    def refuse(*args):
+        raise RuntimeError("integral run")
+
+    monkeypatch.setattr(integrate, "_integral", refuse)
+    monkeypatch.setattr(integrate, "i_f_polynomial", refuse)
+    p2 = fan_p2()
+    delta = VirtualPolytope(p2, (1, 1, 1))
+    with pytest.raises(error) as caught:
+        convex_chain_identity_check(p2, ONE2, delta, ray_set, [F(1, 2), F(1, 3)])
+    assert caught.type is error
+    with pytest.raises(error) as caught:
+        square_free_derivative_check(p2, ONE2, delta, ray_set)
+    assert caught.type is error

@@ -8,7 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import FanTooCoarse, of_point, polytope_from_points, support_function
+from helpers import (
+    FanTooCoarse,
+    cone_vertices,
+    of_point,
+    polytope_from_points,
+    support_function,
+)
 from toricbundle import polyhedral
 from toricbundle.catalog import SPECS, fan_projective_space
 from toricbundle.exactlin import solve
@@ -25,7 +31,6 @@ from toricbundle.polyhedral import (
     Fan,
     Polytope,
     VirtualPolytope,
-    cone_vertices,
     dot,
     dual_vertex,
     is_complete,
