@@ -63,6 +63,8 @@ from toricbundle.galg import (
     sd_quotient,
 )
 from toricbundle.integrate import (
+    _ray_indices,
+    _require_integrable,
     i_f_polynomial,
     mixed_integral,
 )
@@ -602,9 +604,13 @@ def ring_power_derivative_check(
     F_gamma(h) = sum_beta multinomial(beta) ell(x^beta p^* gamma) h^beta is
     assembled symbolically from the sr ring, once; its square-free
     derivative must vanish off cones and equal (n+i)!/i! f_gamma(dual
-    vertex) on maximal cones.  A set I that spans a smaller cone raises
-    ``DegreeMismatch``.
+    vertex) on maximal cones.  A set I that repeats a ray index or spans a
+    smaller cone raises ``DegreeMismatch``; an index that names no ray, or
+    a Delta on another fan, raises ``FanError`` before any derivative is
+    taken.
     """
+    ray_sets = [_ray_indices(spec.fan, ray_set) for ray_set in ray_sets]
+    _require_integrable(spec.fan, delta)
     n, m = spec.n, spec.n + i
     gdeg = spec.k - 2 * i
     hvars = tuple(f"h{j + 1}" for j in range(spec.fan.nrays))
@@ -631,8 +637,8 @@ def ring_power_derivative_check(
             verdicts.append(value == 0)
             continue
         if len(ray_set) != n:
-            raise DegreeMismatch(f"rays {tuple(ray_set)} span a cone of dimension < {n}")
-        a = dual_vertex(spec.fan, tuple(sorted(ray_set)), delta.h)
+            raise DegreeMismatch(f"rays {ray_set} span a cone of dimension < {n}")
+        a = dual_vertex(spec.fan, ray_set, delta.h)
         verdicts.append(value == scale * f.evaluate(a))
     return verdicts
 

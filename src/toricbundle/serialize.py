@@ -14,17 +14,20 @@ decimals appear in machine reports.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _json_str
 
 from toricbundle.bundle import BaseData, BundleSpec, RingReport
 from toricbundle.galg import GradedAlgebra, TopFunctional, product_keys
 from toricbundle.polyhedral import Fan, validate_fan
 
 
-def rat(x: Fraction):
-    x = Fraction(x)
-    return [x.numerator, x.denominator]
+def rat(x: int | Fraction) -> list[int]:
+    """[numerator, denominator] of an int or a Fraction; any other value,
+    a float or a bool included, raises ``TypeError``."""
+    if type(x) is Fraction or type(x) is int:
+        return [x.numerator, x.denominator]
+    raise TypeError(f"{x!r} is not an int or a Fraction")
 
 
 def _json_int(x, what: str) -> int:
@@ -155,4 +158,50 @@ def report_to_dict(report: RingReport) -> dict:
 
 
 def dumps(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True)
+    """``json.dumps(obj, indent=2, sort_keys=True)`` byte for byte, for a
+    report value: a dict with str keys, a list, a str or an int.  Any other
+    type, a bool, float, None or tuple included, raises ``TypeError``.  (With
+    ``indent`` set the stdlib encoder runs in pure Python.)"""
+    return _text(obj, "\n")
+
+
+def _text(obj, indent: str) -> str:
+    """The JSON text of ``obj`` at ``indent``, a newline and its spaces.
+    The list and dict loops write int and str items themselves, without a
+    call per scalar."""
+    kind = type(obj)
+    if kind is str:
+        return _json_str(obj)
+    if kind is int:
+        return int.__repr__(obj)
+    if kind is list:
+        if not obj:
+            return "[]"
+        inner = indent + "  "
+        parts = []
+        for x in obj:
+            kind = type(x)
+            if kind is int:
+                parts.append(int.__repr__(x))
+            elif kind is str:
+                parts.append(_json_str(x))
+            else:
+                parts.append(_text(x, inner))
+        return "[" + inner + ("," + inner).join(parts) + indent + "]"
+    if kind is dict:
+        if not obj:
+            return "{}"
+        inner = indent + "  "
+        parts = []
+        for k in sorted(obj):  # _json_str(k) raises TypeError on a non-str key
+            x = obj[k]
+            kind = type(x)
+            if kind is int:
+                text = int.__repr__(x)
+            elif kind is str:
+                text = _json_str(x)
+            else:
+                text = _text(x, inner)
+            parts.append(_json_str(k) + ": " + text)
+        return "{" + inner + ("," + inner).join(parts) + indent + "}"
+    raise TypeError(f"{kind.__name__} is not a report value")

@@ -69,6 +69,7 @@ from toricbundle.polyhedral import (
     dot,
     is_convex_on,
     polytope_from_support,
+    validate_fan,
 )
 from toricbundle.qpoly import QPolynomial, monomials_of_degree
 from toricbundle.serialize import _product_entries, rat
@@ -403,6 +404,13 @@ def support_function(p: Polytope, fan: Fan) -> VirtualPolytope:
     if set(back.vertices) != set(p.vertices):
         raise FanTooCoarse("fan does not refine the normal fan")
     return vp
+
+
+def octant_fan() -> Fan:
+    """The fan of (P^1)^3: one maximal cone per octant."""
+    rays = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, 0, 0), (0, -1, 0), (0, 0, -1)]
+    cones = [(sx, sy, sz) for sx in (0, 3) for sy in (1, 4) for sz in (2, 5)]
+    return validate_fan(rays, cones)
 
 
 def fan_to_dict(fan: Fan) -> dict:

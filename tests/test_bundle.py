@@ -20,6 +20,7 @@ from helpers import (
     full_width_ring_via_sd,
     horizontal_part,
     int_rows,
+    octant_fan,
     of_point,
     radical_holds_relation_multiples,
     self_intersection,
@@ -42,22 +43,15 @@ from toricbundle.bundle import (
     verify_bkk,
 )
 from toricbundle.catalog import FANS, SPECS, base_projective, fan_p1xp1, flag_bundle_spec
-from toricbundle.errors import DegreeMismatch, VerificationFailed
+from toricbundle.errors import DegreeMismatch, FanError, VerificationFailed
 from toricbundle.galg import FreeAlgebra, _unit, product_keys
 from toricbundle.integrate import mixed_integral
-from toricbundle.polyhedral import VirtualPolytope, validate_fan
+from toricbundle.polyhedral import VirtualPolytope
 from toricbundle.serialize import report_to_dict
 
 
 def hirzebruch():
     return SPECS["hirzebruch_1"]()
-
-
-def octant_fan():
-    """The fan of (P^1)^3: one maximal cone per octant."""
-    rays = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, 0, 0), (0, -1, 0), (0, 0, -1)]
-    cones = [(sx, sy, sz) for sx in (0, 3) for sy in (1, 4) for sz in (2, 5)]
-    return validate_fan(rays, cones)
 
 
 def test_f_gamma_point_base():
@@ -647,6 +641,30 @@ def test_ring_power_derivative_oracle_rank2():
             subsets = list(itertools.combinations(range(spec.fan.nrays), 2))
             verdicts = ring_power_derivative_check(spec, gamma, i, delta, subsets, rep)
             assert verdicts == [True] * len(subsets), (gdeg, ridx, verdicts)
+
+
+@pytest.mark.parametrize(
+    "ray_set, error",
+    [((0, 9), FanError), ((0, 0), DegreeMismatch), ((-1, 0), FanError)],
+)
+def test_ring_power_derivative_check_refuses_malformed_ray_sets(ray_set, error):
+    """An index that names no ray (a negative one would wrap to the last
+    ray) or a repeated index is refused by type, even after a good set."""
+    spec = SPECS["p2_toric"]()
+    delta = VirtualPolytope(spec.fan, (1, 1, 1))
+    sets = [(0, 1), ray_set]
+    with pytest.raises(error) as caught:
+        ring_power_derivative_check(spec, (F(1),), 0, delta, sets, ring_via_sr(spec))
+    assert caught.type is error
+
+
+def test_ring_power_derivative_check_refuses_a_delta_on_another_fan():
+    """P^1 x P^1 and F_1 have four rays each, so the support vector of one
+    fits the other."""
+    spec = SPECS["f1_toric"]()
+    delta = VirtualPolytope(fan_p1xp1(), (1, 1, 1, 1))
+    with pytest.raises(FanError, match="different fans"):
+        ring_power_derivative_check(spec, (F(1),), 0, delta, [(0, 1)], ring_via_sr(spec))
 
 
 def test_squarefree_matches_ring():

@@ -14,11 +14,10 @@ from hypothesis import strategies as st
 
 import toricbundle
 from helpers import spec_to_dict
-from toricbundle import cli, galg
-from toricbundle.bundle import ring_via_sr
+from toricbundle import bundle, cli, galg
 from toricbundle.catalog import FANS, SPECS
 from toricbundle.cli import SUITES, main
-from toricbundle.serialize import dumps, report_to_dict, spec_from_dict
+from toricbundle.serialize import report_to_dict, spec_from_dict
 
 
 def run(capsys, *argv):
@@ -159,8 +158,17 @@ def test_ring_hirzebruch_dims(capsys):
     code, out, _ = run(capsys, "ring", "hirzebruch_1", "--builder", "sr", "--json")
     assert code == 0
     assert json.loads(out)["graded_dims"] == [1, 2, 1]
-    # the report and nothing else
-    assert out == dumps(report_to_dict(ring_via_sr(SPECS["hirzebruch_1"]()))) + "\n"
+
+
+@pytest.mark.parametrize("builder", ("sr", "sd", "diff"))
+@pytest.mark.parametrize("name", sorted(SPECS))
+def test_ring_json_is_the_stdlib_indent_2_text(capsys, name, builder):
+    """``ring --json`` prints the report and nothing else, as the stdlib
+    encoder writes it with indent 2 and sorted keys."""
+    code, out, _ = run(capsys, "ring", name, "--builder", builder, "--json")
+    assert code == 0
+    report = getattr(bundle, f"ring_via_{builder}")(SPECS[name]())
+    assert out == json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n"
 
 
 def test_ring_diff_precondition_exit_3(capsys, tmp_path):

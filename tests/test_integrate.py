@@ -21,6 +21,7 @@ from helpers import (
     convex_chain_by_fractions,
     det,
     integrate_over_simplex,
+    octant_fan,
     of_point,
     polytope_from_points,
 )
@@ -286,12 +287,6 @@ def test_i_f_polynomial_p1():
     )
     expected = QPolynomial(("h1", "h2"), {(2, 0): F(1, 2), (0, 2): F(-1, 2)})
     assert i_f_polynomial(p1, X) == expected
-
-
-def octant_fan():
-    rays = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, 0, 0), (0, -1, 0), (0, 0, -1)]
-    cones = [(sx, sy, sz) for sx in (0, 3) for sy in (1, 4) for sz in (2, 5)]
-    return validate_fan(rays, cones)
 
 
 ONE3 = QPolynomial.constant(("x1", "x2", "x3"), 1)

@@ -6,11 +6,13 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from helpers import base_to_dict, fan_to_dict, full_table, spec_to_dict
+from helpers import base_to_dict, fan_to_dict, full_table, octant_fan, spec_to_dict
 from toricbundle import bundle
 from toricbundle.bundle import ring_via_sr
-from toricbundle.catalog import SPECS, base_projective, fan_hirzebruch1
+from toricbundle.catalog import SPECS, base_projective, fan_hirzebruch1, flag_bundle_spec
 from toricbundle.serialize import (
     base_from_dict,
     dumps,
@@ -25,8 +27,46 @@ REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference.js
 
 
 def test_rat_pairs():
+    """An int or a Fraction, and nothing else."""
     assert rat(F(-3, 6)) == [-1, 2]
+    assert rat(-7) == [-7, 1]
+    assert rat(0) == [0, 1]
     assert unrat([7, 2]) == F(7, 2)
+    for value in (0.5, "1/2", None):
+        with pytest.raises(TypeError):
+            rat(value)
+
+
+# quotes, backslashes, control characters and lone surrogates, often
+_CHARS = st.characters() | st.sampled_from('"\\\x00\x1f\x7f\n/')
+_TEXT = st.text(_CHARS)
+_REPORT_VALUES = st.recursive(
+    _TEXT | st.integers() | st.integers(max_value=-(2**80)),
+    lambda items: st.lists(items) | st.dictionaries(_TEXT, items),
+    max_leaves=20,
+)
+
+
+@given(_REPORT_VALUES)
+def test_dumps_is_the_stdlib_indent_2_text(value):
+    """The writer that ``ring --json`` and the benchmark digests use gives
+    the stdlib's text, byte for byte."""
+    assert dumps(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [True, 1.5, None, (1, 2), [1, [False]], {"a": None}, {1: "a"}, {"a": 1, 2: "b"}],
+)
+def test_dumps_refuses_what_is_not_a_report_value(value):
+    with pytest.raises(TypeError):
+        dumps(value)
+
+
+def test_dumps_matches_the_stdlib_on_a_large_report():
+    """SL_4 x (P^1)^3 under sr: a report of about 1.3 MB."""
+    payload = report_to_dict(ring_via_sr(flag_bundle_spec(4, octant_fan())))
+    assert dumps(payload) == json.dumps(payload, indent=2, sort_keys=True)
 
 
 def test_fan_round_trip():
