@@ -37,6 +37,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, prod
+from operator import mul
 
 from toricbundle.errors import (
     AmbiguousLabel,
@@ -465,19 +466,26 @@ def cross_validate(spec: BundleSpec) -> CrossValidation:
 # ---------------------------------------------------------------------------
 
 
+def _require_report(spec: BundleSpec, report: RingReport) -> None:
+    """Raises :class:`DegreeMismatch` unless the report has the top degree
+    and the fiber generators x_1..x_s of spec."""
+    fiber = tuple(n for n in report.generator_classes if not n.startswith("base:"))
+    if report.algebra.top != spec.top_degree or fiber != spec.x_names:
+        raise DegreeMismatch(f"ring report does not belong to spec {spec.name!r}")
+
+
 def rho_class(spec: BundleSpec, report: RingReport, delta: VirtualPolytope) -> Vec:
-    """rho(Delta) = sum h_i [D_i] as a degree-2 class of the report ring."""
-    dim2 = report.algebra.dim(2)
-    out = [Fraction(0)] * dim2
-    for i, name in enumerate(spec.x_names):
-        d, vec = report.generator_classes[name]
-        for t, c in enumerate(vec):
-            out[t] += delta.h[i] * c
-    return tuple(out)
+    """rho(Delta) = sum h_i [D_i] as a degree-2 class of the report ring;
+    raises :class:`FanError` for a Delta on another fan."""
+    _require_integrable(spec.fan, delta)
+    _require_report(spec, report)
+    classes = [report.generator_classes[name][1] for name in spec.x_names]
+    return tuple(sum(map(mul, delta.h, col), Fraction(0)) for col in zip(*classes))
 
 
 def pullback_class(spec: BundleSpec, report: RingReport, gdeg: int, gamma) -> Vec:
     """p^*(gamma) for a base class given by a degree-gdeg coefficient vector."""
+    _require_report(spec, report)
     if report.builder != "sr":
         raise ValueError("pullback classes are read off the sr model")
     return report.model.class_of((0,) * spec.fan.nrays, gdeg, gamma)

@@ -469,3 +469,6 @@ SPECS = {
     "flag_sl2_p1": spec_flag_sl2_p1,
     "flag_sl3_p1xp1": spec_flag_sl3_p1xp1,
 }
+
+# the flag-bundle specs of SPECS and the n of their SL_n
+FLAG_RANKS = {"flag_sl2_p1": 2, "flag_sl3_p1xp1": 3}

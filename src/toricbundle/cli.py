@@ -60,9 +60,6 @@ EXIT_IDENTITY = 1
 EXIT_GEOMETRY = 2
 EXIT_PRECONDITION = 3
 
-# flag-bundle catalog specs (catalog.SPECS) and the n of their SL_n
-FLAG_RANKS = {"flag_sl2_p1": 2, "flag_sl3_p1xp1": 3}
-
 
 def _fail(code: int, message: str):
     print(f"error: {message}", file=sys.stderr)
@@ -185,11 +182,10 @@ def _suite_cross(spec: BundleSpec, rng, count, lines) -> bool:
 
 def _ider_integrands(spec):
     """(name, f) for f = 1, x1 and, in fiber dimension >= 2, x1*x2."""
-    xvars = tuple(f"x{i + 1}" for i in range(spec.n))
-    x1 = QPolynomial.variable(xvars, 0)
-    fs = [("1", QPolynomial.constant(xvars, 1)), ("x1", x1)]
+    x1 = QPolynomial.variable(spec.x_vars, 0)
+    fs = [("1", QPolynomial.constant(spec.x_vars, 1)), ("x1", x1)]
     if spec.n >= 2:
-        fs.append(("x1*x2", x1 * QPolynomial.variable(xvars, 1)))
+        fs.append(("x1*x2", x1 * QPolynomial.variable(spec.x_vars, 1)))
     return fs
 
 
@@ -249,12 +245,12 @@ def _suite_cc(spec: BundleSpec, rng, count, lines) -> bool:
 
 
 def _flag_rank(spec: BundleSpec, suite: str) -> int:
-    if spec.name not in FLAG_RANKS:
+    if spec.name not in catalog.FLAG_RANKS:
         _fail(
             EXIT_PRECONDITION,
             f"{suite} suite needs a flag catalog spec, got {spec.name!r}",
         )
-    return FLAG_RANKS[spec.name]
+    return catalog.FLAG_RANKS[spec.name]
 
 
 def _suite_bk(spec: BundleSpec, rng, count, lines) -> bool:

@@ -40,13 +40,15 @@ A_sigma(h) of P(h), one per maximal cone sigma (Brion 1988; Lawrence 1991),
 after splitting f into powers of linear forms that are regular on every
 cone (Baldoni-Berline-De Loera-Koeppe-Vergne 2011).  That sum is the
 polynomial extension of I_f to virtual polytopes (Khovanskii-Pukhlikov
-1992); mixed integrals are its polarization.
+1992); mixed integrals are its polarization.  It is memoised by value
+(``functools.cache``), so equal fans of different specs share one sum.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import cache
 from math import ceil, comb, factorial, lcm, prod
 from operator import sub
 
@@ -286,8 +288,8 @@ def mixed_integral(fan: Fan, f: QPolynomial, args) -> Fraction:
 
     summed over sub-multisets S of the arguments: equal arguments are
     grouped, so S runs over the counts j_v <= k_v of each distinct argument
-    v, weighted by prod_v binom(k_v, j_v).  Raises :class:`FanError` on a
-    fan that is not complete.
+    v, weighted by prod_v binom(k_v, j_v).  Raises what :func:`i_f_polynomial`
+    raises, and :class:`FanError` for an argument on another fan.
     """
     args = list(args)
     m = len(args)
@@ -375,29 +377,17 @@ def _power_decomposition(fan: Fan, f: QPolynomial, m: int):
     )
 
 
+@cache
 def i_f_polynomial(fan: Fan, f: QPolynomial) -> QPolynomial:
-    """The homogeneous polynomial in h_1..h_s restricting to I_f, built by
-    :func:`_i_f_polynomial` once per (fan, f) and kept on the fan.
+    """The homogeneous polynomial in h_1..h_s restricting to I_f.
 
-    I_f is a function of the fan and f alone, so the memo (the fan's
-    ``i_f_polynomials``, keyed by f, which is kept in lowest terms, so equal
-    polynomials built by any route hash alike) changes no value: the vertex
-    sum and its three direct-integral self-checks run on the first call
-    only, and an error is raised before anything is kept.  Sharing it
-    between ring builders does not make cross-validation circular:
-    ``ring_via_sr`` never reads I_f, and the ``sd`` and ``diff`` rings are
-    each compared with ``sr``, not with each other.  Callers must not
-    mutate the polynomial returned.
-    """
-    memo = fan.i_f_polynomials
-    poly = memo.get(f)
-    if poly is None:
-        poly = memo[f] = _i_f_polynomial(fan, f)
-    return poly
-
-
-def _i_f_polynomial(fan: Fan, f: QPolynomial) -> QPolynomial:
-    """The homogeneous polynomial in h_1..h_s restricting to I_f, uncached.
+    I_f depends on the fan and f alone, so the memo, keyed by value (a fan
+    hashes its rays and maximal cones; f is kept in lowest terms), changes
+    no value: the vertex sum and its self-checks run once per equal
+    (fan, f), and a call that raises keeps nothing.  Sharing it is not
+    circular: ``ring_via_sr`` never reads I_f, and the ``sd`` and ``diff``
+    rings are each compared with ``sr``.  Callers must not mutate the
+    polynomial returned.
 
     Convention: P(h) = {x : <x, e_i> <= h_i}.  The vertex of P(h) at a
     maximal cone sigma is A_sigma(h) = E_sigma^-1 h_sigma, and the tangent
@@ -425,12 +415,15 @@ def _i_f_polynomial(fan: Fan, f: QPolynomial) -> QPolynomial:
     |beta| = d + 1, where h* is the :func:`is_projective` witness (every
     wall gap >= 1) and c = ceil((d + 1) * max ||wall row||_1) + 1, so that
     every wall gap there is >= 1; each point's convexity is checked too.
-    Raises :class:`FanError` on a fan that is not complete and
+    Raises :class:`FanError` on a fan that is not complete,
+    :class:`DimensionMismatch` unless f has fan.dim variables and
     :class:`VerificationFailed` when a check fails.
     """
     _require_integrable(fan)
-    m = max(require_homogeneous(f), 0)
     n = fan.dim
+    if len(f.vars) != n:
+        raise DimensionMismatch(f"f in {len(f.vars)} variables on a dim-{n} fan")
+    m = max(require_homogeneous(f), 0)
     d = n + m
     s = fan.nrays
     hvars = tuple(f"h{i + 1}" for i in range(s))

@@ -67,9 +67,9 @@ class Fan:
     primitive integer vectors of one dimension, each in some maximal cone,
     and the maximal cones have independent generators, are not faces of
     one another and meet pairwise in a common face.  Instances are
-    immutable.  Every fact that depends on the fan alone is a cached
-    property, computed on first use.  ``i_f_polynomials`` maps f to
-    :func:`~toricbundle.integrate.i_f_polynomial` of (fan, f).
+    immutable, hash and compare by (rays, max_cones), and hold only their
+    validated fields and, as cached properties computed on first use, the
+    facts that depend on the fan alone.
     """
 
     def __init__(self, rays, max_cones):
@@ -125,7 +125,6 @@ class Fan:
         self.dim = dim
         self.rays = rays
         self.max_cones = tuple(cones)
-        self.i_f_polynomials = {}
 
     @property
     def nrays(self) -> int:

@@ -32,8 +32,10 @@ from toricbundle.bundle import (
     cross_validate,
     f_gamma,
     intersection_functional,
+    pullback_class,
     random_convex,
     random_virtual,
+    rho_class,
     ring_power_derivative_check,
     ring_via_diff,
     ring_via_sd,
@@ -665,6 +667,48 @@ def test_ring_power_derivative_check_refuses_a_delta_on_another_fan():
     delta = VirtualPolytope(fan_p1xp1(), (1, 1, 1, 1))
     with pytest.raises(FanError, match="different fans"):
         ring_power_derivative_check(spec, (F(1),), 0, delta, [(0, 1)], ring_via_sr(spec))
+
+
+@functools.cache
+def _flag_sl3_sr():
+    """(spec, sr report) of flag_sl3_p1xp1, built once."""
+    spec = SPECS["flag_sl3_p1xp1"]()
+    return spec, ring_via_sr(spec)
+
+
+@pytest.mark.parametrize("fan_name", ["p1", "p2", "f1"])
+def test_rho_class_refuses_a_delta_on_another_fan(fan_name):
+    """A support vector of P^1 or P^2 is too short for the four rays of
+    P^1 x P^1, and one of F_1 has the right length but the wrong fan."""
+    spec, rep = _flag_sl3_sr()
+    fan = FANS[fan_name]()
+    with pytest.raises(FanError, match="different fans"):
+        rho_class(spec, rep, VirtualPolytope(fan, (1,) * fan.nrays))
+
+
+@pytest.mark.parametrize(
+    "name, other",
+    [
+        ("p2_toric", "p1xp1_toric"),  # same top degree, one fiber generator more
+        ("p1_toric", "hirzebruch_1"),  # same fiber generators, top degree 4 not 2
+        ("p2_rank2", "flag_sl3_p1xp1"),
+    ],
+)
+def test_rho_and_pullback_classes_refuse_a_report_of_another_spec(name, other):
+    spec = SPECS[name]()
+    rep = ring_via_sr(SPECS[other]())
+    delta = VirtualPolytope(spec.fan, (1,) * spec.fan.nrays)
+    with pytest.raises(DegreeMismatch, match="does not belong to spec"):
+        rho_class(spec, rep, delta)
+    with pytest.raises(DegreeMismatch, match="does not belong to spec"):
+        pullback_class(spec, rep, 0, (F(1),))
+
+
+def test_verify_bkk_refuses_an_sr_report_of_another_spec():
+    spec = SPECS["p2_rank2"]()
+    delta = random_convex(spec.fan, random.Random(3))
+    with pytest.raises(DegreeMismatch, match="does not belong to spec"):
+        verify_bkk(spec, (F(1),), 0, delta, _flag_sl3_sr()[1])
 
 
 def test_squarefree_matches_ring():

@@ -24,6 +24,7 @@ from toricbundle.bundle import (
     ring_via_sr,
 )
 from toricbundle.catalog import (
+    FLAG_RANKS,
     SPECS,
     _combine,
     _interlacing,
@@ -34,6 +35,7 @@ from toricbundle.catalog import (
     brion_kazarnovskii_check,
     fan_p1,
     fan_p1xp1,
+    fan_p2,
     fan_projective_space,
     flag_bundle_spec,
     gz_lattice_points,
@@ -43,7 +45,12 @@ from toricbundle.catalog import (
     weyl_dimension,
     weyl_top_polynomial_sl,
 )
-from toricbundle.errors import DegreeMismatch, NotDominant, NotProjectiveSpace
+from toricbundle.errors import (
+    DegreeMismatch,
+    FanError,
+    NotDominant,
+    NotProjectiveSpace,
+)
 from toricbundle.galg import _unit, check_poincare
 from toricbundle.integrate import integrate_over_polytope, volume
 from toricbundle.polyhedral import Polytope, VirtualPolytope, polytope_from_support
@@ -285,6 +292,23 @@ def test_brion_kazarnovskii_rejects_a_base_without_degree_two_classes():
         brion_kazarnovskii_check(
             spec, VirtualPolytope(spec.fan, (1, 0)), sr_report=ring_via_sr(spec)
         )
+
+
+@pytest.mark.parametrize("fan", [fan_p1(), fan_p2()], ids=["p1", "p2"])
+def test_brion_kazarnovskii_refuses_a_delta_on_another_fan(fan):
+    spec = SPECS["flag_sl3_p1xp1"]()
+    delta = VirtualPolytope(fan, (1,) * fan.nrays)
+    with pytest.raises(FanError, match="different fans"):
+        brion_kazarnovskii_check(spec, delta, sr_report=ring_via_sr(spec))
+
+
+def test_flag_ranks_name_flag_specs():
+    """Each FLAG_RANKS entry is a catalog spec over SL_n/B: dim H^2 = n - 1
+    and top degree n(n - 1)."""
+    for name, n in FLAG_RANKS.items():
+        base = SPECS[name]().base
+        assert base.algebra.dim(2) == n - 1
+        assert base.k == n * (n - 1)
 
 
 def test_projective_bundle_checks():

@@ -25,12 +25,14 @@ from helpers import (
     of_point,
     polytope_from_points,
 )
-from toricbundle import cli, exactlin, integrate, polyhedral
+from toricbundle import bundle, cli, exactlin, integrate, polyhedral
 from toricbundle.bundle import (
+    cross_validate,
     random_convex,
     random_virtual,
     ring_via_diff,
     ring_via_sd,
+    ring_via_sr,
 )
 from toricbundle.catalog import (
     SPECS,
@@ -40,6 +42,7 @@ from toricbundle.catalog import (
 )
 from toricbundle.errors import (
     DegreeMismatch,
+    DimensionMismatch,
     FanError,
     LowerDimensional,
     NotHomogeneous,
@@ -115,8 +118,6 @@ def test_segment_length():
 
 
 def test_simplex_dimension_mismatch():
-    from toricbundle.errors import DimensionMismatch
-
     with pytest.raises(DimensionMismatch):
         integrate_over_simplex(ONE1, STD)
 
@@ -985,61 +986,130 @@ def test_i_f_value_builds_no_polytope(monkeypatch):
 
 def test_verify_bkk_builds_each_i_f_once(monkeypatch, capsys):
     """Every random Delta of a base class asks for the same I_f; the
-    uncached vertex sum runs once per distinct (fan, f_gamma)."""
-    requests, builds = [], []
+    vertex sum runs once per distinct (fan, f_gamma) value."""
+    requests = []
+    real = integrate.i_f_polynomial
 
-    def counting(real, log):
-        def wrapped(fan, f):
-            log.append((id(fan), f))
-            return real(fan, f)
+    def counting(fan, f):
+        requests.append((fan, f))
+        return real(fan, f)
 
-        return wrapped
-
-    monkeypatch.setattr(
-        integrate, "i_f_polynomial", counting(integrate.i_f_polynomial, requests)
-    )
-    monkeypatch.setattr(
-        integrate, "_i_f_polynomial", counting(integrate._i_f_polynomial, builds)
-    )
+    monkeypatch.setattr(integrate, "i_f_polynomial", counting)
     code = cli.main(["verify", "p2_rank2", "--suite", "bkk", "--count", "5"])
     assert code == 0
     assert capsys.readouterr().out.splitlines()[-1] == "RESULT: PASS"
-    assert builds and len(set(builds)) == len(builds)
-    assert set(builds) == set(requests) and len(requests) > len(builds)
+    info = real.cache_info()
+    assert info.misses == info.currsize == len(set(requests))
+    assert info.hits == len(requests) - info.misses > 0
 
 
-def test_cached_i_f_matches_fresh_computation():
+def test_cached_i_f_matches_fresh_computation(monkeypatch):
     """No builder mutates a cached polynomial: after ring_via_sd and
-    ring_via_diff, each one still equals the vertex sum on a freshly
-    validated equal fan, and its key still finds it."""
+    ring_via_diff, each one returned still equals the uncached vertex sum on
+    a freshly validated equal fan, and an equal key built anew still finds
+    that very object."""
+    returned = []
+    real = integrate.i_f_polynomial
+
+    def logging(fan, f):
+        poly = real(fan, f)
+        returned.append((f, poly))
+        return poly
+
+    monkeypatch.setattr(bundle, "i_f_polynomial", logging)
     spec = SPECS["flag_sl3_p1xp1"]()
     ring_via_sd(spec)
     ring_via_diff(spec)
-    cache = spec.fan.i_f_polynomials
-    assert cache
+    assert returned
+    assert real.cache_info().currsize == len({f for f, _ in returned})
     fresh = validate_fan(spec.fan.rays, spec.fan.max_cones)
-    assert fresh == spec.fan and not fresh.i_f_polynomials
-    for f, poly in cache.items():
-        assert cache[QPolynomial(f.vars, f.terms)] is poly
-        assert integrate._i_f_polynomial(fresh, f) == poly
+    assert fresh == spec.fan and fresh is not spec.fan
+    for f, poly in returned:
+        assert real(fresh, QPolynomial(f.vars, f.terms)) is poly
+        assert real.__wrapped__(fresh, f) == poly
 
 
 def test_i_f_polynomial_errors_leave_cache_empty(monkeypatch):
     p2 = fan_p2()
     with pytest.raises(NotHomogeneous):
         i_f_polynomial(p2, X1 + ONE2)
-    assert p2.i_f_polynomials == {}
+    assert i_f_polynomial.cache_info().currsize == 0
     fan = validate_fan([(1, 0), (0, 1), (-1, 0)], [(0, 1), (1, 2)])
     with pytest.raises(FanError):
         i_f_polynomial(fan, ONE2)
-    assert fan.i_f_polynomials == {}
+    assert i_f_polynomial.cache_info().currsize == 0
     real = integrate.i_f_value
     monkeypatch.setattr(
         integrate, "i_f_value", lambda fan, f, vp: real(fan, f, vp) + 1
     )
     with pytest.raises(VerificationFailed, match="self-check"):
         i_f_polynomial(p2, ONE2)
-    assert p2.i_f_polynomials == {}
+    info = i_f_polynomial.cache_info()
+    assert info.currsize == 0 and info.misses == 3
+
+
+I_F_SHARING_FANS = {
+    name: (lambda name=name: SPECS[name]().fan) for name in CATALOG_FAN_SPECS
+}
+I_F_SHARING_FANS.update(
+    octant=octant_fan, p3=lambda: fan_projective_space(3), p112=fan_p112
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_equal_fans_share_one_i_f_polynomial(data):
+    """The memo keys on the fan's value: two separately validated equal fans
+    get the identical polynomial object, which equals the uncached vertex
+    sum on a third copy."""
+    name = data.draw(st.sampled_from(sorted(I_F_SHARING_FANS)))
+    first, second, third = (I_F_SHARING_FANS[name]() for _ in range(3))
+    assert first == second == third and first is not second
+    m = data.draw(st.integers(0, 2))
+    monos = monomials_of_degree(first.dim, m)
+    terms = data.draw(st.dictionaries(st.sampled_from(monos), rationals, min_size=1))
+    f = QPolynomial(tuple(f"x{i + 1}" for i in range(first.dim)), terms)
+    poly = i_f_polynomial(first, f)
+    assert i_f_polynomial(second, f) is poly
+    assert i_f_polynomial.__wrapped__(third, f) == poly
+
+
+def test_i_f_polynomial_refuses_wrong_variable_count():
+    """An integrand whose variable count is not the fan's dimension is
+    refused before any work, so nothing is cached; mixed_integral inherits
+    the refusal."""
+    p2 = fan_p2()
+    abc = ("a", "b", "c")
+    for f in (
+        QPolynomial.zero(abc),
+        QPolynomial.constant(abc, 1),
+        QPolynomial.variable(abc, 2),
+    ):
+        with pytest.raises(DimensionMismatch, match="3 variables"):
+            i_f_polynomial(p2, f)
+    assert i_f_polynomial.cache_info().currsize == 0
+    vp = VirtualPolytope(p2, (1, 1, 1))
+    with pytest.raises(DimensionMismatch, match="3 variables"):
+        mixed_integral(p2, QPolynomial.constant(abc, 1), [vp, vp])
+    with pytest.raises(DimensionMismatch, match="3 variables"):
+        mixed_integral(p2, QPolynomial.variable(abc, 2), [vp, vp, vp])
+
+
+def test_builders_park_no_state_on_the_fan():
+    """A fan holds its validated fields and its own cached properties only:
+    after all three builders and cross_validate, no other module has stored
+    anything on it."""
+    spec = SPECS["flag_sl3_p1xp1"]()
+    ring_via_sr(spec)
+    ring_via_sd(spec)
+    ring_via_diff(spec)
+    assert cross_validate(spec)
+    own = {
+        name
+        for name, value in vars(polyhedral.Fan).items()
+        if isinstance(value, functools.cached_property)
+    }
+    assert set(vars(spec.fan)) <= {"dim", "rays", "max_cones"} | own
 
 
 def _polytope_corner_box(fan, f, delta, ray_set, lams):
