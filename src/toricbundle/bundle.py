@@ -61,6 +61,7 @@ from toricbundle.galg import (
     build_quotient,
     check_poincare,
     kept_carrier,
+    power_form,
     sd_quotient,
 )
 from toricbundle.integrate import (
@@ -78,7 +79,7 @@ from toricbundle.polyhedral import (
     is_projective,
     is_smooth,
 )
-from toricbundle.qpoly import QPolynomial, monomials_of_degree
+from toricbundle.qpoly import QPolynomial
 
 Vec = tuple[Fraction, ...]
 
@@ -173,50 +174,22 @@ class RingReport:
 # ---------------------------------------------------------------------------
 
 
-def _chern_powers(base: BaseData, xvars, columns, top: int):
-    """[c(x)^0, ..., c(x)^top], each a dict: degree-2i basis index ->
-    polynomial coefficient; c(x)^i is built as c(x)^(i-1) * c(x)."""
-    r = base.algebra
-    xs = [QPolynomial.variable(xvars, j) for j in range(len(columns))]
-    powers = [{0: QPolynomial.constant(xvars, 1)}]
-    for deg in range(0, 2 * top, 2):
-        nxt: dict[int, QPolynomial] = {}
-        for u, poly in powers[-1].items():
-            for xj, col in zip(xs, columns):
-                for w, cw in enumerate(col):
-                    if not cw:
-                        continue
-                    for t, cp in r.product_pairs(2, w, deg, u):
-                        term = (cw * cp) * (xj * poly)
-                        nxt[t] = nxt.get(t, QPolynomial.zero(xvars)) + term
-        powers.append(nxt)
-    return powers
-
-
 def f_gamma(spec: BundleSpec, gamma: Vec, i: int) -> QPolynomial:
-    """The degree-i polynomial x |-> ell_B(c(x)^i * gamma).
+    """The degree-i polynomial x |-> ell_B(c(x)^i * gamma), by
+    ``galg.power_form`` on the Chern columns.
 
-    ``gamma`` is a coefficient vector in degree k - 2i of the base algebra.
+    ``gamma`` is a coefficient vector in degree k - 2i of the base algebra;
+    any other (gamma, i) raises :class:`DegreeMismatch`.
     """
     base = spec.base
+    if not isinstance(i, int) or not 0 <= i <= base.k // 2:
+        raise DegreeMismatch(f"i = {i!r} is not an int from 0 to k/2")
     gdeg = base.k - 2 * i
-    if gdeg < 0 or len(gamma) != base.algebra.dim(gdeg):
+    if len(gamma) != base.algebra.dim(gdeg):
         raise DegreeMismatch("gamma must have degree k - 2i")
-    power = _chern_powers(base, spec.x_vars, base.chern, i)[i]
-    return _pair_with_power(spec, power, gamma, i)
-
-
-def _pair_with_power(spec: BundleSpec, power, gamma: Vec, i: int) -> QPolynomial:
-    """x |-> ell_B(power(x) * gamma) for ``power`` = c(x)^i as
-    :func:`_chern_powers` gives it and gamma of degree k - 2i, unchecked."""
-    base = spec.base
-    gdeg = base.k - 2 * i
-    out = QPolynomial.zero(spec.x_vars)
-    for t, poly in power.items():
-        et = _unit(base.algebra.dim(2 * i), t)
-        prod = base.algebra.multiply(2 * i, et, gdeg, gamma)
-        out = out + base.orientation.of(base.k, prod) * poly
-    return out
+    return power_form(
+        base.algebra, base.orientation, base.chern, spec.x_vars, i, gdeg, gamma
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -234,13 +207,12 @@ def intersection_functional(spec: BundleSpec) -> dict:
     intersection number is (n+i)!/i! = m!/i! times it, so
     ell(p^*gamma * x^beta) = beta! [h^beta] I_gamma (:func:`_pairing`).
     """
-    base, k = spec.base, spec.k
-    powers = _chern_powers(base, spec.x_vars, base.chern, k // 2)
+    alg, k = spec.base.algebra, spec.k
     polys = {}
     for gdeg in range(0, k + 1, 2):
         i = (k - gdeg) // 2
-        for ridx in range(base.algebra.dim(gdeg)):
-            f = _pair_with_power(spec, powers[i], _unit(base.algebra.dim(gdeg), ridx), i)
+        for ridx in range(alg.dim(gdeg)):
+            f = f_gamma(spec, _unit(alg.dim(gdeg), ridx), i)
             polys[(gdeg, ridx)] = Fraction(1, factorial(i)) * i_f_polynomial(spec.fan, f)
     return polys
 
@@ -305,7 +277,7 @@ def _check_linear_relations(spec: BundleSpec, relations, polys) -> None:
                 for u, c in r.product_pairs(rg, tg, rdeg, ridx)
             )
             if image:
-                beta = max(image.num)  # first in monomials_of_degree order
+                beta = max(image.num)  # lexicographically first
                 m = _mono_label(r, spec.x_names, (rdeg, ridx, beta))
                 raise VerificationFailed(
                     f"linear relation t={t} is not radical: "
@@ -506,8 +478,6 @@ def verify_bkk(
     p^*(gamma)).
     """
     n = spec.n
-    if spec.k - 2 * i < 0 or len(gamma) != spec.base.algebra.dim(spec.k - 2 * i):
-        raise DegreeMismatch("gamma must have degree k - 2i")
     f = f_gamma(spec, gamma, i)
     lhs = factorial(n + i) * mixed_integral(spec.fan, f, [delta] * (n + i))
 
@@ -539,17 +509,11 @@ def self_intersection_polynomial(spec: BundleSpec) -> tuple[QPolynomial, list[in
     Variables: h_1..h_s for the fiber fan, one t per complement generator of
     the chern image inside the degree-2 part of the base.
     """
-    s = spec.k // 2
-    comp = complement_basis(spec.base)
+    base, s = spec.base, spec.k // 2
+    comp = complement_basis(base)
     xvars = spec.x_vars + tuple(f"t{u + 1}" for u in range(len(comp)))
-    columns = list(spec.base.chern) + [
-        _unit(spec.base.algebra.dim(2), u) for u in comp
-    ]
-    power = _chern_powers(spec.base, xvars, columns, s)[s]
-    f_ext = QPolynomial.zero(xvars)
-    for t, poly in power.items():
-        et = _unit(spec.base.algebra.dim(2 * s), t)
-        f_ext = f_ext + spec.base.orientation.of(spec.k, et) * poly
+    columns = list(base.chern) + [_unit(base.algebra.dim(2), u) for u in comp]
+    f_ext = power_form(base.algebra, base.orientation, columns, xvars, s, 0, (1,))
 
     hvars = tuple(f"h{i + 1}" for i in range(spec.fan.nrays))
     allvars = hvars + tuple(f"t{u + 1}" for u in range(len(comp)))
@@ -609,31 +573,25 @@ def ring_power_derivative_check(
     """d_I of F_gamma in h-coordinates, against the closed form, one verdict
     per set I of ``ray_sets``.
 
-    F_gamma(h) = sum_beta multinomial(beta) ell(x^beta p^* gamma) h^beta is
-    assembled symbolically from the sr ring, once; its square-free
-    derivative must vanish off cones and equal (n+i)!/i! f_gamma(dual
-    vertex) on maximal cones.  A set I that repeats a ray index or spans a
-    smaller cone raises ``DegreeMismatch``; an index that names no ray, or
-    a Delta on another fan, raises ``FanError`` before any derivative is
-    taken.
+    F_gamma(h) = ell((sum_j h_j x_j)^(n+i) p^*gamma) = sum_beta
+    multinomial(beta) ell(x^beta p^*gamma) h^beta is built once in the sr
+    ring by ``galg.power_form``, after ``f_gamma`` checks (gamma, i); its
+    square-free derivative must vanish off cones and equal (n+i)!/i!
+    f_gamma(dual vertex) on maximal cones.  A set I that repeats a ray index
+    or spans a smaller cone raises ``DegreeMismatch``; an index that names
+    no ray, or a Delta on another fan, raises ``FanError`` before any
+    derivative is taken.
     """
     ray_sets = [_ray_indices(spec.fan, ray_set) for ray_set in ray_sets]
     _require_integrable(spec.fan, delta)
-    n, m = spec.n, spec.n + i
-    gdeg = spec.k - 2 * i
-    hvars = tuple(f"h{j + 1}" for j in range(spec.fan.nrays))
-    terms = {}
-    for beta in monomials_of_degree(spec.fan.nrays, m):
-        coeff = factorial(m)
-        for e in beta:
-            coeff //= factorial(e)
-        val = sr_report.functional.of(
-            spec.top_degree, sr_report.model.class_of(beta, gdeg, gamma)
-        )
-        if val:
-            terms[beta] = coeff * val
-    fpoly = QPolynomial(hvars, terms)
     f = f_gamma(spec, gamma, i)
+    n, gdeg = spec.n, spec.k - 2 * i
+    hvars = tuple(f"h{j + 1}" for j in range(spec.fan.nrays))
+    xs = [sr_report.generator_classes[name][1] for name in spec.x_names]
+    pg = pullback_class(spec, sr_report, gdeg, gamma)
+    fpoly = power_form(
+        sr_report.algebra, sr_report.functional, xs, hvars, n + i, gdeg, pg
+    )
     scale = Fraction(factorial(n + i), factorial(i))
     verdicts = []
     for ray_set in ray_sets:

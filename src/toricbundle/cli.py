@@ -81,7 +81,7 @@ def _resolve(token: str, table, parse, noun: str):
             return parse(json.load(fh))
     except OSError as exc:
         _fail(EXIT_PRECONDITION, f"cannot read {noun} file {token!r}: {exc}")
-    except (KeyError, ValueError, TypeError) as exc:
+    except (KeyError, ValueError, TypeError, RecursionError) as exc:
         _fail(EXIT_PRECONDITION, f"malformed {noun} file {token!r}: {exc}")
 
 
@@ -380,10 +380,7 @@ def cmd_intersect(args) -> int:
         _fail(EXIT_PRECONDITION, str(exc))
     degree = gdeg + 2 * sum(beta)
     rep = ring_via_sr(spec)
-    if gdeg > spec.base.algebra.top:
-        cls = ()
-    else:
-        cls = rep.model.class_of(beta, gdeg, gvec)
+    cls = rep.model.class_of(beta, gdeg, gvec)
     if not any(cls):
         print(f"{args.expr} = 0  (class vanishes in degree {degree})")
         print("value: [0, 1]")

@@ -37,7 +37,8 @@ odd cohomology), so no Koszul signs appear anywhere.  The module provides
   the images d^alpha f, read off the terms of f (a term x^e feeds only the
   columns alpha <= e), whose pivot columns are the basis operators and
   whose column alpha is the class of d^alpha, so products are lookups;
-* graded isomorphism checking by multiplicative extension of a degree-2 map.
+* graded isomorphism checking by multiplicative extension of a degree-2 map;
+* ``power_form``: ell((sum_j y_j c_j)^m * gamma) as a polynomial in the y_j.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ from math import factorial, lcm, perm, prod
 from operator import add, sub
 
 from toricbundle.errors import (
+    DegreeMismatch,
     DimensionMismatch,
     EmptyRelation,
     NonHomogeneousRelation,
@@ -249,6 +251,36 @@ class TopFunctional:
     def scale(self, c) -> "TopFunctional":
         c = Fraction(c)
         return TopFunctional(self.algebra, self.degree, [c * x for x in self.values])
+
+
+def power_form(
+    alg: GradedAlgebra, ell: TopFunctional, columns, vars, m: int, gdeg: int, gamma
+) -> QPolynomial:
+    """y |-> ell((sum_j y_j columns[j])^m * gamma), of degree m in ``vars``,
+    for degree-2 classes ``columns`` of ``alg`` and gamma of degree gdeg.
+
+    Each exponent e holds the class of gamma * prod_j columns[j]^e_j, one
+    :meth:`GradedAlgebra.multiply` by a column from e less one factor of its
+    last variable; a zero class has no multiples.  The coefficient of y^e is
+    multinomial(e) times ell of that class.
+    """
+    classes = {(0,) * len(columns): (0, tuple(gamma))}  # e -> (last variable, class)
+    for deg in range(gdeg, gdeg + 2 * m, 2):
+        nxt = {}
+        for e, (last, vec) in classes.items():
+            for j in range(last, len(columns)):
+                out = alg.multiply(2, columns[j], deg, vec)
+                if any(out):
+                    nxt[e[:j] + (e[j] + 1,) + e[j + 1 :]] = (j, out)
+        classes = nxt
+    top = gdeg + 2 * m
+    return QPolynomial(
+        vars,
+        {
+            e: factorial(m) // prod(map(factorial, e)) * ell.of(top, vec)
+            for e, (_, vec) in classes.items()
+        },
+    )
 
 
 def _pairing_rows(b: GradedAlgebra, ell: TopFunctional, k: int) -> list:
@@ -564,13 +596,20 @@ class FreeAlgebra(GradedAlgebra):
     def element(self, beta, gdeg: int = 0, gamma=None):
         """(degree, column pairs) of p^*(gamma) * x^beta, with gamma a
         coefficient vector of base degree ``gdeg`` (the unit by default) and
-        each eliminated x_p replaced by ``solved[p]``; above the top the
-        element is zero and has no pairs."""
+        each eliminated x_p replaced by ``solved[p]``; above the top, or
+        with gdeg above the base's top, the element is zero and has no
+        pairs.  An odd or negative gdeg, a gamma not of the length of that
+        base degree, or a beta not one int >= 0 per variable raises
+        :class:`DegreeMismatch`."""
         beta = tuple(beta)
-        d = gdeg + 2 * sum(beta)
-        if d > self.top:
-            return d, ()
         gamma = (_ONE,) if gamma is None else gamma
+        if gdeg % 2 or gdeg < 0 or len(gamma) != self.base.dim(gdeg):
+            raise DegreeMismatch(f"{gamma} is not a class of base degree {gdeg}")
+        if len(beta) != len(self.monomials[0][0][2]) or min(beta, default=0) < 0:
+            raise DegreeMismatch(f"exponent {beta} is not one entry >= 0 per variable")
+        d = gdeg + 2 * sum(beta)
+        if d > self.top or gdeg > self.base.top:
+            return d, ()
         out: dict[int, Fraction] = {}
         for u, c in enumerate(gamma):
             if c:

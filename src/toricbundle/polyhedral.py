@@ -480,9 +480,11 @@ def support_points(fan: Fan, vp: VirtualPolytope) -> tuple[int, list]:
     against the H-representation: <V, e_j> <= h_j D = L H_j for every ray
     j, with equality at the rays of sigma, so a scaled inverse that does not
     invert E_sigma raises :class:`VerificationFailed` instead of giving a
-    wrong polytope.  Raises :class:`NotConvex` unless h is convex on the
-    fan.
+    wrong polytope.  Raises :class:`FanError` unless the fan is complete
+    and :class:`NotConvex` unless h is convex on the fan.
     """
+    if not fan.complete:
+        raise FanError("P(h) is bounded for every h only on a complete fan")
     if not is_convex_on(fan, vp):
         raise NotConvex(f"support vector {vp.h} not convex on the fan")
     hden, (hint,) = _cleared([vp.h])

@@ -28,13 +28,16 @@ class QPolynomial:
     def __init__(self, vars, terms=None):
         """The polynomial sum c * x^e over ``terms``, a map from exponent
         tuples to ints, Fractions or anything ``Fraction`` takes; repeated
-        exponents add up."""
+        exponents add up.  An exponent entry that is not an int >= 0 raises
+        :class:`DegreeMismatch`."""
         self.vars = tuple(vars)
         clean = {}
         for expo, coeff in (terms or {}).items():
+            expo = tuple(expo)
+            if not all(isinstance(e, int) and e >= 0 for e in expo):
+                raise DegreeMismatch(f"exponent {expo} is not of ints >= 0")
             coeff = Fraction(coeff)
             if coeff:
-                expo = tuple(int(e) for e in expo)
                 if len(expo) != len(self.vars):
                     raise DimensionMismatch("exponent length != variable count")
                 clean[expo] = clean.get(expo, 0) + coeff

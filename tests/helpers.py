@@ -12,7 +12,6 @@ from toricbundle.bundle import (
     BundleSpec,
     CrossValidation,
     RingReport,
-    _chern_powers,
     _generator_classes_quotient,
     _leray_hirsch_dim,
     complement_basis,
@@ -449,6 +448,56 @@ def spec_to_dict(spec: BundleSpec) -> dict:
     return {"base": base_to_dict(spec.base), "fan": fan_to_dict(spec.fan)}
 
 
+# -- the power-then-pair expansions that galg.power_form replaced -------------
+
+
+def chern_powers(base: BaseData, xvars, columns, top: int):
+    """[c(x)^0, ..., c(x)^top], each a dict: degree-2i basis index ->
+    polynomial coefficient; c(x)^i is built as c(x)^(i-1) * c(x)."""
+    r = base.algebra
+    xs = [QPolynomial.variable(xvars, j) for j in range(len(columns))]
+    powers = [{0: QPolynomial.constant(xvars, 1)}]
+    for deg in range(0, 2 * top, 2):
+        nxt: dict[int, QPolynomial] = {}
+        for u, poly in powers[-1].items():
+            for xj, col in zip(xs, columns):
+                for w, cw in enumerate(col):
+                    if not cw:
+                        continue
+                    for t, cp in r.product_pairs(2, w, deg, u):
+                        term = (cw * cp) * (xj * poly)
+                        nxt[t] = nxt.get(t, QPolynomial.zero(xvars)) + term
+        powers.append(nxt)
+    return powers
+
+
+def f_gamma_by_powers(spec: BundleSpec, gamma, i: int) -> QPolynomial:
+    """x |-> ell_B(c(x)^i * gamma): c(x)^i by :func:`chern_powers`, then
+    each of its basis coefficients times gamma paired by ell_B."""
+    base = spec.base
+    gdeg = base.k - 2 * i
+    out = QPolynomial.zero(spec.x_vars)
+    for t, poly in chern_powers(base, spec.x_vars, base.chern, i)[i].items():
+        et = _unit(base.algebra.dim(2 * i), t)
+        product = base.algebra.multiply(2 * i, et, gdeg, gamma)
+        out = out + base.orientation.of(base.k, product) * poly
+    return out
+
+
+def f_gamma_ring_by_monomials(spec: BundleSpec, gamma, i: int, sr_report) -> QPolynomial:
+    """F_gamma(h) = sum_beta multinomial(beta) ell(x^beta p^*gamma) h^beta
+    over the degree-(n+i) monomials, each class by ``class_of`` in the sr
+    model."""
+    m, gdeg = spec.n + i, spec.k - 2 * i
+    terms = {}
+    for beta in monomials_of_degree(spec.fan.nrays, m):
+        cls = sr_report.model.class_of(beta, gdeg, gamma)
+        val = sr_report.functional.of(spec.top_degree, cls)
+        terms[beta] = factorial(m) // prod(map(factorial, beta)) * val
+    hvars = tuple(f"h{j + 1}" for j in range(spec.fan.nrays))
+    return QPolynomial(hvars, terms)
+
+
 # -- corollaries of the per-basis BKK identity ---------------------------------
 
 
@@ -465,7 +514,7 @@ def horizontal_part(
     n = spec.n
     if 2 * i > spec.k:
         raise DegreeMismatch("2i exceeds the base dimension")
-    power = _chern_powers(base, spec.x_vars, base.chern, i)[i]
+    power = chern_powers(base, spec.x_vars, base.chern, i)[i]
     scale = F(factorial(n + i), factorial(i))
     b = [F(0)] * base.algebra.dim(2 * i)
     for t, poly in power.items():

@@ -16,6 +16,8 @@ from helpers import (
     coordinate,
     diff_matches_sr,
     ell_table,
+    f_gamma_by_powers,
+    f_gamma_ring_by_monomials,
     full_free_algebra,
     full_width_ring_via_sd,
     horizontal_part,
@@ -46,7 +48,7 @@ from toricbundle.bundle import (
 )
 from toricbundle.catalog import FANS, SPECS, base_projective, fan_p1xp1, flag_bundle_spec
 from toricbundle.errors import DegreeMismatch, FanError, VerificationFailed
-from toricbundle.galg import FreeAlgebra, _unit, product_keys
+from toricbundle.galg import FreeAlgebra, _unit, power_form, product_keys
 from toricbundle.integrate import mixed_integral
 from toricbundle.polyhedral import VirtualPolytope
 from toricbundle.serialize import report_to_dict
@@ -74,6 +76,18 @@ def test_f_gamma_degree_mismatch():
     spec = hirzebruch()
     with pytest.raises(DegreeMismatch):
         f_gamma(spec, (F(1),), 2)
+
+
+@pytest.mark.parametrize("i", [-1, 2, 0.5, 1.0, F(1)])
+def test_f_gamma_refuses_an_i_that_is_not_an_int_from_0_to_half_k(i):
+    """hirzebruch_1 has k = 2.  With gamma of the length of degree k - 2i
+    (none above the top), each would otherwise reach the expansion."""
+    spec = hirzebruch()
+    gamma = (F(1),) * spec.base.algebra.dim(spec.k - 2 * int(i))
+    with pytest.raises(DegreeMismatch, match="is not an int from 0 to k/2"):
+        f_gamma(spec, gamma, i)
+    with pytest.raises(DegreeMismatch, match="is not an int from 0 to k/2"):
+        verify_bkk(spec, gamma, i, random_convex(spec.fan, random.Random(1)), None)
 
 
 def plain_ell(spec):
@@ -670,9 +684,9 @@ def test_ring_power_derivative_check_refuses_a_delta_on_another_fan():
 
 
 @functools.cache
-def _flag_sl3_sr():
-    """(spec, sr report) of flag_sl3_p1xp1, built once."""
-    spec = SPECS["flag_sl3_p1xp1"]()
+def _sr_report(name):
+    """(spec, sr report) of a catalog spec, built once."""
+    spec = SPECS[name]()
     return spec, ring_via_sr(spec)
 
 
@@ -680,7 +694,7 @@ def _flag_sl3_sr():
 def test_rho_class_refuses_a_delta_on_another_fan(fan_name):
     """A support vector of P^1 or P^2 is too short for the four rays of
     P^1 x P^1, and one of F_1 has the right length but the wrong fan."""
-    spec, rep = _flag_sl3_sr()
+    spec, rep = _sr_report("flag_sl3_p1xp1")
     fan = FANS[fan_name]()
     with pytest.raises(FanError, match="different fans"):
         rho_class(spec, rep, VirtualPolytope(fan, (1,) * fan.nrays))
@@ -708,7 +722,56 @@ def test_verify_bkk_refuses_an_sr_report_of_another_spec():
     spec = SPECS["p2_rank2"]()
     delta = random_convex(spec.fan, random.Random(3))
     with pytest.raises(DegreeMismatch, match="does not belong to spec"):
-        verify_bkk(spec, (F(1),), 0, delta, _flag_sl3_sr()[1])
+        verify_bkk(spec, (F(1),), 0, delta, _sr_report("flag_sl3_p1xp1")[1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(SPECS)), st.data())
+def test_power_form_matches_the_power_then_pair_expansion(name, data):
+    """On a random integer base class gamma of degree k - 2i, f_gamma by
+    ``power_form`` on the base equals c(x)^i expanded first and then paired
+    with gamma, and F_gamma by ``power_form`` on the sr ring equals the walk
+    sum_beta multinomial(beta) ell(x^beta p^*gamma) h^beta over class_of."""
+    spec, rep = _sr_report(name)
+    i = data.draw(st.integers(0, spec.k // 2), label="i")
+    gdeg = spec.k - 2 * i
+    size = spec.base.algebra.dim(gdeg)
+    gamma = tuple(
+        map(F, data.draw(st.lists(st.integers(-3, 3), min_size=size, max_size=size)))
+    )
+    assert f_gamma(spec, gamma, i) == f_gamma_by_powers(spec, gamma, i)
+    xs = [rep.generator_classes[x][1] for x in spec.x_names]
+    hvars = tuple(f"h{j + 1}" for j in range(spec.fan.nrays))
+    pg = pullback_class(spec, rep, gdeg, gamma)
+    fpoly = power_form(rep.algebra, rep.functional, xs, hvars, spec.n + i, gdeg, pg)
+    assert fpoly == f_gamma_ring_by_monomials(spec, gamma, i, rep)
+
+
+@pytest.mark.parametrize(
+    "gdeg, gamma",
+    [(2, (1, 2)), (0, ()), (3, (1,)), (-2, (1,))],
+    ids=["long gamma", "short gamma", "odd degree", "negative degree"],
+)
+def test_pullback_class_refuses_a_malformed_base_class(gdeg, gamma):
+    """The P^2 base has one class in each of the degrees 0, 2 and 4."""
+    spec, rep = _sr_report("p2_rank2")
+    with pytest.raises(DegreeMismatch):
+        pullback_class(spec, rep, gdeg, gamma)
+
+
+@pytest.mark.parametrize(
+    "beta", [(-1, 0, 2), (1, 0), (1, 0, 0, 0)], ids=["negative", "short", "long"]
+)
+def test_class_of_refuses_a_malformed_exponent(beta):
+    spec, rep = _sr_report("p2_rank2")
+    with pytest.raises(DegreeMismatch):
+        rep.model.class_of(beta)
+
+
+def test_class_of_a_base_degree_above_the_base_top_is_zero():
+    spec, rep = _sr_report("p2_rank2")
+    assert pullback_class(spec, rep, 6, ()) == (0, 0)
+    assert not any(rep.model.class_of((1, 0, 0), 6, ()))
 
 
 def test_squarefree_matches_ring():

@@ -777,6 +777,34 @@ def test_directory_input_exit_3(capsys, tmp_path, argv, noun):
     assert err.startswith(f"error: cannot read {noun} file {str(tmp_path)!r}: ")
 
 
+@pytest.mark.parametrize(
+    "argv, noun",
+    [
+        (("fan", "check", "{}"), "fan"),
+        (("ring", "{}"), "spec"),
+        (("verify", "{}", "--suite", "bkk"), "spec"),
+        (("intersect", "{}", "--expr", "x1"), "spec"),
+    ],
+    ids=["fan", "ring", "verify", "intersect"],
+)
+def test_deeply_nested_json_exit_3(capsys, tmp_path, argv, noun):
+    """JSON nested too deeply for the decoder's recursion limit is malformed
+    input: a precondition failure, not a traceback with exit 1."""
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 200000 + "]" * 200000)
+    code, out, err = run(capsys, *(a.format(path) for a in argv))
+    assert code == 3 and out == ""
+    assert err.startswith(f"error: malformed {noun} file {str(path)!r}: ")
+    assert "Traceback" not in err
+
+
+def test_intersect_base_power_above_the_base_top_is_zero(capsys):
+    """H^3 is zero on the P^2 base, so H^3*x1 is the zero class."""
+    code, out, _ = run(capsys, "intersect", "p2_rank2", "--expr", "H^3*x1")
+    assert code == 0
+    assert out == "H^3*x1 = 0  (class vanishes in degree 6)\nvalue: [0, 1]\n"
+
+
 def test_intersect_negative_exponent_exit_3(capsys):
     code, _, err = run(capsys, "intersect", "p2_toric", "--expr", "x1^-1")
     assert code == 3

@@ -383,6 +383,16 @@ def test_polytope_from_support_rejects_nonconvex():
         polytope_from_support(p2, VirtualPolytope(p2, (0, 0, -1)))
 
 
+def test_polytope_from_support_refuses_an_incomplete_fan():
+    """Two cones of the upper half plane: P(h) is unbounded, so no vertex
+    list describes it."""
+    fan = Fan(((1, 0), (0, 1), (-1, 0)), ((0, 1), (1, 2)))
+    with pytest.raises(FanError, match="only on a complete fan"):
+        polytope_from_support(fan, VirtualPolytope(fan, (1, 1, 1)))
+    with pytest.raises(FanError, match="only on a complete fan"):
+        polyhedral.support_points(fan, VirtualPolytope(fan, (1, 1, 1)))
+
+
 def test_support_function_examples():
     pp = fan_p1xp1()
     square = polytope_from_points([(0, 0), (1, 0), (0, 1), (1, 1)])

@@ -92,6 +92,14 @@ def test_power_refuses_other_exponents(k):
         (x + 1) ** k
 
 
+@pytest.mark.parametrize("expo", [(1.5, 0), (-1, 0), (F(1), 0), ("1", 0), (0.0, 0)])
+def test_constructor_refuses_exponents_that_are_not_ints_at_least_0(expo):
+    """(1.5,) would be read as x and (-1,) would give a degree of -1, the
+    zero polynomial's marker."""
+    with pytest.raises(DegreeMismatch):
+        QPolynomial(XY, {expo: 1})
+
+
 def test_monomials_of_degree_count_and_order():
     ms = monomials_of_degree(3, 2)
     assert len(ms) == 6
